@@ -16,6 +16,7 @@ from .errors import RetryCapError, SimulationError
 from .physical import (
     PhysicalInstance,
     SinrParams,
+    broadcast_range,
     build_graph,
     load_instance,
     make_instance,
@@ -23,14 +24,12 @@ from .physical import (
 )
 from .protocol import (
     CollectSink,
+    Execution,
+    Families,
     ProtocolConfig,
     RoundTrace,
-    Simulator,
     backbone_creation,
-    bucket_selector,
-    _ceil_lg,
 )
-from .selection import SelectionFamily
 from .verify import run_all_checks
 
 DEFAULT_PARAMS = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)
@@ -114,12 +113,15 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 
 class FileSink(CollectSink):
     """Streams one JSON record per round (full) or silent-span records
-    (compact) while keeping counters for the report."""
+    (compact) while keeping counters for the report. Keeps no records."""
 
     def __init__(self, fh: TextIO, mode: str):
         super().__init__()
         self.fh = fh
         self.mode = mode
+
+    def execution(self, ex: Execution) -> None:
+        ex.replay(self)
 
     def emit(self, trace: RoundTrace) -> None:
         if trace.transmitters:
@@ -157,19 +159,13 @@ class FileSink(CollectSink):
     def skip(self, phase: str, start_round: int, count: int) -> None:
         self.silent_rounds += count
         if self.mode == "full":
-            for k in range(count):
-                self.fh.write(
-                    json.dumps(
-                        {
-                            "round": start_round + k,
-                            "phase": phase,
-                            "transmitters": [],
-                            "deliveries": [],
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+            # silent-round records differ only in the round number, so the
+            # sorted-key JSON is built once around it
+            head = f'{{"deliveries": [], "phase": {json.dumps(phase)}, "round": '
+            tail = ', "transmitters": []}\n'
+            self.fh.write(
+                "".join(f"{head}{start_round + k}{tail}" for k in range(count))
+            )
         else:
             self.fh.write(
                 json.dumps(
@@ -192,9 +188,9 @@ class PhaseRoundSink(CollectSink):
         key = phase.split("/", 1)[0]
         self.phase_rounds[key] = self.phase_rounds.get(key, 0) + count
 
-    def emit(self, trace: RoundTrace) -> None:
-        super().emit(trace)
-        self._count(trace.phase, 1)
+    def execution(self, ex: Execution) -> None:
+        super().execution(ex)
+        self._count(ex.phase, ex.size)
 
     def skip(self, phase: str, start_round: int, count: int) -> None:
         super().skip(phase, start_round, count)
@@ -209,13 +205,7 @@ def _payload_json(payload):
 # Runs.
 
 
-def _leader_selectors(sim: Simulator) -> list[SelectionFamily]:
-    """The selector of each of leader election's degree buckets, in order."""
-    delta = sim.graph.delta
-    return [sim.selector(*bucket_selector(delta, i)) for i in range(_ceil_lg(delta) + 1)]
-
-
-def _family_report(sim: Simulator) -> list[dict]:
+def _family_report(fams: Families, delta: int) -> list[dict]:
     return [
         {
             "kind": fam.kind,
@@ -227,7 +217,7 @@ def _family_report(sim: Simulator) -> list[dict]:
             "certified": fam.certified,
             "verification": fam.verification,
         }
-        for fam in [sim.base_ssf(), sim.pair_ssf(), *_leader_selectors(sim)]
+        for fam in [fams.base_ssf(), fams.pair_ssf(), *fams.leader_selectors(delta)]
     ]
 
 
@@ -266,7 +256,6 @@ def run(config: RunConfig) -> int:
         exact_cap=config.exact_cap,
         force_exact=config.force_exact,
     )
-    sim = Simulator(inst, proto)  # families come from the cache; no rounds run
     lg = max(1.0, math.log2(inst.n_labels))
     report = {
         "version": __version__,
@@ -296,7 +285,7 @@ def run(config: RunConfig) -> int:
         "round_fit": {
             "c_r": result.rounds_used / (max(1, graph.delta) * lg * lg),
         },
-        "families": _family_report(sim),
+        "families": _family_report(Families.for_run(inst, proto), graph.delta),
         "verdicts": [v.as_dict() for v in verdicts],
     }
     with open(os.path.join(config.out_dir, "report.json"), "w", encoding="utf-8") as fh:
@@ -343,10 +332,7 @@ def sweep(
     election's selector of each degree bucket."""
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
-    r = (
-        config.params.power
-        / ((1 + config.params.epsilon) * config.params.beta * config.params.noise)
-    ) ** (1 / config.params.alpha)
+    r = broadcast_range(config.params)
     for n_labels in n_labels_list:
         for target in delta_targets:
             # scale n with the degree target: sparse connected layouts need
@@ -386,9 +372,9 @@ def sweep(
             result = backbone_creation(inst, proto, sink)
             lg = math.log2(n_labels)
             c_r = result.rounds_used / (max(1, graph.delta) * lg * lg)
-            sim = Simulator(inst, proto)  # the run's families, from the cache
-            ssf = sim.base_ssf()
-            k_fit = ssf.size / (sim.c**2 * lg)
+            fams = Families.for_run(inst, proto)  # the run's, from the cache
+            ssf = fams.base_ssf()
+            k_fit = ssf.size / (fams.c**2 * lg)
             rows.append(
                 {
                     "n": inst.n,
@@ -397,13 +383,13 @@ def sweep(
                     "delta": graph.delta,
                     "rounds": result.rounds_used,
                     "c_r": c_r,
-                    "c": sim.c,
+                    "c": fams.c,
                     "ssf_size": ssf.size,
                     "k_fit": k_fit,
-                    "pair_size": sim.pair_ssf().size,
+                    "pair_size": fams.pair_ssf().size,
                     "selectors": [
                         {"k": fam.k, "m": fam.m, "size": fam.size}
-                        for fam in _leader_selectors(sim)
+                        for fam in fams.leader_selectors(graph.delta)
                     ],
                     "phase_rounds": sink.phase_rounds,
                 }

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateDistanceError,
     DisconnectedInstanceError,
@@ -106,8 +108,26 @@ def make_instance(
 
 
 def distance(a: Position, b: Position) -> float:
-    """Euclidean distance in meters."""
+    """Euclidean distance in meters.
+
+    Every distance in the package comes from here: the graph, the round
+    engine and the scalar reception check agree at the range boundary.
+    """
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def distance_matrix(inst: PhysicalInstance) -> np.ndarray:
+    """Pairwise distances between stations in ascending label order.
+
+    Entry [i, j] is distance() of the i-th and j-th smallest labels.
+    """
+    pos = [p for _, p in sorted(inst.stations)]
+    dist = np.zeros((len(pos), len(pos)))
+    for i, a in enumerate(pos):
+        row = [distance(a, b) for b in pos[i + 1 :]]
+        dist[i, i + 1 :] = row
+        dist[i + 1 :, i] = row
+    return dist
 
 
 def broadcast_range(params: SinrParams) -> float:
@@ -226,6 +246,74 @@ def receives(
     return sinr(sender, receiver, transmitters, inst) >= p.beta
 
 
+class PhysicsEngine:
+    """Vectorized SINR adjudication for one instance (verifier side only).
+
+    Distances come from distance_matrix and the range from broadcast_range,
+    as for the graph and receives().
+    """
+
+    def __init__(self, inst: PhysicalInstance):
+        p = inst.params
+        if p.noise <= 0:
+            raise ValueError("the round engine needs noise > 0 (finite range)")
+        self.labels = sorted(inst.labels)
+        self.index = {lab: i for i, lab in enumerate(self.labels)}
+        self.label_array = np.array(self.labels)
+        n = len(self.labels)
+        dist = distance_matrix(inst)
+        off_diagonal = ~np.eye(n, dtype=bool)
+        if n > 1 and np.any(dist[off_diagonal] == 0.0):
+            raise DegenerateDistanceError("coincident stations in instance")
+        with np.errstate(divide="ignore"):
+            gain = p.power / dist**p.alpha
+        np.fill_diagonal(gain, 0.0)
+        self.in_range = (dist <= broadcast_range(p)) & off_diagonal
+        self.gain = gain
+        self.noise = p.noise
+        self.beta = p.beta
+
+    def adjudicate(
+        self, member: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decide every reception of a batch of rounds at once.
+
+        member is a (rounds, stations) boolean matrix over the stations in
+        label order; row r is the transmitter set of round r. Returns the
+        transmissions as (round, station) index arrays in row-major order,
+        and a (transmissions, stations) matrix that is true where the
+        station receives the transmission. Its np.nonzero lists the
+        deliveries in (round, sender, receiver) order.
+
+        Interference is summed sender by sender in ascending label order,
+        each sender adding its gain row to the rounds it transmits in. So
+        every round's sum takes the same float additions, in the same
+        order, as summing its own transmitters' rows alone.
+        """
+        total = np.zeros(member.shape)
+        for i in np.flatnonzero(member.any(axis=0)):
+            total[member[:, i]] += self.gain[i]
+        total += self.noise
+        rounds, senders = np.nonzero(member)
+        signal = self.gain[senders]
+        threshold = total[rounds]
+        threshold -= signal
+        threshold *= self.beta
+        heard = signal >= threshold
+        heard &= self.in_range[senders]
+        heard &= ~member[rounds]
+        return rounds, senders, heard
+
+    def deliver(self, transmitters: Sequence[int]) -> list[tuple[int, int]]:
+        """Successful (sender, receiver) pairs for one round, sorted."""
+        member = np.zeros((1, len(self.labels)), dtype=bool)
+        member[0, [self.index[t] for t in transmitters]] = True
+        _, senders, heard = self.adjudicate(member)
+        tx, rx = np.nonzero(heard)
+        labels = self.label_array
+        return list(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
+
+
 @dataclass(frozen=True)
 class CommGraph:
     """Undirected communication graph on labels (weak link model)."""
@@ -255,16 +343,12 @@ class CommGraph:
 
 
 def _adjacency(inst: PhysicalInstance) -> dict[int, tuple[int, ...]]:
-    r = broadcast_range(inst.params)
     labs = sorted(inst.labels)
-    pos = inst.positions()
-    adj: dict[int, list[int]] = {lab: [] for lab in labs}
-    for i, u in enumerate(labs):
-        for v in labs[i + 1 :]:
-            if distance(pos[u], pos[v]) <= r:
-                adj[u].append(v)
-                adj[v].append(u)
-    return {lab: tuple(sorted(nb)) for lab, nb in adj.items()}
+    near = distance_matrix(inst) <= broadcast_range(inst.params)
+    np.fill_diagonal(near, False)
+    return {
+        lab: tuple(labs[j] for j in np.flatnonzero(row)) for lab, row in zip(labs, near)
+    }
 
 
 def is_connected(adjacency: Mapping[int, Sequence[int]]) -> bool:

@@ -8,7 +8,9 @@ against the full transmitter set of each round.
 Executions of a selection family are scheduled in lockstep at every node,
 so silent rounds (no transmitter anywhere) are skipped en masse: they
 cannot change any node state. The global round counter still advances by
-the full family size, and traces record the skipped spans.
+the full family size, and traces record the skipped spans. The non-silent
+rounds of an execution are adjudicated together, in one batch, and kept
+as one compact record until a trace asks for its rounds.
 """
 
 from __future__ import annotations
@@ -16,18 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import selection
 from .errors import (
-    DegenerateDistanceError,
     DoubleRoleError,
     MessageSizeError,
     TokenDeliveryError,
 )
-from .physical import CommGraph, PhysicalInstance, build_graph
+from .physical import CommGraph, PhysicalInstance, PhysicsEngine, build_graph
 from .selection import SelectionFamily, construct_selector, construct_ssf, derive_seed
 
 ACTIVE = "active"
@@ -149,65 +150,80 @@ class TokenRecord:
     transmissions: tuple[tuple[int, tuple[int, ...]], ...]  # (sender, receivers)
 
 
+@dataclass(frozen=True, eq=False)
+class Execution:
+    """One family execution, kept as int32 arrays instead of round objects.
+
+    rounds holds the family-relative indices of its non-silent rounds;
+    every other round of the family was silent. A transmission is a
+    (row, station label) pair, where row indexes rounds; a delivery is a
+    (row, sender label, receiver label) triple. Both are sorted.
+    message(t) is the message of the t-th transmission.
+    """
+
+    phase: str
+    start: int  # global round of the family's first set
+    size: int  # family size
+    rounds: np.ndarray
+    transmissions: np.ndarray
+    deliveries: np.ndarray
+    message: Callable[[int], Message]
+
+    def traces(self) -> Iterator[RoundTrace]:
+        """One RoundTrace per non-silent round, in round order, each built
+        only when the iteration reaches it."""
+        rows = np.arange(len(self.rounds) + 1)
+        tx_at = np.searchsorted(self.transmissions[:, 0], rows).tolist()
+        dl_at = np.searchsorted(self.deliveries[:, 0], rows).tolist()
+        senders = self.transmissions[:, 1].tolist()
+        for row, j in enumerate(self.rounds.tolist()):
+            pairs = self.deliveries[dl_at[row] : dl_at[row + 1], 1:].tolist()
+            yield RoundTrace(
+                round=self.start + j,
+                phase=self.phase,
+                transmitters=tuple(
+                    (senders[t], self.message(t)) for t in range(tx_at[row], tx_at[row + 1])
+                ),
+                deliveries=tuple(map(tuple, pairs)),
+            )
+
+    def replay(self, sink: "CollectSink") -> None:
+        """Feed the execution to sink round by round: emit() for each
+        non-silent round, skip() for each span of silent ones."""
+        cursor = 0
+        for trace in self.traces():
+            j = trace.round - self.start
+            if j > cursor:
+                sink.skip(self.phase, self.start + cursor, j - cursor)
+            sink.emit(trace)
+            cursor = j + 1
+        if self.size > cursor:
+            sink.skip(self.phase, self.start + cursor, self.size - cursor)
+
+
 class CollectSink:
-    """Keeps non-silent round records; counts everything."""
+    """Keeps every family execution as one compact record; counts silent
+    rounds. `records` expands them into RoundTrace objects, one per
+    non-silent round, on first access."""
 
     def __init__(self) -> None:
-        self.records: list[RoundTrace] = []
+        self.executions: list[Execution] = []
         self.silent_rounds = 0
+        self._records: Optional[list[RoundTrace]] = None
 
-    def emit(self, trace: RoundTrace) -> None:
-        if trace.transmitters:
-            self.records.append(trace)
-        else:
-            self.silent_rounds += 1
+    def execution(self, ex: Execution) -> None:
+        self.executions.append(ex)
+        self.silent_rounds += ex.size - len(ex.rounds)
+        self._records = None
 
     def skip(self, phase: str, start_round: int, count: int) -> None:
         self.silent_rounds += count
 
-
-class PhysicsEngine:
-    """Vectorized SINR adjudication for one instance (verifier side only)."""
-
-    def __init__(self, inst: PhysicalInstance):
-        p = inst.params
-        if p.noise <= 0:
-            raise ValueError("the round engine needs noise > 0 (finite range)")
-        self.labels = sorted(inst.labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        pos = inst.positions()
-        n = len(self.labels)
-        coords = np.array([pos[lab] for lab in self.labels], dtype=float)
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        if n > 1 and np.any(dist[~np.eye(n, dtype=bool)] == 0.0):
-            raise DegenerateDistanceError("coincident stations in instance")
-        with np.errstate(divide="ignore"):
-            gain = p.power / dist**p.alpha
-        np.fill_diagonal(gain, 0.0)
-        r = (p.power / ((1 + p.epsilon) * p.beta * p.noise)) ** (1.0 / p.alpha)
-        self.in_range = (dist <= r) & ~np.eye(n, dtype=bool)
-        self.gain = gain
-        self.noise = p.noise
-        self.beta = p.beta
-
-    def deliver(self, transmitters: Sequence[int]) -> list[tuple[int, int]]:
-        """Successful (sender, receiver) pairs for one round."""
-        if not transmitters:
-            return []
-        idx = np.array([self.index[t] for t in transmitters])
-        g = self.gain[idx]  # |T| x n
-        total = g.sum(axis=0) + self.noise
-        listener = np.ones(len(self.labels), dtype=bool)
-        listener[idx] = False
-        out: list[tuple[int, int]] = []
-        for row, t_lab, i in zip(g, transmitters, idx):
-            denom = total - row
-            ok = listener & self.in_range[i] & (row >= self.beta * denom)
-            for j in np.flatnonzero(ok):
-                out.append((t_lab, self.labels[j]))
-        out.sort()
-        return out
+    @property
+    def records(self) -> list[RoundTrace]:
+        if self._records is None:
+            self._records = [tr for ex in self.executions for tr in ex.traces()]
+        return self._records
 
 
 def run_round(
@@ -272,6 +288,48 @@ class ProtocolConfig:
         return min(dilution_c, C_CAP, inst.n_labels)
 
 
+@dataclass(frozen=True)
+class Families:
+    """The selection families of a run, built once per process and cached.
+
+    They depend only on the label space, the ssf parameter c and the family
+    seed, so looking them up needs no graph and no physics.
+    """
+
+    n_labels: int
+    c: int
+    family_seed: int
+
+    @staticmethod
+    def for_run(
+        inst: PhysicalInstance, config: ProtocolConfig, dilution_c: Optional[int] = None
+    ) -> "Families":
+        return Families(inst.n_labels, config.effective_c(inst, dilution_c), config.family_seed)
+
+    def base_ssf(self) -> SelectionFamily:
+        n, c = self.n_labels, self.c
+        seed = derive_seed(self.family_seed, "ssf", n, c)
+        return _cached(("ssf", n, c, seed), lambda: construct_ssf(n, c, seed))
+
+    def selector(self, k: int, m: int) -> SelectionFamily:
+        n = self.n_labels
+        k, m = min(k, n), min(m, n)
+        seed = derive_seed(self.family_seed, "selector", k, m, n)
+        return _cached(
+            ("selector", k, m, n, seed), lambda: construct_selector(k, m, n, seed)
+        )
+
+    def pair_ssf(self) -> SelectionFamily:
+        n2 = self.n_labels**2
+        c2 = min(self.c**2, n2)
+        seed = derive_seed(self.family_seed, "pair", n2, c2)
+        return _cached(("ssf", n2, c2, seed), lambda: construct_ssf(n2, c2, seed))
+
+    def leader_selectors(self, delta: int) -> list[SelectionFamily]:
+        """The selector of each of leader election's degree buckets, in order."""
+        return [self.selector(*bucket_selector(delta, i)) for i in range(_ceil_lg(delta) + 1)]
+
+
 class Simulator:
     """One protocol run over a fixed instance: views, schedule, physics."""
 
@@ -288,7 +346,7 @@ class Simulator:
         self.engine = PhysicsEngine(inst)
         self.sink = sink if sink is not None else CollectSink()
         self.round = 0
-        self.c = config.effective_c(inst, dilution_c)
+        self.families = Families.for_run(inst, config, dilution_c)
         n = inst.n
         delta = self.graph.delta
         self.views: dict[int, NodeView] = {
@@ -308,23 +366,13 @@ class Simulator:
     # -- family access ------------------------------------------------------
 
     def base_ssf(self) -> SelectionFamily:
-        n, c = self.inst.n_labels, self.c
-        seed = derive_seed(self.config.family_seed, "ssf", n, c)
-        return _cached(("ssf", n, c, seed), lambda: construct_ssf(n, c, seed))
+        return self.families.base_ssf()
 
     def selector(self, k: int, m: int) -> SelectionFamily:
-        n = self.inst.n_labels
-        k, m = min(k, n), min(m, n)
-        seed = derive_seed(self.config.family_seed, "selector", k, m, n)
-        return _cached(
-            ("selector", k, m, n, seed), lambda: construct_selector(k, m, n, seed)
-        )
+        return self.families.selector(k, m)
 
     def pair_ssf(self) -> SelectionFamily:
-        n2 = self.inst.n_labels**2
-        c2 = min(self.c**2, n2)
-        seed = derive_seed(self.config.family_seed, "pair", n2, c2)
-        return _cached(("ssf", n2, c2, seed), lambda: construct_ssf(n2, c2, seed))
+        return self.families.pair_ssf()
 
     # -- message helper ------------------------------------------------------
 
@@ -337,41 +385,94 @@ class Simulator:
         self.sink.skip(phase, self.round, family.size)
         self.round += family.size
 
+    def execute(
+        self,
+        family: SelectionFamily,
+        slots: Sequence[int],
+        owners: Sequence[int],
+        phase: str,
+        message: Callable[[int, list[int]], Message],
+    ) -> tuple[list[int], list[int]]:
+        """Run one full family execution as a single batch of rounds.
+
+        slots[k] is a label of the family's label space, sent by station
+        owners[k]: a station transmits in every round whose set contains one
+        of its slots, and the transmission carries all of them.
+        message(station, ks) is the message of a transmission carrying the
+        slots at positions ks (ascending). It is built when a trace is
+        expanded, except for the transmission carrying the most slots, which
+        is built during the run: a message grows with the slots it carries,
+        so an oversized message fails the run as soon as it is scheduled.
+
+        Returns the distinct (slot position, listener label) pairs heard,
+        sorted: the listener received a transmission carrying that slot.
+        Rounds whose set meets no slot are silent and cost nothing; the
+        round counter still advances by the full family size.
+        """
+        if not slots:
+            self.skip_execution(family, phase)
+            return [], []
+        start = self.round
+        self.round += family.size
+        eng = self.engine
+        n = len(eng.labels)
+        cols = [family.rounds_for(p) for p in slots]
+        rounds = np.unique(np.concatenate(cols))
+        # slot memberships: (row of the round, slot position, owner index)
+        slot_row = np.searchsorted(rounds, np.concatenate(cols))
+        slot_k = np.repeat(np.arange(len(slots)), [len(col) for col in cols])
+        slot_owner = np.array([eng.index[u] for u in owners])[slot_k]
+        member = np.zeros((len(rounds), n), dtype=bool)
+        member[slot_row, slot_owner] = True
+        tx_row, tx_station, received = eng.adjudicate(member)
+
+        # the transmission that carries each slot membership, and back
+        slot_tx = np.searchsorted(tx_row * n + tx_station, slot_row * n + slot_owner)
+        by_tx = np.argsort(slot_tx, kind="stable")
+        carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_row) + 1))
+        labels = eng.label_array
+        tx_label = labels[tx_station]
+
+        def tx_message(t: int) -> Message:
+            ks = slot_k[by_tx[carried_at[t] : carried_at[t + 1]]].tolist()
+            return message(int(tx_label[t]), ks)
+
+        if len(tx_row):
+            tx_message(int(np.argmax(np.diff(carried_at))))
+
+        t, rx = np.nonzero(received)
+        self.sink.execution(
+            Execution(
+                phase=phase,
+                start=start,
+                size=family.size,
+                rounds=rounds.astype(np.int32),
+                transmissions=np.column_stack([tx_row, tx_label]).astype(np.int32),
+                deliveries=np.column_stack([tx_row[t], tx_label[t], labels[rx]]).astype(
+                    np.int32
+                ),
+                message=tx_message,
+            )
+        )
+        k, listener = np.nonzero(received[slot_tx])
+        pairs = np.unique(slot_k[k] * n + listener)
+        return (pairs // n).tolist(), labels[pairs % n].tolist()
+
     def ssf_broadcast(
         self, family: SelectionFamily, senders: Mapping[int, Message], phase: str
     ) -> dict[int, list[tuple[int, Message]]]:
         """Run one full family execution with a fixed sender->message map.
 
-        Returns per-listener heard messages. Rounds whose set meets no
-        sender are silent and are skipped en masse.
+        Returns, per listener, each (sender, message) it heard, once, in
+        ascending sender order, however many rounds delivered it.
         """
+        labs = sorted(senders)
         heard: dict[int, list[tuple[int, Message]]] = {}
-        if not senders:
-            self.skip_execution(family, phase)
-            return heard
-        occupied = np.unique(
-            np.concatenate([family.rounds_for(lab) for lab in sorted(senders)])
+        slots, listeners = self.execute(
+            family, labs, labs, phase, lambda u, _ks: senders[u]
         )
-        cursor = 0
-        for j in (int(x) for x in occupied):
-            if j > cursor:
-                self.sink.skip(phase, self.round + cursor, j - cursor)
-            txs = {lab: senders[lab] for lab in sorted(senders) if family.contains(j, lab)}
-            pairs = self.engine.deliver(sorted(txs))
-            self.sink.emit(
-                RoundTrace(
-                    round=self.round + j,
-                    phase=phase,
-                    transmitters=tuple((lab, txs[lab]) for lab in sorted(txs)),
-                    deliveries=tuple(pairs),
-                )
-            )
-            for s, r in pairs:
-                heard.setdefault(r, []).append((s, txs[s]))
-            cursor = j + 1
-        if family.size > cursor:
-            self.sink.skip(phase, self.round + cursor, family.size - cursor)
-        self.round += family.size
+        for k, listener in zip(slots, listeners):
+            heard.setdefault(listener, []).append((labs[k], senders[labs[k]]))
         return heard
 
     def delivered_to(self, heard: dict[int, list[tuple[int, Message]]]) -> dict[int, set[int]]:
@@ -524,57 +625,28 @@ def two_hop_connection(sim: Simulator) -> None:
             if common and u == min(common):
                 claims[selection.pair_index(s, t, n_labels)] = (u, (u, s, t))
 
-    heard: dict[int, list[tuple[int, Message]]] = {}
-    if claims:
-        occupied = np.unique(
-            np.concatenate([fam_pair.rounds_for(p) for p in sorted(claims)])
-        )
-        cursor = 0
-        for j in (int(x) for x in occupied):
-            if j > cursor:
-                sim.sink.skip(phase, sim.round + cursor, j - cursor)
-            by_sender: dict[int, list[tuple[int, int, int]]] = {}
-            for pidx in sorted(claims):
-                if fam_pair.contains(j, pidx):
-                    u, triple = claims[pidx]
-                    by_sender.setdefault(u, []).append(triple)
-            txs = {
-                u: sim.msg("helper-claim", tuple(sorted(triples)))
-                for u, triples in by_sender.items()
-            }
-            pairs = sim.engine.deliver(sorted(txs))
-            sim.sink.emit(
-                RoundTrace(
-                    round=sim.round + j,
-                    phase=phase,
-                    transmitters=tuple((lab, txs[lab]) for lab in sorted(txs)),
-                    deliveries=tuple(pairs),
-                )
-            )
-            for s, r in pairs:
-                heard.setdefault(r, []).append((s, txs[s]))
-            cursor = j + 1
-        if fam_pair.size > cursor:
-            sim.sink.skip(phase, sim.round + cursor, fam_pair.size - cursor)
-        sim.round += fam_pair.size
-    else:
-        sim.skip_execution(fam_pair, phase)
+    # a helper's message in a round carries every claim the pair family
+    # schedules for it there
+    pidxs = sorted(claims)
 
-    for pidx in sorted(claims):
+    def helper_claim(_u: int, ks: list[int]) -> Message:
+        return sim.msg("helper-claim", tuple(sorted(claims[pidxs[k]][1] for k in ks)))
+
+    heard = sim.execute(
+        fam_pair, pidxs, [claims[p][0] for p in pidxs], phase, helper_claim
+    )
+
+    for pidx in pidxs:
         u, (_, s, t) = claims[pidx]
         if views[u].status != HELPER:
             views[u].set_status(HELPER)
         views[u].helper_for.append((s, t))
-    for listener in sorted(heard):
-        v = views[listener]
-        for sender, msg in heard[listener]:
-            if msg.kind != "helper-claim":
-                continue
-            for h, s, t in msg.payload:
-                if listener == s:
-                    v.two_hop_helpers[t] = h
-                elif listener == t:
-                    v.two_hop_helpers[s] = h
+    for k, listener in zip(*heard):
+        h, s, t = claims[pidxs[k]][1]
+        if listener == s:
+            views[s].two_hop_helpers[t] = h
+        elif listener == t:
+            views[t].two_hop_helpers[s] = h
 
 
 # ---------------------------------------------------------------------------

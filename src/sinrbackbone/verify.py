@@ -19,6 +19,7 @@ from .physical import (
     PhysicalInstance,
     SinrParams,
     broadcast_range,
+    distance,
     grid_box,
     grid_index,
     make_instance,
@@ -464,7 +465,7 @@ def dilution_trial(
         for lab, _, _ in stations:
             if lab == u or lab in active_set:
                 continue
-            if math.dist(pos[u], pos[lab]) <= r:
+            if distance(pos[u], pos[lab]) <= r:
                 if not receives(u, lab, active_set, inst):
                     failures.append((u, lab))
     return failures

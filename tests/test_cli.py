@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -114,6 +115,42 @@ def test_trace_full_mode_counts_every_round(tmp_path):
     assert len(lines) == report["result"]["rounds_used"]
     rounds = [json.loads(line)["round"] for line in lines]
     assert rounds == list(range(len(lines)))  # one record per round, in order
+
+
+# sha256 of report.json and of trace.jsonl in each trace mode, as written by
+# the code these digests were first taken from; a change that alters rounds,
+# deliveries, messages or the trace format changes them
+GOLDEN = {
+    "n64": (
+        GeneratorSpec(n=12, arena_side=2.6, seed=1, n_labels=64),
+        "7cc9f3b138c38acc1e044e4d365f5ea769a9e95a131134609b460224cae0fd0f",
+        {
+            "full": "b9b38426f87b2e23fc09ccc9bcaf0f86a19b057ab70ee84e0ec3e4abd967a6cb",
+            "compact": "a09be9c49c5bf82ae735036a7ee7595470bbd3a9c50e4d31276f1743579f158b",
+        },
+    ),
+    "n256": (
+        GeneratorSpec(n=12, arena_side=2.6, seed=4, n_labels=256),
+        "9c8b640e163411bdd1e77bbe6f384cd5e5b3b5cf9f6e96bf7d64278a8b9b951b",
+        {
+            "full": "b1567941212ada5963e9cf45994bb204cb6618c5bf464752403274a0eff2e142",
+            "compact": "507ea7af0532fcd4338d7e2c126c5f96c0a92f62b82684ef4976915c5c11201a",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+@pytest.mark.parametrize("mode", ["full", "compact"])
+def test_run_outputs_match_golden_digests(tmp_path, name, mode):
+    spec, report_digest, trace_digests = GOLDEN[name]
+    out = tmp_path / "out"
+    assert run(RunConfig(generator=spec, out_dir=str(out), trace_mode=mode)) == 0
+    digest = {
+        f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+        for f in ("report.json", "trace.jsonl")
+    }
+    assert digest == {"report.json": report_digest, "trace.jsonl": trace_digests[mode]}
 
 
 def test_cli_generate_subcommand(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sinrbackbone.errors import (
@@ -12,11 +13,14 @@ from sinrbackbone.errors import (
     UndefinedRatioError,
 )
 from sinrbackbone.physical import (
+    PhysicsEngine,
+    _adjacency,
     SinrParams,
     broadcast_range,
     build_graph,
     derive_dilution,
     distance,
+    distance_matrix,
     grid_box,
     grid_index,
     make_instance,
@@ -204,6 +208,54 @@ def test_build_graph_matches_bruteforce():
         assert len(seen) != len(stations)
 
 
+def test_graph_engine_and_receives_agree_at_the_range_boundary():
+    # math.hypot and np.hypot disagree in the last ulp on this pair: with
+    # two distance formulas the graph had edge 1-2 while the engine
+    # delivered nothing, and token passing failed on a valid instance
+    p = SinrParams(alpha=3, beta=1, noise=1, epsilon=0.5, power=2)
+    inst = make_instance(
+        [(1, 4.968744130109189, 3.1825619087690398), (2, 6.030716215673527, 3.471748730800907)],
+        p,
+        4,
+    )
+    assert build_graph(inst).edges == ((1, 2),)
+    assert PhysicsEngine(inst).deliver([1]) == [(1, 2)]
+    assert receives(1, 2, [1], inst)
+
+
+def test_lone_transmitter_reaches_exactly_its_graph_neighbors_at_range():
+    # many neighbors at the range up to coordinate rounding, where two
+    # distance formulas that differ in the last ulp disagree
+    import random
+
+    rng = random.Random(11)
+    disagreements = []
+    for params in (P_UNIT, SinrParams(alpha=3, beta=1, noise=1, epsilon=0.5, power=2)):
+        r = broadcast_range(params)
+        for _ in range(200):
+            x0, y0 = rng.uniform(-20, 20), rng.uniform(-20, 20)
+            points = [(x0, y0)]
+            for _ in range(8):
+                a = rng.uniform(0, 2 * math.pi)
+                points.append((x0 + r * math.cos(a), y0 + r * math.sin(a)))
+            inst = make_instance([(i + 1, x, y) for i, (x, y) in enumerate(points)], params, 16)
+            edges = _adjacency(inst)[1]  # what build_graph connects
+            got = [v for _, v in PhysicsEngine(inst).deliver([1])]
+            expected = [v for v in range(2, 10) if receives(1, v, [1], inst)]
+            if not (got == expected == list(edges)):
+                disagreements.append((points, got, expected, edges))
+    assert not disagreements, disagreements[:2]
+
+
+def test_distance_matrix_is_distance():
+    inst = make_instance([(5, 0, 0), (2, 3, 4), (9, -1, 2.5)], P_UNIT, 16)
+    dist = distance_matrix(inst)
+    pos = [p for _, p in sorted(inst.stations)]
+    for i, a in enumerate(pos):
+        for j, b in enumerate(pos):
+            assert dist[i, j] == distance(a, b)
+
+
 def test_build_graph_rejects_disconnected():
     inst = make_instance([(1, 0, 0), (2, 50, 0)], P_UNIT, 4)
     with pytest.raises(DisconnectedInstanceError):
@@ -285,3 +337,102 @@ def test_instance_label_validation():
         make_instance([(1, 0, 0), (1, 1, 1)], P_UNIT, 4)
     with pytest.raises(ValueError):
         make_instance([(9, 0, 0)], P_UNIT, 4)
+
+
+# ---------------------------------------------------------------------------
+# Differential test of the round engine: one batch of rounds, one round at a
+# time, and the scalar reception check.
+
+P_REPRO = SinrParams(alpha=3, beta=1, noise=1, epsilon=0.5, power=2)
+
+
+@st.composite
+def _engine_layouts(draw):
+    params = draw(st.sampled_from([P_UNIT, P_REPRO]))
+    r = broadcast_range(params)
+    kind = draw(st.sampled_from(["random", "at-range", "chain"]))
+    x0 = draw(st.floats(-50, 50))
+    y0 = draw(st.floats(-50, 50))
+    if kind == "random":
+        n = draw(st.integers(2, 8))
+        offsets = draw(
+            st.lists(
+                st.tuples(st.floats(0, 3 * r), st.floats(0, 3 * r)), min_size=n, max_size=n
+            )
+        )
+        points = [(x0 + dx, y0 + dy) for dx, dy in offsets]
+    elif kind == "at-range":
+        # neighbors of a center at exactly the range, up to the rounding of
+        # the coordinates, in random directions
+        angles = draw(st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=6))
+        points = [(x0, y0)] + [(x0 + r * math.cos(a), y0 + r * math.sin(a)) for a in angles]
+    else:
+        # a collinear chain with every gap at the range
+        n = draw(st.integers(2, 8))
+        angle = draw(st.sampled_from([0.0, math.pi / 2, draw(st.floats(0, math.pi))]))
+        dx, dy = r * math.cos(angle), r * math.sin(angle)
+        points = [(x0 + i * dx, y0 + i * dy) for i in range(n)]
+    labels = draw(st.permutations(range(1, 17)))[: len(points)]
+    inst = make_instance([(lab, x, y) for lab, (x, y) in zip(labels, points)], params, 16)
+    dist = distance_matrix(inst)
+    assume(np.all(dist[~np.eye(len(points), dtype=bool)] > 1e-3))
+    member = np.array(
+        draw(
+            st.lists(
+                st.lists(st.booleans(), min_size=len(points), max_size=len(points)),
+                min_size=1,
+                max_size=6,
+            )
+        ),
+        dtype=bool,
+    )
+    return inst, member
+
+
+def _loop_deliver(eng, transmitters):
+    """The round engine's one-round loop before batching: the reference."""
+    idx = np.array([eng.index[t] for t in transmitters], dtype=int)
+    g = eng.gain[idx]
+    total = g.sum(axis=0) + eng.noise
+    listener = np.ones(len(eng.labels), dtype=bool)
+    listener[idx] = False
+    out = []
+    for row, t_lab, i in zip(g, transmitters, idx):
+        ok = listener & eng.in_range[i] & (row >= eng.beta * (total - row))
+        out.extend((t_lab, eng.labels[j]) for j in np.flatnonzero(ok))
+    return sorted(out)
+
+
+@given(_engine_layouts())
+@settings(max_examples=300, deadline=None)
+def test_engine_batch_matches_rounds_and_scalar_reference(layout):
+    inst, member = layout
+    eng = PhysicsEngine(inst)
+    labels = eng.labels
+    rounds, senders, heard = eng.adjudicate(member)
+    t, rx = np.nonzero(heard)
+    batch = list(zip(rounds[t].tolist(), senders[t].tolist(), rx.tolist()))
+    assert batch == sorted(batch)
+    for row, mask in enumerate(member):
+        tx = [labels[i] for i in np.flatnonzero(mask)]
+        got = [(labels[s], labels[j]) for r, s, j in batch if r == row]
+        assert got == eng.deliver(tx) == _loop_deliver(eng, tx)
+        for s in tx:
+            for v in labels:
+                if v in tx:
+                    continue
+                # SINR exactly at the threshold is a float tie that the two
+                # summation orders may break differently
+                if distance(inst.position(s), inst.position(v)) <= broadcast_range(inst.params):
+                    margin = sinr(s, v, tx, inst) / inst.params.beta - 1
+                    if abs(margin) < 1e-9:
+                        continue
+                assert ((s, v) in got) == receives(s, v, tx, inst), (s, v, tx)
+    # a lone transmitter reaches exactly its graph neighbors
+    try:
+        adjacency = build_graph(inst).adjacency
+    except DisconnectedInstanceError:
+        adjacency = None
+    if adjacency is not None:
+        for u in labels:
+            assert [v for _, v in eng.deliver([u])] == list(adjacency[u])

@@ -9,7 +9,9 @@ from sinrbackbone.protocol import (
     ACTIVE,
     INACTIVE,
     LEADER,
+    CollectSink,
     Message,
+    ProtocolConfig,
     Simulator,
     backbone_creation,
     leader_election,
@@ -19,6 +21,7 @@ from sinrbackbone.protocol import (
     token_passing,
     two_hop_connection,
 )
+from sinrbackbone.selection import pair_index
 from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_checks
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
@@ -83,6 +86,80 @@ def test_status_transitions_guarded():
     sim.views[2].set_status(INACTIVE)
     with pytest.raises(ValueError):
         sim.views[2].set_status(LEADER)
+
+
+# ---------------------------------------------------------------------------
+# Family executions.
+
+
+def test_ssf_broadcast_hears_each_sender_once():
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 0.9, 0.3)], P, 16)
+    sim = Simulator(inst)
+    fam = sim.base_ssf()
+    msg = sim.msg("leader-announce", (1,))
+    assert len(fam.rounds_for(1)) > 1  # the lone sender is delivered in many rounds
+    heard = sim.ssf_broadcast(fam, {1: msg}, "test")
+    assert heard == {2: [(1, msg)], 3: [(1, msg)]}
+    assert sim.round == fam.size
+    rounds = [tr.round for tr in sim.sink.records]
+    assert rounds == fam.rounds_for(1).tolist()
+    assert all(tr.deliveries == ((1, 2), (1, 3)) for tr in sim.sink.records)
+
+
+class _RoundSink(CollectSink):
+    """Receives every execution round by round, as the trace file does."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def execution(self, ex):
+        ex.replay(self)
+
+    def emit(self, trace):
+        self.calls.append(trace)
+
+    def skip(self, phase, start_round, count):
+        self.calls.append((phase, start_round, count))
+
+
+def test_collected_records_match_the_round_by_round_stream():
+    inst = generate(GeneratorSpec(n=16, arena_side=2.8, seed=5), P)
+    collected = backbone_creation(inst)
+    sink = _RoundSink()
+    streamed = backbone_creation(inst, sink=sink)
+    assert streamed.rounds_used == collected.rounds_used
+    emitted = [c for c in sink.calls if not isinstance(c, tuple)]
+    assert emitted == collected.traces.records
+    # emit and skip calls cover every round once, in order
+    cursor = 0
+    for call in sink.calls:
+        start, count = (call.round, 1) if not isinstance(call, tuple) else call[1:]
+        assert start == cursor
+        cursor += count
+    assert cursor == collected.rounds_used
+    silent = sum(c[2] for c in sink.calls if isinstance(c, tuple))
+    assert collected.traces.silent_rounds == silent
+
+
+def test_two_hop_checks_every_helper_claim_size_during_the_run():
+    # helper 1 claims the three pairs of leaders 2, 3 and 4; a round that
+    # carries two claims needs 8 + 2*3*5 = 38 bits against a 6*lg 16 = 24-bit
+    # budget, one claim alone needs 23
+    stations = [(1, 0, 0), (2, 0.9, 0), (3, -0.45, 0.78), (4, -0.45, -0.78)]
+    inst = make_instance(stations, P, 16)
+    for c_msg, fails in ((6, True), (128, False)):
+        sim = Simulator(inst, ProtocolConfig(c_msg=c_msg))
+        force_leaders(sim, {2, 3, 4})
+        fam = sim.pair_ssf()
+        claimed = [set(fam.rounds_for(pair_index(s, t, 16))) for s, t in ((2, 3), (2, 4))]
+        assert claimed[0] & claimed[1]  # some round carries two claims
+        if fails:
+            with pytest.raises(MessageSizeError):
+                two_hop_connection(sim)
+        else:
+            two_hop_connection(sim)
+            assert sim.views[2].two_hop_helpers == {3: 1, 4: 1}
 
 
 # ---------------------------------------------------------------------------
