@@ -320,7 +320,6 @@ def sweep(
     config: RunConfig,
     n_labels_list: Sequence[int] = DEFAULT_SWEEP_LABELS,
     delta_targets: Sequence[int] = DEFAULT_SWEEP_DELTAS,
-    n: int = 36,
     base_seed: int = 7,
 ) -> dict:
     """Round-complexity sweep: per-cell rounds_used, Delta and the fitted
@@ -498,7 +497,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="round-complexity sweep over a grid")
     s.add_argument("--grid-file", help="JSON file with n_labels and delta lists")
-    s.add_argument("--n", type=int, default=36)
     s.add_argument("--family-seed", type=int, default=1)
     s.add_argument("--demo-c", type=int, default=4)
     s.add_argument("--out-dir", default="out")
@@ -561,10 +559,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     cfg,
                     n_labels_list=grid.get("n_labels", DEFAULT_SWEEP_LABELS),
                     delta_targets=grid.get("deltas", DEFAULT_SWEEP_DELTAS),
-                    n=grid.get("n", args.n),
                 )
             else:
-                summary = sweep(cfg, n=args.n)
+                summary = sweep(cfg)
             return 0
         raise AssertionError(args.command)
     except SimulationError as exc:

@@ -12,6 +12,16 @@ EXACT_LABEL_CUTOFF) by a per-element cover argument: element e is isolated
 in every admissible subset iff the sets containing e admit no small hitting
 set avoiding e. Larger spaces fall back to seeded random spot-checks, which
 never mark a family as certified.
+
+Enumeration and spot-checks share one batched kernel. The family is turned
+into label-major uint64 words (bit j of a label's word w: the label is in
+set 64w + j), a batch of subsets gathers its members' words, and a
+bit-sliced "covered once" count marks the sets that hold exactly one member;
+a member is isolated iff it is in such a set. Spot-check subsets are the
+sorted rows that successive `np.random.default_rng(seed).choice(N, size=c,
+replace=False)` calls return, drawn in bulk from PCG64's raw stream by the
+same algorithm (`_choice_rows`), so a verdict and its first counterexample
+do not depend on how `Generator.choice` is implemented.
 """
 
 from __future__ import annotations
@@ -20,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from hashlib import blake2b
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +42,7 @@ EXACT_LABEL_CUTOFF = 64  # per-element exact proof forced up to this label space
 LAZY_LABEL_THRESHOLD = 16384  # above this, membership is evaluated on demand
 SAMPLES_MATERIALIZED = 100_000
 SAMPLES_LAZY = 1024
+CHUNK_WORDS = 1 << 18  # uint64 words per batched isolation check (2 MB)
 SIZE_CAP = 200_000
 NODE_CAP = 5_000_000
 
@@ -308,100 +319,219 @@ def _element_cover_check(
     return good, None
 
 
-def _others_or(row_list: list[int]) -> list[int]:
-    """For each position i, OR of all rows except i (prefix/suffix scan)."""
-    n = len(row_list)
-    pre = [0] * (n + 1)
-    for i, r in enumerate(row_list):
-        pre[i + 1] = pre[i] | r
-    suf = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suf[i] = suf[i + 1] | row_list[i]
-    return [pre[i] | suf[i + 1] for i in range(n)]
+# ---------------------------------------------------------------------------
+# Batched isolation checks: spot-check sampling and subset enumeration.
+
+_M32 = np.uint64(0xFFFFFFFF)
 
 
-def _enum_check_ssf(
-    rows: dict[int, int], n_labels: int, c: int
-) -> Optional[tuple[int, ...]]:
-    """Exhaustive check over all subsets of size exactly c.
+def _n_words(size: int) -> int:
+    return -(-size // 64)
 
-    Isolation for size-c subsets implies it for smaller ones (extend any
-    smaller subset to size c; an isolating set for the extension isolates
-    in the restriction), so enumerating size c alone is complete.
+
+def _chunk_rows(k: int, size: int) -> int:
+    """Subsets per batch, so that the gathered (batch, k, words) rows and
+    the sampler's draws each stay near CHUNK_WORDS uint64 words."""
+    return max(1, CHUNK_WORDS // (k * max(2, _n_words(size))))
+
+
+class _Pcg32Stream:
+    """PCG64's 32-bit output: the low, then the high half of each raw word,
+    as Generator methods consume it."""
+
+    def __init__(self, seed: int):
+        self._bits = np.random.PCG64(seed)
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+
+    def peek(self, count: int) -> np.ndarray:
+        short = self._pos + count - self._buf.size
+        if short > 0:
+            raw = self._bits.random_raw(max(-(-short // 2), 1024))
+            halves = np.stack([raw & _M32, raw >> np.uint64(32)], axis=1).ravel()
+            self._buf = np.concatenate([self._buf[self._pos :], halves])
+            self._pos = 0
+        return self._buf[self._pos : self._pos + count]
+
+    def skip(self, count: int) -> None:
+        self._pos += count
+
+    def next(self) -> int:
+        value = int(self.peek(1)[0])
+        self._pos += 1
+        return value
+
+
+def _lemire_scalar(stream: _Pcg32Stream, bound: int) -> int:
+    """One bounded draw on [0, bound], rejections included."""
+    if bound == 0:
+        return 0
+    excl = bound + 1
+    threshold = (1 << 32) % excl
+    m = stream.next() * excl
+    while m & 0xFFFFFFFF < threshold:
+        m = stream.next() * excl
+    return m >> 32
+
+
+def _choice_row_scalar(stream: _Pcg32Stream, n: int, k: int) -> np.ndarray:
+    chosen: set[int] = set()
+    for j in range(n - k, n):
+        v = _lemire_scalar(stream, j)
+        chosen.add(j if v in chosen else v)
+    for i in range(k - 1, 0, -1):
+        _lemire_scalar(stream, i)  # choice's shuffle; sorting discards it
+    return np.array(sorted(chosen), dtype=np.int64).reshape(1, k)
+
+
+def _choice_rows(n: int, k: int, seed: int, count: int, chunk: int):
+    """Yield, chunk by chunk, the sorted rows that `count` successive
+    `np.random.default_rng(seed).choice(n, size=k, replace=False)` calls
+    return (0-based labels).
+
+    This is the algorithm `choice` runs for these sizes, driven by PCG64's
+    raw stream, which NumPy keeps stable across versions:
+    - Floyd's algorithm: for j = n-k .. n-1 draw v on [0, j] and take v,
+      or j if v was already taken. A draw on [0, j] is Lemire's bounded
+      draw from the 32-bit stream (the low, then the high half of each
+      `random_raw()` word), and j = 0 draws nothing.
+    - Then `choice` shuffles the k labels with draws on [0, i] for
+      i = k-1 .. 1. Rows are sorted, so only the words they use count.
+    A chunk's draws are decided at once, as if no draw were rejected; from
+    the first sample with a rejected draw on, one sample is drawn by the
+    scalar path and vectorized drawing resumes after it. Chunks start at
+    one row and double up to `chunk`, so that a family that fails early
+    is not checked far past its witness.
     """
-    for combo in combinations(range(1, n_labels + 1), c):
-        row_list = [rows.get(e, 0) for e in combo]
-        others = _others_or(row_list)
-        for i in range(c):
-            if row_list[i] & ~others[i] == 0:
-                return tuple(combo)
-    return None
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if n > 1 << 32 or (n > 10000 and k > n // 50):
+        # choice draws 64-bit words past 2^32 labels, and tail-shuffles an
+        # arange(n) instead of running Floyd for large k
+        raise ValueError(f"spot-check subsets of {k} of {n} labels are not supported")
+    bounds = np.concatenate(
+        [np.arange(max(n - k, 1), n), np.arange(k - 1, 0, -1)]
+    ).astype(np.uint64)
+    excl = bounds + np.uint64(1)
+    threshold = np.uint64(1 << 32) % excl
+    floyd = n - max(n - k, 1)  # Floyd draws taken from the stream
+    draws = bounds.size
+    stream = _Pcg32Stream(seed)
+    done = 0
+    while done < count:
+        b = min(chunk, count - done, done + 1)
+        m = stream.peek(b * draws).reshape(b, draws) * excl
+        rejected = ((m & _M32) < threshold).any(axis=1)
+        ok = int(np.argmax(rejected)) if rejected.any() else b
+        if ok:
+            v = np.zeros((ok, k), dtype=np.int64)
+            v[:, k - floyd :] = m[:ok, :floyd] >> np.uint64(32)
+            sel = np.empty_like(v)
+            for t in range(k):
+                dup = (sel[:, :t] == v[:, t, None]).any(axis=1)
+                sel[:, t] = np.where(dup, n - k + t, v[:, t])
+            sel.sort(axis=1)
+            stream.skip(ok * draws)
+            done += ok
+            yield sel
+        if ok < b:
+            done += 1
+            yield _choice_row_scalar(stream, n, k)
 
 
-def _enum_check_selector(
-    rows: dict[int, int], n_labels: int, k: int, m: int
+def _label_words(family: SelectionFamily) -> np.ndarray:
+    """Label-major bits: word w of label l has bit j set iff l is in set
+    64w + j. Built 64 sets at a time from the packed matrix."""
+    assert family._matrix is not None
+    n, nw = family.n_labels, _n_words(family.size)
+    packed = np.zeros((n, 8 * nw), dtype=np.uint8)
+    for w in range(nw):
+        block = np.unpackbits(family._matrix[64 * w : 64 * w + 64], axis=1, count=n)
+        by_label = np.packbits(block, axis=0, bitorder="little").T
+        packed[:, 8 * w : 8 * w + by_label.shape[1]] = by_label
+    return packed.view("<u8")
+
+
+def _lazy_words(
+    family: SelectionFamily, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Label-major bits of just the labels in `subsets`, and `subsets`
+    re-indexed into them."""
+    labels, inverse = np.unique(subsets.ravel(), return_inverse=True)
+    packed = np.zeros((labels.size, 8 * _n_words(family.size)), dtype=np.uint8)
+    for row, label in zip(packed, labels.tolist()):
+        col = _membership_column(family.seed, label + 1, family.size, family._prob)
+        bits = np.packbits(col, bitorder="little")
+        row[: bits.size] = bits
+    return packed.view("<u8"), inverse.reshape(subsets.shape)
+
+
+def _isolated_counts(words: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Per subset (row of label indices into `words`), how many members
+    some set isolates: holds that member and no other of the subset."""
+    rows = words[subsets]  # (batch, k, words)
+    ones = np.zeros((subsets.shape[0], words.shape[1]), dtype=np.uint64)
+    many = np.zeros_like(ones)
+    tmp = np.empty_like(ones)
+    for i in range(subsets.shape[1]):
+        np.bitwise_and(ones, rows[:, i], out=tmp)
+        many |= tmp
+        ones |= rows[:, i]
+    ones &= ~many  # sets that hold exactly one member
+    counts = np.zeros(subsets.shape[0], dtype=np.int64)
+    for i in range(subsets.shape[1]):
+        np.bitwise_and(rows[:, i], ones, out=tmp)
+        counts += tmp.any(axis=1)
+    return counts
+
+
+def _first_failure(
+    family: SelectionFamily, batches, need: int
 ) -> Optional[tuple[int, ...]]:
-    """Exhaustive (k,m,N)-selector check: every k-subset needs at least m
-    distinct members, each isolated by some set."""
-    for combo in combinations(range(1, n_labels + 1), k):
-        row_list = [rows.get(e, 0) for e in combo]
-        others = _others_or(row_list)
-        isolated = sum(1 for i in range(k) if row_list[i] & ~others[i])
-        if isolated < m:
-            return tuple(combo)
+    """First subset, over batches of 0-based label rows in order, in which
+    fewer than `need` members are isolated."""
+    words = None if family.is_lazy else _label_words(family)
+    for subsets in batches:
+        if words is None:
+            counts = _isolated_counts(*_lazy_words(family, subsets))
+        else:
+            counts = _isolated_counts(words, subsets)
+        bad = np.flatnonzero(counts < need)
+        if bad.size:
+            return tuple(int(x) + 1 for x in subsets[bad[0]])
     return None
 
 
-def _sample_subsets(
-    family: SelectionFamily, subset_size: int, samples: int, seed: int
+def _enumerate(
+    family: SelectionFamily, k: int, need: int
 ) -> Optional[tuple[int, ...]]:
-    """Spot-check isolation on seeded random subsets; returns a violation."""
-    gen = np.random.default_rng(seed)
-    n = family.n_labels
-    if family.is_lazy:
-        for _ in range(samples):
-            combo = sorted(
-                int(x) + 1 for x in gen.choice(n, size=subset_size, replace=False)
-            )
-            cols = {
-                e: _lazy_column_cached(family.seed, e, family.size, family._prob)
-                for e in combo
-            }
-            union = np.zeros(family.size, dtype=np.int32)
-            for e in combo:
-                union += cols[e]
-            for e in combo:
-                if not np.any(cols[e] & (union == 1)):
-                    return tuple(combo)
-        return None
-    rows = family.label_rows()
-    for _ in range(samples):
-        combo = sorted(
-            int(x) + 1 for x in gen.choice(n, size=subset_size, replace=False)
-        )
-        row_list = [rows.get(e, 0) for e in combo]
-        others = _others_or(row_list)
-        for i, e in enumerate(combo):
-            if row_list[i] & ~others[i] == 0:
-                return tuple(combo)
-    return None
+    """Exhaustive check over every k-subset, in lexicographic order.
+
+    For an ssf-style check (need = k = c), isolation in size-c subsets
+    implies it in smaller ones (extend any smaller subset to size c; an
+    isolating set for the extension isolates in the restriction), so
+    enumerating size c alone is complete.
+    """
+    combos = combinations(range(family.n_labels), k)
+    chunk = _chunk_rows(k, family.size)
+
+    def batches():
+        while True:
+            flat = np.fromiter(chain.from_iterable(islice(combos, chunk)), np.int64)
+            if not flat.size:
+                return
+            yield flat.reshape(-1, k)
+
+    return _first_failure(family, batches(), need)
 
 
-def _sample_selector(
-    family: SelectionFamily, k: int, m: int, samples: int, seed: int
+def _spot_check(
+    family: SelectionFamily, k: int, need: int, samples: int, seed: int
 ) -> Optional[tuple[int, ...]]:
-    gen = np.random.default_rng(seed)
-    rows = family.label_rows()
-    for _ in range(samples):
-        combo = sorted(
-            int(x) + 1 for x in gen.choice(family.n_labels, size=k, replace=False)
-        )
-        row_list = [rows.get(e, 0) for e in combo]
-        others = _others_or(row_list)
-        isolated = sum(1 for i in range(k) if row_list[i] & ~others[i])
-        if isolated < m:
-            return tuple(combo)
-    return None
+    """Seeded random k-subsets; returns the first with < need isolated."""
+    chunk = _chunk_rows(k, family.size)
+    rows = _choice_rows(family.n_labels, k, seed, samples, chunk)
+    return _first_failure(family, rows, need)
 
 
 @dataclass(frozen=True)
@@ -427,6 +557,15 @@ def certify(
     enumerable within the cutoff, or when the label space is small enough
     for the per-element cover proof. Otherwise a seeded random spot-check
     runs; a positive outcome is then labeled spot-checked, never certified.
+
+    The spot-check tests `samples` subsets (SAMPLES_MATERIALIZED, or
+    SAMPLES_LAZY for lazy families) of c labels (k for a selector with
+    m < k). They are the sorted rows of successive `choice(N, size=c,
+    replace=False)` calls on `np.random.default_rng(derive_seed(
+    family.seed, "spot", sample_seed))`, drawn in bulk from PCG64's raw
+    stream by the algorithm `choice` uses (see `_choice_rows`). The
+    counterexample is the first of them in which fewer than c members (m
+    for a selector) are isolated.
     """
     c_eff = family.selection_c
     if c_eff is not None:
@@ -441,28 +580,24 @@ def certify(
                 else:
                     return CertifyResult(witness is None, "exhaustive", witness)
             elif math.comb(family.n_labels, c_eff) <= enum_cutoff:
-                rows = family.label_rows()
-                witness = _enum_check_ssf(rows, family.n_labels, c_eff)
+                witness = _enumerate(family, c_eff, c_eff)
                 return CertifyResult(witness is None, "exhaustive", witness)
         n_samples = samples or (
             SAMPLES_LAZY if family.is_lazy else SAMPLES_MATERIALIZED
         )
-        witness = _sample_subsets(
-            family,
-            min(c_eff, family.n_labels),
-            n_samples,
-            derive_seed(family.seed, "spot", sample_seed),
+        k = min(c_eff, family.n_labels)
+        witness = _spot_check(
+            family, k, k, n_samples, derive_seed(family.seed, "spot", sample_seed)
         )
         return CertifyResult(witness is None, "spot-checked", witness, n_samples)
 
     # genuine (k,m,N)-selector with m < k
     assert family.k is not None and family.m is not None
     if not family.is_lazy and math.comb(family.n_labels, family.k) <= enum_cutoff:
-        rows = family.label_rows()
-        witness = _enum_check_selector(rows, family.n_labels, family.k, family.m)
+        witness = _enumerate(family, family.k, family.m)
         return CertifyResult(witness is None, "exhaustive", witness)
     n_samples = samples or SAMPLES_MATERIALIZED
-    witness = _sample_selector(
+    witness = _spot_check(
         family,
         family.k,
         family.m,

@@ -164,7 +164,7 @@ def test_cli_generate_subcommand(tmp_path, capsys):
 
 def test_sweep_single_cell_matches_direct_run(tmp_path):
     cfg = RunConfig(out_dir=str(tmp_path / "s"))
-    summary = sweep(cfg, n_labels_list=(64,), delta_targets=(8,), n=24)
+    summary = sweep(cfg, n_labels_list=(64,), delta_targets=(8,))
     assert len(summary["rows"]) == 1
     row = summary["rows"][0]
     assert row["rounds"] > 0 and row["c_r"] > 0
