@@ -41,15 +41,11 @@ from .protocol import (
     two_hop_connection,
 )
 from .selection import (
-    RoundSchedule,
     SelectionFamily,
     certify,
     construct_selector,
     construct_ssf,
     pair_index,
-    parse_family,
-    selected,
-    serialize_family,
 )
 from .verify import (
     Verdict,

@@ -50,7 +50,6 @@ class RunConfig:
     params: SinrParams = DEFAULT_PARAMS
     instance_path: Optional[str] = None
     generator: Optional[GeneratorSpec] = None
-    family_seed: int = 1
     demo: bool = True
     demo_c: int = 4
     degree_bound: Optional[int] = None
@@ -214,8 +213,9 @@ def _family_report(fams: Families, delta: int) -> list[dict]:
             "k": fam.k,
             "m": fam.m,
             "size": fam.size,
-            "certified": fam.certified,
-            "verification": fam.verification,
+            "q": fam.q,
+            "K": fam.K,
+            "P": fam.P,
         }
         for fam in [fams.base_ssf(), fams.pair_ssf(), *fams.leader_selectors(delta)]
     ]
@@ -233,9 +233,7 @@ def run(config: RunConfig) -> int:
         raise ValueError("config needs an instance path or a generator spec")
 
     graph = build_graph(inst)
-    proto = ProtocolConfig(
-        family_seed=config.family_seed, demo=config.demo, demo_c=config.demo_c
-    )
+    proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
     trace_path = os.path.join(config.out_dir, "trace.jsonl")
     if config.trace_mode == "off":
         sink: CollectSink = CollectSink()
@@ -262,7 +260,6 @@ def run(config: RunConfig) -> int:
         "config": {
             "demo": config.demo,
             "demo_c": config.demo_c,
-            "family_seed": config.family_seed,
             "params": {
                 "alpha": inst.params.alpha,
                 "beta": inst.params.beta,
@@ -364,14 +361,12 @@ def sweep(
             if inst is None:
                 inst = best
             graph = build_graph(inst)
-            proto = ProtocolConfig(
-                family_seed=config.family_seed, demo=config.demo, demo_c=config.demo_c
-            )
+            proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
             sink = PhaseRoundSink()
             result = backbone_creation(inst, proto, sink)
             lg = math.log2(n_labels)
             c_r = result.rounds_used / (max(1, graph.delta) * lg * lg)
-            fams = Families.for_run(inst, proto)  # the run's, from the cache
+            fams = Families.for_run(inst, proto)
             ssf = fams.base_ssf()
             k_fit = ssf.size / (fams.c**2 * lg)
             rows.append(
@@ -472,7 +467,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--spacing", type=float, default=0.05)
     r.add_argument("--seed", type=int, default=1)
     r.add_argument("--n-labels", type=int, default=64)
-    r.add_argument("--family-seed", type=int, default=1)
     r.add_argument("--demo", dest="demo", action="store_true", default=True)
     r.add_argument(
         "--no-demo",
@@ -497,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="round-complexity sweep over a grid")
     s.add_argument("--grid-file", help="JSON file with n_labels and delta lists")
-    s.add_argument("--family-seed", type=int, default=1)
     s.add_argument("--demo-c", type=int, default=4)
     s.add_argument("--out-dir", default="out")
     _add_param_flags(s)
@@ -532,7 +525,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     seed=args.seed,
                     n_labels=args.n_labels,
                 ),
-                family_seed=args.family_seed,
                 demo=args.demo,
                 demo_c=args.demo_c,
                 degree_bound=args.degree_bound,
@@ -548,7 +540,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             cfg = RunConfig(
                 params=_params_from(args),
-                family_seed=args.family_seed,
                 demo_c=args.demo_c,
                 out_dir=args.out_dir,
             )

@@ -39,18 +39,6 @@ class NoDilutionError(SimulationError):
     code = "no-dilution"
 
 
-class FamilySizeCapError(SimulationError):
-    """Family construction hit the set-count cap before certifying."""
-
-    code = "family-size-cap"
-
-
-class CursorExhaustedError(SimulationError):
-    """A round schedule was advanced past the end of its family."""
-
-    code = "cursor-exhausted"
-
-
 class DoubleRoleError(SimulationError):
     """A node was assigned both transmit and listen intents in one round."""
 

@@ -29,7 +29,7 @@ from .errors import (
     TokenDeliveryError,
 )
 from .physical import CommGraph, PhysicalInstance, PhysicsEngine, build_graph
-from .selection import SelectionFamily, construct_selector, construct_ssf, derive_seed
+from .selection import SelectionFamily, construct_selector, construct_ssf
 
 ACTIVE = "active"
 LEADER = "leader"
@@ -255,25 +255,10 @@ def run_round(
     )
 
 
-# ---------------------------------------------------------------------------
-# Family provider with cross-run memoization (construction is deterministic).
-
-_FAMILY_CACHE: dict[tuple, SelectionFamily] = {}
-
-
-def _cached(key: tuple, build: Callable[[], SelectionFamily]) -> SelectionFamily:
-    fam = _FAMILY_CACHE.get(key)
-    if fam is None:
-        fam = build()
-        _FAMILY_CACHE[key] = fam
-    return fam
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters shared by every node (pre-agreed, like the families)."""
 
-    family_seed: int = 1
     demo: bool = True
     demo_c: int = 4
     c_msg: int = 128
@@ -290,40 +275,32 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class Families:
-    """The selection families of a run, built once per process and cached.
+    """The selection families of a run.
 
-    They depend only on the label space, the ssf parameter c and the family
-    seed, so looking them up needs no graph and no physics.
+    They depend only on the label space and the ssf parameter c, so looking
+    them up needs no graph and no physics. Each is built by construction in
+    microseconds, so none is kept between lookups.
     """
 
     n_labels: int
     c: int
-    family_seed: int
 
     @staticmethod
     def for_run(
         inst: PhysicalInstance, config: ProtocolConfig, dilution_c: Optional[int] = None
     ) -> "Families":
-        return Families(inst.n_labels, config.effective_c(inst, dilution_c), config.family_seed)
+        return Families(inst.n_labels, config.effective_c(inst, dilution_c))
 
     def base_ssf(self) -> SelectionFamily:
-        n, c = self.n_labels, self.c
-        seed = derive_seed(self.family_seed, "ssf", n, c)
-        return _cached(("ssf", n, c, seed), lambda: construct_ssf(n, c, seed))
+        return construct_ssf(self.n_labels, self.c)
 
     def selector(self, k: int, m: int) -> SelectionFamily:
         n = self.n_labels
-        k, m = min(k, n), min(m, n)
-        seed = derive_seed(self.family_seed, "selector", k, m, n)
-        return _cached(
-            ("selector", k, m, n, seed), lambda: construct_selector(k, m, n, seed)
-        )
+        return construct_selector(min(k, n), min(m, n), n)
 
     def pair_ssf(self) -> SelectionFamily:
         n2 = self.n_labels**2
-        c2 = min(self.c**2, n2)
-        seed = derive_seed(self.family_seed, "pair", n2, c2)
-        return _cached(("ssf", n2, c2, seed), lambda: construct_ssf(n2, c2, seed))
+        return construct_ssf(n2, min(self.c**2, n2))
 
     def leader_selectors(self, delta: int) -> list[SelectionFamily]:
         """The selector of each of leader election's degree buckets, in order."""
@@ -416,11 +393,11 @@ class Simulator:
         self.round += family.size
         eng = self.engine
         n = len(eng.labels)
-        cols = [family.rounds_for(p) for p in slots]
-        rounds = np.unique(np.concatenate(cols))
+        cols = family.rounds_for(np.asarray(slots)).ravel()
+        rounds = np.unique(cols)
         # slot memberships: (row of the round, slot position, owner index)
-        slot_row = np.searchsorted(rounds, np.concatenate(cols))
-        slot_k = np.repeat(np.arange(len(slots)), [len(col) for col in cols])
+        slot_row = np.searchsorted(rounds, cols)
+        slot_k = np.repeat(np.arange(len(slots)), family.P)
         slot_owner = np.array([eng.index[u] for u in owners])[slot_k]
         member = np.zeros((len(rounds), n), dtype=bool)
         member[slot_row, slot_owner] = True
@@ -530,10 +507,9 @@ def leader_election(sim: Simulator) -> None:
 
         # per-round station bitmasks over this instance's labels
         sel_mask = [0] * fam_sel.size
-        for lab in labels:
-            bit = 1 << lab_index[lab]
-            for j in fam_sel.rounds_for(lab):
-                sel_mask[int(j)] |= bit
+        for idx, row in enumerate(fam_sel.rounds_for(np.asarray(labels)).tolist()):
+            for j in row:
+                sel_mask[j] |= 1 << idx
 
         for j in range(fam_sel.size):
             mask = sel_mask[j]

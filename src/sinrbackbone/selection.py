@@ -1,33 +1,50 @@
-"""Construction, certification and round-scheduling of selection families.
+"""Selection families built as Reed-Solomon codes, and an independent
+certification oracle for them.
 
 Two kinds of families drive every protocol here: (N,c) strongly selective
 families (every member of any subset of size <= c gets a round where it is
-the unique selected member) and (k,m,N)-selectors. Families are built by
-seeded random inclusion and grown until certification passes, so only the
-selection property - not any particular construction - is load-bearing.
+the unique selected member) and (k,m,N)-selectors. Both are built by one
+arithmetic construction (Kautz & Singleton, "Nonrandom binary superimposed
+codes", IEEE T-IT 1964; Porat & Rothschild, ICALP 2008), so the selection
+property holds by construction and the build path checks nothing:
 
-Certification is exact wherever tractable: by subset enumeration when the
-subset space is small, and otherwise (for label spaces up to
-EXACT_LABEL_CUTOFF) by a per-element cover argument: element e is isolated
-in every admissible subset iff the sets containing e admit no small hitting
-set avoiding e. Larger spaces fall back to seeded random spot-checks, which
-never mark a family as certified.
+- Label l maps to the polynomial p_l over GF(q) whose K coefficients are the
+  base-q digits of l-1, lowest first (q prime, q^K >= N).
+- Set x*q + y, for x < P and y < q, holds the labels with p_l(x) = y, where
+  P = (c-1)(K-1)+1 <= q. A label is in exactly P sets, one per point x.
+- Two distinct polynomials of degree < K agree on at most K-1 points. So c-1
+  other labels share at most (c-1)(K-1) = P-1 of label u's P sets, and some
+  set isolates u.
 
-Enumeration and spot-checks share one batched kernel. The family is turned
-into label-major uint64 words (bit j of a label's word w: the label is in
-set 64w + j), a batch of subsets gathers its members' words, and a
-bit-sliced "covered once" count marks the sets that hold exactly one member;
-a member is isolated iff it is in such a set. Spot-check subsets are the
-sorted rows that successive `np.random.default_rng(seed).choice(N, size=c,
-replace=False)` calls return, drawn in bulk from PCG64's raw stream by the
-same algorithm (`_choice_rows`), so a verdict and its first counterexample
-do not depend on how `Generator.choice` is implemented.
+(q, K) is fixed by `code_parameters` alone: the smallest family over every
+K. K=1 is N singleton sets (round robin), the smallest family whenever c is
+large against N. A (k,k,N)-ssf is a (k,m,N)-selector for every m <= k, so
+one construction serves every family. Membership is arithmetic: no matrix
+is held, even over 2^20 pair labels.
+
+`certify` checks a family's selection property without reading how it was
+built, so the tests use it as the oracle for the construction. It is exact
+wherever tractable: by subset enumeration when the subset space is small,
+and otherwise (for label spaces up to EXACT_LABEL_CUTOFF) by a per-element
+cover argument: element e is isolated in every admissible subset iff the
+sets containing e admit no small hitting set avoiding e. Larger spaces get
+seeded random spot-checks.
+
+Enumeration and spot-checks share one batched kernel. The labels of a batch
+of subsets are turned into label-major uint64 words (bit j of a label's word
+w: the label is in set 64w + j), and a bit-sliced "covered once" count marks
+the sets that hold exactly one member; a member is isolated iff it is in such
+a set. Spot-check subsets are the sorted rows that successive
+`np.random.default_rng(seed).choice(N, size=c, replace=False)` calls return,
+drawn in bulk from PCG64's raw stream by the same algorithm (`_choice_rows`),
+so a verdict and its first counterexample do not depend on how
+`Generator.choice` is implemented.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
 from itertools import chain, combinations, islice
@@ -35,15 +52,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CursorExhaustedError, FamilySizeCapError
-
 ENUM_CUTOFF = 10**6  # exhaustive subset-enumeration budget
 EXACT_LABEL_CUTOFF = 64  # per-element exact proof forced up to this label space
-LAZY_LABEL_THRESHOLD = 16384  # above this, membership is evaluated on demand
-SAMPLES_MATERIALIZED = 100_000
-SAMPLES_LAZY = 1024
+SAMPLES = 100_000  # spot-check subsets
 CHUNK_WORDS = 1 << 18  # uint64 words per batched isolation check (2 MB)
-SIZE_CAP = 200_000
 NODE_CAP = 5_000_000
 
 
@@ -53,52 +65,73 @@ def derive_seed(base: int, *tags: object) -> int:
     return int.from_bytes(h.digest(), "big") >> 1
 
 
-def _membership_column(seed: int, label: int, size: int, prob: float) -> np.ndarray:
-    """Boolean inclusion column for one label over `size` candidate sets.
-
-    Philox is counter-based and keyed per (seed, label), so columns are
-    platform-stable, independent across labels, and prefix-stable when the
-    family grows.
-    """
-    gen = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), label]))
-    return gen.random(size) < prob
-
-
-@lru_cache(maxsize=4096)
-def _lazy_column_cached(seed: int, label: int, size: int, prob: float) -> np.ndarray:
-    return _membership_column(seed, label, size, prob)
-
-
 def _bits_to_int(bits: np.ndarray) -> int:
     """Bool array -> int with bit i equal to bits[i]."""
     packed = np.packbits(bits, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
+# ---------------------------------------------------------------------------
+# Construction: Reed-Solomon codes over GF(q).
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
+
+
+def _root_ceil(n: int, k: int) -> int:
+    """Smallest q >= 1 with q^k >= n."""
+    q = max(1, round(n ** (1.0 / k)))
+    while q**k < n:
+        q += 1
+    while q > 1 and (q - 1) ** k >= n:
+        q -= 1
+    return q
+
+
+@lru_cache(maxsize=1024)
+def code_parameters(n_labels: int, c: int) -> tuple[int, int, int]:
+    """(q, K, P) of the (n_labels, c)-ssf: the smallest family P*q over K.
+
+    K = 1 is q = N singleton sets (P = 1). For K >= 2, P = (c-1)(K-1)+1 and
+    q is the smallest prime with q >= P and q^K >= N, which minimizes P*q
+    for that K. Ties go to the smaller K, which puts each label in fewer
+    sets. No K past lg N can win: there q >= P, and P grows with K.
+    """
+    best = (n_labels, 1, n_labels, 1)  # (size, K, q, P)
+    for k in range(2, max(2, (n_labels - 1).bit_length()) + 1):
+        p = (c - 1) * (k - 1) + 1
+        if p * p >= best[0]:
+            break
+        q = max(p, _root_ceil(n_labels, k))
+        while not _is_prime(q):
+            q += 1
+        if p * q < best[0]:
+            best = (p * q, k, q, p)
+    _, k, q, p = best
+    return q, k, p
+
+
 @dataclass
 class SelectionFamily:
     """Ordered family of label subsets realizing a selector or ssf.
 
-    Materialized families carry a packed t x n_labels bit matrix; lazy
-    families (huge pair-label spaces) evaluate membership on demand from
-    the seed.
+    Set x*q + y (x < P, y < q) holds the labels l with p_l(x) = y; see the
+    module docstring. size = P*q.
     """
 
     kind: str  # "ssf" | "selector"
     n_labels: int
-    seed: int
-    size: int
+    q: int
+    K: int
+    P: int
     c: Optional[int] = None  # ssf parameter
     k: Optional[int] = None  # selector parameters
     m: Optional[int] = None
-    certified: bool = False
-    verification: str = "none"  # "exhaustive" | "spot-checked" | "none"
-    _matrix: Optional[np.ndarray] = field(default=None, repr=False)  # packed bits
-    _prob: float = field(default=0.0, repr=False)
 
     @property
-    def is_lazy(self) -> bool:
-        return self._matrix is None
+    def size(self) -> int:
+        return self.P * self.q
 
     @property
     def selection_c(self) -> Optional[int]:
@@ -113,30 +146,40 @@ class SelectionFamily:
             return self.m
         return None
 
+    def _evaluate(self, digits: np.ndarray, x) -> np.ndarray:
+        """p_l(x) mod q by Horner, for labels l = digits + 1."""
+        q = self.q
+        v = 0
+        for i in reversed(range(self.K)):
+            v = (v * x + digits // q**i % q) % q
+        return v
+
     def contains(self, index: int, label: int) -> bool:
         if not (0 <= index < self.size):
             raise IndexError(index)
-        if self._matrix is not None:
-            col = label - 1
-            return bool((self._matrix[index, col >> 3] >> (7 - (col & 7))) & 1)
-        return bool(_lazy_column_cached(self.seed, label, self.size, self._prob)[index])
+        return int(self.rounds_for(label)[index // self.q]) == index
 
-    def rounds_for(self, label: int) -> np.ndarray:
-        """Indices of sets containing the label, ascending."""
-        if self._matrix is not None:
-            col = label - 1
-            bits = (self._matrix[:, col >> 3] >> (7 - (col & 7))) & 1
-            return np.flatnonzero(bits)
-        return np.flatnonzero(
-            _lazy_column_cached(self.seed, label, self.size, self._prob)
-        )
+    def rounds_for(self, label) -> np.ndarray:
+        """Indices of the sets containing a label, ascending: a 1-D array of
+        P. For an array of L labels, an (L, P) array, one row per label."""
+        digits = np.asarray(label, dtype=np.int64)[..., None] - 1
+        x = np.arange(self.P, dtype=np.int64)
+        return x * self.q + self._evaluate(digits, x)
+
+    def membership(self, labels) -> np.ndarray:
+        """(L, size) bool: row i marks the sets holding labels[i]."""
+        rounds = self.rounds_for(np.asarray(labels, dtype=np.int64).reshape(-1))
+        member = np.zeros((len(rounds), self.size), dtype=bool)
+        member[np.arange(len(rounds))[:, None], rounds] = True
+        return member
 
     def set_members(self, index: int) -> tuple[int, ...]:
-        """Ascending labels of one set. Materialized families only."""
-        if self._matrix is None:
-            raise ValueError("lazy family does not materialize sets")
-        row = np.unpackbits(self._matrix[index])[: self.n_labels]
-        return tuple(int(i) + 1 for i in np.flatnonzero(row))
+        """Ascending labels of one set."""
+        x, y = divmod(index, self.q)
+        if not (0 <= x < self.P):
+            raise IndexError(index)
+        values = self._evaluate(np.arange(self.n_labels, dtype=np.int64), x)
+        return tuple(int(i) + 1 for i in np.flatnonzero(values == y))
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -144,30 +187,60 @@ class SelectionFamily:
 
     def label_rows(self) -> dict[int, int]:
         """label -> int with bit j set iff the label is in set j."""
-        if self._matrix is None:
-            raise ValueError("lazy family does not materialize rows")
-        unpacked = np.unpackbits(self._matrix, axis=1)[:, : self.n_labels]
-        return {
-            col + 1: _bits_to_int(unpacked[:, col]) for col in range(self.n_labels)
-        }
+        member = self.membership(np.arange(1, self.n_labels + 1))
+        return {lab + 1: _bits_to_int(row) for lab, row in enumerate(member)}
 
     def set_masks(self) -> list[int]:
         """Per set: int with bit (label-1) set iff the label is a member."""
-        if self._matrix is None:
-            raise ValueError("lazy family does not materialize sets")
-        unpacked = np.unpackbits(self._matrix, axis=1)[:, : self.n_labels]
-        return [_bits_to_int(unpacked[j]) for j in range(self.size)]
+        member = self.membership(np.arange(1, self.n_labels + 1))
+        return [_bits_to_int(col) for col in member.T]
 
 
-def _build_matrix(seed: int, n_labels: int, size: int, prob: float) -> np.ndarray:
-    cols = np.empty((size, n_labels), dtype=bool)
-    for label in range(1, n_labels + 1):
-        cols[:, label - 1] = _membership_column(seed, label, size, prob)
-    return np.packbits(cols, axis=1)
+def _code(kind: str, n_labels: int, strength: int, **params) -> SelectionFamily:
+    """The code of an (n_labels, strength)-ssf, labelled with kind and params."""
+    q, k, p = code_parameters(n_labels, strength)
+    return SelectionFamily(kind=kind, n_labels=n_labels, q=q, K=k, P=p, **params)
+
+
+def construct_ssf(n_labels: int, c: int) -> SelectionFamily:
+    """(n_labels, c) strongly selective family, by construction."""
+    if not (1 <= c <= n_labels):
+        raise ValueError(f"need 1 <= c <= n_labels, got c={c}, n_labels={n_labels}")
+    return _code("ssf", n_labels, c, c=c)
+
+
+def construct_selector(k: int, m: int, n_labels: int) -> SelectionFamily:
+    """(k, m, n_labels)-selector: the code of an (n_labels, max(k, m))-ssf.
+
+    The m > k case is rewritten to an (m, m, n_labels)-selector, whose
+    property coincides with that of an (n_labels, m)-ssf.
+    """
+    if not (1 <= m and 1 <= k <= n_labels):
+        raise ValueError(f"need 1 <= k <= n_labels and m >= 1, got k={k}, m={m}")
+    if m > n_labels:
+        raise ValueError(f"selector needs m <= n_labels, got m={m}, n={n_labels}")
+    k = max(k, m)
+    return _code("selector", n_labels, k, k=k, m=m)
 
 
 # ---------------------------------------------------------------------------
-# Exact certification machinery.
+# Pair-label encoding for the (N*N, c*c)-ssf over ordered label pairs.
+
+
+def pair_index(s: int, t: int, n_labels: int) -> int:
+    """Row-major 1-based bijection (s, t) -> s*N + t - N."""
+    if not (1 <= s <= n_labels and 1 <= t <= n_labels):
+        raise ValueError(f"pair ({s},{t}) outside [1..{n_labels}]^2")
+    return (s - 1) * n_labels + t
+
+
+def pair_unindex(idx: int, n_labels: int) -> tuple[int, int]:
+    s, t = divmod(idx - 1, n_labels)
+    return s + 1, t + 1
+
+
+# ---------------------------------------------------------------------------
+# Certification oracle: exact per-element proof.
 
 
 def _greedy_hitting(masks: Sequence[int]) -> list[int]:
@@ -274,7 +347,6 @@ def _element_cover_check(
     set_masks: list[int],
     c: int,
     node_cap: int,
-    only: Optional[set[int]] = None,
 ) -> tuple[set[int], Optional[tuple[int, ...]]]:
     """Exact per-element ssf check via hitting sets.
 
@@ -284,10 +356,9 @@ def _element_cover_check(
     elements proven good plus the first counterexample subset found, if any.
     """
     good: set[int] = set()
-    labels = sorted(rows) if only is None else sorted(only)
-    for e in labels:
+    for e in sorted(rows):
         e_bit = 1 << (e - 1)
-        row = rows.get(e, 0)
+        row = rows[e]
         if row == 0:
             return good, (e,)
         fe = []
@@ -320,7 +391,7 @@ def _element_cover_check(
 
 
 # ---------------------------------------------------------------------------
-# Batched isolation checks: spot-check sampling and subset enumeration.
+# Certification oracle: batched spot-check sampling and subset enumeration.
 
 _M32 = np.uint64(0xFFFFFFFF)
 
@@ -439,31 +510,16 @@ def _choice_rows(n: int, k: int, seed: int, count: int, chunk: int):
             yield _choice_row_scalar(stream, n, k)
 
 
-def _label_words(family: SelectionFamily) -> np.ndarray:
-    """Label-major bits: word w of label l has bit j set iff l is in set
-    64w + j. Built 64 sets at a time from the packed matrix."""
-    assert family._matrix is not None
-    n, nw = family.n_labels, _n_words(family.size)
-    packed = np.zeros((n, 8 * nw), dtype=np.uint8)
-    for w in range(nw):
-        block = np.unpackbits(family._matrix[64 * w : 64 * w + 64], axis=1, count=n)
-        by_label = np.packbits(block, axis=0, bitorder="little").T
-        packed[:, 8 * w : 8 * w + by_label.shape[1]] = by_label
-    return packed.view("<u8")
-
-
-def _lazy_words(
+def _label_words(
     family: SelectionFamily, subsets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Label-major bits of just the labels in `subsets`, and `subsets`
-    re-indexed into them."""
+    """Label-major bits of just the labels in `subsets` (0-based), read from
+    the family's membership, and `subsets` re-indexed into them."""
     labels, inverse = np.unique(subsets.ravel(), return_inverse=True)
-    packed = np.zeros((labels.size, 8 * _n_words(family.size)), dtype=np.uint8)
-    for row, label in zip(packed, labels.tolist()):
-        col = _membership_column(family.seed, label + 1, family.size, family._prob)
-        bits = np.packbits(col, bitorder="little")
-        row[: bits.size] = bits
-    return packed.view("<u8"), inverse.reshape(subsets.shape)
+    bits = np.zeros((labels.size, 64 * _n_words(family.size)), dtype=bool)
+    bits[:, : family.size] = family.membership(labels + 1)
+    words = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    return words, inverse.reshape(subsets.shape)
 
 
 def _isolated_counts(words: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -490,12 +546,8 @@ def _first_failure(
 ) -> Optional[tuple[int, ...]]:
     """First subset, over batches of 0-based label rows in order, in which
     fewer than `need` members are isolated."""
-    words = None if family.is_lazy else _label_words(family)
     for subsets in batches:
-        if words is None:
-            counts = _isolated_counts(*_lazy_words(family, subsets))
-        else:
-            counts = _isolated_counts(words, subsets)
+        counts = _isolated_counts(*_label_words(family, subsets))
         bad = np.flatnonzero(counts < need)
         if bad.size:
             return tuple(int(x) + 1 for x in subsets[bad[0]])
@@ -534,6 +586,14 @@ def _spot_check(
     return _first_failure(family, rows, need)
 
 
+def spot_seed(family: SelectionFamily, sample_seed: int = 0) -> int:
+    """Seed of a family's spot-check subsets, derived from its parameters so
+    that a verdict is reproducible."""
+    return derive_seed(
+        sample_seed, "spot", family.kind, family.n_labels, family.c, family.k, family.m
+    )
+
+
 @dataclass(frozen=True)
 class CertifyResult:
     ok: bool
@@ -547,281 +607,47 @@ def certify(
     *,
     enum_cutoff: int = ENUM_CUTOFF,
     exact_label_cutoff: int = EXACT_LABEL_CUTOFF,
-    samples: Optional[int] = None,
+    samples: int = SAMPLES,
     sample_seed: int = 0,
     node_cap: int = NODE_CAP,
 ) -> CertifyResult:
-    """Verify the family's selection property.
+    """Verify the family's selection property from its membership alone.
 
-    Exact ("exhaustive") verification runs when the subset space is
-    enumerable within the cutoff, or when the label space is small enough
-    for the per-element cover proof. Otherwise a seeded random spot-check
-    runs; a positive outcome is then labeled spot-checked, never certified.
+    Exact ("exhaustive") verification runs when the label space is small
+    enough for the per-element cover proof, or when the subset space is
+    enumerable within the cutoff. Otherwise a seeded random spot-check runs
+    ("spot-checked").
 
-    The spot-check tests `samples` subsets (SAMPLES_MATERIALIZED, or
-    SAMPLES_LAZY for lazy families) of c labels (k for a selector with
-    m < k). They are the sorted rows of successive `choice(N, size=c,
-    replace=False)` calls on `np.random.default_rng(derive_seed(
-    family.seed, "spot", sample_seed))`, drawn in bulk from PCG64's raw
-    stream by the algorithm `choice` uses (see `_choice_rows`). The
-    counterexample is the first of them in which fewer than c members (m
-    for a selector) are isolated.
+    The spot-check tests `samples` subsets of c labels (k for a selector
+    with m < k). They are the sorted rows of successive `choice(N, size=c,
+    replace=False)` calls on `np.random.default_rng(spot_seed(family,
+    sample_seed))`, drawn in bulk from PCG64's raw stream by the algorithm
+    `choice` uses (see `_choice_rows`). The counterexample is the first of
+    them in which fewer than c members (m for a selector) are isolated.
     """
+    seed = spot_seed(family, sample_seed)
     c_eff = family.selection_c
     if c_eff is not None:
-        if not family.is_lazy:
-            if family.n_labels <= exact_label_cutoff:
-                rows = family.label_rows()
-                masks = family.set_masks()
-                try:
-                    _, witness = _element_cover_check(rows, masks, c_eff, node_cap)
-                except _NodeBudgetExceeded:
-                    pass  # fall through to sampling
-                else:
-                    return CertifyResult(witness is None, "exhaustive", witness)
-            elif math.comb(family.n_labels, c_eff) <= enum_cutoff:
-                witness = _enumerate(family, c_eff, c_eff)
+        if family.n_labels <= exact_label_cutoff:
+            try:
+                _, witness = _element_cover_check(
+                    family.label_rows(), family.set_masks(), c_eff, node_cap
+                )
+            except _NodeBudgetExceeded:
+                pass  # fall through to sampling
+            else:
                 return CertifyResult(witness is None, "exhaustive", witness)
-        n_samples = samples or (
-            SAMPLES_LAZY if family.is_lazy else SAMPLES_MATERIALIZED
-        )
+        elif math.comb(family.n_labels, c_eff) <= enum_cutoff:
+            witness = _enumerate(family, c_eff, c_eff)
+            return CertifyResult(witness is None, "exhaustive", witness)
         k = min(c_eff, family.n_labels)
-        witness = _spot_check(
-            family, k, k, n_samples, derive_seed(family.seed, "spot", sample_seed)
-        )
-        return CertifyResult(witness is None, "spot-checked", witness, n_samples)
+        witness = _spot_check(family, k, k, samples, seed)
+        return CertifyResult(witness is None, "spot-checked", witness, samples)
 
     # genuine (k,m,N)-selector with m < k
     assert family.k is not None and family.m is not None
-    if not family.is_lazy and math.comb(family.n_labels, family.k) <= enum_cutoff:
+    if math.comb(family.n_labels, family.k) <= enum_cutoff:
         witness = _enumerate(family, family.k, family.m)
         return CertifyResult(witness is None, "exhaustive", witness)
-    n_samples = samples or SAMPLES_MATERIALIZED
-    witness = _spot_check(
-        family,
-        family.k,
-        family.m,
-        n_samples,
-        derive_seed(family.seed, "spot", sample_seed),
-    )
-    return CertifyResult(witness is None, "spot-checked", witness, n_samples)
-
-
-# ---------------------------------------------------------------------------
-# Construction: seeded random inclusion, grown until certification passes.
-
-
-def _initial_size(c: int, n_labels: int) -> int:
-    lg = max(1.0, math.log2(n_labels))
-    return max(16, min(math.ceil(c * c * lg), math.ceil(2 * n_labels * lg)))
-
-
-def _construct(
-    kind: str,
-    n_labels: int,
-    prob_den: int,
-    check,
-    seed: int,
-    size_cap: int,
-    lazy: bool,
-    **params,
-) -> SelectionFamily:
-    prob = 1.0 / prob_den
-    size = _initial_size(prob_den, n_labels)
-    proven: set[int] = set()
-    while True:
-        if size > size_cap:
-            raise FamilySizeCapError(
-                f"no certified family within {size_cap} sets "
-                f"(kind={kind}, n_labels={n_labels}, params={params})"
-            )
-        fam = SelectionFamily(
-            kind=kind,
-            n_labels=n_labels,
-            seed=seed,
-            size=size,
-            certified=False,
-            verification="none",
-            _matrix=None if lazy else _build_matrix(seed, n_labels, size, prob),
-            _prob=prob,
-            **params,
-        )
-        ok, mode, proven = check(fam, proven)
-        if ok:
-            fam.certified = mode == "exhaustive"
-            fam.verification = mode
-            return fam
-        size = size + max(16, size // 4)
-
-
-def _ssf_style_check(c: int, samples: Optional[int]):
-    """Check callback for ssf-property families, incremental where exact."""
-
-    def check(fam: SelectionFamily, proven: set[int]):
-        if fam.is_lazy or fam.n_labels > EXACT_LABEL_CUTOFF:
-            res = certify(fam, samples=samples)
-            return res.ok, res.mode, set()
-        # per-element exact proof; appended sets never invalidate passes
-        rows = fam.label_rows()
-        masks = fam.set_masks()
-        todo = set(range(1, fam.n_labels + 1)) - proven
-        try:
-            good, witness = _element_cover_check(rows, masks, c, NODE_CAP, only=todo)
-        except _NodeBudgetExceeded:
-            return False, "exhaustive", proven
-        ok = witness is None and not (todo - good)
-        return ok, "exhaustive", proven | good
-
-    return check
-
-
-def construct_ssf(
-    n_labels: int,
-    c: int,
-    seed: int,
-    *,
-    size_cap: int = SIZE_CAP,
-    samples: Optional[int] = None,
-) -> SelectionFamily:
-    """(n_labels, c) strongly selective family.
-
-    Deterministic for a given (n_labels, c, seed): candidate sets include
-    each label independently with probability 1/c, starting from c^2 lg N
-    sets (at most 2 N lg N) and growing by a quarter until certification
-    passes. By the union bound, e c^2 ln N such sets (about 1.88 c^2 lg N)
-    form an (n_labels, c)-ssf with positive probability.
-
-    TODO: above EXACT_LABEL_CUTOFF labels certification is a seeded
-    spot-check (certified=False), and it has accepted families that are not
-    strongly selective: with seed derive_seed(1, "ssf", 256, 4), label 6 is
-    never isolated from {20, 88, 221}. Constructions that are certified by
-    design (ROADMAP item 2) remove the spot-check.
-    """
-    if not (1 <= c <= n_labels):
-        raise ValueError(f"need 1 <= c <= n_labels, got c={c}, n_labels={n_labels}")
-    lazy = n_labels > LAZY_LABEL_THRESHOLD
-    return _construct(
-        "ssf", n_labels, c, _ssf_style_check(c, samples), seed, size_cap, lazy, c=c
-    )
-
-
-def construct_selector(
-    k: int,
-    m: int,
-    n_labels: int,
-    seed: int,
-    *,
-    size_cap: int = SIZE_CAP,
-    samples: Optional[int] = None,
-) -> SelectionFamily:
-    """Certified (k, m, n_labels)-selector.
-
-    The m > k case is rewritten to an (m, m, n_labels)-selector, whose
-    property coincides with that of an (n_labels, m)-ssf, so certification
-    goes through the exact ssf machinery there.
-    """
-    if not (1 <= m and 1 <= k <= n_labels):
-        raise ValueError(f"need 1 <= k <= n_labels and m >= 1, got k={k}, m={m}")
-    if m > n_labels:
-        raise ValueError(f"selector needs m <= n_labels, got m={m}, n={n_labels}")
-    if m > k:
-        k = m
-    lazy = n_labels > LAZY_LABEL_THRESHOLD
-
-    if m == k:
-        check = _ssf_style_check(m, samples)
-    else:
-
-        def check(fam: SelectionFamily, proven: set[int]):
-            res = certify(fam, samples=samples)
-            return res.ok, res.mode, set()
-
-    return _construct(
-        "selector", n_labels, k, check, seed, size_cap, lazy, k=k, m=m
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pair-label encoding for the (N*N, c*c)-ssf over ordered label pairs.
-
-
-def pair_index(s: int, t: int, n_labels: int) -> int:
-    """Row-major 1-based bijection (s, t) -> s*N + t - N."""
-    if not (1 <= s <= n_labels and 1 <= t <= n_labels):
-        raise ValueError(f"pair ({s},{t}) outside [1..{n_labels}]^2")
-    return (s - 1) * n_labels + t
-
-
-def pair_unindex(idx: int, n_labels: int) -> tuple[int, int]:
-    s, t = divmod(idx - 1, n_labels)
-    return s + 1, t + 1
-
-
-# ---------------------------------------------------------------------------
-# Round scheduling.
-
-
-@dataclass
-class RoundSchedule:
-    """Cursor over a family's total order of sets, one set per round."""
-
-    family: SelectionFamily
-    cursor: int = 0
-
-    def advance(self) -> None:
-        self.cursor += 1
-
-
-def selected(schedule: RoundSchedule, label: int) -> bool:
-    """Whether the label transmits in the schedule's current round."""
-    if schedule.cursor >= schedule.family.size:
-        raise CursorExhaustedError(
-            f"cursor {schedule.cursor} past family of size {schedule.family.size}"
-        )
-    return schedule.family.contains(schedule.cursor, label)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: header line, then one line of ascending labels per set.
-
-
-def serialize_family(family: SelectionFamily) -> str:
-    if family.is_lazy:
-        raise ValueError("lazy family cannot be serialized")
-    if family.kind == "ssf":
-        head = f"ssf c={family.c}"
-    else:
-        head = f"selector k={family.k} m={family.m}"
-    lines = [
-        f"{head} n_labels={family.n_labels} seed={family.seed} "
-        f"size={family.size} certified={str(family.certified).lower()} "
-        f"verification={family.verification}"
-    ]
-    for j in range(family.size):
-        lines.append(" ".join(str(x) for x in family.set_members(j)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_family(text: str) -> SelectionFamily:
-    lines = text.splitlines()
-    kind = lines[0].split()[0]
-    head = dict(part.split("=", 1) for part in lines[0].split()[1:] if "=" in part)
-    n_labels = int(head["n_labels"])
-    size = int(head["size"])
-    matrix = np.zeros((size, n_labels), dtype=bool)
-    for j, line in enumerate(lines[1 : size + 1]):
-        for tok in line.split():
-            matrix[j, int(tok) - 1] = True
-    return SelectionFamily(
-        kind=kind,
-        n_labels=n_labels,
-        seed=int(head["seed"]),
-        size=size,
-        c=int(head["c"]) if "c" in head else None,
-        k=int(head["k"]) if "k" in head else None,
-        m=int(head["m"]) if "m" in head else None,
-        certified=head.get("certified") == "true",
-        verification=head.get("verification", "none"),
-        _matrix=np.packbits(matrix, axis=1),
-        _prob=0.0,
-    )
+    witness = _spot_check(family, family.k, family.m, samples, seed)
+    return CertifyResult(witness is None, "spot-checked", witness, samples)

@@ -123,18 +123,18 @@ def test_trace_full_mode_counts_every_round(tmp_path):
 GOLDEN = {
     "n64": (
         GeneratorSpec(n=12, arena_side=2.6, seed=1, n_labels=64),
-        "7cc9f3b138c38acc1e044e4d365f5ea769a9e95a131134609b460224cae0fd0f",
+        "d7466e68fe56e69930aa886a342d42715f598502186b50aa85e7e5be2e8ba1f2",
         {
-            "full": "b9b38426f87b2e23fc09ccc9bcaf0f86a19b057ab70ee84e0ec3e4abd967a6cb",
-            "compact": "a09be9c49c5bf82ae735036a7ee7595470bbd3a9c50e4d31276f1743579f158b",
+            "full": "afb7e7d5e32e156927c45c6df3ff757547dfd947825814ee0d35f058592a72bb",
+            "compact": "ff17408c9de6b2e980c66b056f54c3f845a6b29429d42643e4cb2718c2bad963",
         },
     ),
     "n256": (
         GeneratorSpec(n=12, arena_side=2.6, seed=4, n_labels=256),
-        "9c8b640e163411bdd1e77bbe6f384cd5e5b3b5cf9f6e96bf7d64278a8b9b951b",
+        "b09faae71791d9fba5d8a531282a8670ac2016b9e94cb7b0e42cd2f921a060fc",
         {
-            "full": "b1567941212ada5963e9cf45994bb204cb6618c5bf464752403274a0eff2e142",
-            "compact": "507ea7af0532fcd4338d7e2c126c5f96c0a92f62b82684ef4976915c5c11201a",
+            "full": "0a3e2b71052db92c512ad7493170ac77747af2b75810712cf5c955c56b556039",
+            "compact": "0da7d93d9156cd8d63ca08607e6e02c8ea76e77407d3326ac110d8a18a41084e",
         },
     ),
 }
@@ -151,6 +151,23 @@ def test_run_outputs_match_golden_digests(tmp_path, name, mode):
         for f in ("report.json", "trace.jsonl")
     }
     assert digest == {"report.json": report_digest, "trace.jsonl": trace_digests[mode]}
+
+
+def test_run_no_demo_end_to_end(tmp_path):
+    # the certified regime: c = min(dilution c, C_CAP, N) = N, so the base
+    # ssf is N singleton sets, a round robin
+    out = tmp_path / "out"
+    code = main(
+        ["run", "--n", "12", "--side", "2.6", "--seed", "1", "--n-labels", "64",
+         "--no-demo", "--out-dir", str(out)]
+    )
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["demo"] is False
+    assert report["verdicts"] and all(v["pass"] for v in report["verdicts"])
+    base = report["families"][0]
+    assert (base["kind"], base["n_labels"], base["c"]) == ("ssf", 64, 64)
+    assert (base["q"], base["K"], base["P"], base["size"]) == (64, 1, 1, 64)
 
 
 def test_cli_generate_subcommand(tmp_path, capsys):

@@ -93,7 +93,9 @@ def test_status_transitions_guarded():
 
 
 def test_ssf_broadcast_hears_each_sender_once():
-    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 0.9, 0.3)], P, 16)
+    # over 64 labels the base ssf puts each label in several sets (over 16
+    # it is one singleton per label)
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 0.9, 0.3)], P, 64)
     sim = Simulator(inst)
     fam = sim.base_ssf()
     msg = sim.msg("leader-announce", (1,))
@@ -144,15 +146,16 @@ def test_collected_records_match_the_round_by_round_stream():
 
 def test_two_hop_checks_every_helper_claim_size_during_the_run():
     # helper 1 claims the three pairs of leaders 2, 3 and 4; a round that
-    # carries two claims needs 8 + 2*3*5 = 38 bits against a 6*lg 16 = 24-bit
-    # budget, one claim alone needs 23
+    # carries two claims needs 8 + 2*3*7 = 50 bits against a 6*lg 64 = 36-bit
+    # budget, one claim alone needs 29. Over 64 labels the pair ssf puts the
+    # claims of (2, 3) and (3, 4) in one set (over 16 it is all singletons).
     stations = [(1, 0, 0), (2, 0.9, 0), (3, -0.45, 0.78), (4, -0.45, -0.78)]
-    inst = make_instance(stations, P, 16)
+    inst = make_instance(stations, P, 64)
     for c_msg, fails in ((6, True), (128, False)):
         sim = Simulator(inst, ProtocolConfig(c_msg=c_msg))
         force_leaders(sim, {2, 3, 4})
         fam = sim.pair_ssf()
-        claimed = [set(fam.rounds_for(pair_index(s, t, 16))) for s, t in ((2, 3), (2, 4))]
+        claimed = [set(fam.rounds_for(pair_index(s, t, 64))) for s, t in ((2, 3), (3, 4))]
         assert claimed[0] & claimed[1]  # some round carries two claims
         if fails:
             with pytest.raises(MessageSizeError):

@@ -1,28 +1,52 @@
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sinrbackbone import selection
-from sinrbackbone.errors import CursorExhaustedError, FamilySizeCapError
 from sinrbackbone.selection import (
-    LAZY_LABEL_THRESHOLD,
-    SAMPLES_LAZY,
-    SAMPLES_MATERIALIZED,
+    SAMPLES,
     CertifyResult,
-    RoundSchedule,
     SelectionFamily,
     certify,
+    code_parameters,
     construct_selector,
     construct_ssf,
     derive_seed,
     pair_index,
     pair_unindex,
-    parse_family,
-    selected,
-    serialize_family,
+    spot_seed,
 )
+
+from family_schedule import leader_buckets
+
+
+@dataclass
+class ExplicitFamily(SelectionFamily):
+    """A family given by its sets, for checking the oracle on families that
+    are not codes (and may fail)."""
+
+    matrix: np.ndarray = None  # (size, n_labels) bool
+
+    @property
+    def size(self) -> int:
+        return self.matrix.shape[0]
+
+    def membership(self, labels) -> np.ndarray:
+        return self.matrix[:, np.asarray(labels).reshape(-1) - 1].T
+
+    def set_members(self, index: int) -> tuple[int, ...]:
+        return tuple(int(i) + 1 for i in np.flatnonzero(self.matrix[index]))
+
+
+def family_from_matrix(matrix, kind="ssf", **kw):
+    return ExplicitFamily(
+        kind=kind, n_labels=matrix.shape[1], q=0, K=0, P=0, matrix=matrix, **kw
+    )
 
 
 def family_from_sets(sets, n_labels, kind="ssf", **kw):
@@ -30,14 +54,7 @@ def family_from_sets(sets, n_labels, kind="ssf", **kw):
     for j, s in enumerate(sets):
         for x in s:
             matrix[j, x - 1] = True
-    return SelectionFamily(
-        kind=kind,
-        n_labels=n_labels,
-        seed=0,
-        size=len(sets),
-        _matrix=np.packbits(matrix, axis=1),
-        **kw,
-    )
+    return family_from_matrix(matrix, kind, **kw)
 
 
 def ssf_holds_bruteforce(sets, n_labels, c):
@@ -64,8 +81,8 @@ def test_empty_family_fails_with_counterexample():
 
 
 def test_construct_ssf_8_2_certified_and_cross_checked():
-    fam = construct_ssf(8, 2, seed=5)
-    assert fam.certified and fam.verification == "exhaustive"
+    fam = construct_ssf(8, 2)
+    assert certify(fam) == CertifyResult(True, "exhaustive")
     assert ssf_holds_bruteforce(fam.sets, 8, 2)
 
 
@@ -84,23 +101,17 @@ def test_certify_agrees_with_bruteforce_on_random_families():
 
 
 def test_construct_ssf_determinism():
-    a = serialize_family(construct_ssf(64, 3, seed=9))
-    b = serialize_family(construct_ssf(64, 3, seed=9))
-    assert a == b
-    other = serialize_family(construct_ssf(64, 3, seed=10))
-    assert other != a
+    # a family is a function of (N, c) alone
+    a, b = construct_ssf(64, 3), construct_ssf(64, 3)
+    assert a == b and a.sets == b.sets
+    assert construct_ssf(64, 4).sets != a.sets
 
 
 def test_construct_ssf_validates_parameters():
     with pytest.raises(ValueError):
-        construct_ssf(4, 5, seed=1)
+        construct_ssf(4, 5)
     with pytest.raises(ValueError):
-        construct_ssf(4, 0, seed=1)
-
-
-def test_size_cap_error():
-    with pytest.raises(FamilySizeCapError):
-        construct_ssf(64, 8, seed=1, size_cap=20)
+        construct_ssf(4, 0)
 
 
 def test_singleton_family_is_a_2_2_selector():
@@ -109,8 +120,8 @@ def test_singleton_family_is_a_2_2_selector():
 
 
 def test_construct_selector_3_1_6_exhaustive():
-    fam = construct_selector(3, 1, 6, seed=2)
-    assert fam.certified and fam.verification == "exhaustive"
+    fam = construct_selector(3, 1, 6)
+    assert certify(fam) == CertifyResult(True, "exhaustive")
     # oracle: every 3-subset has at least one isolated element
     for S in combinations(range(1, 7), 3):
         isolated = {
@@ -122,31 +133,9 @@ def test_construct_selector_3_1_6_exhaustive():
 
 
 def test_selector_m_above_k_is_rewritten():
-    fam = construct_selector(2, 5, 16, seed=3)
+    fam = construct_selector(2, 5, 16)
     assert fam.k == 5 and fam.m == 5
-    assert fam.certified
-
-
-def test_selected_and_schedule():
-    fam = family_from_sets([(1,), (2,)], 2, c=2)
-    sched = RoundSchedule(fam)
-    assert selected(sched, 1)
-    assert not selected(sched, 2)
-    sched.advance()
-    assert selected(sched, 2)
-    sched.advance()
-    with pytest.raises(CursorExhaustedError):
-        selected(sched, 1)
-
-
-def test_selected_matches_membership_everywhere():
-    fam = construct_ssf(16, 3, seed=4)
-    sched = RoundSchedule(fam)
-    for j in range(fam.size):
-        members = set(fam.set_members(j))
-        for lab in range(1, 17):
-            assert selected(sched, lab) == (lab in members)
-        sched.advance()
+    assert certify(fam) == CertifyResult(True, "exhaustive")
 
 
 def test_pair_encoding_row_major():
@@ -165,27 +154,17 @@ def test_pair_encoding_row_major():
 def test_pair_space_lift_certifies():
     # an (N^2, c^2)-ssf over pair labels goes through the same oracle
     n, c = 8, 2
-    fam = construct_ssf(n * n, c * c, seed=6)
+    fam = construct_ssf(n * n, c * c)
     assert fam.n_labels == 64
     res = certify(fam)
     assert res.ok and res.mode == "exhaustive"
 
 
-def test_serialization_roundtrip():
-    fam = construct_ssf(32, 3, seed=8)
-    text = serialize_family(fam)
-    again = parse_family(text)
-    assert again.sets == fam.sets
-    assert again.c == fam.c and again.n_labels == fam.n_labels
-    assert again.certified == fam.certified
-    assert serialize_family(again) == text
-
-
 def test_size_tracking_report():
     # informational: constructed sizes against the c^2 lg N shape
     worst = 0.0
-    for n, c, seed in [(64, 4, 1), (64, 6, 1), (256, 4, 1)]:
-        fam = construct_ssf(n, c, seed=seed)
+    for n, c in [(64, 4), (64, 6), (256, 4)]:
+        fam = construct_ssf(n, c)
         k_fit = fam.size / (c * c * math.log2(n))
         worst = max(worst, k_fit)
         print(f"ssf({n},{c}): size={fam.size} K={k_fit:.2f}")
@@ -193,22 +172,203 @@ def test_size_tracking_report():
 
 
 def test_lazy_family_membership_consistency():
-    fam = construct_ssf(65536, 4, seed=7)
-    assert fam.is_lazy
-    assert fam.verification == "spot-checked" and not fam.certified
-    for label in (1, 17, 65536):
-        rounds = set(int(j) for j in fam.rounds_for(label))
-        for j in range(min(fam.size, 64)):
-            assert fam.contains(j, label) == (j in rounds)
+    # membership is evaluated on demand, from the label alone: every read
+    # (one label, a batch of labels, one set, one (set, label) test) agrees
+    fam = construct_ssf(65536, 4)
+    labels = (1, 17, 4097, 65536)
+    batch = fam.rounds_for(np.array(labels))
+    assert batch.shape == (len(labels), fam.P)
+    for label, row in zip(labels, batch.tolist()):
+        rounds = fam.rounds_for(label)
+        assert rounds.tolist() == row == sorted(row)
+        assert [j // fam.q for j in row] == list(range(fam.P))  # one set per point
+        for j in range(fam.size):
+            assert fam.contains(j, label) == (j in row)
+        for j in row[:2]:
+            assert label in fam.set_members(j)
+    with pytest.raises(IndexError):
+        fam.contains(fam.size, 1)
+
+
+def test_selected_matches_membership_everywhere():
+    # a label is selected in round j (contains) iff it is a member of set j
+    for n_labels, c in ((16, 3), (64, 4), (64, 2)):
+        fam = construct_ssf(n_labels, c)
+        for j in range(fam.size):
+            members = set(fam.set_members(j))
+            for lab in range(1, n_labels + 1):
+                assert fam.contains(j, lab) == (lab in members)
 
 
 def test_exhaustive_mode_forced_at_small_label_spaces():
     # label spaces up to 64 always get an exact verdict, even when subset
-    # enumeration would be astronomically large
-    fam = construct_ssf(64, 14, seed=12)
-    assert fam.certified and fam.verification == "exhaustive"
-    res = certify(fam)
-    assert res.mode == "exhaustive" and res.ok
+    # enumeration would be astronomically large: C(64, 5) and C(64, 14)
+    # are both past ENUM_CUTOFF
+    for c in (5, 14):
+        assert certify(construct_ssf(64, c)) == CertifyResult(True, "exhaustive")
+
+
+# ---------------------------------------------------------------------------
+# The construction against the oracle.
+
+
+def test_certify_proves_every_code_over_64_labels():
+    for c in range(1, 23):
+        fam = construct_ssf(64, c)
+        assert certify(fam) == CertifyResult(True, "exhaustive"), (c, fam)
+
+
+def _run_families(n_labels, deltas, c=4):
+    """Every family a demo-mode run over n_labels builds, for the degrees."""
+    fams = [construct_ssf(n_labels, c), construct_ssf(n_labels**2, c * c)]
+    fams += [
+        construct_selector(k, m, n_labels)
+        for delta in deltas
+        for k, m in leader_buckets(delta)
+    ]
+    distinct = {}
+    for fam in fams:
+        distinct.setdefault((fam.kind, fam.n_labels, fam.c, fam.k, fam.m), fam)
+    return list(distinct.values())
+
+
+def test_certify_passes_every_battery_and_sweep_family():
+    # the acceptance battery runs N = 64 at degrees up to about 20, and
+    # criterion 8's grid runs N = 64, 256, 1024 at degrees 4..24
+    for n_labels in (64, 256, 1024):
+        for fam in _run_families(n_labels, range(1, 31)):
+            res = certify(fam, samples=2000)
+            assert res.ok, (fam, res)
+            exact = fam.n_labels <= 64
+            assert res.mode == ("exhaustive" if exact else "spot-checked"), (fam, res)
+
+
+@pytest.mark.parametrize("n_labels, samples", [(4096, SAMPLES), (2**20, 20_000)])
+def test_pair_families_pass_the_batched_spot_check(n_labels, samples):
+    # the pair ssfs of N = 64 and N = 1024: the words of each batch's labels
+    # are read from the arithmetic membership
+    fam = construct_ssf(n_labels, 16)
+    assert certify(fam, samples=samples) == CertifyResult(
+        True, "spot-checked", None, samples
+    )
+
+
+def test_base_ssf_spot_checks_pass_above_64_labels():
+    for n_labels, c in ((256, 4), (1024, 4), (1024, 7)):
+        res = certify(construct_ssf(n_labels, c))
+        assert res == CertifyResult(True, "spot-checked", None, SAMPLES)
+
+
+WORST_CASE_CODES = [
+    (64, 2), (64, 3), (64, 4), (64, 5), (64, 8), (256, 4), (1024, 4),
+    (1024, 7), (1024, 12), (1024, 22), (4096, 16), (2**20, 16),
+]
+
+
+def _monic_with_roots(roots, q):
+    """Coefficients, lowest first, of prod (X - r) over GF(q)."""
+    poly = [1]
+    for r in roots:
+        poly = [
+            ((poly[i - 1] if i else 0) - r * (poly[i] if i < len(poly) else 0)) % q
+            for i in range(len(poly) + 1)
+        ]
+    return poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_worst_case_subsets_still_isolate_each_member(data):
+    # u plus c-1 others whose polynomials each agree with p_u on K-1 points,
+    # all on different points: the others cover P-1 of u's P sets, and the
+    # set at the one point left over isolates u
+    n_labels, c = data.draw(st.sampled_from(WORST_CASE_CODES))
+    fam = construct_ssf(n_labels, c)
+    q, K, P = fam.q, fam.K, fam.P
+    u = data.draw(st.integers(1, n_labels))
+    if K == 1:
+        others = data.draw(
+            st.lists(st.integers(1, n_labels), min_size=c - 1, max_size=c - 1, unique=True)
+        )
+        assume(u not in others)
+        free = 0
+    else:
+        points = data.draw(st.permutations(range(P)))
+        free = points[-1]
+        u_digits = [(u - 1) // q**i % q for i in range(K)]
+        # a top coefficient below `top` keeps a polynomial's label in range
+        top = (n_labels - 1) // q ** (K - 1)
+        tops = [t for t in range(top) if t != u_digits[-1]]
+        assume(tops)
+        others = []
+        for g in range(c - 1):
+            roots = points[g * (K - 1) : (g + 1) * (K - 1)]
+            lam = (data.draw(st.sampled_from(tops)) - u_digits[-1]) % q
+            diff = _monic_with_roots(roots, q)
+            digits = [(u_digits[i] + lam * diff[i]) % q for i in range(K)]
+            others.append(1 + sum(d * q**i for i, d in enumerate(digits)))
+        assert len(set(others)) == c - 1 and u not in others
+        assert max(others) <= n_labels
+    mine = fam.rounds_for(u)
+    covered = set()
+    for v in others:
+        shared = set(mine.tolist()) & set(fam.rounds_for(v).tolist())
+        assert len(shared) <= K - 1
+        covered |= shared
+    assert set(mine.tolist()) - covered == {int(mine[free])}
+    rows = fam.membership([u] + others)
+    assert rows[0, mine[free]] and not rows[1:, mine[free]].any()
+
+
+def test_code_parameters_give_the_smallest_code():
+    # brute force over every prime q and every K: the smallest P*q with
+    # q >= P = (c-1)(K-1)+1 and q^K >= N, against N singleton sets
+    limit = 4096
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for c in range(1, 25):
+        best = np.arange(limit + 1)
+        for K in range(2, 25):
+            P = (c - 1) * (K - 1) + 1
+            for q in primes:
+                if P * q >= limit:
+                    break
+                if q >= P:
+                    reach = min(q**K, limit)
+                    best[1 : reach + 1] = np.minimum(best[1 : reach + 1], P * q)
+        for n in range(c, limit + 1):
+            q, K, P = code_parameters(n, c)
+            assert P * q == best[n], (n, c, q, K, P)
+            if K == 1:
+                assert (q, P) == (n, 1)
+            else:
+                assert q in primes and q**K >= n and P == (c - 1) * (K - 1) + 1 <= q
+
+
+@pytest.mark.parametrize(
+    "n_labels, c, q, K, P",
+    [
+        (64, 4, 11, 2, 4),
+        (256, 4, 7, 3, 7),
+        (1024, 4, 11, 3, 7),
+        (1024, 22, 37, 2, 22),
+        (64 * 64, 16, 31, 3, 31),
+        (1024 * 1024, 16, 47, 4, 46),
+        (64, 64, 64, 1, 1),
+    ],
+)
+def test_family_code_parameters_are_pinned(n_labels, c, q, K, P):
+    # the base ssfs of N = 64, 256 and 1024, the largest sweep selector, the
+    # pair ssfs of N = 64 and 1024, and the round robin of a non-demo run
+    fam = construct_ssf(n_labels, c)
+    assert (fam.q, fam.K, fam.P, fam.size) == (q, K, P, P * q)
+
+
+def test_spot_checked_base_ssf_isolates_label_6_from_20_88_221():
+    # the witnesses that random families built for N = 256 and 1024 once
+    # failed: label 6 was never isolated from these three others
+    for n_labels, others in ((256, (20, 88, 221)), (1024, (66, 237, 743))):
+        rows = construct_ssf(n_labels, 4).label_rows()
+        assert rows[6] & ~(rows[others[0]] | rows[others[1]] | rows[others[2]])
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +390,8 @@ def test_spot_check_rows_equal_generator_choice(monkeypatch):
         # choice(n, n) for n > 10000 tail-shuffles and is no spot-check size
         for k in (1, 4, 16, 21) + ((n,) if n <= 4096 else ()):
             count = 2 if k == n else 1500
-            # the spot seeds of family seeds 1 and 20; at N = 2^20 the rows
-            # of the latter include rejected bounded draws (k = 16 and 21)
+            # two fixed seeds; at N = 2^20 the rows of the second include
+            # rejected bounded draws (k = 16 and 21)
             for seed in (derive_seed(1, "spot", 0), derive_seed(20, "spot", 0)):
                 gen = np.random.default_rng(seed)
                 want = np.sort(
@@ -264,51 +424,33 @@ def _isolated(rows_of):
     return [bool(r & ~o) for r, o in zip(rows_of, others)]
 
 
-def reference_spot_check(family, samples=None, sample_seed=0):
+def reference_spot_check(family, samples=SAMPLES, sample_seed=0):
     """The spot-check as it ran one choice() call and one big-int scan per
     sample, before batching; the reference for certify's spot-check."""
-    gen = np.random.default_rng(derive_seed(family.seed, "spot", sample_seed))
+    gen = np.random.default_rng(spot_seed(family, sample_seed))
     if family.selection_c is not None:
         k = need = min(family.selection_c, family.n_labels)
-        n_samples = samples or (
-            SAMPLES_LAZY if family.is_lazy else SAMPLES_MATERIALIZED
-        )
     else:
         k, need = family.k, family.m
-        n_samples = samples or SAMPLES_MATERIALIZED
-    if family.is_lazy:
 
-        def row(e):
-            col = selection._membership_column(
-                family.seed, e, family.size, family._prob
-            )
-            bits = np.packbits(col, bitorder="little")
-            return int.from_bytes(bits.tobytes(), "little")
+    def row(e):
+        bits = np.packbits(family.membership([e])[0], bitorder="little")
+        return int.from_bytes(bits.tobytes(), "little")
 
-    else:
-        rows = family.label_rows()
-        row = rows.__getitem__
-    for _ in range(n_samples):
+    for _ in range(samples):
         combo = sorted(
             int(x) + 1 for x in gen.choice(family.n_labels, size=k, replace=False)
         )
         if sum(_isolated([row(e) for e in combo])) < need:
-            return CertifyResult(False, "spot-checked", tuple(combo), n_samples)
-    return CertifyResult(True, "spot-checked", None, n_samples)
+            return CertifyResult(False, "spot-checked", tuple(combo), samples)
+    return CertifyResult(True, "spot-checked", None, samples)
 
 
 def random_family(n_labels, size, seed, kind="ssf", **params):
+    """Each label in each set with probability 1/c (1/k for a selector)."""
     prob = 1.0 / (params["c"] if kind == "ssf" else params["k"])
-    lazy = n_labels > LAZY_LABEL_THRESHOLD
-    return SelectionFamily(
-        kind=kind,
-        n_labels=n_labels,
-        seed=seed,
-        size=size,
-        _matrix=None if lazy else selection._build_matrix(seed, n_labels, size, prob),
-        _prob=prob,
-        **params,
-    )
+    matrix = np.random.default_rng(seed).random((size, n_labels)) < prob
+    return family_from_matrix(matrix, kind, **params)
 
 
 DIFFERENTIAL_CASES = [
@@ -318,10 +460,10 @@ DIFFERENTIAL_CASES = [
         for n in (256, 1024, 4096)
         for size in (24, 48, 96, 160)
     ],
-    (256, 200, "ssf", {"c": 4}, None),  # SAMPLES_MATERIALIZED
+    (256, 200, "ssf", {"c": 4}, SAMPLES),
     (4096, 400, "ssf", {"c": 9}, 2000),
-    (20000, 80, "ssf", {"c": 3}, None),  # lazy: SAMPLES_LAZY
-    (20000, 40, "ssf", {"c": 3}, None),
+    (20000, 80, "ssf", {"c": 3}, 1024),
+    (20000, 40, "ssf", {"c": 3}, 1024),
     (256, 30, "selector", {"k": 6, "m": 2}, 3000),
     (256, 8, "selector", {"k": 6, "m": 2}, 3000),
     (256, 12, "selector", {"k": 6, "m": 3}, 3000),
@@ -338,10 +480,15 @@ def test_batched_spot_check_equals_scalar_reference():
         fam = random_family(n, size, 1000 + i, kind, **params)
         got = certify(fam, enum_cutoff=0, samples=samples)
         assert got == reference_spot_check(fam, samples), (n, size, kind, params)
-        verdicts.add((kind, fam.is_lazy, got.ok))
-    # both verdicts for materialized ssfs and selectors, and for lazy ssfs
-    kinds = [("ssf", False), ("selector", False), ("ssf", True)]
-    assert verdicts == {(kind, lz, ok) for kind, lz in kinds for ok in (True, False)}
+        verdicts.add((kind, got.ok))
+    # both verdicts, for ssfs and for selectors
+    assert verdicts == {(kind, ok) for kind in ("ssf", "selector") for ok in (True, False)}
+    # and the codes, whose words come from the arithmetic membership
+    for fam in (construct_ssf(1024, 4), construct_ssf(2**20, 16), construct_selector(9, 3, 256)):
+        got = certify(fam, enum_cutoff=0, samples=300)
+        assert got == reference_spot_check(fam, 300) == CertifyResult(
+            True, "spot-checked", None, 300
+        )
 
 
 def _n_isolated(sets, subset):
@@ -363,24 +510,3 @@ def test_batched_enumeration_finds_the_first_violation():
         assert res == CertifyResult(first is None, "exhaustive", first)
         verdicts.add((kind, res.ok))
     assert len(verdicts) == 4
-
-
-@pytest.mark.parametrize(
-    "n_labels, c, tag, size",
-    [(256, 4, "ssf", 128), (1024, 4, "ssf", 160), (64 * 64, 16, "pair", 3072)],
-)
-def test_spot_checked_family_sizes_are_pinned(n_labels, c, tag, size):
-    # the base ssfs of N = 256 and 1024 and the pair ssf of N = 64, at
-    # family seed 1, as `protocol.Families` derives their seeds
-    fam = construct_ssf(n_labels, c, derive_seed(1, tag, n_labels, c))
-    assert (fam.size, fam.verification, fam.certified) == (size, "spot-checked", False)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="the spot-check accepts base ssfs that are not strongly selective; "
-    "families certified by construction (ROADMAP item 2) mend this",
-)
-def test_spot_checked_base_ssf_isolates_label_6_from_20_88_221():
-    rows = construct_ssf(256, 4, derive_seed(1, "ssf", 256, 4)).label_rows()
-    assert rows[6] & ~(rows[20] | rows[88] | rows[221])
