@@ -35,7 +35,6 @@ from .protocol import (
     backbone_creation,
     leader_election,
     neighborhood_inform,
-    run_round,
     three_hop_connection,
     token_passing,
     two_hop_connection,

@@ -23,7 +23,6 @@ from .physical import (
     save_instance,
 )
 from .protocol import (
-    CollectSink,
     Execution,
     Families,
     ProtocolConfig,
@@ -110,12 +109,11 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 # Trace streaming.
 
 
-class FileSink(CollectSink):
-    """Streams one JSON record per round (full) or silent-span records
-    (compact) while keeping counters for the report. Keeps no records."""
+class FileSink:
+    """Streams one JSON record per round (full), or one per non-silent round
+    and one per span of silent rounds (compact). Keeps no records."""
 
     def __init__(self, fh: TextIO, mode: str):
-        super().__init__()
         self.fh = fh
         self.mode = mode
 
@@ -123,40 +121,23 @@ class FileSink(CollectSink):
         ex.replay(self)
 
     def emit(self, trace: RoundTrace) -> None:
-        if trace.transmitters:
-            self.fh.write(
-                json.dumps(
-                    {
-                        "round": trace.round,
-                        "phase": trace.phase,
-                        "transmitters": [
-                            {"label": lab, "kind": m.kind, "payload": _payload_json(m.payload)}
-                            for lab, m in trace.transmitters
-                        ],
-                        "deliveries": [[s, r] for s, r in trace.deliveries],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+        self.fh.write(
+            json.dumps(
+                {
+                    "round": trace.round,
+                    "phase": trace.phase,
+                    "transmitters": [
+                        {"label": lab, "kind": m.kind, "payload": _payload_json(m.payload)}
+                        for lab, m in trace.transmitters
+                    ],
+                    "deliveries": [[s, r] for s, r in trace.deliveries],
+                },
+                sort_keys=True,
             )
-        elif self.mode == "full":
-            self.fh.write(
-                json.dumps(
-                    {
-                        "round": trace.round,
-                        "phase": trace.phase,
-                        "transmitters": [],
-                        "deliveries": [],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-        if not trace.transmitters:
-            self.silent_rounds += 1
+            + "\n"
+        )
 
     def skip(self, phase: str, start_round: int, count: int) -> None:
-        self.silent_rounds += count
         if self.mode == "full":
             # silent-round records differ only in the round number, so the
             # sorted-key JSON is built once around it
@@ -173,27 +154,6 @@ class FileSink(CollectSink):
                 )
                 + "\n"
             )
-
-
-class PhaseRoundSink(CollectSink):
-    """Counts the rounds of each protocol, keyed by the part of the phase
-    name before its first '/' (e.g. "token-passing")."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.phase_rounds: dict[str, int] = {}
-
-    def _count(self, phase: str, count: int) -> None:
-        key = phase.split("/", 1)[0]
-        self.phase_rounds[key] = self.phase_rounds.get(key, 0) + count
-
-    def execution(self, ex: Execution) -> None:
-        super().execution(ex)
-        self._count(ex.phase, ex.size)
-
-    def skip(self, phase: str, start_round: int, count: int) -> None:
-        super().skip(phase, start_round, count)
-        self._count(phase, count)
 
 
 def _payload_json(payload):
@@ -236,12 +196,10 @@ def run(config: RunConfig) -> int:
     proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
     trace_path = os.path.join(config.out_dir, "trace.jsonl")
     if config.trace_mode == "off":
-        sink: CollectSink = CollectSink()
-        result = backbone_creation(inst, proto, sink)
+        result = backbone_creation(inst, proto)
     else:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            sink = FileSink(fh, config.trace_mode)
-            result = backbone_creation(inst, proto, sink)
+            result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode))
 
     verdicts = run_all_checks(
         result,
@@ -309,6 +267,16 @@ SWEEP_PHASES = (
 )
 
 
+def _phase_rounds(executions: Sequence[Execution]) -> dict[str, int]:
+    """Rounds of each protocol, keyed by the part of the phase name before
+    its first '/' (e.g. "token-passing")."""
+    out: dict[str, int] = {}
+    for ex in executions:
+        key = ex.phase.split("/", 1)[0]
+        out[key] = out.get(key, 0) + ex.size
+    return out
+
+
 def _selector_sizes(row: dict) -> str:
     return ",".join(str(sel["size"]) for sel in row["selectors"])
 
@@ -323,8 +291,8 @@ def sweep(
     constant in rounds <= C_r * Delta * lg(N)^2, plus a stability summary.
 
     Each row also holds the rounds of each protocol phase (`phase_rounds`,
-    counted from the run's trace), the selection bound c, and the sizes of
-    the families the run executed: the base ssf, the pair ssf and leader
+    summed over the run's executions), the selection bound c, and the sizes
+    of the families the run executed: the base ssf, the pair ssf and leader
     election's selector of each degree bucket."""
     os.makedirs(config.out_dir, exist_ok=True)
     rows = []
@@ -362,8 +330,7 @@ def sweep(
                 inst = best
             graph = build_graph(inst)
             proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
-            sink = PhaseRoundSink()
-            result = backbone_creation(inst, proto, sink)
+            result = backbone_creation(inst, proto)
             lg = math.log2(n_labels)
             c_r = result.rounds_used / (max(1, graph.delta) * lg * lg)
             fams = Families.for_run(inst, proto)
@@ -385,7 +352,7 @@ def sweep(
                         {"k": fam.k, "m": fam.m, "size": fam.size}
                         for fam in fams.leader_selectors(graph.delta)
                     ],
-                    "phase_rounds": sink.phase_rounds,
+                    "phase_rounds": _phase_rounds(result.traces.executions),
                 }
             )
     c_rs = sorted(row["c_r"] for row in rows)

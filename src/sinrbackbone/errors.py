@@ -39,12 +39,6 @@ class NoDilutionError(SimulationError):
     code = "no-dilution"
 
 
-class DoubleRoleError(SimulationError):
-    """A node was assigned both transmit and listen intents in one round."""
-
-    code = "double-role"
-
-
 class TokenDeliveryError(SimulationError):
     """A token grant was not received by the addressed node."""
 

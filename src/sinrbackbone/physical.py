@@ -247,31 +247,48 @@ def receives(
 
 
 class PhysicsEngine:
-    """Vectorized SINR adjudication for one instance (verifier side only).
+    """Vectorized SINR adjudication for one instance, and the communication
+    graph it implies.
 
     Distances come from distance_matrix and the range from broadcast_range,
-    as for the graph and receives().
+    as for receives(). The graph has an edge wherever in_range holds, so
+    the graph and the round engine cannot disagree at the range boundary.
     """
 
     def __init__(self, inst: PhysicalInstance):
         p = inst.params
-        if p.noise <= 0:
-            raise ValueError("the round engine needs noise > 0 (finite range)")
+        self.range = broadcast_range(p)
         self.labels = sorted(inst.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.label_array = np.array(self.labels)
         n = len(self.labels)
         dist = distance_matrix(inst)
-        off_diagonal = ~np.eye(n, dtype=bool)
-        if n > 1 and np.any(dist[off_diagonal] == 0.0):
+        if np.count_nonzero(dist == 0.0) > n:  # more zeros than the diagonal
             raise DegenerateDistanceError("coincident stations in instance")
-        with np.errstate(divide="ignore"):
-            gain = p.power / dist**p.alpha
-        np.fill_diagonal(gain, 0.0)
-        self.in_range = (dist <= broadcast_range(p)) & off_diagonal
-        self.gain = gain
+        path_loss = dist**p.alpha
+        np.fill_diagonal(path_loss, np.inf)  # no station interferes with itself
+        self.gain = p.power / path_loss
+        self.in_range = dist <= self.range
+        np.fill_diagonal(self.in_range, False)
         self.noise = p.noise
         self.beta = p.beta
+
+    def graph(self) -> CommGraph:
+        """The communication graph: label u adjacent to v iff in_range.
+
+        Raises DisconnectedInstanceError when the graph is not connected,
+        since every protocol in this package presumes connectivity.
+        """
+        labs = self.labels
+        rows, cols = np.nonzero(self.in_range)
+        nbrs = self.label_array[cols].tolist()
+        at = np.searchsorted(rows, np.arange(len(labs) + 1)).tolist()
+        adj = {lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(labs)}
+        if not is_connected(adj):
+            raise DisconnectedInstanceError(
+                f"communication graph on {len(labs)} stations is not connected"
+            )
+        return CommGraph(adjacency=adj, range_used=self.range)
 
     def adjudicate(
         self, member: np.ndarray
@@ -342,15 +359,6 @@ class CommGraph:
         return max((len(nb) for nb in self.adjacency.values()), default=0)
 
 
-def _adjacency(inst: PhysicalInstance) -> dict[int, tuple[int, ...]]:
-    labs = sorted(inst.labels)
-    near = distance_matrix(inst) <= broadcast_range(inst.params)
-    np.fill_diagonal(near, False)
-    return {
-        lab: tuple(labs[j] for j in np.flatnonzero(row)) for lab, row in zip(labs, near)
-    }
-
-
 def is_connected(adjacency: Mapping[int, Sequence[int]]) -> bool:
     nodes = list(adjacency)
     if not nodes:
@@ -367,17 +375,10 @@ def is_connected(adjacency: Mapping[int, Sequence[int]]) -> bool:
 
 
 def build_graph(inst: PhysicalInstance) -> CommGraph:
-    """Communication graph with edges at distance <= range (inclusive).
-
-    Raises DisconnectedInstanceError when the graph is not connected, since
-    every protocol in this package presumes connectivity.
-    """
-    adj = _adjacency(inst)
-    if not is_connected(adj):
-        raise DisconnectedInstanceError(
-            f"communication graph on {inst.n} stations is not connected"
-        )
-    return CommGraph(adjacency=adj, range_used=broadcast_range(inst.params))
+    """Communication graph with edges at distance <= range (inclusive): the
+    round engine's graph. Raises DisconnectedInstanceError when it is not
+    connected and DegenerateDistanceError when two stations coincide."""
+    return PhysicsEngine(inst).graph()
 
 
 @dataclass(frozen=True)

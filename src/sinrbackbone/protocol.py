@@ -5,12 +5,13 @@ from NodeView fields only (own label, n, N, Delta, neighbor labels,
 received messages), while reception is adjudicated by the physical layer
 against the full transmitter set of each round.
 
-Executions of a selection family are scheduled in lockstep at every node,
-so silent rounds (no transmitter anywhere) are skipped en masse: they
-cannot change any node state. The global round counter still advances by
-the full family size, and traces record the skipped spans. The non-silent
-rounds of an execution are adjudicated together, in one batch, and kept
-as one compact record until a trace asks for its rounds.
+Every round belongs to exactly one execution of a selection family, and
+each execution, silent or not, is one Execution record. Executions are
+scheduled in lockstep at every node, so silent rounds (no transmitter
+anywhere) cannot change any node state and cost nothing; the global round
+counter still advances by the full family size. The non-silent rounds of
+an execution are adjudicated together, in one batch, and kept as one
+compact record until a trace asks for its rounds.
 """
 
 from __future__ import annotations
@@ -18,17 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
 from . import selection
-from .errors import (
-    DoubleRoleError,
-    MessageSizeError,
-    TokenDeliveryError,
-)
-from .physical import CommGraph, PhysicalInstance, PhysicsEngine, build_graph
+from .errors import MessageSizeError, TokenDeliveryError
+from .physical import CommGraph, PhysicalInstance, PhysicsEngine, derive_dilution
 from .selection import SelectionFamily, construct_selector, construct_ssf
 
 ACTIVE = "active"
@@ -131,7 +128,7 @@ class BackboneResult:
     helpers: tuple[int, ...]
     backbone_edges: tuple[tuple[int, int], ...]
     rounds_used: int
-    traces: "CollectSink"
+    traces: "Sink"
     statuses: dict[int, str]
     two_hop: dict[tuple[int, int], int]
     three_hop: dict[tuple[int, int], tuple[int, int]]
@@ -150,7 +147,12 @@ class TokenRecord:
     transmissions: tuple[tuple[int, tuple[int, ...]], ...]  # (sender, receivers)
 
 
-@dataclass(frozen=True, eq=False)
+_NO_ROUNDS = np.zeros(0, dtype=np.int32)
+_NO_TRANSMISSIONS = np.zeros((0, 2), dtype=np.int32)
+_NO_DELIVERIES = np.zeros((0, 3), dtype=np.int32)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
 class Execution:
     """One family execution, kept as int32 arrays instead of round objects.
 
@@ -167,7 +169,14 @@ class Execution:
     rounds: np.ndarray
     transmissions: np.ndarray
     deliveries: np.ndarray
-    message: Callable[[int], Message]
+    message: Optional[Callable[[int], Message]]  # None when silent
+
+    @staticmethod
+    def silent(phase: str, start: int, size: int) -> "Execution":
+        """An execution in which no station transmits."""
+        return Execution(
+            phase, start, size, _NO_ROUNDS, _NO_TRANSMISSIONS, _NO_DELIVERIES, None
+        )
 
     def traces(self) -> Iterator[RoundTrace]:
         """One RoundTrace per non-silent round, in round order, each built
@@ -187,9 +196,9 @@ class Execution:
                 deliveries=tuple(map(tuple, pairs)),
             )
 
-    def replay(self, sink: "CollectSink") -> None:
-        """Feed the execution to sink round by round: emit() for each
-        non-silent round, skip() for each span of silent ones."""
+    def replay(self, sink) -> None:
+        """Feed the execution to sink round by round: sink.emit() for each
+        non-silent round, sink.skip() for each span of silent ones."""
         cursor = 0
         for trace in self.traces():
             j = trace.round - self.start
@@ -201,58 +210,30 @@ class Execution:
             sink.skip(self.phase, self.start + cursor, self.size - cursor)
 
 
+class Sink(Protocol):
+    """Receives every family execution of a run, in round order."""
+
+    def execution(self, ex: Execution) -> None: ...
+
+
 class CollectSink:
-    """Keeps every family execution as one compact record; counts silent
-    rounds. `records` expands them into RoundTrace objects, one per
-    non-silent round, on first access."""
+    """Keeps every family execution as one compact record. `records`
+    expands them into RoundTrace objects, one per non-silent round, on
+    first access."""
 
     def __init__(self) -> None:
         self.executions: list[Execution] = []
-        self.silent_rounds = 0
         self._records: Optional[list[RoundTrace]] = None
 
     def execution(self, ex: Execution) -> None:
         self.executions.append(ex)
-        self.silent_rounds += ex.size - len(ex.rounds)
         self._records = None
-
-    def skip(self, phase: str, start_round: int, count: int) -> None:
-        self.silent_rounds += count
 
     @property
     def records(self) -> list[RoundTrace]:
         if self._records is None:
             self._records = [tr for ex in self.executions for tr in ex.traces()]
         return self._records
-
-
-def run_round(
-    intents: Iterable[tuple[int, Optional[Message]]],
-    inst: PhysicalInstance,
-    *,
-    phase: str = "adhoc",
-    round_index: int = 0,
-    engine: Optional[PhysicsEngine] = None,
-) -> RoundTrace:
-    """Adjudicate one synchronous round.
-
-    intents maps each node to a Message (transmit) or None (listen); a node
-    appearing with both roles raises DoubleRoleError.
-    """
-    roles: dict[int, Optional[Message]] = {}
-    for label, msg in intents:
-        if label in roles and (roles[label] is None) != (msg is None):
-            raise DoubleRoleError(f"node {label} both transmits and listens")
-        roles[label] = msg
-    transmitters = {lab: msg for lab, msg in roles.items() if msg is not None}
-    eng = engine or PhysicsEngine(inst)
-    pairs = eng.deliver(sorted(transmitters))
-    return RoundTrace(
-        round=round_index,
-        phase=phase,
-        transmitters=tuple((lab, transmitters[lab]) for lab in sorted(transmitters)),
-        deliveries=tuple(pairs),
-    )
 
 
 @dataclass(frozen=True)
@@ -263,14 +244,10 @@ class ProtocolConfig:
     demo_c: int = 4
     c_msg: int = 128
 
-    def effective_c(self, inst: PhysicalInstance, dilution_c: Optional[int]) -> int:
+    def effective_c(self, inst: PhysicalInstance) -> int:
         if self.demo:
             return min(self.demo_c, inst.n_labels)
-        if dilution_c is None:
-            from .physical import derive_dilution
-
-            dilution_c = derive_dilution(inst.params).c
-        return min(dilution_c, C_CAP, inst.n_labels)
+        return min(derive_dilution(inst.params).c, C_CAP, inst.n_labels)
 
 
 @dataclass(frozen=True)
@@ -286,10 +263,8 @@ class Families:
     c: int
 
     @staticmethod
-    def for_run(
-        inst: PhysicalInstance, config: ProtocolConfig, dilution_c: Optional[int] = None
-    ) -> "Families":
-        return Families(inst.n_labels, config.effective_c(inst, dilution_c))
+    def for_run(inst: PhysicalInstance, config: ProtocolConfig) -> "Families":
+        return Families(inst.n_labels, config.effective_c(inst))
 
     def base_ssf(self) -> SelectionFamily:
         return construct_ssf(self.n_labels, self.c)
@@ -314,16 +289,15 @@ class Simulator:
         self,
         inst: PhysicalInstance,
         config: ProtocolConfig = ProtocolConfig(),
-        sink: Optional[CollectSink] = None,
-        dilution_c: Optional[int] = None,
+        sink: Optional[Sink] = None,
     ):
         self.inst = inst
         self.config = config
-        self.graph: CommGraph = build_graph(inst)
         self.engine = PhysicsEngine(inst)
+        self.graph: CommGraph = self.engine.graph()
         self.sink = sink if sink is not None else CollectSink()
         self.round = 0
-        self.families = Families.for_run(inst, config, dilution_c)
+        self.families = Families.for_run(inst, config)
         n = inst.n
         delta = self.graph.delta
         self.views: dict[int, NodeView] = {
@@ -359,7 +333,7 @@ class Simulator:
     # -- execution core ------------------------------------------------------
 
     def skip_execution(self, family: SelectionFamily, phase: str) -> None:
-        self.sink.skip(phase, self.round, family.size)
+        self.sink.execution(Execution.silent(phase, self.round, family.size))
         self.round += family.size
 
     def execute(
@@ -797,7 +771,7 @@ def three_hop_connection(sim: Simulator) -> None:
 def backbone_creation(
     inst: PhysicalInstance,
     config: ProtocolConfig = ProtocolConfig(),
-    sink: Optional[CollectSink] = None,
+    sink: Optional[Sink] = None,
 ) -> BackboneResult:
     """Run leader election, two-hop and three-hop connection; assemble the
     backbone (leaders plus helpers and the edges realizing each assignment)."""

@@ -34,11 +34,10 @@ Enumeration and spot-checks share one batched kernel. The labels of a batch
 of subsets are turned into label-major uint64 words (bit j of a label's word
 w: the label is in set 64w + j), and a bit-sliced "covered once" count marks
 the sets that hold exactly one member; a member is isolated iff it is in such
-a set. Spot-check subsets are the sorted rows that successive
-`np.random.default_rng(seed).choice(N, size=c, replace=False)` calls return,
-drawn in bulk from PCG64's raw stream by the same algorithm (`_choice_rows`),
-so a verdict and its first counterexample do not depend on how
-`Generator.choice` is implemented.
+a set. Spot-check subsets are drawn by Floyd's algorithm from
+`np.random.default_rng(seed)`, a chunk of rows per `integers` call
+(`_floyd_rows`). The rows do not depend on the chunk size, so a verdict and
+its first counterexample are reproducible from the seed.
 """
 
 from __future__ import annotations
@@ -393,9 +392,6 @@ def _element_cover_check(
 # ---------------------------------------------------------------------------
 # Certification oracle: batched spot-check sampling and subset enumeration.
 
-_M32 = np.uint64(0xFFFFFFFF)
-
-
 def _n_words(size: int) -> int:
     return -(-size // 64)
 
@@ -406,108 +402,31 @@ def _chunk_rows(k: int, size: int) -> int:
     return max(1, CHUNK_WORDS // (k * max(2, _n_words(size))))
 
 
-class _Pcg32Stream:
-    """PCG64's 32-bit output: the low, then the high half of each raw word,
-    as Generator methods consume it."""
+def _floyd_rows(n: int, k: int, seed: int, count: int, chunk: int):
+    """Yield, chunk by chunk, `count` sorted rows of k distinct labels of
+    range(n), drawn by Floyd's algorithm from `np.random.default_rng(seed)`.
 
-    def __init__(self, seed: int):
-        self._bits = np.random.PCG64(seed)
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-
-    def peek(self, count: int) -> np.ndarray:
-        short = self._pos + count - self._buf.size
-        if short > 0:
-            raw = self._bits.random_raw(max(-(-short // 2), 1024))
-            halves = np.stack([raw & _M32, raw >> np.uint64(32)], axis=1).ravel()
-            self._buf = np.concatenate([self._buf[self._pos :], halves])
-            self._pos = 0
-        return self._buf[self._pos : self._pos + count]
-
-    def skip(self, count: int) -> None:
-        self._pos += count
-
-    def next(self) -> int:
-        value = int(self.peek(1)[0])
-        self._pos += 1
-        return value
-
-
-def _lemire_scalar(stream: _Pcg32Stream, bound: int) -> int:
-    """One bounded draw on [0, bound], rejections included."""
-    if bound == 0:
-        return 0
-    excl = bound + 1
-    threshold = (1 << 32) % excl
-    m = stream.next() * excl
-    while m & 0xFFFFFFFF < threshold:
-        m = stream.next() * excl
-    return m >> 32
-
-
-def _choice_row_scalar(stream: _Pcg32Stream, n: int, k: int) -> np.ndarray:
-    chosen: set[int] = set()
-    for j in range(n - k, n):
-        v = _lemire_scalar(stream, j)
-        chosen.add(j if v in chosen else v)
-    for i in range(k - 1, 0, -1):
-        _lemire_scalar(stream, i)  # choice's shuffle; sorting discards it
-    return np.array(sorted(chosen), dtype=np.int64).reshape(1, k)
-
-
-def _choice_rows(n: int, k: int, seed: int, count: int, chunk: int):
-    """Yield, chunk by chunk, the sorted rows that `count` successive
-    `np.random.default_rng(seed).choice(n, size=k, replace=False)` calls
-    return (0-based labels).
-
-    This is the algorithm `choice` runs for these sizes, driven by PCG64's
-    raw stream, which NumPy keeps stable across versions:
-    - Floyd's algorithm: for j = n-k .. n-1 draw v on [0, j] and take v,
-      or j if v was already taken. A draw on [0, j] is Lemire's bounded
-      draw from the 32-bit stream (the low, then the high half of each
-      `random_raw()` word), and j = 0 draws nothing.
-    - Then `choice` shuffles the k labels with draws on [0, i] for
-      i = k-1 .. 1. Rows are sorted, so only the words they use count.
-    A chunk's draws are decided at once, as if no draw were rejected; from
-    the first sample with a rejected draw on, one sample is drawn by the
-    scalar path and vectorized drawing resumes after it. Chunks start at
-    one row and double up to `chunk`, so that a family that fails early
-    is not checked far past its witness.
+    A row takes, for j = n-k .. n-1, a draw v on [0, j], or j if v was
+    already taken. A chunk's draws come from one `integers` call, which
+    consumes the stream in row order, so the rows do not depend on the chunk
+    size. Chunks start at one row and double up to `chunk`, so that a
+    family that fails early is not checked far past its witness.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > 1 << 32 or (n > 10000 and k > n // 50):
-        # choice draws 64-bit words past 2^32 labels, and tail-shuffles an
-        # arange(n) instead of running Floyd for large k
-        raise ValueError(f"spot-check subsets of {k} of {n} labels are not supported")
-    bounds = np.concatenate(
-        [np.arange(max(n - k, 1), n), np.arange(k - 1, 0, -1)]
-    ).astype(np.uint64)
-    excl = bounds + np.uint64(1)
-    threshold = np.uint64(1 << 32) % excl
-    floyd = n - max(n - k, 1)  # Floyd draws taken from the stream
-    draws = bounds.size
-    stream = _Pcg32Stream(seed)
+    rng = np.random.default_rng(seed)
+    highs = np.arange(n - k + 1, n + 1)
     done = 0
     while done < count:
         b = min(chunk, count - done, done + 1)
-        m = stream.peek(b * draws).reshape(b, draws) * excl
-        rejected = ((m & _M32) < threshold).any(axis=1)
-        ok = int(np.argmax(rejected)) if rejected.any() else b
-        if ok:
-            v = np.zeros((ok, k), dtype=np.int64)
-            v[:, k - floyd :] = m[:ok, :floyd] >> np.uint64(32)
-            sel = np.empty_like(v)
-            for t in range(k):
-                dup = (sel[:, :t] == v[:, t, None]).any(axis=1)
-                sel[:, t] = np.where(dup, n - k + t, v[:, t])
-            sel.sort(axis=1)
-            stream.skip(ok * draws)
-            done += ok
-            yield sel
-        if ok < b:
-            done += 1
-            yield _choice_row_scalar(stream, n, k)
+        v = rng.integers(0, highs, size=(b, k))
+        sel = np.empty_like(v)
+        for t in range(k):
+            dup = (sel[:, :t] == v[:, t, None]).any(axis=1)
+            sel[:, t] = np.where(dup, n - k + t, v[:, t])
+        sel.sort(axis=1)
+        done += b
+        yield sel
 
 
 def _label_words(
@@ -582,7 +501,7 @@ def _spot_check(
 ) -> Optional[tuple[int, ...]]:
     """Seeded random k-subsets; returns the first with < need isolated."""
     chunk = _chunk_rows(k, family.size)
-    rows = _choice_rows(family.n_labels, k, seed, samples, chunk)
+    rows = _floyd_rows(family.n_labels, k, seed, samples, chunk)
     return _first_failure(family, rows, need)
 
 
@@ -619,11 +538,10 @@ def certify(
     ("spot-checked").
 
     The spot-check tests `samples` subsets of c labels (k for a selector
-    with m < k). They are the sorted rows of successive `choice(N, size=c,
-    replace=False)` calls on `np.random.default_rng(spot_seed(family,
-    sample_seed))`, drawn in bulk from PCG64's raw stream by the algorithm
-    `choice` uses (see `_choice_rows`). The counterexample is the first of
-    them in which fewer than c members (m for a selector) are isolated.
+    with m < k), drawn by Floyd's algorithm from
+    `np.random.default_rng(spot_seed(family, sample_seed))` (see
+    `_floyd_rows`). The counterexample is the first of them in which fewer
+    than c members (m for a selector) are isolated.
     """
     seed = spot_seed(family, sample_seed)
     c_eff = family.selection_c

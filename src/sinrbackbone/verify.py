@@ -22,6 +22,7 @@ from .physical import (
     distance,
     grid_box,
     grid_index,
+    is_connected,
     make_instance,
     pivotal_side,
     receives,
@@ -75,13 +76,6 @@ def diameter(adj: Adjacency) -> int:
     return best
 
 
-def connected(adj: Adjacency) -> bool:
-    nodes = list(adj)
-    if not nodes:
-        return True
-    return len(bfs_distances(adj, nodes[0])) == len(nodes)
-
-
 def induced(adj: Adjacency, nodes: set[int]) -> dict[int, list[int]]:
     return {u: [v for v in adj[u] if v in nodes] for u in adj if u in nodes}
 
@@ -112,7 +106,7 @@ def min_cds(adj: Adjacency, cap: int = 14, node_order: Optional[Sequence[int]] =
             cand = set(combo)
             if not is_dominating(adj, cand):
                 continue
-            if connected(induced(adj, cand)):
+            if is_connected(induced(adj, cand)):
                 return cand
     raise AssertionError("connected input must admit a CDS")
 
@@ -132,11 +126,10 @@ def greedy_cds(adj: Adjacency) -> set[int]:
         chosen.add(best)
         covered |= set(adj[best]) | {best}
     # connect components of the chosen set along shortest paths
-    while not connected(induced(adj, chosen)):
+    while not is_connected(induced(adj, chosen)):
         comp = _components(induced(adj, chosen))
         a = comp[0]
         # BFS from the first component through the full graph to another one
-        dist = {u: (0, None) for u in a}
         frontier = list(a)
         target = None
         parent: dict[int, Optional[int]] = {u: None for u in a}
@@ -247,7 +240,7 @@ def check_connected_backbone(result: BackboneResult, graph: CommGraph) -> Verdic
     sub = _backbone_adjacency(result, graph)
     if not sub:
         return Verdict("connected-backbone", False, witness=())
-    if connected(sub):
+    if is_connected(sub):
         return Verdict("connected-backbone", True, metrics={"backbone_size": len(sub)})
     comps = _components(sub)
     return Verdict(

@@ -14,7 +14,6 @@ from sinrbackbone.errors import (
 )
 from sinrbackbone.physical import (
     PhysicsEngine,
-    _adjacency,
     SinrParams,
     broadcast_range,
     build_graph,
@@ -239,8 +238,10 @@ def test_lone_transmitter_reaches_exactly_its_graph_neighbors_at_range():
                 a = rng.uniform(0, 2 * math.pi)
                 points.append((x0 + r * math.cos(a), y0 + r * math.sin(a)))
             inst = make_instance([(i + 1, x, y) for i, (x, y) in enumerate(points)], params, 16)
-            edges = _adjacency(inst)[1]  # what build_graph connects
-            got = [v for _, v in PhysicsEngine(inst).deliver([1])]
+            eng = PhysicsEngine(inst)
+            # the graph's edges at 1 (the points may not be connected)
+            edges = [eng.labels[j] for j in np.flatnonzero(eng.in_range[0])]
+            got = [v for _, v in eng.deliver([1])]
             expected = [v for v in range(2, 10) if receives(1, v, [1], inst)]
             if not (got == expected == list(edges)):
                 disagreements.append((points, got, expected, edges))
@@ -260,6 +261,29 @@ def test_build_graph_rejects_disconnected():
     inst = make_instance([(1, 0, 0), (2, 50, 0)], P_UNIT, 4)
     with pytest.raises(DisconnectedInstanceError):
         build_graph(inst)
+
+
+def test_build_graph_rejects_coincident_stations():
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 0.5, 0)], P_UNIT, 4)
+    with pytest.raises(DegenerateDistanceError):
+        build_graph(inst)
+
+
+def test_deliver_no_transmitters():
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0)], P_UNIT, 4)
+    assert PhysicsEngine(inst).deliver([]) == []
+
+
+def test_deliver_single_transmitter():
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 5, 0)], P_UNIT, 4)
+    assert PhysicsEngine(inst).deliver([1]) == [(1, 2)]  # 3 is out of range
+
+
+def test_deliver_diluted_pair_both_deliver():
+    # transmitters far apart: each reaches its own nearby listener
+    inst = make_instance([(1, 0, 0), (2, 0.9, 0), (3, 12, 0), (4, 11.1, 0)], P_UNIT, 16)
+    got = PhysicsEngine(inst).deliver([1, 3])
+    assert (1, 2) in got and (3, 4) in got
 
 
 def test_grid_box_half_open():

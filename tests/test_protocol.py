@@ -3,26 +3,27 @@ import math
 import pytest
 
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
-from sinrbackbone.errors import DoubleRoleError, MessageSizeError
+from sinrbackbone.errors import MessageSizeError
 from sinrbackbone.physical import build_graph, make_instance
 from sinrbackbone.protocol import (
     ACTIVE,
     INACTIVE,
     LEADER,
-    CollectSink,
+    Families,
     Message,
     ProtocolConfig,
     Simulator,
     backbone_creation,
     leader_election,
     neighborhood_inform,
-    run_round,
     three_hop_connection,
     token_passing,
     two_hop_connection,
 )
 from sinrbackbone.selection import pair_index
 from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_checks
+
+from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
 
@@ -38,7 +39,7 @@ def force_leaders(sim, leaders):
 
 
 # ---------------------------------------------------------------------------
-# Messages and the raw round primitive.
+# Messages and node status.
 
 
 def test_message_size_budget():
@@ -46,35 +47,6 @@ def test_message_size_budget():
     assert m.size_bits <= 128 * math.log2(64)
     with pytest.raises(MessageSizeError):
         Message.make("hop3-report", tuple(range(1, 400)), n_labels=64, c_msg=16)
-
-
-def test_run_round_no_transmitters():
-    inst = make_instance([(1, 0, 0), (2, 0.5, 0)], P, 4)
-    tr = run_round([(1, None), (2, None)], inst)
-    assert tr.deliveries == () and tr.transmitters == ()
-
-
-def test_run_round_single_transmitter():
-    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 5, 0)], P, 4)
-    msg = Message.make("leader-announce", (1,), 4, 128)
-    tr = run_round([(1, msg), (2, None), (3, None)], inst)
-    assert tr.deliveries == ((1, 2),)  # 3 is out of range
-
-
-def test_run_round_double_role():
-    inst = make_instance([(1, 0, 0), (2, 0.5, 0)], P, 4)
-    msg = Message.make("leader-announce", (1,), 4, 128)
-    with pytest.raises(DoubleRoleError):
-        run_round([(1, msg), (1, None), (2, None)], inst)
-
-
-def test_run_round_diluted_pair_both_deliver():
-    # transmitters far apart: each reaches its own nearby listener
-    inst = make_instance([(1, 0, 0), (2, 0.9, 0), (3, 12, 0), (4, 11.1, 0)], P, 16)
-    m1 = Message.make("leader-announce", (1,), 16, 128)
-    m3 = Message.make("leader-announce", (3,), 16, 128)
-    tr = run_round([(1, m1), (2, None), (3, m3), (4, None)], inst)
-    assert (1, 2) in tr.deliveries and (3, 4) in tr.deliveries
 
 
 def test_status_transitions_guarded():
@@ -108,11 +80,10 @@ def test_ssf_broadcast_hears_each_sender_once():
     assert all(tr.deliveries == ((1, 2), (1, 3)) for tr in sim.sink.records)
 
 
-class _RoundSink(CollectSink):
+class _RoundSink:
     """Receives every execution round by round, as the trace file does."""
 
     def __init__(self):
-        super().__init__()
         self.calls = []
 
     def execution(self, ex):
@@ -141,7 +112,30 @@ def test_collected_records_match_the_round_by_round_stream():
         cursor += count
     assert cursor == collected.rounds_used
     silent = sum(c[2] for c in sink.calls if isinstance(c, tuple))
-    assert collected.traces.silent_rounds == silent
+    executions = collected.traces.executions
+    assert sum(ex.size - len(ex.rounds) for ex in executions) == silent
+
+
+def test_executions_tile_the_rounds_as_scheduled():
+    # every round belongs to exactly one family execution, silent or not,
+    # and each phase runs exactly the documented schedule of executions
+    inst = generate(GeneratorSpec(n=16, arena_side=2.8, seed=5), P)
+    r = backbone_creation(inst)
+    executions = r.traces.executions
+    cursor = 0
+    for ex in executions:
+        assert ex.start == cursor
+        cursor += ex.size
+    assert cursor == r.rounds_used
+    assert any(len(ex.rounds) == 0 for ex in executions)  # silent ones too
+    per_phase = dict.fromkeys(PHASES, 0)
+    for ex in executions:
+        per_phase[ex.phase.split("/", 1)[0]] += ex.size
+    fams = Families.for_run(inst, ProtocolConfig())
+    selectors = [fams.selector(k, m).size for k, m in leader_buckets(r.delta)]
+    assert per_phase == scheduled_phase_rounds(
+        r.delta, fams.base_ssf().size, fams.pair_ssf().size, selectors
+    )
 
 
 def test_two_hop_checks_every_helper_claim_size_during_the_run():

@@ -375,35 +375,24 @@ def test_spot_checked_base_ssf_isolates_label_6_from_20_88_221():
 # Spot-check subsets and the batched isolation kernel.
 
 
-def test_spot_check_rows_equal_generator_choice(monkeypatch):
-    # Generator.choice is the oracle: the bulk sampler must give the rows
-    # of successive choice() calls, sorted, whatever NumPy version runs
-    scalar_at = []
-    scalar = selection._choice_row_scalar
-
-    def counted(stream, n, k):
-        scalar_at.append(n)
-        return scalar(stream, n, k)
-
-    monkeypatch.setattr(selection, "_choice_row_scalar", counted)
+def test_spot_check_rows_do_not_depend_on_the_chunk_size():
+    # each row is k distinct labels of range(n), sorted, and the rows are
+    # the same whether a chunk holds 7 rows or 4096
     for n in (64, 256, 1024, 4096, 2**20):
-        # choice(n, n) for n > 10000 tail-shuffles and is no spot-check size
         for k in (1, 4, 16, 21) + ((n,) if n <= 4096 else ()):
             count = 2 if k == n else 1500
-            # two fixed seeds; at N = 2^20 the rows of the second include
-            # rejected bounded draws (k = 16 and 21)
             for seed in (derive_seed(1, "spot", 0), derive_seed(20, "spot", 0)):
-                gen = np.random.default_rng(seed)
-                want = np.sort(
-                    [gen.choice(n, size=k, replace=False) for _ in range(count)], axis=1
-                )
-                for chunk in (7, 4096):
-                    got = np.concatenate(
-                        list(selection._choice_rows(n, k, seed, count, chunk))
-                    )
-                    assert np.array_equal(got, want), (n, k, seed, chunk)
-    # a rejected bounded draw took the scalar path (only at N = 2^20 here)
-    assert 2**20 in scalar_at
+                rows = [
+                    np.concatenate(list(selection._floyd_rows(n, k, seed, count, chunk)))
+                    for chunk in (7, 4096)
+                ]
+                assert np.array_equal(rows[0], rows[1]), (n, k, seed)
+                got = rows[0]
+                assert got.shape == (count, k)
+                assert (np.diff(got, axis=1) > 0).all()
+                assert got.min() >= 0 and got.max() < n
+    with pytest.raises(ValueError):
+        next(selection._floyd_rows(4, 5, 1, 1, 1))
 
 
 def _others_or(row_list):
@@ -424,9 +413,19 @@ def _isolated(rows_of):
     return [bool(r & ~o) for r, o in zip(rows_of, others)]
 
 
+def _floyd_row(gen, n, k):
+    """One sorted row of Floyd's algorithm, one scalar draw at a time."""
+    chosen = set()
+    for j in range(n - k, n):
+        v = int(gen.integers(0, j + 1))
+        chosen.add(j if v in chosen else v)
+    return sorted(chosen)
+
+
 def reference_spot_check(family, samples=SAMPLES, sample_seed=0):
-    """The spot-check as it ran one choice() call and one big-int scan per
-    sample, before batching; the reference for certify's spot-check."""
+    """The spot-check with one scalar Floyd row and one big-int scan per
+    sample, as it ran before batching; the reference for certify's
+    spot-check."""
     gen = np.random.default_rng(spot_seed(family, sample_seed))
     if family.selection_c is not None:
         k = need = min(family.selection_c, family.n_labels)
@@ -438,9 +437,7 @@ def reference_spot_check(family, samples=SAMPLES, sample_seed=0):
         return int.from_bytes(bits.tobytes(), "little")
 
     for _ in range(samples):
-        combo = sorted(
-            int(x) + 1 for x in gen.choice(family.n_labels, size=k, replace=False)
-        )
+        combo = [x + 1 for x in _floyd_row(gen, family.n_labels, k)]
         if sum(_isolated([row(e) for e in combo])) < need:
             return CertifyResult(False, "spot-checked", tuple(combo), samples)
     return CertifyResult(True, "spot-checked", None, samples)

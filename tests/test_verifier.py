@@ -2,7 +2,7 @@ import pytest
 
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
-from sinrbackbone.physical import build_graph, derive_dilution, make_instance
+from sinrbackbone.physical import build_graph, derive_dilution, is_connected, make_instance
 from sinrbackbone.protocol import BackboneResult, CollectSink, backbone_creation
 from sinrbackbone.verify import (
     adversarial_dilution_check,
@@ -176,20 +176,20 @@ def test_min_cds_is_dominating_and_connected():
     inst = generate(GeneratorSpec(n=11, arena_side=1.8, seed=8), P)
     g = build_graph(inst)
     cds = min_cds(g.adjacency)
-    from sinrbackbone.verify import connected, induced, is_dominating
+    from sinrbackbone.verify import induced, is_dominating
 
     assert is_dominating(g.adjacency, cds)
-    assert connected(induced(g.adjacency, cds))
+    assert is_connected(induced(g.adjacency, cds))
 
 
 def test_greedy_cds_valid():
     inst = generate(GeneratorSpec(n=30, arena_side=3.0, seed=9), P)
     g = build_graph(inst)
     cds = greedy_cds(g.adjacency)
-    from sinrbackbone.verify import connected, induced, is_dominating
+    from sinrbackbone.verify import induced, is_dominating
 
     assert is_dominating(g.adjacency, cds)
-    assert connected(induced(g.adjacency, cds))
+    assert is_connected(induced(g.adjacency, cds))
 
 
 def test_expected_two_hop_on_path():
