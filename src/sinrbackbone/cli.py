@@ -12,7 +12,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
 from . import __version__
-from .errors import RetryCapError, SimulationError
+from .errors import (
+    DisconnectedInstanceError,
+    InvalidArgumentError,
+    RetryCapError,
+    SimulationError,
+)
 from .physical import (
     PhysicalInstance,
     SinrParams,
@@ -63,13 +68,14 @@ class RunConfig:
 
 def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> PhysicalInstance:
     """Seeded uniform placement with distinct labels, rejected until the
-    communication graph is connected and minimum spacing holds."""
+    communication graph is connected and minimum spacing holds. Any error
+    other than a disconnected draw propagates at once: no redraw can help."""
     if spec.n < 1:
-        raise ValueError("need n >= 1")
+        raise InvalidArgumentError(f"need n >= 1, got n={spec.n}")
     if spec.arena_side <= 0:
-        raise ValueError("need a positive arena side")
+        raise InvalidArgumentError(f"need a positive arena side, got {spec.arena_side}")
     if spec.n > spec.n_labels:
-        raise ValueError(f"n={spec.n} exceeds label space {spec.n_labels}")
+        raise InvalidArgumentError(f"n={spec.n} exceeds label space {spec.n_labels}")
     rng = random.Random(spec.seed)
     for attempt in range(1, spec.retry_cap + 1):
         labels = sorted(rng.sample(range(1, spec.n_labels + 1), spec.n))
@@ -96,7 +102,7 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
         )
         try:
             build_graph(inst)
-        except SimulationError:
+        except DisconnectedInstanceError:
             continue
         return inst
     raise RetryCapError(
@@ -303,7 +309,7 @@ def sweep(
             # few nodes, dense ones need enough to reach the target degree
             n_cell = max(8, min(56, 3 * target, n_labels - 4))
             side = math.sqrt(n_cell * math.pi / max(2.0, 0.75 * target)) * r
-            inst = best = None
+            best = None
             best_gap = 10**9
             for bump in range(14):
                 spec = GeneratorSpec(
@@ -318,17 +324,14 @@ def sweep(
                 except RetryCapError:
                     side *= 0.88  # densify until connectivity is reachable
                     continue
-                delta = build_graph(cand).delta
-                gap = abs(delta - target)
+                cand_graph = build_graph(cand)
+                gap = abs(cand_graph.delta - target)
                 if gap < best_gap:
-                    best, best_gap = cand, gap
+                    best, best_gap = (cand, cand_graph), gap
                 if gap <= max(1, target // 8):
-                    inst = cand
-                    break
-                side *= 0.95 if delta < target else 1.05
-            if inst is None:
-                inst = best
-            graph = build_graph(inst)
+                    break  # within tolerance, so also the closest so far
+                side *= 0.95 if cand_graph.delta < target else 1.05
+            inst, graph = best
             proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
             result = backbone_creation(inst, proto)
             lg = math.log2(n_labels)
@@ -401,13 +404,16 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> SinrParams:
-    return SinrParams(
-        alpha=args.alpha,
-        beta=args.beta,
-        noise=args.noise,
-        epsilon=args.epsilon,
-        power=args.power,
-    )
+    try:
+        return SinrParams(
+            alpha=args.alpha,
+            beta=args.beta,
+            noise=args.noise,
+            epsilon=args.epsilon,
+            power=args.power,
+        )
+    except ValueError as exc:
+        raise InvalidArgumentError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -513,13 +519,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.grid_file:
                 with open(args.grid_file, "r", encoding="utf-8") as fh:
                     grid = json.load(fh)
-                summary = sweep(
+                sweep(
                     cfg,
                     n_labels_list=grid.get("n_labels", DEFAULT_SWEEP_LABELS),
                     delta_targets=grid.get("deltas", DEFAULT_SWEEP_DELTAS),
                 )
             else:
-                summary = sweep(cfg)
+                sweep(cfg)
             return 0
         raise AssertionError(args.command)
     except SimulationError as exc:

@@ -63,6 +63,12 @@ class RetryCapError(SimulationError):
     code = "retry-cap"
 
 
+class InvalidArgumentError(SimulationError, ValueError):
+    """A command-line flag value is outside its valid range."""
+
+    code = "invalid-argument"
+
+
 class InstanceFormatError(SimulationError):
     """An instance file failed validation."""
 

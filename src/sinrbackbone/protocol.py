@@ -96,9 +96,7 @@ class NodeView:
     status: str = ACTIVE
     adjacent_leaders: set[int] = field(default_factory=set)
     learned_neighborhoods: dict[int, set[int]] = field(default_factory=dict)
-    inbox: list[tuple[int, Message]] = field(default_factory=list)
     pending_tokens: tuple[int, ...] = ()
-    helper_for: list[tuple[int, int]] = field(default_factory=list)
     two_hop_helpers: dict[int, int] = field(default_factory=dict)  # partner -> helper
     three_hop_helpers: dict[int, tuple[int, int]] = field(default_factory=dict)
 
@@ -411,27 +409,18 @@ class Simulator:
 
     def ssf_broadcast(
         self, family: SelectionFamily, senders: Mapping[int, Message], phase: str
-    ) -> dict[int, list[tuple[int, Message]]]:
+    ) -> list[tuple[int, int]]:
         """Run one full family execution with a fixed sender->message map.
 
-        Returns, per listener, each (sender, message) it heard, once, in
-        ascending sender order, however many rounds delivered it.
+        Returns each distinct (sender, listener) pair of the execution once,
+        sorted by sender and then listener, however many rounds delivered
+        it: the listener received senders[sender].
         """
         labs = sorted(senders)
-        heard: dict[int, list[tuple[int, Message]]] = {}
         slots, listeners = self.execute(
             family, labs, labs, phase, lambda u, _ks: senders[u]
         )
-        for k, listener in zip(slots, listeners):
-            heard.setdefault(listener, []).append((labs[k], senders[labs[k]]))
-        return heard
-
-    def delivered_to(self, heard: dict[int, list[tuple[int, Message]]]) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for r, items in heard.items():
-            for s, _ in items:
-                out.setdefault(s, set()).add(r)
-        return out
+        return [(labs[k], listener) for k, listener in zip(slots, listeners)]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -461,43 +450,34 @@ def leader_election(sim: Simulator) -> None:
     expands into one full (N,c)-ssf execution. A node in the degree bucket
     that is selected while none of its neighbors are, and is still active,
     announces leadership during the ssf.
+
+    All of that rule but the status is static knowledge, so each bucket
+    decides it once, as a table `alone` of (selector round, station): the
+    station is in the bucket and selected, and no neighbor is. A round then
+    only checks the status of the stations its row marks.
     """
     views = sim.views
     delta = sim.graph.delta
     fam_ssf = sim.base_ssf()
     labels = sorted(views)
-    lab_index = {lab: i for i, lab in enumerate(labels)}
-    nbr_mask = {
-        lab: sum(1 << lab_index[v] for v in views[lab].neighbors) for lab in labels
-    }
+    lab_arr = np.array(labels)
+    degree = np.array([views[lab].degree for lab in labels])
+    # 0/1 float32 matrices multiply by BLAS, exactly: counts stay below 2^24
+    adj = np.zeros((len(labels), len(labels)), dtype=np.float32)
+    nbrs = [v for lab in labels for v in views[lab].neighbors]
+    adj[np.repeat(np.arange(len(labels)), degree), np.searchsorted(lab_arr, nbrs)] = 1
 
-    for i in range(_ceil_lg(delta) + 1):
-        pw = 1 << i
-        k_i, m_i = bucket_selector(delta, i)
-        lo = _ceil_div(delta, 21 * 2 * pw)
-        hi = _ceil_div(delta, pw)
-        fam_sel = sim.selector(k_i, m_i)
+    for i, fam_sel in enumerate(sim.families.leader_selectors(delta)):
+        in_bucket = (_ceil_div(delta, 42 << i) <= degree) & (degree <= _ceil_div(delta, 1 << i))
+        selected = fam_sel.membership(labels).T  # (selector round, station)
+        alone = selected & in_bucket & (selected.astype(np.float32) @ adj == 0)
+        rows, stations = np.nonzero(alone)
+        row_at = np.searchsorted(rows, np.arange(fam_sel.size + 1)).tolist()
+        marked = lab_arr[stations].tolist()
         phase = f"leader-election/i={i}"
 
-        # per-round station bitmasks over this instance's labels
-        sel_mask = [0] * fam_sel.size
-        for idx, row in enumerate(fam_sel.rounds_for(np.asarray(labels)).tolist()):
-            for j in row:
-                sel_mask[j] |= 1 << idx
-
         for j in range(fam_sel.size):
-            mask = sel_mask[j]
-            candidates = []
-            if mask:
-                for lab in labels:
-                    v = views[lab]
-                    if (
-                        v.status == ACTIVE
-                        and lo <= v.degree <= hi
-                        and (mask >> lab_index[lab]) & 1
-                        and not (mask & nbr_mask[lab])
-                    ):
-                        candidates.append(lab)
+            candidates = [u for u in marked[row_at[j] : row_at[j + 1]] if views[u].status == ACTIVE]
             if not candidates:
                 sim.skip_execution(fam_ssf, phase)
                 continue
@@ -505,14 +485,11 @@ def leader_election(sim: Simulator) -> None:
             for u in candidates:
                 views[u].set_status(LEADER)
                 senders[u] = sim.msg("leader-announce", (u,))
-            heard = sim.ssf_broadcast(fam_ssf, senders, phase)
-            for listener in sorted(heard):
+            for s, listener in sim.ssf_broadcast(fam_ssf, senders, phase):
                 v = views[listener]
-                for s, msg in heard[listener]:
-                    if msg.kind == "leader-announce":
-                        v.adjacent_leaders.add(s)
-                        if v.status == ACTIVE:
-                            v.set_status(INACTIVE)
+                v.adjacent_leaders.add(s)
+                if v.status == ACTIVE:
+                    v.set_status(INACTIVE)
         sim.phase_snapshots.append(
             (i, {lab: views[lab].status for lab in labels})
         )
@@ -536,16 +513,10 @@ def neighborhood_inform(sim: Simulator) -> None:
                 senders[lab] = sim.msg(
                     "neighbor-of-leader", (lab, v.neighbors[i - 1])
                 )
-        heard = sim.ssf_broadcast(fam, senders, f"neighborhood-inform/i={i}")
-        for listener in sorted(heard):
-            if views[listener].status == LEADER:
-                continue
-            for s, msg in heard[listener]:
-                if msg.kind == "neighbor-of-leader":
-                    leader, member = msg.payload
-                    views[listener].learned_neighborhoods.setdefault(
-                        leader, set()
-                    ).add(member)
+        for s, listener in sim.ssf_broadcast(fam, senders, f"neighborhood-inform/i={i}"):
+            if views[listener].status != LEADER:
+                leader, member = senders[s].payload
+                views[listener].learned_neighborhoods.setdefault(leader, set()).add(member)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +558,9 @@ def two_hop_connection(sim: Simulator) -> None:
     )
 
     for pidx in pidxs:
-        u, (_, s, t) = claims[pidx]
+        u = claims[pidx][0]
         if views[u].status != HELPER:
             views[u].set_status(HELPER)
-        views[u].helper_for.append((s, t))
     for k, listener in zip(*heard):
         h, s, t = claims[pidxs[k]][1]
         if listener == s:
@@ -609,8 +579,9 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
 
     Per iteration the leader schedule is four ssf executions (silent, pass
     token, silent, silent) against the non-leaders' two-execution loop.
-    Returns everything heard in the msg slots. A token grant that is not
-    received by its addressee is a hard simulation error.
+    Returns, per listener, each (sender, message) it heard in the msg slots,
+    in slot order. A token grant that is not received by its addressee is a
+    hard simulation error.
     """
     views = sim.views
     fam = sim.base_ssf()
@@ -629,39 +600,29 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
             v = views[lab]
             if v.degree >= i:
                 grants[lab] = sim.msg("token-grant", (lab, v.neighbors[i - 1]))
-        heard = sim.ssf_broadcast(fam, grants, phase + "/grant")
-        delivered = sim.delivered_to(heard)
+        # a grant's payload is its (leader, target) pair
+        delivered = set(sim.ssf_broadcast(fam, grants, phase + "/grant"))
         for lab, msg in sorted(grants.items()):
-            target = msg.payload[1]
-            if target not in delivered.get(lab, set()):
+            if msg.payload not in delivered:
                 raise TokenDeliveryError(
-                    f"token from leader {lab} to {target} lost in run {run_id}, i={i}"
+                    f"token from leader {lab} to {msg.payload[1]} lost in run {run_id}, i={i}"
                 )
-        for listener in sorted(heard):
-            v = views[listener]
-            got = tuple(
-                s for s, m in heard[listener]
-                if m.kind == "token-grant" and m.payload[1] == listener
-            )
-            if got:
-                v.pending_tokens = tuple(sorted(set(v.pending_tokens) | set(got)))
+            views[msg.payload[1]].pending_tokens += (lab,)
         # slot 3: token holders transmit their message
         holders = [lab for lab in sorted(views) if views[lab].pending_tokens]
         txs = {lab: msgs[lab] for lab in holders if lab in msgs}
-        heard = sim.ssf_broadcast(fam, txs, phase + "/msg")
-        delivered = sim.delivered_to(heard)
+        receivers: dict[int, list[int]] = {lab: [] for lab in sorted(txs)}
+        for s, listener in sim.ssf_broadcast(fam, txs, phase + "/msg"):
+            receivers[s].append(listener)
+            heard_msgs.setdefault(listener, []).append((s, txs[s]))
         sim.token_records.append(
             TokenRecord(
                 run=run_id,
                 iteration=i,
                 holders=tuple(holders),
-                transmissions=tuple(
-                    (lab, tuple(sorted(delivered.get(lab, set())))) for lab in sorted(txs)
-                ),
+                transmissions=tuple((lab, tuple(rs)) for lab, rs in receivers.items()),
             )
         )
-        for listener in sorted(heard):
-            heard_msgs.setdefault(listener, []).extend(heard[listener])
         # slot 4: holders pass tokens back
         returns = {
             lab: sim.msg("token-return", (lab,) + views[lab].pending_tokens)
@@ -699,8 +660,6 @@ def three_hop_connection(sim: Simulator) -> None:
     for x in non_leaders:
         reporters: dict[int, set[int]] = {}
         for y, msg in heard1.get(x, []):
-            if msg.kind != "hop3-report":
-                continue
             y_label = msg.payload[0]
             for b in msg.payload[1:]:
                 reporters.setdefault(b, set()).add(y_label)
@@ -719,8 +678,6 @@ def three_hop_connection(sim: Simulator) -> None:
         v = views[lab]
         reports: dict[int, list[tuple[int, int]]] = {}
         for x, msg in heard2.get(lab, []):
-            if msg.kind != "hop3-choice":
-                continue
             x_label = msg.payload[0]
             for y, b in msg.payload[1:]:
                 if b != lab:
@@ -751,17 +708,10 @@ def three_hop_connection(sim: Simulator) -> None:
         )
         for lab in leaders
     }
-    heard3 = sim.ssf_broadcast(fam, msgs3, "three-hop-connection/announce")
-    for listener in sorted(heard3):
+    for sender, listener in sim.ssf_broadcast(fam, msgs3, "three-hop-connection/announce"):
         v = views[listener]
-        for sender, msg in heard3[listener]:
-            if msg.kind != "hop3-choice":
-                continue
-            for x, y, b in msg.payload[1:]:
-                if listener == x:
-                    if v.status != HELPER:
-                        v.set_status(HELPER)
-                    v.helper_for.append((sender, b))
+        if v.status != HELPER and any(x == listener for x, _y, _b in msgs3[sender].payload[1:]):
+            v.set_status(HELPER)
 
 
 # ---------------------------------------------------------------------------

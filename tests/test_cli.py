@@ -65,6 +65,40 @@ def test_run_exit_code_cli_paths(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "disconnected-instance"
 
 
+def _error_code(capsys) -> str:
+    return json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
+    # no redraw can bound the range, so generate must not retry to its cap
+    code = main(["run", "--n", "5", "--noise", "0", "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert _error_code(capsys) == "unbounded-range"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "70", "--n-labels", "64", "--out-dir"],
+        ["run", "--n", "5", "--alpha", "2", "--out-dir"],
+        ["generate", "--n", "0", "--side", "1", "--out"],
+    ],
+    ids=["run-n-above-labels", "run-alpha", "generate-n-zero"],
+)
+def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
+    code = main(argv + [str(tmp_path / "o")])
+    assert code == 2
+    assert _error_code(capsys) == "invalid-argument"
+
+
+def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n_labels": [4], "deltas": [4]}))
+    code = main(["sweep", "--grid-file", str(grid), "--out-dir", str(tmp_path / "s")])
+    assert code == 2
+    assert _error_code(capsys) == "invalid-argument"
+
+
 def test_run_forty_node_defaults(tmp_path):
     cfg = RunConfig(
         generator=GeneratorSpec(n=40, arena_side=3.4, seed=17),

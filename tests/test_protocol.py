@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
-from sinrbackbone.errors import MessageSizeError
+from sinrbackbone.errors import MessageSizeError, TokenDeliveryError
 from sinrbackbone.physical import build_graph, make_instance
 from sinrbackbone.protocol import (
     ACTIVE,
@@ -73,7 +74,7 @@ def test_ssf_broadcast_hears_each_sender_once():
     msg = sim.msg("leader-announce", (1,))
     assert len(fam.rounds_for(1)) > 1  # the lone sender is delivered in many rounds
     heard = sim.ssf_broadcast(fam, {1: msg}, "test")
-    assert heard == {2: [(1, msg)], 3: [(1, msg)]}
+    assert heard == [(1, 2), (1, 3)]
     assert sim.round == fam.size
     rounds = [tr.round for tr in sim.sink.records]
     assert rounds == fam.rounds_for(1).tolist()
@@ -170,20 +171,55 @@ def test_leader_election_single_node():
     assert sim.views[1].status == LEADER
 
 
-def test_leader_election_two_nodes_first_sole_selected_wins():
-    inst = make_instance([(3, 0, 0), (5, 0.5, 0)], P, 64)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_instance([(3, 0, 0), (5, 0.5, 0)], P, 64),
+        lambda: generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P),
+        lambda: generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P),
+    ],
+    ids=["two-nodes", "n40-N64", "n150-N1024"],
+)
+def test_leader_election_follows_its_per_round_rule(make):
+    # replay every selector round: the transmitters of its ssf execution are
+    # exactly the active stations of the degree bucket that are selected
+    # while no neighbor is; they become leaders, and every active station
+    # that hears one becomes inactive
+    inst = make()
     sim = Simulator(inst)
-    fam = sim.selector(2, 3)  # delta=1: k=2, m=3
-    winner = None
-    for j in range(fam.size):
-        sel = {lab for lab in (3, 5) if fam.contains(j, lab)}
-        if len(sel) == 1:
-            winner = sel.pop()
-            break
     leader_election(sim)
-    statuses = {lab: sim.views[lab].status for lab in (3, 5)}
-    assert sorted(statuses.values()) == [INACTIVE, LEADER]
-    assert statuses[winner] == LEADER
+    adj = sim.graph.adjacency
+    delta = sim.graph.delta
+    status = dict.fromkeys(adj, ACTIVE)
+    executions = iter(sim.sink.executions)
+    for i, (k, m) in enumerate(leader_buckets(delta)):
+        lo, hi = -(-delta // (42 << i)), -(-delta // (1 << i))
+        fam = sim.selector(k, m)
+        for j in range(fam.size):
+            ex = next(executions)
+            assert ex.phase == f"leader-election/i={i}"
+            members = set(fam.set_members(j))
+            expected = {
+                u
+                for u in adj
+                if status[u] == ACTIVE
+                and lo <= len(adj[u]) <= hi
+                and u in members
+                and not members & set(adj[u])
+            }
+            assert set(ex.transmissions[:, 1].tolist()) == expected
+            for u in expected:
+                status[u] = LEADER
+            for r in ex.deliveries[:, 2].tolist():
+                if status[r] == ACTIVE:
+                    status[r] = INACTIVE
+    assert next(executions, None) is None
+    assert status == {lab: v.status for lab, v in sim.views.items()}
+    # every station decided; the leaders form a maximal independent set
+    assert ACTIVE not in status.values()
+    leaders = {u for u, s in status.items() if s == LEADER}
+    assert all(u in leaders or set(adj[u]) & leaders for u in adj)
+    assert not any(set(adj[u]) & leaders for u in leaders)
 
 
 def test_leader_election_postconditions_random():
@@ -318,6 +354,24 @@ def test_token_passing_two_tokens_one_iteration():
         if m.kind == "token-return"
     ]
     assert (3, 5, 9) in {m.payload for m in returns}  # both tokens returned at once
+
+
+def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
+    inst = generate(GeneratorSpec(n=16, arena_side=2.8, seed=5), P)
+    sim = Simulator(inst)
+    leader_election(sim)
+    adjudicate = sim.engine.adjudicate
+
+    def deaf(member):
+        tx_row, tx_station, received = adjudicate(member)
+        return tx_row, tx_station, np.zeros_like(received)
+
+    monkeypatch.setattr(sim.engine, "adjudicate", deaf)
+    first = min(lab for lab, v in sim.views.items() if v.status == LEADER)
+    target = sim.views[first].neighbors[0]
+    with pytest.raises(TokenDeliveryError) as err:
+        token_passing(sim, {})
+    assert str(err.value) == f"token from leader {first} to {target} lost in run 0, i=1"
 
 
 def test_token_holder_box_bound():
