@@ -189,11 +189,12 @@ def _family_report(fams: Families, delta: int) -> list[dict]:
 
 def run(config: RunConfig) -> int:
     """Execute the full pipeline; returns the process exit status."""
-    os.makedirs(config.out_dir, exist_ok=True)
     if config.instance_path:
         inst = load_instance(config.instance_path)
+        os.makedirs(config.out_dir, exist_ok=True)
     elif config.generator:
         inst = generate(config.generator, config.params)
+        os.makedirs(config.out_dir, exist_ok=True)
         save_instance(inst, os.path.join(config.out_dir, "instance.json"))
     else:
         raise ValueError("config needs an instance path or a generator spec")
@@ -416,6 +417,12 @@ def _params_from(args: argparse.Namespace) -> SinrParams:
         raise InvalidArgumentError(str(exc)) from exc
 
 
+def _demo_c_from(args: argparse.Namespace) -> int:
+    if args.demo_c < 1:
+        raise InvalidArgumentError(f"need --demo-c >= 1, got {args.demo_c}")
+    return args.demo_c
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sinr-backbone",
@@ -499,7 +506,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     n_labels=args.n_labels,
                 ),
                 demo=args.demo,
-                demo_c=args.demo_c,
+                demo_c=_demo_c_from(args),
                 degree_bound=args.degree_bound,
                 diameter_factor=args.diameter_factor,
                 diameter_slack=args.diameter_slack,
@@ -513,7 +520,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             cfg = RunConfig(
                 params=_params_from(args),
-                demo_c=args.demo_c,
+                demo_c=_demo_c_from(args),
                 out_dir=args.out_dir,
             )
             if args.grid_file:

@@ -270,6 +270,12 @@ class PhysicsEngine:
         self.gain = p.power / path_loss
         self.in_range = dist <= self.range
         np.fill_diagonal(self.in_range, False)
+        # in_range as a CSR list: station i's in-range stations, ascending,
+        # are nbrs[nbr_at[i] : nbr_at[i + 1]], with those pairs' gains in
+        # nbr_gain
+        rows, self.nbrs = np.nonzero(self.in_range)
+        self.nbr_at = np.searchsorted(rows, np.arange(n + 1))
+        self.nbr_gain = self.gain[rows, self.nbrs]
         self.noise = p.noise
         self.beta = p.beta
 
@@ -280,9 +286,8 @@ class PhysicsEngine:
         since every protocol in this package presumes connectivity.
         """
         labs = self.labels
-        rows, cols = np.nonzero(self.in_range)
-        nbrs = self.label_array[cols].tolist()
-        at = np.searchsorted(rows, np.arange(len(labs) + 1)).tolist()
+        nbrs = self.label_array[self.nbrs].tolist()
+        at = self.nbr_at.tolist()
         adj = {lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(labs)}
         if not is_connected(adj):
             raise DisconnectedInstanceError(
@@ -292,41 +297,55 @@ class PhysicsEngine:
 
     def adjudicate(
         self, member: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Decide every reception of a batch of rounds at once.
 
         member is a (rounds, stations) boolean matrix over the stations in
         label order; row r is the transmitter set of round r. Returns the
         transmissions as (round, station) index arrays in row-major order,
-        and a (transmissions, stations) matrix that is true where the
-        station receives the transmission. Its np.nonzero lists the
-        deliveries in (round, sender, receiver) order.
+        and the deliveries as (transmission, listener station) index arrays,
+        sorted: in (round, sender, receiver) order.
 
-        Interference is summed sender by sender in ascending label order,
-        each sender adding its gain row to the rounds it transmits in. So
-        every round's sum takes the same float additions, in the same
-        order, as summing its own transmitters' rows alone.
+        Only in-range (transmission, listener) pairs are evaluated, read
+        from the CSR list, since no station beyond the range can receive.
+        Interference is summed rank by rank: step j adds the gain row of the
+        j-th transmitter of every round at once. So each round adds its
+        transmitters' rows in ascending label order from 0.0, the same
+        float additions as summing its own transmitters' rows alone.
         """
-        total = np.zeros(member.shape)
-        for i in np.flatnonzero(member.any(axis=0)):
-            total[member[:, i]] += self.gain[i]
-        total += self.noise
         rounds, senders = np.nonzero(member)
-        signal = self.gain[senders]
-        threshold = total[rounds]
+        per_round = np.bincount(rounds, minlength=len(member))
+        # total holds the rounds busiest first (stably), so the rounds with a
+        # j-th transmitter are its first ranked[j] rows
+        by_load = np.argsort(-per_round, kind="stable")
+        first = (per_round.cumsum() - per_round)[by_load]
+        ranked = np.searchsorted(-per_round[by_load], -np.arange(per_round.max(initial=0)))
+        total = np.zeros(member.shape)
+        for j, m in enumerate(ranked.tolist()):
+            total[:m] += self.gain[senders[first[:m] + j]]
+        total += self.noise
+        row_of = np.empty_like(by_load)  # row_of[r] is round r's row of total
+        row_of[by_load] = np.arange(len(by_load))
+        sender_row = row_of[rounds]
+        total[sender_row, senders] = np.inf  # a transmitting station hears nothing
+        # every (transmission, in-range listener) pair, by its CSR position
+        lo = self.nbr_at[senders]
+        count = self.nbr_at[senders + 1] - lo
+        pair_tx = np.repeat(np.arange(len(senders)), count)
+        pos = np.arange(len(pair_tx)) + np.repeat(lo - count.cumsum() + count, count)
+        listener = self.nbrs[pos]
+        signal = self.nbr_gain[pos]
+        threshold = total.ravel()[np.repeat(sender_row * member.shape[1], count) + listener]
         threshold -= signal
         threshold *= self.beta
         heard = signal >= threshold
-        heard &= self.in_range[senders]
-        heard &= ~member[rounds]
-        return rounds, senders, heard
+        return rounds, senders, pair_tx[heard], listener[heard]
 
     def deliver(self, transmitters: Sequence[int]) -> list[tuple[int, int]]:
         """Successful (sender, receiver) pairs for one round, sorted."""
         member = np.zeros((1, len(self.labels)), dtype=bool)
         member[0, [self.index[t] for t in transmitters]] = True
-        _, senders, heard = self.adjudicate(member)
-        tx, rx = np.nonzero(heard)
+        _, senders, tx, rx = self.adjudicate(member)
         labels = self.label_array
         return list(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
 

@@ -10,15 +10,16 @@ each execution, silent or not, is one Execution record. Executions are
 scheduled in lockstep at every node, so silent rounds (no transmitter
 anywhere) cannot change any node state and cost nothing; the global round
 counter still advances by the full family size. The non-silent rounds of
-an execution are adjudicated together, in one batch, and kept as one
-compact record until a trace asks for its rounds.
+consecutive executions whose transmitters are known in advance (a whole
+token-passing sweep, say) are adjudicated together, in one batch, and each
+execution is kept as one compact record until a trace asks for its rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
@@ -337,90 +338,141 @@ class Simulator:
     def execute(
         self,
         family: SelectionFamily,
-        slots: Sequence[int],
-        owners: Sequence[int],
-        phase: str,
-        message: Callable[[int, list[int]], Message],
-    ) -> tuple[list[int], list[int]]:
-        """Run one full family execution as a single batch of rounds.
+        executions: Sequence[
+            tuple[Sequence[int], Sequence[int], str, Callable[[int, list[int]], Message]]
+        ],
+    ) -> Iterator[tuple[list[int], list[int]]]:
+        """Run consecutive full executions of one family as a single batch.
 
-        slots[k] is a label of the family's label space, sent by station
-        owners[k]: a station transmits in every round whose set contains one
-        of its slots, and the transmission carries all of them.
-        message(station, ks) is the message of a transmission carrying the
-        slots at positions ks (ascending). It is built when a trace is
-        expanded, except for the transmission carrying the most slots, which
-        is built during the run: a message grows with the slots it carries,
+        Each execution is (slots, owners, phase, message). slots[k] is a
+        label of the family's label space, sent by station owners[k]: a
+        station transmits in every round whose set contains one of its
+        slots, and the transmission carries all of them. message(station,
+        ks) is the message of a transmission carrying the slots at positions
+        ks (ascending). It is built when a trace is expanded, except for the
+        transmission carrying the most slots, which is built when the
+        execution is recorded: a message grows with the slots it carries,
         so an oversized message fails the run as soon as it is scheduled.
 
-        Returns the distinct (slot position, listener label) pairs heard,
-        sorted: the listener received a transmission carrying that slot.
-        Rounds whose set meets no slot are silent and cost nothing; the
-        round counter still advances by the full family size.
+        Every execution's rounds are stacked into one membership matrix,
+        rows keyed by (execution, set), and adjudicated once, when the
+        returned iterator is first advanced. The iterator walks the
+        executions in order: advancing to one records it with the sink,
+        advances the round counter by the family size, and yields the
+        distinct (slot position, listener label) pairs heard in it, sorted.
+        So a caller must advance through every execution; it can stop
+        between two (by raising) with exactly the executions before it
+        recorded, and can build an execution's messages just before
+        advancing to it. Rounds whose set meets no slot are silent and cost
+        nothing.
         """
-        if not slots:
-            self.skip_execution(family, phase)
-            return [], []
-        start = self.round
-        self.round += family.size
         eng = self.engine
         n = len(eng.labels)
-        cols = family.rounds_for(np.asarray(slots)).ravel()
-        rounds = np.unique(cols)
-        # slot memberships: (row of the round, slot position, owner index)
-        slot_row = np.searchsorted(rounds, cols)
-        slot_k = np.repeat(np.arange(len(slots)), family.P)
-        slot_owner = np.array([eng.index[u] for u in owners])[slot_k]
-        member = np.zeros((len(rounds), n), dtype=bool)
+        labels = eng.label_array
+        size, P = family.size, family.P
+        counts = [len(slots) for slots, _o, _p, _m in executions]
+        slot_at = list(accumulate(counts, initial=0))
+        slot = np.array([lab for slots, _o, _p, _m in executions for lab in slots], dtype=np.int64)
+        owner = np.array(
+            [eng.index[u] for _s, owners, _p, _m in executions for u in owners], dtype=np.intp
+        )
+        slot_pos = np.arange(len(slot)) - np.repeat(slot_at[:-1], counts)  # within its execution
+        # slot memberships, P per slot: (row of the round, slot, owner index),
+        # rows keyed by (execution, set)
+        slot_k = np.repeat(np.arange(len(slot)), P)
+        keys = np.repeat(np.repeat(np.arange(len(executions)), counts) * size, P)
+        keys += family.rounds_for(slot).reshape(-1)
+        rows = np.unique(keys)
+        slot_row = rows.searchsorted(keys)
+        slot_owner = owner[slot_k]
+        member = np.zeros((len(rows), n), dtype=bool)
         member[slot_row, slot_owner] = True
-        tx_row, tx_station, received = eng.adjudicate(member)
+        tx_row, tx_station, dl_tx, dl_rx = eng.adjudicate(member)
 
         # the transmission that carries each slot membership, and back
         slot_tx = np.searchsorted(tx_row * n + tx_station, slot_row * n + slot_owner)
-        by_tx = np.argsort(slot_tx, kind="stable")
+        by_tx = slot_tx.argsort(kind="stable")
         carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_row) + 1))
-        labels = eng.label_array
+        carried_k = slot_pos[slot_k[by_tx]].tolist()
+        carried_at_list = carried_at.tolist()
+        carried = carried_at[1:] - carried_at[:-1]
+        # the distinct (slot, listener) pairs heard, sorted: every listener
+        # of the transmission that carries each slot membership
+        dl_at = dl_tx.searchsorted(np.arange(len(tx_row) + 1))
+        lo = dl_at[slot_tx]
+        span = dl_at[slot_tx + 1] - lo
+        heard_rx = dl_rx[np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)]
+        heard = np.unique(slot_k.repeat(span) * n + heard_rx)
+        heard_k = heard // n
+        heard_at = heard_k.searchsorted(slot_at).tolist()
+        heard_pos = slot_pos[heard_k].tolist()
+        heard_label = labels[heard % n].tolist()
+
+        # each execution's records: rows, transmissions and deliveries,
+        # numbered from its own first row
+        row_exe = rows // size
+        row_at = row_exe.searchsorted(np.arange(len(executions) + 1))
+        local_row = np.arange(len(rows)) - row_at[row_exe]
         tx_label = labels[tx_station]
+        all_rounds = (rows % size).astype(np.int32)
+        all_tx = np.column_stack([local_row[tx_row], tx_label]).astype(np.int32)
+        all_dl = np.column_stack(
+            [local_row[tx_row[dl_tx]], tx_label[dl_tx], labels[dl_rx]]
+        ).astype(np.int32)
+        tx_at = tx_row.searchsorted(row_at)
+        dl_ex_at = dl_at[tx_at].tolist()
+        tx_label_list = tx_label.tolist()
+        row_at, tx_at = row_at.tolist(), tx_at.tolist()
 
-        def tx_message(t: int) -> Message:
-            ks = slot_k[by_tx[carried_at[t] : carried_at[t + 1]]].tolist()
-            return message(int(tx_label[t]), ks)
+        for e, (_slots, _owners, phase, message) in enumerate(executions):
+            if not counts[e]:
+                self.skip_execution(family, phase)
+                yield [], []
+                continue
+            start = self.round
+            self.round += size
+            t0, t1 = tx_at[e], tx_at[e + 1]
 
-        if len(tx_row):
-            tx_message(int(np.argmax(np.diff(carried_at))))
+            def tx_message(t: int, t0=t0, message=message) -> Message:
+                t += t0
+                ks = carried_k[carried_at_list[t] : carried_at_list[t + 1]]
+                return message(tx_label_list[t], ks)
 
-        t, rx = np.nonzero(received)
-        self.sink.execution(
-            Execution(
-                phase=phase,
-                start=start,
-                size=family.size,
-                rounds=rounds.astype(np.int32),
-                transmissions=np.column_stack([tx_row, tx_label]).astype(np.int32),
-                deliveries=np.column_stack([tx_row[t], tx_label[t], labels[rx]]).astype(
-                    np.int32
-                ),
-                message=tx_message,
+            tx_message(int(np.argmax(carried[t0:t1])))
+            self.sink.execution(
+                Execution(
+                    phase=phase,
+                    start=start,
+                    size=size,
+                    rounds=all_rounds[row_at[e] : row_at[e + 1]],
+                    transmissions=all_tx[t0:t1],
+                    deliveries=all_dl[dl_ex_at[e] : dl_ex_at[e + 1]],
+                    message=tx_message,
+                )
             )
-        )
-        k, listener = np.nonzero(received[slot_tx])
-        pairs = np.unique(slot_k[k] * n + listener)
-        return (pairs // n).tolist(), labels[pairs % n].tolist()
+            h0, h1 = heard_at[e], heard_at[e + 1]
+            yield heard_pos[h0:h1], heard_label[h0:h1]
 
     def ssf_broadcast(
-        self, family: SelectionFamily, senders: Mapping[int, Message], phase: str
-    ) -> list[tuple[int, int]]:
-        """Run one full family execution with a fixed sender->message map.
+        self, family: SelectionFamily, executions: Sequence[tuple[Mapping[int, Message], str]]
+    ) -> Iterator[list[tuple[int, int]]]:
+        """Run consecutive full family executions, each with a fixed
+        sender->message map, as one batch (see execute).
 
-        Returns each distinct (sender, listener) pair of the execution once,
+        Yields, per execution, each distinct (sender, listener) pair once,
         sorted by sender and then listener, however many rounds delivered
         it: the listener received senders[sender].
         """
-        labs = sorted(senders)
-        slots, listeners = self.execute(
-            family, labs, labs, phase, lambda u, _ks: senders[u]
+        labs = [sorted(senders) for senders, _phase in executions]
+        steps = self.execute(
+            family,
+            [
+                (ls, ls, phase, lambda u, _ks, senders=senders: senders[u])
+                for ls, (senders, phase) in zip(labs, executions)
+            ],
         )
-        return [(labs[k], listener) for k, listener in zip(slots, listeners)]
+        for ls, (slots, listeners) in zip(labs, steps):
+            yield [(ls[k], listener) for k, listener in zip(slots, listeners)]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -485,7 +537,8 @@ def leader_election(sim: Simulator) -> None:
             for u in candidates:
                 views[u].set_status(LEADER)
                 senders[u] = sim.msg("leader-announce", (u,))
-            for s, listener in sim.ssf_broadcast(fam_ssf, senders, phase):
+            (pairs,) = sim.ssf_broadcast(fam_ssf, [(senders, phase)])
+            for s, listener in pairs:
                 v = views[listener]
                 v.adjacent_leaders.add(s)
                 if v.status == ACTIVE:
@@ -501,10 +554,15 @@ def leader_election(sim: Simulator) -> None:
 
 def neighborhood_inform(sim: Simulator) -> None:
     """Leaders broadcast their i-th neighbor for i = 1..Delta; afterwards
-    every non-leader knows the full neighborhood of each adjacent leader."""
+    every non-leader knows the full neighborhood of each adjacent leader.
+
+    What each leader sends in iteration i is fixed from the start, so the
+    Delta executions are adjudicated as one batch.
+    """
     views = sim.views
     fam = sim.base_ssf()
     leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
+    plan = []
     for i in range(1, sim.graph.delta + 1):
         senders = {}
         for lab in leaders:
@@ -513,7 +571,9 @@ def neighborhood_inform(sim: Simulator) -> None:
                 senders[lab] = sim.msg(
                     "neighbor-of-leader", (lab, v.neighbors[i - 1])
                 )
-        for s, listener in sim.ssf_broadcast(fam, senders, f"neighborhood-inform/i={i}"):
+        plan.append((senders, f"neighborhood-inform/i={i}"))
+    for (senders, _phase), pairs in zip(plan, sim.ssf_broadcast(fam, plan)):
+        for s, listener in pairs:
             if views[listener].status != LEADER:
                 leader, member = senders[s].payload
                 views[listener].learned_neighborhoods.setdefault(leader, set()).add(member)
@@ -553,8 +613,8 @@ def two_hop_connection(sim: Simulator) -> None:
     def helper_claim(_u: int, ks: list[int]) -> Message:
         return sim.msg("helper-claim", tuple(sorted(claims[pidxs[k]][1] for k in ks)))
 
-    heard = sim.execute(
-        fam_pair, pidxs, [claims[p][0] for p in pidxs], phase, helper_claim
+    (heard,) = sim.execute(
+        fam_pair, [(pidxs, [claims[p][0] for p in pidxs], phase, helper_claim)]
     )
 
     for pidx in pidxs:
@@ -582,6 +642,13 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
     Returns, per listener, each (sender, message) it heard in the msg slots,
     in slot order. A token grant that is not received by its addressee is a
     hard simulation error.
+
+    The sweep's transmitters are fixed before its first round: grants go
+    to the leaders' i-th neighbors and, since a lost grant fails the run,
+    exactly their targets hold tokens, send their messages and return the
+    tokens. So the sweep's 4*Delta executions are adjudicated as one batch,
+    while each execution's messages are built from the nodes' state just
+    before the sweep reaches it.
     """
     views = sim.views
     fam = sim.base_ssf()
@@ -590,29 +657,46 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
     sim._tp_runs += 1
     heard_msgs: dict[int, list[tuple[int, Message]]] = {}
 
+    sweep = []  # per iteration: i, the granting leaders, the holders that send, the holders
     for i in range(1, sim.graph.delta + 1):
-        phase = f"token-passing/run={run_id}/i={i}"
+        granting = [lab for lab in leaders if views[lab].degree >= i]
+        holders = sorted({views[lab].neighbors[i - 1] for lab in granting})
+        sweep.append((i, granting, [lab for lab in holders if lab in msgs], holders))
+    specs = []
+    sent: list[Mapping[int, Message]] = []  # the messages of each execution reached
+    for i, *senders in sweep:
+        for kind, labs in zip(("idle", "grant", "msg", "return"), ([], *senders)):
+            phase = f"token-passing/run={run_id}/i={i}/{kind}"
+            specs.append((labs, labs, phase, lambda u, _ks, e=len(specs): sent[e][u]))
+    steps = sim.execute(fam, specs)
+
+    def advance(messages: Mapping[int, Message]) -> list[tuple[int, int]]:
+        """Record the next execution, sending messages; its (sender,
+        listener) pairs."""
+        labs = specs[len(sent)][0]
+        sent.append(messages)
+        ks, listeners = next(steps)
+        return [(labs[k], listener) for k, listener in zip(ks, listeners)]
+
+    for i, granting, senders, holders in sweep:
         # slot 1: everyone silent
-        sim.skip_execution(fam, phase + "/idle")
+        advance({})
         # slot 2: leaders pass tokens to their i-th neighbors
-        grants = {}
-        for lab in leaders:
-            v = views[lab]
-            if v.degree >= i:
-                grants[lab] = sim.msg("token-grant", (lab, v.neighbors[i - 1]))
+        grants = {
+            lab: sim.msg("token-grant", (lab, views[lab].neighbors[i - 1])) for lab in granting
+        }
         # a grant's payload is its (leader, target) pair
-        delivered = set(sim.ssf_broadcast(fam, grants, phase + "/grant"))
-        for lab, msg in sorted(grants.items()):
+        delivered = set(advance(grants))
+        for lab, msg in grants.items():
             if msg.payload not in delivered:
                 raise TokenDeliveryError(
                     f"token from leader {lab} to {msg.payload[1]} lost in run {run_id}, i={i}"
                 )
             views[msg.payload[1]].pending_tokens += (lab,)
         # slot 3: token holders transmit their message
-        holders = [lab for lab in sorted(views) if views[lab].pending_tokens]
-        txs = {lab: msgs[lab] for lab in holders if lab in msgs}
-        receivers: dict[int, list[int]] = {lab: [] for lab in sorted(txs)}
-        for s, listener in sim.ssf_broadcast(fam, txs, phase + "/msg"):
+        txs = {lab: msgs[lab] for lab in senders}
+        receivers: dict[int, list[int]] = {lab: [] for lab in senders}
+        for s, listener in advance(txs):
             receivers[s].append(listener)
             heard_msgs.setdefault(listener, []).append((s, txs[s]))
         sim.token_records.append(
@@ -628,7 +712,7 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
             lab: sim.msg("token-return", (lab,) + views[lab].pending_tokens)
             for lab in holders
         }
-        sim.ssf_broadcast(fam, returns, phase + "/return")
+        advance(returns)
         for lab in holders:
             views[lab].pending_tokens = ()
     return heard_msgs
@@ -708,7 +792,8 @@ def three_hop_connection(sim: Simulator) -> None:
         )
         for lab in leaders
     }
-    for sender, listener in sim.ssf_broadcast(fam, msgs3, "three-hop-connection/announce"):
+    (announced,) = sim.ssf_broadcast(fam, [(msgs3, "three-hop-connection/announce")])
+    for sender, listener in announced:
         v = views[listener]
         if v.status != HELPER and any(x == listener for x, _y, _b in msgs3[sender].payload[1:]):
             v.set_status(HELPER)

@@ -52,10 +52,12 @@ class Verdict:
 # Graph helpers on plain adjacency mappings.
 
 
-def bfs_distances(adj: Adjacency, src: int) -> dict[int, int]:
+def bfs_distances(adj: Adjacency, src: int, radius: Optional[int] = None) -> dict[int, int]:
+    """Hop distance from src of every node it reaches; with a radius, of
+    every node within that many hops."""
     dist = {src: 0}
     frontier = [src]
-    while frontier:
+    while frontier and (radius is None or dist[frontier[0]] < radius):
         nxt = []
         for u in frontier:
             for v in adj[u]:
@@ -173,14 +175,15 @@ def _components(adj: Adjacency) -> list[set[int]]:
 
 
 def expected_two_hop(adj: Adjacency, leaders: set[int]) -> dict[tuple[int, int], int]:
-    """Minimum-label common neighbor for every leader pair at distance 2."""
+    """Minimum-label common neighbor for every leader pair at distance 2.
+
+    A leader's partners are found in its 2-hop ball, not by a BFS of the
+    whole graph."""
     out: dict[tuple[int, int], int] = {}
-    ls = sorted(leaders)
-    for i, s in enumerate(ls):
-        ds = bfs_distances(adj, s)
-        for t in ls[i + 1 :]:
-            if ds.get(t) == 2:
-                out[(s, t)] = min(set(adj[s]) & set(adj[t]))
+    for s in sorted(leaders):
+        ball = bfs_distances(adj, s, 2)
+        for t in sorted(t for t, d in ball.items() if d == 2 and t > s and t in leaders):
+            out[(s, t)] = min(set(adj[s]) & set(adj[t]))
     return out
 
 
@@ -190,15 +193,13 @@ def expected_three_hop(
     """Replay of the minimum-label choice rule for leader pairs at distance 3.
 
     Keyed by ordered pair (s, t); the value (x, y) has x adjacent to s and
-    y adjacent to t, so the two orientations are mirror images.
+    y adjacent to t, so the two orientations are mirror images. A leader's
+    partners are found in its 3-hop ball, not by a BFS of the whole graph.
     """
     out: dict[tuple[int, int], tuple[int, int]] = {}
-    ls = sorted(leaders)
-    for s in ls:
-        ds = bfs_distances(adj, s)
-        for t in ls:
-            if t == s or ds.get(t) != 3:
-                continue
+    for s in sorted(leaders):
+        ball = bfs_distances(adj, s, 3)
+        for t in sorted(t for t, d in ball.items() if d == 3 and t in leaders):
             side_s = {x for x in adj[s] if set(adj[x]) & set(adj[t])}
             side_t = {x for x in adj[t] if set(adj[x]) & set(adj[s])}
             a = min(side_s | side_t)

@@ -82,13 +82,16 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         ["run", "--n", "70", "--n-labels", "64", "--out-dir"],
         ["run", "--n", "5", "--alpha", "2", "--out-dir"],
         ["generate", "--n", "0", "--side", "1", "--out"],
+        ["run", "--n", "5", "--demo-c", "0", "--out-dir"],
+        ["sweep", "--demo-c", "-1", "--out-dir"],
     ],
-    ids=["run-n-above-labels", "run-alpha", "generate-n-zero"],
+    ids=["run-n-above-labels", "run-alpha", "generate-n-zero", "run-demo-c-zero", "sweep-demo-c"],
 )
 def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
     code = main(argv + [str(tmp_path / "o")])
     assert code == 2
     assert _error_code(capsys) == "invalid-argument"
+    assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
 def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys):

@@ -433,8 +433,7 @@ def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     inst, member = layout
     eng = PhysicsEngine(inst)
     labels = eng.labels
-    rounds, senders, heard = eng.adjudicate(member)
-    t, rx = np.nonzero(heard)
+    rounds, senders, t, rx = eng.adjudicate(member)
     batch = list(zip(rounds[t].tolist(), senders[t].tolist(), rx.tolist()))
     assert batch == sorted(batch)
     for row, mask in enumerate(member):

@@ -73,7 +73,7 @@ def test_ssf_broadcast_hears_each_sender_once():
     fam = sim.base_ssf()
     msg = sim.msg("leader-announce", (1,))
     assert len(fam.rounds_for(1)) > 1  # the lone sender is delivered in many rounds
-    heard = sim.ssf_broadcast(fam, {1: msg}, "test")
+    (heard,) = sim.ssf_broadcast(fam, [({1: msg}, "test")])
     assert heard == [(1, 2), (1, 3)]
     assert sim.round == fam.size
     rounds = [tr.round for tr in sim.sink.records]
@@ -171,14 +171,30 @@ def test_leader_election_single_node():
     assert sim.views[1].status == LEADER
 
 
+def _pendant_below_bucket_0():
+    """46 stations within 0.45 range of the origin (a sunflower spiral,
+    label 1 nearest the bridge), a bridge at 1.2 range and a pendant at 2.1
+    range: Delta = 46, so bucket 0 needs degree >= ceil(46/42) = 2, and the
+    pendant (degree 1) stays active until bucket 1 elects it."""
+    golden = math.pi * (3 - math.sqrt(5))
+    radii = [0.45 * math.sqrt((k + 0.5) / 46) for k in range(46)]
+    disc = sorted(
+        ((r * math.cos(k * golden), r * math.sin(k * golden)) for k, r in enumerate(radii)),
+        key=lambda p: -p[0],
+    )
+    stations = [(lab, x, y) for lab, (x, y) in enumerate(disc, 1)]
+    return make_instance(stations + [(47, 1.2, 0.0), (48, 2.1, 0.0)], P, 64)
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: make_instance([(3, 0, 0), (5, 0.5, 0)], P, 64),
         lambda: generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P),
         lambda: generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P),
+        _pendant_below_bucket_0,
     ],
-    ids=["two-nodes", "n40-N64", "n150-N1024"],
+    ids=["two-nodes", "n40-N64", "n150-N1024", "pendant-below-bucket-0"],
 )
 def test_leader_election_follows_its_per_round_rule(make):
     # replay every selector round: the transmitters of its ssf execution are
@@ -363,15 +379,38 @@ def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
     adjudicate = sim.engine.adjudicate
 
     def deaf(member):
-        tx_row, tx_station, received = adjudicate(member)
-        return tx_row, tx_station, np.zeros_like(received)
+        tx_row, tx_station, dl_tx, dl_rx = adjudicate(member)
+        return tx_row, tx_station, dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
     first = min(lab for lab, v in sim.views.items() if v.status == LEADER)
     target = sim.views[first].neighbors[0]
+    recorded = len(sim.sink.executions)
     with pytest.raises(TokenDeliveryError) as err:
         token_passing(sim, {})
     assert str(err.value) == f"token from leader {first} to {target} lost in run 0, i=1"
+    # the sweep stops at the lost grant: nothing after it is recorded
+    assert [ex.phase for ex in sim.sink.executions[recorded:]] == [
+        "token-passing/run=0/i=1/idle",
+        "token-passing/run=0/i=1/grant",
+    ]
+
+
+def test_oversized_token_return_fails_before_the_return_execution():
+    # holder 3 returns the tokens of leaders 5 and 9 at once: 8 + 3*5 = 23
+    # bits against a 5*lg 16 = 20-bit budget, while a grant needs 18
+    stations = [(5, 0, 0), (9, 1.8, 0), (3, 0.9, 0)]
+    inst = make_instance(stations, P, 16)
+    sim = Simulator(inst, ProtocolConfig(c_msg=5))
+    force_leaders(sim, {5, 9})
+    msgs = {3: Message.make("hop3-report", (3,), 16, 5)}
+    with pytest.raises(MessageSizeError):
+        token_passing(sim, msgs)
+    assert [ex.phase for ex in sim.sink.executions] == [
+        "token-passing/run=0/i=1/idle",
+        "token-passing/run=0/i=1/grant",
+        "token-passing/run=0/i=1/msg",
+    ]
 
 
 def test_token_holder_box_bound():
@@ -386,6 +425,63 @@ def test_token_holder_box_bound():
             b = gi.boxes[h]
             per_box[b] = per_box.get(b, 0) + 1
         assert all(v <= 21 for v in per_box.values())
+
+
+class _Recording(Simulator):
+    """Keeps each execution's pairs and counts adjudications; with
+    one_by_one, runs every batch of executions as lists of one."""
+
+    def __init__(self, inst, one_by_one):
+        super().__init__(inst)
+        self.one_by_one = one_by_one
+        self.pairs = []
+        self.batches = 0
+        adjudicate = self.engine.adjudicate
+
+        def counted(member):
+            self.batches += 1
+            return adjudicate(member)
+
+        self.engine.adjudicate = counted
+
+    def execute(self, family, executions):
+        for batch in [[ex] for ex in executions] if self.one_by_one else [executions]:
+            for pairs in super().execute(family, batch):
+                self.pairs.append(pairs)
+                yield pairs
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P),
+        lambda: generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P),
+    ],
+    ids=["n40-N64", "n150-N1024"],
+)
+def test_batched_executions_match_executions_run_one_at_a_time(make):
+    inst = make()
+    runs = []
+    for one_by_one in (False, True):
+        sim = _Recording(inst, one_by_one)
+        leader_election(sim)
+        two_hop_connection(sim)
+        three_hop_connection(sim)
+        runs.append(sim)
+    batched, single = runs
+    assert batched.batches < single.batches  # the sweeps did run as batches
+    assert batched.round == single.round
+    assert batched.pairs == single.pairs
+    assert batched.token_records == single.token_records
+    assert len(batched.sink.executions) == len(single.sink.executions)
+    for a, b in zip(batched.sink.executions, single.sink.executions):
+        assert (a.phase, a.start, a.size) == (b.phase, b.start, b.size)
+        for name in ("rounds", "transmissions", "deliveries"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (a.phase, name)
+        assert [a.message(t) for t in range(len(a.transmissions))] == [
+            b.message(t) for t in range(len(b.transmissions))
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
@@ -6,6 +8,7 @@ from sinrbackbone.physical import build_graph, derive_dilution, is_connected, ma
 from sinrbackbone.protocol import BackboneResult, CollectSink, backbone_creation
 from sinrbackbone.verify import (
     adversarial_dilution_check,
+    bfs_distances,
     check_connected_backbone,
     check_constant_degree,
     check_diameter,
@@ -13,6 +16,7 @@ from sinrbackbone.verify import (
     check_leader_grid,
     check_size_ratio,
     dilution_trial,
+    expected_three_hop,
     expected_two_hop,
     geometric_degree_bound,
     greedy_cds,
@@ -196,6 +200,64 @@ def test_expected_two_hop_on_path():
     adj = {1: [2], 2: [1, 3], 3: [2, 4], 4: [3]}
     assert expected_two_hop(adj, {1, 3}) == {(1, 3): 2}
     assert expected_two_hop(adj, {1, 4}) == {}
+
+
+def _two_hop_by_bfs(adj, leaders):
+    """The two-hop rule read off a BFS of the whole graph per leader."""
+    out = {}
+    ls = sorted(leaders)
+    for i, s in enumerate(ls):
+        ds = bfs_distances(adj, s)
+        for t in ls[i + 1 :]:
+            if ds.get(t) == 2:
+                out[(s, t)] = min(set(adj[s]) & set(adj[t]))
+    return out
+
+
+def _three_hop_by_bfs(adj, leaders):
+    """The three-hop rule read off a BFS of the whole graph per leader."""
+    out = {}
+    ls = sorted(leaders)
+    for s in ls:
+        ds = bfs_distances(adj, s)
+        for t in ls:
+            if t == s or ds.get(t) != 3:
+                continue
+            side_s = {x for x in adj[s] if set(adj[x]) & set(adj[t])}
+            side_t = {x for x in adj[t] if set(adj[x]) & set(adj[s])}
+            a = min(side_s | side_t)
+            if a in side_s:
+                out[(s, t)] = (a, min(set(adj[a]) & set(adj[t])))
+            else:
+                out[(s, t)] = (min(set(adj[a]) & set(adj[s])), a)
+    return out
+
+
+@st.composite
+def _connected_graphs(draw):
+    """A random spanning tree plus random extra edges, on random labels,
+    and a random leader set."""
+    n = draw(st.integers(1, 14))
+    labels = draw(st.permutations(range(1, 33)))[:n]
+    edges = {(labels[draw(st.integers(0, i - 1))], labels[i]) for i in range(1, n)}
+    if n > 1:
+        pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+        edges |= {(a, b) for a, b in draw(st.lists(pairs, max_size=2 * n)) if a != b}
+    adj = {u: set() for u in labels}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    leaders = set(draw(st.lists(st.sampled_from(labels), max_size=n)))
+    return {u: tuple(sorted(vs)) for u, vs in adj.items()}, leaders
+
+
+@given(_connected_graphs())
+@settings(max_examples=300, deadline=None)
+def test_helper_replays_match_the_whole_graph_bfs(graph):
+    adj, leaders = graph
+    assert is_connected(adj)
+    assert expected_two_hop(adj, leaders) == _two_hop_by_bfs(adj, leaders)
+    assert expected_three_hop(adj, leaders) == _three_hop_by_bfs(adj, leaders)
 
 
 # ---------------------------------------------------------------------------
