@@ -61,7 +61,6 @@ class RunConfig:
     diameter_slack: int = 4
     size_factor: float = 6.0
     exact_cap: int = 14
-    force_exact: bool = False
     out_dir: str = "out"
     trace_mode: str = "compact"  # compact | full | off
 
@@ -217,7 +216,6 @@ def run(config: RunConfig) -> int:
         diameter_slack=config.diameter_slack,
         size_factor=config.size_factor,
         exact_cap=config.exact_cap,
-        force_exact=config.force_exact,
     )
     lg = max(1.0, math.log2(inst.n_labels))
     report = {
@@ -461,11 +459,11 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--diameter-factor", type=float, default=3.0)
     r.add_argument("--diameter-slack", type=int, default=4)
     r.add_argument("--size-factor", type=float, default=6.0)
-    r.add_argument("--exact-cap", type=int, default=14)
     r.add_argument(
-        "--force-exact-cds",
-        action="store_true",
-        help="force the exact minimum-CDS branch even past the size cap",
+        "--exact-cap",
+        type=int,
+        default=14,
+        help="largest n whose size ratio is taken against the exact minimum CDS",
     )
     _add_param_flags(r)
 
@@ -512,7 +510,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 diameter_slack=args.diameter_slack,
                 size_factor=args.size_factor,
                 exact_cap=args.exact_cap,
-                force_exact=args.force_exact_cds,
                 out_dir=args.out_dir,
                 trace_mode=args.trace_mode,
             )

@@ -52,7 +52,7 @@ class MessageSizeError(SimulationError):
 
 
 class ExactBranchTooLargeError(SimulationError):
-    """Exact minimum-CDS search was forced on an oversized instance."""
+    """Exact minimum-CDS search was asked of an instance past its size cap."""
 
     code = "exact-branch-too-large"
 

@@ -174,6 +174,16 @@ GOLDEN = {
             "compact": "0da7d93d9156cd8d63ca08607e6e02c8ea76e77407d3326ac110d8a18a41084e",
         },
     ),
+    # n=24 is past the exact CDS cap and the graph diameter is 8, so the
+    # report pins the greedy CDS size and both diameters
+    "n24": (
+        GeneratorSpec(n=24, arena_side=4.0, seed=1, n_labels=64),
+        "c58a837b39e062bb78b9d5f446c650cb8b13e513154dfe9dc5cc121587fcc041",
+        {
+            "full": "5edafb83239f209a3740a465797b5c6941910881292ffc847c8289fdc7e4b436",
+            "compact": "e13dc020a32617769e3d03b34d83657ffb1ad9da2278faf2e0df075e5c567949",
+        },
+    ),
 }
 
 
@@ -188,6 +198,28 @@ def test_run_outputs_match_golden_digests(tmp_path, name, mode):
         for f in ("report.json", "trace.jsonl")
     }
     assert digest == {"report.json": report_digest, "trace.jsonl": trace_digests[mode]}
+
+
+def _size_ratio(out) -> dict:
+    report = json.loads((out / "report.json").read_text())
+    return next(v["metrics"] for v in report["verdicts"] if v["check"] == "size-ratio")
+
+
+def test_exact_cap_moves_the_exact_cds_branch(tmp_path):
+    base = ["run", "--n", "16", "--trace-mode", "off", "--out-dir"]
+    assert main(base + [str(tmp_path / "greedy")]) == 0
+    assert _size_ratio(tmp_path / "greedy")["exact"] == 0.0
+    assert main(base + [str(tmp_path / "exact"), "--exact-cap", "16"]) == 0
+    metrics = _size_ratio(tmp_path / "exact")
+    assert metrics["exact"] == 1.0 and metrics["min_cds"] >= 1
+
+
+def test_force_exact_cds_flag_is_gone(tmp_path):
+    # --exact-cap is the one way to take the exact branch
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--n", "20", "--force-exact-cds", "--out-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_no_demo_end_to_end(tmp_path):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
@@ -15,11 +15,14 @@ from sinrbackbone.verify import (
     check_dominating,
     check_leader_grid,
     check_size_ratio,
+    diameter,
     dilution_trial,
     expected_three_hop,
     expected_two_hop,
     geometric_degree_bound,
     greedy_cds,
+    induced,
+    is_dominating,
     min_cds,
 )
 
@@ -180,8 +183,6 @@ def test_min_cds_is_dominating_and_connected():
     inst = generate(GeneratorSpec(n=11, arena_side=1.8, seed=8), P)
     g = build_graph(inst)
     cds = min_cds(g.adjacency)
-    from sinrbackbone.verify import induced, is_dominating
-
     assert is_dominating(g.adjacency, cds)
     assert is_connected(induced(g.adjacency, cds))
 
@@ -190,10 +191,137 @@ def test_greedy_cds_valid():
     inst = generate(GeneratorSpec(n=30, arena_side=3.0, seed=9), P)
     g = build_graph(inst)
     cds = greedy_cds(g.adjacency)
-    from sinrbackbone.verify import induced, is_dominating
-
     assert is_dominating(g.adjacency, cds)
     assert is_connected(induced(g.adjacency, cds))
+
+
+# ---------------------------------------------------------------------------
+# The array oracles against whole-graph Python references.
+
+
+def _bfs(adj, src):
+    """Hop distance from src of every node it reaches, in BFS order."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _diameter_by_bfs(adj):
+    """A BFS from every node; -1 when one of them misses a node."""
+    best = 0
+    for u in adj:
+        dist = _bfs(adj, u)
+        if len(dist) != len(adj):
+            return -1
+        best = max(best, max(dist.values()))
+    return best
+
+
+def _components_by_bfs(adj):
+    """Each component as a set built from a BFS-ordered dict, as the module
+    builds it: the connection phase starts its BFS in the set's order."""
+    left = set(adj)
+    out = []
+    while left:
+        comp = set(_bfs({u: [v for v in adj[u] if v in left] for u in left}, min(left)))
+        out.append(comp)
+        left -= comp
+    return out
+
+
+def _greedy_cds_by_max_key(adj):
+    """The cover by a max over (gain, -label) keys, then the chosen set's
+    components joined along BFS paths through the graph."""
+    nodes = sorted(adj)
+    if len(nodes) == 1:
+        return {nodes[0]}
+    covered, chosen = set(), set()
+    while covered != set(nodes):
+        best = max(nodes, key=lambda u: (len((set(adj[u]) | {u}) - covered), -u))
+        chosen.add(best)
+        covered |= set(adj[best]) | {best}
+    while not is_connected(induced(adj, chosen)):
+        a = _components_by_bfs(induced(adj, chosen))[0]
+        frontier, target = list(a), None
+        parent = {u: None for u in a}
+        seen = set(a)
+        while frontier and target is None:
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v in seen:
+                        continue
+                    seen.add(v)
+                    parent[v] = u
+                    if v in chosen:
+                        target = v
+                        break
+                    nxt.append(v)
+                if target:
+                    break
+            frontier = nxt
+        assert target is not None
+        u = parent[target]
+        while u is not None and u not in a:
+            chosen.add(u)
+            u = parent[u]
+    return chosen
+
+
+@st.composite
+def _graphs(draw):
+    """Simple graphs on 0 to 80 random labels (so reach sets span one or two
+    64-bit words), connected or not: a random tree over the first `tree`
+    nodes, each parent at most `span` nodes back (a small span makes long
+    paths), plus random extra edges."""
+    n = draw(st.integers(0, 80))
+    labels = draw(st.lists(st.integers(1, 10_000), min_size=n, max_size=n, unique=True))
+    tree = n if draw(st.booleans()) else draw(st.integers(0, n))
+    span = draw(st.integers(1, max(1, n)))
+    edges = {(labels[i - draw(st.integers(1, min(i, span)))], labels[i]) for i in range(1, tree)}
+    if n:
+        pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+        edges |= {(a, b) for a, b in draw(st.lists(pairs, max_size=n)) if a != b}
+    adj = {u: set() for u in labels}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    return {u: tuple(sorted(vs)) for u, vs in adj.items()}
+
+
+def _path(labels):
+    ends = (None, *labels, None)
+    return {u: tuple(v for v in (ends[i], ends[i + 2]) if v) for i, u in enumerate(labels)}
+
+
+# 66 nodes whose two ends hold the largest labels: the farthest pair's reach
+# bits both lie in the second 64-bit word
+_LONG_PATH = _path([65, *range(1, 65), 66])
+
+
+@given(_graphs())
+@example({})
+@example({7: ()})
+@example({1: (), 2: ()})
+@example(_LONG_PATH)
+@settings(max_examples=300, deadline=None)
+def test_array_oracles_match_the_python_references(adj):
+    assert diameter(adj) == _diameter_by_bfs(adj)
+    if is_connected(adj):
+        assert greedy_cds(adj) == _greedy_cds_by_max_key(adj)
+    else:  # no path joins the cover's components
+        with pytest.raises(AssertionError):
+            greedy_cds(adj)
+        with pytest.raises(AssertionError):
+            _greedy_cds_by_max_key(adj)
 
 
 def test_expected_two_hop_on_path():
