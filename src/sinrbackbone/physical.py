@@ -296,38 +296,26 @@ class PhysicsEngine:
         return CommGraph(adjacency=adj, range_used=self.range)
 
     def adjudicate(
-        self, member: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        self, rounds: np.ndarray, senders: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Decide every reception of a batch of rounds at once.
 
-        member is a (rounds, stations) boolean matrix over the stations in
-        label order; row r is the transmitter set of round r. Returns the
-        transmissions as (round, station) index arrays in row-major order,
-        and the deliveries as (transmission, listener station) index arrays,
-        sorted: in (round, sender, receiver) order.
+        The transmissions are (round, station) index arrays over the
+        stations in label order: distinct, and sorted by round, then
+        station. Returns the deliveries as (transmission, listener station)
+        index arrays, sorted: in (round, sender, receiver) order.
 
         Only in-range (transmission, listener) pairs are evaluated, read
         from the CSR list, since no station beyond the range can receive.
-        Interference is summed rank by rank: step j adds the gain row of the
-        j-th transmitter of every round at once. So each round adds its
-        transmitters' rows in ascending label order from 0.0, the same
-        float additions as summing its own transmitters' rows alone.
+        Interference is summed rank by rank: step j adds the gain of the
+        j-th transmitter of the pair's round, for every pair whose round has
+        one. So a pair's threshold is 0.0 plus its round's transmitters'
+        gains in ascending label order, plus noise, minus the signal, times
+        beta: the same float operations, in the same order, as summing the
+        round's whole gain rows. A station that transmits in a round hears
+        nothing in it.
         """
-        rounds, senders = np.nonzero(member)
-        per_round = np.bincount(rounds, minlength=len(member))
-        # total holds the rounds busiest first (stably), so the rounds with a
-        # j-th transmitter are its first ranked[j] rows
-        by_load = np.argsort(-per_round, kind="stable")
-        first = (per_round.cumsum() - per_round)[by_load]
-        ranked = np.searchsorted(-per_round[by_load], -np.arange(per_round.max(initial=0)))
-        total = np.zeros(member.shape)
-        for j, m in enumerate(ranked.tolist()):
-            total[:m] += self.gain[senders[first[:m] + j]]
-        total += self.noise
-        row_of = np.empty_like(by_load)  # row_of[r] is round r's row of total
-        row_of[by_load] = np.arange(len(by_load))
-        sender_row = row_of[rounds]
-        total[sender_row, senders] = np.inf  # a transmitting station hears nothing
+        n = len(self.labels)
         # every (transmission, in-range listener) pair, by its CSR position
         lo = self.nbr_at[senders]
         count = self.nbr_at[senders + 1] - lo
@@ -335,19 +323,51 @@ class PhysicsEngine:
         pos = np.arange(len(pair_tx)) + np.repeat(lo - count.cumsum() + count, count)
         listener = self.nbrs[pos]
         signal = self.nbr_gain[pos]
-        threshold = total.ravel()[np.repeat(sender_row * member.shape[1], count) + listener]
-        threshold -= signal
-        threshold *= self.beta
-        heard = signal >= threshold
-        return rounds, senders, pair_tx[heard], listener[heard]
+        # the first transmission of each pair's round, and how many it has
+        per_round = np.bincount(rounds)
+        first = (per_round.cumsum() - per_round)[rounds][pair_tx]
+        load = per_round[rounds][pair_tx]
+        gain = self.gain.ravel()
+        # a transmitting listener hears nothing: its total is inf, as if its
+        # own transmission drowned every other
+        sender = senders[first]
+        total = gain[sender * n + listener]  # 0.0 + the first gain
+        total[sender == listener] = np.inf
+        sel = np.flatnonzero(load > 1)  # the pairs whose round has a j-th transmitter
+        j = 1
+        while len(sel):
+            near = listener[sel]
+            sender = senders[first[sel] + j]
+            total[sel] += gain[sender * n + near]
+            total[sel[sender == near]] = np.inf
+            j += 1
+            sel = sel[load[sel] > j]
+        total += self.noise
+        total -= signal
+        total *= self.beta
+        heard = signal >= total
+        return pair_tx[heard], listener[heard]
 
     def deliver(self, transmitters: Sequence[int]) -> list[tuple[int, int]]:
-        """Successful (sender, receiver) pairs for one round, sorted."""
-        member = np.zeros((1, len(self.labels)), dtype=bool)
-        member[0, [self.index[t] for t in transmitters]] = True
-        _, senders, tx, rx = self.adjudicate(member)
+        """Successful (sender, receiver) pairs for one round, sorted. A
+        station listed twice transmits once."""
+        senders = sorted_distinct(np.array([self.index[t] for t in transmitters], dtype=np.intp))
+        tx, rx = self.adjudicate(np.zeros_like(senders), senders)
         labels = self.label_array
         return list(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
+
+
+def sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of an integer array, ascending.
+
+    A sort and a neighbour mask. np.unique gives the same array, but in
+    NumPy 2 it hashes before it sorts: on the batch keys of three n=150
+    instances it takes 29.6 ms against 5.2 ms.
+    """
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return keys[first]
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,13 @@ import numpy as np
 
 from . import selection
 from .errors import MessageSizeError, TokenDeliveryError
-from .physical import CommGraph, PhysicalInstance, PhysicsEngine, derive_dilution
+from .physical import (
+    CommGraph,
+    PhysicalInstance,
+    PhysicsEngine,
+    derive_dilution,
+    sorted_distinct,
+)
 from .selection import SelectionFamily, construct_selector, construct_ssf
 
 ACTIVE = "active"
@@ -354,9 +360,12 @@ class Simulator:
         execution is recorded: a message grows with the slots it carries,
         so an oversized message fails the run as soon as it is scheduled.
 
-        Every execution's rounds are stacked into one membership matrix,
-        rows keyed by (execution, set), and adjudicated once, when the
-        returned iterator is first advanced. The iterator walks the
+        Every execution's rounds are stacked into one batch, rows keyed by
+        (execution, set), and adjudicated once, when the returned iterator
+        is first advanced. Each slot membership is a (row, owner)
+        transmission; the distinct ones, sorted by row and then owner (with
+        sorted_distinct, as are the rows and the heard pairs), go to the
+        engine as index arrays. The iterator walks the
         executions in order: advancing to one records it with the sink,
         advances the round counter by the family size, and yields the
         distinct (slot position, listener label) pairs heard in it, sorted.
@@ -377,32 +386,33 @@ class Simulator:
             [eng.index[u] for _s, owners, _p, _m in executions for u in owners], dtype=np.intp
         )
         slot_pos = np.arange(len(slot)) - np.repeat(slot_at[:-1], counts)  # within its execution
-        # slot memberships, P per slot: (row of the round, slot, owner index),
-        # rows keyed by (execution, set)
+        # slot memberships, P per slot, each keyed by the transmission that
+        # carries it: (execution * size + set) * n + owner index
         slot_k = np.repeat(np.arange(len(slot)), P)
         keys = np.repeat(np.repeat(np.arange(len(executions)), counts) * size, P)
         keys += family.rounds_for(slot).reshape(-1)
-        rows = np.unique(keys)
-        slot_row = rows.searchsorted(keys)
-        slot_owner = owner[slot_k]
-        member = np.zeros((len(rows), n), dtype=bool)
-        member[slot_row, slot_owner] = True
-        tx_row, tx_station, dl_tx, dl_rx = eng.adjudicate(member)
+        keys *= n
+        keys += owner[slot_k]
+        tx_key = sorted_distinct(keys)
+        tx_row_key, tx_station = np.divmod(tx_key, n)
+        rows = sorted_distinct(tx_row_key)
+        tx_row = rows.searchsorted(tx_row_key)
+        dl_tx, dl_rx = eng.adjudicate(tx_row, tx_station)
 
         # the transmission that carries each slot membership, and back
-        slot_tx = np.searchsorted(tx_row * n + tx_station, slot_row * n + slot_owner)
+        slot_tx = tx_key.searchsorted(keys)
         by_tx = slot_tx.argsort(kind="stable")
-        carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_row) + 1))
+        carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_key) + 1))
         carried_k = slot_pos[slot_k[by_tx]].tolist()
         carried_at_list = carried_at.tolist()
         carried = carried_at[1:] - carried_at[:-1]
         # the distinct (slot, listener) pairs heard, sorted: every listener
         # of the transmission that carries each slot membership
-        dl_at = dl_tx.searchsorted(np.arange(len(tx_row) + 1))
+        dl_at = dl_tx.searchsorted(np.arange(len(tx_key) + 1))
         lo = dl_at[slot_tx]
         span = dl_at[slot_tx + 1] - lo
         heard_rx = dl_rx[np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)]
-        heard = np.unique(slot_k.repeat(span) * n + heard_rx)
+        heard = sorted_distinct(slot_k.repeat(span) * n + heard_rx)
         heard_k = heard // n
         heard_at = heard_k.searchsorted(slot_at).tolist()
         heard_pos = slot_pos[heard_k].tolist()
@@ -670,13 +680,11 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
             specs.append((labs, labs, phase, lambda u, _ks, e=len(specs): sent[e][u]))
     steps = sim.execute(fam, specs)
 
-    def advance(messages: Mapping[int, Message]) -> list[tuple[int, int]]:
-        """Record the next execution, sending messages; its (sender,
-        listener) pairs."""
-        labs = specs[len(sent)][0]
+    def advance(messages: Mapping[int, Message]) -> tuple[list[int], list[int]]:
+        """Record the next execution, sending messages; who heard whom in
+        it, as (sender position, listener) lists."""
         sent.append(messages)
-        ks, listeners = next(steps)
-        return [(labs[k], listener) for k, listener in zip(ks, listeners)]
+        return next(steps)
 
     for i, granting, senders, holders in sweep:
         # slot 1: everyone silent
@@ -686,7 +694,7 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
             lab: sim.msg("token-grant", (lab, views[lab].neighbors[i - 1])) for lab in granting
         }
         # a grant's payload is its (leader, target) pair
-        delivered = set(advance(grants))
+        delivered = {(granting[k], listener) for k, listener in zip(*advance(grants))}
         for lab, msg in grants.items():
             if msg.payload not in delivered:
                 raise TokenDeliveryError(
@@ -696,7 +704,8 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
         # slot 3: token holders transmit their message
         txs = {lab: msgs[lab] for lab in senders}
         receivers: dict[int, list[int]] = {lab: [] for lab in senders}
-        for s, listener in advance(txs):
+        for k, listener in zip(*advance(txs)):
+            s = senders[k]
             receivers[s].append(listener)
             heard_msgs.setdefault(listener, []).append((s, txs[s]))
         sim.token_records.append(

@@ -135,8 +135,8 @@ def test_full_pipeline_determinism(tmp_path):
         )
         assert run(cfg) == 0
     for name in ("report.json", "trace.jsonl", "instance.json"):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        with open(os.path.join(out1, name), "rb") as fa, open(os.path.join(out2, name), "rb") as fb:
+            a, b = fa.read(), fb.read()
         assert a == b, name
 
 

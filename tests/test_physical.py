@@ -30,6 +30,8 @@ from sinrbackbone.physical import (
     sinr,
 )
 
+from dense_engine import dense_adjudicate
+
 P_UNIT = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)  # range 1
 
 
@@ -279,6 +281,18 @@ def test_deliver_single_transmitter():
     assert PhysicsEngine(inst).deliver([1]) == [(1, 2)]  # 3 is out of range
 
 
+def test_deliver_counts_a_repeated_transmitter_once():
+    # 1 and 3 interfere at 2; a transmitter listed twice must not add its
+    # gain twice, nor come out of order
+    inst = make_instance([(1, 0, 0), (2, 0.47, 0), (3, 1.0, 0), (4, 1.6, 0)], P_UNIT, 16)
+    eng = PhysicsEngine(inst)
+    assert eng.deliver([1, 3]) == [(1, 2), (3, 4)]
+    assert eng.deliver([3, 1, 3]) == eng.deliver([1, 3])
+    assert eng.deliver([]) == []
+    none = np.zeros(0, dtype=np.intp)
+    assert [a.tolist() for a in eng.adjudicate(none, none)] == [[], []]
+
+
 def test_deliver_diluted_pair_both_deliver():
     # transmitters far apart: each reaches its own nearby listener
     inst = make_instance([(1, 0, 0), (2, 0.9, 0), (3, 12, 0), (4, 11.1, 0)], P_UNIT, 16)
@@ -433,7 +447,8 @@ def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     inst, member = layout
     eng = PhysicsEngine(inst)
     labels = eng.labels
-    rounds, senders, t, rx = eng.adjudicate(member)
+    rounds, senders = np.nonzero(member)
+    t, rx = eng.adjudicate(rounds, senders)
     batch = list(zip(rounds[t].tolist(), senders[t].tolist(), rx.tolist()))
     assert batch == sorted(batch)
     for row, mask in enumerate(member):
@@ -459,3 +474,36 @@ def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     if adjacency is not None:
         for u in labels:
             assert [v for _, v in eng.deliver([u])] == list(adjacency[u])
+
+
+@st.composite
+def _crowded_batches(draw):
+    """Up to 30 stations within 1.5 ranges of each other and 0-6 rounds of up
+    to 21 transmitters each (the token-holder box bound), so many in-range
+    listeners transmit in the same round."""
+    params = draw(st.sampled_from([P_UNIT, P_REPRO]))
+    side = 1.5 * broadcast_range(params)
+    n = draw(st.integers(1, 30))
+    points = draw(
+        st.lists(st.tuples(st.floats(0, side), st.floats(0, side)), min_size=n, max_size=n)
+    )
+    labels = draw(st.permutations(range(1, 33)))[:n]
+    inst = make_instance([(lab, x, y) for lab, (x, y) in zip(labels, points)], params, 32)
+    dist = distance_matrix(inst)
+    assume(np.all(dist[~np.eye(n, dtype=bool)] > 1e-3))
+    member = np.zeros((draw(st.integers(0, 6)), n), dtype=bool)
+    cap = min(21, n)
+    for row in member:
+        k = draw(st.one_of(st.just(cap), st.integers(0, cap)))
+        row[draw(st.permutations(range(n)))[:k]] = True
+    return inst, member
+
+
+@given(st.one_of(_engine_layouts(), _crowded_batches()))
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_the_dense_reference_bit_for_bit(layout):
+    inst, member = layout
+    eng = PhysicsEngine(inst)
+    rounds, senders, tx, rx = dense_adjudicate(eng, member)
+    got_tx, got_rx = eng.adjudicate(rounds, senders)
+    assert np.array_equal(got_tx, tx) and np.array_equal(got_rx, rx)

@@ -24,6 +24,7 @@ from sinrbackbone.protocol import (
 from sinrbackbone.selection import pair_index
 from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_checks
 
+from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
@@ -378,9 +379,9 @@ def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
     leader_election(sim)
     adjudicate = sim.engine.adjudicate
 
-    def deaf(member):
-        tx_row, tx_station, dl_tx, dl_rx = adjudicate(member)
-        return tx_row, tx_station, dl_tx[:0], dl_rx[:0]
+    def deaf(rounds, senders):
+        dl_tx, dl_rx = adjudicate(rounds, senders)
+        return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
     first = min(lab for lab, v in sim.views.items() if v.status == LEADER)
@@ -438,9 +439,9 @@ class _Recording(Simulator):
         self.batches = 0
         adjudicate = self.engine.adjudicate
 
-        def counted(member):
+        def counted(rounds, senders):
             self.batches += 1
-            return adjudicate(member)
+            return adjudicate(rounds, senders)
 
         self.engine.adjudicate = counted
 
@@ -482,6 +483,34 @@ def test_batched_executions_match_executions_run_one_at_a_time(make):
         assert [a.message(t) for t in range(len(a.transmissions))] == [
             b.message(t) for t in range(len(b.transmissions))
         ]
+
+
+def test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit():
+    inst = generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P)
+    sim = Simulator(inst)
+    eng = sim.engine
+    adjudicate = eng.adjudicate
+    n = len(eng.labels)
+    batches = []
+
+    def checked(rounds, senders):
+        got = adjudicate(rounds, senders)
+        member = np.zeros((rounds[-1] + 1 if len(rounds) else 0, n), dtype=bool)
+        member[rounds, senders] = True
+        ref_rounds, ref_senders, ref_tx, ref_rx = dense_adjudicate(eng, member)
+        # the transmissions come distinct and row-major
+        assert np.array_equal(rounds, ref_rounds) and np.array_equal(senders, ref_senders)
+        assert np.array_equal(got[0], ref_tx) and np.array_equal(got[1], ref_rx)
+        batches.append(int(np.bincount(rounds).max()) if len(rounds) else 0)
+        return got
+
+    eng.adjudicate = checked
+    leader_election(sim)
+    two_hop_connection(sim)
+    three_hop_connection(sim)
+    # leader election, neighborhood inform, two-hop, both sweeps and the
+    # announce all ran through the check, with rounds of several transmitters
+    assert len(batches) >= 6 and max(batches) > 1
 
 
 # ---------------------------------------------------------------------------
