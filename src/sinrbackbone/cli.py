@@ -20,6 +20,7 @@ from .errors import (
 )
 from .physical import (
     PhysicalInstance,
+    PhysicsEngine,
     SinrParams,
     broadcast_range,
     build_graph,
@@ -198,14 +199,15 @@ def run(config: RunConfig) -> int:
     else:
         raise ValueError("config needs an instance path or a generator spec")
 
-    graph = build_graph(inst)
+    engine = PhysicsEngine(inst)  # one engine for the graph and the run
+    graph = engine.graph()
     proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
     trace_path = os.path.join(config.out_dir, "trace.jsonl")
     if config.trace_mode == "off":
-        result = backbone_creation(inst, proto)
+        result = backbone_creation(inst, proto, engine=engine)
     else:
         with open(trace_path, "w", encoding="utf-8") as fh:
-            result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode))
+            result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
 
     verdicts = run_all_checks(
         result,
@@ -323,16 +325,17 @@ def sweep(
                 except RetryCapError:
                     side *= 0.88  # densify until connectivity is reachable
                     continue
-                cand_graph = build_graph(cand)
+                cand_engine = PhysicsEngine(cand)
+                cand_graph = cand_engine.graph()
                 gap = abs(cand_graph.delta - target)
                 if gap < best_gap:
-                    best, best_gap = (cand, cand_graph), gap
+                    best, best_gap = (cand, cand_engine, cand_graph), gap
                 if gap <= max(1, target // 8):
                     break  # within tolerance, so also the closest so far
                 side *= 0.95 if cand_graph.delta < target else 1.05
-            inst, graph = best
+            inst, engine, graph = best
             proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
-            result = backbone_creation(inst, proto)
+            result = backbone_creation(inst, proto, engine=engine)
             lg = math.log2(n_labels)
             c_r = result.rounds_used / (max(1, graph.delta) * lg * lg)
             fams = Families.for_run(inst, proto)

@@ -11,8 +11,10 @@ scheduled in lockstep at every node, so silent rounds (no transmitter
 anywhere) cannot change any node state and cost nothing; the global round
 counter still advances by the full family size. The non-silent rounds of
 consecutive executions whose transmitters are known in advance (a whole
-token-passing sweep, say) are adjudicated together, in one batch, and each
-execution is kept as one compact record until a trace asks for its rounds.
+token-passing sweep, say) are adjudicated together, in one batch; a run
+adjudicates each distinct transmitter schedule once, however often it
+recurs. Each execution is kept as one compact record until a trace asks for
+its rounds.
 """
 
 from __future__ import annotations
@@ -215,6 +217,26 @@ class Execution:
             sink.skip(self.phase, self.start + cursor, self.size - cursor)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class _Plan:
+    """What one execution schedule (family, slots, owners) produces,
+    whatever its messages: the Execution arrays, the slots each
+    transmission carries and who heard whom. Executions that share the
+    schedule share the plan."""
+
+    rounds: np.ndarray
+    transmissions: np.ndarray
+    deliveries: np.ndarray
+    senders: list[int]  # the label of each transmission
+    # transmission t carries the slots at positions
+    # carried_k[carried_at[t] : carried_at[t + 1]]
+    carried_at: list[int]
+    carried_k: list[int]
+    widest: int  # the transmission carrying the most slots
+    heard_pos: tuple[int, ...]  # the distinct (slot position, listener
+    heard_label: tuple[int, ...]  # label) pairs heard, sorted
+
+
 class Sink(Protocol):
     """Receives every family execution of a run, in round order."""
 
@@ -295,10 +317,12 @@ class Simulator:
         inst: PhysicalInstance,
         config: ProtocolConfig = ProtocolConfig(),
         sink: Optional[Sink] = None,
+        engine: Optional[PhysicsEngine] = None,
     ):
+        """engine, if given, is a PhysicsEngine already built for inst."""
         self.inst = inst
         self.config = config
-        self.engine = PhysicsEngine(inst)
+        self.engine = engine if engine is not None else PhysicsEngine(inst)
         self.graph: CommGraph = self.engine.graph()
         self.sink = sink if sink is not None else CollectSink()
         self.round = 0
@@ -318,6 +342,7 @@ class Simulator:
         self.phase_snapshots: list[tuple[int, dict[int, str]]] = []
         self.token_records: list[TokenRecord] = []
         self._tp_runs = 0
+        self._plans: dict[tuple, _Plan] = {}  # see execute
 
     # -- family access ------------------------------------------------------
 
@@ -347,7 +372,7 @@ class Simulator:
         executions: Sequence[
             tuple[Sequence[int], Sequence[int], str, Callable[[int, list[int]], Message]]
         ],
-    ) -> Iterator[tuple[list[int], list[int]]]:
+    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         """Run consecutive full executions of one family as a single batch.
 
         Each execution is (slots, owners, phase, message). slots[k] is a
@@ -360,36 +385,86 @@ class Simulator:
         execution is recorded: a message grows with the slots it carries,
         so an oversized message fails the run as soon as it is scheduled.
 
-        Every execution's rounds are stacked into one batch, rows keyed by
-        (execution, set), and adjudicated once, when the returned iterator
-        is first advanced. Each slot membership is a (row, owner)
-        transmission; the distinct ones, sorted by row and then owner (with
-        sorted_distinct, as are the rows and the heard pairs), go to the
-        engine as index arrays. The iterator walks the
-        executions in order: advancing to one records it with the sink,
-        advances the round counter by the family size, and yields the
-        distinct (slot position, listener label) pairs heard in it, sorted.
-        So a caller must advance through every execution; it can stop
-        between two (by raising) with exactly the executions before it
-        recorded, and can build an execution's messages just before
-        advancing to it. Rounds whose set meets no slot are silent and cost
-        nothing.
+        Who transmits in which round, who hears whom and which slots each
+        transmission carries follow from the family, the slots and the
+        owners alone; only the messages differ between two executions that
+        share them. So each distinct schedule is planned once per run (see
+        _plan) and kept on the Simulator, keyed by the family's code
+        parameters (q, K, P), tuple(slots) and tuple(owners): the second
+        token-passing sweep, say, repeats the first one's schedules. The
+        schedules of a call that no earlier call planned are planned
+        together, each once, in one batch, when the returned iterator is
+        first advanced. The iterator walks the executions in order:
+        advancing to one records it with the sink, advances the round
+        counter by the family size, and yields the distinct (slot position,
+        listener label) pairs heard in it, sorted. So a caller must advance
+        through every execution; it can stop between two (by raising) with
+        exactly the executions before it recorded, and can build an
+        execution's messages just before advancing to it. Rounds whose set
+        meets no slot are silent and cost nothing.
+        """
+        plans = self._plans
+        code = (family.q, family.K, family.P)
+        keys = [
+            (code, tuple(slots), tuple(owners)) if len(slots) else None
+            for slots, owners, _p, _m in executions
+        ]
+        misses = list(dict.fromkeys(k for k in keys if k is not None and k not in plans))
+        if misses:
+            plans.update(zip(misses, self._plan(family, misses)))
+
+        size = family.size
+        for key, (_slots, _owners, phase, message) in zip(keys, executions):
+            if key is None:
+                self.skip_execution(family, phase)
+                yield (), ()
+                continue
+            plan = plans[key]
+            start = self.round
+            self.round += size
+
+            def tx_message(t: int, plan=plan, message=message) -> Message:
+                at = plan.carried_at
+                return message(plan.senders[t], plan.carried_k[at[t] : at[t + 1]])
+
+            tx_message(plan.widest)
+            self.sink.execution(
+                Execution(
+                    phase=phase,
+                    start=start,
+                    size=size,
+                    rounds=plan.rounds,
+                    transmissions=plan.transmissions,
+                    deliveries=plan.deliveries,
+                    message=tx_message,
+                )
+            )
+            yield plan.heard_pos, plan.heard_label
+
+    def _plan(self, family: SelectionFamily, schedules: Sequence[tuple]) -> list["_Plan"]:
+        """Plan distinct non-empty (code, slots, owners) schedules of one
+        family, adjudicating all their rounds in one batch.
+
+        The batch's rows are keyed by (schedule, set). Each slot membership
+        is a (row, owner) transmission; the distinct ones, sorted by row and
+        then owner (with sorted_distinct, as are the rows and the heard
+        pairs), go to the engine as index arrays.
         """
         eng = self.engine
         n = len(eng.labels)
         labels = eng.label_array
         size, P = family.size, family.P
-        counts = [len(slots) for slots, _o, _p, _m in executions]
+        counts = [len(slots) for _c, slots, _o in schedules]
         slot_at = list(accumulate(counts, initial=0))
-        slot = np.array([lab for slots, _o, _p, _m in executions for lab in slots], dtype=np.int64)
+        slot = np.array([lab for _c, slots, _o in schedules for lab in slots], dtype=np.int64)
         owner = np.array(
-            [eng.index[u] for _s, owners, _p, _m in executions for u in owners], dtype=np.intp
+            [eng.index[u] for _c, _s, owners in schedules for u in owners], dtype=np.intp
         )
-        slot_pos = np.arange(len(slot)) - np.repeat(slot_at[:-1], counts)  # within its execution
+        slot_pos = np.arange(len(slot)) - np.repeat(slot_at[:-1], counts)  # within its schedule
         # slot memberships, P per slot, each keyed by the transmission that
-        # carries it: (execution * size + set) * n + owner index
+        # carries it: (schedule * size + set) * n + owner index
         slot_k = np.repeat(np.arange(len(slot)), P)
-        keys = np.repeat(np.repeat(np.arange(len(executions)), counts) * size, P)
+        keys = np.repeat(np.repeat(np.arange(len(schedules)), counts) * size, P)
         keys += family.rounds_for(slot).reshape(-1)
         keys *= n
         keys += owner[slot_k]
@@ -404,7 +479,6 @@ class Simulator:
         by_tx = slot_tx.argsort(kind="stable")
         carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_key) + 1))
         carried_k = slot_pos[slot_k[by_tx]].tolist()
-        carried_at_list = carried_at.tolist()
         carried = carried_at[1:] - carried_at[:-1]
         # the distinct (slot, listener) pairs heard, sorted: every listener
         # of the transmission that carries each slot membership
@@ -418,10 +492,10 @@ class Simulator:
         heard_pos = slot_pos[heard_k].tolist()
         heard_label = labels[heard % n].tolist()
 
-        # each execution's records: rows, transmissions and deliveries,
+        # each schedule's records: rows, transmissions and deliveries,
         # numbered from its own first row
         row_exe = rows // size
-        row_at = row_exe.searchsorted(np.arange(len(executions) + 1))
+        row_at = row_exe.searchsorted(np.arange(len(schedules) + 1))
         local_row = np.arange(len(rows)) - row_at[row_exe]
         tx_label = labels[tx_station]
         all_rounds = (rows % size).astype(np.int32)
@@ -431,37 +505,26 @@ class Simulator:
         ).astype(np.int32)
         tx_at = tx_row.searchsorted(row_at)
         dl_ex_at = dl_at[tx_at].tolist()
+        widest = [
+            int(np.argmax(carried[t0:t1])) for t0, t1 in zip(tx_at[:-1], tx_at[1:])
+        ]
+        carried_at_list = carried_at.tolist()
         tx_label_list = tx_label.tolist()
         row_at, tx_at = row_at.tolist(), tx_at.tolist()
-
-        for e, (_slots, _owners, phase, message) in enumerate(executions):
-            if not counts[e]:
-                self.skip_execution(family, phase)
-                yield [], []
-                continue
-            start = self.round
-            self.round += size
-            t0, t1 = tx_at[e], tx_at[e + 1]
-
-            def tx_message(t: int, t0=t0, message=message) -> Message:
-                t += t0
-                ks = carried_k[carried_at_list[t] : carried_at_list[t + 1]]
-                return message(tx_label_list[t], ks)
-
-            tx_message(int(np.argmax(carried[t0:t1])))
-            self.sink.execution(
-                Execution(
-                    phase=phase,
-                    start=start,
-                    size=size,
-                    rounds=all_rounds[row_at[e] : row_at[e + 1]],
-                    transmissions=all_tx[t0:t1],
-                    deliveries=all_dl[dl_ex_at[e] : dl_ex_at[e + 1]],
-                    message=tx_message,
-                )
+        return [
+            _Plan(
+                rounds=all_rounds[row_at[e] : row_at[e + 1]],
+                transmissions=all_tx[tx_at[e] : tx_at[e + 1]],
+                deliveries=all_dl[dl_ex_at[e] : dl_ex_at[e + 1]],
+                senders=tx_label_list[tx_at[e] : tx_at[e + 1]],
+                carried_at=carried_at_list[tx_at[e] : tx_at[e + 1] + 1],
+                carried_k=carried_k,
+                widest=widest[e],
+                heard_pos=tuple(heard_pos[heard_at[e] : heard_at[e + 1]]),
+                heard_label=tuple(heard_label[heard_at[e] : heard_at[e + 1]]),
             )
-            h0, h1 = heard_at[e], heard_at[e + 1]
-            yield heard_pos[h0:h1], heard_label[h0:h1]
+            for e in range(len(schedules))
+        ]
 
     def ssf_broadcast(
         self, family: SelectionFamily, executions: Sequence[tuple[Mapping[int, Message], str]]
@@ -680,9 +743,9 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
             specs.append((labs, labs, phase, lambda u, _ks, e=len(specs): sent[e][u]))
     steps = sim.execute(fam, specs)
 
-    def advance(messages: Mapping[int, Message]) -> tuple[list[int], list[int]]:
+    def advance(messages: Mapping[int, Message]) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Record the next execution, sending messages; who heard whom in
-        it, as (sender position, listener) lists."""
+        it, as (sender position, listener) tuples."""
         sent.append(messages)
         return next(steps)
 
@@ -816,10 +879,12 @@ def backbone_creation(
     inst: PhysicalInstance,
     config: ProtocolConfig = ProtocolConfig(),
     sink: Optional[Sink] = None,
+    engine: Optional[PhysicsEngine] = None,
 ) -> BackboneResult:
     """Run leader election, two-hop and three-hop connection; assemble the
-    backbone (leaders plus helpers and the edges realizing each assignment)."""
-    sim = Simulator(inst, config, sink)
+    backbone (leaders plus helpers and the edges realizing each assignment).
+    engine, if given, is a PhysicsEngine already built for inst."""
+    sim = Simulator(inst, config, sink, engine)
     leader_election(sim)
     two_hop_connection(sim)
     three_hop_connection(sim)

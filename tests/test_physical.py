@@ -507,3 +507,54 @@ def test_engine_matches_the_dense_reference_bit_for_bit(layout):
     rounds, senders, tx, rx = dense_adjudicate(eng, member)
     got_tx, got_rx = eng.adjudicate(rounds, senders)
     assert np.array_equal(got_tx, tx) and np.array_equal(got_rx, rx)
+
+
+# The sender's x, bisected so that its signal at the listener sits midway
+# between the SINR thresholds of the two summation orders of _edge_layout:
+# about 15 ulps from each.
+EDGE_SENDER_X = 0.9277741910336122
+
+
+def _edge_layout(faint_first):
+    """A listener at the origin, the sender on the x axis, one interferer
+    of gain about 1 and 200 faint ones far away, each of gain below half an
+    ulp of 1: added to a sum of 1 or more they vanish, added to each other
+    first they do not. With faint_first their labels come before the other
+    stations', else after. Returns the instance, the sender and the
+    listener."""
+    faint = [(11000.0 + 10.0 * i, 3000.0) for i in range(200)]
+    if faint_first:
+        labs, (near, sender, listener) = range(1, 201), (201, 202, 203)
+    else:
+        labs, (sender, near, listener) = range(4, 204), (1, 2, 3)
+    stations = [(lab, x, y) for lab, (x, y) in zip(labs, faint)]
+    stations += [(near, 0.0, 1.1), (sender, EDGE_SENDER_X, 0.0), (listener, 0.0, 0.0)]
+    return make_instance(stations, P_UNIT, 203), sender, listener
+
+
+def _verdict(eng, sender, listener, gains, noise_first=False):
+    """The scalar SINR test with the round's gains summed in the given
+    order: signal >= (sum + noise - signal) * beta, from 0.0 or noise."""
+    signal = eng.gain[eng.index[sender], eng.index[listener]]
+    total = eng.noise if noise_first else 0.0
+    for g in gains:
+        total += g
+    if not noise_first:
+        total += eng.noise
+    return bool(signal >= (total - signal) * eng.beta)
+
+
+@pytest.mark.parametrize("faint_first", [True, False], ids=["faint-first", "faint-last"])
+def test_interference_is_summed_in_ascending_label_order(faint_first):
+    inst, sender, listener = _edge_layout(faint_first)
+    eng = PhysicsEngine(inst)
+    senders = np.array([eng.index[lab] for lab in eng.labels if lab != listener])
+    gains = eng.gain[senders, eng.index[listener]].tolist()  # ascending labels
+    ascending = _verdict(eng, sender, listener, gains)
+    # the fixture sits where the order decides the verdict
+    assert ascending != _verdict(eng, sender, listener, gains[::-1])
+    if faint_first:
+        assert ascending != _verdict(eng, sender, listener, gains, noise_first=True)
+    tx, rx = eng.adjudicate(np.zeros_like(senders), senders)
+    heard = set(zip(eng.label_array[senders[tx]].tolist(), eng.label_array[rx].tolist()))
+    assert ((sender, listener) in heard) == ascending

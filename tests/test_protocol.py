@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -428,6 +429,18 @@ def test_token_holder_box_bound():
         assert all(v <= 21 for v in per_box.values())
 
 
+def _assert_same_execution(a, b):
+    assert (a.phase, a.start, a.size) == (b.phase, b.start, b.size)
+    for name in ("rounds", "transmissions", "deliveries"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), (a.phase, name)
+    assert (a.message is None) == (b.message is None)
+    if a.message is not None:
+        assert [a.message(t) for t in range(len(a.transmissions))] == [
+            b.message(t) for t in range(len(b.transmissions))
+        ]
+
+
 class _Recording(Simulator):
     """Keeps each execution's pairs and counts adjudications; with
     one_by_one, runs every batch of executions as lists of one."""
@@ -476,13 +489,7 @@ def test_batched_executions_match_executions_run_one_at_a_time(make):
     assert batched.token_records == single.token_records
     assert len(batched.sink.executions) == len(single.sink.executions)
     for a, b in zip(batched.sink.executions, single.sink.executions):
-        assert (a.phase, a.start, a.size) == (b.phase, b.start, b.size)
-        for name in ("rounds", "transmissions", "deliveries"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), (a.phase, name)
-        assert [a.message(t) for t in range(len(a.transmissions))] == [
-            b.message(t) for t in range(len(b.transmissions))
-        ]
+        _assert_same_execution(a, b)
 
 
 def test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit():
@@ -508,9 +515,92 @@ def test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit():
     leader_election(sim)
     two_hop_connection(sim)
     three_hop_connection(sim)
-    # leader election, neighborhood inform, two-hop, both sweeps and the
-    # announce all ran through the check, with rounds of several transmitters
+    # leader election, neighborhood inform, two-hop, the first sweep and the
+    # announce ran through the check, with rounds of several transmitters;
+    # the second sweep's schedules came from the run's plans (see the test
+    # below)
     assert len(batches) >= 6 and max(batches) > 1
+
+
+class _Scheduled(Simulator):
+    """Keeps the family, slots and owners of each non-silent execution, in
+    record order; with reuse=False, plans every execution afresh."""
+
+    def __init__(self, inst, reuse):
+        super().__init__(inst)
+        self.reuse = reuse
+        self.schedules = []
+
+    def execute(self, family, executions):
+        self.schedules += [(family, slots, owners) for slots, owners, *_ in executions if slots]
+        for batch in [executions] if self.reuse else [[ex] for ex in executions]:
+            if not self.reuse:
+                self._plans.clear()
+            yield from super().execute(family, batch)
+
+
+def _dense_records(eng, family, slots, owners):
+    """rounds, transmissions and deliveries of one execution, as the dense
+    reference engine adjudicates its membership matrix."""
+    labels = eng.label_array
+    member = np.zeros((family.size, len(labels)), dtype=bool)
+    member[family.rounds_for(slots), np.array([eng.index[u] for u in owners])[:, None]] = True
+    rows = np.flatnonzero(member.any(axis=1))
+    rounds, senders, tx, rx = dense_adjudicate(eng, member[rows])
+    return (
+        rows.astype(np.int32),
+        np.column_stack([rounds, labels[senders]]).astype(np.int32),
+        np.column_stack([rounds[tx], labels[senders[tx]], labels[rx]]).astype(np.int32),
+    )
+
+
+def test_every_reused_plan_matches_fresh_plans_and_the_dense_engine():
+    inst = generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P)
+    runs = []
+    for reuse in (True, False):
+        sim = _Scheduled(inst, reuse)
+        leader_election(sim)
+        two_hop_connection(sim)
+        three_hop_connection(sim)
+        runs.append(sim)
+    reused, fresh = runs
+    assert len(reused._plans) < len(reused.schedules)  # some executions were served
+    assert reused.token_records == fresh.token_records
+    assert len(reused.sink.executions) == len(fresh.sink.executions)
+    for a, b in zip(reused.sink.executions, fresh.sink.executions):
+        _assert_same_execution(a, b)
+    recorded = [ex for ex in reused.sink.executions if ex.message is not None]
+    assert len(recorded) == len(reused.schedules)
+    for ex, schedule in zip(recorded, reused.schedules):
+        want = _dense_records(reused.engine, *schedule)
+        for name, y in zip(("rounds", "transmissions", "deliveries"), want):
+            x = getattr(ex, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (ex.phase, name)
+
+
+def test_plans_are_keyed_by_owners_and_family_code():
+    # slots 1 and 2 sent by three pairs of stations, and on two families
+    inst = make_instance([(lab, 0.45 * lab, 0.3 * (lab % 2)) for lab in range(1, 7)], P, 64)
+    sim = Simulator(inst)
+    ssf, pair = sim.base_ssf(), sim.pair_ssf()
+    assert (ssf.q, ssf.K, ssf.P) != (pair.q, pair.K, pair.P)
+
+    def spec(owners, phase):
+        return ([1, 2], owners, phase, lambda u, ks: sim.msg("slot", (u, *ks)))
+
+    calls = [
+        (ssf, [spec([1, 2], "a"), spec([3, 4], "b")]),  # one call, other owners
+        (ssf, [spec([5, 6], "c"), spec([3, 4], "d")]),  # a later call
+        (pair, [spec([1, 2], "e")]),  # same slots and owners, other family
+    ]
+    heard = [h for family, specs in calls for h in sim.execute(family, specs)]
+    expected = [(family, s) for family, specs in calls for s in specs]
+    for ex, h, (family, s) in zip(sim.sink.executions, heard, expected):
+        alone = Simulator(inst)
+        assert list(alone.execute(family, [s])) == [h]
+        (want,) = alone.sink.executions
+        _assert_same_execution(ex, dataclasses.replace(want, start=ex.start))
+    assert len(sim._plans) == 4  # "d" was served
 
 
 # ---------------------------------------------------------------------------
