@@ -35,7 +35,7 @@ from .protocol import (
     RoundTrace,
     backbone_creation,
 )
-from .verify import run_all_checks
+from .verify import EXACT_CAP, run_all_checks
 
 DEFAULT_PARAMS = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)
 
@@ -57,11 +57,7 @@ class RunConfig:
     generator: Optional[GeneratorSpec] = None
     demo: bool = True
     demo_c: int = 4
-    degree_bound: Optional[int] = None
-    diameter_factor: float = 3.0
-    diameter_slack: int = 4
-    size_factor: float = 6.0
-    exact_cap: int = 14
+    exact_cap: int = EXACT_CAP
     out_dir: str = "out"
     trace_mode: str = "compact"  # compact | full | off
 
@@ -209,16 +205,7 @@ def run(config: RunConfig) -> int:
         with open(trace_path, "w", encoding="utf-8") as fh:
             result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
 
-    verdicts = run_all_checks(
-        result,
-        inst,
-        graph,
-        degree_bound=config.degree_bound,
-        diameter_factor=config.diameter_factor,
-        diameter_slack=config.diameter_slack,
-        size_factor=config.size_factor,
-        exact_cap=config.exact_cap,
-    )
+    verdicts = run_all_checks(result, inst, graph, exact_cap=config.exact_cap)
     lg = max(1.0, math.log2(inst.n_labels))
     report = {
         "version": __version__,
@@ -458,14 +445,10 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--demo-c", type=int, default=4)
     r.add_argument("--out-dir", default="out")
     r.add_argument("--trace-mode", choices=("compact", "full", "off"), default="compact")
-    r.add_argument("--degree-bound", type=int, default=None)
-    r.add_argument("--diameter-factor", type=float, default=3.0)
-    r.add_argument("--diameter-slack", type=int, default=4)
-    r.add_argument("--size-factor", type=float, default=6.0)
     r.add_argument(
         "--exact-cap",
         type=int,
-        default=14,
+        default=EXACT_CAP,
         help="largest n whose size ratio is taken against the exact minimum CDS",
     )
     _add_param_flags(r)
@@ -508,10 +491,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ),
                 demo=args.demo,
                 demo_c=_demo_c_from(args),
-                degree_bound=args.degree_bound,
-                diameter_factor=args.diameter_factor,
-                diameter_slack=args.diameter_slack,
-                size_factor=args.size_factor,
                 exact_cap=args.exact_cap,
                 out_dir=args.out_dir,
                 trace_mode=args.trace_mode,

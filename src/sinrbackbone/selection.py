@@ -23,12 +23,14 @@ one construction serves every family. Membership is arithmetic: no matrix
 is held, even over 2^20 pair labels.
 
 `certify` checks a family's selection property without reading how it was
-built, so the tests use it as the oracle for the construction. It is exact
-wherever tractable: by subset enumeration when the subset space is small,
-and otherwise (for label spaces up to EXACT_LABEL_CUTOFF) by a per-element
-cover argument: element e is isolated in every admissible subset iff the
-sets containing e admit no small hitting set avoiding e. Larger spaces get
-seeded random spot-checks.
+built, so the tests use it as the oracle for the construction. For label
+spaces up to EXACT_LABEL_CUTOFF it first tries the codes' own counting
+argument on the membership alone: with G = M M^T over the (labels x sets)
+0/1 matrix M, diag(G) counts each label's sets and the off-diagonal its
+shared sets with each other label, so min diag(G) > (c-1) max offdiag(G)
+leaves every label a set that c-1 others cannot all reach. That certificate
+is sound but not complete; when it declines, the subset space is enumerated
+if it is small, and otherwise seeded random spot-checks run.
 
 Enumeration and spot-checks share one batched kernel. The labels of a batch
 of subsets are turned into label-major uint64 words (bit j of a label's word
@@ -47,27 +49,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import blake2b
 from itertools import chain, combinations, islice
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 ENUM_CUTOFF = 10**6  # exhaustive subset-enumeration budget
-EXACT_LABEL_CUTOFF = 64  # per-element exact proof forced up to this label space
+EXACT_LABEL_CUTOFF = 64  # counting certificate tried up to this label space
 SAMPLES = 100_000  # spot-check subsets
 CHUNK_WORDS = 1 << 18  # uint64 words per batched isolation check (2 MB)
-NODE_CAP = 5_000_000
 
 
 def derive_seed(base: int, *tags: object) -> int:
     """Stable 63-bit seed derived from a base seed and a tag tuple."""
     h = blake2b(repr((int(base),) + tags).encode("ascii"), digest_size=8)
     return int.from_bytes(h.digest(), "big") >> 1
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    """Bool array -> int with bit i equal to bits[i]."""
-    packed = np.packbits(bits, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
 
 
 # ---------------------------------------------------------------------------
@@ -184,16 +179,6 @@ class SelectionFamily:
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.set_members(j) for j in range(self.size))
 
-    def label_rows(self) -> dict[int, int]:
-        """label -> int with bit j set iff the label is in set j."""
-        member = self.membership(np.arange(1, self.n_labels + 1))
-        return {lab + 1: _bits_to_int(row) for lab, row in enumerate(member)}
-
-    def set_masks(self) -> list[int]:
-        """Per set: int with bit (label-1) set iff the label is a member."""
-        member = self.membership(np.arange(1, self.n_labels + 1))
-        return [_bits_to_int(col) for col in member.T]
-
 
 def _code(kind: str, n_labels: int, strength: int, **params) -> SelectionFamily:
     """The code of an (n_labels, strength)-ssf, labelled with kind and params."""
@@ -239,154 +224,19 @@ def pair_unindex(idx: int, n_labels: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Certification oracle: exact per-element proof.
+# Certification oracle: the counting certificate.
 
 
-def _greedy_hitting(masks: Sequence[int]) -> list[int]:
-    """Greedy hitting set over label-bitmask sets; returns bit positions."""
-    remaining = list(masks)
-    chosen: list[int] = []
-    while remaining:
-        degree: dict[int, int] = {}
-        for sm in remaining:
-            x = sm
-            while x:
-                low = x & -x
-                lab = low.bit_length() - 1
-                degree[lab] = degree.get(lab, 0) + 1
-                x ^= low
-        best = min(degree, key=lambda lab: (-degree[lab], lab))
-        chosen.append(best)
-        bit = 1 << best
-        remaining = [sm for sm in remaining if not (sm & bit)]
-    return chosen
-
-
-def _greedy_packing(masks: Sequence[int], target: int) -> int:
-    """Count of pairwise-disjoint sets found greedily, capped at target."""
-    count = 0
-    used = 0
-    for sm in sorted(masks, key=lambda s: s.bit_count()):
-        if sm and not (sm & used):
-            used |= sm
-            count += 1
-            if count >= target:
-                break
-    return count
-
-
-class _NodeBudgetExceeded(Exception):
-    pass
-
-
-def _decide_hitting(
-    masks: list[int], budget: int, node_cap: int
-) -> Optional[list[int]]:
-    """Find a hitting set of size <= budget over label-bitmask sets, or prove
-    none exists (None).
-
-    Branch and bound: branch on the labels of a smallest unhit set (any
-    hitting set must intersect it), ordered by how many remaining sets each
-    label would hit; prune by the pigeonhole bound budget * max_degree.
-    """
-    nsets = len(masks)
-    if nsets == 0:
-        return []
-    if budget <= 0:
-        return None
-    hits: dict[int, int] = {}
-    set_labels: list[list[int]] = []
-    for idx, sm in enumerate(masks):
-        labs = []
-        x = sm
-        while x:
-            low = x & -x
-            lab = low.bit_length() - 1
-            labs.append(lab)
-            hits[lab] = hits.get(lab, 0) | (1 << idx)
-            x ^= low
-        set_labels.append(labs)
-    order_by_size = sorted(range(nsets), key=lambda i: len(set_labels[i]))
-    full = (1 << nsets) - 1
-    max_deg_static = max((h.bit_count() for h in hits.values()), default=0)
-    nodes = 0
-    infeasible: dict[int, int] = {}  # remaining-mask -> largest budget proven hopeless
-
-    def rec(rem: int, budget: int) -> Optional[list[int]]:
-        nonlocal nodes
-        if rem == 0:
-            return []
-        if budget == 0:
-            return None
-        if infeasible.get(rem, -1) >= budget:
-            return None
-        nodes += 1
-        if nodes > node_cap:
-            raise _NodeBudgetExceeded
-        if budget * max_deg_static < rem.bit_count():
-            return None
-        branch = next(i for i in order_by_size if rem & (1 << i))
-        cand = sorted(
-            set_labels[branch],
-            key=lambda lab: (-(hits[lab] & rem).bit_count(), lab),
-        )
-        for lab in cand:
-            sol = rec(rem & ~hits[lab], budget - 1)
-            if sol is not None:
-                return [lab] + sol
-        if len(infeasible) < 1_000_000 and budget > infeasible.get(rem, -1):
-            infeasible[rem] = budget
-        return None
-
-    return rec(full, budget)
-
-
-def _element_cover_check(
-    rows: dict[int, int],
-    set_masks: list[int],
-    c: int,
-    node_cap: int,
-) -> tuple[set[int], Optional[tuple[int, ...]]]:
-    """Exact per-element ssf check via hitting sets.
-
-    Element e is isolated in every subset of size <= c containing it iff the
-    family holds the singleton {e}, or the sets containing e (e removed)
-    admit no hitting set of at most c-1 other labels. Returns the set of
-    elements proven good plus the first counterexample subset found, if any.
-    """
-    good: set[int] = set()
-    for e in sorted(rows):
-        e_bit = 1 << (e - 1)
-        row = rows[e]
-        if row == 0:
-            return good, (e,)
-        fe = []
-        singleton = False
-        x = row
-        while x:
-            low = x & -x
-            j = low.bit_length() - 1
-            sm = set_masks[j] & ~e_bit
-            if sm == 0:
-                singleton = True
-                break
-            fe.append(sm)
-            x ^= low
-        if singleton:
-            good.add(e)
-            continue
-        if _greedy_packing(fe, c) >= c:
-            good.add(e)
-            continue
-        greedy = _greedy_hitting(fe)
-        if len(greedy) <= c - 1:
-            return good, tuple(sorted([e] + [lab + 1 for lab in greedy]))
-        sol = _decide_hitting(fe, c - 1, node_cap)
-        if sol is None:
-            good.add(e)
-        else:
-            return good, tuple(sorted([e] + [lab + 1 for lab in sol]))
-    return good, None
+def _counting_certificate(family: SelectionFamily, c: int) -> bool:
+    """True if min diag(G) > (c-1) max offdiag(G), G = M M^T over the 0/1
+    membership rows M of every label: each label then has a set that no c-1
+    others cover, so the family is (N, c)-strongly selective. False proves
+    nothing."""
+    member = family.membership(np.arange(1, family.n_labels + 1)).astype(np.float32)
+    gram = member @ member.T  # 0/1 float32 products are exact below 2^24
+    fewest = gram.diagonal().min()
+    np.fill_diagonal(gram, 0.0)
+    return bool(fewest > (c - 1) * gram.max())
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +378,15 @@ def certify(
     exact_label_cutoff: int = EXACT_LABEL_CUTOFF,
     samples: int = SAMPLES,
     sample_seed: int = 0,
-    node_cap: int = NODE_CAP,
 ) -> CertifyResult:
     """Verify the family's selection property from its membership alone.
 
-    Exact ("exhaustive") verification runs when the label space is small
-    enough for the per-element cover proof, or when the subset space is
-    enumerable within the cutoff. Otherwise a seeded random spot-check runs
-    ("spot-checked").
+    An ssf-like family over at most `exact_label_cutoff` labels is first
+    tried on the counting certificate (`_counting_certificate`); a proof is
+    exact ("exhaustive"). Otherwise, or if the certificate declines, every
+    subset is enumerated when there are at most `enum_cutoff` of them
+    ("exhaustive", with the first failing subset in lexicographic order),
+    and failing that a seeded random spot-check runs ("spot-checked").
 
     The spot-check tests `samples` subsets of c labels (k for a selector
     with m < k), drawn by Floyd's algorithm from
@@ -546,19 +397,12 @@ def certify(
     seed = spot_seed(family, sample_seed)
     c_eff = family.selection_c
     if c_eff is not None:
-        if family.n_labels <= exact_label_cutoff:
-            try:
-                _, witness = _element_cover_check(
-                    family.label_rows(), family.set_masks(), c_eff, node_cap
-                )
-            except _NodeBudgetExceeded:
-                pass  # fall through to sampling
-            else:
-                return CertifyResult(witness is None, "exhaustive", witness)
-        elif math.comb(family.n_labels, c_eff) <= enum_cutoff:
-            witness = _enumerate(family, c_eff, c_eff)
-            return CertifyResult(witness is None, "exhaustive", witness)
+        if family.n_labels <= exact_label_cutoff and _counting_certificate(family, c_eff):
+            return CertifyResult(True, "exhaustive")
         k = min(c_eff, family.n_labels)
+        if math.comb(family.n_labels, k) <= enum_cutoff:
+            witness = _enumerate(family, k, k)
+            return CertifyResult(witness is None, "exhaustive", witness)
         witness = _spot_check(family, k, k, samples, seed)
         return CertifyResult(witness is None, "spot-checked", witness, samples)
 

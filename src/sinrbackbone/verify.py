@@ -33,6 +33,11 @@ from .protocol import BackboneResult
 
 Adjacency = Mapping[int, Sequence[int]]
 
+DIAMETER_FACTOR = 3.0  # backbone diameter <= factor * graph diameter + slack
+DIAMETER_SLACK = 4
+SIZE_FACTOR = 6.0  # c_s: backbone size <= c_s * minimum CDS size
+EXACT_CAP = 14  # largest n whose size ratio is taken against the exact minimum CDS
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -126,7 +131,9 @@ def is_dominating(adj: Adjacency, dom: set[int]) -> bool:
 # Exact and surrogate minimum connected dominating sets.
 
 
-def min_cds(adj: Adjacency, cap: int = 14, node_order: Optional[Sequence[int]] = None) -> set[int]:
+def min_cds(
+    adj: Adjacency, cap: int = EXACT_CAP, node_order: Optional[Sequence[int]] = None
+) -> set[int]:
     """Exact minimum connected dominating set by subset enumeration.
 
     node_order changes only the enumeration order (used to cross-check the
@@ -332,8 +339,8 @@ def check_constant_degree(
 def check_diameter(
     result: BackboneResult,
     graph: CommGraph,
-    factor: float = 3.0,
-    slack: int = 4,
+    factor: float = DIAMETER_FACTOR,
+    slack: int = DIAMETER_SLACK,
 ) -> Verdict:
     d_graph = diameter(graph.adjacency)
     sub = _backbone_adjacency(result, graph)
@@ -355,8 +362,8 @@ def check_diameter(
 def check_size_ratio(
     result: BackboneResult,
     graph: CommGraph,
-    c_s: float = 6.0,
-    exact_cap: int = 14,
+    c_s: float = SIZE_FACTOR,
+    exact_cap: int = EXACT_CAP,
 ) -> Verdict:
     members = set(result.leaders) | set(result.helpers)
     n = len(graph.adjacency)
@@ -413,18 +420,14 @@ def run_all_checks(
     inst: PhysicalInstance,
     graph: CommGraph,
     *,
-    degree_bound: Optional[int] = None,
-    diameter_factor: float = 3.0,
-    diameter_slack: int = 4,
-    size_factor: float = 6.0,
-    exact_cap: int = 14,
+    exact_cap: int = EXACT_CAP,
 ) -> list[Verdict]:
     return [
         check_dominating(result, graph),
         check_connected_backbone(result, graph),
-        check_constant_degree(result, graph, bound=degree_bound),
-        check_diameter(result, graph, factor=diameter_factor, slack=diameter_slack),
-        check_size_ratio(result, graph, c_s=size_factor, exact_cap=exact_cap),
+        check_constant_degree(result, graph),
+        check_diameter(result, graph),
+        check_size_ratio(result, graph, exact_cap=exact_cap),
         check_leader_grid(result, inst),
         check_bucket_coverage(graph, result.phase_snapshots, result.delta),
     ]

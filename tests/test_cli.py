@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from sinrbackbone import verify
 from sinrbackbone.cli import (
     DEFAULT_PARAMS,
     GeneratorSpec,
@@ -111,13 +112,13 @@ def test_run_forty_node_defaults(tmp_path):
     assert run(cfg) == 0
 
 
-def test_run_nonzero_exit_when_a_check_fails(tmp_path):
+def test_run_nonzero_exit_when_a_check_fails(tmp_path, monkeypatch):
     # exit status contract: 0 iff every verdict passes
+    monkeypatch.setattr(verify, "geometric_degree_bound", lambda: 0)  # forced negative
     cfg = RunConfig(
         generator=GeneratorSpec(n=12, arena_side=1.9, seed=31),
         out_dir=str(tmp_path / "out"),
         trace_mode="off",
-        degree_bound=0,  # forced negative
     )
     assert run(cfg) == 1
     report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -214,10 +215,22 @@ def test_exact_cap_moves_the_exact_cds_branch(tmp_path):
     assert metrics["exact"] == 1.0 and metrics["min_cds"] >= 1
 
 
-def test_force_exact_cds_flag_is_gone(tmp_path):
-    # --exact-cap is the one way to take the exact branch
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--force-exact-cds"],
+        ["--degree-bound", "0"],
+        ["--diameter-factor", "0"],
+        ["--diameter-slack", "0"],
+        ["--size-factor", "0"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_force_exact_cds_flag_is_gone(tmp_path, flag):
+    # --exact-cap is the one way to take the exact branch, and the other
+    # verification thresholds are verify's constants, not run flags
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--n", "20", "--force-exact-cds", "--out-dir", str(tmp_path / "o")])
+        main(["run", "--n", "20", *flag, "--out-dir", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
 

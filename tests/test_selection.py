@@ -243,6 +243,50 @@ def test_certify_passes_every_battery_and_sweep_family():
             assert res.mode == ("exhaustive" if exact else "spot-checked"), (fam, res)
 
 
+def _exactly_provable_families():
+    """Every family a demo-mode run over N = 64, 256 or 1024 builds for
+    degrees up to 30, and the pair ssf of N = 64: the label spaces whose
+    Gram matrix fits in memory."""
+    for n_labels in (64, 256, 1024):
+        for fam in _run_families(n_labels, range(1, 31)):
+            if fam.n_labels == n_labels:
+                yield fam
+    yield construct_ssf(64 * 64, 16)
+
+
+def test_every_run_family_is_proved_by_its_code():
+    # the code's premises, then an exact proof of the family from its
+    # membership alone, at every label space a run uses up to 4096
+    proved = set()
+    for fam in _exactly_provable_families():
+        q, K, P, c = fam.q, fam.K, fam.P, fam.selection_c
+        assert c is not None, fam  # every selector here has m >= k
+        if K == 1:
+            assert (q, P) == (fam.n_labels, 1), fam
+        else:
+            assert all(q % d for d in range(2, math.isqrt(q) + 1)), fam
+            assert P <= q and q**K >= fam.n_labels, fam
+            assert P == (c - 1) * (K - 1) + 1, fam
+        res = certify(fam, exact_label_cutoff=fam.n_labels)
+        assert res == CertifyResult(True, "exhaustive"), (fam, res)
+        proved.add(fam.n_labels)
+    assert proved == {64, 256, 1024, 4096}
+
+
+def test_certificate_declines_at_equality_and_enumeration_decides():
+    # one set {1, 2}: diag 1 = (c-1) * offdiag 1, and the pair {1, 2} is
+    # never split
+    fam = family_from_sets([(1, 2)], 2, c=2)
+    assert certify(fam) == CertifyResult(False, "exhaustive", (1, 2))
+
+
+def test_certificate_declines_on_an_ssf_that_enumeration_proves():
+    # label 4 is in one set, and labels 1-3 share one set pairwise, so the
+    # certificate declines; every pair is still split
+    fam = family_from_sets([(1, 2), (1, 3), (2, 3), (4,)], 4, c=2)
+    assert certify(fam) == CertifyResult(True, "exhaustive")
+
+
 @pytest.mark.parametrize("n_labels, samples", [(4096, SAMPLES), (2**20, 20_000)])
 def test_pair_families_pass_the_batched_spot_check(n_labels, samples):
     # the pair ssfs of N = 64 and N = 1024: the words of each batch's labels
@@ -367,8 +411,8 @@ def test_spot_checked_base_ssf_isolates_label_6_from_20_88_221():
     # the witnesses that random families built for N = 256 and 1024 once
     # failed: label 6 was never isolated from these three others
     for n_labels, others in ((256, (20, 88, 221)), (1024, (66, 237, 743))):
-        rows = construct_ssf(n_labels, 4).label_rows()
-        assert rows[6] & ~(rows[others[0]] | rows[others[1]] | rows[others[2]])
+        rows = construct_ssf(n_labels, 4).membership([6, *others])
+        assert (rows[0] & ~rows[1:].any(axis=0)).any()
 
 
 # ---------------------------------------------------------------------------
