@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -10,6 +11,8 @@ import random
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
+
+import numpy as np
 
 from . import __version__
 from .errors import (
@@ -31,8 +34,8 @@ from .physical import (
 from .protocol import (
     Execution,
     Families,
+    Message,
     ProtocolConfig,
-    RoundTrace,
     backbone_creation,
 )
 from .verify import EXACT_CAP, run_all_checks
@@ -113,53 +116,73 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 
 class FileSink:
     """Streams one JSON record per round (full), or one per non-silent round
-    and one per span of silent rounds (compact). Keeps no records."""
+    and one per span of silent rounds (compact). Keeps no records.
+
+    Each execution is written with one call, emit() or skip(), straight
+    from its arrays: a record's sorted-key JSON is assembled from string
+    templates, byte for byte what json.dumps(..., sort_keys=True) writes."""
 
     def __init__(self, fh: TextIO, mode: str):
         self.fh = fh
         self.mode = mode
 
     def execution(self, ex: Execution) -> None:
-        ex.replay(self)
+        if ex.message is None:
+            self.skip(ex.phase, ex.start, ex.size)
+        else:
+            self.emit(ex)
 
-    def emit(self, trace: RoundTrace) -> None:
-        self.fh.write(
-            json.dumps(
-                {
-                    "round": trace.round,
-                    "phase": trace.phase,
-                    "transmitters": [
-                        {"label": lab, "kind": m.kind, "payload": _payload_json(m.payload)}
-                        for lab, m in trace.transmitters
-                    ],
-                    "deliveries": [[s, r] for s, r in trace.deliveries],
-                },
-                sort_keys=True,
+    def emit(self, ex: Execution) -> None:
+        """Write a non-silent execution: one record per non-silent round,
+        with its silent stretches in between as skip() writes them."""
+        phase = json.dumps(ex.phase)
+        rows = np.arange(len(ex.rounds) + 1)
+        tx_at = ex.transmissions[:, 0].searchsorted(rows).tolist()
+        dl_at = ex.deliveries[:, 0].searchsorted(rows).tolist()
+        senders = ex.transmissions[:, 1].tolist()
+        pairs = ex.deliveries[:, 1:].tolist()
+        mid = f', "phase": {phase}, "round": '
+        # a sender repeats its message in every round of its set, so each
+        # distinct message's JSON, around the sender's label, is built once
+        around: dict[Message, tuple[str, str]] = {}
+        parts = []
+        cursor = 0
+        for row, j in enumerate(ex.rounds.tolist()):
+            if j > cursor:
+                parts.append(self._silent(phase, ex.start + cursor, j - cursor))
+            transmitters = []
+            for t in range(tx_at[row], tx_at[row + 1]):
+                m = ex.message(t)
+                text = around.get(m)
+                if text is None:
+                    text = around[m] = (
+                        f'{{"kind": {json.dumps(m.kind)}, "label": ',
+                        f', "payload": {json.dumps(m.payload)}}}',
+                    )
+                transmitters.append(f"{text[0]}{senders[t]}{text[1]}")
+            # str() of a list of int pairs is its JSON text
+            parts.append(
+                f'{{"deliveries": {pairs[dl_at[row] : dl_at[row + 1]]}{mid}{ex.start + j}'
+                f', "transmitters": [{", ".join(transmitters)}]}}\n'
             )
-            + "\n"
-        )
+            cursor = j + 1
+        if ex.size > cursor:
+            parts.append(self._silent(phase, ex.start + cursor, ex.size - cursor))
+        self.fh.write("".join(parts))
 
     def skip(self, phase: str, start_round: int, count: int) -> None:
+        """Write count silent rounds from start_round on."""
+        self.fh.write(self._silent(json.dumps(phase), start_round, count))
+
+    def _silent(self, phase: str, start_round: int, count: int) -> str:
+        """The records of count silent rounds; phase is already JSON."""
         if self.mode == "full":
-            # silent-round records differ only in the round number, so the
-            # sorted-key JSON is built once around it
-            head = f'{{"deliveries": [], "phase": {json.dumps(phase)}, "round": '
+            # silent-round records differ only in the round number
+            head = f'{{"deliveries": [], "phase": {phase}, "round": '
             tail = ', "transmitters": []}\n'
-            self.fh.write(
-                "".join(f"{head}{start_round + k}{tail}" for k in range(count))
-            )
-        else:
-            self.fh.write(
-                json.dumps(
-                    {"phase": phase, "round_start": start_round, "silent": count},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
-def _payload_json(payload):
-    return [list(x) if isinstance(x, tuple) else x for x in payload]
+            rounds = map(str, range(start_round, start_round + count))
+            return f"{head}{(tail + head).join(rounds)}{tail}"
+        return f'{{"phase": {phase}, "round_start": {start_round}, "silent": {count}}}\n'
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +223,9 @@ def run(config: RunConfig) -> int:
     proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
     trace_path = os.path.join(config.out_dir, "trace.jsonl")
     if config.trace_mode == "off":
+        # an earlier run's trace must not sit beside this run's report
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(trace_path)
         result = backbone_creation(inst, proto, engine=engine)
     else:
         with open(trace_path, "w", encoding="utf-8") as fh:

@@ -13,8 +13,9 @@ counter still advances by the full family size. The non-silent rounds of
 consecutive executions whose transmitters are known in advance (a whole
 token-passing sweep, say) are adjudicated together, in one batch; a run
 adjudicates each distinct transmitter schedule once, however often it
-recurs. Each execution is kept as one compact record until a trace asks for
-its rounds.
+recurs. Each execution is kept as one compact record of arrays: a sink
+either reads the arrays directly (the CLI's trace file is written from them)
+or expands them into one RoundTrace per non-silent round (Execution.traces).
 """
 
 from __future__ import annotations
@@ -167,7 +168,8 @@ class Execution:
     every other round of the family was silent. A transmission is a
     (row, station label) pair, where row indexes rounds; a delivery is a
     (row, sender label, receiver label) triple. Both are sorted.
-    message(t) is the message of the t-th transmission.
+    message(t) is the message of the t-th transmission. Sinks read these
+    arrays as they are; traces() expands them into round objects.
     """
 
     phase: str
@@ -202,19 +204,6 @@ class Execution:
                 ),
                 deliveries=tuple(map(tuple, pairs)),
             )
-
-    def replay(self, sink) -> None:
-        """Feed the execution to sink round by round: sink.emit() for each
-        non-silent round, sink.skip() for each span of silent ones."""
-        cursor = 0
-        for trace in self.traces():
-            j = trace.round - self.start
-            if j > cursor:
-                sink.skip(self.phase, self.start + cursor, j - cursor)
-            sink.emit(trace)
-            cursor = j + 1
-        if self.size > cursor:
-            sink.skip(self.phase, self.start + cursor, self.size - cursor)
 
 
 @dataclass(frozen=True, eq=False, slots=True)

@@ -1,12 +1,14 @@
 import hashlib
+import io
 import json
 import os
 
 import pytest
 
-from sinrbackbone import verify
+from sinrbackbone import cli, verify
 from sinrbackbone.cli import (
     DEFAULT_PARAMS,
+    FileSink,
     GeneratorSpec,
     RunConfig,
     generate,
@@ -14,10 +16,12 @@ from sinrbackbone.cli import (
     run,
     sweep,
 )
-from sinrbackbone.errors import RetryCapError
+from sinrbackbone.errors import RetryCapError, TokenDeliveryError
 from sinrbackbone.physical import build_graph, make_instance, save_instance
+from sinrbackbone.protocol import Simulator, backbone_creation, leader_election, token_passing
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
+from trace_reference import RoundWriter
 
 
 def test_generate_single_node():
@@ -199,6 +203,109 @@ def test_run_outputs_match_golden_digests(tmp_path, name, mode):
         for f in ("report.json", "trace.jsonl")
     }
     assert digest == {"report.json": report_digest, "trace.jsonl": trace_digests[mode]}
+
+
+# the runs whose traces FileSink must write exactly as the round-by-round
+# reference does, each with its maximum degree
+REFERENCE_RUNS = {
+    "n64": (GOLDEN["n64"][0], 4),
+    "n256": (GOLDEN["n256"][0], 5),
+    "n24": (GOLDEN["n24"][0], 7),
+    "n40-N1024": (GeneratorSpec(n=40, arena_side=4.0, seed=1, n_labels=1024), 11),
+    # the benchmark's cli-trace profile: n=40, maximum degree 12, N=64
+    "cli-trace": (GeneratorSpec(n=40, arena_side=4.0, seed=4), 12),
+}
+
+
+def _lost_grant_executions(monkeypatch) -> list:
+    """The executions of a run stopped by a lost token grant: every
+    delivery of token passing's first grant execution is dropped."""
+    sim = Simulator(generate(GeneratorSpec(n=16, arena_side=2.8, seed=5)))
+    leader_election(sim)
+    adjudicate = sim.engine.adjudicate
+
+    def deaf(rounds, senders):
+        dl_tx, dl_rx = adjudicate(rounds, senders)
+        return dl_tx[:0], dl_rx[:0]
+
+    monkeypatch.setattr(sim.engine, "adjudicate", deaf)
+    with pytest.raises(TokenDeliveryError):
+        token_passing(sim, {})
+    assert sim.sink.executions[-1].phase == "token-passing/run=0/i=1/grant"
+    return sim.sink.executions
+
+
+@pytest.mark.parametrize("name", [*REFERENCE_RUNS, "lost-grant"])
+def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
+    if name == "lost-grant":
+        executions = _lost_grant_executions(monkeypatch)
+    else:
+        spec, delta = REFERENCE_RUNS[name]
+        inst = generate(spec)
+        assert build_graph(inst).delta == delta
+        executions = backbone_creation(inst).traces.executions
+    for mode in ("full", "compact"):
+        written, expected = io.StringIO(), io.StringIO()
+        for sink in (FileSink(written, mode), RoundWriter(expected, mode)):
+            for ex in executions:
+                sink.execution(ex)
+        assert written.getvalue() == expected.getvalue(), mode
+
+
+@pytest.mark.parametrize("mode", ["full", "compact"])
+def test_every_trace_write_happens_inside_emit_or_skip(tmp_path, monkeypatch, mode):
+    # the benchmark times FileSink.emit and skip as the trace writing, so
+    # every byte of trace.jsonl must be written inside one of them
+    calls = {"emit": 0, "skip": 0}
+    inside: list[str] = []
+
+    def counting(name):
+        method = getattr(FileSink, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            inside.append(name)
+            try:
+                return method(self, *args)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(FileSink, name, counting(name))
+    written, outside = [], []
+
+    def opener(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.path.basename(path) == "trace.jsonl":
+            write = fh.write
+
+            def checked_write(text):
+                (written if inside else outside).append(text)
+                return write(text)
+
+            fh.write = checked_write
+        return fh
+
+    monkeypatch.setattr(cli, "open", opener, raising=False)
+    out = tmp_path / "out"
+    assert main(["run", "--n", "12", "--side", "2.6", "--trace-mode", mode, "--out-dir", str(out)]) == 0
+    assert calls["emit"] > 0 and calls["skip"] > 0
+    assert outside == []
+    assert "".join(written) == (out / "trace.jsonl").read_text()
+
+
+def test_trace_mode_off_removes_an_earlier_trace(tmp_path):
+    out = str(tmp_path / "d")
+    first = ["run", "--n", "12", "--side", "2.6", "--seed", "1", "--trace-mode", "full"]
+    assert main([*first, "--out-dir", out]) == 0
+    assert (tmp_path / "d" / "trace.jsonl").exists()
+    second = ["run", "--n", "16", "--side", "2.8", "--seed", "5", "--trace-mode", "off"]
+    assert main([*second, "--out-dir", out]) == 0
+    assert not (tmp_path / "d" / "trace.jsonl").exists()
+    report = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert (report["instance"]["n"], report["result"]["rounds_used"]) == (16, 11257)
 
 
 def _size_ratio(out) -> dict:

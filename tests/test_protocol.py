@@ -27,6 +27,7 @@ from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_ch
 
 from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
+from trace_reference import replay
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
 
@@ -90,7 +91,7 @@ class _RoundSink:
         self.calls = []
 
     def execution(self, ex):
-        ex.replay(self)
+        replay(ex, self)
 
     def emit(self, trace):
         self.calls.append(trace)

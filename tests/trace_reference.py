@@ -1,0 +1,65 @@
+"""The round-by-round trace writer that cli.FileSink must match byte for byte.
+
+replay() feeds one Execution to a sink round by round: emit() with a
+RoundTrace for each non-silent round, skip() for each stretch of silent
+ones. RoundWriter writes each of those calls as records of its own, every
+record with json.dumps(..., sort_keys=True), in the trace file's two modes:
+"full" (one record per round) and "compact" (one per non-silent round and
+one per stretch of silent rounds).
+"""
+
+import json
+
+
+def replay(ex, sink) -> None:
+    """Feed ex to sink round by round: sink.emit() for each non-silent
+    round, sink.skip() for each stretch of silent ones."""
+    cursor = 0
+    for trace in ex.traces():
+        j = trace.round - ex.start
+        if j > cursor:
+            sink.skip(ex.phase, ex.start + cursor, j - cursor)
+        sink.emit(trace)
+        cursor = j + 1
+    if ex.size > cursor:
+        sink.skip(ex.phase, ex.start + cursor, ex.size - cursor)
+
+
+def _payload_json(payload):
+    return [list(x) if isinstance(x, tuple) else x for x in payload]
+
+
+class RoundWriter:
+    """A trace sink that writes one json.dumps call per record."""
+
+    def __init__(self, fh, mode: str):
+        self.fh = fh
+        self.mode = mode
+
+    def execution(self, ex) -> None:
+        replay(ex, self)
+
+    def _write(self, record: dict) -> None:
+        self.fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+    def emit(self, trace) -> None:
+        self._write(
+            {
+                "round": trace.round,
+                "phase": trace.phase,
+                "transmitters": [
+                    {"label": lab, "kind": m.kind, "payload": _payload_json(m.payload)}
+                    for lab, m in trace.transmitters
+                ],
+                "deliveries": [[s, r] for s, r in trace.deliveries],
+            }
+        )
+
+    def skip(self, phase: str, start_round: int, count: int) -> None:
+        if self.mode == "full":
+            for r in range(start_round, start_round + count):
+                self._write(
+                    {"round": r, "phase": phase, "transmitters": [], "deliveries": []}
+                )
+        else:
+            self._write({"phase": phase, "round_start": start_round, "silent": count})
