@@ -30,7 +30,6 @@ from .protocol import (
     Message,
     NodeView,
     ProtocolConfig,
-    RoundTrace,
     Simulator,
     backbone_creation,
     leader_election,

@@ -207,7 +207,14 @@ def _family_report(fams: Families, delta: int) -> list[dict]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute the full pipeline; returns the process exit status."""
+    """Execute the full pipeline; returns the process exit status.
+
+    An earlier run's report and trace are removed first, so a run that
+    fails leaves none of them behind. instance.json stays: it may be the
+    instance this run loads."""
+    for name in ("report.json", "trace.jsonl"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(config.out_dir, name))
     if config.instance_path:
         inst = load_instance(config.instance_path)
         os.makedirs(config.out_dir, exist_ok=True)
@@ -223,9 +230,6 @@ def run(config: RunConfig) -> int:
     proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
     trace_path = os.path.join(config.out_dir, "trace.jsonl")
     if config.trace_mode == "off":
-        # an earlier run's trace must not sit beside this run's report
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(trace_path)
         result = backbone_creation(inst, proto, engine=engine)
     else:
         with open(trace_path, "w", encoding="utf-8") as fh:
@@ -278,6 +282,7 @@ def run(config: RunConfig) -> int:
 
 DEFAULT_SWEEP_LABELS = (64, 256, 1024)
 DEFAULT_SWEEP_DELTAS = (4, 8, 12, 16, 20, 24)
+SWEEP_SEED = 7  # each cell's generator seeds derive from this one
 SWEEP_PHASES = (
     "leader-election",
     "neighborhood-inform",
@@ -305,7 +310,6 @@ def sweep(
     config: RunConfig,
     n_labels_list: Sequence[int] = DEFAULT_SWEEP_LABELS,
     delta_targets: Sequence[int] = DEFAULT_SWEEP_DELTAS,
-    base_seed: int = 7,
 ) -> dict:
     """Round-complexity sweep: per-cell rounds_used, Delta and the fitted
     constant in rounds <= C_r * Delta * lg(N)^2, plus a stability summary.
@@ -329,7 +333,7 @@ def sweep(
                 spec = GeneratorSpec(
                     n=n_cell,
                     arena_side=side,
-                    seed=base_seed + 1000 * bump + 31 * target,
+                    seed=SWEEP_SEED + 1000 * bump + 31 * target,
                     n_labels=n_labels,
                     retry_cap=400,
                 )

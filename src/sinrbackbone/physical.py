@@ -84,12 +84,6 @@ class PhysicalInstance:
     def labels(self) -> tuple[int, ...]:
         return tuple(lab for lab, _ in self.stations)
 
-    def position(self, label: int) -> Position:
-        for lab, pos in self.stations:
-            if lab == label:
-                return pos
-        raise KeyError(label)
-
     def positions(self) -> dict[int, Position]:
         return {lab: pos for lab, pos in self.stations}
 
@@ -165,17 +159,10 @@ class GridIndex:
     side: float
     boxes: Mapping[int, tuple[int, int]]  # label -> (k, j)
 
-    def occupants(self) -> dict[tuple[int, int], list[int]]:
-        out: dict[tuple[int, int], list[int]] = {}
-        for lab in sorted(self.boxes):
-            out.setdefault(self.boxes[lab], []).append(lab)
-        return out
 
-
-def grid_index(inst: PhysicalInstance, side: float | None = None) -> GridIndex:
-    """Index stations by grid box; defaults to the pivotal grid."""
-    if side is None:
-        side = pivotal_side(inst.params)
+def grid_index(inst: PhysicalInstance) -> GridIndex:
+    """Index stations by box of the pivotal grid."""
+    side = pivotal_side(inst.params)
     return GridIndex(
         side=side,
         boxes={lab: grid_box(pos, side) for lab, pos in inst.stations},
@@ -257,7 +244,7 @@ class PhysicsEngine:
 
     def __init__(self, inst: PhysicalInstance):
         p = inst.params
-        self.range = broadcast_range(p)
+        reach = broadcast_range(p)
         self.labels = sorted(inst.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.label_array = np.array(self.labels)
@@ -268,7 +255,7 @@ class PhysicsEngine:
         path_loss = dist**p.alpha
         np.fill_diagonal(path_loss, np.inf)  # no station interferes with itself
         self.gain = p.power / path_loss
-        self.in_range = dist <= self.range
+        self.in_range = dist <= reach
         np.fill_diagonal(self.in_range, False)
         # in_range as a CSR list: station i's in-range stations, ascending,
         # are nbrs[nbr_at[i] : nbr_at[i + 1]], with those pairs' gains in
@@ -293,7 +280,7 @@ class PhysicsEngine:
             raise DisconnectedInstanceError(
                 f"communication graph on {len(labs)} stations is not connected"
             )
-        return CommGraph(adjacency=adj, range_used=self.range)
+        return CommGraph(adjacency=adj)
 
     def adjudicate(
         self, rounds: np.ndarray, senders: np.ndarray
@@ -375,23 +362,6 @@ class CommGraph:
     """Undirected communication graph on labels (weak link model)."""
 
     adjacency: Mapping[int, tuple[int, ...]]  # label -> sorted neighbor labels
-    range_used: float
-
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency))
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        for u in sorted(self.adjacency):
-            for v in self.adjacency[u]:
-                if u < v:
-                    out.append((u, v))
-        return tuple(out)
-
-    def degree(self, label: int) -> int:
-        return len(self.adjacency[label])
 
     @property
     def delta(self) -> int:
@@ -455,7 +425,11 @@ def _ring_sum(d: int, alpha: float) -> float:
     return total
 
 
-def derive_dilution(params: SinrParams, k: int = 21, d_cap: int = 64) -> DilutionConstants:
+DILUTION_K = 21  # transmitters allowed per pivotal box
+DILUTION_D_CAP = 64  # largest dilution constant searched
+
+
+def derive_dilution(params: SinrParams) -> DilutionConstants:
     """Smallest d such that diluted transmitters keep SINR >= beta at sqrt(2)x.
 
     A transmitter at the maximal pivotal-grid distance sqrt(2)x = range
@@ -468,12 +442,13 @@ def derive_dilution(params: SinrParams, k: int = 21, d_cap: int = 64) -> Dilutio
     which depends only on alpha, beta and eps.
     """
     factor = (1 + params.epsilon) * params.beta * 2 ** (params.alpha / 2)
-    for d in range(0, d_cap + 1):
+    k = DILUTION_K
+    for d in range(0, DILUTION_D_CAP + 1):
         s = _ring_sum(d, params.alpha)
         if factor * s <= params.epsilon:
             return DilutionConstants(d=d, k=k, c=k * k * (2 * d + 1) ** 2)
     raise NoDilutionError(
-        f"no dilution constant up to d={d_cap} satisfies the ring bound "
+        f"no dilution constant up to d={DILUTION_D_CAP} satisfies the ring bound "
         f"(alpha={params.alpha}, beta={params.beta}, epsilon={params.epsilon})"
     )
 

@@ -13,9 +13,8 @@ counter still advances by the full family size. The non-silent rounds of
 consecutive executions whose transmitters are known in advance (a whole
 token-passing sweep, say) are adjudicated together, in one batch; a run
 adjudicates each distinct transmitter schedule once, however often it
-recurs. Each execution is kept as one compact record of arrays: a sink
-either reads the arrays directly (the CLI's trace file is written from them)
-or expands them into one RoundTrace per non-silent round (Execution.traces).
+recurs. Each execution is kept as one compact record of arrays, which a
+sink reads as they are (the CLI's trace file is written from them).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -52,6 +51,7 @@ _STATUS_TRANSITIONS = {
 }
 
 C_CAP = 2048  # hard cap on the non-demo ssf parameter
+C_MSG = 128  # message budget: at most C_MSG * lg N bits
 KIND_BITS = 8
 
 
@@ -68,11 +68,11 @@ class Message:
     size_bits: int
 
     @staticmethod
-    def make(kind: str, payload: tuple, n_labels: int, c_msg: int) -> "Message":
+    def make(kind: str, payload: tuple, n_labels: int) -> "Message":
         labels = _flatten(payload)
         label_bits = max(1, (n_labels).bit_length())
         size = KIND_BITS + len(labels) * label_bits
-        budget = c_msg * max(1.0, math.log2(n_labels))
+        budget = C_MSG * max(1.0, math.log2(n_labels))
         if size > budget:
             raise MessageSizeError(
                 f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget"
@@ -120,16 +120,6 @@ class NodeView:
         self.status = new
 
 
-@dataclass(frozen=True)
-class RoundTrace:
-    """One simulated round: who transmitted what and who heard whom."""
-
-    round: int
-    phase: str
-    transmitters: tuple[tuple[int, Message], ...]
-    deliveries: tuple[tuple[int, int], ...]
-
-
 @dataclass
 class BackboneResult:
     leaders: tuple[int, ...]
@@ -168,8 +158,7 @@ class Execution:
     every other round of the family was silent. A transmission is a
     (row, station label) pair, where row indexes rounds; a delivery is a
     (row, sender label, receiver label) triple. Both are sorted.
-    message(t) is the message of the t-th transmission. Sinks read these
-    arrays as they are; traces() expands them into round objects.
+    message(t) is the message of the t-th transmission.
     """
 
     phase: str
@@ -186,24 +175,6 @@ class Execution:
         return Execution(
             phase, start, size, _NO_ROUNDS, _NO_TRANSMISSIONS, _NO_DELIVERIES, None
         )
-
-    def traces(self) -> Iterator[RoundTrace]:
-        """One RoundTrace per non-silent round, in round order, each built
-        only when the iteration reaches it."""
-        rows = np.arange(len(self.rounds) + 1)
-        tx_at = np.searchsorted(self.transmissions[:, 0], rows).tolist()
-        dl_at = np.searchsorted(self.deliveries[:, 0], rows).tolist()
-        senders = self.transmissions[:, 1].tolist()
-        for row, j in enumerate(self.rounds.tolist()):
-            pairs = self.deliveries[dl_at[row] : dl_at[row + 1], 1:].tolist()
-            yield RoundTrace(
-                round=self.start + j,
-                phase=self.phase,
-                transmitters=tuple(
-                    (senders[t], self.message(t)) for t in range(tx_at[row], tx_at[row + 1])
-                ),
-                deliveries=tuple(map(tuple, pairs)),
-            )
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -233,23 +204,13 @@ class Sink(Protocol):
 
 
 class CollectSink:
-    """Keeps every family execution as one compact record. `records`
-    expands them into RoundTrace objects, one per non-silent round, on
-    first access."""
+    """Keeps every family execution as one compact record."""
 
     def __init__(self) -> None:
         self.executions: list[Execution] = []
-        self._records: Optional[list[RoundTrace]] = None
 
     def execution(self, ex: Execution) -> None:
         self.executions.append(ex)
-        self._records = None
-
-    @property
-    def records(self) -> list[RoundTrace]:
-        if self._records is None:
-            self._records = [tr for ex in self.executions for tr in ex.traces()]
-        return self._records
 
 
 @dataclass(frozen=True)
@@ -258,7 +219,6 @@ class ProtocolConfig:
 
     demo: bool = True
     demo_c: int = 4
-    c_msg: int = 128
 
     def effective_c(self, inst: PhysicalInstance) -> int:
         if self.demo:
@@ -347,7 +307,7 @@ class Simulator:
     # -- message helper ------------------------------------------------------
 
     def msg(self, kind: str, payload: tuple) -> Message:
-        return Message.make(kind, payload, self.inst.n_labels, self.config.c_msg)
+        return Message.make(kind, payload, self.inst.n_labels)
 
     # -- execution core ------------------------------------------------------
 

@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 ENUM_CUTOFF = 10**6  # exhaustive subset-enumeration budget
-EXACT_LABEL_CUTOFF = 64  # counting certificate tried up to this label space
+EXACT_LABEL_CUTOFF = 4096  # counting certificate tried up to this label space (64 MB Gram)
 SAMPLES = 100_000  # spot-check subsets
 CHUNK_WORDS = 1 << 18  # uint64 words per batched isolation check (2 MB)
 
@@ -216,11 +216,6 @@ def pair_index(s: int, t: int, n_labels: int) -> int:
     if not (1 <= s <= n_labels and 1 <= t <= n_labels):
         raise ValueError(f"pair ({s},{t}) outside [1..{n_labels}]^2")
     return (s - 1) * n_labels + t
-
-
-def pair_unindex(idx: int, n_labels: int) -> tuple[int, int]:
-    s, t = divmod(idx - 1, n_labels)
-    return s + 1, t + 1
 
 
 # ---------------------------------------------------------------------------

@@ -131,15 +131,10 @@ def is_dominating(adj: Adjacency, dom: set[int]) -> bool:
 # Exact and surrogate minimum connected dominating sets.
 
 
-def min_cds(
-    adj: Adjacency, cap: int = EXACT_CAP, node_order: Optional[Sequence[int]] = None
-) -> set[int]:
-    """Exact minimum connected dominating set by subset enumeration.
-
-    node_order changes only the enumeration order (used to cross-check the
-    oracle against itself); the minimum size found is order-independent.
-    """
-    nodes = list(node_order) if node_order is not None else sorted(adj)
+def min_cds(adj: Adjacency, cap: int = EXACT_CAP) -> set[int]:
+    """Exact minimum connected dominating set by subset enumeration, in
+    label order."""
+    nodes = sorted(adj)
     if len(nodes) > cap:
         raise ExactBranchTooLargeError(
             f"exact CDS search capped at n={cap}, got n={len(nodes)}"
@@ -299,7 +294,7 @@ def check_connected_backbone(result: BackboneResult, graph: CommGraph) -> Verdic
 
 
 def geometric_degree_bound() -> int:
-    """Default backbone-degree cap from the packing argument: the count of
+    """Backbone-degree cap from the packing argument: the count of
     pivotal boxes reachable within 3 hops times the 2 helpers per pair.
 
     Pure geometry: range is sqrt(2) box sides on the pivotal grid, so the
@@ -317,11 +312,11 @@ def geometric_degree_bound() -> int:
     return count * 2
 
 
-def check_constant_degree(
-    result: BackboneResult, graph: CommGraph, bound: Optional[int] = None
-) -> Verdict:
-    if bound is None:
-        bound = geometric_degree_bound()
+DEGREE_BOUND = geometric_degree_bound()  # backbone degree <= DEGREE_BOUND
+
+
+def check_constant_degree(result: BackboneResult, graph: CommGraph) -> Verdict:
+    bound = DEGREE_BOUND
     sub = _backbone_adjacency(result, graph)
     worst, worst_node = 0, None
     for u, vs in sub.items():
@@ -336,12 +331,8 @@ def check_constant_degree(
     )
 
 
-def check_diameter(
-    result: BackboneResult,
-    graph: CommGraph,
-    factor: float = DIAMETER_FACTOR,
-    slack: int = DIAMETER_SLACK,
-) -> Verdict:
+def check_diameter(result: BackboneResult, graph: CommGraph) -> Verdict:
+    factor, slack = DIAMETER_FACTOR, DIAMETER_SLACK
     d_graph = diameter(graph.adjacency)
     sub = _backbone_adjacency(result, graph)
     d_back = diameter(sub) if sub else -1
@@ -360,11 +351,9 @@ def check_diameter(
 
 
 def check_size_ratio(
-    result: BackboneResult,
-    graph: CommGraph,
-    c_s: float = SIZE_FACTOR,
-    exact_cap: int = EXACT_CAP,
+    result: BackboneResult, graph: CommGraph, exact_cap: int = EXACT_CAP
 ) -> Verdict:
+    c_s = SIZE_FACTOR
     members = set(result.leaders) | set(result.helpers)
     n = len(graph.adjacency)
     if n <= exact_cap:

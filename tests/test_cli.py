@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,7 +121,7 @@ def test_run_forty_node_defaults(tmp_path):
 
 def test_run_nonzero_exit_when_a_check_fails(tmp_path, monkeypatch):
     # exit status contract: 0 iff every verdict passes
-    monkeypatch.setattr(verify, "geometric_degree_bound", lambda: 0)  # forced negative
+    monkeypatch.setattr(verify, "DEGREE_BOUND", 0)  # forced negative
     cfg = RunConfig(
         generator=GeneratorSpec(n=12, arena_side=1.9, seed=31),
         out_dir=str(tmp_path / "out"),
@@ -306,6 +309,40 @@ def test_trace_mode_off_removes_an_earlier_trace(tmp_path):
     assert not (tmp_path / "d" / "trace.jsonl").exists()
     report = json.loads((tmp_path / "d" / "report.json").read_text())
     assert (report["instance"]["n"], report["result"]["rounds_used"]) == (16, 11257)
+
+
+def test_failed_run_leaves_no_earlier_outputs(tmp_path, capsys):
+    out = str(tmp_path / "d")
+    assert main(["run", "--n", "12", "--side", "2.6", "--seed", "1", "--out-dir", out]) == 0
+    assert (tmp_path / "d" / "report.json").exists()
+    assert (tmp_path / "d" / "trace.jsonl").exists()
+    bad = tmp_path / "bad.json"
+    save_instance(make_instance([(1, 0, 0), (2, 30, 0)], DEFAULT_PARAMS, 4), str(bad))
+    assert main(["run", "--instance", str(bad), "--out-dir", out]) == 2
+    assert _error_code(capsys) == "disconnected-instance"
+    assert not (tmp_path / "d" / "report.json").exists()
+    assert not (tmp_path / "d" / "trace.jsonl").exists()
+    assert (tmp_path / "d" / "instance.json").exists()  # the first run's instance
+
+
+def test_module_entry_point_writes_the_golden_outputs(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["run", "--n", "12", "--side", "2.6", "--seed", "1", "--trace-mode", "full"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinrbackbone", *argv, "--out-dir", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    _, report_digest, trace_digests = GOLDEN["n64"]
+    digest = {
+        f: hashlib.sha256((tmp_path / "out" / f).read_bytes()).hexdigest()
+        for f in ("report.json", "trace.jsonl")
+    }
+    assert digest == {"report.json": report_digest, "trace.jsonl": trace_digests["full"]}
 
 
 def _size_ratio(out) -> dict:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sinrbackbone import protocol
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import MessageSizeError, TokenDeliveryError
 from sinrbackbone.physical import build_graph, make_instance
@@ -27,7 +28,7 @@ from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_ch
 
 from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
-from trace_reference import replay
+from trace_reference import records, replay
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
 
@@ -46,11 +47,13 @@ def force_leaders(sim, leaders):
 # Messages and node status.
 
 
-def test_message_size_budget():
-    m = Message.make("leader-announce", (5,), n_labels=64, c_msg=128)
+def test_message_size_budget(monkeypatch):
+    assert protocol.C_MSG == 128
+    m = Message.make("leader-announce", (5,), n_labels=64)
     assert m.size_bits <= 128 * math.log2(64)
+    monkeypatch.setattr(protocol, "C_MSG", 16)
     with pytest.raises(MessageSizeError):
-        Message.make("hop3-report", tuple(range(1, 400)), n_labels=64, c_msg=16)
+        Message.make("hop3-report", tuple(range(1, 400)), n_labels=64)
 
 
 def test_status_transitions_guarded():
@@ -79,9 +82,9 @@ def test_ssf_broadcast_hears_each_sender_once():
     (heard,) = sim.ssf_broadcast(fam, [({1: msg}, "test")])
     assert heard == [(1, 2), (1, 3)]
     assert sim.round == fam.size
-    rounds = [tr.round for tr in sim.sink.records]
+    rounds = [tr.round for tr in records(sim.sink.executions)]
     assert rounds == fam.rounds_for(1).tolist()
-    assert all(tr.deliveries == ((1, 2), (1, 3)) for tr in sim.sink.records)
+    assert all(tr.deliveries == ((1, 2), (1, 3)) for tr in records(sim.sink.executions))
 
 
 class _RoundSink:
@@ -106,8 +109,6 @@ def test_collected_records_match_the_round_by_round_stream():
     sink = _RoundSink()
     streamed = backbone_creation(inst, sink=sink)
     assert streamed.rounds_used == collected.rounds_used
-    emitted = [c for c in sink.calls if not isinstance(c, tuple)]
-    assert emitted == collected.traces.records
     # emit and skip calls cover every round once, in order
     cursor = 0
     for call in sink.calls:
@@ -142,7 +143,7 @@ def test_executions_tile_the_rounds_as_scheduled():
     )
 
 
-def test_two_hop_checks_every_helper_claim_size_during_the_run():
+def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
     # helper 1 claims the three pairs of leaders 2, 3 and 4; a round that
     # carries two claims needs 8 + 2*3*7 = 50 bits against a 6*lg 64 = 36-bit
     # budget, one claim alone needs 29. Over 64 labels the pair ssf puts the
@@ -150,7 +151,8 @@ def test_two_hop_checks_every_helper_claim_size_during_the_run():
     stations = [(1, 0, 0), (2, 0.9, 0), (3, -0.45, 0.78), (4, -0.45, -0.78)]
     inst = make_instance(stations, P, 64)
     for c_msg, fails in ((6, True), (128, False)):
-        sim = Simulator(inst, ProtocolConfig(c_msg=c_msg))
+        monkeypatch.setattr(protocol, "C_MSG", c_msg)
+        sim = Simulator(inst)
         force_leaders(sim, {2, 3, 4})
         fam = sim.pair_ssf()
         claimed = [set(fam.rounds_for(pair_index(s, t, 64))) for s, t in ((2, 3), (3, 4))]
@@ -368,7 +370,7 @@ def test_token_passing_two_tokens_one_iteration():
     assert rec.holders == (3,)
     returns = [
         m
-        for tr in sink.records
+        for tr in records(sink.executions)
         for lab, m in tr.transmitters
         if m.kind == "token-return"
     ]
@@ -399,14 +401,15 @@ def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
     ]
 
 
-def test_oversized_token_return_fails_before_the_return_execution():
+def test_oversized_token_return_fails_before_the_return_execution(monkeypatch):
     # holder 3 returns the tokens of leaders 5 and 9 at once: 8 + 3*5 = 23
     # bits against a 5*lg 16 = 20-bit budget, while a grant needs 18
     stations = [(5, 0, 0), (9, 1.8, 0), (3, 0.9, 0)]
     inst = make_instance(stations, P, 16)
-    sim = Simulator(inst, ProtocolConfig(c_msg=5))
+    monkeypatch.setattr(protocol, "C_MSG", 5)
+    sim = Simulator(inst)
     force_leaders(sim, {5, 9})
-    msgs = {3: Message.make("hop3-report", (3,), 16, 5)}
+    msgs = {3: Message.make("hop3-report", (3,), 16)}
     with pytest.raises(MessageSizeError):
         token_passing(sim, msgs)
     assert [ex.phase for ex in sim.sink.executions] == [
@@ -693,11 +696,11 @@ def test_information_barrier_position_permutation():
     ra, rb = backbone_creation(a), backbone_creation(b)
     intents_a = [
         (tr.round, tr.phase, tuple((lab, m.kind, m.payload) for lab, m in tr.transmitters))
-        for tr in ra.traces.records
+        for tr in records(ra.traces.executions)
     ]
     intents_b = [
         (tr.round, tr.phase, tuple((lab, m.kind, m.payload) for lab, m in tr.transmitters))
-        for tr in rb.traces.records
+        for tr in records(rb.traces.executions)
     ]
     assert intents_a == intents_b
 
@@ -710,8 +713,9 @@ def test_backbone_determinism():
     assert r1.helpers == r2.helpers
     assert r1.backbone_edges == r2.backbone_edges
     assert r1.rounds_used == r2.rounds_used
-    assert len(r1.traces.records) == len(r2.traces.records)
-    for ta, tb in zip(r1.traces.records, r2.traces.records):
+    records1, records2 = records(r1.traces.executions), records(r2.traces.executions)
+    assert len(records1) == len(records2)
+    for ta, tb in zip(records1, records2):
         assert ta == tb
 
 
@@ -728,6 +732,6 @@ def test_all_statuses_resolved_and_messages_bounded():
     r = backbone_creation(inst)
     assert all(s != ACTIVE for s in r.statuses.values())
     budget = 128 * math.log2(inst.n_labels)
-    for tr in r.traces.records:
+    for tr in records(r.traces.executions):
         for _, m in tr.transmitters:
             assert m.size_bits <= budget

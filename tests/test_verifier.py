@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sinrbackbone import verify
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
 from sinrbackbone.physical import build_graph, derive_dilution, is_connected, make_instance
@@ -73,18 +74,18 @@ def test_check_connected_backbone():
     assert not check_connected_backbone(broken, g).passed
 
 
-def test_check_constant_degree():
+def test_check_constant_degree(monkeypatch):
     inst = path_instance([1, 2, 3])
     g = build_graph(inst)
     assert check_constant_degree(fake_result([2]), g).passed
-    v = check_constant_degree(
-        fake_result([1, 3], helpers=[2], edges=[(1, 2), (2, 3)]), g, bound=0
-    )
+    assert verify.DEGREE_BOUND == geometric_degree_bound()
+    monkeypatch.setattr(verify, "DEGREE_BOUND", 0)
+    v = check_constant_degree(fake_result([1, 3], helpers=[2], edges=[(1, 2), (2, 3)]), g)
     assert not v.passed
     assert geometric_degree_bound() > 100  # 3-hop box count times two helpers
 
 
-def test_check_diameter():
+def test_check_diameter(monkeypatch):
     # complete triangle: diameter 1
     inst = make_instance([(1, 0, 0), (2, 0.4, 0), (3, 0.2, 0.3)], P, 8)
     g = build_graph(inst)
@@ -96,11 +97,11 @@ def test_check_diameter():
     r = fake_result([5], helpers=[x for x in labs if x != 5])
     v = check_diameter(r, g)
     assert v.passed and v.metrics["backbone_diameter"] == v.metrics["graph_diameter"]
+    monkeypatch.setattr(verify, "DIAMETER_FACTOR", 0)
+    monkeypatch.setattr(verify, "DIAMETER_SLACK", 0)
     assert not check_diameter(
         fake_result([1, 4], helpers=[2, 3], edges=[(1, 2), (2, 3), (3, 4)]),
         build_graph(path_instance([1, 2, 3, 4])),
-        factor=0,
-        slack=0,
     ).passed
 
 
@@ -174,9 +175,11 @@ def known_cds_sizes():
 @pytest.mark.parametrize("adj,expected", known_cds_sizes())
 def test_min_cds_known_structures(adj, expected):
     assert len(min_cds(adj)) == expected
-    # a second, independent enumeration order must agree on the size
-    reversed_order = sorted(adj, reverse=True)
-    assert len(min_cds(adj, node_order=reversed_order)) == expected
+    # a second, independent enumeration order must agree on the size: with
+    # the labels mirrored, enumeration visits the nodes in reverse order
+    top = max(adj) + 1
+    mirrored = {top - u: [top - v for v in vs] for u, vs in adj.items()}
+    assert len(min_cds(mirrored)) == expected
 
 
 def test_min_cds_is_dominating_and_connected():

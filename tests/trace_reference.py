@@ -1,6 +1,7 @@
 """The round-by-round trace writer that cli.FileSink must match byte for byte.
 
-replay() feeds one Execution to a sink round by round: emit() with a
+traces() expands one Execution's arrays into a RoundTrace per non-silent
+round. replay() feeds one Execution to a sink round by round: emit() with a
 RoundTrace for each non-silent round, skip() for each stretch of silent
 ones. RoundWriter writes each of those calls as records of its own, every
 record with json.dumps(..., sort_keys=True), in the trace file's two modes:
@@ -9,13 +10,49 @@ one per stretch of silent rounds).
 """
 
 import json
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class RoundTrace:
+    """One simulated round: who transmitted what and who heard whom."""
+
+    round: int
+    phase: str
+    transmitters: tuple  # (label, Message) pairs
+    deliveries: tuple  # (sender, receiver) pairs
+
+
+def traces(ex):
+    """One RoundTrace per non-silent round of ex, in round order."""
+    rows = np.arange(len(ex.rounds) + 1)
+    tx_at = np.searchsorted(ex.transmissions[:, 0], rows).tolist()
+    dl_at = np.searchsorted(ex.deliveries[:, 0], rows).tolist()
+    senders = ex.transmissions[:, 1].tolist()
+    for row, j in enumerate(ex.rounds.tolist()):
+        pairs = ex.deliveries[dl_at[row] : dl_at[row + 1], 1:].tolist()
+        yield RoundTrace(
+            round=ex.start + j,
+            phase=ex.phase,
+            transmitters=tuple(
+                (senders[t], ex.message(t)) for t in range(tx_at[row], tx_at[row + 1])
+            ),
+            deliveries=tuple(map(tuple, pairs)),
+        )
+
+
+def records(executions):
+    """The RoundTrace of every non-silent round of a run, in round order."""
+    return [tr for ex in executions for tr in traces(ex)]
 
 
 def replay(ex, sink) -> None:
     """Feed ex to sink round by round: sink.emit() for each non-silent
     round, sink.skip() for each stretch of silent ones."""
     cursor = 0
-    for trace in ex.traces():
+    for trace in traces(ex):
         j = trace.round - ex.start
         if j > cursor:
             sink.skip(ex.phase, ex.start + cursor, j - cursor)
