@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import combinations, starmap
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -107,20 +108,23 @@ def distance(a: Position, b: Position) -> float:
     Every distance in the package comes from here: the graph, the round
     engine and the scalar reception check agree at the range boundary.
     """
-    return math.hypot(a[0] - b[0], a[1] - b[1])
+    return math.dist(a, b)
 
 
 def distance_matrix(inst: PhysicalInstance) -> np.ndarray:
     """Pairwise distances between stations in ascending label order.
 
-    Entry [i, j] is distance() of the i-th and j-th smallest labels.
+    Entry [i, j] is distance() of the i-th and j-th smallest labels. The
+    upper triangle is filled row by row in one C-level pass.
     """
     pos = [p for _, p in sorted(inst.stations)]
-    dist = np.zeros((len(pos), len(pos)))
-    for i, a in enumerate(pos):
-        row = [distance(a, b) for b in pos[i + 1 :]]
-        dist[i, i + 1 :] = row
-        dist[i + 1 :, i] = row
+    n = len(pos)
+    upper = np.triu_indices(n, 1)
+    dist = np.zeros((n, n))
+    dist[upper] = np.fromiter(
+        starmap(math.dist, combinations(pos, 2)), float, n * (n - 1) // 2
+    )
+    dist.T[upper] = dist[upper]
     return dist
 
 

@@ -83,14 +83,32 @@ def _root_ceil(n: int, k: int) -> int:
     return q
 
 
+def _prime_power(n: int) -> Optional[tuple[int, int]]:
+    """(p, r) with p prime and n = p^r, or None."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    r = 0
+    while n % p == 0:
+        n //= p
+        r += 1
+    return (p, r) if n == 1 else None
+
+
+def _admissible(q: int, kind: str) -> bool:
+    """Field orders a family of this kind is built over."""
+    return _is_prime(q)
+
+
 @lru_cache(maxsize=1024)
-def code_parameters(n_labels: int, c: int) -> tuple[int, int, int]:
+def code_parameters(n_labels: int, c: int, kind: str) -> tuple[int, int, int]:
     """(q, K, P) of the (n_labels, c)-ssf: the smallest family P*q over K.
 
     K = 1 is q = N singleton sets (P = 1). For K >= 2, P = (c-1)(K-1)+1 and
-    q is the smallest prime with q >= P and q^K >= N, which minimizes P*q
-    for that K. Ties go to the smaller K, which puts each label in fewer
-    sets. No K past lg N can win: there q >= P, and P grows with K.
+    q is the smallest admissible field order for the kind (`_admissible`)
+    with q >= P and q^K >= N, which minimizes P*q for that K. Ties go to the
+    smaller K, which puts each label in fewer sets. No K past lg N can win:
+    there q >= P, and P grows with K.
     """
     best = (n_labels, 1, n_labels, 1)  # (size, K, q, P)
     for k in range(2, max(2, (n_labels - 1).bit_length()) + 1):
@@ -98,12 +116,75 @@ def code_parameters(n_labels: int, c: int) -> tuple[int, int, int]:
         if p * p >= best[0]:
             break
         q = max(p, _root_ceil(n_labels, k))
-        while not _is_prime(q):
+        while not _admissible(q, kind):
             q += 1
         if p * q < best[0]:
             best = (p * q, k, q, p)
     _, k, q, p = best
     return q, k, p
+
+
+@dataclass(frozen=True)
+class _Field:
+    """GF(q), q = p^r. An element is an integer below q whose base-p digits
+    are its coefficients over GF(p), lowest first. Multiplication goes
+    through log/antilog tables of the generator X of a fixed primitive
+    polynomial; `log` maps 0 to 2(q-1), past every sum of two logs of
+    non-zero elements, and `exp` is 0 from there on, so a product with a
+    zero factor reads 0 with no branch. O(q) memory."""
+
+    p: int
+    r: int
+    exp: np.ndarray  # exp[i] = X^(i mod (q-1)) for i < 2(q-1), then 0
+    log: np.ndarray  # log[a] = i with X^i = a for a != 0; log[0] = 2(q-1)
+
+    def mul(self, a, b) -> np.ndarray:
+        return self.exp[self.log[a] + self.log[b]]
+
+    def add(self, a, b) -> np.ndarray:
+        """Digit-wise sum over GF(p): XOR for p = 2, a + b mod p for r = 1."""
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        p, out, unit = self.p, 0, 1
+        for _ in range(self.r):
+            out = out + (a // unit + b // unit) % p * unit
+            unit *= p
+        return out
+
+
+def _powers_of_x(p: int, low: tuple[int, ...]) -> Optional[list[int]]:
+    """X^0 .. X^(q-2) modulo the monic f = X^r + sum low[i] X^i over GF(p),
+    q = p^r, as field elements, if X has order q-1 (f is primitive); None
+    otherwise."""
+    r = len(low)
+    digits = [1] + [0] * (r - 1)
+    powers = []
+    for _ in range(p**r - 1):
+        value = sum(d * p**i for i, d in enumerate(digits))
+        if powers and value <= 1:
+            return None  # X is zero or of order below q-1
+        powers.append(value)
+        top = digits[-1]  # multiply by X, then reduce X^r = -sum low[i] X^i
+        digits = [(d - top * c) % p for d, c in zip([0] + digits[:-1], low)]
+    return powers if digits == [1] + [0] * (r - 1) else None
+
+
+@lru_cache(maxsize=None)
+def _field(q: int) -> _Field:
+    """GF(q) for a prime power q, from the smallest monic primitive
+    polynomial of degree r over GF(p): the one whose lower coefficients,
+    read as base-p digits lowest first, make the smallest number."""
+    p, r = _prime_power(q)
+    for code in range(q):
+        powers = _powers_of_x(p, tuple(code // p**i % p for i in range(r)))
+        if powers is not None:
+            break
+    zero_log = 2 * (q - 1)
+    exp = np.zeros(2 * zero_log + 1, dtype=np.int64)
+    exp[:zero_log] = powers + powers
+    log = np.full(q, zero_log, dtype=np.int64)
+    log[powers] = np.arange(q - 1)
+    return _Field(p, r, exp, log)
 
 
 @dataclass
@@ -141,11 +222,15 @@ class SelectionFamily:
         return None
 
     def _evaluate(self, digits: np.ndarray, x) -> np.ndarray:
-        """p_l(x) mod q by Horner, for labels l = digits + 1."""
+        """p_l(x) over GF(q) by Horner, for labels l = digits + 1. K = 1 is
+        the identity: q = N, one set per label."""
         q = self.q
-        v = 0
-        for i in reversed(range(self.K)):
-            v = (v * x + digits // q**i % q) % q
+        if self.K == 1:
+            return digits
+        gf = _field(q)
+        v = digits // q ** (self.K - 1) % q
+        for i in reversed(range(self.K - 1)):
+            v = gf.add(gf.mul(v, x), digits // q**i % q)
         return v
 
     def contains(self, index: int, label: int) -> bool:
@@ -182,7 +267,7 @@ class SelectionFamily:
 
 def _code(kind: str, n_labels: int, strength: int, **params) -> SelectionFamily:
     """The code of an (n_labels, strength)-ssf, labelled with kind and params."""
-    q, k, p = code_parameters(n_labels, strength)
+    q, k, p = code_parameters(n_labels, strength, kind)
     return SelectionFamily(kind=kind, n_labels=n_labels, q=q, K=k, P=p, **params)
 
 

@@ -176,7 +176,7 @@ def greedy_cds(adj: Adjacency) -> set[int]:
         comp = _components(induced(adj, chosen))
         a = comp[0]
         # BFS from the first component through the full graph to another one
-        frontier = list(a)
+        frontier = sorted(a)
         target = None
         parent: dict[int, Optional[int]] = {u: None for u in a}
         seen = set(a)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sinrbackbone import physical
@@ -264,6 +264,46 @@ def test_distance_matrix_is_distance():
     for i, a in enumerate(pos):
         for j, b in enumerate(pos):
             assert dist[i, j] == distance(a, b)
+
+
+_coords = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.tuples(_coords, _coords), st.tuples(_coords, _coords))
+@example((1e308, -1e308), (-1e308, 1e308))  # the differences overflow
+@example((5e-324, 0.0), (0.0, -5e-324))  # subnormal differences
+@example((1e-300, 3e-300), (-1e-300, 0.0))
+@example((1e16, 1.0), (1e16 + 2, -1.0))
+@settings(max_examples=500, deadline=None)
+def test_dist_is_bit_identical_to_hypot(a, b):
+    # both reduce |a - b| with CPython's vector_norm, so distance() may
+    # call either
+    assert math.dist(a, b) == math.hypot(a[0] - b[0], a[1] - b[1])
+    assert distance(a, b) == math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def _distance_matrix_by_pairs(inst):
+    """The per-pair loop distance_matrix replaced: math.hypot row by row."""
+    pos = [p for _, p in sorted(inst.stations)]
+    dist = np.zeros((len(pos), len(pos)))
+    for i, a in enumerate(pos):
+        row = [math.hypot(a[0] - b[0], a[1] - b[1]) for b in pos[i + 1 :]]
+        dist[i, i + 1 :] = row
+        dist[i + 1 :, i] = row
+    return dist
+
+
+def test_distance_matrix_equals_the_per_pair_loop():
+    rng = np.random.default_rng(3)
+    layouts = [[(1, 0.0, 0.0)], [(2, 0.5, 0.0), (1, 0.0, 0.0)]]
+    for n, scale in ((40, 3.0), (150, 5.0), (60, 1e-150), (60, 1e150)):
+        labels = rng.permutation(np.arange(1, 4 * n + 1))[:n]
+        xy = rng.uniform(-scale, scale, (n, 2))
+        layouts.append([(int(l), float(x), float(y)) for l, (x, y) in zip(labels, xy)])
+    for stations in layouts:
+        inst = make_instance(stations, P_UNIT, 4 * max(len(stations), 16))
+        got, want = distance_matrix(inst), _distance_matrix_by_pairs(inst)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_build_graph_rejects_disconnected():

@@ -48,12 +48,15 @@ def force_leaders(sim, leaders):
 
 
 def test_message_size_budget(monkeypatch):
+    # at N = 64 a label is 7 bits after the 8-bit kind, and the budget is
+    # C_MSG * lg 64 bits: 768 by default, 96 with C_MSG = 16
     assert protocol.C_MSG == 128
-    m = Message.make("leader-announce", (5,), n_labels=64)
-    assert m.size_bits <= 128 * math.log2(64)
-    monkeypatch.setattr(protocol, "C_MSG", 16)
-    with pytest.raises(MessageSizeError):
-        Message.make("hop3-report", tuple(range(1, 400)), n_labels=64)
+    for c_msg, fits in ((128, 108), (16, 12)):
+        monkeypatch.setattr(protocol, "C_MSG", c_msg)
+        m = Message.make("hop3-report", tuple(range(1, fits + 1)), n_labels=64)
+        assert m.size_bits == 8 + 7 * fits <= c_msg * math.log2(64)
+        with pytest.raises(MessageSizeError):
+            Message.make("hop3-report", tuple(range(1, fits + 2)), n_labels=64)
 
 
 def test_status_transitions_guarded():

@@ -383,12 +383,92 @@ def test_code_parameters_give_the_smallest_code():
                     reach = min(q**K, limit)
                     best[1 : reach + 1] = np.minimum(best[1 : reach + 1], P * q)
         for n in range(c, limit + 1):
-            q, K, P = code_parameters(n, c)
+            q, K, P = code_parameters(n, c, "ssf")
             assert P * q == best[n], (n, c, q, K, P)
             if K == 1:
                 assert (q, P) == (n, 1)
             else:
                 assert q in primes and q**K >= n and P == (c - 1) * (K - 1) + 1 <= q
+
+
+# ---------------------------------------------------------------------------
+# GF(q) table arithmetic.
+
+PRIMES_TO_127 = [q for q in range(2, 128) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+PRIME_POWERS_TO_64 = sorted(
+    {p**r for p in PRIMES_TO_127 for r in range(1, 7) if p**r <= 64}
+)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_field_tables_satisfy_the_field_axioms(q):
+    # exhaustively over every pair and triple of elements
+    gf = selection._field(q)
+    a, b, c = np.ix_(np.arange(q), np.arange(q), np.arange(q))
+    add, mul = gf.add, gf.mul
+    for op, unit in ((add, 0), (mul, 1)):
+        table = op(a[:, :, 0], b[:, :, 0])
+        assert table.min() >= 0 and table.max() < q
+        assert np.array_equal(table, table.T)  # commutative
+        assert np.array_equal(op(op(a, b), c), op(a, op(b, c)))  # associative
+        assert np.array_equal(table[unit], np.arange(q))  # identity
+    sums = add(a[:, :, 0], b[:, :, 0])
+    assert ((sums == 0).sum(axis=1) == 1).all()  # additive inverses
+    products = mul(a[1:, :, 0], b[:, 1:, 0])
+    assert ((products == 1).sum(axis=1) == 1).all()  # inverses of non-zero
+    assert (mul(a[0, :, 0], b[0]) == 0).all()
+    assert np.array_equal(mul(a, add(b, c)), add(mul(a, b), mul(a, c)))  # distributive
+
+
+@pytest.mark.parametrize("q", PRIMES_TO_127)
+def test_prime_field_tables_are_arithmetic_mod_q(q):
+    gf = selection._field(q)
+    a, b = np.ix_(np.arange(q), np.arange(q))
+    assert np.array_equal(gf.add(a, b), (a + b) % q)
+    assert np.array_equal(gf.mul(a, b), a * b % q)
+
+
+def test_prime_power_factors_only_prime_powers():
+    for n in range(130):
+        got = selection._prime_power(n)
+        expected = next(
+            ((p, r) for p in PRIMES_TO_127 for r in range(1, 8) if p**r == n), None
+        )
+        assert got == expected, n
+
+
+def _rounds_mod_q(fam, labels):
+    """Set indices by Horner mod q, as the codes were built over prime q."""
+    q, digits = fam.q, np.asarray(labels, dtype=np.int64)[:, None] - 1
+    x = np.arange(fam.P, dtype=np.int64)
+    v = 0
+    for i in reversed(range(fam.K)):
+        v = (v * x + digits // q**i % q) % q
+    return x * q + v
+
+
+@pytest.mark.parametrize(
+    "n_labels, c, q, K, P",
+    [
+        (64, 4, 11, 2, 4),
+        (256, 4, 7, 3, 7),
+        (1024, 4, 11, 3, 7),
+        (64**2, 16, 31, 3, 31),
+        (256**2, 16, 41, 3, 31),
+        (1024**2, 16, 47, 4, 46),
+    ],
+)
+def test_run_ssfs_keep_their_prime_codes(n_labels, c, q, K, P):
+    # the base ssfs of N = 64, 256 and 1024 and their pair ssfs carry the
+    # transmissions, so they stay over prime fields, set for set
+    fam = construct_ssf(n_labels, c)
+    assert (fam.q, fam.K, fam.P) == (q, K, P) and selection._is_prime(q)
+    if n_labels <= 2**16:
+        labels = np.arange(1, n_labels + 1)
+    else:
+        labels = np.random.default_rng(7).integers(1, n_labels + 1, 50_000)
+        labels = np.concatenate([labels, [1, n_labels]])
+    assert np.array_equal(fam.rounds_for(labels), _rounds_mod_q(fam, labels))
 
 
 @pytest.mark.parametrize(

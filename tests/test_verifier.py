@@ -230,7 +230,7 @@ def _diameter_by_bfs(adj):
 
 def _components_by_bfs(adj):
     """Each component as a set built from a BFS-ordered dict, as the module
-    builds it: the connection phase starts its BFS in the set's order."""
+    builds it; the connection phase starts its BFS in ascending label order."""
     left = set(adj)
     out = []
     while left:
@@ -253,7 +253,7 @@ def _greedy_cds_by_max_key(adj):
         covered |= set(adj[best]) | {best}
     while not is_connected(induced(adj, chosen)):
         a = _components_by_bfs(induced(adj, chosen))[0]
-        frontier, target = list(a), None
+        frontier, target = sorted(a), None
         parent = {u: None for u in a}
         seen = set(a)
         while frontier and target is None:
@@ -325,6 +325,30 @@ def test_array_oracles_match_the_python_references(adj):
             greedy_cds(adj)
         with pytest.raises(AssertionError):
             _greedy_cds_by_max_key(adj)
+
+
+# the 9-cycle 1-2-4-9-8-7-6-5-3-1: the cover's components hold labels that
+# collide in a small set's hash table, so a component's iteration order
+# depends on the order its members were inserted
+_NINE_CYCLE = {
+    1: (2, 3), 2: (1, 4), 3: (1, 5), 4: (2, 9), 5: (3, 6),
+    6: (5, 7), 7: (6, 8), 8: (7, 9), 9: (4, 8),
+}
+
+
+def test_greedy_cds_does_not_depend_on_component_set_order(monkeypatch):
+    # the same member sets, built in ascending and in descending label order
+    built = verify._components
+    cds = []
+    for reverse in (False, True):
+        monkeypatch.setattr(
+            verify,
+            "_components",
+            lambda adj, reverse=reverse: [set(sorted(c, reverse=reverse)) for c in built(adj)],
+        )
+        cds.append(greedy_cds(_NINE_CYCLE))
+    assert cds[0] == cds[1]
+    assert is_dominating(_NINE_CYCLE, cds[0]) and is_connected(induced(_NINE_CYCLE, cds[0]))
 
 
 def test_expected_two_hop_on_path():
