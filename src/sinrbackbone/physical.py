@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import combinations, starmap
 from dataclasses import dataclass
+from itertools import combinations, starmap
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np

@@ -9,18 +9,27 @@ codes", IEEE T-IT 1964; Porat & Rothschild, ICALP 2008), so the selection
 property holds by construction and the build path checks nothing:
 
 - Label l maps to the polynomial p_l over GF(q) whose K coefficients are the
-  base-q digits of l-1, lowest first (q prime, q^K >= N).
+  base-q digits of l-1, lowest first (q a prime power, q^K >= N).
 - Set x*q + y, for x < P and y < q, holds the labels with p_l(x) = y, where
-  P = (c-1)(K-1)+1 <= q. A label is in exactly P sets, one per point x.
+  x runs over the first P field elements and P = (c-1)(K-1)+1 <= q. A label
+  is in exactly P sets, one per point x.
 - Two distinct polynomials of degree < K agree on at most K-1 points. So c-1
   other labels share at most (c-1)(K-1) = P-1 of label u's P sets, and some
   set isolates u.
 
-(q, K) is fixed by `code_parameters` alone: the smallest family over every
-K. K=1 is N singleton sets (round robin), the smallest family whenever c is
-large against N. A (k,k,N)-ssf is a (k,m,N)-selector for every m <= k, so
-one construction serves every family. Membership is arithmetic: no matrix
-is held, even over 2^20 pair labels.
+GF(q) is built once per q from log/antilog tables of the smallest monic
+primitive polynomial of degree r over GF(p), q = p^r (`_field`, O(q)
+memory); addition is digit-wise over GF(p). For prime q the tables are
+arithmetic mod q. (q, K) is fixed by `code_parameters` alone: the smallest
+family over every K, with q from the orders the kind admits. Selectors
+take any prime power. Ssfs, the families that carry the transmissions,
+take primes only: over GF(8) the (64, 4) base ssf puts 8 labels in a set
+instead of at most 6, and a token message is lost in demo mode
+(tests/fixtures/acceptance_38.json). K=1 is N singleton sets (round
+robin), the smallest family whenever c is large against N. A (k,k,N)-ssf
+is a (k,m,N)-selector for every m <= k, so one construction serves every
+family. Membership is arithmetic: no matrix is held, even over 2^20 pair
+labels.
 
 `certify` checks a family's selection property without reading how it was
 built, so the tests use it as the oracle for the construction. For label
@@ -69,10 +78,6 @@ def derive_seed(base: int, *tags: object) -> int:
 # Construction: Reed-Solomon codes over GF(q).
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
 def _root_ceil(n: int, k: int) -> int:
     """Smallest q >= 1 with q^k >= n."""
     q = max(1, round(n ** (1.0 / k)))
@@ -96,8 +101,10 @@ def _prime_power(n: int) -> Optional[tuple[int, int]]:
 
 
 def _admissible(q: int, kind: str) -> bool:
-    """Field orders a family of this kind is built over."""
-    return _is_prime(q)
+    """Field orders a family of this kind is built over: prime powers for
+    selectors, primes for ssfs (see the module docstring)."""
+    power = _prime_power(q)
+    return power is not None and (kind == "selector" or power[1] == 1)
 
 
 @lru_cache(maxsize=1024)
@@ -145,6 +152,8 @@ class _Field:
         """Digit-wise sum over GF(p): XOR for p = 2, a + b mod p for r = 1."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
+        if self.r == 1:
+            return (a + b) % self.p
         p, out, unit = self.p, 0, 1
         for _ in range(self.r):
             out = out + (a // unit + b // unit) % p * unit
@@ -169,7 +178,7 @@ def _powers_of_x(p: int, low: tuple[int, ...]) -> Optional[list[int]]:
     return powers if digits == [1] + [0] * (r - 1) else None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _field(q: int) -> _Field:
     """GF(q) for a prime power q, from the smallest monic primitive
     polynomial of degree r over GF(p): the one whose lower coefficients,
@@ -184,6 +193,7 @@ def _field(q: int) -> _Field:
     exp[:zero_log] = powers + powers
     log = np.full(q, zero_log, dtype=np.int64)
     log[powers] = np.arange(q - 1)
+    exp.flags.writeable = log.flags.writeable = False  # shared by every caller
     return _Field(p, r, exp, log)
 
 

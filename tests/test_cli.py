@@ -168,28 +168,28 @@ def test_trace_full_mode_counts_every_round(tmp_path):
 GOLDEN = {
     "n64": (
         GeneratorSpec(n=12, arena_side=2.6, seed=1, n_labels=64),
-        "d7466e68fe56e69930aa886a342d42715f598502186b50aa85e7e5be2e8ba1f2",
+        "220dbcd539f0b564236c57415165b3225e9fdac6ddd846bf1be46532964d9afb",
         {
-            "full": "afb7e7d5e32e156927c45c6df3ff757547dfd947825814ee0d35f058592a72bb",
-            "compact": "ff17408c9de6b2e980c66b056f54c3f845a6b29429d42643e4cb2718c2bad963",
+            "full": "f221f87db2b47cdccbbae0bf16e65a84090584cee0ba9e7b84bc014404bd110e",
+            "compact": "987ded9d1cbe7e14598ab4bd4241072202372b02342d33879e6333365b659b8a",
         },
     ),
     "n256": (
         GeneratorSpec(n=12, arena_side=2.6, seed=4, n_labels=256),
-        "b09faae71791d9fba5d8a531282a8670ac2016b9e94cb7b0e42cd2f921a060fc",
+        "6a38147892b23687143d126a5b2d3a4855d0b7aa5fff0646ce17ec4cd6d5fd21",
         {
-            "full": "0a3e2b71052db92c512ad7493170ac77747af2b75810712cf5c955c56b556039",
-            "compact": "0da7d93d9156cd8d63ca08607e6e02c8ea76e77407d3326ac110d8a18a41084e",
+            "full": "d7dc59155c5caab4f0d78c245fb6e160f831475fb9703454ebb33cc4cd53b37c",
+            "compact": "bbdaa0e707f9e85983a288d9b722e9547fa15b170e4dff6835716f5470a85f0f",
         },
     ),
     # n=24 is past the exact CDS cap and the graph diameter is 8, so the
     # report pins the greedy CDS size and both diameters
     "n24": (
         GeneratorSpec(n=24, arena_side=4.0, seed=1, n_labels=64),
-        "c58a837b39e062bb78b9d5f446c650cb8b13e513154dfe9dc5cc121587fcc041",
+        "c651be133f98f0a4bcc5cee1c32b1ca50c64f838b7b4d54765a4c82014cbfa2c",
         {
-            "full": "5edafb83239f209a3740a465797b5c6941910881292ffc847c8289fdc7e4b436",
-            "compact": "e13dc020a32617769e3d03b34d83657ffb1ad9da2278faf2e0df075e5c567949",
+            "full": "a7a6ea525bc63a8c575e11b04701d0e8596442c0c8526293023d5f3957ee3840",
+            "compact": "5ccad985438270326fbce042e2b4253c092e45e1481c4c8fb14780bb8f316827",
         },
     ),
 }
@@ -308,7 +308,7 @@ def test_trace_mode_off_removes_an_earlier_trace(tmp_path):
     assert main([*second, "--out-dir", out]) == 0
     assert not (tmp_path / "d" / "trace.jsonl").exists()
     report = json.loads((tmp_path / "d" / "report.json").read_text())
-    assert (report["instance"]["n"], report["result"]["rounds_used"]) == (16, 11257)
+    assert (report["instance"]["n"], report["result"]["rounds_used"]) == (16, 9673)
 
 
 def test_failed_run_leaves_no_earlier_outputs(tmp_path, capsys):

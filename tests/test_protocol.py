@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from sinrbackbone import protocol
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import MessageSizeError, TokenDeliveryError
-from sinrbackbone.physical import build_graph, make_instance
+from sinrbackbone.physical import build_graph, load_instance, make_instance
 from sinrbackbone.protocol import (
     ACTIVE,
     INACTIVE,
@@ -23,7 +24,7 @@ from sinrbackbone.protocol import (
     token_passing,
     two_hop_connection,
 )
-from sinrbackbone.selection import pair_index
+from sinrbackbone.selection import SelectionFamily, pair_index
 from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_checks
 
 from dense_engine import dense_adjudicate
@@ -434,6 +435,34 @@ def test_token_holder_box_bound():
             b = gi.boxes[h]
             per_box[b] = per_box.get(b, 0) + 1
         assert all(v <= 21 for v in per_box.values())
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="demo mode is not interference-safe: over GF(8), 8 labels share a "
+    "base ssf set instead of at most 6, and token holder 62 loses its message "
+    "to neighbour 14, a link at 0.98 of the range",
+)
+def test_demo_base_ssf_over_gf8_delivers_every_token_message(monkeypatch):
+    # acceptance battery instance 38 (suite seed 100038: n=52, side 4.0,
+    # max degree 15) with the (64, 4) base ssf built over GF(8), 32 sets,
+    # instead of GF(11); criterion 5's rule: every token holder's message
+    # reaches every neighbour
+    inst = load_instance(str(FIXTURES / "acceptance_38.json"))
+    gf8 = SelectionFamily(kind="ssf", n_labels=64, q=8, K=2, P=4, c=4)
+    monkeypatch.setattr(Families, "base_ssf", lambda self: gf8)
+    adj = build_graph(inst).adjacency
+    result = backbone_creation(inst)
+    missing = [
+        (sender, sorted(set(adj[sender]) - set(receivers)))
+        for tok in result.token_records
+        for sender, receivers in tok.transmissions
+        if set(adj[sender]) - set(receivers)
+    ]
+    assert not missing
 
 
 def _assert_same_execution(a, b):

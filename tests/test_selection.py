@@ -264,7 +264,10 @@ def test_every_run_family_is_proved_by_its_code():
         if K == 1:
             assert (q, P) == (fam.n_labels, 1), fam
         else:
-            assert all(q % d for d in range(2, math.isqrt(q) + 1)), fam
+            # ssfs over a prime field, selectors over any prime power
+            d = next(d for d in range(2, q + 1) if q % d == 0)
+            assert d ** round(math.log(q, d)) == q, fam
+            assert fam.kind == "selector" or d == q, fam
             assert P <= q and q**K >= fam.n_labels, fam
             assert P == (c - 1) * (K - 1) + 1, fam
         res = certify(fam, exact_label_cutoff=fam.n_labels)
@@ -368,27 +371,31 @@ def test_worst_case_subsets_still_isolate_each_member(data):
 
 
 def test_code_parameters_give_the_smallest_code():
-    # brute force over every prime q and every K: the smallest P*q with
-    # q >= P = (c-1)(K-1)+1 and q^K >= N, against N singleton sets
+    # brute force over every admissible q and every K: the smallest P*q with
+    # q >= P = (c-1)(K-1)+1 and q^K >= N, against N singleton sets; an ssf
+    # takes a prime q, a selector any prime power
     limit = 4096
     primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, math.isqrt(p) + 1))]
-    for c in range(1, 25):
-        best = np.arange(limit + 1)
-        for K in range(2, 25):
-            P = (c - 1) * (K - 1) + 1
-            for q in primes:
-                if P * q >= limit:
-                    break
-                if q >= P:
-                    reach = min(q**K, limit)
-                    best[1 : reach + 1] = np.minimum(best[1 : reach + 1], P * q)
-        for n in range(c, limit + 1):
-            q, K, P = code_parameters(n, c, "ssf")
-            assert P * q == best[n], (n, c, q, K, P)
-            if K == 1:
-                assert (q, P) == (n, 1)
-            else:
-                assert q in primes and q**K >= n and P == (c - 1) * (K - 1) + 1 <= q
+    prime_powers = sorted({p**r for p in primes for r in range(1, 13) if p**r <= limit})
+    for kind, fields in (("ssf", primes), ("selector", prime_powers)):
+        admissible = set(fields)
+        for c in range(1, 25):
+            best = np.arange(limit + 1)
+            for K in range(2, 25):
+                P = (c - 1) * (K - 1) + 1
+                for q in fields:
+                    if P * q >= limit:
+                        break
+                    if q >= P:
+                        reach = min(q**K, limit)
+                        best[1 : reach + 1] = np.minimum(best[1 : reach + 1], P * q)
+            for n in range(c, limit + 1):
+                q, K, P = code_parameters(n, c, kind)
+                assert P * q == best[n], (kind, n, c, q, K, P)
+                if K == 1:
+                    assert (q, P) == (n, 1)
+                else:
+                    assert q in admissible and q**K >= n and P == (c - 1) * (K - 1) + 1 <= q
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +469,7 @@ def test_run_ssfs_keep_their_prime_codes(n_labels, c, q, K, P):
     # the base ssfs of N = 64, 256 and 1024 and their pair ssfs carry the
     # transmissions, so they stay over prime fields, set for set
     fam = construct_ssf(n_labels, c)
-    assert (fam.q, fam.K, fam.P) == (q, K, P) and selection._is_prime(q)
+    assert (fam.q, fam.K, fam.P) == (q, K, P) and q in PRIMES_TO_127
     if n_labels <= 2**16:
         labels = np.arange(1, n_labels + 1)
     else:
@@ -484,10 +491,32 @@ def test_run_ssfs_keep_their_prime_codes(n_labels, c, q, K, P):
     ],
 )
 def test_family_code_parameters_are_pinned(n_labels, c, q, K, P):
-    # the base ssfs of N = 64, 256 and 1024, the largest sweep selector, the
+    # the base ssfs of N = 64, 256 and 1024, the (1024, 22)-ssf (the largest
+    # sweep selector's strength, whose selector is built over GF(32)), the
     # pair ssfs of N = 64 and 1024, and the round robin of a non-demo run
     fam = construct_ssf(n_labels, c)
     assert (fam.q, fam.K, fam.P, fam.size) == (q, K, P, P * q)
+
+
+@pytest.mark.parametrize(
+    "n_labels, k, q, K, P",
+    [
+        (64, 2, 4, 3, 3),
+        (64, 3, 8, 2, 3),
+        (64, 7, 8, 2, 7),
+        (64, 8, 64, 1, 1),
+        (256, 5, 16, 2, 5),
+        (1024, 8, 16, 3, 15),
+        (1024, 22, 32, 2, 22),
+    ],
+)
+def test_selector_code_parameters_are_pinned(n_labels, k, q, K, P):
+    # leader election's selectors take the smallest code over prime powers:
+    # GF(4), GF(8), GF(16) and GF(32) on the sweep grid, and a round robin
+    # once no code beats N sets
+    fam = construct_selector(k, k, n_labels)
+    assert (fam.q, fam.K, fam.P, fam.size) == (q, K, P, P * q)
+    assert certify(fam) == CertifyResult(True, "exhaustive")
 
 
 def test_spot_checked_base_ssf_isolates_label_6_from_20_88_221():
