@@ -149,11 +149,9 @@ class _Field:
         return self.exp[self.log[a] + self.log[b]]
 
     def add(self, a, b) -> np.ndarray:
-        """Digit-wise sum over GF(p): XOR for p = 2, a + b mod p for r = 1."""
+        """Digit-wise sum over GF(p): XOR for p = 2."""
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        if self.r == 1:
-            return (a + b) % self.p
         p, out, unit = self.p, 0, 1
         for _ in range(self.r):
             out = out + (a // unit + b // unit) % p * unit
