@@ -38,7 +38,7 @@ from .protocol import (
     ProtocolConfig,
     backbone_creation,
 )
-from .verify import EXACT_CAP, run_all_checks
+from .verify import run_all_checks
 
 DEFAULT_PARAMS = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)
 
@@ -60,7 +60,6 @@ class RunConfig:
     generator: Optional[GeneratorSpec] = None
     demo: bool = True
     demo_c: int = 4
-    exact_cap: int = EXACT_CAP
     out_dir: str = "out"
     trace_mode: str = "compact"  # compact | full | off
 
@@ -235,7 +234,7 @@ def run(config: RunConfig) -> int:
         with open(trace_path, "w", encoding="utf-8") as fh:
             result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
 
-    verdicts = run_all_checks(result, inst, graph, exact_cap=config.exact_cap)
+    verdicts = run_all_checks(result, inst, graph)
     lg = max(1.0, math.log2(inst.n_labels))
     report = {
         "version": __version__,
@@ -317,8 +316,8 @@ def sweep(
     Each row also holds the rounds of each protocol phase (`phase_rounds`,
     summed over the run's executions), the selection bound c, and the sizes
     of the families the run executed: the base ssf, the pair ssf and leader
-    election's selector of each degree bucket."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    election's selector of each degree bucket. Nothing is written until
+    every cell has run."""
     rows = []
     r = broadcast_range(config.params)
     for n_labels in n_labels_list:
@@ -386,6 +385,7 @@ def sweep(
         "c_r_max_rel_spread": spread,
         "stable_within_25pct": spread <= 0.25,
     }
+    os.makedirs(config.out_dir, exist_ok=True)
     table_path = os.path.join(config.out_dir, "sweep.tsv")
     with open(table_path, "w", encoding="utf-8") as fh:
         cols = ["n", "n_labels", "delta_target", "delta", "rounds", "c_r", "ssf_size", "k_fit"]
@@ -435,6 +435,25 @@ def _params_from(args: argparse.Namespace) -> SinrParams:
         raise InvalidArgumentError(str(exc)) from exc
 
 
+def _grid_from(path: str) -> tuple[Sequence[int], Sequence[int]]:
+    """A sweep grid file's N and degree lists; a key it leaves out keeps
+    its default."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            grid = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+        raise InvalidArgumentError(f"cannot read grid file: {exc}") from exc
+    if not isinstance(grid, dict):
+        raise InvalidArgumentError(f"grid file must hold a JSON object, got {grid!r}")
+    for key in sorted(grid.keys() & {"n_labels", "deltas"}):
+        values = grid[key]
+        if not (isinstance(values, list) and values and all(type(v) is int for v in values)):
+            raise InvalidArgumentError(
+                f"grid {key} must be a non-empty list of ints, got {values!r}"
+            )
+    return grid.get("n_labels", DEFAULT_SWEEP_LABELS), grid.get("deltas", DEFAULT_SWEEP_DELTAS)
+
+
 def _demo_c_from(args: argparse.Namespace) -> int:
     if args.demo_c < 1:
         raise InvalidArgumentError(f"need --demo-c >= 1, got {args.demo_c}")
@@ -475,12 +494,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--demo-c", type=int, default=4)
     r.add_argument("--out-dir", default="out")
     r.add_argument("--trace-mode", choices=("compact", "full", "off"), default="compact")
-    r.add_argument(
-        "--exact-cap",
-        type=int,
-        default=EXACT_CAP,
-        help="largest n whose size ratio is taken against the exact minimum CDS",
-    )
     _add_param_flags(r)
 
     s = sub.add_parser("sweep", help="round-complexity sweep over a grid")
@@ -521,7 +534,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 ),
                 demo=args.demo,
                 demo_c=_demo_c_from(args),
-                exact_cap=args.exact_cap,
                 out_dir=args.out_dir,
                 trace_mode=args.trace_mode,
             )
@@ -533,13 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 out_dir=args.out_dir,
             )
             if args.grid_file:
-                with open(args.grid_file, "r", encoding="utf-8") as fh:
-                    grid = json.load(fh)
-                sweep(
-                    cfg,
-                    n_labels_list=grid.get("n_labels", DEFAULT_SWEEP_LABELS),
-                    delta_targets=grid.get("deltas", DEFAULT_SWEEP_DELTAS),
-                )
+                sweep(cfg, *_grid_from(args.grid_file))
             else:
                 sweep(cfg)
             return 0

@@ -44,6 +44,9 @@ class SinrParams:
     power: float
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.alpha > 2:
             raise ValueError(f"alpha must be > 2, got {self.alpha}")
         if not self.beta >= 1:
@@ -500,8 +503,12 @@ def parse_instance(text: str) -> PhysicalInstance:
 
 
 def load_instance(path: str) -> PhysicalInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"cannot read instance file: {exc}") from exc
+    return parse_instance(text)
 
 
 def save_instance(inst: PhysicalInstance, path: str) -> None:

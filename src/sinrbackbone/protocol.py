@@ -69,9 +69,8 @@ class Message:
 
     @staticmethod
     def make(kind: str, payload: tuple, n_labels: int) -> "Message":
-        labels = _flatten(payload)
         label_bits = max(1, (n_labels).bit_length())
-        size = KIND_BITS + len(labels) * label_bits
+        size = KIND_BITS + _count_labels(payload) * label_bits
         budget = C_MSG * max(1.0, math.log2(n_labels))
         if size > budget:
             raise MessageSizeError(
@@ -80,14 +79,9 @@ class Message:
         return Message(kind=kind, payload=payload, size_bits=size)
 
 
-def _flatten(payload) -> list[int]:
-    out: list[int] = []
-    for item in payload:
-        if isinstance(item, tuple):
-            out.extend(_flatten(item))
-        else:
-            out.append(int(item))
-    return out
+def _count_labels(payload: tuple) -> int:
+    """Its entries, with each nested tuple counted by the labels it holds."""
+    return len(payload) + sum([_count_labels(x) - 1 for x in payload if isinstance(x, tuple)])
 
 
 @dataclass

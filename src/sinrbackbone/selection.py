@@ -435,20 +435,18 @@ def _enumerate(
 
 
 def _spot_check(
-    family: SelectionFamily, k: int, need: int, samples: int, seed: int
+    family: SelectionFamily, k: int, need: int
 ) -> Optional[tuple[int, ...]]:
-    """Seeded random k-subsets; returns the first with < need isolated."""
+    """SAMPLES seeded random k-subsets; returns the first with < need isolated."""
     chunk = _chunk_rows(k, family.size)
-    rows = _floyd_rows(family.n_labels, k, seed, samples, chunk)
+    rows = _floyd_rows(family.n_labels, k, spot_seed(family), SAMPLES, chunk)
     return _first_failure(family, rows, need)
 
 
-def spot_seed(family: SelectionFamily, sample_seed: int = 0) -> int:
+def spot_seed(family: SelectionFamily) -> int:
     """Seed of a family's spot-check subsets, derived from its parameters so
     that a verdict is reproducible."""
-    return derive_seed(
-        sample_seed, "spot", family.kind, family.n_labels, family.c, family.k, family.m
-    )
+    return derive_seed(0, "spot", family.kind, family.n_labels, family.c, family.k, family.m)
 
 
 @dataclass(frozen=True)
@@ -459,45 +457,31 @@ class CertifyResult:
     samples: Optional[int] = None
 
 
-def certify(
-    family: SelectionFamily,
-    *,
-    enum_cutoff: int = ENUM_CUTOFF,
-    exact_label_cutoff: int = EXACT_LABEL_CUTOFF,
-    samples: int = SAMPLES,
-    sample_seed: int = 0,
-) -> CertifyResult:
+def certify(family: SelectionFamily) -> CertifyResult:
     """Verify the family's selection property from its membership alone.
 
-    An ssf-like family over at most `exact_label_cutoff` labels is first
+    An ssf-like family over at most EXACT_LABEL_CUTOFF labels is first
     tried on the counting certificate (`_counting_certificate`); a proof is
     exact ("exhaustive"). Otherwise, or if the certificate declines, every
-    subset is enumerated when there are at most `enum_cutoff` of them
+    subset is enumerated when there are at most ENUM_CUTOFF of them
     ("exhaustive", with the first failing subset in lexicographic order),
     and failing that a seeded random spot-check runs ("spot-checked").
 
-    The spot-check tests `samples` subsets of c labels (k for a selector
+    The spot-check tests SAMPLES subsets of c labels (k for a selector
     with m < k), drawn by Floyd's algorithm from
-    `np.random.default_rng(spot_seed(family, sample_seed))` (see
-    `_floyd_rows`). The counterexample is the first of them in which fewer
-    than c members (m for a selector) are isolated.
+    `np.random.default_rng(spot_seed(family))` (see `_floyd_rows`). The
+    counterexample is the first of them in which fewer than c members (m
+    for a selector) are isolated.
     """
-    seed = spot_seed(family, sample_seed)
     c_eff = family.selection_c
-    if c_eff is not None:
-        if family.n_labels <= exact_label_cutoff and _counting_certificate(family, c_eff):
-            return CertifyResult(True, "exhaustive")
-        k = min(c_eff, family.n_labels)
-        if math.comb(family.n_labels, k) <= enum_cutoff:
-            witness = _enumerate(family, k, k)
-            return CertifyResult(witness is None, "exhaustive", witness)
-        witness = _spot_check(family, k, k, samples, seed)
-        return CertifyResult(witness is None, "spot-checked", witness, samples)
-
-    # genuine (k,m,N)-selector with m < k
-    assert family.k is not None and family.m is not None
-    if math.comb(family.n_labels, family.k) <= enum_cutoff:
-        witness = _enumerate(family, family.k, family.m)
+    if c_eff is None:  # a genuine (k,m,N)-selector with m < k
+        k, need = family.k, family.m
+    elif family.n_labels <= EXACT_LABEL_CUTOFF and _counting_certificate(family, c_eff):
+        return CertifyResult(True, "exhaustive")
+    else:
+        k = need = min(c_eff, family.n_labels)
+    if math.comb(family.n_labels, k) <= ENUM_CUTOFF:
+        witness = _enumerate(family, k, need)
         return CertifyResult(witness is None, "exhaustive", witness)
-    witness = _spot_check(family, family.k, family.m, samples, seed)
-    return CertifyResult(witness is None, "spot-checked", witness, samples)
+    witness = _spot_check(family, k, need)
+    return CertifyResult(witness is None, "spot-checked", witness, SAMPLES)

@@ -15,6 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import physical
 from .errors import ExactBranchTooLargeError
 from .physical import (
     CommGraph,
@@ -37,6 +38,8 @@ DIAMETER_FACTOR = 3.0  # backbone diameter <= factor * graph diameter + slack
 DIAMETER_SLACK = 4
 SIZE_FACTOR = 6.0  # c_s: backbone size <= c_s * minimum CDS size
 EXACT_CAP = 14  # largest n whose size ratio is taken against the exact minimum CDS
+TRIAL_BOXES = 16  # a dilution trial places stations in TRIAL_BOXES^2 pivotal boxes
+LATTICE_SPAN = 100  # the adversarial lattice's cells run -LATTICE_SPAN..LATTICE_SPAN
 
 
 @dataclass(frozen=True)
@@ -131,13 +134,13 @@ def is_dominating(adj: Adjacency, dom: set[int]) -> bool:
 # Exact and surrogate minimum connected dominating sets.
 
 
-def min_cds(adj: Adjacency, cap: int = EXACT_CAP) -> set[int]:
+def min_cds(adj: Adjacency) -> set[int]:
     """Exact minimum connected dominating set by subset enumeration, in
-    label order."""
+    label order, for at most EXACT_CAP nodes."""
     nodes = sorted(adj)
-    if len(nodes) > cap:
+    if len(nodes) > EXACT_CAP:
         raise ExactBranchTooLargeError(
-            f"exact CDS search capped at n={cap}, got n={len(nodes)}"
+            f"exact CDS search capped at n={EXACT_CAP}, got n={len(nodes)}"
         )
     if len(nodes) == 1:
         return {nodes[0]}
@@ -350,14 +353,11 @@ def check_diameter(result: BackboneResult, graph: CommGraph) -> Verdict:
     )
 
 
-def check_size_ratio(
-    result: BackboneResult, graph: CommGraph, exact_cap: int = EXACT_CAP
-) -> Verdict:
+def check_size_ratio(result: BackboneResult, graph: CommGraph) -> Verdict:
     c_s = SIZE_FACTOR
     members = set(result.leaders) | set(result.helpers)
-    n = len(graph.adjacency)
-    if n <= exact_cap:
-        optimum = min_cds(graph.adjacency, cap=exact_cap)
+    if len(graph.adjacency) <= EXACT_CAP:
+        optimum = min_cds(graph.adjacency)
         ratio = len(members) / len(optimum)
         return Verdict(
             "size-ratio",
@@ -405,18 +405,14 @@ def check_bucket_coverage(
 
 
 def run_all_checks(
-    result: BackboneResult,
-    inst: PhysicalInstance,
-    graph: CommGraph,
-    *,
-    exact_cap: int = EXACT_CAP,
+    result: BackboneResult, inst: PhysicalInstance, graph: CommGraph
 ) -> list[Verdict]:
     return [
         check_dominating(result, graph),
         check_connected_backbone(result, graph),
         check_constant_degree(result, graph),
         check_diameter(result, graph),
-        check_size_ratio(result, graph, exact_cap=exact_cap),
+        check_size_ratio(result, graph),
         check_leader_grid(result, inst),
         check_bucket_coverage(graph, result.phase_snapshots, result.delta),
     ]
@@ -427,22 +423,15 @@ def run_all_checks(
 # family execution stand in for a collision-free schedule.
 
 
-def dilution_trial(
-    params: SinrParams,
-    d: int,
-    *,
-    boxes_side: int = 12,
-    max_per_box: int = 21,
-    seed: int = 0,
-    n_labels_base: int = 10_000,
-) -> list[tuple[int, int]]:
+def dilution_trial(params: SinrParams, d: int, *, seed: int = 0) -> list[tuple[int, int]]:
     """One random diluted placement; returns required receptions that failed.
 
-    Stations are placed with at most max_per_box intended transmitters per
-    pivotal box; the active set keeps one transmitter per sliding
-    (2d+1)x(2d+1) box window (pairwise Chebyshev box distance >= 2d+1).
-    Every active transmitter must reach all non-transmitting stations
-    within sqrt(2) * side, i.e. within range.
+    Stations are placed in TRIAL_BOXES x TRIAL_BOXES pivotal boxes, with at
+    most physical.DILUTION_K intended transmitters per box; the active set
+    keeps one transmitter per sliding (2d+1)x(2d+1) box window (pairwise
+    Chebyshev box distance >= 2d+1). Every active transmitter must reach
+    all non-transmitting stations within sqrt(2) * side, i.e. within range.
+    Labels run 1..n over the n stations placed.
     """
     rng = random.Random(seed)
     side = pivotal_side(params)
@@ -450,8 +439,8 @@ def dilution_trial(
     stations = []
     label = 1
     intended = []
-    for bx in range(boxes_side):
-        for by in range(boxes_side):
+    for bx in range(TRIAL_BOXES):
+        for by in range(TRIAL_BOXES):
             count = rng.randint(0, 3)
             for _ in range(count):
                 x = (bx + rng.uniform(0.02, 0.98)) * side
@@ -465,7 +454,7 @@ def dilution_trial(
     for lab, x, y in stations:
         box = grid_box((x, y), side)
         boxes[lab] = box
-        if per_box.get(box, 0) < max_per_box and rng.random() < 0.8:
+        if per_box.get(box, 0) < physical.DILUTION_K and rng.random() < 0.8:
             per_box[box] = per_box.get(box, 0) + 1
             intended.append(lab)
     # dilute: greedy maximal subset with pairwise box-Chebyshev >= 2d+1
@@ -481,7 +470,7 @@ def dilution_trial(
             actives.append(lab)
     if not actives:
         return []
-    inst = make_instance(stations, params, n_labels_base)
+    inst = make_instance(stations, params, len(stations))
     pos = inst.positions()
     failures = []
     active_set = set(actives)
@@ -495,9 +484,7 @@ def dilution_trial(
     return failures
 
 
-def adversarial_dilution_check(
-    params: SinrParams, d: int, *, blocks_span: int = 100
-) -> bool:
+def adversarial_dilution_check(params: SinrParams, d: int) -> bool:
     """Worst-case certification of the dilution constant.
 
     Places one interferer per (2d+1)-spaced lattice cell at the corner
@@ -510,8 +497,8 @@ def adversarial_dilution_check(
     signal = p.power / r**p.alpha
     interference = 0.0
     step = (2 * d + 1) * side
-    for i in range(-blocks_span, blocks_span + 1):
-        for j in range(-blocks_span, blocks_span + 1):
+    for i in range(-LATTICE_SPAN, LATTICE_SPAN + 1):
+        for j in range(-LATTICE_SPAN, LATTICE_SPAN + 1):
             if i == 0 and j == 0:
                 continue
             # nearest possible point of the (i,j) lattice cell to the receiver

@@ -166,10 +166,10 @@ def test_acceptance_5_token_passing_delivery(suite):
 
 def test_acceptance_6_dilution_soundness():
     dil = derive_dilution(PARAMS)
-    assert adversarial_dilution_check(PARAMS, dil.d, blocks_span=100)
+    assert adversarial_dilution_check(PARAMS, dil.d)
     failures = []
     for seed in range(1000):
-        bad = dilution_trial(PARAMS, dil.d, boxes_side=16, seed=seed)
+        bad = dilution_trial(PARAMS, dil.d, seed=seed)
         failures.extend(bad)
     ok = not failures
     _emit(6, ok, f"d={dil.d}, c={dil.c}, 1000 placements, {len(failures)} reception failures")

@@ -92,8 +92,20 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         ["generate", "--n", "0", "--side", "1", "--out"],
         ["run", "--n", "5", "--demo-c", "0", "--out-dir"],
         ["sweep", "--demo-c", "-1", "--out-dir"],
+        ["run", "--n", "5", "--side", "1", "--power", "inf", "--out-dir"],
+        ["run", "--n", "5", "--side", "1", "--alpha", "inf", "--out-dir"],
+        ["run", "--n", "5", "--side", "1", "--noise", "inf", "--out-dir"],
     ],
-    ids=["run-n-above-labels", "run-alpha", "generate-n-zero", "run-demo-c-zero", "sweep-demo-c"],
+    ids=[
+        "run-n-above-labels",
+        "run-alpha",
+        "generate-n-zero",
+        "run-demo-c-zero",
+        "sweep-demo-c",
+        "run-power-inf",
+        "run-alpha-inf",
+        "run-noise-inf",
+    ],
 )
 def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
     code = main(argv + [str(tmp_path / "o")])
@@ -102,12 +114,40 @@ def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()  # rejected before anything is written
 
 
-def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"n_labels": [4], "deltas": [4]}),
+        json.dumps({"deltas": []}),
+        json.dumps({"deltas": [4.5]}),
+        json.dumps({"n_labels": 64}),
+        json.dumps([64]),
+        '{"deltas": [4,',
+        None,
+    ],
+    ids=["below-cell-size", "empty", "float", "not-a-list", "not-an-object", "bad-json", "missing"],
+)
+def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, text):
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"n_labels": [4], "deltas": [4]}))
+    if text is not None:
+        grid.write_text(text)
     code = main(["sweep", "--grid-file", str(grid), "--out-dir", str(tmp_path / "s")])
     assert code == 2
     assert _error_code(capsys) == "invalid-argument"
+    assert not (tmp_path / "s").exists()  # rejected before anything is written
+
+
+@pytest.mark.parametrize("power", [None, "Infinity"], ids=["missing", "infinite-power"])
+def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, power):
+    path = tmp_path / "instance.json"
+    if power is not None:
+        save_instance(make_instance([(1, 0, 0), (2, 0.5, 0)], DEFAULT_PARAMS, 4), str(path))
+        text = path.read_text()
+        path.write_text(text.replace('"power": 1.5', f'"power": {power}'))
+        assert power in path.read_text()
+    code = main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert _error_code(capsys) == "instance-format"
 
 
 def test_run_forty_node_defaults(tmp_path):
@@ -350,11 +390,12 @@ def _size_ratio(out) -> dict:
     return next(v["metrics"] for v in report["verdicts"] if v["check"] == "size-ratio")
 
 
-def test_exact_cap_moves_the_exact_cds_branch(tmp_path):
+def test_exact_cap_moves_the_exact_cds_branch(tmp_path, monkeypatch):
     base = ["run", "--n", "16", "--trace-mode", "off", "--out-dir"]
     assert main(base + [str(tmp_path / "greedy")]) == 0
     assert _size_ratio(tmp_path / "greedy")["exact"] == 0.0
-    assert main(base + [str(tmp_path / "exact"), "--exact-cap", "16"]) == 0
+    monkeypatch.setattr(verify, "EXACT_CAP", 16)
+    assert main(base + [str(tmp_path / "exact")]) == 0
     metrics = _size_ratio(tmp_path / "exact")
     assert metrics["exact"] == 1.0 and metrics["min_cds"] >= 1
 
@@ -367,12 +408,13 @@ def test_exact_cap_moves_the_exact_cds_branch(tmp_path):
         ["--diameter-factor", "0"],
         ["--diameter-slack", "0"],
         ["--size-factor", "0"],
+        ["--exact-cap", "16"],
     ],
     ids=lambda flag: flag[0],
 )
 def test_force_exact_cds_flag_is_gone(tmp_path, flag):
-    # --exact-cap is the one way to take the exact branch, and the other
-    # verification thresholds are verify's constants, not run flags
+    # every verification threshold, the exact branch's cap included, is a
+    # constant of verify, not a run flag
     with pytest.raises(SystemExit) as exc:
         main(["run", "--n", "20", *flag, "--out-dir", str(tmp_path / "o")])
     assert exc.value.code == 2

@@ -231,13 +231,14 @@ def _run_families(n_labels, deltas, c=4):
     return list(distinct.values())
 
 
-def test_certify_passes_every_battery_and_sweep_family():
+def test_certify_passes_every_battery_and_sweep_family(monkeypatch):
     # the acceptance battery runs N = 64 at degrees up to about 20, and
     # criterion 8's grid runs N = 64, 256, 1024 at degrees 4..24; only the
     # pair ssfs of N = 256 and 1024 are past the counting certificate
+    monkeypatch.setattr(selection, "SAMPLES", 2000)
     for n_labels in (64, 256, 1024):
         for fam in _run_families(n_labels, range(1, 31)):
-            res = certify(fam, samples=2000)
+            res = certify(fam)
             assert res.ok, (fam, res)
             exact = fam.n_labels <= 4096
             assert res.mode == ("exhaustive" if exact else "spot-checked"), (fam, res)
@@ -254,7 +255,7 @@ def _exactly_provable_families():
     yield construct_ssf(64 * 64, 16)
 
 
-def test_every_run_family_is_proved_by_its_code():
+def test_every_run_family_is_proved_by_its_code(monkeypatch):
     # the code's premises, then an exact proof of the family from its
     # membership alone, at every label space a run uses up to 4096
     proved = set()
@@ -270,7 +271,8 @@ def test_every_run_family_is_proved_by_its_code():
             assert fam.kind == "selector" or d == q, fam
             assert P <= q and q**K >= fam.n_labels, fam
             assert P == (c - 1) * (K - 1) + 1, fam
-        res = certify(fam, exact_label_cutoff=fam.n_labels)
+        monkeypatch.setattr(selection, "EXACT_LABEL_CUTOFF", fam.n_labels)
+        res = certify(fam)
         assert res == CertifyResult(True, "exhaustive"), (fam, res)
         proved.add(fam.n_labels)
     assert proved == {64, 256, 1024, 4096}
@@ -291,7 +293,7 @@ def test_certificate_declines_on_an_ssf_that_enumeration_proves():
 
 
 @pytest.mark.parametrize("n_labels, samples", [(4096, SAMPLES), (2**20, 20_000)])
-def test_pair_families_pass_the_batched_spot_check(n_labels, samples):
+def test_pair_families_pass_the_batched_spot_check(n_labels, samples, monkeypatch):
     # the pair ssfs of N = 64 and N = 1024: the first, over 4096 labels, is
     # proved by the counting certificate; the second is spot-checked, the
     # words of each batch's labels read from the arithmetic membership
@@ -300,7 +302,8 @@ def test_pair_families_pass_the_batched_spot_check(n_labels, samples):
         expected = CertifyResult(True, "exhaustive")
     else:
         expected = CertifyResult(True, "spot-checked", None, samples)
-    assert certify(fam, samples=samples) == expected
+    monkeypatch.setattr(selection, "SAMPLES", samples)
+    assert certify(fam) == expected
 
 
 def test_base_ssf_is_proved_exactly_above_64_labels():
@@ -578,11 +581,11 @@ def _floyd_row(gen, n, k):
     return sorted(chosen)
 
 
-def reference_spot_check(family, samples=SAMPLES, sample_seed=0):
+def reference_spot_check(family, samples=SAMPLES):
     """The spot-check with one scalar Floyd row and one big-int scan per
     sample, as it ran before batching; the reference for certify's
     spot-check."""
-    gen = np.random.default_rng(spot_seed(family, sample_seed))
+    gen = np.random.default_rng(spot_seed(family))
     if family.selection_c is not None:
         k = need = min(family.selection_c, family.n_labels)
     else:
@@ -627,18 +630,23 @@ DIFFERENTIAL_CASES = [
 ]
 
 
-def test_batched_spot_check_equals_scalar_reference():
+def test_batched_spot_check_equals_scalar_reference(monkeypatch):
+    # no enumeration and no counting certificate: every family is spot-checked
+    monkeypatch.setattr(selection, "ENUM_CUTOFF", 0)
+    monkeypatch.setattr(selection, "EXACT_LABEL_CUTOFF", 0)
     verdicts = set()
     for i, (n, size, kind, params, samples) in enumerate(DIFFERENTIAL_CASES):
         fam = random_family(n, size, 1000 + i, kind, **params)
-        got = certify(fam, enum_cutoff=0, exact_label_cutoff=0, samples=samples)
+        monkeypatch.setattr(selection, "SAMPLES", samples)
+        got = certify(fam)
         assert got == reference_spot_check(fam, samples), (n, size, kind, params)
         verdicts.add((kind, got.ok))
     # both verdicts, for ssfs and for selectors
     assert verdicts == {(kind, ok) for kind in ("ssf", "selector") for ok in (True, False)}
     # and the codes, whose words come from the arithmetic membership
+    monkeypatch.setattr(selection, "SAMPLES", 300)
     for fam in (construct_ssf(1024, 4), construct_ssf(2**20, 16), construct_selector(9, 3, 256)):
-        got = certify(fam, enum_cutoff=0, exact_label_cutoff=0, samples=300)
+        got = certify(fam)
         assert got == reference_spot_check(fam, 300) == CertifyResult(
             True, "spot-checked", None, 300
         )
@@ -648,9 +656,10 @@ def _n_isolated(sets, subset):
     return sum(any(set(st) & set(subset) == {e} for st in sets) for e in subset)
 
 
-def test_batched_enumeration_finds_the_first_violation():
+def test_batched_enumeration_finds_the_first_violation(monkeypatch):
     # subset enumeration runs the same kernel; its witness is the first
     # failing subset in lexicographic order, as a plain scan finds it
+    monkeypatch.setattr(selection, "EXACT_LABEL_CUTOFF", 0)
     verdicts = set()
     for i, (n, k, m, size) in enumerate(
         [(70, 2, 2, 20), (70, 2, 2, 90), (12, 4, 2, 5), (12, 4, 2, 30)]
@@ -659,7 +668,7 @@ def test_batched_enumeration_finds_the_first_violation():
         fam = random_family(n, size, 50 + i, kind, **params)
         sets, subsets = fam.sets, combinations(range(1, n + 1), k)
         first = next((S for S in subsets if _n_isolated(sets, S) < m), None)
-        res = certify(fam, exact_label_cutoff=0)
+        res = certify(fam)
         assert res == CertifyResult(first is None, "exhaustive", first)
         verdicts.add((kind, res.ok))
     assert len(verdicts) == 4

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 from sinrbackbone import verify
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
-from sinrbackbone.physical import build_graph, derive_dilution, is_connected, make_instance
+from sinrbackbone.physical import (
+    build_graph,
+    derive_dilution,
+    grid_box,
+    is_connected,
+    make_instance,
+    pivotal_side,
+)
 from sinrbackbone.protocol import BackboneResult, CollectSink, backbone_creation
 from sinrbackbone.verify import (
     adversarial_dilution_check,
@@ -421,10 +428,32 @@ def test_helper_replays_match_the_whole_graph_bfs(graph):
 
 def test_adversarial_dilution_certification():
     dil = derive_dilution(P)
-    assert adversarial_dilution_check(P, dil.d, blocks_span=100)
+    assert adversarial_dilution_check(P, dil.d)
 
 
 def test_dilution_trials_clean():
     dil = derive_dilution(P)
     for seed in range(40):
-        assert dilution_trial(P, dil.d, boxes_side=16, seed=seed) == []
+        assert dilution_trial(P, dil.d, seed=seed) == []
+
+
+def test_verification_budgets_are_pinned(monkeypatch):
+    # the exact branch's cap, the trial's 16 x 16 boxes and the lattice's
+    # span of 100 are the paper-scale budgets; a smaller one fails here
+    assert verify.EXACT_CAP == 14
+    assert (verify.TRIAL_BOXES, verify.LATTICE_SPAN) == (16, 100)
+    # the trial reads TRIAL_BOXES: its stations reach the 16th box column
+    # and row, and no further
+    placed = []
+    make = verify.make_instance
+    monkeypatch.setattr(
+        verify, "make_instance", lambda st, *a: placed.append(st) or make(st, *a)
+    )
+    dilution_trial(P, derive_dilution(P).d, seed=0)
+    boxes = {grid_box((x, y), pivotal_side(P)) for _, x, y in placed[0]}
+    assert max(max(b) for b in boxes) == 15 and min(min(b) for b in boxes) == 0
+    # the lattice reads LATTICE_SPAN: without dilution its interferers
+    # break the threshold, and with no cells there are none
+    assert not adversarial_dilution_check(P, 0)
+    monkeypatch.setattr(verify, "LATTICE_SPAN", 0)
+    assert adversarial_dilution_check(P, 0)
