@@ -20,10 +20,8 @@ from .physical import (
     make_instance,
     parse_instance,
     pivotal_side,
-    receives,
     save_instance,
     serialize_instance,
-    sinr,
 )
 from .protocol import (
     BackboneResult,

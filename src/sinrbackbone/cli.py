@@ -70,8 +70,10 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
     other than a disconnected draw propagates at once: no redraw can help."""
     if spec.n < 1:
         raise InvalidArgumentError(f"need n >= 1, got n={spec.n}")
-    if spec.arena_side <= 0:
-        raise InvalidArgumentError(f"need a positive arena side, got {spec.arena_side}")
+    if not (math.isfinite(spec.arena_side) and spec.arena_side > 0):
+        raise InvalidArgumentError(f"need a finite positive arena side, got {spec.arena_side}")
+    if not math.isfinite(spec.min_spacing):
+        raise InvalidArgumentError(f"need a finite minimum spacing, got {spec.min_spacing}")
     if spec.n > spec.n_labels:
         raise InvalidArgumentError(f"n={spec.n} exceeds label space {spec.n_labels}")
     rng = random.Random(spec.seed)
@@ -484,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--spacing", type=float, default=0.05)
     r.add_argument("--seed", type=int, default=1)
     r.add_argument("--n-labels", type=int, default=64)
-    r.add_argument("--demo", dest="demo", action="store_true", default=True)
     r.add_argument(
         "--no-demo",
         dest="demo",

@@ -15,12 +15,6 @@ class DegenerateDistanceError(SimulationError):
     code = "degenerate-distance"
 
 
-class UndefinedRatioError(SimulationError):
-    """SINR denominator is zero (no noise and no interference)."""
-
-    code = "undefined-ratio"
-
-
 class UnboundedRangeError(SimulationError):
     """Zero ambient noise makes the transmission range infinite."""
 

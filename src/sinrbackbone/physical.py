@@ -21,7 +21,6 @@ from .errors import (
     InstanceFormatError,
     NoDilutionError,
     UnboundedRangeError,
-    UndefinedRatioError,
 )
 
 Position = tuple[float, float]
@@ -76,9 +75,11 @@ class PhysicalInstance:
         labels = [lab for lab, _ in self.stations]
         if len(set(labels)) != len(labels):
             raise ValueError("station labels must be distinct")
-        for lab in labels:
+        for lab, pos in self.stations:
             if not (1 <= lab <= self.n_labels):
                 raise ValueError(f"label {lab} outside [1..{self.n_labels}]")
+            if not all(map(math.isfinite, pos)):
+                raise ValueError(f"station {lab} has a coordinate that is not finite: {pos}")
 
     @property
     def n(self) -> int:
@@ -87,9 +88,6 @@ class PhysicalInstance:
     @property
     def labels(self) -> tuple[int, ...]:
         return tuple(lab for lab, _ in self.stations)
-
-    def positions(self) -> dict[int, Position]:
-        return {lab: pos for lab, pos in self.stations}
 
 
 def make_instance(
@@ -109,7 +107,8 @@ def distance(a: Position, b: Position) -> float:
     """Euclidean distance in meters.
 
     Every distance in the package comes from here: the graph, the round
-    engine and the scalar reception check agree at the range boundary.
+    engine and the dilution trial's required pairs agree at the range
+    boundary.
     """
     return math.dist(a, b)
 
@@ -176,77 +175,15 @@ def grid_index(inst: PhysicalInstance) -> GridIndex:
     )
 
 
-def sinr(
-    sender: int,
-    receiver: int,
-    transmitters: Iterable[int],
-    inst: PhysicalInstance,
-) -> float:
-    """Signal-to-interference-plus-noise ratio at the receiver.
-
-    Signal is P/d(u,v)^alpha; the denominator adds noise and the same
-    path-loss term for every other transmitter.
-    """
-    tx = set(transmitters)
-    if sender not in tx:
-        raise ValueError("sender must be in the transmitter set")
-    if receiver in tx:
-        raise ValueError("receiver cannot also transmit")
-    if sender == receiver:
-        raise ValueError("sender and receiver must differ")
-    pos = inst.positions()
-    p = inst.params
-    rx = pos[receiver]
-
-    d_sr = distance(pos[sender], rx)
-    if d_sr == 0.0:
-        raise DegenerateDistanceError(f"stations {sender} and {receiver} coincide")
-    signal = p.power / d_sr**p.alpha
-
-    interference = 0.0
-    for t in tx:
-        if t == sender:
-            continue
-        d_tr = distance(pos[t], rx)
-        if d_tr == 0.0:
-            raise DegenerateDistanceError(f"stations {t} and {receiver} coincide")
-        interference += p.power / d_tr**p.alpha
-
-    denom = p.noise + interference
-    if denom == 0.0:
-        raise UndefinedRatioError("zero noise and no interference")
-    return signal / denom
-
-
-def receives(
-    sender: int,
-    receiver: int,
-    transmitters: Iterable[int],
-    inst: PhysicalInstance,
-) -> bool:
-    """Reception verdict: SINR >= beta and the weak-device power floor holds.
-
-    The power floor P/d^alpha >= (1+eps)*beta*noise is evaluated in its
-    equivalent distance form d <= range so that ties at the range boundary
-    are inclusive regardless of floating-point rounding in the power term.
-    """
-    p = inst.params
-    pos = inst.positions()
-    d_sr = distance(pos[sender], pos[receiver])
-    if p.noise > 0:
-        if d_sr > broadcast_range(p):
-            return False
-    # noise = 0 makes the floor (1+eps)*beta*0 = 0, satisfied by any signal
-    return sinr(sender, receiver, transmitters, inst) >= p.beta
-
-
 class PhysicsEngine:
     """Vectorized SINR adjudication for one instance, and the communication
     graph it implies.
 
-    Distances come from distance_matrix and the range from broadcast_range,
-    as for receives(). The graph has an edge wherever in_range holds, so
-    the graph and the round engine cannot disagree at the range boundary.
+    The package's one SINR adjudicator: every protocol round and every
+    dilution trial is decided here. Distances come from distance_matrix and
+    the range from broadcast_range. The graph has an edge wherever in_range
+    holds, so the graph and the round engine cannot disagree at the range
+    boundary.
     """
 
     def __init__(self, inst: PhysicalInstance):

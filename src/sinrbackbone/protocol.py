@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
 

@@ -20,6 +20,7 @@ from .errors import ExactBranchTooLargeError
 from .physical import (
     CommGraph,
     PhysicalInstance,
+    PhysicsEngine,
     SinrParams,
     broadcast_range,
     distance,
@@ -28,7 +29,6 @@ from .physical import (
     is_connected,
     make_instance,
     pivotal_side,
-    receives,
 )
 from .protocol import BackboneResult
 
@@ -423,19 +423,19 @@ def run_all_checks(
 # family execution stand in for a collision-free schedule.
 
 
-def dilution_trial(params: SinrParams, d: int, *, seed: int = 0) -> list[tuple[int, int]]:
-    """One random diluted placement; returns required receptions that failed.
+def _diluted_placement(
+    params: SinrParams, d: int, seed: int
+) -> tuple[list[tuple[int, float, float]], list[int]]:
+    """One seeded trial placement: the (label, x, y) stations, labels 1..n,
+    and the diluted active transmitters in the order they were chosen.
 
     Stations are placed in TRIAL_BOXES x TRIAL_BOXES pivotal boxes, with at
     most physical.DILUTION_K intended transmitters per box; the active set
     keeps one transmitter per sliding (2d+1)x(2d+1) box window (pairwise
-    Chebyshev box distance >= 2d+1). Every active transmitter must reach
-    all non-transmitting stations within sqrt(2) * side, i.e. within range.
-    Labels run 1..n over the n stations placed.
+    Chebyshev box distance >= 2d+1).
     """
     rng = random.Random(seed)
     side = pivotal_side(params)
-    r = broadcast_range(params)
     stations = []
     label = 1
     intended = []
@@ -447,8 +447,6 @@ def dilution_trial(params: SinrParams, d: int, *, seed: int = 0) -> list[tuple[i
                 y = (by + rng.uniform(0.02, 0.98)) * side
                 stations.append((label, x, y))
                 label += 1
-    if len(stations) < 2:
-        return []
     per_box: dict[tuple[int, int], int] = {}
     boxes: dict[int, tuple[int, int]] = {}
     for lab, x, y in stations:
@@ -468,20 +466,35 @@ def dilution_trial(params: SinrParams, d: int, *, seed: int = 0) -> list[tuple[i
             for a in actives
         ):
             actives.append(lab)
-    if not actives:
-        return []
-    inst = make_instance(stations, params, len(stations))
-    pos = inst.positions()
-    failures = []
+    return stations, actives
+
+
+def dilution_trial(params: SinrParams, d: int, *, seed: int = 0) -> list[tuple[int, int]]:
+    """One random diluted placement; returns required receptions that failed.
+
+    Every active transmitter must reach all non-transmitting stations
+    within sqrt(2) * side, i.e. within range: the required (active,
+    station) pairs, actives in the order chosen, stations in label order.
+    The run's PhysicsEngine adjudicates one round in which every active
+    transmits. It holds only the actives and the stations some active must
+    reach: no other station transmits or is in range of a transmitter.
+    """
+    stations, actives = _diluted_placement(params, d, seed)
+    r = broadcast_range(params)
+    pos = {lab: (x, y) for lab, x, y in stations}
     active_set = set(actives)
-    for u in actives:
-        for lab, _, _ in stations:
-            if lab == u or lab in active_set:
-                continue
-            if distance(pos[u], pos[lab]) <= r:
-                if not receives(u, lab, active_set, inst):
-                    failures.append((u, lab))
-    return failures
+    required = [
+        (u, lab)
+        for u in actives
+        for lab in pos
+        if lab not in active_set and distance(pos[u], pos[lab]) <= r
+    ]
+    kept = active_set | {lab for _, lab in required}
+    engine = PhysicsEngine(
+        make_instance([s for s in stations if s[0] in kept], params, len(stations))
+    )
+    delivered = set(engine.deliver(actives))
+    return [pair for pair in required if pair not in delivered]
 
 
 def adversarial_dilution_check(params: SinrParams, d: int) -> bool:

@@ -1,0 +1,107 @@
+"""The scalar SINR check, kept as the reference for PhysicsEngine.
+
+sinr() and receives() decide one (sender, receiver) pair from the paper's
+formulas, one transmitter at a time. The engine adjudicates every run and
+every dilution trial; these must agree with it on each pair away from a
+float tie at the threshold. scalar_dilution_trial() is the dilution trial
+decided pair by pair with receives().
+"""
+
+from typing import Iterable
+
+from sinrbackbone import verify
+from sinrbackbone.errors import DegenerateDistanceError
+from sinrbackbone.physical import (
+    PhysicalInstance,
+    SinrParams,
+    broadcast_range,
+    distance,
+    make_instance,
+)
+
+
+class UndefinedRatioError(ArithmeticError):
+    """SINR denominator is zero (no noise and no interference)."""
+
+
+def sinr(
+    sender: int,
+    receiver: int,
+    transmitters: Iterable[int],
+    inst: PhysicalInstance,
+) -> float:
+    """Signal-to-interference-plus-noise ratio at the receiver.
+
+    Signal is P/d(u,v)^alpha; the denominator adds noise and the same
+    path-loss term for every other transmitter.
+    """
+    tx = set(transmitters)
+    if sender not in tx:
+        raise ValueError("sender must be in the transmitter set")
+    if receiver in tx:
+        raise ValueError("receiver cannot also transmit")
+    if sender == receiver:
+        raise ValueError("sender and receiver must differ")
+    pos = dict(inst.stations)
+    p = inst.params
+    rx = pos[receiver]
+
+    d_sr = distance(pos[sender], rx)
+    if d_sr == 0.0:
+        raise DegenerateDistanceError(f"stations {sender} and {receiver} coincide")
+    signal = p.power / d_sr**p.alpha
+
+    interference = 0.0
+    for t in tx:
+        if t == sender:
+            continue
+        d_tr = distance(pos[t], rx)
+        if d_tr == 0.0:
+            raise DegenerateDistanceError(f"stations {t} and {receiver} coincide")
+        interference += p.power / d_tr**p.alpha
+
+    denom = p.noise + interference
+    if denom == 0.0:
+        raise UndefinedRatioError("zero noise and no interference")
+    return signal / denom
+
+
+def receives(
+    sender: int,
+    receiver: int,
+    transmitters: Iterable[int],
+    inst: PhysicalInstance,
+) -> bool:
+    """Reception verdict: SINR >= beta and the weak-device power floor holds.
+
+    The power floor P/d^alpha >= (1+eps)*beta*noise is evaluated in its
+    equivalent distance form d <= range so that ties at the range boundary
+    are inclusive regardless of floating-point rounding in the power term.
+    """
+    p = inst.params
+    pos = dict(inst.stations)
+    d_sr = distance(pos[sender], pos[receiver])
+    if p.noise > 0:
+        if d_sr > broadcast_range(p):
+            return False
+    # noise = 0 makes the floor (1+eps)*beta*0 = 0, satisfied by any signal
+    return sinr(sender, receiver, transmitters, inst) >= p.beta
+
+
+def scalar_dilution_trial(params: SinrParams, d: int, seed: int) -> list[tuple[int, int]]:
+    """verify.dilution_trial's failures, each required pair decided by
+    receives() against every station of the placement."""
+    stations, actives = verify._diluted_placement(params, d, seed)
+    inst = make_instance(stations, params, len(stations))
+    pos = dict(inst.stations)
+    r = broadcast_range(params)
+    active_set = set(actives)
+    failures = []
+    for u in actives:
+        for lab, _, _ in stations:
+            if lab == u or lab in active_set:
+                continue
+            if distance(pos[u], pos[lab]) <= r:
+                if not receives(u, lab, active_set, inst):
+                    failures.append((u, lab))
+    return failures

@@ -95,6 +95,10 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         ["run", "--n", "5", "--side", "1", "--power", "inf", "--out-dir"],
         ["run", "--n", "5", "--side", "1", "--alpha", "inf", "--out-dir"],
         ["run", "--n", "5", "--side", "1", "--noise", "inf", "--out-dir"],
+        ["generate", "--n", "5", "--side", "nan", "--out"],
+        ["generate", "--n", "5", "--side", "inf", "--out"],
+        ["generate", "--n", "5", "--side", "1", "--spacing", "nan", "--out"],
+        ["run", "--n", "5", "--side", "nan", "--out-dir"],
     ],
     ids=[
         "run-n-above-labels",
@@ -105,6 +109,10 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         "run-power-inf",
         "run-alpha-inf",
         "run-noise-inf",
+        "generate-side-nan",
+        "generate-side-inf",
+        "generate-spacing-nan",
+        "run-side-nan",
     ],
 )
 def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
@@ -137,14 +145,23 @@ def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "s").exists()  # rejected before anything is written
 
 
-@pytest.mark.parametrize("power", [None, "Infinity"], ids=["missing", "infinite-power"])
-def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, power):
+@pytest.mark.parametrize(
+    "edit",
+    [
+        None,
+        ('"power": 1.5', '"power": Infinity'),
+        ('"x": 0.5', '"x": Infinity'),
+        ('"x": 0.5', '"x": NaN'),
+    ],
+    ids=["missing", "infinite-power", "infinite-x", "nan-x"],
+)
+def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, edit):
     path = tmp_path / "instance.json"
-    if power is not None:
+    if edit is not None:
         save_instance(make_instance([(1, 0, 0), (2, 0.5, 0)], DEFAULT_PARAMS, 4), str(path))
-        text = path.read_text()
-        path.write_text(text.replace('"power": 1.5', f'"power": {power}'))
-        assert power in path.read_text()
+        old, new = edit
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
     code = main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert _error_code(capsys) == "instance-format"
@@ -409,6 +426,7 @@ def test_exact_cap_moves_the_exact_cds_branch(tmp_path, monkeypatch):
         ["--diameter-slack", "0"],
         ["--size-factor", "0"],
         ["--exact-cap", "16"],
+        ["--demo"],
     ],
     ids=lambda flag: flag[0],
 )

@@ -12,7 +12,6 @@ from sinrbackbone.errors import (
     DisconnectedInstanceError,
     NoDilutionError,
     UnboundedRangeError,
-    UndefinedRatioError,
 )
 from sinrbackbone.physical import (
     PhysicsEngine,
@@ -27,12 +26,11 @@ from sinrbackbone.physical import (
     make_instance,
     parse_instance,
     pivotal_side,
-    receives,
     serialize_instance,
-    sinr,
 )
 
 from dense_engine import dense_adjudicate
+from oracles import UndefinedRatioError, receives, sinr
 
 P_UNIT = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)  # range 1
 
@@ -362,7 +360,7 @@ def test_pivotal_grid_soundness():
     gi = grid_index(inst)
     assert gi.side == pytest.approx(pivotal_side(P_UNIT))
     assert gi.side == pytest.approx(broadcast_range(P_UNIT) / math.sqrt(2))
-    pos = inst.positions()
+    pos = dict(inst.stations)
     for u, v in itertools.combinations(sorted(gi.boxes), 2):
         if gi.boxes[u] == gi.boxes[v]:
             assert distance(pos[u], pos[v]) <= broadcast_range(P_UNIT)
@@ -494,7 +492,7 @@ def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     inst, member = layout
     eng = PhysicsEngine(inst)
     labels = eng.labels
-    pos = inst.positions()
+    pos = dict(inst.stations)
     rounds, senders = np.nonzero(member)
     t, rx = eng.adjudicate(rounds, senders)
     batch = list(zip(rounds[t].tolist(), senders[t].tolist(), rx.tolist()))

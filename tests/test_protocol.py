@@ -1,10 +1,13 @@
 import dataclasses
+import inspect
 import math
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sinrbackbone
 from sinrbackbone import protocol
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import MessageSizeError, TokenDeliveryError
@@ -767,3 +770,18 @@ def test_all_statuses_resolved_and_messages_bounded():
     for tr in records(r.traces.executions):
         for _, m in tr.transmitters:
             assert m.size_bits <= budget
+
+
+def test_every_export_resolves_its_type_hints():
+    # a name used in an annotation but never imported raises NameError only
+    # when something (a dataclass, a checker, a doc tool) resolves the hints
+    checked = []
+    for obj in vars(sinrbackbone).values():
+        if getattr(obj, "__module__", "").startswith("sinrbackbone.") and callable(obj):
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for fn in [obj, *members]:
+                fn = getattr(fn, "fget", fn)  # a property resolves its getter
+                if inspect.isfunction(fn) or inspect.isclass(fn):
+                    typing.get_type_hints(fn)
+                    checked.append(fn.__qualname__)
+    assert "Simulator.execute" in checked and "backbone_creation" in checked

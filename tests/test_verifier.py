@@ -34,6 +34,8 @@ from sinrbackbone.verify import (
     min_cds,
 )
 
+from oracles import scalar_dilution_trial
+
 P = DEFAULT_PARAMS
 
 
@@ -437,20 +439,27 @@ def test_dilution_trials_clean():
         assert dilution_trial(P, dil.d, seed=seed) == []
 
 
+def test_engine_dilution_trial_equals_the_scalar_oracle():
+    # below the derived d the trial fails, so the engine and the scalar
+    # check are compared on thousands of failed and delivered pairs
+    for d, seeds, count in ((0, range(5), 3354), (1, range(20), 116)):
+        failures = 0
+        for seed in seeds:
+            got = dilution_trial(P, d, seed=seed)
+            assert got == scalar_dilution_trial(P, d, seed), (d, seed)
+            failures += len(got)
+        assert failures == count
+
+
 def test_verification_budgets_are_pinned(monkeypatch):
     # the exact branch's cap, the trial's 16 x 16 boxes and the lattice's
     # span of 100 are the paper-scale budgets; a smaller one fails here
     assert verify.EXACT_CAP == 14
     assert (verify.TRIAL_BOXES, verify.LATTICE_SPAN) == (16, 100)
-    # the trial reads TRIAL_BOXES: its stations reach the 16th box column
-    # and row, and no further
-    placed = []
-    make = verify.make_instance
-    monkeypatch.setattr(
-        verify, "make_instance", lambda st, *a: placed.append(st) or make(st, *a)
-    )
-    dilution_trial(P, derive_dilution(P).d, seed=0)
-    boxes = {grid_box((x, y), pivotal_side(P)) for _, x, y in placed[0]}
+    # the trial's placement reads TRIAL_BOXES: its stations reach the 16th
+    # box column and row, and no further
+    stations, _ = verify._diluted_placement(P, derive_dilution(P).d, 0)
+    boxes = {grid_box((x, y), pivotal_side(P)) for _, x, y in stations}
     assert max(max(b) for b in boxes) == 15 and min(min(b) for b in boxes) == 0
     # the lattice reads LATTICE_SPAN: without dilution its interferers
     # break the threshold, and with no cells there are none
