@@ -463,13 +463,16 @@ def _demo_c_from(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag is only ever its full name, so a removed
+    # flag that prefixes a kept one (--demo of --demo-c) is rejected
     parser = argparse.ArgumentParser(
         prog="sinr-backbone",
         description="Deterministic SINR backbone construction simulator",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a connected random instance")
+    g = sub.add_parser("generate", help="generate a connected random instance", allow_abbrev=False)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--side", type=float, required=True, help="arena side in meters")
     g.add_argument("--spacing", type=float, default=0.05)
@@ -478,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default="instance.json")
     _add_param_flags(g)
 
-    r = sub.add_parser("run", help="run backbone creation and verify")
+    r = sub.add_parser("run", help="run backbone creation and verify", allow_abbrev=False)
     src = r.add_mutually_exclusive_group(required=True)
     src.add_argument("--instance", help="instance file path")
     src.add_argument("--n", type=int, help="generate an instance of this size")
@@ -497,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     r.add_argument("--trace-mode", choices=("compact", "full", "off"), default="compact")
     _add_param_flags(r)
 
-    s = sub.add_parser("sweep", help="round-complexity sweep over a grid")
+    s = sub.add_parser("sweep", help="round-complexity sweep over a grid", allow_abbrev=False)
     s.add_argument("--grid-file", help="JSON file with n_labels and delta lists")
     s.add_argument("--demo-c", type=int, default=4)
     s.add_argument("--out-dir", default="out")

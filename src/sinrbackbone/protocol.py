@@ -20,8 +20,9 @@ sink reads as they are (the CLI's trace file is written from them).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
 import numpy as np
@@ -69,14 +70,17 @@ class Message:
 
     @staticmethod
     def make(kind: str, payload: tuple, n_labels: int) -> "Message":
-        label_bits = max(1, (n_labels).bit_length())
-        size = KIND_BITS + _count_labels(payload) * label_bits
-        budget = C_MSG * max(1.0, math.log2(n_labels))
-        if size > budget:
-            raise MessageSizeError(
-                f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget"
-            )
-        return Message(kind=kind, payload=payload, size_bits=size)
+        return Message(kind, payload, _message_bits(kind, _count_labels(payload), n_labels))
+
+
+def _message_bits(kind: str, labels: int, n_labels: int) -> int:
+    """The size of a kind message carrying labels labels; MessageSizeError
+    if that is over the budget."""
+    size = KIND_BITS + labels * max(1, n_labels.bit_length())
+    budget = C_MSG * max(1.0, math.log2(n_labels))
+    if size > budget:
+        raise MessageSizeError(f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget")
+    return size
 
 
 def _count_labels(payload: tuple) -> int:
@@ -100,7 +104,6 @@ class NodeView:
     status: str = ACTIVE
     adjacent_leaders: set[int] = field(default_factory=set)
     learned_neighborhoods: dict[int, set[int]] = field(default_factory=dict)
-    pending_tokens: tuple[int, ...] = ()
     two_hop_helpers: dict[int, int] = field(default_factory=dict)  # partner -> helper
     three_hop_helpers: dict[int, tuple[int, int]] = field(default_factory=dict)
 
@@ -428,7 +431,7 @@ class Simulator:
         dl_at = dl_tx.searchsorted(np.arange(len(tx_key) + 1))
         lo = dl_at[slot_tx]
         span = dl_at[slot_tx + 1] - lo
-        heard_rx = dl_rx[np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)]
+        heard_rx = dl_rx[_ranges(lo, span)]
         heard = sorted_distinct(slot_k.repeat(span) * n + heard_rx)
         heard_k = heard // n
         heard_at = heard_k.searchsorted(slot_at).tolist()
@@ -489,6 +492,11 @@ class Simulator:
         )
         for ls, (slots, listeners) in zip(labs, steps):
             yield [(ls[k], listener) for k, listener in zip(slots, listeners)]
+
+
+def _ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The indices lo[j] .. lo[j] + span[j] - 1 of every j, in order."""
+    return np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -649,88 +657,183 @@ def two_hop_connection(sim: Simulator) -> None:
 # Algorithm: token passing.
 
 
-def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list[tuple[int, Message]]]:
+def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarray, np.ndarray]:
     """Leader-coordinated round robin: each leader passes a token to its
     i-th neighbor, who transmits its message and passes the token back.
 
     Per iteration the leader schedule is four ssf executions (silent, pass
     token, silent, silent) against the non-leaders' two-execution loop.
-    Returns, per listener, each (sender, message) it heard in the msg slots,
-    in slot order. A token grant that is not received by its addressee is a
+    Returns every reception of the msg slots as (sender, listener) label
+    arrays, by iteration, then sender, then listener: the listener received
+    msgs[sender]. A token grant that is not received by its addressee is a
     hard simulation error.
 
-    The sweep's transmitters are fixed before its first round: grants go
+    Everything the sweep sends is fixed before its first round: grants go
     to the leaders' i-th neighbors and, since a lost grant fails the run,
     exactly their targets hold tokens, send their messages and return the
-    tokens. So the sweep's 4*Delta executions are adjudicated as one batch,
-    while each execution's messages are built from the nodes' state just
-    before the sweep reaches it.
+    tokens, each return carrying the grants aimed at its holder. So the
+    sweep's 4*Delta executions are adjudicated as one batch, and a grant or
+    return message is built only when a sink asks for it, once per
+    execution and sender. Before a grant or return execution is recorded,
+    the size of every message it sends is checked from its label count. The
+    grant check, the token records and the receptions are read from the
+    heard (slot position, listener) pairs of each execution.
     """
     views = sim.views
     fam = sim.base_ssf()
-    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
+    n_labels = sim.inst.n_labels
+    delta = sim.graph.delta
     run_id = sim._tp_runs
     sim._tp_runs += 1
-    heard_msgs: dict[int, list[tuple[int, Message]]] = {}
+    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
+    degree = np.array([views[lab].degree for lab in leaders], dtype=np.int64)
+    # every grant: leader, target and iteration - 1
+    lead = np.array(leaders, dtype=np.int64).repeat(degree)
+    target = np.array([u for lab in leaders for u in views[lab].neighbors], dtype=np.int64)
+    nth = np.arange(len(target)) - (degree.cumsum() - degree).repeat(degree)
+    by_i = np.lexsort((lead, nth))
+    # the holders of each iteration, sorted, each with the leaders whose
+    # grants it returns, sorted
+    by_holder = np.lexsort((lead, target, nth))
+    first = _run_starts(nth[by_holder], target[by_holder])
+    holders, holder_i = target[by_holder][first], nth[by_holder][first]
+    tokens = lead[by_holder].tolist()
+    tok_at = np.append(np.flatnonzero(first), len(first))
+    has_msg = np.zeros(n_labels + 1, dtype=bool)
+    has_msg[list(msgs)] = True
+    sends = has_msg[holders]
+    senders = holders[sends]
+    iterations = np.arange(delta + 1)
+    g_at = nth[by_i].searchsorted(iterations).tolist()
+    h_at = holder_i.searchsorted(iterations).tolist()
+    s_at = holder_i[sends].searchsorted(iterations).tolist()
+    granting, targets = lead[by_i].tolist(), target[by_i].tolist()
+    holder_list, sender_list = holders.tolist(), senders.tolist()
+    tok_count = np.diff(tok_at).tolist()
+    tok_at = tok_at.tolist()
 
-    sweep = []  # per iteration: i, the granting leaders, the holders that send, the holders
-    for i in range(1, sim.graph.delta + 1):
-        granting = [lab for lab in leaders if views[lab].degree >= i]
-        holders = sorted({views[lab].neighbors[i - 1] for lab in granting})
-        sweep.append((i, granting, [lab for lab in holders if lab in msgs], holders))
+    def send(u: int, _ks: list[int]) -> Message:
+        return msgs[u]
+
+    def grant(targets_i: list[int]) -> Callable[[int, list[int]], Message]:
+        return _per_sender(
+            lambda u, ks: Message.make("token-grant", (u, targets_i[ks[0]]), n_labels)
+        )
+
+    def give_back(h0: int) -> Callable[[int, list[int]], Message]:
+        def message(u: int, ks: list[int]) -> Message:
+            h = h0 + ks[0]
+            return Message.make("token-return", (u, *tokens[tok_at[h] : tok_at[h + 1]]), n_labels)
+
+        return _per_sender(message)
+
+    # per iteration: i, the granting leaders and their targets, the holders
+    # that send, the holders and their token counts
+    sweep = []
     specs = []
-    sent: list[Mapping[int, Message]] = []  # the messages of each execution reached
-    for i, *senders in sweep:
-        for kind, labs in zip(("idle", "grant", "msg", "return"), ([], *senders)):
-            phase = f"token-passing/run={run_id}/i={i}/{kind}"
-            specs.append((labs, labs, phase, lambda u, _ks, e=len(specs): sent[e][u]))
+    for i in range(1, delta + 1):
+        g0, g1, h0, h1 = g_at[i - 1], g_at[i], h_at[i - 1], h_at[i]
+        granting_i, targets_i = granting[g0:g1], targets[g0:g1]
+        senders_i, holders_i = sender_list[s_at[i - 1] : s_at[i]], holder_list[h0:h1]
+        sweep.append((i, granting_i, targets_i, senders_i, holders_i, tok_count[h0:h1]))
+        phase = f"token-passing/run={run_id}/i={i}/"
+        specs += [
+            ([], [], phase + "idle", send),
+            (granting_i, granting_i, phase + "grant", grant(targets_i)),
+            (senders_i, senders_i, phase + "msg", send),
+            (holders_i, holders_i, phase + "return", give_back(h0)),
+        ]
     steps = sim.execute(fam, specs)
+    heard_pos: list[tuple[int, ...]] = []
+    heard_label: list[tuple[int, ...]] = []
+    fits = 0  # a token count whose return is known to fit the budget
 
-    def advance(messages: Mapping[int, Message]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Record the next execution, sending messages; who heard whom in
-        it, as (sender position, listener) tuples."""
-        sent.append(messages)
-        return next(steps)
-
-    for i, granting, senders, holders in sweep:
+    for i, granting_i, targets_i, senders_i, holders_i, counts_i in sweep:
         # slot 1: everyone silent
-        advance({})
+        next(steps)
         # slot 2: leaders pass tokens to their i-th neighbors
-        grants = {
-            lab: sim.msg("token-grant", (lab, views[lab].neighbors[i - 1])) for lab in granting
-        }
-        # a grant's payload is its (leader, target) pair
-        delivered = {(granting[k], listener) for k, listener in zip(*advance(grants))}
-        for lab, msg in grants.items():
-            if msg.payload not in delivered:
+        if granting_i:
+            _message_bits("token-grant", 2, n_labels)
+        pos, label = next(steps)
+        at = _slot_at(pos, len(granting_i))
+        for k, (lab, t) in enumerate(zip(granting_i, targets_i)):
+            if t not in label[at[k] : at[k + 1]]:
                 raise TokenDeliveryError(
-                    f"token from leader {lab} to {msg.payload[1]} lost in run {run_id}, i={i}"
+                    f"token from leader {lab} to {t} lost in run {run_id}, i={i}"
                 )
-            views[msg.payload[1]].pending_tokens += (lab,)
         # slot 3: token holders transmit their message
-        txs = {lab: msgs[lab] for lab in senders}
-        receivers: dict[int, list[int]] = {lab: [] for lab in senders}
-        for k, listener in zip(*advance(txs)):
-            s = senders[k]
-            receivers[s].append(listener)
-            heard_msgs.setdefault(listener, []).append((s, txs[s]))
+        pos, label = next(steps)
+        at = _slot_at(pos, len(senders_i))
+        heard_pos.append(pos)
+        heard_label.append(label)
         sim.token_records.append(
             TokenRecord(
                 run=run_id,
                 iteration=i,
-                holders=tuple(holders),
-                transmissions=tuple((lab, tuple(rs)) for lab, rs in receivers.items()),
+                holders=tuple(holders_i),
+                transmissions=tuple(zip(senders_i, [label[lo:hi] for lo, hi in zip(at, at[1:])])),
             )
         )
-        # slot 4: holders pass tokens back
-        returns = {
-            lab: sim.msg("token-return", (lab,) + views[lab].pending_tokens)
-            for lab in holders
-        }
-        advance(returns)
-        for lab in holders:
-            views[lab].pending_tokens = ()
-    return heard_msgs
+        # slot 4: holders pass tokens back, each return one label longer
+        # than its holder's token count
+        for count in counts_i:
+            if count > fits:
+                _message_bits("token-return", 1 + count, n_labels)
+                fits = count
+        next(steps)
+
+    counts = [len(pos) for pos in heard_pos]
+    sender_at = np.fromiter(chain.from_iterable(heard_pos), np.int64, sum(counts))
+    sender_at += np.array(s_at[:-1], dtype=np.int64).repeat(counts)
+    listeners = np.fromiter(chain.from_iterable(heard_label), np.int64, len(sender_at))
+    return senders[sender_at], listeners
+
+
+def _per_sender(build: Callable[[int, list[int]], Message]) -> Callable[[int, list[int]], Message]:
+    """build, called at most once per sender: a sink asks for a message in
+    every round that sends it."""
+    built: dict[int, Message] = {}
+
+    def message(u: int, ks: list[int]) -> Message:
+        m = built.get(u)
+        if m is None:
+            m = built[u] = build(u, ks)
+        return m
+
+    return message
+
+
+def _slot_at(pos: Sequence[int], count: int) -> list[int]:
+    """Where each of count slot positions starts in the sorted pos."""
+    return [bisect_left(pos, k) for k in range(count + 1)]
+
+
+def _run_starts(*keys: np.ndarray) -> np.ndarray:
+    """Whether each row of the sorted keys starts a run of equal rows."""
+    start = np.ones(len(keys[0]), dtype=bool)
+    if len(start):
+        start[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    return start
+
+
+def _heard_entries(
+    msgs: Mapping[int, Message], senders: np.ndarray, listeners: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per entry after the first of each payload a listener heard:
+    (listener, the payload's first entry, the entry as width labels).
+    listeners[j] received msgs[senders[j]]."""
+    labs = sorted(msgs)
+    payloads = [msgs[u].payload for u in labs]
+    count = np.array([len(p) - 1 for p in payloads], dtype=np.int64)
+    row = np.searchsorted(labs, senders)
+    span = count[row]
+    entries = np.array([e for p in payloads for e in p[1:]], dtype=np.int64).reshape(-1, width)
+    first = np.array([p[0] for p in payloads], dtype=np.int64)
+    return (
+        listeners.repeat(span),
+        first[row].repeat(span),
+        entries[_ranges((count.cumsum() - count)[row], span)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -739,73 +842,79 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> dict[int, list
 
 def three_hop_connection(sim: Simulator) -> None:
     """Connect leader pairs at graph distance three with two helpers chosen
-    by the global minimum-label rule, using two token-passing sweeps."""
+    by the global minimum-label rule, using two token-passing sweeps.
+
+    Both rules run as sorts and group-bys over arrays of the receptions a
+    sweep returns, one row per entry of a payload heard: a node decides
+    from the messages it heard (and a leader from its own two-hop helpers),
+    never from another node's state.
+    """
     views = sim.views
     n_labels = sim.inst.n_labels
     leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
     non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
+    is_leader = np.zeros(n_labels + 1, dtype=bool)
+    is_leader[leaders] = True
+
+    def message(kind: str, payload: tuple, labels: int) -> Message:
+        return Message(kind, payload, _message_bits(kind, labels, n_labels))
+
+    def by_node(nodes: list[int], sorted_nodes: np.ndarray) -> list[int]:
+        """at, with node j's rows of sorted_nodes at at[j] : at[j + 1]."""
+        return sorted_nodes.searchsorted(nodes + [n_labels + 1]).tolist()
 
     msgs1 = {
-        u: sim.msg(
-            "hop3-report", (u,) + tuple(sorted(views[u].adjacent_leaders))
-        )
+        u: sim.msg("hop3-report", (u,) + tuple(sorted(views[u].adjacent_leaders)))
         for u in non_leaders
     }
-    heard1 = token_passing(sim, msgs1)
+    senders, listeners = token_passing(sim, msgs1)
+    heard = ~is_leader[listeners]
+    x, y, b = _heard_entries(msgs1, senders[heard], listeners[heard], 1)
+    b = b[:, 0]
 
     # intermediate selection: per heard-about leader b, the minimum-label
-    # reporter that belongs to b
-    chosen: dict[int, list[tuple[int, int]]] = {}
-    for x in non_leaders:
-        reporters: dict[int, set[int]] = {}
-        for y, msg in heard1.get(x, []):
-            y_label = msg.payload[0]
-            for b in msg.payload[1:]:
-                reporters.setdefault(b, set()).add(y_label)
-        pairs = [(min(ys), b) for b, ys in sorted(reporters.items())]
-        chosen[x] = pairs
-
+    # reporter y that belongs to b
+    order = np.lexsort((y, b, x))
+    x, y, b = x[order], y[order], b[order]
+    first = _run_starts(x, b)
+    at = by_node(non_leaders, x[first])
+    ys, bs = y[first].tolist(), b[first].tolist()
     msgs2 = {
-        x: sim.msg("hop3-choice", (x,) + tuple((y, b) for y, b in chosen[x]))
-        for x in non_leaders
+        u: message("hop3-choice", (u, *zip(ys[lo:hi], bs[lo:hi])), 1 + 2 * (hi - lo))
+        for u, lo, hi in zip(non_leaders, at, at[1:])
     }
-    heard2 = token_passing(sim, msgs2)
+    senders, listeners = token_passing(sim, msgs2)
+    heard = is_leader[listeners]
+    lab, x, yb = _heard_entries(msgs2, senders[heard], listeners[heard], 2)
+    y, b = yb[:, 0], yb[:, 1]
 
-    # leader decisions
-    decisions: dict[int, dict[int, tuple[int, int]]] = {}
-    for lab in leaders:
-        v = views[lab]
-        reports: dict[int, list[tuple[int, int]]] = {}
-        for x, msg in heard2.get(lab, []):
-            x_label = msg.payload[0]
-            for y, b in msg.payload[1:]:
-                if b != lab:
-                    reports.setdefault(b, []).append((x_label, y))
-        mine: dict[int, tuple[int, int]] = {}
-        for b in sorted(reports):
-            if b in v.two_hop_helpers:
-                continue  # already connected by a two-hop helper
-            pairs = sorted(set(reports[b]))
-            xs = {x for x, _ in pairs}
-            ys = {y for _, y in pairs}
-            smallest = min(xs | ys)
-            if smallest in xs:
-                x_c = smallest
-                y_c = min(y for x, y in pairs if x == smallest)
-            else:
-                y_c = smallest
-                x_c = min(x for x, y in pairs if y == smallest)
-            mine[b] = (x_c, y_c)
-        decisions[lab] = mine
-        v.three_hop_helpers.update(mine)
+    # leader decisions, per other leader b not already connected by a
+    # two-hop helper: the smallest label among the reports' x and y, and
+    # the least label reported with it (an x first)
+    pair = lab * (n_labels + 1) + b
+    connected = np.array(
+        sorted(u * (n_labels + 1) + t for u in leaders for t in views[u].two_hop_helpers),
+        dtype=np.int64,
+    )
+    in_connected = np.append(connected, -1)[connected.searchsorted(pair)] == pair
+    keep = (b != lab) & ~in_connected
+    lab, b, x, y = lab[keep], b[keep], x[keep], y[keep]
+    by_x, by_y = np.lexsort((y, x, b, lab)), np.lexsort((x, y, b, lab))
+    start = np.flatnonzero(_run_starts(lab[by_x], b[by_x]))
+    min_x, y_of_x = x[by_x][start], y[by_x][start]
+    min_y, x_of_y = y[by_y][start], x[by_y][start]
+    x_first = min_x <= min_y
+    xs = np.where(x_first, min_x, x_of_y).tolist()
+    ys = np.where(x_first, y_of_x, min_y).tolist()
+    bs = b[by_x][start].tolist()
+    at = by_node(leaders, lab[by_x][start])
+    for u, lo, hi in zip(leaders, at, at[1:]):
+        views[u].three_hop_helpers.update(zip(bs[lo:hi], zip(xs[lo:hi], ys[lo:hi])))
 
     fam = sim.base_ssf()
     msgs3 = {
-        lab: sim.msg(
-            "hop3-choice",
-            (lab,) + tuple((x, y, b) for b, (x, y) in sorted(decisions[lab].items())),
-        )
-        for lab in leaders
+        u: message("hop3-choice", (u, *zip(xs[lo:hi], ys[lo:hi], bs[lo:hi])), 1 + 3 * (hi - lo))
+        for u, lo, hi in zip(leaders, at, at[1:])
     }
     (announced,) = sim.ssf_broadcast(fam, [(msgs3, "three-hop-connection/announce")])
     for sender, listener in announced:

@@ -439,6 +439,25 @@ def test_force_exact_cds_flag_is_gone(tmp_path, flag):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--n", "5", "--demo", "3", "--out-dir"],
+        ["run", "--n", "5", "--no-d", "--out-dir"],
+        ["sweep", "--demo", "3", "--out-dir"],
+        ["generate", "--n", "5", "--side", "2", "--spac", "0.1", "--out"],
+    ],
+    ids=["run-demo", "run-no-d", "sweep-demo", "generate-spac"],
+)
+def test_flag_prefixes_exit_2(tmp_path, argv):
+    # a flag is only its full name: argparse's prefix matching took --demo 3
+    # for --demo-c 3 and --no-d for --no-demo
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_no_demo_end_to_end(tmp_path):
     # the certified regime: c = min(dilution c, C_CAP, N) = N, so the base
     # ssf is N singleton sets, a round robin

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sinrbackbone
 from sinrbackbone import protocol
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
-from sinrbackbone.errors import MessageSizeError, TokenDeliveryError
+from sinrbackbone.errors import MessageSizeError, SimulationError, TokenDeliveryError
 from sinrbackbone.physical import build_graph, load_instance, make_instance
 from sinrbackbone.protocol import (
     ACTIVE,
@@ -32,6 +34,8 @@ from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_ch
 
 from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
+from test_cli import REFERENCE_RUNS
+from token_reference import reference_three_hop_connection, reference_token_passing
 from trace_reference import records, replay
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
@@ -358,7 +362,7 @@ def test_token_passing_delivers_messages_to_all_neighbors():
     }
     heard = token_passing(sim, msgs)
     # the leader neighbors everyone, so it hears both messages
-    senders_heard_by_7 = {s for s, _ in heard.get(7, [])}
+    senders_heard_by_7 = {s for s, listener in zip(*heard) if listener == 7}
     assert senders_heard_by_7 == {2, 4}
     for rec in sim.token_records:
         for sender, receivers in rec.transmissions:
@@ -418,6 +422,35 @@ def test_oversized_token_return_fails_before_the_return_execution(monkeypatch):
     force_leaders(sim, {5, 9})
     msgs = {3: Message.make("hop3-report", (3,), 16)}
     with pytest.raises(MessageSizeError):
+        token_passing(sim, msgs)
+    assert [ex.phase for ex in sim.sink.executions] == [
+        "token-passing/run=0/i=1/idle",
+        "token-passing/run=0/i=1/grant",
+        "token-passing/run=0/i=1/msg",
+    ]
+
+
+def test_oversized_return_of_a_later_transmitter_fails_before_the_return_execution(
+    monkeypatch,
+):
+    # leaders 10 and 11 both grant to 9 and leader 12 to 3 in iteration 1,
+    # so the return execution sends 3's return (3, 12) first and 9's
+    # (9, 10, 11) after it: 18 and 23 bits against a 20-bit budget
+    stations = [(10, -0.8, 0), (9, 0, 0), (11, 0.8, 0), (15, 1.7, 0), (12, 2.6, 0), (3, 3.4, 0)]
+    inst = make_instance(stations, P, 16)
+    msgs = {u: Message.make("hop3-report", (u,), 16) for u in (3, 9)}
+    fits = Simulator(inst)
+    force_leaders(fits, {10, 11, 12})
+    token_passing(fits, msgs)
+    returns = fits.sink.executions[3]
+    assert returns.phase == "token-passing/run=0/i=1/return"
+    assert fits.token_records[0].holders == (3, 9)
+    assert returns.transmissions[0].tolist() == [0, 3]  # 9 is not the first transmission
+
+    monkeypatch.setattr(protocol, "C_MSG", 5)
+    sim = Simulator(inst)
+    force_leaders(sim, {10, 11, 12})
+    with pytest.raises(MessageSizeError, match="token-return message of 23 bits"):
         token_passing(sim, msgs)
     assert [ex.phase for ex in sim.sink.executions] == [
         "token-passing/run=0/i=1/idle",
@@ -646,6 +679,108 @@ def test_plans_are_keyed_by_owners_and_family_code():
 # Three-hop connection.
 
 
+def _three_hop_by_both(inst, mp):
+    """Three-hop connection on inst, run by the package and by the
+    dict-based reference, each after the same leader election and two-hop
+    connection: the two simulators, the SimulationError each run raised
+    (or None), and what each run's sweeps heard, per sweep as per-listener
+    lists of (sender, message) in slot order."""
+    heard = ([], [])
+    package_sweep = protocol.token_passing
+
+    def package_heard(sim, msgs):
+        senders, listeners = package_sweep(sim, msgs)
+        per_listener = {}
+        for s, x in zip(senders.tolist(), listeners.tolist()):
+            per_listener.setdefault(x, []).append((s, msgs[s]))
+        heard[0].append(per_listener)
+        return senders, listeners
+
+    def reference_heard(sim, msgs):
+        heard[1].append(reference_token_passing(sim, msgs))
+        return heard[1][-1]
+
+    mp.setattr(protocol, "token_passing", package_heard)
+    sims, errors = [], []
+    for three_hop in (
+        three_hop_connection,
+        lambda sim: reference_three_hop_connection(sim, reference_heard),
+    ):
+        sim = Simulator(inst)
+        sims.append(sim)
+        try:
+            leader_election(sim)
+            two_hop_connection(sim)
+            three_hop(sim)
+        except SimulationError as exc:
+            errors.append((type(exc), str(exc)))
+        else:
+            errors.append(None)
+    return sims, errors, heard
+
+
+def _assert_three_hop_equals_the_reference(inst, mp):
+    """The package's three-hop connection on inst gives the reference's
+    receptions, token records, helpers, statuses and executions; returns
+    the package's simulator."""
+    (package, reference), (error, ref_error), (heard, ref_heard) = _three_hop_by_both(inst, mp)
+    assert error == ref_error
+    assert heard == ref_heard
+    assert package.token_records == reference.token_records
+    assert package.round == reference.round
+    for lab, v in package.views.items():
+        w = reference.views[lab]
+        assert (v.status, v.two_hop_helpers, v.three_hop_helpers) == (
+            w.status,
+            w.two_hop_helpers,
+            w.three_hop_helpers,
+        ), lab
+    assert len(package.sink.executions) == len(reference.sink.executions)
+    for a, b in zip(package.sink.executions, reference.sink.executions):
+        _assert_same_execution(a, b)
+    return package
+
+
+REFERENCE_INSTANCES = {
+    "n150-N1024": GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024),
+    "cli-trace": REFERENCE_RUNS["cli-trace"][0],
+    # token holder 35's message never reaches its neighbour 46, in either
+    # sweep: the array sweeps must lose it too
+    "demo-loss": GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+def test_array_sweeps_and_rules_equal_the_dict_reference(name, monkeypatch):
+    inst = generate(REFERENCE_INSTANCES[name], P)
+    sim = _assert_three_hop_equals_the_reference(inst, monkeypatch)
+    assert len(sim.token_records) == 2 * sim.graph.delta
+    if name == "demo-loss":
+        lost = [
+            rec.run
+            for rec in sim.token_records
+            for sender, receivers in rec.transmissions
+            if sender == 35 and 46 not in receivers
+        ]
+        assert 46 in sim.graph.adjacency[35] and lost == [0, 1]
+
+
+@given(
+    n=st.integers(4, 40),
+    density=st.floats(0.6, 1.0),
+    seed=st.integers(0, 10**6),
+    n_labels=st.sampled_from([64, 256]),
+)
+@settings(max_examples=30, deadline=None)
+def test_array_sweeps_and_rules_equal_the_dict_reference_on_generated_instances(
+    n, density, seed, n_labels
+):
+    side = density * min(4.0, max(1.2, 0.85 * math.sqrt(n)))
+    inst = generate(GeneratorSpec(n=n, arena_side=side, seed=seed, n_labels=n_labels), P)
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_three_hop_equals_the_reference(inst, mp)
+
+
 def test_three_hop_path():
     stations = [(8, 0, 0), (3, 0.9, 0), (5, 1.8, 0), (7, 2.7, 0)]
     inst = make_instance(stations, P, 16)
@@ -656,6 +791,35 @@ def test_three_hop_path():
     assert sim.views[8].three_hop_helpers == {7: (3, 5)}
     assert sim.views[7].three_hop_helpers == {8: (5, 3)}
     assert sim.views[3].status == "helper" and sim.views[5].status == "helper"
+
+
+def test_three_hop_uses_only_the_reports_a_node_heard(monkeypatch):
+    # leaders 8 and 7 at distance three, on the path 8 - 3 - 5 - 7; in
+    # three-hop connection, 5 never hears 3, so it learns nothing of 8 and
+    # leader 7 gets no helpers, while 3 hears 5 and leader 8 gets (3, 5)
+    stations = [(8, 0, 0), (3, 0.9, 0), (5, 1.8, 0), (7, 2.7, 0)]
+    inst = make_instance(stations, P, 16)
+    sims = []
+    for three_hop in (three_hop_connection, reference_three_hop_connection):
+        sim = Simulator(inst)
+        force_leaders(sim, {8, 7})
+        two_hop_connection(sim)
+        eng = sim.engine
+        adjudicate = eng.adjudicate
+        lost = (eng.index[3], eng.index[5])
+
+        def deaf(rounds, senders, adjudicate=adjudicate, lost=lost):
+            dl_tx, dl_rx = adjudicate(rounds, senders)
+            heard = (senders[dl_tx] != lost[0]) | (dl_rx != lost[1])
+            return dl_tx[heard], dl_rx[heard]
+
+        monkeypatch.setattr(eng, "adjudicate", deaf)
+        three_hop(sim)
+        sims.append(sim)
+    for sim in sims:
+        assert sim.views[8].three_hop_helpers == {7: (3, 5)}
+        assert sim.views[7].three_hop_helpers == {}
+    assert sims[0].token_records == sims[1].token_records
 
 
 def test_three_hop_min_label_bridge_agreement():
