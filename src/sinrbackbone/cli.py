@@ -9,7 +9,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 import numpy as np
@@ -58,8 +58,7 @@ class RunConfig:
     params: SinrParams = DEFAULT_PARAMS
     instance_path: Optional[str] = None
     generator: Optional[GeneratorSpec] = None
-    demo: bool = True
-    demo_c: int = 4
+    protocol: ProtocolConfig = ProtocolConfig()
     out_dir: str = "out"
     trace_mode: str = "compact"  # compact | full | off
 
@@ -207,6 +206,12 @@ def _family_report(fams: Families, delta: int) -> list[dict]:
     ]
 
 
+def _c_r(rounds: int, delta: int, n_labels: int) -> float:
+    """The fitted constant C_r in rounds <= C_r * Delta * lg(N)^2."""
+    lg = max(1.0, math.log2(n_labels))
+    return rounds / (max(1, delta) * lg * lg)
+
+
 def run(config: RunConfig) -> int:
     """Execute the full pipeline; returns the process exit status.
 
@@ -228,7 +233,7 @@ def run(config: RunConfig) -> int:
 
     engine = PhysicsEngine(inst)  # one engine for the graph and the run
     graph = engine.graph()
-    proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
+    proto = config.protocol
     trace_path = os.path.join(config.out_dir, "trace.jsonl")
     if config.trace_mode == "off":
         result = backbone_creation(inst, proto, engine=engine)
@@ -237,20 +242,9 @@ def run(config: RunConfig) -> int:
             result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
 
     verdicts = run_all_checks(result, inst, graph)
-    lg = max(1.0, math.log2(inst.n_labels))
     report = {
         "version": __version__,
-        "config": {
-            "demo": config.demo,
-            "demo_c": config.demo_c,
-            "params": {
-                "alpha": inst.params.alpha,
-                "beta": inst.params.beta,
-                "noise": inst.params.noise,
-                "epsilon": inst.params.epsilon,
-                "power": inst.params.power,
-            },
-        },
+        "config": {**asdict(proto), "params": asdict(inst.params)},
         "instance": {"n": inst.n, "n_labels": inst.n_labels, "delta": graph.delta},
         "result": {
             "leaders": list(result.leaders),
@@ -262,9 +256,7 @@ def run(config: RunConfig) -> int:
                 f"{s},{t}": list(hs) for (s, t), hs in sorted(result.three_hop.items())
             },
         },
-        "round_fit": {
-            "c_r": result.rounds_used / (max(1, graph.delta) * lg * lg),
-        },
+        "round_fit": {"c_r": _c_r(result.rounds_used, graph.delta, inst.n_labels)},
         "families": _family_report(Families.for_run(inst, proto), graph.delta),
         "verdicts": [v.as_dict() for v in verdicts],
     }
@@ -352,13 +344,10 @@ def sweep(
                     break  # within tolerance, so also the closest so far
                 side *= 0.95 if cand_graph.delta < target else 1.05
             inst, engine, graph = best
-            proto = ProtocolConfig(demo=config.demo, demo_c=config.demo_c)
-            result = backbone_creation(inst, proto, engine=engine)
-            lg = math.log2(n_labels)
-            c_r = result.rounds_used / (max(1, graph.delta) * lg * lg)
-            fams = Families.for_run(inst, proto)
+            result = backbone_creation(inst, config.protocol, engine=engine)
+            fams = Families.for_run(inst, config.protocol)
             ssf = fams.base_ssf()
-            k_fit = ssf.size / (fams.c**2 * lg)
+            k_fit = ssf.size / (fams.c**2 * math.log2(n_labels))
             rows.append(
                 {
                     "n": inst.n,
@@ -366,7 +355,7 @@ def sweep(
                     "delta_target": target,
                     "delta": graph.delta,
                     "rounds": result.rounds_used,
-                    "c_r": c_r,
+                    "c_r": _c_r(result.rounds_used, graph.delta, n_labels),
                     "c": fams.c,
                     "ssf_size": ssf.size,
                     "k_fit": k_fit,
@@ -417,22 +406,13 @@ def sweep(
 
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=DEFAULT_PARAMS.alpha)
-    p.add_argument("--beta", type=float, default=DEFAULT_PARAMS.beta)
-    p.add_argument("--noise", type=float, default=DEFAULT_PARAMS.noise)
-    p.add_argument("--epsilon", type=float, default=DEFAULT_PARAMS.epsilon)
-    p.add_argument("--power", type=float, default=DEFAULT_PARAMS.power)
+    for f in fields(SinrParams):
+        p.add_argument(f"--{f.name}", type=float, default=getattr(DEFAULT_PARAMS, f.name))
 
 
 def _params_from(args: argparse.Namespace) -> SinrParams:
     try:
-        return SinrParams(
-            alpha=args.alpha,
-            beta=args.beta,
-            noise=args.noise,
-            epsilon=args.epsilon,
-            power=args.power,
-        )
+        return SinrParams(**{f.name: getattr(args, f.name) for f in fields(SinrParams)})
     except ValueError as exc:
         raise InvalidArgumentError(str(exc)) from exc
 
@@ -456,10 +436,11 @@ def _grid_from(path: str) -> tuple[Sequence[int], Sequence[int]]:
     return grid.get("n_labels", DEFAULT_SWEEP_LABELS), grid.get("deltas", DEFAULT_SWEEP_DELTAS)
 
 
-def _demo_c_from(args: argparse.Namespace) -> int:
+def _protocol_from(args: argparse.Namespace) -> ProtocolConfig:
     if args.demo_c < 1:
         raise InvalidArgumentError(f"need --demo-c >= 1, got {args.demo_c}")
-    return args.demo_c
+    # sweep has no --no-demo: its runs keep ProtocolConfig's demo
+    return ProtocolConfig(demo=getattr(args, "demo", ProtocolConfig.demo), demo_c=args.demo_c)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -495,14 +476,14 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="use the dilution-derived ssf parameter instead of the demo c",
     )
-    r.add_argument("--demo-c", type=int, default=4)
+    r.add_argument("--demo-c", type=int, default=ProtocolConfig.demo_c)
     r.add_argument("--out-dir", default="out")
     r.add_argument("--trace-mode", choices=("compact", "full", "off"), default="compact")
     _add_param_flags(r)
 
     s = sub.add_parser("sweep", help="round-complexity sweep over a grid", allow_abbrev=False)
     s.add_argument("--grid-file", help="JSON file with n_labels and delta lists")
-    s.add_argument("--demo-c", type=int, default=4)
+    s.add_argument("--demo-c", type=int, default=ProtocolConfig.demo_c)
     s.add_argument("--out-dir", default="out")
     _add_param_flags(s)
     return parser
@@ -536,8 +517,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     seed=args.seed,
                     n_labels=args.n_labels,
                 ),
-                demo=args.demo,
-                demo_c=_demo_c_from(args),
+                protocol=_protocol_from(args),
                 out_dir=args.out_dir,
                 trace_mode=args.trace_mode,
             )
@@ -545,7 +525,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "sweep":
             cfg = RunConfig(
                 params=_params_from(args),
-                demo_c=_demo_c_from(args),
+                protocol=_protocol_from(args),
                 out_dir=args.out_dir,
             )
             if args.grid_file:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import combinations, starmap
 from typing import Iterable, Mapping, Sequence
 
@@ -251,7 +251,7 @@ class PhysicsEngine:
         lo = self.nbr_at[senders]
         count = self.nbr_at[senders + 1] - lo
         pair_tx = np.repeat(np.arange(len(senders)), count)
-        pos = np.arange(len(pair_tx)) + np.repeat(lo - count.cumsum() + count, count)
+        pos = index_ranges(lo, count)
         listener = self.nbrs[pos]
         signal = self.nbr_gain[pos]
         # the first transmission of each pair's round, and how many it has
@@ -299,6 +299,11 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
+
+
+def index_ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The indices lo[j] .. lo[j] + span[j] - 1 of every j, in order."""
+    return np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)
 
 
 @dataclass(frozen=True)
@@ -403,13 +408,7 @@ def derive_dilution(params: SinrParams) -> DilutionConstants:
 
 def serialize_instance(inst: PhysicalInstance) -> str:
     doc = {
-        "params": {
-            "alpha": inst.params.alpha,
-            "beta": inst.params.beta,
-            "noise": inst.params.noise,
-            "epsilon": inst.params.epsilon,
-            "power": inst.params.power,
-        },
+        "params": asdict(inst.params),
         "n_labels": inst.n_labels,
         "stations": [
             {"label": lab, "x": pos[0], "y": pos[1]} for lab, pos in inst.stations
@@ -419,24 +418,36 @@ def serialize_instance(inst: PhysicalInstance) -> str:
 
 
 def parse_instance(text: str) -> PhysicalInstance:
+    """Labels and n_labels must be JSON integers, coordinates and params
+    JSON numbers; a bool or a string is neither."""
     try:
         doc = json.loads(text)
         params = SinrParams(
-            alpha=float(doc["params"]["alpha"]),
-            beta=float(doc["params"]["beta"]),
-            noise=float(doc["params"]["noise"]),
-            epsilon=float(doc["params"]["epsilon"]),
-            power=float(doc["params"]["power"]),
+            **{f.name: _json_number(doc["params"], f.name) for f in fields(SinrParams)}
         )
         stations = tuple(
-            (int(s["label"]), (float(s["x"]), float(s["y"])))
+            (_json_int(s, "label"), (_json_number(s, "x"), _json_number(s, "y")))
             for s in doc["stations"]
         )
         return PhysicalInstance(
-            stations=stations, params=params, n_labels=int(doc["n_labels"])
+            stations=stations, params=params, n_labels=_json_int(doc, "n_labels")
         )
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"bad instance file: {exc}") from exc
+
+
+def _json_int(doc: Mapping, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_number(doc: Mapping, key: str) -> float:
+    value = doc[key]
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)  # OverflowError for an integer beyond any float
 
 
 def load_instance(path: str) -> PhysicalInstance:

@@ -34,6 +34,7 @@ from .physical import (
     PhysicalInstance,
     PhysicsEngine,
     derive_dilution,
+    index_ranges,
     sorted_distinct,
 )
 from .selection import SelectionFamily, construct_selector, construct_ssf
@@ -189,7 +190,6 @@ class _Plan:
     # carried_k[carried_at[t] : carried_at[t + 1]]
     carried_at: list[int]
     carried_k: list[int]
-    widest: int  # the transmission carrying the most slots
     heard_pos: tuple[int, ...]  # the distinct (slot position, listener
     heard_label: tuple[int, ...]  # label) pairs heard, sorted
 
@@ -267,7 +267,6 @@ class Simulator:
     ):
         """engine, if given, is a PhysicsEngine already built for inst."""
         self.inst = inst
-        self.config = config
         self.engine = engine if engine is not None else PhysicsEngine(inst)
         self.graph: CommGraph = self.engine.graph()
         self.sink = sink if sink is not None else CollectSink()
@@ -326,10 +325,11 @@ class Simulator:
         station transmits in every round whose set contains one of its
         slots, and the transmission carries all of them. message(station,
         ks) is the message of a transmission carrying the slots at positions
-        ks (ascending). It is built when a trace is expanded, except for the
-        transmission carrying the most slots, which is built when the
-        execution is recorded: a message grows with the slots it carries,
-        so an oversized message fails the run as soon as it is scheduled.
+        ks (ascending). It is called only when a sink asks for it: execute
+        builds no message. A phase sizes each message it sends once, before
+        the execution that sends it is recorded, with Message.make when it
+        builds the message up front and with _message_bits, from its label
+        count, when a sink builds it later.
 
         Who transmits in which round, who hears whom and which slots each
         transmission carries follow from the family, the slots and the
@@ -345,7 +345,7 @@ class Simulator:
         counter by the family size, and yields the distinct (slot position,
         listener label) pairs heard in it, sorted. So a caller must advance
         through every execution; it can stop between two (by raising) with
-        exactly the executions before it recorded, and can build an
+        exactly the executions before it recorded, and can size an
         execution's messages just before advancing to it. Rounds whose set
         meets no slot are silent and cost nothing.
         """
@@ -373,7 +373,6 @@ class Simulator:
                 at = plan.carried_at
                 return message(plan.senders[t], plan.carried_k[at[t] : at[t + 1]])
 
-            tx_message(plan.widest)
             self.sink.execution(
                 Execution(
                     phase=phase,
@@ -425,13 +424,12 @@ class Simulator:
         by_tx = slot_tx.argsort(kind="stable")
         carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_key) + 1))
         carried_k = slot_pos[slot_k[by_tx]].tolist()
-        carried = carried_at[1:] - carried_at[:-1]
         # the distinct (slot, listener) pairs heard, sorted: every listener
         # of the transmission that carries each slot membership
         dl_at = dl_tx.searchsorted(np.arange(len(tx_key) + 1))
         lo = dl_at[slot_tx]
         span = dl_at[slot_tx + 1] - lo
-        heard_rx = dl_rx[_ranges(lo, span)]
+        heard_rx = dl_rx[index_ranges(lo, span)]
         heard = sorted_distinct(slot_k.repeat(span) * n + heard_rx)
         heard_k = heard // n
         heard_at = heard_k.searchsorted(slot_at).tolist()
@@ -451,9 +449,6 @@ class Simulator:
         ).astype(np.int32)
         tx_at = tx_row.searchsorted(row_at)
         dl_ex_at = dl_at[tx_at].tolist()
-        widest = [
-            int(np.argmax(carried[t0:t1])) for t0, t1 in zip(tx_at[:-1], tx_at[1:])
-        ]
         carried_at_list = carried_at.tolist()
         tx_label_list = tx_label.tolist()
         row_at, tx_at = row_at.tolist(), tx_at.tolist()
@@ -465,7 +460,6 @@ class Simulator:
                 senders=tx_label_list[tx_at[e] : tx_at[e + 1]],
                 carried_at=carried_at_list[tx_at[e] : tx_at[e + 1] + 1],
                 carried_k=carried_k,
-                widest=widest[e],
                 heard_pos=tuple(heard_pos[heard_at[e] : heard_at[e + 1]]),
                 heard_label=tuple(heard_label[heard_at[e] : heard_at[e + 1]]),
             )
@@ -492,11 +486,6 @@ class Simulator:
         )
         for ls, (slots, listeners) in zip(labs, steps):
             yield [(ls[k], listener) for k, listener in zip(slots, listeners)]
-
-
-def _ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """The indices lo[j] .. lo[j] + span[j] - 1 of every j, in order."""
-    return np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -631,15 +620,18 @@ def two_hop_connection(sim: Simulator) -> None:
                 claims[selection.pair_index(s, t, n_labels)] = (u, (u, s, t))
 
     # a helper's message in a round carries every claim the pair family
-    # schedules for it there
+    # schedules for it there, three labels each: size the widest one
     pidxs = sorted(claims)
+    helpers = [claims[p][0] for p in pidxs]
+    if pidxs:
+        sets = fam_pair.rounds_for(pidxs) + fam_pair.size * np.array(helpers)[:, None]
+        widest = np.unique(sets, return_counts=True)[1].max()
+        _message_bits("helper-claim", 3 * int(widest), n_labels)
 
     def helper_claim(_u: int, ks: list[int]) -> Message:
         return sim.msg("helper-claim", tuple(sorted(claims[pidxs[k]][1] for k in ks)))
 
-    (heard,) = sim.execute(
-        fam_pair, [(pidxs, [claims[p][0] for p in pidxs], phase, helper_claim)]
-    )
+    (heard,) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
     for pidx in pidxs:
         u = claims[pidx][0]
@@ -832,7 +824,7 @@ def _heard_entries(
     return (
         listeners.repeat(span),
         first[row].repeat(span),
-        entries[_ranges((count.cumsum() - count)[row], span)],
+        entries[index_ranges((count.cumsum() - count)[row], span)],
     )
 
 
@@ -856,9 +848,6 @@ def three_hop_connection(sim: Simulator) -> None:
     is_leader = np.zeros(n_labels + 1, dtype=bool)
     is_leader[leaders] = True
 
-    def message(kind: str, payload: tuple, labels: int) -> Message:
-        return Message(kind, payload, _message_bits(kind, labels, n_labels))
-
     def by_node(nodes: list[int], sorted_nodes: np.ndarray) -> list[int]:
         """at, with node j's rows of sorted_nodes at at[j] : at[j + 1]."""
         return sorted_nodes.searchsorted(nodes + [n_labels + 1]).tolist()
@@ -880,7 +869,7 @@ def three_hop_connection(sim: Simulator) -> None:
     at = by_node(non_leaders, x[first])
     ys, bs = y[first].tolist(), b[first].tolist()
     msgs2 = {
-        u: message("hop3-choice", (u, *zip(ys[lo:hi], bs[lo:hi])), 1 + 2 * (hi - lo))
+        u: sim.msg("hop3-choice", (u, *zip(ys[lo:hi], bs[lo:hi])))
         for u, lo, hi in zip(non_leaders, at, at[1:])
     }
     senders, listeners = token_passing(sim, msgs2)
@@ -913,7 +902,7 @@ def three_hop_connection(sim: Simulator) -> None:
 
     fam = sim.base_ssf()
     msgs3 = {
-        u: message("hop3-choice", (u, *zip(xs[lo:hi], ys[lo:hi], bs[lo:hi])), 1 + 3 * (hi - lo))
+        u: sim.msg("hop3-choice", (u, *zip(xs[lo:hi], ys[lo:hi], bs[lo:hi])))
         for u, lo, hi in zip(leaders, at, at[1:])
     }
     (announced,) = sim.ssf_broadcast(fam, [(msgs3, "three-hop-connection/announce")])

@@ -20,7 +20,13 @@ from sinrbackbone.cli import (
     sweep,
 )
 from sinrbackbone.errors import RetryCapError, TokenDeliveryError
-from sinrbackbone.physical import build_graph, make_instance, save_instance
+from sinrbackbone.physical import (
+    build_graph,
+    make_instance,
+    parse_instance,
+    save_instance,
+    serialize_instance,
+)
 from sinrbackbone.protocol import Simulator, backbone_creation, leader_election, token_passing
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
@@ -152,8 +158,9 @@ def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, text):
         ('"power": 1.5', '"power": Infinity'),
         ('"x": 0.5', '"x": Infinity'),
         ('"x": 0.5', '"x": NaN'),
+        ('"x": 0.5', '"x": 1' + "0" * 400),  # an integer beyond any float
     ],
-    ids=["missing", "infinite-power", "infinite-x", "nan-x"],
+    ids=["missing", "infinite-power", "infinite-x", "nan-x", "huge-x"],
 )
 def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, edit):
     path = tmp_path / "instance.json"
@@ -165,6 +172,53 @@ def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, edit
     code = main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert _error_code(capsys) == "instance-format"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ('"label": 2', '"label": 3.7'),
+        ('"label": 2', '"label": "3"'),
+        ('"label": 1', '"label": true'),
+        ('"n_labels": 4', '"n_labels": 4.9'),
+        ('"n_labels": 4', '"n_labels": "4"'),
+        ('"x": 0.5', '"x": true'),
+        ('"x": 0.5', '"x": "0.5"'),
+        ('"beta": 1.0', '"beta": true'),
+        ('"power": 1.5', '"power": "1.5"'),
+    ],
+    ids=[
+        "float-label",
+        "string-label",
+        "bool-label",
+        "float-n-labels",
+        "string-n-labels",
+        "bool-x",
+        "string-x",
+        "bool-beta",
+        "string-power",
+    ],
+)
+def test_instance_value_of_the_wrong_type_exits_2_with_instance_format(tmp_path, capsys, edit):
+    # labels and n_labels are JSON integers, coordinates and params JSON
+    # numbers; none of these files is read as some other instance
+    path = tmp_path / "instance.json"
+    save_instance(make_instance([(1, 0, 0), (2, 0.5, 0)], DEFAULT_PARAMS, 4), str(path))
+    old, new = edit
+    assert old in path.read_text()
+    path.write_text(path.read_text().replace(old, new))
+    code = main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert _error_code(capsys) == "instance-format"
+
+
+def test_integer_coordinates_and_params_load_as_floats():
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0)], DEFAULT_PARAMS, 4)
+    text = serialize_instance(inst).replace('"alpha": 4.0', '"alpha": 4')
+    loaded = parse_instance(text.replace('"y": 0.0', '"y": 0'))
+    assert loaded == inst
+    assert type(loaded.params.alpha) is float
+    assert all(type(y) is float for _lab, (_x, y) in loaded.stations)
 
 
 def test_run_forty_node_defaults(tmp_path):
@@ -482,6 +536,20 @@ def test_cli_generate_subcommand(tmp_path, capsys):
     )
     assert code == 0
     assert out.exists()
+
+
+# sha256 of the default sweep's sweep.json and sweep.tsv, as written by the
+# code these digests were first taken from (Python 3.11, NumPy 2.4)
+SWEEP_DIGESTS = {
+    "sweep.json": "21c36a955705edad9554034bf9aa18319acafb1c7929fea0ecb66fe879e66a2b",
+    "sweep.tsv": "2b5e872de5d10800248ee40f1fa8a971022a1526fde0122a823086a0c7d7c683",
+}
+
+
+def test_default_sweep_outputs_match_golden_digests(tmp_path):
+    sweep(RunConfig(out_dir=str(tmp_path)))
+    got = {f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in SWEEP_DIGESTS}
+    assert got == SWEEP_DIGESTS
 
 
 def test_sweep_single_cell_matches_direct_run(tmp_path):

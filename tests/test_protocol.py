@@ -169,11 +169,34 @@ def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
         claimed = [set(fam.rounds_for(pair_index(s, t, 64))) for s, t in ((2, 3), (3, 4))]
         assert claimed[0] & claimed[1]  # some round carries two claims
         if fails:
-            with pytest.raises(MessageSizeError):
+            with pytest.raises(MessageSizeError) as err:
                 two_hop_connection(sim)
+            assert str(err.value) == "helper-claim message of 50 bits exceeds 36-bit budget"
+            # the run stops before the pair ssf execution is recorded
+            phases = [ex.phase for ex in sim.sink.executions]
+            assert phases[-1] == "neighborhood-inform/i=3"
+            assert "two-hop-connection" not in phases
         else:
             two_hop_connection(sim)
             assert sim.views[2].two_hop_helpers == {3: 1, 4: 1}
+
+
+def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
+    # helper claims, token grants and token returns are sized from their
+    # label counts; only a sink that reads an execution's messages builds them
+    make = Message.make
+    built = []
+
+    def counting_make(kind, payload, n_labels):
+        built.append(kind)
+        return make(kind, payload, n_labels)
+
+    monkeypatch.setattr(Message, "make", staticmethod(counting_make))
+    inst = generate(GeneratorSpec(n=40, arena_side=3.4, seed=13), P)
+    r = backbone_creation(inst)
+    assert r.two_hop and r.token_records  # both phases sent messages
+    assert not {"helper-claim", "token-grant", "token-return"} & set(built)
+    assert {"leader-announce", "neighbor-of-leader", "hop3-report", "hop3-choice"} <= set(built)
 
 
 # ---------------------------------------------------------------------------
