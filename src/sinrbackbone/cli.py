@@ -116,11 +116,14 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 
 class FileSink:
     """Streams one JSON record per round (full), or one per non-silent round
-    and one per span of silent rounds (compact). Keeps no records.
+    and one per span of silent rounds within an execution (compact). Keeps
+    no records.
 
-    Each execution is written with one call, emit() or skip(), straight
-    from its arrays: a record's sorted-key JSON is assembled from string
-    templates, byte for byte what json.dumps(..., sort_keys=True) writes."""
+    Each record is written with one call, emit() or skip(), straight from
+    its arrays: a record's sorted-key JSON is assembled from string
+    templates, byte for byte what json.dumps(..., sort_keys=True) writes.
+    A silent record of several executions is written by one skip() call,
+    as the same bytes as that many silent executions."""
 
     def __init__(self, fh: TextIO, mode: str):
         self.fh = fh
@@ -128,7 +131,7 @@ class FileSink:
 
     def execution(self, ex: Execution) -> None:
         if ex.message is None:
-            self.skip(ex.phase, ex.start, ex.size)
+            self.skip(ex.phase, ex.start, ex.size, ex.repeats)
         else:
             self.emit(ex)
 
@@ -170,19 +173,24 @@ class FileSink:
             parts.append(self._silent(phase, ex.start + cursor, ex.size - cursor))
         self.fh.write("".join(parts))
 
-    def skip(self, phase: str, start_round: int, count: int) -> None:
-        """Write count silent rounds from start_round on."""
-        self.fh.write(self._silent(json.dumps(phase), start_round, count))
+    def skip(self, phase: str, start_round: int, count: int, repeats: int = 1) -> None:
+        """Write repeats consecutive spans of count silent rounds from
+        start_round on."""
+        self.fh.write(self._silent(json.dumps(phase), start_round, count, repeats))
 
-    def _silent(self, phase: str, start_round: int, count: int) -> str:
-        """The records of count silent rounds; phase is already JSON."""
+    def _silent(self, phase: str, start_round: int, count: int, repeats: int = 1) -> str:
+        """The records of repeats consecutive spans of count silent rounds;
+        phase is already JSON."""
+        end = start_round + count * repeats
         if self.mode == "full":
             # silent-round records differ only in the round number
             head = f'{{"deliveries": [], "phase": {phase}, "round": '
             tail = ', "transmitters": []}\n'
-            rounds = map(str, range(start_round, start_round + count))
+            rounds = map(str, range(start_round, end))
             return f"{head}{(tail + head).join(rounds)}{tail}"
-        return f'{{"phase": {phase}, "round_start": {start_round}, "silent": {count}}}\n'
+        head = f'{{"phase": {phase}, "round_start": '
+        tail = f', "silent": {count}}}\n'
+        return f"{head}{(tail + head).join(map(str, range(start_round, end, count)))}{tail}"
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +299,7 @@ def _phase_rounds(executions: Sequence[Execution]) -> dict[str, int]:
     out: dict[str, int] = {}
     for ex in executions:
         key = ex.phase.split("/", 1)[0]
-        out[key] = out.get(key, 0) + ex.size
+        out[key] = out.get(key, 0) + ex.size * ex.repeats
     return out
 
 

@@ -62,8 +62,9 @@ class SinrParams:
 class PhysicalInstance:
     """Station labels with ground-truth positions plus shared SINR parameters.
 
-    Labels are distinct integers in [1 .. n_labels]. Connectivity of the
-    induced communication graph is checked by build_graph, not here, so that
+    There is at least one station, and labels are distinct integers in
+    [1 .. n_labels], n_labels >= 1. Connectivity of the induced
+    communication graph is checked by build_graph, not here, so that
     deliberately out-of-range layouts remain expressible in tests.
     """
 
@@ -72,6 +73,10 @@ class PhysicalInstance:
     n_labels: int
 
     def __post_init__(self) -> None:
+        if not self.stations:
+            raise ValueError("an instance needs at least one station")
+        if not self.n_labels >= 1:
+            raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
         labels = [lab for lab, _ in self.stations]
         if len(set(labels)) != len(labels):
             raise ValueError("station labels must be distinct")

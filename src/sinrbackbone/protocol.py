@@ -5,22 +5,24 @@ from NodeView fields only (own label, n, N, Delta, neighbor labels,
 received messages), while reception is adjudicated by the physical layer
 against the full transmitter set of each round.
 
-Every round belongs to exactly one execution of a selection family, and
-each execution, silent or not, is one Execution record. Executions are
-scheduled in lockstep at every node, so silent rounds (no transmitter
-anywhere) cannot change any node state and cost nothing; the global round
-counter still advances by the full family size. The non-silent rounds of
-consecutive executions whose transmitters are known in advance (a whole
-token-passing sweep, say) are adjudicated together, in one batch; a run
-adjudicates each distinct transmitter schedule once, however often it
-recurs. Each execution is kept as one compact record of arrays, which a
-sink reads as they are (the CLI's trace file is written from them).
+Every round belongs to exactly one execution of a selection family.
+Executions are scheduled in lockstep at every node, so silent rounds (no
+transmitter anywhere) cannot change any node state and cost nothing; the
+global round counter still advances by the full family size. The non-silent
+rounds of consecutive executions whose transmitters are known in advance (a
+whole token-passing sweep, say) are adjudicated together, in one batch; a
+run adjudicates each distinct transmitter schedule once, however often it
+recurs. Leader election, whose transmitters depend on who heard whom,
+speculates them and checks the speculation (see leader_election). Each
+non-silent execution is kept as one compact record of arrays, which a sink
+reads as they are (the CLI's trace file is written from them); a stretch of
+consecutive silent executions of one family and phase is one record.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, combinations
 from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
@@ -157,6 +159,10 @@ class Execution:
     (row, station label) pair, where row indexes rounds; a delivery is a
     (row, sender label, receiver label) triple. Both are sorted.
     message(t) is the message of the t-th transmission.
+
+    A silent record (message None) stands for repeats consecutive silent
+    executions of the family, the first from start on; every other record
+    has repeats 1.
     """
 
     phase: str
@@ -166,12 +172,14 @@ class Execution:
     transmissions: np.ndarray
     deliveries: np.ndarray
     message: Optional[Callable[[int], Message]]  # None when silent
+    repeats: int = 1
 
     @staticmethod
-    def silent(phase: str, start: int, size: int) -> "Execution":
-        """An execution in which no station transmits."""
+    def silent(phase: str, start: int, size: int, repeats: int = 1) -> "Execution":
+        """repeats consecutive executions in which no station transmits,
+        the first from start on."""
         return Execution(
-            phase, start, size, _NO_ROUNDS, _NO_TRANSMISSIONS, _NO_DELIVERIES, None
+            phase, start, size, _NO_ROUNDS, _NO_TRANSMISSIONS, _NO_DELIVERIES, None, repeats
         )
 
 
@@ -307,9 +315,10 @@ class Simulator:
 
     # -- execution core ------------------------------------------------------
 
-    def skip_execution(self, family: SelectionFamily, phase: str) -> None:
-        self.sink.execution(Execution.silent(phase, self.round, family.size))
-        self.round += family.size
+    def skip_execution(self, family: SelectionFamily, phase: str, count: int = 1) -> None:
+        """Record count consecutive silent executions of family as one."""
+        self.sink.execution(Execution.silent(phase, self.round, family.size, count))
+        self.round += family.size * count
 
     def execute(
         self,
@@ -514,51 +523,120 @@ def leader_election(sim: Simulator) -> None:
     (ceil(D/2^i)+1, ceil((41/42) D/2^i)+2, N)-selector whose every round
     expands into one full (N,c)-ssf execution. A node in the degree bucket
     that is selected while none of its neighbors are, and is still active,
-    announces leadership during the ssf.
+    announces leadership during the ssf; every active node that hears it
+    becomes inactive.
 
-    All of that rule but the status is static knowledge, so each bucket
-    decides it once, as a table `alone` of (selector round, station): the
-    station is in the bucket and selected, and no neighbor is. A round then
-    only checks the status of the stations its row marks.
+    All of that rule but the status is static knowledge. Call a selector
+    row marked for a station when the station is in the row's bucket and
+    selected there, and no neighbor is; rows are numbered over the buckets
+    in order. Only a station's first marked row decides anything: there it
+    becomes a leader, or it is already inactive for good. So the election
+    speculates. It walks the stations by their first marked rows as if
+    every announcement reached every active neighbor, and runs every row
+    that transmits in one batch. It then applies each row's real
+    deliveries in order and checks them: if the stations that went
+    inactive in a row are not the ones speculated, the rest of the batch is
+    dropped and the election speculates again from the next row, from the
+    real statuses. The silent rows between two that transmit are recorded
+    as one Execution per bucket.
     """
     views = sim.views
-    delta = sim.graph.delta
+    eng = sim.engine
     fam_ssf = sim.base_ssf()
-    labels = sorted(views)
-    lab_arr = np.array(labels)
-    degree = np.array([views[lab].degree for lab in labels])
-    # 0/1 float32 matrices multiply by BLAS, exactly: counts stay below 2^24
-    adj = np.zeros((len(labels), len(labels)), dtype=np.float32)
-    nbrs = [v for lab in labels for v in views[lab].neighbors]
-    adj[np.repeat(np.arange(len(labels)), degree), np.searchsorted(lab_arr, nbrs)] = 1
-
-    for i, fam_sel in enumerate(sim.families.leader_selectors(delta)):
+    delta = sim.graph.delta
+    labels = eng.labels
+    degree = np.diff(eng.nbr_at)
+    selectors = sim.families.leader_selectors(delta)
+    phases = [f"leader-election/i={i}" for i in range(len(selectors))]
+    ends = list(accumulate(fam.size for fam in selectors))  # where each bucket's rows end
+    never = ends[-1]
+    first = np.full(len(labels), never, dtype=np.int64)  # each station's first marked row
+    for i, fam_sel in enumerate(selectors):
         in_bucket = (_ceil_div(delta, 42 << i) <= degree) & (degree <= _ceil_div(delta, 1 << i))
-        selected = fam_sel.membership(labels).T  # (selector round, station)
-        alone = selected & in_bucket & (selected.astype(np.float32) @ adj == 0)
-        rows, stations = np.nonzero(alone)
-        row_at = np.searchsorted(rows, np.arange(fam_sel.size + 1)).tolist()
-        marked = lab_arr[stations].tolist()
-        phase = f"leader-election/i={i}"
+        todo = np.flatnonzero(in_bucket & (first == never))  # in the bucket, not yet marked
+        # a station is in one set per point, ascending, and shares it with a
+        # neighbor where their polynomials agree; todo[edge] -> nbr are the
+        # edges of the todo stations
+        sets = fam_sel.rounds_for(eng.label_array)
+        count = degree[todo]
+        edge = np.repeat(np.arange(len(todo)), count)
+        nbr = eng.nbrs[index_ranges(eng.nbr_at[todo], count)]
+        e, x = np.nonzero(sets[todo[edge]] == sets[nbr])
+        marked = np.ones((len(todo), fam_sel.P), dtype=bool)
+        marked[edge[e], x] = False
+        hit = marked.any(axis=1)
+        first[todo[hit]] = ends[i] - fam_sel.size + sets[todo[hit], marked[hit].argmax(axis=1)]
+    order = np.argsort(first, kind="stable")
+    by_row, row_of = order.tolist(), first[order].tolist()
+    nbrs, nbr_at = eng.nbrs.tolist(), eng.nbr_at.tolist()
 
-        for j in range(fam_sel.size):
-            candidates = [u for u in marked[row_at[j] : row_at[j + 1]] if views[u].status == ACTIVE]
-            if not candidates:
-                sim.skip_execution(fam_ssf, phase)
+    def speculate(g: int) -> list[tuple[int, list[int], set[int]]]:
+        """Each row from g on that transmits, with its leaders and the
+        stations they make inactive, if every announcement reaches every
+        active neighbor."""
+        active = [views[lab].status == ACTIVE for lab in labels]
+        out: list[tuple[int, list[int], set[int]]] = []
+        k = bisect_left(row_of, g)
+        for s, row in zip(by_row[k:], row_of[k:]):
+            if row == never:
+                break
+            if not active[s]:
                 continue
-            senders = {}
-            for u in candidates:
+            off = [v for v in nbrs[nbr_at[s] : nbr_at[s + 1]] if active[v]]
+            active[s] = False
+            for v in off:
+                active[v] = False
+            if not out or out[-1][0] != row:
+                out.append((row, [], set()))
+            out[-1][1].append(labels[s])
+            out[-1][2].update(labels[v] for v in off)
+        return out
+
+    g = 0  # the first row not yet recorded
+
+    def advance(to: int, silent: bool = True) -> None:
+        """Rows g .. to-1 are done: record them if silent, one Execution per
+        bucket, and snapshot every bucket that ends among them."""
+        nonlocal g
+        while g < to:
+            i = bisect_right(ends, g)
+            stop = min(to, ends[i])
+            if silent:
+                sim.skip_execution(fam_ssf, phases[i], stop - g)
+            g = stop
+            if g == ends[i]:
+                sim.phase_snapshots.append((i, {lab: views[lab].status for lab in labels}))
+
+    announce: dict[int, Message] = {}
+    while True:
+        rows = speculate(g)
+        steps = sim.execute(
+            fam_ssf,
+            [
+                (leaders, leaders, phases[bisect_right(ends, row)], lambda u, _ks: announce[u])
+                for row, leaders, _off in rows
+            ],
+        )
+        for row, leaders, expected in rows:
+            advance(row)
+            for u in leaders:
                 views[u].set_status(LEADER)
-                senders[u] = sim.msg("leader-announce", (u,))
-            (pairs,) = sim.ssf_broadcast(fam_ssf, [(senders, phase)])
-            for s, listener in pairs:
+                announce[u] = sim.msg("leader-announce", (u,))
+            pos, heard = next(steps)
+            off = set()
+            for k, listener in zip(pos, heard):
                 v = views[listener]
-                v.adjacent_leaders.add(s)
+                v.adjacent_leaders.add(leaders[k])
                 if v.status == ACTIVE:
                     v.set_status(INACTIVE)
-        sim.phase_snapshots.append(
-            (i, {lab: views[lab].status for lab in labels})
-        )
+                    off.add(listener)
+            advance(row + 1, silent=False)
+            if off != expected:
+                steps.close()
+                break
+        else:
+            break
+    advance(never)
 
 
 # ---------------------------------------------------------------------------

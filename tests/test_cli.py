@@ -151,24 +151,29 @@ def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "s").exists()  # rejected before anything is written
 
 
+NO_STATIONS = ('"stations": [', '"stations": [], "unread": [')
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "edits",
     [
         None,
-        ('"power": 1.5', '"power": Infinity'),
-        ('"x": 0.5', '"x": Infinity'),
-        ('"x": 0.5', '"x": NaN'),
-        ('"x": 0.5', '"x": 1' + "0" * 400),  # an integer beyond any float
+        [('"power": 1.5', '"power": Infinity')],
+        [('"x": 0.5', '"x": Infinity')],
+        [('"x": 0.5', '"x": NaN')],
+        [('"x": 0.5', '"x": 1' + "0" * 400)],  # an integer beyond any float
+        [NO_STATIONS],
+        [NO_STATIONS, ('"n_labels": 4', '"n_labels": 0')],
     ],
-    ids=["missing", "infinite-power", "infinite-x", "nan-x", "huge-x"],
+    ids=["missing", "infinite-power", "infinite-x", "nan-x", "huge-x", "no-stations", "no-labels"],
 )
-def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, edit):
+def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, edits):
     path = tmp_path / "instance.json"
-    if edit is not None:
+    if edits is not None:
         save_instance(make_instance([(1, 0, 0), (2, 0.5, 0)], DEFAULT_PARAMS, 4), str(path))
-        old, new = edit
-        assert old in path.read_text()
-        path.write_text(path.read_text().replace(old, new))
+        for old, new in edits:
+            assert old in path.read_text()
+            path.write_text(path.read_text().replace(old, new))
     code = main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert _error_code(capsys) == "instance-format"

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import sys
 import typing
 from pathlib import Path
 
@@ -34,9 +35,13 @@ from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_ch
 
 from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
+from leader_reference import reference_leader_election
 from test_cli import REFERENCE_RUNS
 from token_reference import reference_three_hop_connection, reference_token_passing
-from trace_reference import records, replay
+from trace_reference import each_execution, records, replay
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402  (the benchmark's instance lists)
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
 
@@ -128,7 +133,7 @@ def test_collected_records_match_the_round_by_round_stream():
         cursor += count
     assert cursor == collected.rounds_used
     silent = sum(c[2] for c in sink.calls if isinstance(c, tuple))
-    executions = collected.traces.executions
+    executions = each_execution(collected.traces.executions)
     assert sum(ex.size - len(ex.rounds) for ex in executions) == silent
 
 
@@ -137,7 +142,7 @@ def test_executions_tile_the_rounds_as_scheduled():
     # and each phase runs exactly the documented schedule of executions
     inst = generate(GeneratorSpec(n=16, arena_side=2.8, seed=5), P)
     r = backbone_creation(inst)
-    executions = r.traces.executions
+    executions = each_execution(r.traces.executions)
     cursor = 0
     for ex in executions:
         assert ex.start == cursor
@@ -246,7 +251,7 @@ def test_leader_election_follows_its_per_round_rule(make):
     adj = sim.graph.adjacency
     delta = sim.graph.delta
     status = dict.fromkeys(adj, ACTIVE)
-    executions = iter(sim.sink.executions)
+    executions = iter(each_execution(sim.sink.executions))
     for i, (k, m) in enumerate(leader_buckets(delta)):
         lo, hi = -(-delta // (42 << i)), -(-delta // (1 << i))
         fam = sim.selector(k, m)
@@ -287,6 +292,109 @@ def test_leader_election_postconditions_random():
         assert u in leaders or set(adj[u]) & leaders
     for u in leaders:
         assert not (set(adj[u]) & leaders)
+
+
+def _elect_counting_plans(inst, elect, adjudicate=None):
+    """A Simulator after elect(sim), and the number of _plan calls it made;
+    adjudicate, if given, wraps the engine's: adjudicate(real, rounds,
+    senders)."""
+    sim = Simulator(inst)
+    plans = []
+    plan = sim._plan
+
+    def counted(family, schedules):
+        plans.append(len(schedules))
+        return plan(family, schedules)
+
+    sim._plan = counted
+    if adjudicate is not None:
+        real = sim.engine.adjudicate
+        sim.engine.adjudicate = lambda rounds, senders: adjudicate(real, rounds, senders)
+    elect(sim)
+    return sim, len(plans)
+
+
+def _assert_leader_election_equals_the_reference(inst, adjudicate=None):
+    """The speculative election on inst gives the row-by-row reference's
+    statuses, adjacent leaders, snapshots, rounds and executions, with
+    each stretch of silent executions in one record; returns the number of
+    _plan calls it made."""
+    package, plans = _elect_counting_plans(inst, leader_election, adjudicate)
+    reference, _ = _elect_counting_plans(inst, reference_leader_election, adjudicate)
+    assert package.round == reference.round
+    for lab, v in package.views.items():
+        w = reference.views[lab]
+        assert (v.status, v.adjacent_leaders) == (w.status, w.adjacent_leaders), lab
+    assert package.phase_snapshots == reference.phase_snapshots
+    ours, theirs = each_execution(package.sink.executions), reference.sink.executions
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        _assert_same_execution(a, b)
+    records = package.sink.executions
+    for a, b in zip(records, records[1:]):
+        assert a.message is not None or b.message is not None or a.phase != b.phase
+    return plans
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: make_instance([(3, 0, 0), (5, 0.5, 0)], P, 64),
+        lambda: generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P),
+        lambda: generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P),
+        _pendant_below_bucket_0,
+        lambda: generate(GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442), P),
+    ],
+    ids=["two-nodes", "n40-N64", "n150-N1024", "pendant-below-bucket-0", "demo-loss"],
+)
+def test_leader_election_equals_the_row_by_row_reference(make):
+    assert _assert_leader_election_equals_the_reference(make()) == 1
+
+
+@given(
+    n=st.integers(1, 40),
+    density=st.floats(0.6, 1.0),
+    seed=st.integers(0, 10**6),
+    n_labels=st.sampled_from([64, 256, 1024]),
+)
+@settings(max_examples=40, deadline=None)
+def test_leader_election_equals_the_row_by_row_reference_on_generated_instances(
+    n, density, seed, n_labels
+):
+    side = density * min(4.0, max(1.2, 0.85 * math.sqrt(n)))
+    inst = generate(GeneratorSpec(n=n, arena_side=side, seed=seed, n_labels=n_labels), P)
+    _assert_leader_election_equals_the_reference(inst)
+
+
+def test_leader_election_redoes_a_failed_speculation():
+    # the first leader's announcement never reaches one neighbour that is
+    # still active, so the speculated row is wrong: the election plans
+    # again from the next row, and still runs the reference's rounds
+    inst = generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P)
+    plain, _ = _elect_counting_plans(inst, reference_leader_election)
+    first = next(ex for ex in plain.sink.executions if ex.message is not None)
+    heard = set(map(tuple, first.deliveries[:, 1:].tolist()))  # (sender, listener)
+    # every station but the row's leaders was active; pick one that hears
+    # no other leader there
+    sender, deaf = next(
+        (s, r) for s, r in sorted(heard) if [x for x, y in heard if y == r] == [s]
+    )
+    index = plain.engine.index
+    a, b = index[sender], index[deaf]
+
+    def drop(real, rounds, senders):
+        dl_tx, dl_rx = real(rounds, senders)
+        keep = ~((senders[dl_tx] == a) & (dl_rx == b))
+        return dl_tx[keep], dl_rx[keep]
+
+    assert _assert_leader_election_equals_the_reference(inst, drop) == 2
+
+
+@pytest.mark.parametrize("name", ["battery", "dense"])
+def test_leader_election_plans_once_per_benchmark_instance(name):
+    for inst in workloads.make_instances(workloads.WORKLOADS[name], 1):
+        _sim, plans = _elect_counting_plans(inst, leader_election)
+        assert plans == 1
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +633,7 @@ def test_demo_base_ssf_over_gf8_delivers_every_token_message(monkeypatch):
 
 
 def _assert_same_execution(a, b):
-    assert (a.phase, a.start, a.size) == (b.phase, b.start, b.size)
+    assert (a.phase, a.start, a.size, a.repeats) == (b.phase, b.start, b.size, b.repeats)
     for name in ("rounds", "transmissions", "deliveries"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), (a.phase, name)
@@ -607,14 +715,16 @@ def test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit():
         return got
 
     eng.adjudicate = checked
-    leader_election(sim)
-    two_hop_connection(sim)
-    three_hop_connection(sim)
-    # leader election, neighborhood inform, two-hop, the first sweep and the
-    # announce ran through the check, with rounds of several transmitters;
-    # the second sweep's schedules came from the run's plans (see the test
-    # below)
-    assert len(batches) >= 6 and max(batches) > 1
+    made = []
+    for phase in (leader_election, two_hop_connection, three_hop_connection):
+        phase(sim)
+        made.append(len(batches))
+    # every batch ran through the check, with rounds of several
+    # transmitters: leader election's one; neighborhood inform's and the
+    # pair ssf's; and the first sweep's. The second sweep repeats the first
+    # one's schedules, and the announce neighborhood inform's first, so both
+    # came from the run's plans (see the test below)
+    assert made == [1, 3, 4] and max(batches) > 1
 
 
 class _Scheduled(Simulator):

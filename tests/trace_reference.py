@@ -1,18 +1,23 @@
 """The round-by-round trace writer that cli.FileSink must match byte for byte.
 
+each_execution() expands a run's records into one Execution per family
+execution: a silent record of several executions becomes that many.
 traces() expands one Execution's arrays into a RoundTrace per non-silent
-round. replay() feeds one Execution to a sink round by round: emit() with a
-RoundTrace for each non-silent round, skip() for each stretch of silent
-ones. RoundWriter writes each of those calls as records of its own, every
-record with json.dumps(..., sort_keys=True), in the trace file's two modes:
-"full" (one record per round) and "compact" (one per non-silent round and
-one per stretch of silent rounds).
+round. replay() feeds one record to a sink round by round, execution by
+execution: emit() with a RoundTrace for each non-silent round, skip() for
+each stretch of silent ones. RoundWriter writes each of those calls as
+records of its own, every record with json.dumps(..., sort_keys=True), in
+the trace file's two modes: "full" (one record per round) and "compact"
+(one per non-silent round and one per stretch of silent rounds within an
+execution).
 """
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from sinrbackbone.protocol import Execution
 
 
 @dataclass(frozen=True)
@@ -48,18 +53,30 @@ def records(executions):
     return [tr for ex in executions for tr in traces(ex)]
 
 
+def each_execution(executions):
+    """The records, with each silent record of repeats executions
+    replaced by repeats records of one, in round order."""
+    return [
+        Execution.silent(ex.phase, ex.start + r * ex.size, ex.size) if ex.repeats > 1 else ex
+        for ex in executions
+        for r in range(ex.repeats)
+    ]
+
+
 def replay(ex, sink) -> None:
-    """Feed ex to sink round by round: sink.emit() for each non-silent
-    round, sink.skip() for each stretch of silent ones."""
-    cursor = 0
-    for trace in traces(ex):
-        j = trace.round - ex.start
-        if j > cursor:
-            sink.skip(ex.phase, ex.start + cursor, j - cursor)
-        sink.emit(trace)
-        cursor = j + 1
-    if ex.size > cursor:
-        sink.skip(ex.phase, ex.start + cursor, ex.size - cursor)
+    """Feed the record ex to sink round by round, one family execution at
+    a time: sink.emit() for each non-silent round, sink.skip() for each
+    stretch of silent ones."""
+    for one in each_execution([ex]):
+        cursor = 0
+        for trace in traces(one):
+            j = trace.round - one.start
+            if j > cursor:
+                sink.skip(one.phase, one.start + cursor, j - cursor)
+            sink.emit(trace)
+            cursor = j + 1
+        if one.size > cursor:
+            sink.skip(one.phase, one.start + cursor, one.size - cursor)
 
 
 def _payload_json(payload):
