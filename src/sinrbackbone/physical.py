@@ -225,7 +225,7 @@ class PhysicsEngine:
         nbrs = self.label_array[self.nbrs].tolist()
         at = self.nbr_at.tolist()
         adj = {lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(labs)}
-        if not is_connected(adj):
+        if len(components(adj)) > 1:
             raise DisconnectedInstanceError(
                 f"communication graph on {len(labs)} stations is not connected"
             )
@@ -322,19 +322,24 @@ class CommGraph:
         return max((len(nb) for nb in self.adjacency.values()), default=0)
 
 
-def is_connected(adjacency: Mapping[int, Sequence[int]]) -> bool:
-    nodes = list(adjacency)
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(nodes)
+def components(adjacency: Mapping[int, Sequence[int]]) -> list[set[int]]:
+    """The connected components, in ascending order of their smallest node,
+    by one depth-first pass."""
+    seen: set[int] = set()
+    out = []
+    for src in sorted(adjacency):
+        if src in seen:
+            continue
+        comp = {src}
+        stack = [src]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        out.append(comp)
+    return out
 
 
 def build_graph(inst: PhysicalInstance) -> CommGraph:

@@ -685,7 +685,9 @@ def two_hop_connection(sim: Simulator) -> None:
 
     # claims are decidable locally: u knows its adjacent leaders and their
     # full neighborhoods; the canonical orientation s < t is claimed once
-    claims: dict[int, tuple[int, tuple[int, int, int]]] = {}
+    # per claimant, and two nodes that heard different neighborhoods may
+    # both claim one pair
+    claims: list[tuple[int, int, int, int]] = []  # (pair index, u, s, t)
     for u in sorted(views):
         v = views[u]
         if v.status == LEADER:
@@ -695,32 +697,34 @@ def two_hop_connection(sim: Simulator) -> None:
                 t, set()
             )
             if common and u == min(common):
-                claims[selection.pair_index(s, t, n_labels)] = (u, (u, s, t))
+                claims.append((selection.pair_index(s, t, n_labels), u, s, t))
+    claims.sort()
 
     # a helper's message in a round carries every claim the pair family
     # schedules for it there, three labels each: size the widest one
-    pidxs = sorted(claims)
-    helpers = [claims[p][0] for p in pidxs]
+    pidxs = [c[0] for c in claims]
+    helpers = [c[1] for c in claims]
     if pidxs:
         sets = fam_pair.rounds_for(pidxs) + fam_pair.size * np.array(helpers)[:, None]
         widest = np.unique(sets, return_counts=True)[1].max()
         _message_bits("helper-claim", 3 * int(widest), n_labels)
 
     def helper_claim(_u: int, ks: list[int]) -> Message:
-        return sim.msg("helper-claim", tuple(sorted(claims[pidxs[k]][1] for k in ks)))
+        return sim.msg("helper-claim", tuple(sorted(claims[k][1:] for k in ks)))
 
     (heard,) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
-    for pidx in pidxs:
-        u = claims[pidx][0]
+    for u in helpers:
         if views[u].status != HELPER:
             views[u].set_status(HELPER)
+    # claims of one pair are heard in ascending helper order: a leader
+    # keeps the smallest-label helper it hears for each partner
     for k, listener in zip(*heard):
-        h, s, t = claims[pidxs[k]][1]
+        _pidx, h, s, t = claims[k]
         if listener == s:
-            views[s].two_hop_helpers[t] = h
+            views[s].two_hop_helpers.setdefault(t, h)
         elif listener == t:
-            views[t].two_hop_helpers[s] = h
+            views[t].two_hop_helpers.setdefault(s, h)
 
 
 # ---------------------------------------------------------------------------
@@ -738,125 +742,96 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     msgs[sender]. A token grant that is not received by its addressee is a
     hard simulation error.
 
-    Everything the sweep sends is fixed before its first round: grants go
-    to the leaders' i-th neighbors and, since a lost grant fails the run,
-    exactly their targets hold tokens, send their messages and return the
-    tokens, each return carrying the grants aimed at its holder. So the
-    sweep's 4*Delta executions are adjudicated as one batch, and a grant or
-    return message is built only when a sink asks for it, once per
-    execution and sender. Before a grant or return execution is recorded,
-    the size of every message it sends is checked from its label count. The
-    grant check, the token records and the receptions are read from the
-    heard (slot position, listener) pairs of each execution.
+    msgs must hold a message for every neighbor of a leader, since every
+    token holder sends one: three_hop_connection passes one for every
+    non-leader, and no leader neighbors another.
+
+    The sweep is fixed before its first round. Iteration i's grants map
+    each leader of degree at least i to its i-th neighbor, and its tokens
+    map each holder to the leaders that granted it one, both in ascending
+    leader order. Since a lost grant fails the run, the sorted holders
+    send their messages and return their tokens, so an iteration's msg and
+    return executions share one plan. The 4*Delta executions are
+    adjudicated as one batch. A grant or return is built only when a sink
+    asks for it, once per execution and sender, and sized from its label
+    count before its execution is recorded. The grant check, the token
+    records and the receptions are read from each execution's heard (slot
+    position, listener) pairs.
     """
     views = sim.views
-    fam = sim.base_ssf()
     n_labels = sim.inst.n_labels
-    delta = sim.graph.delta
     run_id = sim._tp_runs
     sim._tp_runs += 1
-    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
-    degree = np.array([views[lab].degree for lab in leaders], dtype=np.int64)
-    # every grant: leader, target and iteration - 1
-    lead = np.array(leaders, dtype=np.int64).repeat(degree)
-    target = np.array([u for lab in leaders for u in views[lab].neighbors], dtype=np.int64)
-    nth = np.arange(len(target)) - (degree.cumsum() - degree).repeat(degree)
-    by_i = np.lexsort((lead, nth))
-    # the holders of each iteration, sorted, each with the leaders whose
-    # grants it returns, sorted
-    by_holder = np.lexsort((lead, target, nth))
-    first = _run_starts(nth[by_holder], target[by_holder])
-    holders, holder_i = target[by_holder][first], nth[by_holder][first]
-    tokens = lead[by_holder].tolist()
-    tok_at = np.append(np.flatnonzero(first), len(first))
-    has_msg = np.zeros(n_labels + 1, dtype=bool)
-    has_msg[list(msgs)] = True
-    sends = has_msg[holders]
-    senders = holders[sends]
-    iterations = np.arange(delta + 1)
-    g_at = nth[by_i].searchsorted(iterations).tolist()
-    h_at = holder_i.searchsorted(iterations).tolist()
-    s_at = holder_i[sends].searchsorted(iterations).tolist()
-    granting, targets = lead[by_i].tolist(), target[by_i].tolist()
-    holder_list, sender_list = holders.tolist(), senders.tolist()
-    tok_count = np.diff(tok_at).tolist()
-    tok_at = tok_at.tolist()
+    delta = sim.graph.delta
+    # per iteration: the grants, the tokens and the sorted holders
+    grants: list[dict[int, int]] = [{} for _ in range(delta)]
+    tokens: list[dict[int, list[int]]] = [{} for _ in range(delta)]
+    for lab in sorted(views):
+        if views[lab].status == LEADER:
+            for grants_i, tokens_i, target in zip(grants, tokens, views[lab].neighbors):
+                grants_i[lab] = target
+                tokens_i.setdefault(target, []).append(lab)
+    sweep = [(g, t, sorted(t)) for g, t in zip(grants, tokens)]
 
     def send(u: int, _ks: list[int]) -> Message:
         return msgs[u]
 
-    def grant(targets_i: list[int]) -> Callable[[int, list[int]], Message]:
+    def grant(grants_i: dict[int, int]) -> Callable[[int, list[int]], Message]:
+        return _per_sender(lambda u, _ks: Message.make("token-grant", (u, grants_i[u]), n_labels))
+
+    def give_back(tokens_i: dict[int, list[int]]) -> Callable[[int, list[int]], Message]:
         return _per_sender(
-            lambda u, ks: Message.make("token-grant", (u, targets_i[ks[0]]), n_labels)
+            lambda u, _ks: Message.make("token-return", (u, *tokens_i[u]), n_labels)
         )
 
-    def give_back(h0: int) -> Callable[[int, list[int]], Message]:
-        def message(u: int, ks: list[int]) -> Message:
-            h = h0 + ks[0]
-            return Message.make("token-return", (u, *tokens[tok_at[h] : tok_at[h + 1]]), n_labels)
-
-        return _per_sender(message)
-
-    # per iteration: i, the granting leaders and their targets, the holders
-    # that send, the holders and their token counts
-    sweep = []
     specs = []
-    for i in range(1, delta + 1):
-        g0, g1, h0, h1 = g_at[i - 1], g_at[i], h_at[i - 1], h_at[i]
-        granting_i, targets_i = granting[g0:g1], targets[g0:g1]
-        senders_i, holders_i = sender_list[s_at[i - 1] : s_at[i]], holder_list[h0:h1]
-        sweep.append((i, granting_i, targets_i, senders_i, holders_i, tok_count[h0:h1]))
+    for i, (grants_i, tokens_i, holders) in enumerate(sweep, 1):
         phase = f"token-passing/run={run_id}/i={i}/"
         specs += [
             ([], [], phase + "idle", send),
-            (granting_i, granting_i, phase + "grant", grant(targets_i)),
-            (senders_i, senders_i, phase + "msg", send),
-            (holders_i, holders_i, phase + "return", give_back(h0)),
+            (list(grants_i), list(grants_i), phase + "grant", grant(grants_i)),
+            (holders, holders, phase + "msg", send),
+            (holders, holders, phase + "return", give_back(tokens_i)),
         ]
-    steps = sim.execute(fam, specs)
-    heard_pos: list[tuple[int, ...]] = []
-    heard_label: list[tuple[int, ...]] = []
+    steps = sim.execute(sim.base_ssf(), specs)
+    senders: list[int] = []  # each holder of the sweep,
+    counts: list[int] = []  # how many listeners heard it,
+    heard: list[tuple[int, ...]] = []  # and who, per iteration
     fits = 0  # a token count whose return is known to fit the budget
 
-    for i, granting_i, targets_i, senders_i, holders_i, counts_i in sweep:
+    for i, (grants_i, tokens_i, holders) in enumerate(sweep, 1):
         # slot 1: everyone silent
         next(steps)
         # slot 2: leaders pass tokens to their i-th neighbors
-        if granting_i:
+        if grants_i:
             _message_bits("token-grant", 2, n_labels)
         pos, label = next(steps)
-        at = _slot_at(pos, len(granting_i))
-        for k, (lab, t) in enumerate(zip(granting_i, targets_i)):
-            if t not in label[at[k] : at[k + 1]]:
+        at = _slot_at(pos, len(grants_i))
+        for k, (lab, target) in enumerate(grants_i.items()):
+            if target not in label[at[k] : at[k + 1]]:
                 raise TokenDeliveryError(
-                    f"token from leader {lab} to {t} lost in run {run_id}, i={i}"
+                    f"token from leader {lab} to {target} lost in run {run_id}, i={i}"
                 )
         # slot 3: token holders transmit their message
         pos, label = next(steps)
-        at = _slot_at(pos, len(senders_i))
-        heard_pos.append(pos)
-        heard_label.append(label)
+        at = _slot_at(pos, len(holders))
+        receivers = [label[lo:hi] for lo, hi in zip(at, at[1:])]
+        senders += holders
+        counts += map(len, receivers)
+        heard.append(label)
         sim.token_records.append(
-            TokenRecord(
-                run=run_id,
-                iteration=i,
-                holders=tuple(holders_i),
-                transmissions=tuple(zip(senders_i, [label[lo:hi] for lo, hi in zip(at, at[1:])])),
-            )
+            TokenRecord(run_id, i, tuple(holders), tuple(zip(holders, receivers)))
         )
         # slot 4: holders pass tokens back, each return one label longer
         # than its holder's token count
-        for count in counts_i:
-            if count > fits:
-                _message_bits("token-return", 1 + count, n_labels)
-                fits = count
+        for h in holders:
+            if len(tokens_i[h]) > fits:
+                fits = len(tokens_i[h])
+                _message_bits("token-return", 1 + fits, n_labels)
         next(steps)
 
-    counts = [len(pos) for pos in heard_pos]
-    sender_at = np.fromiter(chain.from_iterable(heard_pos), np.int64, sum(counts))
-    sender_at += np.array(s_at[:-1], dtype=np.int64).repeat(counts)
-    listeners = np.fromiter(chain.from_iterable(heard_label), np.int64, len(sender_at))
-    return senders[sender_at], listeners
+    listeners = np.fromiter(chain.from_iterable(heard), np.int64, sum(counts))
+    return np.repeat(np.array(senders, dtype=np.int64), counts), listeners
 
 
 def _per_sender(build: Callable[[int, list[int]], Message]) -> Callable[[int, list[int]], Message]:

@@ -23,10 +23,10 @@ from .physical import (
     PhysicsEngine,
     SinrParams,
     broadcast_range,
+    components,
     distance,
     grid_box,
     grid_index,
-    is_connected,
     make_instance,
     pivotal_side,
 )
@@ -149,7 +149,7 @@ def min_cds(adj: Adjacency) -> set[int]:
             cand = set(combo)
             if not is_dominating(adj, cand):
                 continue
-            if is_connected(induced(adj, cand)):
+            if len(components(induced(adj, cand))) == 1:
                 return cand
     raise AssertionError("connected input must admit a CDS")
 
@@ -175,9 +175,8 @@ def greedy_cds(adj: Adjacency) -> set[int]:
         chosen.add(nodes[best])
         uncovered[closed[best] > 0] = 0.0
     # connect components of the chosen set along shortest paths
-    while not is_connected(induced(adj, chosen)):
-        comp = _components(induced(adj, chosen))
-        a = comp[0]
+    while len(comps := components(induced(adj, chosen))) > 1:
+        a = comps[0]
         # BFS from the first component through the full graph to another one
         frontier = sorted(a)
         target = None
@@ -204,17 +203,6 @@ def greedy_cds(adj: Adjacency) -> set[int]:
             chosen.add(u)
             u = parent[u]
     return chosen
-
-
-def _components(adj: Adjacency) -> list[set[int]]:
-    left = set(adj)
-    out = []
-    while left:
-        src = min(left)
-        comp = set(bfs_distances({u: [v for v in adj[u] if v in left] for u in left}, src))
-        out.append(comp)
-        left -= comp
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +276,10 @@ def check_connected_backbone(result: BackboneResult, graph: CommGraph) -> Verdic
     sub = _backbone_adjacency(result, graph)
     if not sub:
         return Verdict("connected-backbone", False, witness=())
-    if is_connected(sub):
+    comps = components(sub)
+    if len(comps) == 1:
         return Verdict("connected-backbone", True, metrics={"backbone_size": len(sub)})
-    comps = _components(sub)
-    return Verdict(
-        "connected-backbone", False, witness=tuple(sorted(comps[0]))
-    )
+    return Verdict("connected-backbone", False, witness=tuple(sorted(comps[0])))
 
 
 def geometric_degree_bound() -> int:
@@ -398,7 +384,7 @@ def check_bucket_coverage(
         leaders = {u for u, s in statuses.items() if s == "leader"}
         for u in adj:
             if len(adj[u]) >= threshold:
-                if u in leaders or set(adj[u]) & leaders:
+                if u in leaders or not leaders.isdisjoint(adj[u]):
                     continue
                 return Verdict("bucket-coverage", False, witness=(i, u))
     return Verdict("bucket-coverage", True, metrics={"phases": len(snapshots)})

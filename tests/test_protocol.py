@@ -478,6 +478,43 @@ def test_two_hop_ignores_three_hop_pairs():
     assert sim.views[4].two_hop_helpers == {}
 
 
+@pytest.mark.parametrize(
+    "stations, kept",
+    [
+        # the two claims share every round and collide at both leaders
+        ([(1, 0, 0), (2, 1.8, 0), (5, 0.9, 0.05), (9, 0.9, -0.05)], None),
+        # 5 is nearer both leaders than 9 is, so they hear 5 through 9
+        ([(1, 0, 0), (2, 1.4, 0), (5, 0.7, 0), (9, 0.7, 0.6)], 5),
+    ],
+    ids=["claims-collide", "nearer-claim-heard"],
+)
+def test_two_hop_every_claimant_of_a_pair_transmits(stations, kept, monkeypatch):
+    # leader 1's first neighborhood-inform message, (1, 5), is lost at 9,
+    # so 9 learns N(1) = {9} and claims the pair (1, 2); 5 heard both
+    # neighborhoods in full and claims it too, and neither claim may
+    # depend on the other node's decision
+    inst = make_instance(stations, P, 16)
+    sim = Simulator(inst)
+    force_leaders(sim, {1, 2})
+    broadcast = sim.ssf_broadcast
+
+    def lossy(family, executions):
+        for (_senders, phase), pairs in zip(executions, broadcast(family, executions)):
+            yield [p for p in pairs if (phase, *p) != ("neighborhood-inform/i=1", 1, 9)]
+
+    monkeypatch.setattr(sim, "ssf_broadcast", lossy)
+    two_hop_connection(sim)
+    assert sim.views[9].learned_neighborhoods[1] == {9}
+    assert sim.views[5].learned_neighborhoods == {1: {5, 9}, 2: {5, 9}}
+    claims = sim.sink.executions[-1]
+    assert claims.phase == "two-hop-connection"
+    assert claims.transmissions[:, 1].tolist() == [5, 9]
+    assert sim.views[5].status == sim.views[9].status == "helper"
+    assert sim.views[1].two_hop_helpers == ({} if kept is None else {2: kept})
+    assert sim.views[2].two_hop_helpers == ({} if kept is None else {1: kept})
+    assert expected_two_hop(sim.graph.adjacency, {1, 2}) == {(1, 2): 5}
+
+
 # ---------------------------------------------------------------------------
 # Token passing.
 
@@ -602,6 +639,24 @@ def test_token_holder_box_bound():
             b = gi.boxes[h]
             per_box[b] = per_box.get(b, 0) + 1
         assert all(v <= 21 for v in per_box.values())
+
+
+@pytest.mark.parametrize("name", ["battery", "dense"])
+def test_every_token_holder_sends(name):
+    # three-hop connection passes a message for every non-leader, and every
+    # holder is one: each msg execution sends from exactly its holders, with
+    # the same transmissions as the return execution after it
+    for inst in workloads.make_instances(workloads.WORKLOADS[name], 1):
+        result = backbone_creation(inst)
+        sweep = {ex.phase: ex for ex in result.traces.executions}
+        assert len(result.token_records) == 2 * result.delta
+        for rec in result.token_records:
+            assert [s for s, _receivers in rec.transmissions] == list(rec.holders)
+            phase = f"token-passing/run={rec.run}/i={rec.iteration}/"
+            sent, returned = sweep[phase + "msg"], sweep[phase + "return"]
+            assert sorted(set(sent.transmissions[:, 1].tolist())) == list(rec.holders)
+            assert np.array_equal(sent.transmissions, returned.transmissions)
+            assert np.array_equal(sent.rounds, returned.rounds)
 
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"

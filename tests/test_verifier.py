@@ -7,9 +7,9 @@ from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
 from sinrbackbone.physical import (
     build_graph,
+    components,
     derive_dilution,
     grid_box,
-    is_connected,
     make_instance,
     pivotal_side,
 )
@@ -196,7 +196,7 @@ def test_min_cds_is_dominating_and_connected():
     g = build_graph(inst)
     cds = min_cds(g.adjacency)
     assert is_dominating(g.adjacency, cds)
-    assert is_connected(induced(g.adjacency, cds))
+    assert len(components(induced(g.adjacency, cds))) == 1
 
 
 def test_greedy_cds_valid():
@@ -204,7 +204,7 @@ def test_greedy_cds_valid():
     g = build_graph(inst)
     cds = greedy_cds(g.adjacency)
     assert is_dominating(g.adjacency, cds)
-    assert is_connected(induced(g.adjacency, cds))
+    assert len(components(induced(g.adjacency, cds))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +238,9 @@ def _diameter_by_bfs(adj):
 
 
 def _components_by_bfs(adj):
-    """Each component as a set built from a BFS-ordered dict, as the module
-    builds it; the connection phase starts its BFS in ascending label order."""
+    """Each component as a set built from a BFS-ordered dict, in ascending
+    order of its smallest label; the connection phase starts its BFS in
+    ascending label order."""
     left = set(adj)
     out = []
     while left:
@@ -260,7 +261,7 @@ def _greedy_cds_by_max_key(adj):
         best = max(nodes, key=lambda u: (len((set(adj[u]) | {u}) - covered), -u))
         chosen.add(best)
         covered |= set(adj[best]) | {best}
-    while not is_connected(induced(adj, chosen)):
+    while len(components(induced(adj, chosen))) > 1:
         a = _components_by_bfs(induced(adj, chosen))[0]
         frontier, target = sorted(a), None
         parent = {u: None for u in a}
@@ -327,7 +328,8 @@ _LONG_PATH = _path([65, *range(1, 65), 66])
 @settings(max_examples=300, deadline=None)
 def test_array_oracles_match_the_python_references(adj):
     assert diameter(adj) == _diameter_by_bfs(adj)
-    if is_connected(adj):
+    assert components(adj) == _components_by_bfs(adj)
+    if len(components(adj)) <= 1:
         assert greedy_cds(adj) == _greedy_cds_by_max_key(adj)
     else:  # no path joins the cover's components
         with pytest.raises(AssertionError):
@@ -347,17 +349,19 @@ _NINE_CYCLE = {
 
 def test_greedy_cds_does_not_depend_on_component_set_order(monkeypatch):
     # the same member sets, built in ascending and in descending label order
-    built = verify._components
+    built = verify.components
     cds = []
     for reverse in (False, True):
         monkeypatch.setattr(
             verify,
-            "_components",
+            "components",
             lambda adj, reverse=reverse: [set(sorted(c, reverse=reverse)) for c in built(adj)],
         )
         cds.append(greedy_cds(_NINE_CYCLE))
     assert cds[0] == cds[1]
-    assert is_dominating(_NINE_CYCLE, cds[0]) and is_connected(induced(_NINE_CYCLE, cds[0]))
+    assert is_dominating(_NINE_CYCLE, cds[0]) and (
+        len(components(induced(_NINE_CYCLE, cds[0]))) == 1
+    )
 
 
 def test_expected_two_hop_on_path():
@@ -419,7 +423,7 @@ def _connected_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_helper_replays_match_the_whole_graph_bfs(graph):
     adj, leaders = graph
-    assert is_connected(adj)
+    assert len(components(adj)) == 1
     assert expected_two_hop(adj, leaders) == _two_hop_by_bfs(adj, leaders)
     assert expected_three_hop(adj, leaders) == _three_hop_by_bfs(adj, leaders)
 
