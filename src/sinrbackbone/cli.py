@@ -27,7 +27,6 @@ from .physical import (
     SinrParams,
     broadcast_range,
     build_graph,
-    distance,
     load_instance,
     make_instance,
     save_instance,
@@ -83,9 +82,12 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
         placed = True
         for _ in range(spec.n):
             for _try in range(200):
-                q = (rng.uniform(0.0, spec.arena_side), rng.uniform(0.0, spec.arena_side))
-                if all(distance(q, p) >= spec.min_spacing for p in points):
-                    points.append(q)
+                x = rng.uniform(0.0, spec.arena_side)
+                y = rng.uniform(0.0, spec.arena_side)
+                if all(
+                    math.hypot(x - a, y - b) >= spec.min_spacing for a, b in points
+                ):
+                    points.append((x, y))
                     break
             else:
                 placed = False

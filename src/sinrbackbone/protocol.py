@@ -685,9 +685,7 @@ def two_hop_connection(sim: Simulator) -> None:
 
     # claims are decidable locally: u knows its adjacent leaders and their
     # full neighborhoods; the canonical orientation s < t is claimed once
-    # per claimant, and two nodes that heard different neighborhoods may
-    # both claim one pair
-    claims: list[tuple[int, int, int, int]] = []  # (pair index, u, s, t)
+    claims: dict[int, tuple[int, tuple[int, int, int]]] = {}
     for u in sorted(views):
         v = views[u]
         if v.status == LEADER:
@@ -697,34 +695,32 @@ def two_hop_connection(sim: Simulator) -> None:
                 t, set()
             )
             if common and u == min(common):
-                claims.append((selection.pair_index(s, t, n_labels), u, s, t))
-    claims.sort()
+                claims[selection.pair_index(s, t, n_labels)] = (u, (u, s, t))
 
     # a helper's message in a round carries every claim the pair family
     # schedules for it there, three labels each: size the widest one
-    pidxs = [c[0] for c in claims]
-    helpers = [c[1] for c in claims]
+    pidxs = sorted(claims)
+    helpers = [claims[p][0] for p in pidxs]
     if pidxs:
         sets = fam_pair.rounds_for(pidxs) + fam_pair.size * np.array(helpers)[:, None]
         widest = np.unique(sets, return_counts=True)[1].max()
         _message_bits("helper-claim", 3 * int(widest), n_labels)
 
     def helper_claim(_u: int, ks: list[int]) -> Message:
-        return sim.msg("helper-claim", tuple(sorted(claims[k][1:] for k in ks)))
+        return sim.msg("helper-claim", tuple(sorted(claims[pidxs[k]][1] for k in ks)))
 
     (heard,) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
-    for u in helpers:
+    for pidx in pidxs:
+        u = claims[pidx][0]
         if views[u].status != HELPER:
             views[u].set_status(HELPER)
-    # claims of one pair are heard in ascending helper order: a leader
-    # keeps the smallest-label helper it hears for each partner
     for k, listener in zip(*heard):
-        _pidx, h, s, t = claims[k]
+        h, s, t = claims[pidxs[k]][1]
         if listener == s:
-            views[s].two_hop_helpers.setdefault(t, h)
+            views[s].two_hop_helpers[t] = h
         elif listener == t:
-            views[t].two_hop_helpers.setdefault(s, h)
+            views[t].two_hop_helpers[s] = h
 
 
 # ---------------------------------------------------------------------------
@@ -742,9 +738,8 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     msgs[sender]. A token grant that is not received by its addressee is a
     hard simulation error.
 
-    msgs must hold a message for every neighbor of a leader, since every
-    token holder sends one: three_hop_connection passes one for every
-    non-leader, and no leader neighbors another.
+    Every token holder sends, so msgs must hold a message for every holder
+    (checked up front): three_hop_connection passes one per non-leader.
 
     The sweep is fixed before its first round. Iteration i's grants map
     each leader of degree at least i to its i-th neighbor, and its tokens
@@ -771,6 +766,8 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
             for grants_i, tokens_i, target in zip(grants, tokens, views[lab].neighbors):
                 grants_i[lab] = target
                 tokens_i.setdefault(target, []).append(lab)
+    if mute := set().union(*tokens) - msgs.keys():
+        raise ValueError(f"token holders without a message: {sorted(mute)}")
     sweep = [(g, t, sorted(t)) for g, t in zip(grants, tokens)]
 
     def send(u: int, _ks: list[int]) -> Message:

@@ -27,7 +27,13 @@ from sinrbackbone.physical import (
     save_instance,
     serialize_instance,
 )
-from sinrbackbone.protocol import Simulator, backbone_creation, leader_election, token_passing
+from sinrbackbone.protocol import (
+    LEADER,
+    Simulator,
+    backbone_creation,
+    leader_election,
+    token_passing,
+)
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
 from trace_reference import RoundWriter
@@ -348,8 +354,9 @@ def _lost_grant_executions(monkeypatch) -> list:
         return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
+    msgs = {u: sim.msg("hop3-report", (u,)) for u, v in sim.views.items() if v.status != LEADER}
     with pytest.raises(TokenDeliveryError):
-        token_passing(sim, {})
+        token_passing(sim, msgs)
     assert sim.sink.executions[-1].phase == "token-passing/run=0/i=1/grant"
     return sim.sink.executions
 
