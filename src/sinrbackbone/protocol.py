@@ -647,27 +647,42 @@ def neighborhood_inform(sim: Simulator) -> None:
     """Leaders broadcast their i-th neighbor for i = 1..Delta; afterwards
     every non-leader knows the full neighborhood of each adjacent leader.
 
-    What each leader sends in iteration i is fixed from the start, so the
-    Delta executions are adjudicated as one batch.
+    What each leader sends in iteration i is fixed from the start: the
+    iteration's table maps each leader of degree at least i to its i-th
+    neighbor, in ascending leader order. So the Delta executions are
+    adjudicated as one batch. Every message carries two labels and is sized
+    once, before the first execution; one is built only when a sink asks
+    for it, once per execution and sender. A listener learns each (leader,
+    member) pair from the table.
     """
     views = sim.views
-    fam = sim.base_ssf()
-    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
-    plan = []
-    for i in range(1, sim.graph.delta + 1):
-        senders = {}
-        for lab in leaders:
-            v = views[lab]
-            if v.degree >= i:
-                senders[lab] = sim.msg(
-                    "neighbor-of-leader", (lab, v.neighbors[i - 1])
-                )
-        plan.append((senders, f"neighborhood-inform/i={i}"))
-    for (senders, _phase), pairs in zip(plan, sim.ssf_broadcast(fam, plan)):
-        for s, listener in pairs:
+    n_labels = sim.inst.n_labels
+    tables: list[dict[int, int]] = [{} for _ in range(sim.graph.delta)]
+    for lab in sorted(views):
+        if views[lab].status == LEADER:
+            for table, member in zip(tables, views[lab].neighbors):
+                table[lab] = member
+    if any(tables):
+        _message_bits("neighbor-of-leader", 2, n_labels)
+
+    def inform(table: dict[int, int]) -> Callable[[int, list[int]], Message]:
+        return _per_sender(
+            lambda u, _ks: Message.make("neighbor-of-leader", (u, table[u]), n_labels)
+        )
+
+    steps = sim.execute(
+        sim.base_ssf(),
+        [
+            (list(table), list(table), f"neighborhood-inform/i={i}", inform(table))
+            for i, table in enumerate(tables, 1)
+        ],
+    )
+    for table, (pos, listeners) in zip(tables, steps):
+        leaders = list(table)
+        for k, listener in zip(pos, listeners):
             if views[listener].status != LEADER:
-                leader, member = senders[s].payload
-                views[listener].learned_neighborhoods.setdefault(leader, set()).add(member)
+                leader = leaders[k]
+                views[listener].learned_neighborhoods.setdefault(leader, set()).add(table[leader])
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .physical import (
     PhysicsEngine,
     SinrParams,
     broadcast_range,
-    components,
     distance,
     grid_box,
     grid_index,
@@ -59,191 +59,280 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Graph helpers on plain adjacency mappings.
+# One representation of a graph for every check.
 
 
-def bfs_distances(adj: Adjacency, src: int, radius: Optional[int] = None) -> dict[int, int]:
-    """Hop distance from src of every node it reaches; with a radius, of
-    every node within that many hops."""
-    dist = {src: 0}
-    frontier = [src]
-    while frontier and (radius is None or dist[frontier[0]] < radius):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _arcs(adj: Adjacency) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """The nodes in label order and every arc u -> v of adj as (source,
-    target) arrays of indices into that order."""
-    nodes = sorted(adj)
-    index = {u: i for i, u in enumerate(nodes)}
-    src = np.repeat(np.arange(len(nodes)), [len(adj[u]) for u in nodes])
-    dst = np.fromiter((index[v] for u in nodes for v in adj[u]), np.intp, len(src))
-    return nodes, src, dst
+def _lowest(mask: int) -> int:
+    """The position of mask's lowest set bit."""
+    return (mask & -mask).bit_length() - 1
 
 
-def _bit_rows(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows (r, n) packed into rows of ceil(n/64) uint64 words."""
-    r, n = rows.shape
-    padded = np.zeros((r, -(-n // 64) * 64), bool)
-    padded[:, :n] = rows
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+class LabelGraph:
+    """A simple undirected graph as the checks read it: no self-loops, and
+    v in adj[u] exactly when u in adj[v].
+
+    nodes holds the labels in ascending order; node i is nodes[i] and bit i
+    of a bitset (a Python int). masks[i] is node i's neighbourhood, so the
+    smallest label of a set is its lowest set bit. The CSR list csr, as
+    PhysicsEngine keeps it but closed, holds node i and its neighbours,
+    ascending, at nbrs[nbr_at[i] : nbr_at[i + 1]]; it is unpacked from the
+    bitsets when first read.
+    """
+
+    def __init__(self, nodes: list[int], masks: list[int]):
+        self.nodes = nodes
+        self.masks = masks
+
+    @staticmethod
+    def of(adj: Adjacency | CommGraph | LabelGraph) -> LabelGraph:
+        """adj itself if it is a LabelGraph, else a LabelGraph of it."""
+        if isinstance(adj, LabelGraph):
+            return adj
+        if isinstance(adj, CommGraph):
+            adj = adj.adjacency
+        nodes = sorted(adj)
+        bit = _bit_of(nodes)
+        return LabelGraph(nodes, [sum(map(bit.__getitem__, adj[u])) for u in nodes])
+
+    @cached_property
+    def bit(self) -> dict[int, int]:
+        return _bit_of(self.nodes)
+
+    @property
+    def every(self) -> int:
+        return (1 << len(self.nodes)) - 1
+
+    def mask(self, labels: Iterable[int]) -> int:
+        out = 0
+        for u in labels:
+            out |= self.bit[u]
+        return out
+
+    def near(self, mask: int) -> int:
+        """Every neighbour of mask's nodes."""
+        masks, out = self.masks, 0
+        while mask:
+            low = mask & -mask
+            out |= masks[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def reach(self, start: int, within: int) -> int:
+        """The nodes of within that start's nodes reach through within."""
+        seen = frontier = start
+        while frontier:
+            frontier = self.near(frontier) & within & ~seen
+            seen |= frontier
+        return seen
+
+    def labels(self, mask: int) -> list[int]:
+        return [self.nodes[i] for i in _bits(mask)]
+
+    @cached_property
+    def closed_rows(self) -> np.ndarray:
+        """Row i: node i's closed neighbourhood as 64-bit words."""
+        return _words([m | 1 << i for i, m in enumerate(self.masks)], len(self.nodes))
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closed CSR list (nbrs, nbr_at)."""
+        bits = np.unpackbits(self.closed_rows.view(np.uint8), axis=1, bitorder="little")
+        row, nbrs = np.nonzero(bits)
+        return nbrs, np.searchsorted(row, np.arange(len(self.nodes) + 1))
 
 
-def diameter(adj: Adjacency) -> int:
+def _bit_of(nodes: list[int]) -> dict[int, int]:
+    """Each label's bit: 1 << its position in nodes."""
+    return dict(zip(nodes, map((1).__lshift__, range(len(nodes)))))
+
+
+def _words(masks: list[int], n: int) -> np.ndarray:
+    """Bitsets over n nodes as rows of ceil(n/64) uint64 words, the lowest
+    first."""
+    words = -(-n // 64)
+    blob = b"".join(m.to_bytes(8 * words, "little") for m in masks)
+    return np.frombuffer(blob, "<u8").reshape(len(masks), words)
+
+
+def diameter(adj: Adjacency | LabelGraph) -> int:
     """Largest hop distance from a node to another; -1 if some node does not
     reach every other, 0 for no nodes.
 
-    One breadth-first search from all sources at once: row i of `reach` is
-    a bit row of the nodes that reach node i within `levels` hops, and one
-    level ORs, for every node, the rows of its closed in-neighbourhood (a
-    CSR list) in one `np.bitwise_or.reduceat`, O(m n / 64) word operations.
-    The diameter is the number of levels until every row is full.
+    One breadth-first search from all sources at once: word w of node i's
+    reach row holds 64 bits of the nodes within `levels` hops of node i,
+    starting from the closed rows at one level. A level ORs, for every
+    node, the rows of its closed neighbourhood (the CSR list), one
+    `np.bitwise_or.reduceat` per word, O(m n / 64) word operations. The
+    diameter is the number of levels until every row is full.
     """
-    nodes, src, dst = _arcs(adj)
-    loops = np.arange(len(nodes))
-    src, dst = np.concatenate([loops, src]), np.concatenate([loops, dst])
-    order = np.argsort(dst, kind="stable")
-    src, starts = src[order], np.searchsorted(dst[order], loops)
-    full = _bit_rows(np.ones((1, len(nodes)), bool))
-    reach = _bit_rows(np.eye(len(nodes), dtype=bool))
-    levels = 0
-    while not (reach == full).all():
-        grown = np.bitwise_or.reduceat(reach[src], starts, axis=0)
-        if np.array_equal(grown, reach):
+    g = LabelGraph.of(adj)
+    n = len(g.nodes)
+    if n <= 1:
+        return 0
+    if not any(g.masks):
+        return -1  # no edges: the first level grows no row
+    nbrs, nbr_at = g.csr
+    full = _words([g.every], n)[0]
+    reach = list(np.ascontiguousarray(g.closed_rows.T))  # one array per word
+    levels = 1
+    while not all((word == f).all() for word, f in zip(reach, full)):
+        grown = [np.bitwise_or.reduceat(word[nbrs], nbr_at[:-1]) for word in reach]
+        if all(map(np.array_equal, grown, reach)):
             return -1  # no row grows any more, so some row stays short
         reach, levels = grown, levels + 1
     return levels
-
-
-def induced(adj: Adjacency, nodes: set[int]) -> dict[int, list[int]]:
-    return {u: [v for v in adj[u] if v in nodes] for u in adj if u in nodes}
-
-
-def is_dominating(adj: Adjacency, dom: set[int]) -> bool:
-    return all(u in dom or set(adj[u]) & dom for u in adj)
 
 
 # ---------------------------------------------------------------------------
 # Exact and surrogate minimum connected dominating sets.
 
 
-def min_cds(adj: Adjacency) -> set[int]:
+def min_cds(adj: Adjacency | LabelGraph) -> set[int]:
     """Exact minimum connected dominating set by subset enumeration, in
     label order, for at most EXACT_CAP nodes."""
-    nodes = sorted(adj)
+    g = LabelGraph.of(adj)
+    nodes = g.nodes
     if len(nodes) > EXACT_CAP:
         raise ExactBranchTooLargeError(
             f"exact CDS search capped at n={EXACT_CAP}, got n={len(nodes)}"
         )
     if len(nodes) == 1:
         return {nodes[0]}
+    closed = [m | 1 << i for i, m in enumerate(g.masks)]
     for size in range(1, len(nodes) + 1):
-        for combo in combinations(nodes, size):
-            cand = set(combo)
-            if not is_dominating(adj, cand):
-                continue
-            if len(components(induced(adj, cand))) == 1:
-                return cand
+        for combo in combinations(range(len(nodes)), size):
+            cover = cand = 0
+            for i in combo:
+                cover |= closed[i]
+                cand |= 1 << i
+            if cover == g.every and g.reach(1 << combo[0], cand) == cand:
+                return {nodes[i] for i in combo}
     raise AssertionError("connected input must admit a CDS")
 
 
-def greedy_cds(adj: Adjacency) -> set[int]:
+def greedy_cds(adj: Adjacency | LabelGraph) -> set[int]:
     """Greedy CDS surrogate for instances too large for the exact branch.
 
     Cover: repeatedly choose the node whose closed neighbourhood holds the
     most uncovered nodes, the smallest label on a tie. The gains are one
-    product of the label-ordered closed adjacency matrix with the uncovered
-    vector, and `argmax` returns the first, smallest-label, maximum.
-    Connect: join the chosen set's components along shortest paths.
+    `np.add.reduceat` of the uncovered flags over the closed CSR list, and
+    `argmax` returns the first, smallest-label, maximum.
+    Connect: while the chosen set is not connected, search the graph
+    breadth-first from the component of its smallest label, visiting each
+    node's neighbours in ascending label order, to the first chosen node
+    outside it, and add the path's inner nodes.
     """
-    nodes, src, dst = _arcs(adj)
+    g = LabelGraph.of(adj)
+    nodes = g.nodes
     if len(nodes) == 1:
         return {nodes[0]}
-    closed = np.eye(len(nodes), dtype=np.float32)  # counts stay exact below 2^24
-    closed[src, dst] = 1.0
-    uncovered = np.ones(len(nodes), np.float32)
-    chosen: set[int] = set()
+    nbrs, nbr_at = g.csr
+    uncovered = np.ones(len(nodes), np.intp)
+    chosen = 0
     while uncovered.any():
-        best = int(np.argmax(closed @ uncovered))
-        chosen.add(nodes[best])
-        uncovered[closed[best] > 0] = 0.0
-    # connect components of the chosen set along shortest paths
-    while len(comps := components(induced(adj, chosen))) > 1:
-        a = comps[0]
-        # BFS from the first component through the full graph to another one
-        frontier = sorted(a)
-        target = None
-        parent: dict[int, Optional[int]] = {u: None for u in a}
-        seen = set(a)
-        while frontier and target is None:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v in seen:
-                        continue
-                    seen.add(v)
-                    parent[v] = u
-                    if v in chosen:
-                        target = v
-                        break
-                    nxt.append(v)
-                if target:
-                    break
-            frontier = nxt
-        assert target is not None
-        u = parent[target]
-        while u is not None and u not in a:
-            chosen.add(u)
-            u = parent[u]
-    return chosen
+        best = int(np.argmax(np.add.reduceat(uncovered[nbrs], nbr_at[:-1])))
+        chosen |= 1 << best
+        uncovered[nbrs[nbr_at[best] : nbr_at[best + 1]]] = 0
+    while chosen and (a := g.reach(chosen & -chosen, chosen)) != chosen:
+        for u in _search_path(g, a, chosen)[1:]:
+            chosen |= 1 << u
+    return set(g.labels(chosen))
+
+
+def _search_path(g: LabelGraph, start: int, targets: int) -> tuple[int, ...]:
+    """The path a breadth-first search from the nodes of start takes to
+    the first node of targets outside start, from a node of start to that
+    node's discoverer (positions in g.nodes). The search visits start's
+    nodes, and each node's neighbours, in ascending label order.
+
+    The levels are searched as bitsets; the visiting order is worked out
+    only where the answer depends on it. A node is discovered by the first
+    visited of its neighbours one level nearer start, so its discovery
+    chain, (a node of start, ..., its discoverer, itself), orders each
+    level as the search visits it. Raises AssertionError if no node of
+    targets outside start is reachable.
+    """
+    masks = g.masks
+    levels, seen = [start], start
+    while not (found := (nxt := g.near(levels[-1]) & ~seen) & targets):
+        if not nxt:
+            raise AssertionError("no path joins the chosen set's components")
+        levels.append(nxt)
+        seen |= nxt
+    chains: dict[int, tuple[int, ...]] = {}
+
+    def chain(v: int, level: int) -> tuple[int, ...]:
+        if level == 0:
+            return (v,)
+        if v not in chains:
+            nearer = masks[v] & levels[level - 1]
+            chains[v] = min(chain(w, level - 1) for w in _bits(nearer)) + (v,)
+        return chains[v]
+
+    last = len(levels) - 1
+    return min(chain(u, last) for u in _bits(levels[last] & g.near(found)))
 
 
 # ---------------------------------------------------------------------------
 # Ground-truth replays of the helper-assignment rules.
 
 
-def expected_two_hop(adj: Adjacency, leaders: set[int]) -> dict[tuple[int, int], int]:
+def expected_two_hop(
+    adj: Adjacency | LabelGraph, leaders: Iterable[int]
+) -> dict[tuple[int, int], int]:
     """Minimum-label common neighbor for every leader pair at distance 2.
 
-    A leader's partners are found in its 2-hop ball, not by a BFS of the
-    whole graph."""
+    A leader's partners are the leaders among its neighbours' neighbours,
+    found by bitset unions, not by a BFS."""
+    g = LabelGraph.of(adj)
+    nodes, masks = g.nodes, g.masks
+    lead = g.mask(leaders)
     out: dict[tuple[int, int], int] = {}
-    for s in sorted(leaders):
-        ball = bfs_distances(adj, s, 2)
-        for t in sorted(t for t, d in ball.items() if d == 2 and t > s and t in leaders):
-            out[(s, t)] = min(set(adj[s]) & set(adj[t]))
+    for s in _bits(lead):
+        near = masks[s]
+        later = lead & ~near & -(2 << s)  # leaders after s that are not neighbours
+        for t in _bits(g.near(near) & later):
+            out[(nodes[s], nodes[t])] = nodes[_lowest(near & masks[t])]
     return out
 
 
 def expected_three_hop(
-    adj: Adjacency, leaders: set[int]
+    adj: Adjacency | LabelGraph, leaders: Iterable[int]
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Replay of the minimum-label choice rule for leader pairs at distance 3.
 
     Keyed by ordered pair (s, t); the value (x, y) has x adjacent to s and
-    y adjacent to t, so the two orientations are mirror images. A leader's
-    partners are found in its 3-hop ball, not by a BFS of the whole graph.
+    y adjacent to t, so the two orientations are mirror images. Of s's and
+    t's neighbours on some 3-hop path between them, the smallest label is
+    a, and the other end of a's middle edge is the smallest label adjacent
+    to both a and the far leader. Every set is a bitset: a leader's
+    partners are the leaders next to its distance-2 nodes, not found by a
+    BFS.
     """
+    g = LabelGraph.of(adj)
+    nodes, masks = g.nodes, g.masks
+    lead = g.mask(leaders)
+    second = {s: g.near(masks[s]) for s in _bits(lead)}  # the neighbours' neighbours
     out: dict[tuple[int, int], tuple[int, int]] = {}
-    for s in sorted(leaders):
-        ball = bfs_distances(adj, s, 3)
-        for t in sorted(t for t, d in ball.items() if d == 3 and t in leaders):
-            side_s = {x for x in adj[s] if set(adj[x]) & set(adj[t])}
-            side_t = {x for x in adj[t] if set(adj[x]) & set(adj[s])}
-            a = min(side_s | side_t)
-            if a in side_s:
-                b = min(set(adj[a]) & set(adj[t]))
-                out[(s, t)] = (a, b)
+    for s in _bits(lead):
+        ns = masks[s]
+        ball = ns | second[s] | 1 << s  # within 2 hops
+        for t in _bits(g.near(ball & ~ns & ~(1 << s)) & lead & ~ball):
+            nt = masks[t]
+            side_s, side_t = ns & second[t], nt & second[s]
+            a = _lowest(side_s | side_t)
+            if side_s >> a & 1:
+                out[(nodes[s], nodes[t])] = (nodes[a], nodes[_lowest(masks[a] & nt)])
             else:
-                b = min(set(adj[a]) & set(adj[s]))
-                out[(s, t)] = (b, a)
+                out[(nodes[s], nodes[t])] = (nodes[_lowest(masks[a] & ns)], nodes[a])
     return out
 
 
@@ -251,35 +340,42 @@ def expected_three_hop(
 # The five backbone checks.
 
 
-def _backbone_adjacency(result: BackboneResult, graph: CommGraph) -> dict[int, list[int]]:
-    nodes = set(result.leaders) | set(result.helpers)
-    sub = induced(graph.adjacency, nodes)
+def backbone_graph(result: BackboneResult, graph: CommGraph | LabelGraph) -> LabelGraph:
+    """The backbone: its members (leaders and helpers) with the graph's
+    edges between them, plus the result's backbone edges."""
+    g = LabelGraph.of(graph)
+    bit = g.bit
+    members = g.mask(result.leaders) | g.mask(result.helpers)
+    sub = {g.nodes[i]: g.masks[i] & members for i in _bits(members)}
     for u, v in result.backbone_edges:
-        if v not in sub.setdefault(u, []):
-            sub[u].append(v)
-        if u not in sub.setdefault(v, []):
-            sub[v].append(u)
-    return {u: sorted(set(vs)) for u, vs in sub.items()}
+        sub[u] = sub.get(u, 0) | bit[v]
+        sub[v] = sub.get(v, 0) | bit[u]
+    return LabelGraph.of({u: g.labels(m) for u, m in sub.items()})
 
 
-def check_dominating(result: BackboneResult, graph: CommGraph) -> Verdict:
+def check_dominating(result: BackboneResult, graph: CommGraph | LabelGraph) -> Verdict:
+    g = LabelGraph.of(graph)
+    leaders = g.mask(result.leaders)
+    missed = g.every & ~(leaders | g.mask(result.helpers) | g.near(leaders))
+    if missed:
+        return Verdict("dominating", False, witness=(g.nodes[_lowest(missed)],))
     members = set(result.leaders) | set(result.helpers)
-    leaders = set(result.leaders)
-    for u in graph.adjacency:
-        if u in members or set(graph.adjacency[u]) & leaders:
-            continue
-        return Verdict("dominating", False, witness=(u,))
     return Verdict("dominating", True, metrics={"backbone_size": len(members)})
 
 
-def check_connected_backbone(result: BackboneResult, graph: CommGraph) -> Verdict:
-    sub = _backbone_adjacency(result, graph)
-    if not sub:
+def check_connected_backbone(
+    result: BackboneResult,
+    graph: CommGraph | LabelGraph,
+    backbone: Optional[LabelGraph] = None,
+) -> Verdict:
+    """backbone, if given, is backbone_graph(result, graph)."""
+    sub = backbone if backbone is not None else backbone_graph(result, graph)
+    if not sub.nodes:
         return Verdict("connected-backbone", False, witness=())
-    comps = components(sub)
-    if len(comps) == 1:
-        return Verdict("connected-backbone", True, metrics={"backbone_size": len(sub)})
-    return Verdict("connected-backbone", False, witness=tuple(sorted(comps[0])))
+    first = sub.reach(1, sub.every)  # the component of the smallest label
+    if first == sub.every:
+        return Verdict("connected-backbone", True, metrics={"backbone_size": len(sub.nodes)})
+    return Verdict("connected-backbone", False, witness=tuple(sub.labels(first)))
 
 
 def geometric_degree_bound() -> int:
@@ -304,14 +400,19 @@ def geometric_degree_bound() -> int:
 DEGREE_BOUND = geometric_degree_bound()  # backbone degree <= DEGREE_BOUND
 
 
-def check_constant_degree(result: BackboneResult, graph: CommGraph) -> Verdict:
+def check_constant_degree(
+    result: BackboneResult,
+    graph: CommGraph | LabelGraph,
+    backbone: Optional[LabelGraph] = None,
+) -> Verdict:
+    """backbone, if given, is backbone_graph(result, graph). The witness is
+    the smallest label of the largest degree."""
     bound = DEGREE_BOUND
-    sub = _backbone_adjacency(result, graph)
-    worst, worst_node = 0, None
-    for u, vs in sub.items():
-        if len(vs) > worst:
-            worst, worst_node = len(vs), u
+    sub = backbone if backbone is not None else backbone_graph(result, graph)
+    degrees = [m.bit_count() for m in sub.masks]
+    worst = max(degrees, default=0)
     passed = worst <= bound
+    worst_node = sub.nodes[degrees.index(worst)] if worst else None
     return Verdict(
         "constant-degree",
         passed,
@@ -320,11 +421,17 @@ def check_constant_degree(result: BackboneResult, graph: CommGraph) -> Verdict:
     )
 
 
-def check_diameter(result: BackboneResult, graph: CommGraph) -> Verdict:
+def check_diameter(
+    result: BackboneResult,
+    graph: CommGraph | LabelGraph,
+    backbone: Optional[LabelGraph] = None,
+) -> Verdict:
+    """backbone, if given, is backbone_graph(result, graph)."""
     factor, slack = DIAMETER_FACTOR, DIAMETER_SLACK
-    d_graph = diameter(graph.adjacency)
-    sub = _backbone_adjacency(result, graph)
-    d_back = diameter(sub) if sub else -1
+    g = LabelGraph.of(graph)
+    d_graph = diameter(g)
+    sub = backbone if backbone is not None else backbone_graph(result, g)
+    d_back = diameter(sub) if sub.nodes else -1
     passed = d_back >= 0 and d_back <= factor * d_graph + slack
     return Verdict(
         "diameter",
@@ -339,11 +446,12 @@ def check_diameter(result: BackboneResult, graph: CommGraph) -> Verdict:
     )
 
 
-def check_size_ratio(result: BackboneResult, graph: CommGraph) -> Verdict:
+def check_size_ratio(result: BackboneResult, graph: CommGraph | LabelGraph) -> Verdict:
     c_s = SIZE_FACTOR
+    g = LabelGraph.of(graph)
     members = set(result.leaders) | set(result.helpers)
-    if len(graph.adjacency) <= EXACT_CAP:
-        optimum = min_cds(graph.adjacency)
+    if len(g.nodes) <= EXACT_CAP:
+        optimum = min_cds(g)
         ratio = len(members) / len(optimum)
         return Verdict(
             "size-ratio",
@@ -351,7 +459,7 @@ def check_size_ratio(result: BackboneResult, graph: CommGraph) -> Verdict:
             witness=None if ratio <= c_s else tuple(sorted(members)),
             metrics={"ratio": ratio, "min_cds": len(optimum), "exact": 1.0},
         )
-    surrogate = greedy_cds(graph.adjacency)
+    surrogate = greedy_cds(g)
     ratio = len(members) / max(1, len(surrogate))
     return Verdict(
         "size-ratio",
@@ -372,35 +480,37 @@ def check_leader_grid(result: BackboneResult, inst: PhysicalInstance) -> Verdict
 
 
 def check_bucket_coverage(
-    graph: CommGraph,
+    graph: CommGraph | LabelGraph,
     snapshots: Sequence[tuple[int, Mapping[int, str]]],
     delta: int,
 ) -> Verdict:
     """Per-bucket induction: after selector phase i, every node of degree at
-    least ceil(Delta / 2^(i+1)) is a leader or a neighbor of one."""
-    adj = graph.adjacency
+    least ceil(Delta / 2^(i+1)) is a leader or a neighbor of one. The
+    witness is the smallest label that is not."""
+    g = LabelGraph.of(graph)
     for i, statuses in snapshots:
         threshold = -(-delta // (2 ** (i + 1))) if delta else 0
-        leaders = {u for u, s in statuses.items() if s == "leader"}
-        for u in adj:
-            if len(adj[u]) >= threshold:
-                if u in leaders or not leaders.isdisjoint(adj[u]):
-                    continue
-                return Verdict("bucket-coverage", False, witness=(i, u))
+        leaders = g.mask(u for u, s in statuses.items() if s == "leader")
+        for u in _bits(g.every & ~(leaders | g.near(leaders))):
+            if g.masks[u].bit_count() >= threshold:
+                return Verdict("bucket-coverage", False, witness=(i, g.nodes[u]))
     return Verdict("bucket-coverage", True, metrics={"phases": len(snapshots)})
 
 
 def run_all_checks(
     result: BackboneResult, inst: PhysicalInstance, graph: CommGraph
 ) -> list[Verdict]:
+    """Every check, on one LabelGraph of the graph and one of the backbone."""
+    g = LabelGraph.of(graph)
+    sub = backbone_graph(result, g)
     return [
-        check_dominating(result, graph),
-        check_connected_backbone(result, graph),
-        check_constant_degree(result, graph),
-        check_diameter(result, graph),
-        check_size_ratio(result, graph),
+        check_dominating(result, g),
+        check_connected_backbone(result, g, sub),
+        check_constant_degree(result, g, sub),
+        check_diameter(result, g, sub),
+        check_size_ratio(result, g),
         check_leader_grid(result, inst),
-        check_bucket_coverage(graph, result.phase_snapshots, result.delta),
+        check_bucket_coverage(g, result.phase_snapshots, result.delta),
     ]
 
 

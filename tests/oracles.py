@@ -1,13 +1,20 @@
-"""The scalar SINR check, kept as the reference for PhysicsEngine.
+"""The scalar SINR check, kept as the reference for PhysicsEngine, and the
+set-based graph helpers the verifier's references use.
 
 sinr() and receives() decide one (sender, receiver) pair from the paper's
 formulas, one transmitter at a time. The engine adjudicates every run and
 every dilution trial; these must agree with it on each pair away from a
 float tie at the threshold. scalar_dilution_trial() is the dilution trial
 decided pair by pair with receives().
+
+bfs_distances(), induced(), is_dominating() and _arcs() work on plain
+adjacency mappings (label -> neighbour labels); verify runs on bitsets and
+a CSR list instead.
 """
 
-from typing import Iterable
+from typing import Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from sinrbackbone import verify
 from sinrbackbone.errors import DegenerateDistanceError
@@ -105,3 +112,40 @@ def scalar_dilution_trial(params: SinrParams, d: int, seed: int) -> list[tuple[i
                 if not receives(u, lab, active_set, inst):
                     failures.append((u, lab))
     return failures
+
+
+Adjacency = Mapping[int, Sequence[int]]
+
+
+def bfs_distances(adj: Adjacency, src: int, radius: Optional[int] = None) -> dict[int, int]:
+    """Hop distance from src of every node it reaches; with a radius, of
+    every node within that many hops."""
+    dist = {src: 0}
+    frontier = [src]
+    while frontier and (radius is None or dist[frontier[0]] < radius):
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def _arcs(adj: Adjacency) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """The nodes in label order and every arc u -> v of adj as (source,
+    target) arrays of indices into that order."""
+    nodes = sorted(adj)
+    index = {u: i for i, u in enumerate(nodes)}
+    src = np.repeat(np.arange(len(nodes)), [len(adj[u]) for u in nodes])
+    dst = np.fromiter((index[v] for u in nodes for v in adj[u]), np.intp, len(src))
+    return nodes, src, dst
+
+
+def induced(adj: Adjacency, nodes: set[int]) -> dict[int, list[int]]:
+    return {u: [v for v in adj[u] if v in nodes] for u in adj if u in nodes}
+
+
+def is_dominating(adj: Adjacency, dom: set[int]) -> bool:
+    return all(u in dom or set(adj[u]) & dom for u in adj)

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,6 @@ from sinrbackbone.physical import (
 from sinrbackbone.protocol import BackboneResult, CollectSink, backbone_creation
 from sinrbackbone.verify import (
     adversarial_dilution_check,
-    bfs_distances,
     check_connected_backbone,
     check_constant_degree,
     check_diameter,
@@ -29,17 +31,20 @@ from sinrbackbone.verify import (
     expected_two_hop,
     geometric_degree_bound,
     greedy_cds,
-    induced,
-    is_dominating,
     min_cds,
 )
 
-from oracles import scalar_dilution_trial
+import verify_reference as ref
+from oracles import bfs_distances, induced, is_dominating, scalar_dilution_trial
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
 
 P = DEFAULT_PARAMS
 
 
-def fake_result(leaders, helpers=(), edges=(), delta=1):
+def fake_result(leaders, helpers=(), edges=(), delta=1, snapshots=()):
     return BackboneResult(
         leaders=tuple(leaders),
         helpers=tuple(helpers),
@@ -49,7 +54,7 @@ def fake_result(leaders, helpers=(), edges=(), delta=1):
         statuses={},
         two_hop={},
         three_hop={},
-        phase_snapshots=[],
+        phase_snapshots=list(snapshots),
         token_records=[],
         delta=delta,
     )
@@ -339,26 +344,24 @@ def test_array_oracles_match_the_python_references(adj):
 
 
 # the 9-cycle 1-2-4-9-8-7-6-5-3-1: the cover's components hold labels that
-# collide in a small set's hash table, so a component's iteration order
-# depends on the order its members were inserted
+# collide in a small set's hash table, so a component built as a set
+# iterates in the order its members were inserted
 _NINE_CYCLE = {
     1: (2, 3), 2: (1, 4), 3: (1, 5), 4: (2, 9), 5: (3, 6),
     6: (5, 7), 7: (6, 8), 8: (7, 9), 9: (4, 8),
 }
 
 
-def test_greedy_cds_does_not_depend_on_component_set_order(monkeypatch):
-    # the same member sets, built in ascending and in descending label order
-    built = verify.components
+def test_greedy_cds_does_not_depend_on_component_set_order():
+    # the same graph with its nodes and each neighbour list in ascending
+    # and in descending label order: the connection search visits nodes
+    # by label, so the order a mapping or a set holds them in cannot move
+    # the path it adds
     cds = []
-    for reverse in (False, True):
-        monkeypatch.setattr(
-            verify,
-            "components",
-            lambda adj, reverse=reverse: [set(sorted(c, reverse=reverse)) for c in built(adj)],
-        )
-        cds.append(greedy_cds(_NINE_CYCLE))
-    assert cds[0] == cds[1]
+    for rev in (False, True):
+        order = sorted(_NINE_CYCLE, reverse=rev)
+        cds.append(greedy_cds({u: tuple(sorted(_NINE_CYCLE[u], reverse=rev)) for u in order}))
+    assert cds[0] == cds[1] == _greedy_cds_by_max_key(_NINE_CYCLE)
     assert is_dominating(_NINE_CYCLE, cds[0]) and (
         len(components(induced(_NINE_CYCLE, cds[0]))) == 1
     )
@@ -426,6 +429,76 @@ def test_helper_replays_match_the_whole_graph_bfs(graph):
     assert len(components(adj)) == 1
     assert expected_two_hop(adj, leaders) == _two_hop_by_bfs(adj, leaders)
     assert expected_three_hop(adj, leaders) == _three_hop_by_bfs(adj, leaders)
+
+
+# ---------------------------------------------------------------------------
+# The bitset verifier against the set-based reference (verify_reference.py).
+
+
+def _assert_verifier_matches_the_reference(result, inst, graph):
+    got = [v.as_dict() for v in verify.run_all_checks(result, inst, graph)]
+    assert got == [v.as_dict() for v in ref.run_all_checks(result, inst, graph)]
+    adj, leaders = graph.adjacency, set(result.leaders)
+    assert expected_two_hop(adj, leaders) == ref.expected_two_hop(adj, leaders)
+    assert expected_three_hop(adj, leaders) == ref.expected_three_hop(adj, leaders)
+    return got
+
+
+def test_verifier_matches_the_reference_on_battery_seed_1():
+    # the benchmark's battery, seed 1: 20 instances, n = 4 to 58 at N=64;
+    # n = 4 and 10 take the exact CDS branch, the rest the greedy one
+    exact = 0
+    for inst in workloads.make_instances(workloads.WORKLOADS["battery"], 1):
+        got = _assert_verifier_matches_the_reference(
+            backbone_creation(inst), inst, build_graph(inst)
+        )
+        exact += got[4]["metrics"]["exact"] == 1.0
+    assert exact == 4
+
+
+def test_verifier_matches_the_reference_on_n150_at_N1024():
+    inst = generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P)
+    result = backbone_creation(inst)
+    got = _assert_verifier_matches_the_reference(result, inst, build_graph(inst))
+    assert all(v["pass"] for v in got) and result.three_hop
+
+
+# (leaders, helpers, edges, delta, snapshots) on the 7-path 1..7, spaced
+# 0.9, with label 1 moved into label 2's pivotal box for "grid"
+_FAILING = {
+    # 5 to 7 are neither leaders nor next to one; the backbone falls apart
+    "undominated": ([1, 3], [], [], 1, []),
+    # no backbone at all: no component, diameter -1
+    "empty": ([], [], [], 1, []),
+    # two backbone components, one joined by an edge the graph lacks
+    "split": ([1, 4, 7], [2, 5], [(1, 2), (5, 7)], 1, []),
+    # bucket 0 leaves 7 (degree 1 >= ceil(2 / 2)) uncovered
+    "bucket": ([2, 5], [1, 3, 4, 6, 7], [], 2, [(0, {2: "leader", 5: "leader"})]),
+    # leaders 1 and 2 share a pivotal box
+    "grid": ([1, 2, 4, 6], [3, 5, 7], [(2, 3), (3, 4), (5, 6)], 2, []),
+}
+
+
+def test_verifier_matches_the_reference_on_failing_results(monkeypatch):
+    # with the degree, diameter and size budgets as they are and patched to
+    # fail, every check fails on some case, so every witness is compared
+    failed = set()
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(verify, "DEGREE_BOUND", 0)
+            monkeypatch.setattr(verify, "DIAMETER_FACTOR", 0)
+            monkeypatch.setattr(verify, "DIAMETER_SLACK", 0)
+            monkeypatch.setattr(verify, "SIZE_FACTOR", 0.5)
+        for case, (leaders, helpers, edges, delta, snapshots) in _FAILING.items():
+            stations = [(lab, 0.9 * (lab - 1), 0) for lab in range(1, 8)]
+            if case == "grid":
+                stations[0] = (1, 0.85, 0.05)
+            inst = make_instance(stations, P, 64)
+            result = fake_result(leaders, helpers, edges, delta, snapshots)
+            got = _assert_verifier_matches_the_reference(result, inst, build_graph(inst))
+            assert not all(v["pass"] for v in got), case
+            failed |= {v["check"] for v in got if not v["pass"]}
+    assert len(failed) == 7
 
 
 # ---------------------------------------------------------------------------
