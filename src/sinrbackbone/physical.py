@@ -222,14 +222,43 @@ class PhysicsEngine:
         since every protocol in this package presumes connectivity.
         """
         labs = self.labels
-        nbrs = self.label_array[self.nbrs].tolist()
-        at = self.nbr_at.tolist()
-        adj = {lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(labs)}
-        if len(components(adj)) > 1:
+        if not self._connected():
             raise DisconnectedInstanceError(
                 f"communication graph on {len(labs)} stations is not connected"
             )
-        return CommGraph(adjacency=adj)
+        nbrs = self.label_array[self.nbrs].tolist()
+        at = self.nbr_at.tolist()
+        return CommGraph(
+            adjacency={lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(labs)}
+        )
+
+    def _connected(self) -> bool:
+        """Whether the graph is connected, on the CSR list. Every station
+        holds a component label, at first its own index. Each round, a
+        station finds the least label among its neighbors; each label takes
+        the least label found by any station that holds it (hooking); every
+        station then takes the least of its label's and its own find, and
+        follows labels twice (pointer jumping). Labels only fall and stay
+        within a component, and when a round changes none, each component
+        holds its least index.
+        """
+        n = len(self.labels)
+        if n == 1:
+            return True
+        if not np.diff(self.nbr_at).all():  # an isolated station
+            return False
+        comp = np.arange(n)
+        while True:
+            found = np.minimum.reduceat(comp[self.nbrs], self.nbr_at[:-1])
+            hooked = comp.copy()
+            np.minimum.at(hooked, comp, found)
+            low = np.minimum(hooked[comp], found)
+            low = low[low[low]]
+            if not low.any():
+                return True
+            if np.array_equal(low, comp):
+                return False
+            comp = low
 
     def adjudicate(
         self, rounds: np.ndarray, senders: np.ndarray
@@ -320,26 +349,6 @@ class CommGraph:
     @property
     def delta(self) -> int:
         return max((len(nb) for nb in self.adjacency.values()), default=0)
-
-
-def components(adjacency: Mapping[int, Sequence[int]]) -> list[set[int]]:
-    """The connected components, in ascending order of their smallest node,
-    by one depth-first pass."""
-    seen: set[int] = set()
-    out = []
-    for src in sorted(adjacency):
-        if src in seen:
-            continue
-        comp = {src}
-        stack = [src]
-        while stack:
-            for v in adjacency[stack.pop()]:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        seen |= comp
-        out.append(comp)
-    return out
 
 
 def build_graph(inst: PhysicalInstance) -> CommGraph:

@@ -14,9 +14,12 @@ whole token-passing sweep, say) are adjudicated together, in one batch; a
 run adjudicates each distinct transmitter schedule once, however often it
 recurs. Leader election, whose transmitters depend on who heard whom,
 speculates them and checks the speculation (see leader_election). Each
-non-silent execution is kept as one compact record of arrays, which a sink
-reads as they are (the CLI's trace file is written from them); a stretch of
-consecutive silent executions of one family and phase is one record.
+non-silent execution is kept as one compact record of arrays, built for
+its whole batch the first time a sink reads one (the CLI's trace file is
+written from them); a stretch of consecutive silent executions of one
+family and phase is one record. The phases apply their rules to what was
+heard as array programs, and size every message from its label count: a
+message is built only when a sink asks for it.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, combinations
-from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
+from functools import cached_property
+from itertools import accumulate, chain
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
-from . import selection
 from .errors import MessageSizeError, TokenDeliveryError
 from .physical import (
     CommGraph,
@@ -106,7 +109,6 @@ class NodeView:
     neighbors: tuple[int, ...]
     status: str = ACTIVE
     adjacent_leaders: set[int] = field(default_factory=set)
-    learned_neighborhoods: dict[int, set[int]] = field(default_factory=dict)
     two_hop_helpers: dict[int, int] = field(default_factory=dict)  # partner -> helper
     three_hop_helpers: dict[int, tuple[int, int]] = field(default_factory=dict)
 
@@ -150,6 +152,19 @@ _NO_TRANSMISSIONS = np.zeros((0, 2), dtype=np.int32)
 _NO_DELIVERIES = np.zeros((0, 3), dtype=np.int32)
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """arrays, made read-only: plans are shared by every execution of their
+    schedule, so no caller may write to what execute yields."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# what a silent execution hears: no (slot position, listener) pair, and the
+# slot offsets of an empty schedule
+_NOT_HEARD = _frozen(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(1, np.int64))
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class Execution:
     """One family execution, kept as int32 arrays instead of round objects.
@@ -160,46 +175,127 @@ class Execution:
     (row, sender label, receiver label) triple. Both are sorted.
     message(t) is the message of the t-th transmission.
 
-    A silent record (message None) stands for repeats consecutive silent
-    executions of the family, the first from start on; every other record
-    has repeats 1.
+    The three arrays are read from the execution's plan, which builds them
+    for its whole batch the first time a sink reads one: a run whose sink
+    never reads them (a CollectSink's) never builds them.
+
+    A silent record (message and plan None) stands for repeats consecutive
+    silent executions of the family, the first from start on; every other
+    record has repeats 1.
     """
 
     phase: str
     start: int  # global round of the family's first set
     size: int  # family size
-    rounds: np.ndarray
-    transmissions: np.ndarray
-    deliveries: np.ndarray
     message: Optional[Callable[[int], Message]]  # None when silent
     repeats: int = 1
+    plan: Optional["_Plan"] = None  # None when silent
 
     @staticmethod
     def silent(phase: str, start: int, size: int, repeats: int = 1) -> "Execution":
         """repeats consecutive executions in which no station transmits,
         the first from start on."""
-        return Execution(
-            phase, start, size, _NO_ROUNDS, _NO_TRANSMISSIONS, _NO_DELIVERIES, None, repeats
+        return Execution(phase, start, size, None, repeats)
+
+    @property
+    def rounds(self) -> np.ndarray:
+        plan = self.plan
+        return _NO_ROUNDS if plan is None else plan.batch.records[plan.index][0]
+
+    @property
+    def transmissions(self) -> np.ndarray:
+        plan = self.plan
+        return _NO_TRANSMISSIONS if plan is None else plan.batch.records[plan.index][1]
+
+    @property
+    def deliveries(self) -> np.ndarray:
+        plan = self.plan
+        return _NO_DELIVERIES if plan is None else plan.batch.records[plan.index][2]
+
+
+@dataclass(eq=False)
+class _Batch:
+    """What one _plan call computed for its schedules, as batch-wide arrays.
+
+    Who heard whom is planned up front: schedule e's distinct heard (slot
+    position, listener label) pairs, sorted, are heard_pos and heard_label
+    over heard_at[e] : heard_at[e + 1], and its slot offsets (one more than
+    it has slots, counted from its first pair) are heard_slot_at from
+    slot_at[e] + e on. The records (rounds, transmissions and deliveries)
+    and the slots each transmission carries are built from the rest, for
+    the whole batch, the first time a sink reads one.
+    """
+
+    labels: np.ndarray  # station labels, ascending
+    size: int  # family size
+    rows: np.ndarray  # each non-silent row: schedule * size + set
+    tx_row: np.ndarray  # each transmission's row
+    tx_station: np.ndarray  # and station index
+    dl_tx: np.ndarray  # each delivery's transmission
+    dl_rx: np.ndarray  # and listener station index
+    dl_at: np.ndarray  # transmission t's deliveries start at dl_at[t]
+    slot_tx: np.ndarray  # the transmission that carries each slot membership
+    slot_k: np.ndarray  # and its slot, numbered over the batch
+    slot_pos: np.ndarray  # each slot's position within its schedule
+    slot_at: list[int]  # schedule e's slots start at slot_at[e]
+    heard_at: list[int]
+    heard_pos: np.ndarray
+    heard_label: np.ndarray
+    heard_slot_at: np.ndarray
+
+    def heard(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Schedule e's heard slot positions and listener labels, and where
+        each of its slots' pairs starts among them (one offset more than it
+        has slots)."""
+        lo, hi = self.heard_at[e], self.heard_at[e + 1]
+        at = self.heard_slot_at[self.slot_at[e] + e : self.slot_at[e + 1] + e + 1]
+        return self.heard_pos[lo:hi], self.heard_label[lo:hi], at
+
+    @cached_property
+    def records(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Each schedule's rounds, transmissions and deliveries, rows
+        numbered from its own first row."""
+        labels, size, rows, tx_row = self.labels, self.size, self.rows, self.tx_row
+        row_at = (rows // size).searchsorted(np.arange(len(self.heard_at)))
+        local_row = np.arange(len(rows)) - np.repeat(row_at[:-1], np.diff(row_at))
+        tx_label = labels[self.tx_station]
+        rounds = (rows % size).astype(np.int32)
+        tx = np.column_stack([local_row[tx_row], tx_label]).astype(np.int32)
+        dl = np.column_stack(
+            [local_row[tx_row[self.dl_tx]], tx_label[self.dl_tx], labels[self.dl_rx]]
+        ).astype(np.int32)
+        tx_at = tx_row.searchsorted(row_at)
+        dl_at = self.dl_at[tx_at].tolist()
+        row_at, tx_at = row_at.tolist(), tx_at.tolist()
+        return [
+            (rounds[r0:r1], tx[t0:t1], dl[d0:d1])
+            for r0, r1, t0, t1, d0, d1 in zip(
+                row_at, row_at[1:], tx_at, tx_at[1:], dl_at, dl_at[1:]
+            )
+        ]
+
+    @cached_property
+    def carried(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The sender of each transmission; the slot positions it carries,
+        ks[at[t] : at[t + 1]] for transmission t, as (at, ks); and each
+        schedule's first transmission."""
+        by_tx = self.slot_tx.argsort(kind="stable")
+        at = np.searchsorted(self.slot_tx[by_tx], np.arange(len(self.tx_row) + 1))
+        first = (self.rows[self.tx_row] // self.size).searchsorted(np.arange(len(self.heard_at)))
+        return (
+            self.labels[self.tx_station].tolist(),
+            at.tolist(),
+            self.slot_pos[self.slot_k[by_tx]].tolist(),
+            first.tolist(),
         )
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class _Plan:
-    """What one execution schedule (family, slots, owners) produces,
-    whatever its messages: the Execution arrays, the slots each
-    transmission carries and who heard whom. Executions that share the
-    schedule share the plan."""
+class _Plan(NamedTuple):
+    """Where one execution schedule's plan is kept: schedule index of batch.
+    Executions that share the schedule share the plan."""
 
-    rounds: np.ndarray
-    transmissions: np.ndarray
-    deliveries: np.ndarray
-    senders: list[int]  # the label of each transmission
-    # transmission t carries the slots at positions
-    # carried_k[carried_at[t] : carried_at[t + 1]]
-    carried_at: list[int]
-    carried_k: list[int]
-    heard_pos: tuple[int, ...]  # the distinct (slot position, listener
-    heard_label: tuple[int, ...]  # label) pairs heard, sorted
+    batch: _Batch
+    index: int
 
 
 class Sink(Protocol):
@@ -295,6 +391,8 @@ class Simulator:
         self.phase_snapshots: list[tuple[int, dict[int, str]]] = []
         self.token_records: list[TokenRecord] = []
         self._tp_runs = 0
+        # (listener, leader, member) rows: see neighborhood_inform
+        self.learned = np.zeros((0, 3), dtype=np.int64)
         self._plans: dict[tuple, _Plan] = {}  # see execute
 
     # -- family access ------------------------------------------------------
@@ -307,11 +405,6 @@ class Simulator:
 
     def pair_ssf(self) -> SelectionFamily:
         return self.families.pair_ssf()
-
-    # -- message helper ------------------------------------------------------
-
-    def msg(self, kind: str, payload: tuple) -> Message:
-        return Message.make(kind, payload, self.inst.n_labels)
 
     # -- execution core ------------------------------------------------------
 
@@ -326,33 +419,34 @@ class Simulator:
         executions: Sequence[
             tuple[Sequence[int], Sequence[int], str, Callable[[int, list[int]], Message]]
         ],
-    ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Run consecutive full executions of one family as a single batch.
 
-        Each execution is (slots, owners, phase, message). slots[k] is a
-        label of the family's label space, sent by station owners[k]: a
-        station transmits in every round whose set contains one of its
-        slots, and the transmission carries all of them. message(station,
-        ks) is the message of a transmission carrying the slots at positions
-        ks (ascending). It is called only when a sink asks for it: execute
-        builds no message. A phase sizes each message it sends once, before
-        the execution that sends it is recorded, with Message.make when it
-        builds the message up front and with _message_bits, from its label
-        count, when a sink builds it later.
+        Each execution is (slots, owners, phase, message): integer
+        sequences or arrays, and two callables. slots[k] is a label of the
+        family's label space, sent by station owners[k]: a station
+        transmits in every round whose set contains one of its slots, and
+        the transmission carries all of them. message(station, ks) is the
+        message of a transmission carrying the slots at positions ks
+        (ascending). It is called only when a sink asks for it: execute
+        builds no message. A phase sizes each message it sends, from its
+        label count, before the execution that sends it is recorded.
 
         Who transmits in which round, who hears whom and which slots each
         transmission carries follow from the family, the slots and the
         owners alone; only the messages differ between two executions that
         share them. So each distinct schedule is planned once per run (see
         _plan) and kept on the Simulator, keyed by the family's code
-        parameters (q, K, P), tuple(slots) and tuple(owners): the second
-        token-passing sweep, say, repeats the first one's schedules. The
-        schedules of a call that no earlier call planned are planned
-        together, each once, in one batch, when the returned iterator is
-        first advanced. The iterator walks the executions in order:
-        advancing to one records it with the sink, advances the round
-        counter by the family size, and yields the distinct (slot position,
-        listener label) pairs heard in it, sorted. So a caller must advance
+        parameters (q, K, P) and the bytes of slots and owners as int64:
+        the second token-passing sweep, say, repeats the first one's
+        schedules. The schedules of a call that no earlier call planned are
+        planned together, each once, in one batch, when the returned
+        iterator is first advanced. The iterator walks the executions in
+        order: advancing to one records it with the sink, advances the
+        round counter by the family size, and yields what it heard as
+        read-only int64 arrays (pos, label, at): the distinct (slot
+        position, listener label) pairs, sorted, and where each slot's
+        pairs start, at[k] : at[k + 1] for slot k. So a caller must advance
         through every execution; it can stop between two (by raising) with
         exactly the executions before it recorded, and can size an
         execution's messages just before advancing to it. Rounds whose set
@@ -360,60 +454,56 @@ class Simulator:
         """
         plans = self._plans
         code = (family.q, family.K, family.P)
-        keys = [
-            (code, tuple(slots), tuple(owners)) if len(slots) else None
-            for slots, owners, _p, _m in executions
-        ]
+
+        def schedule(slots: Sequence[int], owners: Sequence[int]) -> Optional[tuple]:
+            if not len(slots):
+                return None
+            s = np.asarray(slots, np.int64).tobytes()
+            return code, s, s if owners is slots else np.asarray(owners, np.int64).tobytes()
+
+        keys = [schedule(slots, owners) for slots, owners, _p, _m in executions]
         misses = list(dict.fromkeys(k for k in keys if k is not None and k not in plans))
         if misses:
-            plans.update(zip(misses, self._plan(family, misses)))
+            batch = self._plan(family, misses)
+            plans.update(zip(misses, (_Plan(batch, e) for e in range(len(misses)))))
 
         size = family.size
         for key, (_slots, _owners, phase, message) in zip(keys, executions):
             if key is None:
                 self.skip_execution(family, phase)
-                yield (), ()
+                yield _NOT_HEARD
                 continue
             plan = plans[key]
             start = self.round
             self.round += size
 
-            def tx_message(t: int, plan=plan, message=message) -> Message:
-                at = plan.carried_at
-                return message(plan.senders[t], plan.carried_k[at[t] : at[t + 1]])
+            def tx_message(t: int, batch=plan.batch, e=plan.index, message=message) -> Message:
+                senders, at, ks, first = batch.carried
+                t += first[e]
+                return message(senders[t], ks[at[t] : at[t + 1]])
 
-            self.sink.execution(
-                Execution(
-                    phase=phase,
-                    start=start,
-                    size=size,
-                    rounds=plan.rounds,
-                    transmissions=plan.transmissions,
-                    deliveries=plan.deliveries,
-                    message=tx_message,
-                )
-            )
-            yield plan.heard_pos, plan.heard_label
+            self.sink.execution(Execution(phase, start, size, tx_message, 1, plan))
+            yield plan.batch.heard(plan.index)
 
-    def _plan(self, family: SelectionFamily, schedules: Sequence[tuple]) -> list["_Plan"]:
+    def _plan(self, family: SelectionFamily, schedules: Sequence[tuple]) -> _Batch:
         """Plan distinct non-empty (code, slots, owners) schedules of one
         family, adjudicating all their rounds in one batch.
 
         The batch's rows are keyed by (schedule, set). Each slot membership
         is a (row, owner) transmission; the distinct ones, sorted by row and
-        then owner (with sorted_distinct, as are the rows and the heard
-        pairs), go to the engine as index arrays.
+        then owner (with sorted_distinct, as are the heard pairs), go to the
+        engine as index arrays. Only the heard pairs are derived here; see
+        _Batch for the rest.
         """
         eng = self.engine
         n = len(eng.labels)
         labels = eng.label_array
         size, P = family.size, family.P
-        counts = [len(slots) for _c, slots, _o in schedules]
-        slot_at = list(accumulate(counts, initial=0))
-        slot = np.array([lab for _c, slots, _o in schedules for lab in slots], dtype=np.int64)
-        owner = np.array(
-            [eng.index[u] for _c, _s, owners in schedules for u in owners], dtype=np.intp
-        )
+        slot = np.frombuffer(b"".join([s for _c, s, _o in schedules]), np.int64)
+        owner_labels = np.frombuffer(b"".join([o for _c, _s, o in schedules]), np.int64)
+        owner = labels.searchsorted(owner_labels)
+        counts = np.array([len(s) for _c, s, _o in schedules]) // 8
+        slot_at = np.concatenate(([0], counts.cumsum()))
         slot_pos = np.arange(len(slot)) - np.repeat(slot_at[:-1], counts)  # within its schedule
         # slot memberships, P per slot, each keyed by the transmission that
         # carries it: (schedule * size + set) * n + owner index
@@ -424,77 +514,43 @@ class Simulator:
         keys += owner[slot_k]
         tx_key = sorted_distinct(keys)
         tx_row_key, tx_station = np.divmod(tx_key, n)
-        rows = sorted_distinct(tx_row_key)
-        tx_row = rows.searchsorted(tx_row_key)
+        new_row = _run_starts(tx_row_key)  # tx_row_key is sorted
+        tx_row = new_row.cumsum() - 1
         dl_tx, dl_rx = eng.adjudicate(tx_row, tx_station)
 
-        # the transmission that carries each slot membership, and back
-        slot_tx = tx_key.searchsorted(keys)
-        by_tx = slot_tx.argsort(kind="stable")
-        carried_at = np.searchsorted(slot_tx[by_tx], np.arange(len(tx_key) + 1))
-        carried_k = slot_pos[slot_k[by_tx]].tolist()
         # the distinct (slot, listener) pairs heard, sorted: every listener
         # of the transmission that carries each slot membership
+        slot_tx = tx_key.searchsorted(keys)
         dl_at = dl_tx.searchsorted(np.arange(len(tx_key) + 1))
         lo = dl_at[slot_tx]
         span = dl_at[slot_tx + 1] - lo
-        heard_rx = dl_rx[index_ranges(lo, span)]
-        heard = sorted_distinct(slot_k.repeat(span) * n + heard_rx)
-        heard_k = heard // n
-        heard_at = heard_k.searchsorted(slot_at).tolist()
-        heard_pos = slot_pos[heard_k].tolist()
-        heard_label = labels[heard % n].tolist()
-
-        # each schedule's records: rows, transmissions and deliveries,
-        # numbered from its own first row
-        row_exe = rows // size
-        row_at = row_exe.searchsorted(np.arange(len(schedules) + 1))
-        local_row = np.arange(len(rows)) - row_at[row_exe]
-        tx_label = labels[tx_station]
-        all_rounds = (rows % size).astype(np.int32)
-        all_tx = np.column_stack([local_row[tx_row], tx_label]).astype(np.int32)
-        all_dl = np.column_stack(
-            [local_row[tx_row[dl_tx]], tx_label[dl_tx], labels[dl_rx]]
-        ).astype(np.int32)
-        tx_at = tx_row.searchsorted(row_at)
-        dl_ex_at = dl_at[tx_at].tolist()
-        carried_at_list = carried_at.tolist()
-        tx_label_list = tx_label.tolist()
-        row_at, tx_at = row_at.tolist(), tx_at.tolist()
-        return [
-            _Plan(
-                rounds=all_rounds[row_at[e] : row_at[e + 1]],
-                transmissions=all_tx[tx_at[e] : tx_at[e + 1]],
-                deliveries=all_dl[dl_ex_at[e] : dl_ex_at[e + 1]],
-                senders=tx_label_list[tx_at[e] : tx_at[e + 1]],
-                carried_at=carried_at_list[tx_at[e] : tx_at[e + 1] + 1],
-                carried_k=carried_k,
-                heard_pos=tuple(heard_pos[heard_at[e] : heard_at[e + 1]]),
-                heard_label=tuple(heard_label[heard_at[e] : heard_at[e + 1]]),
-            )
-            for e in range(len(schedules))
-        ]
-
-    def ssf_broadcast(
-        self, family: SelectionFamily, executions: Sequence[tuple[Mapping[int, Message], str]]
-    ) -> Iterator[list[tuple[int, int]]]:
-        """Run consecutive full family executions, each with a fixed
-        sender->message map, as one batch (see execute).
-
-        Yields, per execution, each distinct (sender, listener) pair once,
-        sorted by sender and then listener, however many rounds delivered
-        it: the listener received senders[sender].
-        """
-        labs = [sorted(senders) for senders, _phase in executions]
-        steps = self.execute(
-            family,
-            [
-                (ls, ls, phase, lambda u, _ks, senders=senders: senders[u])
-                for ls, (senders, phase) in zip(labs, executions)
-            ],
+        heard = sorted_distinct(slot_k.repeat(span) * n + dl_rx[index_ranges(lo, span)])
+        heard_k, heard_rx = np.divmod(heard, n)
+        slot_heard_at = heard_k.searchsorted(np.arange(len(slot) + 1))
+        # each schedule's slot offsets, counted from its own first pair
+        first = slot_heard_at[slot_at]
+        heard_slot_at = slot_heard_at[index_ranges(slot_at[:-1], counts + 1)]
+        heard_slot_at -= np.repeat(first[:-1], counts + 1)
+        heard_pos, heard_label = slot_pos[heard_k], labels[heard_rx]
+        _frozen(heard_pos, heard_label, heard_slot_at)
+        return _Batch(
+            labels=labels,
+            size=size,
+            rows=tx_row_key[new_row],
+            tx_row=tx_row,
+            tx_station=tx_station,
+            dl_tx=dl_tx,
+            dl_rx=dl_rx,
+            dl_at=dl_at,
+            slot_tx=slot_tx,
+            slot_k=slot_k,
+            slot_pos=slot_pos,
+            slot_at=slot_at.tolist(),
+            heard_at=first.tolist(),
+            heard_pos=heard_pos,
+            heard_label=heard_label,
+            heard_slot_at=heard_slot_at,
         )
-        for ls, (slots, listeners) in zip(labs, steps):
-            yield [(ls[k], listener) for k, listener in zip(slots, listeners)]
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -542,6 +598,7 @@ def leader_election(sim: Simulator) -> None:
     """
     views = sim.views
     eng = sim.engine
+    n_labels = sim.inst.n_labels
     fam_ssf = sim.base_ssf()
     delta = sim.graph.delta
     labels = eng.labels
@@ -607,24 +664,24 @@ def leader_election(sim: Simulator) -> None:
             if g == ends[i]:
                 sim.phase_snapshots.append((i, {lab: views[lab].status for lab in labels}))
 
-    announce: dict[int, Message] = {}
+    announce = _per_sender(lambda u, _ks: Message.make("leader-announce", (u,), n_labels))
     while True:
         rows = speculate(g)
         steps = sim.execute(
             fam_ssf,
             [
-                (leaders, leaders, phases[bisect_right(ends, row)], lambda u, _ks: announce[u])
+                (leaders, leaders, phases[bisect_right(ends, row)], announce)
                 for row, leaders, _off in rows
             ],
         )
         for row, leaders, expected in rows:
             advance(row)
+            _message_bits("leader-announce", 1, n_labels)
             for u in leaders:
                 views[u].set_status(LEADER)
-                announce[u] = sim.msg("leader-announce", (u,))
-            pos, heard = next(steps)
+            pos, heard, _at = next(steps)
             off = set()
-            for k, listener in zip(pos, heard):
+            for k, listener in zip(pos.tolist(), heard.tolist()):
                 v = views[listener]
                 v.adjacent_leaders.add(leaders[k])
                 if v.status == ACTIVE:
@@ -643,6 +700,22 @@ def leader_election(sim: Simulator) -> None:
 # Algorithm: neighborhood inform.
 
 
+def _leader_tables(sim: Simulator) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Each leader's i-th neighbor, for i = 1..Delta, as (at, leaders,
+    members): iteration i maps leaders[at[i-1] : at[i]], ascending, each
+    to the same row of members."""
+    eng = sim.engine
+    views = sim.views
+    lead = np.flatnonzero([views[lab].status == LEADER for lab in eng.labels])
+    degree = np.diff(eng.nbr_at)[lead]
+    nbr = eng.nbrs[index_ranges(eng.nbr_at[lead], degree)]
+    i = np.arange(len(nbr)) - np.repeat(degree.cumsum() - degree, degree)
+    order = np.argsort(i, kind="stable")  # by i, then leader
+    labels = eng.label_array
+    at = i[order].searchsorted(np.arange(sim.graph.delta + 1)).tolist()
+    return at, labels[np.repeat(lead, degree)][order], labels[nbr][order]
+
+
 def neighborhood_inform(sim: Simulator) -> None:
     """Leaders broadcast their i-th neighbor for i = 1..Delta; afterwards
     every non-leader knows the full neighborhood of each adjacent leader.
@@ -652,37 +725,40 @@ def neighborhood_inform(sim: Simulator) -> None:
     neighbor, in ascending leader order. So the Delta executions are
     adjudicated as one batch. Every message carries two labels and is sized
     once, before the first execution; one is built only when a sink asks
-    for it, once per execution and sender. A listener learns each (leader,
-    member) pair from the table.
-    """
-    views = sim.views
-    n_labels = sim.inst.n_labels
-    tables: list[dict[int, int]] = [{} for _ in range(sim.graph.delta)]
-    for lab in sorted(views):
-        if views[lab].status == LEADER:
-            for table, member in zip(tables, views[lab].neighbors):
-                table[lab] = member
-    if any(tables):
-        _message_bits("neighbor-of-leader", 2, n_labels)
+    for it, once per execution and sender.
 
-    def inform(table: dict[int, int]) -> Callable[[int, list[int]], Message]:
+    What the listeners learned is kept as one array, sim.learned: a row
+    (listener, leader, member) for each (leader, member) pair of the tables
+    that a non-leader listener heard, in reception order. A row is its
+    listener's own knowledge.
+    """
+    n_labels = sim.inst.n_labels
+    at, leaders, members = _leader_tables(sim)
+    if len(leaders):
+        _message_bits("neighbor-of-leader", 2, n_labels)
+    member_list = members.tolist()
+
+    def inform(lo: int) -> Callable[[int, list[int]], Message]:
         return _per_sender(
-            lambda u, _ks: Message.make("neighbor-of-leader", (u, table[u]), n_labels)
+            lambda u, ks: Message.make("neighbor-of-leader", (u, member_list[lo + ks[0]]), n_labels)
         )
 
     steps = sim.execute(
         sim.base_ssf(),
         [
-            (list(table), list(table), f"neighborhood-inform/i={i}", inform(table))
-            for i, table in enumerate(tables, 1)
+            (leaders[lo:hi], leaders[lo:hi], f"neighborhood-inform/i={i}", inform(lo))
+            for i, (lo, hi) in enumerate(zip(at, at[1:]), 1)
         ],
     )
-    for table, (pos, listeners) in zip(tables, steps):
-        leaders = list(table)
-        for k, listener in zip(pos, listeners):
-            if views[listener].status != LEADER:
-                leader = leaders[k]
-                views[listener].learned_neighborhoods.setdefault(leader, set()).add(table[leader])
+    # every (slot, listener) pair heard, slots numbered over all the tables
+    pos, listener = [_NOT_HEARD[0]], [_NOT_HEARD[1]]
+    for (p, lab, _at), lo in zip(steps, at):
+        pos.append(p + lo)
+        listener.append(lab)
+    pos, listener = np.concatenate(pos), np.concatenate(listener)
+    keep = np.array([sim.views[u].status != LEADER for u in sim.engine.labels])
+    keep = keep[sim.engine.label_array.searchsorted(listener)]
+    sim.learned = np.column_stack([listener, leaders[pos], members[pos]])[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -691,51 +767,82 @@ def neighborhood_inform(sim: Simulator) -> None:
 
 def two_hop_connection(sim: Simulator) -> None:
     """Assign the minimum-label common neighbor as helper for every leader
-    pair at graph distance two, via one ssf over pair labels."""
+    pair at graph distance two, via one ssf over pair labels.
+
+    The claim rule is a group-by over sim.learned: a non-leader u claims
+    the pair of adjacent leaders s < t when u is the least label that it
+    learned neighbors both. Claims are kept one per pair, the largest
+    claimant's.
+    """
     neighborhood_inform(sim)
     views = sim.views
     n_labels = sim.inst.n_labels
     fam_pair = sim.pair_ssf()
     phase = "two-hop-connection"
 
-    # claims are decidable locally: u knows its adjacent leaders and their
-    # full neighborhoods; the canonical orientation s < t is claimed once
-    claims: dict[int, tuple[int, tuple[int, int, int]]] = {}
-    for u in sorted(views):
-        v = views[u]
-        if v.status == LEADER:
-            continue
-        for s, t in combinations(sorted(v.adjacent_leaders), 2):
-            common = v.learned_neighborhoods.get(s, set()) & v.learned_neighborhoods.get(
-                t, set()
-            )
-            if common and u == min(common):
-                claims[selection.pair_index(s, t, n_labels)] = (u, (u, s, t))
+    # (u, s, m): u learned that m neighbors s, one of its adjacent leaders;
+    # only an m up to u can be the least common member that u must be
+    u, s, m = sim.learned.T
+    non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
+    at, adjacent = _adjacent_leaders(views, non_leaders)
+    mine = np.repeat(np.array(non_leaders, np.int64), np.diff(at)) * (n_labels + 1) + adjacent
+    keep = np.flatnonzero(m <= u)
+    keep = keep[_in_sorted(u[keep] * (n_labels + 1) + s[keep], mine)]
+    u, s, m = u[keep], s[keep], m[keep]
+    order = np.lexsort((s, m, u))
+    u, s, m = u[order], s[order], m[order]
+    # every two rows i < j of one (u, m) group: m is common to s[i] < s[j]
+    bounds = np.append(np.flatnonzero(_run_starts(u, m)), len(u))
+    later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(u)) - 1
+    i = np.repeat(np.arange(len(u)), later)
+    j = index_ranges(np.arange(len(u)) + 1, later)
+    u, s, t, m = u[i], s[i], s[j], m[i]
+    # the least common member of each (u, s, t); u claims when it is u
+    order = np.lexsort((m, t, s, u))
+    first = order[_run_starts(u[order], s[order], t[order])]
+    claim = first[m[first] == u[first]]
+    # one claim per pair (selection.pair_index): a larger claimant's
+    # replaces a smaller one's
+    pidx = (s[claim] - 1) * n_labels + t[claim]
+    order = np.lexsort((u[claim], pidx))
+    last = np.roll(_run_starts(pidx[order]), -1)  # where each pair's run ends
+    pidxs, claim = pidx[order][last], claim[order][last]
+    helpers, s, t = u[claim], s[claim], t[claim]
 
     # a helper's message in a round carries every claim the pair family
     # schedules for it there, three labels each: size the widest one
-    pidxs = sorted(claims)
-    helpers = [claims[p][0] for p in pidxs]
-    if pidxs:
-        sets = fam_pair.rounds_for(pidxs) + fam_pair.size * np.array(helpers)[:, None]
+    if len(pidxs):
+        sets = fam_pair.rounds_for(pidxs) + fam_pair.size * helpers[:, None]
         widest = np.unique(sets, return_counts=True)[1].max()
         _message_bits("helper-claim", 3 * int(widest), n_labels)
+    claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
 
     def helper_claim(_u: int, ks: list[int]) -> Message:
-        return sim.msg("helper-claim", tuple(sorted(claims[pidxs[k]][1] for k in ks)))
+        return Message.make("helper-claim", tuple(sorted(claims[k] for k in ks)), n_labels)
 
-    (heard,) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
+    ((pos, listener, _at),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
-    for pidx in pidxs:
-        u = claims[pidx][0]
-        if views[u].status != HELPER:
-            views[u].set_status(HELPER)
-    for k, listener in zip(*heard):
-        h, s, t = claims[pidxs[k]][1]
-        if listener == s:
-            views[s].two_hop_helpers[t] = h
-        elif listener == t:
-            views[t].two_hop_helpers[s] = h
+    for h, _s, _t in claims:
+        if views[h].status != HELPER:
+            views[h].set_status(HELPER)
+    named = (listener == s[pos]) | (listener == t[pos])
+    for k, lab in zip(pos[named].tolist(), listener[named].tolist()):
+        h, s_k, t_k = claims[k]
+        if lab == s_k:
+            views[s_k].two_hop_helpers[t_k] = h
+        else:
+            views[t_k].two_hop_helpers[s_k] = h
+
+
+def _adjacent_leaders(
+    views: Mapping[int, NodeView], nodes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's adjacent leaders, ascending, as (at, leaders): node j's
+    are leaders[at[j] : at[j + 1]]."""
+    adjacent = [sorted(views[u].adjacent_leaders) for u in nodes]
+    at = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum([len(a) for a in adjacent], out=at[1:])
+    return at, np.fromiter(chain.from_iterable(adjacent), np.int64, at[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +861,8 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     hard simulation error.
 
     Every token holder sends, so msgs must hold a message for every holder
-    (checked up front): three_hop_connection passes one per non-leader.
+    (checked up front): three_hop_connection passes one per non-leader. A
+    message is looked up only when a sink asks for it.
 
     The sweep is fixed before its first round. Iteration i's grants map
     each leader of degree at least i to its i-th neighbor, and its tokens
@@ -764,86 +872,116 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     return executions share one plan. The 4*Delta executions are
     adjudicated as one batch. A grant or return is built only when a sink
     asks for it, once per execution and sender, and sized from its label
-    count before its execution is recorded. The grant check, the token
-    records and the receptions are read from each execution's heard (slot
-    position, listener) pairs.
+    count before its execution is recorded. Each grant execution is checked
+    by one array comparison of the targets with what was heard, as the
+    sweep must stop there if a grant was lost; the token records and the
+    receptions are read from the msg executions in one pass at the end.
     """
-    views = sim.views
     n_labels = sim.inst.n_labels
     run_id = sim._tp_runs
     sim._tp_runs += 1
     delta = sim.graph.delta
-    # per iteration: the grants, the tokens and the sorted holders
-    grants: list[dict[int, int]] = [{} for _ in range(delta)]
-    tokens: list[dict[int, list[int]]] = [{} for _ in range(delta)]
-    for lab in sorted(views):
-        if views[lab].status == LEADER:
-            for grants_i, tokens_i, target in zip(grants, tokens, views[lab].neighbors):
-                grants_i[lab] = target
-                tokens_i.setdefault(target, []).append(lab)
-    if mute := set().union(*tokens) - msgs.keys():
-        raise ValueError(f"token holders without a message: {sorted(mute)}")
-    sweep = [(g, t, sorted(t)) for g, t in zip(grants, tokens)]
+    at, leaders, targets = _leader_tables(sim)
+    # the tokens: each iteration's holders, ascending, and the leaders
+    # whose tokens holder h holds, tokens[token_at[h] : token_at[h + 1]]
+    iteration = np.repeat(np.arange(delta), np.diff(at))
+    by_holder = np.lexsort((leaders, targets, iteration))
+    new = _run_starts(iteration[by_holder], targets[by_holder])
+    holders = targets[by_holder][new]
+    holder_at = iteration[by_holder][new].searchsorted(np.arange(delta + 1)).tolist()
+    token_at = np.append(np.flatnonzero(new), len(new))
+    holder_list = holders.tolist()
+    if mute := sorted({h for h in holder_list if h not in msgs}):
+        raise ValueError(f"token holders without a message: {mute}")
+    # a return carries its holder's label and tokens: the first holder
+    # whose return is over the budget stops the sweep before its return
+    too_long = _first_oversize(1 + np.diff(token_at), n_labels)
+    target_list, token_at_list = targets.tolist(), token_at.tolist()
+    tokens = leaders[by_holder].tolist()
 
-    def send(u: int, _ks: list[int]) -> Message:
-        return msgs[u]
+    send = _per_sender(lambda u, _ks: msgs[u])
 
-    def grant(grants_i: dict[int, int]) -> Callable[[int, list[int]], Message]:
-        return _per_sender(lambda u, _ks: Message.make("token-grant", (u, grants_i[u]), n_labels))
-
-    def give_back(tokens_i: dict[int, list[int]]) -> Callable[[int, list[int]], Message]:
+    def grant(lo: int) -> Callable[[int, list[int]], Message]:
         return _per_sender(
-            lambda u, _ks: Message.make("token-return", (u, *tokens_i[u]), n_labels)
+            lambda u, ks: Message.make("token-grant", (u, target_list[lo + ks[0]]), n_labels)
         )
 
+    def give_back(lo: int) -> Callable[[int, list[int]], Message]:
+        def build(u: int, ks: list[int]) -> Message:
+            h = lo + ks[0]
+            mine = tokens[token_at_list[h] : token_at_list[h + 1]]
+            return Message.make("token-return", (u, *mine), n_labels)
+
+        return _per_sender(build)
+
     specs = []
-    for i, (grants_i, tokens_i, holders) in enumerate(sweep, 1):
-        phase = f"token-passing/run={run_id}/i={i}/"
+    for i in range(delta):
+        phase = f"token-passing/run={run_id}/i={i + 1}/"
+        granting = leaders[at[i] : at[i + 1]]
+        holding = holders[holder_at[i] : holder_at[i + 1]]
         specs += [
             ([], [], phase + "idle", send),
-            (list(grants_i), list(grants_i), phase + "grant", grant(grants_i)),
-            (holders, holders, phase + "msg", send),
-            (holders, holders, phase + "return", give_back(tokens_i)),
+            (granting, granting, phase + "grant", grant(at[i])),
+            (holding, holding, phase + "msg", send),
+            (holding, holding, phase + "return", give_back(holder_at[i])),
         ]
     steps = sim.execute(sim.base_ssf(), specs)
-    senders: list[int] = []  # each holder of the sweep,
-    counts: list[int] = []  # how many listeners heard it,
-    heard: list[tuple[int, ...]] = []  # and who, per iteration
-    fits = 0  # a token count whose return is known to fit the budget
+    sent: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # each msg execution's heard
 
-    for i, (grants_i, tokens_i, holders) in enumerate(sweep, 1):
+    for i in range(delta):
+        lo, hi = at[i], at[i + 1]
         # slot 1: everyone silent
         next(steps)
         # slot 2: leaders pass tokens to their i-th neighbors
-        if grants_i:
+        if hi > lo:
             _message_bits("token-grant", 2, n_labels)
-        pos, label = next(steps)
-        at = _slot_at(pos, len(grants_i))
-        for k, (lab, target) in enumerate(grants_i.items()):
-            if target not in label[at[k] : at[k + 1]]:
-                raise TokenDeliveryError(
-                    f"token from leader {lab} to {target} lost in run {run_id}, i={i}"
-                )
+        pos, label, _at = next(steps)
+        got = label == targets[lo:hi][pos]
+        if np.count_nonzero(got) < hi - lo:
+            _append_token_records(sim, run_id, holder_list, holder_at, sent)
+            granted = np.zeros(hi - lo, dtype=bool)
+            granted[pos[got]] = True
+            k = lo + int(np.argmin(granted))
+            raise TokenDeliveryError(
+                f"token from leader {leaders[k]} to {target_list[k]} lost in run {run_id}, "
+                f"i={i + 1}"
+            )
         # slot 3: token holders transmit their message
-        pos, label = next(steps)
-        at = _slot_at(pos, len(holders))
-        receivers = [label[lo:hi] for lo, hi in zip(at, at[1:])]
-        senders += holders
-        counts += map(len, receivers)
-        heard.append(label)
-        sim.token_records.append(
-            TokenRecord(run_id, i, tuple(holders), tuple(zip(holders, receivers)))
-        )
-        # slot 4: holders pass tokens back, each return one label longer
-        # than its holder's token count
-        for h in holders:
-            if len(tokens_i[h]) > fits:
-                fits = len(tokens_i[h])
-                _message_bits("token-return", 1 + fits, n_labels)
+        sent.append(next(steps))
+        # slot 4: holders pass tokens back
+        if too_long is not None and holder_at[i] <= too_long < holder_at[i + 1]:
+            _append_token_records(sim, run_id, holder_list, holder_at, sent)
+            count = token_at_list[too_long + 1] - token_at_list[too_long]
+            _message_bits("token-return", 1 + count, n_labels)
         next(steps)
 
-    listeners = np.fromiter(chain.from_iterable(heard), np.int64, sum(counts))
-    return np.repeat(np.array(senders, dtype=np.int64), counts), listeners
+    return _append_token_records(sim, run_id, holder_list, holder_at, sent)
+
+
+def _append_token_records(
+    sim: Simulator,
+    run_id: int,
+    holders: list[int],
+    holder_at: list[int],
+    sent: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Append the TokenRecord of each iteration whose msg execution was
+    sent, from what it heard; returns their receptions as (sender,
+    listener) label arrays."""
+    listeners = np.concatenate([_NOT_HEARD[1]] + [lab for _p, lab, _a in sent])
+    # where each holder's listeners start, over the whole sweep
+    base = np.cumsum([0] + [len(lab) for _p, lab, _a in sent])
+    bounds = np.concatenate(
+        [a[:-1] + b for (_p, _l, a), b in zip(sent, base)] + [base[-1:]]
+    ).tolist()
+    heard = listeners.tolist()
+    receivers = [tuple(heard[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    for i in range(len(sent)):
+        hs = holders[holder_at[i] : holder_at[i + 1]]
+        mine = receivers[holder_at[i] : holder_at[i + 1]]
+        sim.token_records.append(TokenRecord(run_id, i + 1, tuple(hs), tuple(zip(hs, mine))))
+    senders = np.repeat(np.array(holders[: holder_at[len(sent)]], dtype=np.int64), np.diff(bounds))
+    return senders, listeners
 
 
 def _per_sender(build: Callable[[int, list[int]], Message]) -> Callable[[int, list[int]], Message]:
@@ -860,9 +998,65 @@ def _per_sender(build: Callable[[int, list[int]], Message]) -> Callable[[int, li
     return message
 
 
-def _slot_at(pos: Sequence[int], count: int) -> list[int]:
-    """Where each of count slot positions starts in the sorted pos."""
-    return [bisect_left(pos, k) for k in range(count + 1)]
+def _first_oversize(labels: np.ndarray, n_labels: int) -> Optional[int]:
+    """The index of the first message, in order, whose label count is over
+    the budget (see _message_bits); None if none is."""
+    size = KIND_BITS + labels * max(1, n_labels.bit_length())
+    over = np.flatnonzero(size > C_MSG * max(1.0, math.log2(n_labels)))
+    return int(over[0]) if len(over) else None
+
+
+class _Messages(Mapping[int, Message]):
+    """The kind message of each of senders (ascending labels): sender j's
+    payload is its label, then its entries, rows at[j] : at[j + 1] of
+    columns, each a label (one column) or a tuple of labels. All are sized
+    at once, in sender order, when the map is made; each is built only
+    when it is first looked up."""
+
+    def __init__(
+        self,
+        kind: str,
+        senders: np.ndarray,
+        at: np.ndarray,
+        columns: Sequence[np.ndarray],
+        n_labels: int,
+    ) -> None:
+        counts = np.diff(at)
+        first = _first_oversize(1 + len(columns) * counts, n_labels)
+        if first is not None:
+            _message_bits(kind, 1 + len(columns) * int(counts[first]), n_labels)
+        self.kind = kind
+        self.n_labels = n_labels
+        self._senders = senders.tolist()
+        self._index = dict(zip(self._senders, range(len(self._senders))))
+        self._at = at.tolist()
+        self._columns = [c.tolist() for c in columns]
+        self._built: dict[int, Message] = {}
+
+    def __getitem__(self, u: int) -> Message:
+        m = self._built.get(u)
+        if m is None:
+            j = self._index[u]
+            lo, hi = self._at[j], self._at[j + 1]
+            cols = [c[lo:hi] for c in self._columns]
+            entries = cols[0] if len(cols) == 1 else zip(*cols)
+            m = self._built[u] = Message.make(self.kind, (u, *entries), self.n_labels)
+        return m
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._senders)
+
+    def __len__(self) -> int:
+        return len(self._senders)
+
+    def __contains__(self, u: object) -> bool:
+        return u in self._index
+
+
+def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each of the non-negative keys is among sorted_keys
+    (ascending)."""
+    return np.append(sorted_keys, -1)[sorted_keys.searchsorted(keys)] == keys
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
@@ -874,23 +1068,15 @@ def _run_starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def _heard_entries(
-    msgs: Mapping[int, Message], senders: np.ndarray, listeners: np.ndarray, width: int
+    senders: np.ndarray, at: np.ndarray, entries: np.ndarray, sent: np.ndarray, heard: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row per entry after the first of each payload a listener heard:
-    (listener, the payload's first entry, the entry as width labels).
-    listeners[j] received msgs[senders[j]]."""
-    labs = sorted(msgs)
-    payloads = [msgs[u].payload for u in labs]
-    count = np.array([len(p) - 1 for p in payloads], dtype=np.int64)
-    row = np.searchsorted(labs, senders)
-    span = count[row]
-    entries = np.array([e for p in payloads for e in p[1:]], dtype=np.int64).reshape(-1, width)
-    first = np.array([p[0] for p in payloads], dtype=np.int64)
-    return (
-        listeners.repeat(span),
-        first[row].repeat(span),
-        entries[index_ranges((count.cumsum() - count)[row], span)],
-    )
+    """One row per entry of each payload a listener heard: (listener,
+    sender, entry). senders[j] (ascending) sends entries[at[j] : at[j + 1]]
+    after its own label; listener heard[r] received sent[r]'s payload."""
+    row = senders.searchsorted(sent)
+    lo = at[row]
+    span = at[row + 1] - lo
+    return heard.repeat(span), sent.repeat(span), entries[index_ranges(lo, span)]
 
 
 # ---------------------------------------------------------------------------
@@ -904,77 +1090,76 @@ def three_hop_connection(sim: Simulator) -> None:
     Both rules run as sorts and group-bys over arrays of the receptions a
     sweep returns, one row per entry of a payload heard: a node decides
     from the messages it heard (and a leader from its own two-hop helpers),
-    never from another node's state.
+    never from another node's state. The hop3-report and hop3-choice
+    payloads are kept as arrays too: each phase sizes all its messages at
+    once from their label counts, and a message is built only when a sink
+    asks for it. The leaders announce their choices through one ssf
+    execution, and every x named to the leader it heard becomes a helper.
     """
     views = sim.views
     n_labels = sim.inst.n_labels
-    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
+    leaders = np.array([lab for lab in sorted(views) if views[lab].status == LEADER], np.int64)
     non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
+    nl = np.array(non_leaders, dtype=np.int64)
     is_leader = np.zeros(n_labels + 1, dtype=bool)
     is_leader[leaders] = True
 
-    def by_node(nodes: list[int], sorted_nodes: np.ndarray) -> list[int]:
+    def by_node(nodes: np.ndarray, sorted_nodes: np.ndarray) -> np.ndarray:
         """at, with node j's rows of sorted_nodes at at[j] : at[j + 1]."""
-        return sorted_nodes.searchsorted(nodes + [n_labels + 1]).tolist()
+        return sorted_nodes.searchsorted(np.append(nodes, n_labels + 1))
 
-    msgs1 = {
-        u: sim.msg("hop3-report", (u,) + tuple(sorted(views[u].adjacent_leaders)))
-        for u in non_leaders
-    }
-    senders, listeners = token_passing(sim, msgs1)
+    # each non-leader reports its adjacent leaders
+    at, adjacent = _adjacent_leaders(views, non_leaders)
+    senders, listeners = token_passing(sim, _Messages("hop3-report", nl, at, [adjacent], n_labels))
     heard = ~is_leader[listeners]
-    x, y, b = _heard_entries(msgs1, senders[heard], listeners[heard], 1)
-    b = b[:, 0]
+    x, y, b = _heard_entries(nl, at, adjacent, senders[heard], listeners[heard])
 
     # intermediate selection: per heard-about leader b, the minimum-label
     # reporter y that belongs to b
     order = np.lexsort((y, b, x))
     x, y, b = x[order], y[order], b[order]
     first = _run_starts(x, b)
-    at = by_node(non_leaders, x[first])
-    ys, bs = y[first].tolist(), b[first].tolist()
-    msgs2 = {
-        u: sim.msg("hop3-choice", (u, *zip(ys[lo:hi], bs[lo:hi])))
-        for u, lo, hi in zip(non_leaders, at, at[1:])
-    }
-    senders, listeners = token_passing(sim, msgs2)
+    at = by_node(nl, x[first])
+    ys, bs = y[first], b[first]
+    senders, listeners = token_passing(sim, _Messages("hop3-choice", nl, at, [ys, bs], n_labels))
     heard = is_leader[listeners]
-    lab, x, yb = _heard_entries(msgs2, senders[heard], listeners[heard], 2)
-    y, b = yb[:, 0], yb[:, 1]
+    lab, x, k = _heard_entries(nl, at, np.arange(len(ys)), senders[heard], listeners[heard])
+    y, b = ys[k], bs[k]
 
     # leader decisions, per other leader b not already connected by a
     # two-hop helper: the smallest label among the reports' x and y, and
     # the least label reported with it (an x first)
     pair = lab * (n_labels + 1) + b
     connected = np.array(
-        sorted(u * (n_labels + 1) + t for u in leaders for t in views[u].two_hop_helpers),
+        sorted(u * (n_labels + 1) + t for u in leaders.tolist() for t in views[u].two_hop_helpers),
         dtype=np.int64,
     )
-    in_connected = np.append(connected, -1)[connected.searchsorted(pair)] == pair
-    keep = (b != lab) & ~in_connected
+    keep = (b != lab) & ~_in_sorted(pair, connected)
     lab, b, x, y = lab[keep], b[keep], x[keep], y[keep]
     by_x, by_y = np.lexsort((y, x, b, lab)), np.lexsort((x, y, b, lab))
     start = np.flatnonzero(_run_starts(lab[by_x], b[by_x]))
     min_x, y_of_x = x[by_x][start], y[by_x][start]
     min_y, x_of_y = y[by_y][start], x[by_y][start]
     x_first = min_x <= min_y
-    xs = np.where(x_first, min_x, x_of_y).tolist()
-    ys = np.where(x_first, y_of_x, min_y).tolist()
-    bs = b[by_x][start].tolist()
+    xs = np.where(x_first, min_x, x_of_y)
+    ys = np.where(x_first, y_of_x, min_y)
+    bs = b[by_x][start]
     at = by_node(leaders, lab[by_x][start])
-    for u, lo, hi in zip(leaders, at, at[1:]):
-        views[u].three_hop_helpers.update(zip(bs[lo:hi], zip(xs[lo:hi], ys[lo:hi])))
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    bl, atl = bs.tolist(), at.tolist()
+    for u, lo, hi in zip(leaders.tolist(), atl, atl[1:]):
+        views[u].three_hop_helpers.update(zip(bl[lo:hi], pairs[lo:hi]))
 
-    fam = sim.base_ssf()
-    msgs3 = {
-        u: sim.msg("hop3-choice", (u, *zip(xs[lo:hi], ys[lo:hi], bs[lo:hi])))
-        for u, lo, hi in zip(leaders, at, at[1:])
-    }
-    (announced,) = sim.ssf_broadcast(fam, [(msgs3, "three-hop-connection/announce")])
-    for sender, listener in announced:
-        v = views[listener]
-        if v.status != HELPER and any(x == listener for x, _y, _b in msgs3[sender].payload[1:]):
-            v.set_status(HELPER)
+    choices = _Messages("hop3-choice", leaders, at, [xs, ys, bs], n_labels)
+    announce = _per_sender(lambda u, _ks: choices[u])
+    ((pos, listener, _at),) = sim.execute(
+        sim.base_ssf(), [(leaders, leaders, "three-hop-connection/announce", announce)]
+    )
+    # every x a leader named becomes a helper when it hears that leader
+    named = np.sort(np.repeat(np.arange(len(leaders)), np.diff(at)) * (n_labels + 1) + xs)
+    for v in np.unique(listener[_in_sorted(pos * (n_labels + 1) + listener, named)]).tolist():
+        if views[v].status != HELPER:
+            views[v].set_status(HELPER)
 
 
 # ---------------------------------------------------------------------------

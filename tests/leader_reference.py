@@ -14,6 +14,8 @@ import numpy as np
 
 from sinrbackbone.protocol import ACTIVE, INACTIVE, LEADER
 
+from oracles import msg, ssf_broadcast
+
 
 def _ceil_div(a, b):
     return -(-a // b)
@@ -48,8 +50,8 @@ def reference_leader_election(sim):
             senders = {}
             for u in candidates:
                 views[u].set_status(LEADER)
-                senders[u] = sim.msg("leader-announce", (u,))
-            (pairs,) = sim.ssf_broadcast(fam_ssf, [(senders, phase)])
+                senders[u] = msg(sim, "leader-announce", (u,))
+            (pairs,) = ssf_broadcast(sim, fam_ssf, [(senders, phase)])
             for s, listener in pairs:
                 v = views[listener]
                 v.adjacent_leaders.add(s)

@@ -7,17 +7,24 @@ every dilution trial; these must agree with it on each pair away from a
 float tie at the threshold. scalar_dilution_trial() is the dilution trial
 decided pair by pair with receives().
 
-bfs_distances(), induced(), is_dominating() and _arcs() work on plain
-adjacency mappings (label -> neighbour labels); verify runs on bitsets and
-a CSR list instead.
+bfs_distances(), components(), induced(), is_dominating() and _arcs() work
+on plain adjacency mappings (label -> neighbour labels); verify runs on
+bitsets and a CSR list instead, and PhysicsEngine checks connectivity on
+its CSR list.
+
+ssf_broadcast() runs family executions with a fixed sender -> message map
+each, through Simulator.execute: the leader and token references send that
+way, with messages built up front by msg().
 """
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from sinrbackbone import verify
 from sinrbackbone.errors import DegenerateDistanceError
+from sinrbackbone.protocol import Message, Simulator
+from sinrbackbone.selection import SelectionFamily
 from sinrbackbone.physical import (
     PhysicalInstance,
     SinrParams,
@@ -149,3 +156,52 @@ def induced(adj: Adjacency, nodes: set[int]) -> dict[int, list[int]]:
 
 def is_dominating(adj: Adjacency, dom: set[int]) -> bool:
     return all(u in dom or set(adj[u]) & dom for u in adj)
+
+
+def components(adjacency: Adjacency) -> list[set[int]]:
+    """The connected components, in ascending order of their smallest node,
+    by one depth-first pass."""
+    seen: set[int] = set()
+    out = []
+    for src in sorted(adjacency):
+        if src in seen:
+            continue
+        comp = {src}
+        stack = [src]
+        while stack:
+            for v in adjacency[stack.pop()]:
+                if v not in comp:
+                    comp.add(v)
+                    stack.append(v)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+def msg(sim: Simulator, kind: str, payload: tuple) -> Message:
+    """The kind message carrying payload, sized for sim's label space."""
+    return Message.make(kind, payload, sim.inst.n_labels)
+
+
+def ssf_broadcast(
+    sim: Simulator,
+    family: SelectionFamily,
+    executions: Sequence[tuple[Mapping[int, Message], str]],
+) -> Iterator[list[tuple[int, int]]]:
+    """Run consecutive full family executions, each with a fixed
+    sender->message map, as one batch (see Simulator.execute).
+
+    Yields, per execution, each distinct (sender, listener) pair once,
+    sorted by sender and then listener, however many rounds delivered
+    it: the listener received senders[sender].
+    """
+    labs = [sorted(senders) for senders, _phase in executions]
+    steps = sim.execute(
+        family,
+        [
+            (ls, ls, phase, lambda u, _ks, senders=senders: senders[u])
+            for ls, (senders, phase) in zip(labs, executions)
+        ],
+    )
+    for ls, (slots, listeners, _at) in zip(labs, steps):
+        yield [(ls[k], listener) for k, listener in zip(slots.tolist(), listeners.tolist())]

@@ -30,7 +30,7 @@ from sinrbackbone.physical import (
 )
 
 from dense_engine import dense_adjudicate
-from oracles import UndefinedRatioError, receives, sinr
+from oracles import UndefinedRatioError, components, receives, sinr
 
 P_UNIT = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)  # range 1
 
@@ -212,6 +212,30 @@ def test_build_graph_matches_bruteforce():
                     seen.add(y)
                     stack.append(y)
         assert len(seen) != len(stations)
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 60)), min_size=1, max_size=30, unique=True
+    )
+)
+@settings(max_examples=200, deadline=None)
+@example(points=[(9 * k, 0) for k in range(30)])  # a path: 29 hops from end to end
+@example(points=[(0, 0), (50, 50)])
+def test_graph_is_rejected_exactly_when_the_csr_list_has_two_components(points):
+    # the engine decides connectivity on its CSR list; the depth-first
+    # components over the same neighbour lists must agree (stations on a
+    # 0.1 grid, range 1)
+    stations = [(i + 1, 0.1 * x, 0.1 * y) for i, (x, y) in enumerate(points)]
+    eng = PhysicsEngine(make_instance(stations, P_UNIT, 32))
+    at = eng.nbr_at.tolist()
+    labels = eng.label_array[eng.nbrs].tolist()
+    adj = {lab: labels[at[i] : at[i + 1]] for i, lab in enumerate(eng.labels)}
+    if len(components(adj)) > 1:
+        with pytest.raises(DisconnectedInstanceError):
+            eng.graph()
+    else:
+        assert eng.graph().adjacency == {u: tuple(vs) for u, vs in adj.items()}
 
 
 def test_graph_engine_and_receives_agree_at_the_range_boundary():

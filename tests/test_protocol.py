@@ -35,7 +35,9 @@ from sinrbackbone.verify import expected_three_hop, expected_two_hop, run_all_ch
 
 from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
+from inform_reference import reference_two_hop_connection
 from leader_reference import reference_leader_election
+from oracles import msg, ssf_broadcast
 from test_cli import REFERENCE_RUNS
 from token_reference import reference_three_hop_connection, reference_token_passing
 from trace_reference import each_execution, records, replay
@@ -93,9 +95,9 @@ def test_ssf_broadcast_hears_each_sender_once():
     inst = make_instance([(1, 0, 0), (2, 0.5, 0), (3, 0.9, 0.3)], P, 64)
     sim = Simulator(inst)
     fam = sim.base_ssf()
-    msg = sim.msg("leader-announce", (1,))
+    announce = msg(sim, "leader-announce", (1,))
     assert len(fam.rounds_for(1)) > 1  # the lone sender is delivered in many rounds
-    (heard,) = sim.ssf_broadcast(fam, [({1: msg}, "test")])
+    (heard,) = ssf_broadcast(sim, fam, [({1: announce}, "test")])
     assert heard == [(1, 2), (1, 3)]
     assert sim.round == fam.size
     rounds = [tr.round for tr in records(sim.sink.executions)]
@@ -187,23 +189,34 @@ def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
 
 
 def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
-    # neighborhood-inform messages, helper claims, token grants and token
-    # returns are sized from their label counts; only a sink that reads an
-    # execution's messages builds them
-    make = Message.make
+    # every message is sized from its label count; only a sink that reads
+    # an execution's messages builds them, so a collected run builds none,
+    # and none of the records' arrays either
+    init = Message.__init__
     built = []
 
-    def counting_make(kind, payload, n_labels):
+    def counting_init(self, kind, *args):
         built.append(kind)
-        return make(kind, payload, n_labels)
+        init(self, kind, *args)
 
-    monkeypatch.setattr(Message, "make", staticmethod(counting_make))
+    monkeypatch.setattr(Message, "__init__", counting_init)
     inst = generate(GeneratorSpec(n=40, arena_side=3.4, seed=13), P)
     r = backbone_creation(inst)
-    assert r.two_hop and r.token_records  # both phases sent messages
-    lazy = {"neighbor-of-leader", "helper-claim", "token-grant", "token-return"}
-    assert not lazy & set(built)
-    assert {"leader-announce", "hop3-report", "hop3-choice"} <= set(built)
+    assert r.two_hop and r.three_hop and r.token_records  # every phase sent messages
+    assert built == []
+    batches = {id(ex.plan.batch): ex.plan.batch for ex in r.traces.executions if ex.plan}
+    assert batches and not any({"records", "carried"} & vars(b).keys() for b in batches.values())
+    # a sink that reads them builds every kind
+    kinds = {m.kind for tr in records(r.traces.executions) for _lab, m in tr.transmitters}
+    assert set(built) == kinds == {
+        "leader-announce",
+        "neighbor-of-leader",
+        "helper-claim",
+        "token-grant",
+        "hop3-report",
+        "token-return",
+        "hop3-choice",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +416,16 @@ def test_leader_election_plans_once_per_benchmark_instance(name):
 # Neighborhood inform.
 
 
+def learned(sim):
+    """What each non-leader learned in neighborhood inform, as the
+    reference keeps it: listener -> each leader it heard -> the members of
+    that leader's neighborhood it heard."""
+    out = {}
+    for listener, leader, member in sim.learned.tolist():
+        out.setdefault(listener, {}).setdefault(leader, set()).add(member)
+    return out
+
+
 def test_neighborhood_inform_star():
     stations = [(9, 0, 0), (2, 0.8, 0), (4, -0.8, 0), (6, 0, 0.8)]
     inst = make_instance(stations, P, 16)
@@ -410,7 +433,7 @@ def test_neighborhood_inform_star():
     force_leaders(sim, {9})
     neighborhood_inform(sim)
     for lab in (2, 4, 6):
-        assert sim.views[lab].learned_neighborhoods[9] == {2, 4, 6}
+        assert learned(sim)[lab][9] == {2, 4, 6}
 
 
 def test_neighborhood_inform_two_leaders_disjoint_tables():
@@ -425,10 +448,10 @@ def test_neighborhood_inform_two_leaders_disjoint_tables():
     sim = Simulator(inst)
     force_leaders(sim, {1, 4})
     neighborhood_inform(sim)
-    assert sim.views[2].learned_neighborhoods[1] == {2}
-    assert sim.views[3].learned_neighborhoods[4] == {3, 5}
-    assert sim.views[5].learned_neighborhoods[4] == {3, 5}
-    assert 4 not in sim.views[2].learned_neighborhoods  # out of range of 4
+    assert learned(sim)[2][1] == {2}
+    assert learned(sim)[3][4] == {3, 5}
+    assert learned(sim)[5][4] == {3, 5}
+    assert 4 not in learned(sim)[2]  # out of range of 4
 
 
 def test_neighborhood_inform_schedule_length_invariant():
@@ -486,12 +509,13 @@ def _drop_delivery(sim, monkeypatch, phase, sender, listener):
     execute = sim.execute
 
     def lossy(family, executions):
-        for (slots, _owners, ph, _message), (pos, heard) in zip(
+        for (slots, _owners, ph, _message), (pos, heard, _at) in zip(
             executions, execute(family, executions)
         ):
-            lost = (phase, sender, listener)
-            kept = [(k, v) for k, v in zip(pos, heard) if (ph, slots[k], v) != lost]
-            yield tuple(k for k, _v in kept), tuple(v for _k, v in kept)
+            if ph == phase:
+                kept = (np.asarray(slots)[pos] != sender) | (heard != listener)
+                pos, heard = pos[kept], heard[kept]
+            yield pos, heard, np.searchsorted(pos, np.arange(len(slots) + 1))
 
     monkeypatch.setattr(sim, "execute", lossy)
 
@@ -505,7 +529,7 @@ def test_two_hop_pair_stays_connected_when_an_inform_message_is_lost(monkeypatch
     force_leaders(sim, {1, 2})
     _drop_delivery(sim, monkeypatch, "neighborhood-inform/i=1", 1, 9)
     two_hop_connection(sim)
-    assert sim.views[9].learned_neighborhoods[1] == {9}
+    assert learned(sim)[9][1] == {9}
     h = sim.views[1].two_hop_helpers[2]
     assert sim.views[2].two_hop_helpers == {1: h}
     assert sim.views[h].status == "helper"
@@ -532,6 +556,91 @@ def test_every_two_hop_claimant_becomes_a_helper_when_an_inform_message_is_lost(
     assert sim.views[5].status == "helper"
 
 
+def _claims(sim):
+    """Every (helper, s, t) claim the pair ssf execution sent."""
+    (ex,) = [ex for ex in sim.sink.executions if ex.phase == "two-hop-connection"]
+    return {c for t in range(len(ex.transmissions)) for c in ex.message(t).payload}
+
+
+def _assert_two_hop_equals_the_reference(make, prepare=leader_election):
+    """The array inform and claim rules give the dict-based reference's
+    learned neighborhoods, claims, helpers, statuses and executions on
+    make()'s instance, each run after prepare(sim)."""
+    sims = []
+    for two_hop in (two_hop_connection, reference_two_hop_connection):
+        sim = Simulator(make())
+        prepare(sim)
+        sims.append((sim, two_hop(sim)))
+    (package, _), (reference, (ref_learned, claims)) = sims
+    assert learned(package) == ref_learned
+    assert _claims(package) == set(claims.values())
+    for lab, v in package.views.items():
+        w = reference.views[lab]
+        assert (v.status, v.two_hop_helpers) == (w.status, w.two_hop_helpers), lab
+    assert package.round == reference.round
+    assert len(package.sink.executions) == len(reference.sink.executions)
+    for a, b in zip(package.sink.executions, reference.sink.executions):
+        _assert_same_execution(a, b)
+    return package
+
+
+@pytest.mark.parametrize("name", ["battery", "dense"])
+def test_inform_and_claims_equal_the_dict_reference_on_benchmark_instances(name):
+    for inst in workloads.make_instances(workloads.WORKLOADS[name], 1):
+        _assert_two_hop_equals_the_reference(lambda inst=inst: inst)
+
+
+def test_inform_and_claims_equal_the_dict_reference_on_the_demo_loss_instance():
+    spec = GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442)
+    _assert_two_hop_equals_the_reference(lambda: generate(spec, P))
+
+
+def test_inform_and_claims_equal_the_dict_reference_when_an_inform_message_is_lost(monkeypatch):
+    # the claim fault's layout: with (1, 5) lost at 9, 5 and 9 both claim
+    # the pair (1, 2), and the reference keeps 9's claim as the package does
+    def lose_1_5_at_9(sim):
+        force_leaders(sim, {1, 2})
+        _drop_delivery(sim, monkeypatch, "neighborhood-inform/i=1", 1, 9)
+
+    sim = _assert_two_hop_equals_the_reference(
+        lambda: load_instance(str(FIXTURES / "two_hop_claims.json")), lose_1_5_at_9
+    )
+    assert learned(sim)[9] == {1: {9}, 2: {5, 9}}
+    assert _claims(sim) == {(9, 1, 2)}
+
+
+def test_a_node_claims_only_pairs_of_leaders_it_heard_announce():
+    # 5 missed leader 2's announcement: it still learns N(2) = {5, 9} in
+    # neighborhood inform, but 2 is not among its adjacent leaders, so it
+    # claims no pair; 9 finds 5 the least common neighbour and claims none
+    # either
+    def deaf_5(sim):
+        force_leaders(sim, {1, 2})
+        sim.views[5].adjacent_leaders.discard(2)
+
+    sim = _assert_two_hop_equals_the_reference(
+        lambda: load_instance(str(FIXTURES / "two_hop_claims.json")), deaf_5
+    )
+    assert learned(sim)[5] == {1: {5, 9}, 2: {5, 9}}
+    assert _claims(sim) == set()
+    assert sim.views[5].status == sim.views[9].status == INACTIVE
+
+
+@given(
+    n=st.integers(2, 40),
+    density=st.floats(0.6, 1.0),
+    seed=st.integers(0, 10**6),
+    n_labels=st.sampled_from([64, 256]),
+)
+@settings(max_examples=30, deadline=None)
+def test_inform_and_claims_equal_the_dict_reference_on_generated_instances(
+    n, density, seed, n_labels
+):
+    side = density * min(4.0, max(1.2, 0.85 * math.sqrt(n)))
+    spec = GeneratorSpec(n=n, arena_side=side, seed=seed, n_labels=n_labels)
+    _assert_two_hop_equals_the_reference(lambda: generate(spec, P))
+
+
 # ---------------------------------------------------------------------------
 # Token passing.
 
@@ -542,7 +651,7 @@ def test_token_passing_delivers_messages_to_all_neighbors():
     sim = Simulator(inst)
     force_leaders(sim, {7})
     msgs = {
-        lab: sim.msg("hop3-report", (lab,) + tuple(sorted(sim.views[lab].adjacent_leaders)))
+        lab: msg(sim, "hop3-report", (lab,) + tuple(sorted(sim.views[lab].adjacent_leaders)))
         for lab in (2, 4)
     }
     heard = token_passing(sim, msgs)
@@ -560,7 +669,7 @@ def test_token_passing_two_tokens_one_iteration():
     sim = Simulator(inst)
     force_leaders(sim, {5, 9})
     sink = sim.sink
-    msgs = {3: sim.msg("hop3-report", (3, 5, 9))}
+    msgs = {3: msg(sim, "hop3-report", (3, 5, 9))}
     token_passing(sim, msgs)
     rec = sim.token_records[0]
     assert rec.holders == (3,)
@@ -581,7 +690,7 @@ def test_token_passing_needs_a_message_for_every_holder():
     force_leaders(sim, {5, 9})
     recorded = len(sim.sink.executions)
     with pytest.raises(ValueError, match=r"token holders without a message: \[3\]"):
-        token_passing(sim, {9: sim.msg("hop3-report", (9,))})
+        token_passing(sim, {9: msg(sim, "hop3-report", (9,))})
     assert len(sim.sink.executions) == recorded
 
 
@@ -596,7 +705,7 @@ def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
         return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
-    msgs = {u: sim.msg("hop3-report", (u,)) for u, v in sim.views.items() if v.status != LEADER}
+    msgs = {u: msg(sim, "hop3-report", (u,)) for u, v in sim.views.items() if v.status != LEADER}
     first = min(lab for lab, v in sim.views.items() if v.status == LEADER)
     target = sim.views[first].neighbors[0]
     recorded = len(sim.sink.executions)
@@ -731,6 +840,13 @@ def test_demo_base_ssf_over_gf8_delivers_every_token_message(monkeypatch):
     assert not missing
 
 
+def _assert_same_heard(a, b):
+    """Two yields of Simulator.execute are the same int64 arrays."""
+    assert len(a) == len(b) == 3
+    for x, y in zip(a, b):
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
 def _assert_same_execution(a, b):
     assert (a.phase, a.start, a.size, a.repeats) == (b.phase, b.start, b.size, b.repeats)
     for name in ("rounds", "transmissions", "deliveries"):
@@ -787,7 +903,9 @@ def test_batched_executions_match_executions_run_one_at_a_time(make):
     batched, single = runs
     assert batched.batches < single.batches  # the sweeps did run as batches
     assert batched.round == single.round
-    assert batched.pairs == single.pairs
+    assert len(batched.pairs) == len(single.pairs)
+    for a, b in zip(batched.pairs, single.pairs):
+        _assert_same_heard(a, b)
     assert batched.token_records == single.token_records
     assert len(batched.sink.executions) == len(single.sink.executions)
     for a, b in zip(batched.sink.executions, single.sink.executions):
@@ -836,7 +954,9 @@ class _Scheduled(Simulator):
         self.schedules = []
 
     def execute(self, family, executions):
-        self.schedules += [(family, slots, owners) for slots, owners, *_ in executions if slots]
+        self.schedules += [
+            (family, slots, owners) for slots, owners, *_ in executions if len(slots)
+        ]
         for batch in [executions] if self.reuse else [[ex] for ex in executions]:
             if not self.reuse:
                 self._plans.clear()
@@ -890,7 +1010,7 @@ def test_plans_are_keyed_by_owners_and_family_code():
     assert (ssf.q, ssf.K, ssf.P) != (pair.q, pair.K, pair.P)
 
     def spec(owners, phase):
-        return ([1, 2], owners, phase, lambda u, ks: sim.msg("slot", (u, *ks)))
+        return ([1, 2], owners, phase, lambda u, ks: msg(sim, "slot", (u, *ks)))
 
     calls = [
         (ssf, [spec([1, 2], "a"), spec([3, 4], "b")]),  # one call, other owners
@@ -901,7 +1021,8 @@ def test_plans_are_keyed_by_owners_and_family_code():
     expected = [(family, s) for family, specs in calls for s in specs]
     for ex, h, (family, s) in zip(sim.sink.executions, heard, expected):
         alone = Simulator(inst)
-        assert list(alone.execute(family, [s])) == [h]
+        (want_heard,) = alone.execute(family, [s])
+        _assert_same_heard(h, want_heard)
         (want,) = alone.sink.executions
         _assert_same_execution(ex, dataclasses.replace(want, start=ex.start))
     assert len(sim._plans) == 4  # "d" was served
@@ -1011,6 +1132,78 @@ def test_array_sweeps_and_rules_equal_the_dict_reference_on_generated_instances(
     inst = generate(GeneratorSpec(n=n, arena_side=side, seed=seed, n_labels=n_labels), P)
     with pytest.MonkeyPatch.context() as mp:
         _assert_three_hop_equals_the_reference(inst, mp)
+
+
+def _assert_same_failures(make, phases, c_msgs, monkeypatch):
+    """Run phases = [(package, reference), ...] on make()'s instance, the
+    budget lowered to each of c_msgs before the first phase that has a
+    reference, until a run passes. Each run stops with the error text,
+    after the executions and token records, that the references (which
+    build every message up front, in label order) stop with. Returns the
+    message kind of each failure."""
+    kinds = []
+    for c_msg in c_msgs:
+        runs = []
+        for side in (0, 1):
+            monkeypatch.setattr(protocol, "C_MSG", 128)
+            sim = Simulator(make())
+            error = None
+            try:
+                for pair in phases:
+                    if pair[0] is not pair[1]:
+                        monkeypatch.setattr(protocol, "C_MSG", c_msg)
+                    pair[side](sim)
+            except SimulationError as exc:
+                error = (type(exc), str(exc))
+            runs.append((sim, error))
+        (package, error), (reference, ref_error) = runs
+        assert error == ref_error, c_msg
+        monkeypatch.setattr(protocol, "C_MSG", 128)  # every message sent was sized
+        assert package.token_records == reference.token_records
+        ours, theirs = (each_execution(sim.sink.executions) for sim in (package, reference))
+        assert len(ours) == len(theirs)
+        for a, b in zip(ours, theirs):
+            _assert_same_execution(a, b)
+        if error is None:
+            return kinds
+        assert error[0] is MessageSizeError
+        kinds.append(error[1].split()[0])
+    raise AssertionError("every budget failed")
+
+
+@pytest.mark.parametrize("name", ["n40-N64", "demo-loss"])
+def test_oversized_messages_fail_where_the_references_fail(name, monkeypatch):
+    # the whole run with the budget lowered step by step reaches the leader
+    # announcements and the leaders' three-hop choices; three-hop alone,
+    # after a two-hop connection within the default budget, reaches the
+    # reports and the non-leaders' choices too
+    spec = {
+        "n40-N64": GeneratorSpec(n=40, arena_side=3.4, seed=17),
+        "demo-loss": GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442),
+    }[name]
+    inst = generate(spec, P)
+    whole = _assert_same_failures(
+        lambda: inst,
+        [
+            (leader_election, reference_leader_election),
+            (two_hop_connection, reference_two_hop_connection),
+            (three_hop_connection, reference_three_hop_connection),
+        ],
+        range(1, 64),
+        monkeypatch,
+    )
+    assert {"leader-announce", "hop3-choice"} <= set(whole)
+    three_hop = _assert_same_failures(
+        lambda: inst,
+        [
+            (leader_election, leader_election),
+            (two_hop_connection, two_hop_connection),
+            (three_hop_connection, reference_three_hop_connection),
+        ],
+        range(1, 64),
+        monkeypatch,
+    )
+    assert {"hop3-report", "hop3-choice"} <= set(three_hop)
 
 
 def test_three_hop_path():

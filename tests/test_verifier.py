@@ -10,7 +10,6 @@ from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
 from sinrbackbone.physical import (
     build_graph,
-    components,
     derive_dilution,
     grid_box,
     make_instance,
@@ -35,7 +34,7 @@ from sinrbackbone.verify import (
 )
 
 import verify_reference as ref
-from oracles import bfs_distances, induced, is_dominating, scalar_dilution_trial
+from oracles import bfs_distances, components, induced, is_dominating, scalar_dilution_trial
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 

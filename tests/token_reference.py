@@ -12,6 +12,8 @@ token records, helpers and statuses.
 from sinrbackbone.errors import TokenDeliveryError
 from sinrbackbone.protocol import HELPER, LEADER, TokenRecord
 
+from oracles import msg, ssf_broadcast
+
 
 def reference_token_passing(sim, msgs):
     """Per listener, each (sender, message) it heard in the msg slots, in
@@ -38,21 +40,23 @@ def reference_token_passing(sim, msgs):
     steps = sim.execute(fam, specs)
 
     def advance(messages):
+        """The (slot position, listener) pairs the next execution heard."""
         sent.append(messages)
-        return next(steps)
+        pos, listeners, _at = next(steps)
+        return pos.tolist(), listeners.tolist()
 
     for i, granting, senders, holders in sweep:
         advance({})
         grants = {
-            lab: sim.msg("token-grant", (lab, views[lab].neighbors[i - 1])) for lab in granting
+            lab: msg(sim, "token-grant", (lab, views[lab].neighbors[i - 1])) for lab in granting
         }
         delivered = {(granting[k], listener) for k, listener in zip(*advance(grants))}
-        for lab, msg in grants.items():
-            if msg.payload not in delivered:
+        for lab, grant in grants.items():
+            if grant.payload not in delivered:
                 raise TokenDeliveryError(
-                    f"token from leader {lab} to {msg.payload[1]} lost in run {run_id}, i={i}"
+                    f"token from leader {lab} to {grant.payload[1]} lost in run {run_id}, i={i}"
                 )
-            pending[msg.payload[1]] = pending.get(msg.payload[1], ()) + (lab,)
+            pending[grant.payload[1]] = pending.get(grant.payload[1], ()) + (lab,)
         txs = {lab: msgs[lab] for lab in senders}
         receivers = {lab: [] for lab in senders}
         for k, listener in zip(*advance(txs)):
@@ -67,7 +71,7 @@ def reference_token_passing(sim, msgs):
                 transmissions=tuple((lab, tuple(rs)) for lab, rs in receivers.items()),
             )
         )
-        returns = {lab: sim.msg("token-return", (lab,) + pending[lab]) for lab in holders}
+        returns = {lab: msg(sim, "token-return", (lab,) + pending[lab]) for lab in holders}
         advance(returns)
         pending.clear()
     return heard_msgs
@@ -81,7 +85,7 @@ def reference_three_hop_connection(sim, token_passing=reference_token_passing):
     non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
 
     msgs1 = {
-        u: sim.msg("hop3-report", (u,) + tuple(sorted(views[u].adjacent_leaders)))
+        u: msg(sim, "hop3-report", (u,) + tuple(sorted(views[u].adjacent_leaders)))
         for u in non_leaders
     }
     heard1 = token_passing(sim, msgs1)
@@ -90,14 +94,14 @@ def reference_three_hop_connection(sim, token_passing=reference_token_passing):
     chosen = {}
     for x in non_leaders:
         reporters = {}
-        for _y, msg in heard1.get(x, []):
-            y_label = msg.payload[0]
-            for b in msg.payload[1:]:
+        for _y, report in heard1.get(x, []):
+            y_label = report.payload[0]
+            for b in report.payload[1:]:
                 reporters.setdefault(b, set()).add(y_label)
         chosen[x] = [(min(ys), b) for b, ys in sorted(reporters.items())]
 
     msgs2 = {
-        x: sim.msg("hop3-choice", (x,) + tuple((y, b) for y, b in chosen[x]))
+        x: msg(sim, "hop3-choice", (x,) + tuple((y, b) for y, b in chosen[x]))
         for x in non_leaders
     }
     heard2 = token_passing(sim, msgs2)
@@ -106,9 +110,9 @@ def reference_three_hop_connection(sim, token_passing=reference_token_passing):
     for lab in leaders:
         v = views[lab]
         reports = {}
-        for _x, msg in heard2.get(lab, []):
-            x_label = msg.payload[0]
-            for y, b in msg.payload[1:]:
+        for _x, choice in heard2.get(lab, []):
+            x_label = choice.payload[0]
+            for y, b in choice.payload[1:]:
                 if b != lab:
                     reports.setdefault(b, []).append((x_label, y))
         mine = {}
@@ -131,13 +135,14 @@ def reference_three_hop_connection(sim, token_passing=reference_token_passing):
 
     fam = sim.base_ssf()
     msgs3 = {
-        lab: sim.msg(
+        lab: msg(
+            sim,
             "hop3-choice",
             (lab,) + tuple((x, y, b) for b, (x, y) in sorted(decisions[lab].items())),
         )
         for lab in leaders
     }
-    (announced,) = sim.ssf_broadcast(fam, [(msgs3, "three-hop-connection/announce")])
+    (announced,) = ssf_broadcast(sim, fam, [(msgs3, "three-hop-connection/announce")])
     for sender, listener in announced:
         v = views[listener]
         if v.status != HELPER and any(x == listener for x, _y, _b in msgs3[sender].payload[1:]):

@@ -19,11 +19,11 @@ import numpy as np
 
 from sinrbackbone import verify
 from sinrbackbone.errors import ExactBranchTooLargeError
-from sinrbackbone.physical import CommGraph, PhysicalInstance, components
+from sinrbackbone.physical import CommGraph, PhysicalInstance
 from sinrbackbone.protocol import BackboneResult
 from sinrbackbone.verify import Adjacency, Verdict
 
-from oracles import _arcs, bfs_distances, induced, is_dominating
+from oracles import _arcs, bfs_distances, components, induced, is_dominating
 
 
 def _bit_rows(rows: np.ndarray) -> np.ndarray:
