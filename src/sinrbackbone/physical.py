@@ -1,8 +1,10 @@
-"""Ground-truth physical layer: geometry, SINR reception, grid, dilution.
+"""Ground-truth physical layer: geometry, SINR reception, the communication
+graph, grid, dilution.
 
 Everything here sees station coordinates. Protocol code must never import
 positions from this module; it interacts with the physical layer only
-through round adjudication.
+through round adjudication and the communication graph (CommGraph, the one
+graph object, over the round engine's CSR list).
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from itertools import combinations, starmap
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from itertools import chain, combinations, starmap
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -180,6 +183,117 @@ def grid_index(inst: PhysicalInstance) -> GridIndex:
     )
 
 
+def bits_of(mask: int) -> Iterator[int]:
+    """The positions of mask's set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class CommGraph:
+    """The simple undirected communication graph on labels (weak link model).
+
+    It holds the labels in ascending order (nodes, and label_array) and one
+    CSR list: node i is nodes[i], and its neighbours, ascending, are the
+    positions nbrs[nbr_at[i] : nbr_at[i + 1]]; the engine's graph holds the
+    engine's own arrays. delta is the largest degree. Every other form is
+    derived when first read: adjacency (each label's neighbour labels as a
+    sorted tuple), the bitsets the checks read (bit i of a Python int is
+    node i, so a set's smallest label is its lowest set bit) and the closed
+    CSR list.
+    """
+
+    def __init__(self, nodes: list[int], nbrs: np.ndarray, nbr_at: np.ndarray):
+        self.nodes = nodes
+        self.label_array = np.array(nodes, dtype=int)
+        self.nbrs = nbrs
+        self.nbr_at = nbr_at
+        self.delta = int(np.diff(nbr_at).max(initial=0))
+
+    @staticmethod
+    def of(adj: Mapping[int, Collection[int]] | CommGraph) -> CommGraph:
+        """adj itself if it is a CommGraph, else the graph of a mapping from
+        each label to its neighbours' labels, in any order."""
+        if isinstance(adj, CommGraph):
+            return adj
+        nodes, n = sorted(adj), len(adj)
+        rows = [adj[u] for u in nodes]
+        degree = np.fromiter(map(len, rows), np.intp, n)
+        labels = np.fromiter(chain.from_iterable(rows), int, degree.sum())
+        # each entry keyed row * n + position, so one sort orders every row
+        keys = np.repeat(np.arange(n), degree) * n + np.searchsorted(nodes, labels)
+        return CommGraph(nodes, np.sort(keys) % n, np.concatenate(([0], degree.cumsum())))
+
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """label -> its neighbours' labels, ascending."""
+        nbrs = self.label_array[self.nbrs].tolist()
+        at = self.nbr_at.tolist()
+        return {lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(self.nodes)}
+
+    @cached_property
+    def closed_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The closed CSR list (nbrs, nbr_at): each open row with its own
+        node put in, keyed row * n + node and sorted as one array."""
+        n = len(self.nodes)
+        row = np.repeat(np.arange(n), np.diff(self.nbr_at))
+        keys = np.concatenate((row * n + self.nbrs, np.arange(n) * (n + 1)))
+        return np.sort(keys) % n, self.nbr_at + np.arange(n + 1)
+
+    @cached_property
+    def bit(self) -> dict[int, int]:
+        """Each label's bit: 1 << its position in nodes."""
+        return dict(zip(self.nodes, map((1).__lshift__, range(len(self.nodes)))))
+
+    @cached_property
+    def masks(self) -> list[int]:
+        """Row i: node i's neighbourhood as a bitset, packed from the CSR list."""
+        n = len(self.nodes)
+        size = -(-n // 8)  # bytes per row
+        bits = np.zeros(n * 8 * size, bool)
+        bits[np.repeat(np.arange(n) * 8 * size, np.diff(self.nbr_at)) + self.nbrs] = True
+        packed = np.packbits(bits, bitorder="little").tobytes()
+        return [int.from_bytes(packed[i * size : (i + 1) * size], "little") for i in range(n)]
+
+    @cached_property
+    def closed_rows(self) -> np.ndarray:
+        """Row i: node i's closed neighbourhood as 64-bit words, lowest first."""
+        size = 8 * -(-len(self.nodes) // 64)  # bytes per row
+        blob = b"".join((m | 1 << i).to_bytes(size, "little") for i, m in enumerate(self.masks))
+        return np.frombuffer(blob, "<u8").reshape(len(self.nodes), size // 8)
+
+    @property
+    def every(self) -> int:
+        return (1 << len(self.nodes)) - 1
+
+    def mask(self, labels: Iterable[int]) -> int:
+        out = 0
+        for u in labels:
+            out |= self.bit[u]
+        return out
+
+    def near(self, mask: int) -> int:
+        """Every neighbour of mask's nodes."""
+        masks, out = self.masks, 0
+        while mask:
+            low = mask & -mask
+            out |= masks[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def reach(self, start: int, within: int) -> int:
+        """The nodes of within that start's nodes reach through within."""
+        seen = frontier = start
+        while frontier:
+            frontier = self.near(frontier) & within & ~seen
+            seen |= frontier
+        return seen
+
+    def labels(self, mask: int) -> list[int]:
+        return [self.nodes[i] for i in bits_of(mask)]
+
+
 class PhysicsEngine:
     """Vectorized SINR adjudication for one instance, and the communication
     graph it implies.
@@ -194,10 +308,7 @@ class PhysicsEngine:
     def __init__(self, inst: PhysicalInstance):
         p = inst.params
         reach = broadcast_range(p)
-        self.labels = sorted(inst.labels)
-        self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.label_array = np.array(self.labels)
-        n = len(self.labels)
+        n = inst.n
         dist = distance_matrix(inst)
         if np.count_nonzero(dist == 0.0) > n:  # more zeros than the diagonal
             raise DegenerateDistanceError("coincident stations in instance")
@@ -208,30 +319,28 @@ class PhysicsEngine:
         np.fill_diagonal(self.in_range, False)
         # in_range as a CSR list: station i's in-range stations, ascending,
         # are nbrs[nbr_at[i] : nbr_at[i + 1]], with those pairs' gains in
-        # nbr_gain
+        # nbr_gain; the communication graph is built over it
         rows, self.nbrs = np.nonzero(self.in_range)
         self.nbr_at = np.searchsorted(rows, np.arange(n + 1))
         self.nbr_gain = self.gain[rows, self.nbrs]
         self.noise = p.noise
         self.beta = p.beta
+        self._graph = CommGraph(sorted(inst.labels), self.nbrs, self.nbr_at)
 
     def graph(self) -> CommGraph:
-        """The communication graph: label u adjacent to v iff in_range.
+        """The communication graph: label u adjacent to v iff in_range, over
+        the engine's own CSR list; every call returns the same object.
 
         Raises DisconnectedInstanceError when the graph is not connected,
         since every protocol in this package presumes connectivity.
         """
-        labs = self.labels
-        if not self._connected():
+        if not self._connected:
             raise DisconnectedInstanceError(
-                f"communication graph on {len(labs)} stations is not connected"
+                f"communication graph on {len(self._graph.nodes)} stations is not connected"
             )
-        nbrs = self.label_array[self.nbrs].tolist()
-        at = self.nbr_at.tolist()
-        return CommGraph(
-            adjacency={lab: tuple(nbrs[at[i] : at[i + 1]]) for i, lab in enumerate(labs)}
-        )
+        return self._graph
 
+    @cached_property
     def _connected(self) -> bool:
         """Whether the graph is connected, on the CSR list. Every station
         holds a component label, at first its own index. Each round, a
@@ -242,7 +351,7 @@ class PhysicsEngine:
         within a component, and when a round changes none, each component
         holds its least index.
         """
-        n = len(self.labels)
+        n = len(self.nbr_at) - 1
         if n == 1:
             return True
         if not np.diff(self.nbr_at).all():  # an isolated station
@@ -280,7 +389,7 @@ class PhysicsEngine:
         round's whole gain rows. A station that transmits in a round hears
         nothing in it.
         """
-        n = len(self.labels)
+        n = len(self.gain)
         # every (transmission, in-range listener) pair, by its CSR position
         lo = self.nbr_at[senders]
         count = self.nbr_at[senders + 1] - lo
@@ -314,11 +423,11 @@ class PhysicsEngine:
         return pair_tx[heard], listener[heard]
 
     def deliver(self, transmitters: Sequence[int]) -> list[tuple[int, int]]:
-        """Successful (sender, receiver) pairs for one round, sorted. A
-        station listed twice transmits once."""
-        senders = sorted_distinct(np.array([self.index[t] for t in transmitters], dtype=np.intp))
+        """Successful (sender, receiver) pairs for one round, sorted, of
+        labels of the instance. A station listed twice transmits once."""
+        labels = self._graph.label_array
+        senders = sorted_distinct(labels.searchsorted(np.array(transmitters, dtype=int)))
         tx, rx = self.adjudicate(np.zeros_like(senders), senders)
-        labels = self.label_array
         return list(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
 
 
@@ -340,20 +449,9 @@ def index_ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
     return np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)
 
 
-@dataclass(frozen=True)
-class CommGraph:
-    """Undirected communication graph on labels (weak link model)."""
-
-    adjacency: Mapping[int, tuple[int, ...]]  # label -> sorted neighbor labels
-
-    @property
-    def delta(self) -> int:
-        return max((len(nb) for nb in self.adjacency.values()), default=0)
-
-
 def build_graph(inst: PhysicalInstance) -> CommGraph:
-    """Communication graph with edges at distance <= range (inclusive): the
-    round engine's graph. Raises DisconnectedInstanceError when it is not
+    """Communication graph with edges at distance <= range (inclusive): a
+    new round engine's graph. Raises DisconnectedInstanceError when it is not
     connected and DegenerateDistanceError when two stations coincide."""
     return PhysicsEngine(inst).graph()
 

@@ -386,7 +386,7 @@ class Simulator:
                 delta=delta,
                 neighbors=self.graph.adjacency[lab],
             )
-            for lab in sorted(inst.labels)
+            for lab in self.graph.nodes
         }
         self.phase_snapshots: list[tuple[int, dict[int, str]]] = []
         self.token_records: list[TokenRecord] = []
@@ -495,9 +495,8 @@ class Simulator:
         engine as index arrays. Only the heard pairs are derived here; see
         _Batch for the rest.
         """
-        eng = self.engine
-        n = len(eng.labels)
-        labels = eng.label_array
+        n = len(self.graph.nodes)
+        labels = self.graph.label_array
         size, P = family.size, family.P
         slot = np.frombuffer(b"".join([s for _c, s, _o in schedules]), np.int64)
         owner_labels = np.frombuffer(b"".join([o for _c, _s, o in schedules]), np.int64)
@@ -516,7 +515,7 @@ class Simulator:
         tx_row_key, tx_station = np.divmod(tx_key, n)
         new_row = _run_starts(tx_row_key)  # tx_row_key is sorted
         tx_row = new_row.cumsum() - 1
-        dl_tx, dl_rx = eng.adjudicate(tx_row, tx_station)
+        dl_tx, dl_rx = self.engine.adjudicate(tx_row, tx_station)
 
         # the distinct (slot, listener) pairs heard, sorted: every listener
         # of the transmission that carries each slot membership
@@ -597,12 +596,12 @@ def leader_election(sim: Simulator) -> None:
     as one Execution per bucket.
     """
     views = sim.views
-    eng = sim.engine
+    graph = sim.graph
     n_labels = sim.inst.n_labels
     fam_ssf = sim.base_ssf()
-    delta = sim.graph.delta
-    labels = eng.labels
-    degree = np.diff(eng.nbr_at)
+    delta = graph.delta
+    labels = graph.nodes
+    degree = np.diff(graph.nbr_at)
     selectors = sim.families.leader_selectors(delta)
     phases = [f"leader-election/i={i}" for i in range(len(selectors))]
     ends = list(accumulate(fam.size for fam in selectors))  # where each bucket's rows end
@@ -614,10 +613,10 @@ def leader_election(sim: Simulator) -> None:
         # a station is in one set per point, ascending, and shares it with a
         # neighbor where their polynomials agree; todo[edge] -> nbr are the
         # edges of the todo stations
-        sets = fam_sel.rounds_for(eng.label_array)
+        sets = fam_sel.rounds_for(graph.label_array)
         count = degree[todo]
         edge = np.repeat(np.arange(len(todo)), count)
-        nbr = eng.nbrs[index_ranges(eng.nbr_at[todo], count)]
+        nbr = graph.nbrs[index_ranges(graph.nbr_at[todo], count)]
         e, x = np.nonzero(sets[todo[edge]] == sets[nbr])
         marked = np.ones((len(todo), fam_sel.P), dtype=bool)
         marked[edge[e], x] = False
@@ -625,7 +624,7 @@ def leader_election(sim: Simulator) -> None:
         first[todo[hit]] = ends[i] - fam_sel.size + sets[todo[hit], marked[hit].argmax(axis=1)]
     order = np.argsort(first, kind="stable")
     by_row, row_of = order.tolist(), first[order].tolist()
-    nbrs, nbr_at = eng.nbrs.tolist(), eng.nbr_at.tolist()
+    nbrs, nbr_at = graph.nbrs.tolist(), graph.nbr_at.tolist()
 
     def speculate(g: int) -> list[tuple[int, list[int], set[int]]]:
         """Each row from g on that transmits, with its leaders and the
@@ -704,15 +703,15 @@ def _leader_tables(sim: Simulator) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Each leader's i-th neighbor, for i = 1..Delta, as (at, leaders,
     members): iteration i maps leaders[at[i-1] : at[i]], ascending, each
     to the same row of members."""
-    eng = sim.engine
+    g = sim.graph
     views = sim.views
-    lead = np.flatnonzero([views[lab].status == LEADER for lab in eng.labels])
-    degree = np.diff(eng.nbr_at)[lead]
-    nbr = eng.nbrs[index_ranges(eng.nbr_at[lead], degree)]
+    lead = np.flatnonzero([views[lab].status == LEADER for lab in g.nodes])
+    degree = np.diff(g.nbr_at)[lead]
+    nbr = g.nbrs[index_ranges(g.nbr_at[lead], degree)]
     i = np.arange(len(nbr)) - np.repeat(degree.cumsum() - degree, degree)
     order = np.argsort(i, kind="stable")  # by i, then leader
-    labels = eng.label_array
-    at = i[order].searchsorted(np.arange(sim.graph.delta + 1)).tolist()
+    labels = g.label_array
+    at = i[order].searchsorted(np.arange(g.delta + 1)).tolist()
     return at, labels[np.repeat(lead, degree)][order], labels[nbr][order]
 
 
@@ -756,8 +755,8 @@ def neighborhood_inform(sim: Simulator) -> None:
         pos.append(p + lo)
         listener.append(lab)
     pos, listener = np.concatenate(pos), np.concatenate(listener)
-    keep = np.array([sim.views[u].status != LEADER for u in sim.engine.labels])
-    keep = keep[sim.engine.label_array.searchsorted(listener)]
+    keep = np.array([sim.views[u].status != LEADER for u in sim.graph.nodes])
+    keep = keep[sim.graph.label_array.searchsorted(listener)]
     sim.learned = np.column_stack([listener, leaders[pos], members[pos]])[keep]
 
 

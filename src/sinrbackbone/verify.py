@@ -3,6 +3,10 @@
 Checks here may read station positions (pivotal grid, dilution trials);
 they run after a protocol completes and never feed information back into
 node decisions.
+
+Every check and replay reads the graph as a physical.CommGraph: its label
+bitsets and its closed CSR list. The run's graph is read as it is; a
+plain mapping of neighbour labels becomes one through CommGraph.of.
 """
 
 from __future__ import annotations
@@ -10,9 +14,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,6 +26,7 @@ from .physical import (
     PhysicalInstance,
     PhysicsEngine,
     SinrParams,
+    bits_of,
     broadcast_range,
     distance,
     grid_box,
@@ -58,129 +62,27 @@ class Verdict:
         }
 
 
-# ---------------------------------------------------------------------------
-# One representation of a graph for every check.
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The positions of mask's set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _lowest(mask: int) -> int:
     """The position of mask's lowest set bit."""
     return (mask & -mask).bit_length() - 1
 
 
-class LabelGraph:
-    """A simple undirected graph as the checks read it: no self-loops, and
-    v in adj[u] exactly when u in adj[v].
-
-    nodes holds the labels in ascending order; node i is nodes[i] and bit i
-    of a bitset (a Python int). masks[i] is node i's neighbourhood, so the
-    smallest label of a set is its lowest set bit. The CSR list csr, as
-    PhysicsEngine keeps it but closed, holds node i and its neighbours,
-    ascending, at nbrs[nbr_at[i] : nbr_at[i + 1]]; it is unpacked from the
-    bitsets when first read.
-    """
-
-    def __init__(self, nodes: list[int], masks: list[int]):
-        self.nodes = nodes
-        self.masks = masks
-
-    @staticmethod
-    def of(adj: Adjacency | CommGraph | LabelGraph) -> LabelGraph:
-        """adj itself if it is a LabelGraph, else a LabelGraph of it."""
-        if isinstance(adj, LabelGraph):
-            return adj
-        if isinstance(adj, CommGraph):
-            adj = adj.adjacency
-        nodes = sorted(adj)
-        bit = _bit_of(nodes)
-        return LabelGraph(nodes, [sum(map(bit.__getitem__, adj[u])) for u in nodes])
-
-    @cached_property
-    def bit(self) -> dict[int, int]:
-        return _bit_of(self.nodes)
-
-    @property
-    def every(self) -> int:
-        return (1 << len(self.nodes)) - 1
-
-    def mask(self, labels: Iterable[int]) -> int:
-        out = 0
-        for u in labels:
-            out |= self.bit[u]
-        return out
-
-    def near(self, mask: int) -> int:
-        """Every neighbour of mask's nodes."""
-        masks, out = self.masks, 0
-        while mask:
-            low = mask & -mask
-            out |= masks[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def reach(self, start: int, within: int) -> int:
-        """The nodes of within that start's nodes reach through within."""
-        seen = frontier = start
-        while frontier:
-            frontier = self.near(frontier) & within & ~seen
-            seen |= frontier
-        return seen
-
-    def labels(self, mask: int) -> list[int]:
-        return [self.nodes[i] for i in _bits(mask)]
-
-    @cached_property
-    def closed_rows(self) -> np.ndarray:
-        """Row i: node i's closed neighbourhood as 64-bit words."""
-        return _words([m | 1 << i for i, m in enumerate(self.masks)], len(self.nodes))
-
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The closed CSR list (nbrs, nbr_at)."""
-        bits = np.unpackbits(self.closed_rows.view(np.uint8), axis=1, bitorder="little")
-        row, nbrs = np.nonzero(bits)
-        return nbrs, np.searchsorted(row, np.arange(len(self.nodes) + 1))
-
-
-def _bit_of(nodes: list[int]) -> dict[int, int]:
-    """Each label's bit: 1 << its position in nodes."""
-    return dict(zip(nodes, map((1).__lshift__, range(len(nodes)))))
-
-
-def _words(masks: list[int], n: int) -> np.ndarray:
-    """Bitsets over n nodes as rows of ceil(n/64) uint64 words, the lowest
-    first."""
-    words = -(-n // 64)
-    blob = b"".join(m.to_bytes(8 * words, "little") for m in masks)
-    return np.frombuffer(blob, "<u8").reshape(len(masks), words)
-
-
-def diameter(adj: Adjacency | LabelGraph) -> int:
+def diameter(adj: Adjacency | CommGraph) -> int:
     """Largest hop distance from a node to another; -1 if some node does not
     reach every other, 0 for no nodes.
 
     One breadth-first search from all sources at once: word w of node i's
     reach row holds 64 bits of the nodes within `levels` hops of node i,
     starting from the closed rows at one level. A level ORs, for every
-    node, the rows of its closed neighbourhood (the CSR list), one
+    node, the rows of its closed neighbourhood (the closed CSR list), one
     `np.bitwise_or.reduceat` per word, O(m n / 64) word operations. The
     diameter is the number of levels until every row is full.
     """
-    g = LabelGraph.of(adj)
-    n = len(g.nodes)
-    if n <= 1:
+    g = CommGraph.of(adj)
+    if len(g.nodes) <= 1:
         return 0
-    if not any(g.masks):
-        return -1  # no edges: the first level grows no row
-    nbrs, nbr_at = g.csr
-    full = _words([g.every], n)[0]
+    nbrs, nbr_at = g.closed_csr
+    full = np.bitwise_or.reduce(g.closed_rows)  # each node is in its own row
     reach = list(np.ascontiguousarray(g.closed_rows.T))  # one array per word
     levels = 1
     while not all((word == f).all() for word, f in zip(reach, full)):
@@ -195,10 +97,10 @@ def diameter(adj: Adjacency | LabelGraph) -> int:
 # Exact and surrogate minimum connected dominating sets.
 
 
-def min_cds(adj: Adjacency | LabelGraph) -> set[int]:
+def min_cds(adj: Adjacency | CommGraph) -> set[int]:
     """Exact minimum connected dominating set by subset enumeration, in
     label order, for at most EXACT_CAP nodes."""
-    g = LabelGraph.of(adj)
+    g = CommGraph.of(adj)
     nodes = g.nodes
     if len(nodes) > EXACT_CAP:
         raise ExactBranchTooLargeError(
@@ -218,7 +120,7 @@ def min_cds(adj: Adjacency | LabelGraph) -> set[int]:
     raise AssertionError("connected input must admit a CDS")
 
 
-def greedy_cds(adj: Adjacency | LabelGraph) -> set[int]:
+def greedy_cds(adj: Adjacency | CommGraph) -> set[int]:
     """Greedy CDS surrogate for instances too large for the exact branch.
 
     Cover: repeatedly choose the node whose closed neighbourhood holds the
@@ -230,11 +132,11 @@ def greedy_cds(adj: Adjacency | LabelGraph) -> set[int]:
     node's neighbours in ascending label order, to the first chosen node
     outside it, and add the path's inner nodes.
     """
-    g = LabelGraph.of(adj)
+    g = CommGraph.of(adj)
     nodes = g.nodes
     if len(nodes) == 1:
         return {nodes[0]}
-    nbrs, nbr_at = g.csr
+    nbrs, nbr_at = g.closed_csr
     uncovered = np.ones(len(nodes), np.intp)
     chosen = 0
     while uncovered.any():
@@ -247,7 +149,7 @@ def greedy_cds(adj: Adjacency | LabelGraph) -> set[int]:
     return set(g.labels(chosen))
 
 
-def _search_path(g: LabelGraph, start: int, targets: int) -> tuple[int, ...]:
+def _search_path(g: CommGraph, start: int, targets: int) -> tuple[int, ...]:
     """The path a breadth-first search from the nodes of start takes to
     the first node of targets outside start, from a node of start to that
     node's discoverer (positions in g.nodes). The search visits start's
@@ -274,11 +176,11 @@ def _search_path(g: LabelGraph, start: int, targets: int) -> tuple[int, ...]:
             return (v,)
         if v not in chains:
             nearer = masks[v] & levels[level - 1]
-            chains[v] = min(chain(w, level - 1) for w in _bits(nearer)) + (v,)
+            chains[v] = min(chain(w, level - 1) for w in bits_of(nearer)) + (v,)
         return chains[v]
 
     last = len(levels) - 1
-    return min(chain(u, last) for u in _bits(levels[last] & g.near(found)))
+    return min(chain(u, last) for u in bits_of(levels[last] & g.near(found)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +188,26 @@ def _search_path(g: LabelGraph, start: int, targets: int) -> tuple[int, ...]:
 
 
 def expected_two_hop(
-    adj: Adjacency | LabelGraph, leaders: Iterable[int]
+    adj: Adjacency | CommGraph, leaders: Iterable[int]
 ) -> dict[tuple[int, int], int]:
     """Minimum-label common neighbor for every leader pair at distance 2.
 
     A leader's partners are the leaders among its neighbours' neighbours,
     found by bitset unions, not by a BFS."""
-    g = LabelGraph.of(adj)
+    g = CommGraph.of(adj)
     nodes, masks = g.nodes, g.masks
     lead = g.mask(leaders)
     out: dict[tuple[int, int], int] = {}
-    for s in _bits(lead):
+    for s in bits_of(lead):
         near = masks[s]
         later = lead & ~near & -(2 << s)  # leaders after s that are not neighbours
-        for t in _bits(g.near(near) & later):
+        for t in bits_of(g.near(near) & later):
             out[(nodes[s], nodes[t])] = nodes[_lowest(near & masks[t])]
     return out
 
 
 def expected_three_hop(
-    adj: Adjacency | LabelGraph, leaders: Iterable[int]
+    adj: Adjacency | CommGraph, leaders: Iterable[int]
 ) -> dict[tuple[int, int], tuple[int, int]]:
     """Replay of the minimum-label choice rule for leader pairs at distance 3.
 
@@ -317,15 +219,15 @@ def expected_three_hop(
     partners are the leaders next to its distance-2 nodes, not found by a
     BFS.
     """
-    g = LabelGraph.of(adj)
+    g = CommGraph.of(adj)
     nodes, masks = g.nodes, g.masks
     lead = g.mask(leaders)
-    second = {s: g.near(masks[s]) for s in _bits(lead)}  # the neighbours' neighbours
+    second = {s: g.near(masks[s]) for s in bits_of(lead)}  # the neighbours' neighbours
     out: dict[tuple[int, int], tuple[int, int]] = {}
-    for s in _bits(lead):
+    for s in bits_of(lead):
         ns = masks[s]
         ball = ns | second[s] | 1 << s  # within 2 hops
-        for t in _bits(g.near(ball & ~ns & ~(1 << s)) & lead & ~ball):
+        for t in bits_of(g.near(ball & ~ns & ~(1 << s)) & lead & ~ball):
             nt = masks[t]
             side_s, side_t = ns & second[t], nt & second[s]
             a = _lowest(side_s | side_t)
@@ -340,21 +242,21 @@ def expected_three_hop(
 # The five backbone checks.
 
 
-def backbone_graph(result: BackboneResult, graph: CommGraph | LabelGraph) -> LabelGraph:
+def backbone_graph(result: BackboneResult, graph: CommGraph) -> CommGraph:
     """The backbone: its members (leaders and helpers) with the graph's
     edges between them, plus the result's backbone edges."""
-    g = LabelGraph.of(graph)
+    g = CommGraph.of(graph)
     bit = g.bit
     members = g.mask(result.leaders) | g.mask(result.helpers)
-    sub = {g.nodes[i]: g.masks[i] & members for i in _bits(members)}
+    sub = {g.nodes[i]: g.masks[i] & members for i in bits_of(members)}
     for u, v in result.backbone_edges:
         sub[u] = sub.get(u, 0) | bit[v]
         sub[v] = sub.get(v, 0) | bit[u]
-    return LabelGraph.of({u: g.labels(m) for u, m in sub.items()})
+    return CommGraph.of({u: g.labels(m) for u, m in sub.items()})
 
 
-def check_dominating(result: BackboneResult, graph: CommGraph | LabelGraph) -> Verdict:
-    g = LabelGraph.of(graph)
+def check_dominating(result: BackboneResult, graph: CommGraph) -> Verdict:
+    g = CommGraph.of(graph)
     leaders = g.mask(result.leaders)
     missed = g.every & ~(leaders | g.mask(result.helpers) | g.near(leaders))
     if missed:
@@ -365,8 +267,8 @@ def check_dominating(result: BackboneResult, graph: CommGraph | LabelGraph) -> V
 
 def check_connected_backbone(
     result: BackboneResult,
-    graph: CommGraph | LabelGraph,
-    backbone: Optional[LabelGraph] = None,
+    graph: CommGraph,
+    backbone: Optional[CommGraph] = None,
 ) -> Verdict:
     """backbone, if given, is backbone_graph(result, graph)."""
     sub = backbone if backbone is not None else backbone_graph(result, graph)
@@ -402,17 +304,16 @@ DEGREE_BOUND = geometric_degree_bound()  # backbone degree <= DEGREE_BOUND
 
 def check_constant_degree(
     result: BackboneResult,
-    graph: CommGraph | LabelGraph,
-    backbone: Optional[LabelGraph] = None,
+    graph: CommGraph,
+    backbone: Optional[CommGraph] = None,
 ) -> Verdict:
     """backbone, if given, is backbone_graph(result, graph). The witness is
     the smallest label of the largest degree."""
     bound = DEGREE_BOUND
     sub = backbone if backbone is not None else backbone_graph(result, graph)
-    degrees = [m.bit_count() for m in sub.masks]
-    worst = max(degrees, default=0)
+    worst = sub.delta
     passed = worst <= bound
-    worst_node = sub.nodes[degrees.index(worst)] if worst else None
+    worst_node = sub.nodes[int(np.diff(sub.nbr_at).argmax())] if worst else None
     return Verdict(
         "constant-degree",
         passed,
@@ -423,12 +324,12 @@ def check_constant_degree(
 
 def check_diameter(
     result: BackboneResult,
-    graph: CommGraph | LabelGraph,
-    backbone: Optional[LabelGraph] = None,
+    graph: CommGraph,
+    backbone: Optional[CommGraph] = None,
 ) -> Verdict:
     """backbone, if given, is backbone_graph(result, graph)."""
     factor, slack = DIAMETER_FACTOR, DIAMETER_SLACK
-    g = LabelGraph.of(graph)
+    g = CommGraph.of(graph)
     d_graph = diameter(g)
     sub = backbone if backbone is not None else backbone_graph(result, g)
     d_back = diameter(sub) if sub.nodes else -1
@@ -446,9 +347,9 @@ def check_diameter(
     )
 
 
-def check_size_ratio(result: BackboneResult, graph: CommGraph | LabelGraph) -> Verdict:
+def check_size_ratio(result: BackboneResult, graph: CommGraph) -> Verdict:
     c_s = SIZE_FACTOR
-    g = LabelGraph.of(graph)
+    g = CommGraph.of(graph)
     members = set(result.leaders) | set(result.helpers)
     if len(g.nodes) <= EXACT_CAP:
         optimum = min_cds(g)
@@ -480,18 +381,18 @@ def check_leader_grid(result: BackboneResult, inst: PhysicalInstance) -> Verdict
 
 
 def check_bucket_coverage(
-    graph: CommGraph | LabelGraph,
+    graph: CommGraph,
     snapshots: Sequence[tuple[int, Mapping[int, str]]],
     delta: int,
 ) -> Verdict:
     """Per-bucket induction: after selector phase i, every node of degree at
     least ceil(Delta / 2^(i+1)) is a leader or a neighbor of one. The
     witness is the smallest label that is not."""
-    g = LabelGraph.of(graph)
+    g = CommGraph.of(graph)
     for i, statuses in snapshots:
         threshold = -(-delta // (2 ** (i + 1))) if delta else 0
         leaders = g.mask(u for u, s in statuses.items() if s == "leader")
-        for u in _bits(g.every & ~(leaders | g.near(leaders))):
+        for u in bits_of(g.every & ~(leaders | g.near(leaders))):
             if g.masks[u].bit_count() >= threshold:
                 return Verdict("bucket-coverage", False, witness=(i, g.nodes[u]))
     return Verdict("bucket-coverage", True, metrics={"phases": len(snapshots)})
@@ -500,8 +401,8 @@ def check_bucket_coverage(
 def run_all_checks(
     result: BackboneResult, inst: PhysicalInstance, graph: CommGraph
 ) -> list[Verdict]:
-    """Every check, on one LabelGraph of the graph and one of the backbone."""
-    g = LabelGraph.of(graph)
+    """Every check, on one CommGraph of the graph and one of the backbone."""
+    g = CommGraph.of(graph)
     sub = backbone_graph(result, g)
     return [
         check_dominating(result, g),

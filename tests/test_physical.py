@@ -14,6 +14,7 @@ from sinrbackbone.errors import (
     UnboundedRangeError,
 )
 from sinrbackbone.physical import (
+    CommGraph,
     PhysicsEngine,
     SinrParams,
     broadcast_range,
@@ -227,15 +228,85 @@ def test_graph_is_rejected_exactly_when_the_csr_list_has_two_components(points):
     # components over the same neighbour lists must agree (stations on a
     # 0.1 grid, range 1)
     stations = [(i + 1, 0.1 * x, 0.1 * y) for i, (x, y) in enumerate(points)]
-    eng = PhysicsEngine(make_instance(stations, P_UNIT, 32))
+    inst = make_instance(stations, P_UNIT, 32)
+    eng = PhysicsEngine(inst)
+    labels = sorted(inst.labels)
     at = eng.nbr_at.tolist()
-    labels = eng.label_array[eng.nbrs].tolist()
-    adj = {lab: labels[at[i] : at[i + 1]] for i, lab in enumerate(eng.labels)}
+    nbrs = [labels[j] for j in eng.nbrs.tolist()]
+    adj = {lab: nbrs[at[i] : at[i + 1]] for i, lab in enumerate(labels)}
     if len(components(adj)) > 1:
         with pytest.raises(DisconnectedInstanceError):
             eng.graph()
     else:
         assert eng.graph().adjacency == {u: tuple(vs) for u, vs in adj.items()}
+
+
+def _plain_graph(adj):
+    """A mapping's graph in plain Python: its nodes, its open and closed
+    CSR lists (positions, ascending), its bitsets and its largest degree."""
+    nodes = sorted(adj)
+    index = {u: i for i, u in enumerate(nodes)}
+    rows = [sorted(index[v] for v in adj[u]) for u in nodes]
+    closed = [sorted(row + [i]) for i, row in enumerate(rows)]
+
+    def csr(rows):
+        return [j for row in rows for j in row], list(itertools.accumulate(map(len, rows), initial=0))
+
+    masks = [sum(1 << j for j in row) for row in rows]
+    return nodes, csr(rows), csr(closed), masks, max(map(len, rows), default=0)
+
+
+def _graph_parts(g):
+    """The same five parts, read from a CommGraph."""
+    closed = tuple(a.tolist() for a in g.closed_csr)
+    return g.nodes, (g.nbrs.tolist(), g.nbr_at.tolist()), closed, g.masks, g.delta
+
+
+@given(
+    points=st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30, unique=True
+    ),
+    labels=st.permutations(range(1, 65)),
+)
+@settings(max_examples=200, deadline=None)
+@example(points=[(0, 0)], labels=range(1, 65))  # one station: no edge, its closed row itself
+def test_engine_graph_equals_the_graph_of_its_adjacency(points, labels):
+    # stations on a 0.1 grid, range 1, labels drawn from 1..64 so that a
+    # set of neighbour labels does not iterate in ascending order
+    inst = make_instance(
+        [(lab, 0.1 * x, 0.1 * y) for lab, (x, y) in zip(labels, points)], P_UNIT, 64
+    )
+    eng = PhysicsEngine(inst)
+    try:
+        g = eng.graph()
+    except DisconnectedInstanceError:
+        assume(False)
+    want = _plain_graph(g.adjacency)
+    assert _graph_parts(g) == want
+    assert CommGraph.of(g) is g
+    # the mapping's keys in descending order, its neighbours as sets
+    as_sets = {u: set(g.adjacency[u]) for u in sorted(g.adjacency, reverse=True)}
+    for adj in (g.adjacency, as_sets):
+        h = CommGraph.of(adj)
+        assert _graph_parts(h) == want
+        assert h.adjacency == g.adjacency
+        assert h.label_array.tolist() == g.label_array.tolist() == g.nodes
+        assert h.bit == g.bit == {u: 1 << i for i, u in enumerate(g.nodes)}
+        assert h.nbrs.dtype == g.nbrs.dtype and h.nbr_at.dtype == g.nbr_at.dtype
+    if len(points) == 1:
+        assert g.delta == 0 and _graph_parts(g)[2] == ([0], [0, 1])
+
+
+def test_engine_graph_is_one_object_over_the_engines_arrays():
+    eng = PhysicsEngine(make_instance([(3, 0, 0), (1, 0.6, 0), (2, 1.2, 0)], P_UNIT, 4))
+    g = eng.graph()
+    assert eng.graph() is g
+    assert g.nbrs is eng.nbrs and g.nbr_at is eng.nbr_at
+    assert g.adjacency is g.adjacency == {1: (2, 3), 2: (1,), 3: (1,)}
+    apart = PhysicsEngine(make_instance([(1, 0, 0), (2, 5, 0)], P_UNIT, 4))
+    for _ in range(2):
+        with pytest.raises(DisconnectedInstanceError):
+            apart.graph()
 
 
 def test_graph_engine_and_receives_agree_at_the_range_boundary():
@@ -271,7 +342,7 @@ def test_lone_transmitter_reaches_exactly_its_graph_neighbors_at_range():
             inst = make_instance([(i + 1, x, y) for i, (x, y) in enumerate(points)], params, 16)
             eng = PhysicsEngine(inst)
             # the graph's edges at 1 (the points may not be connected)
-            edges = [eng.labels[j] for j in np.flatnonzero(eng.in_range[0])]
+            edges = [sorted(inst.labels)[j] for j in np.flatnonzero(eng.in_range[0])]
             got = [v for _, v in eng.deliver([1])]
             expected = [v for v in range(2, 10) if receives(1, v, [1], inst)]
             if not (got == expected == list(edges)):
@@ -496,17 +567,18 @@ def _engine_layouts(draw):
     return inst, member
 
 
-def _loop_deliver(eng, transmitters):
-    """The round engine's one-round loop before batching: the reference."""
-    idx = np.array([eng.index[t] for t in transmitters], dtype=int)
+def _loop_deliver(eng, labels, transmitters):
+    """The round engine's one-round loop before batching: the reference.
+    labels are the instance's labels, ascending."""
+    idx = np.array([labels.index(t) for t in transmitters], dtype=int)
     g = eng.gain[idx]
     total = g.sum(axis=0) + eng.noise
-    listener = np.ones(len(eng.labels), dtype=bool)
+    listener = np.ones(len(labels), dtype=bool)
     listener[idx] = False
     out = []
     for row, t_lab, i in zip(g, transmitters, idx):
         ok = listener & eng.in_range[i] & (row >= eng.beta * (total - row))
-        out.extend((t_lab, eng.labels[j]) for j in np.flatnonzero(ok))
+        out.extend((t_lab, labels[j]) for j in np.flatnonzero(ok))
     return sorted(out)
 
 
@@ -515,7 +587,7 @@ def _loop_deliver(eng, transmitters):
 def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     inst, member = layout
     eng = PhysicsEngine(inst)
-    labels = eng.labels
+    labels = sorted(inst.labels)
     pos = dict(inst.stations)
     rounds, senders = np.nonzero(member)
     t, rx = eng.adjudicate(rounds, senders)
@@ -524,7 +596,7 @@ def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     for row, mask in enumerate(member):
         tx = [labels[i] for i in np.flatnonzero(mask)]
         got = [(labels[s], labels[j]) for r, s, j in batch if r == row]
-        assert got == eng.deliver(tx) == _loop_deliver(eng, tx)
+        assert got == eng.deliver(tx) == _loop_deliver(eng, labels, tx)
         for s in tx:
             for v in labels:
                 if v in tx:
@@ -602,10 +674,11 @@ def _edge_layout(faint_first):
     return make_instance(stations, P_UNIT, 203), sender, listener
 
 
-def _verdict(eng, sender, listener, gains, noise_first=False):
+def _verdict(eng, index, sender, listener, gains, noise_first=False):
     """The scalar SINR test with the round's gains summed in the given
-    order: signal >= (sum + noise - signal) * beta, from 0.0 or noise."""
-    signal = eng.gain[eng.index[sender], eng.index[listener]]
+    order: signal >= (sum + noise - signal) * beta, from 0.0 or noise.
+    index maps each label to its station index."""
+    signal = eng.gain[index[sender], index[listener]]
     total = eng.noise if noise_first else 0.0
     for g in gains:
         total += g
@@ -618,13 +691,15 @@ def _verdict(eng, sender, listener, gains, noise_first=False):
 def test_interference_is_summed_in_ascending_label_order(faint_first):
     inst, sender, listener = _edge_layout(faint_first)
     eng = PhysicsEngine(inst)
-    senders = np.array([eng.index[lab] for lab in eng.labels if lab != listener])
-    gains = eng.gain[senders, eng.index[listener]].tolist()  # ascending labels
-    ascending = _verdict(eng, sender, listener, gains)
+    labels = np.array(sorted(inst.labels))
+    index = {lab: i for i, lab in enumerate(labels.tolist())}
+    senders = np.flatnonzero(labels != listener)
+    gains = eng.gain[senders, index[listener]].tolist()  # ascending labels
+    ascending = _verdict(eng, index, sender, listener, gains)
     # the fixture sits where the order decides the verdict
-    assert ascending != _verdict(eng, sender, listener, gains[::-1])
+    assert ascending != _verdict(eng, index, sender, listener, gains[::-1])
     if faint_first:
-        assert ascending != _verdict(eng, sender, listener, gains, noise_first=True)
+        assert ascending != _verdict(eng, index, sender, listener, gains, noise_first=True)
     tx, rx = eng.adjudicate(np.zeros_like(senders), senders)
-    heard = set(zip(eng.label_array[senders[tx]].tolist(), eng.label_array[rx].tolist()))
+    heard = set(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
     assert ((sender, listener) in heard) == ascending

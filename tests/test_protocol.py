@@ -394,8 +394,7 @@ def test_leader_election_redoes_a_failed_speculation():
     sender, deaf = next(
         (s, r) for s, r in sorted(heard) if [x for x, y in heard if y == r] == [s]
     )
-    index = plain.engine.index
-    a, b = index[sender], index[deaf]
+    a, b = plain.graph.label_array.searchsorted([sender, deaf])
 
     def drop(real, rounds, senders):
         dl_tx, dl_rx = real(rounds, senders)
@@ -917,7 +916,7 @@ def test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit():
     sim = Simulator(inst)
     eng = sim.engine
     adjudicate = eng.adjudicate
-    n = len(eng.labels)
+    n = len(sim.graph.nodes)
     batches = []
 
     def checked(rounds, senders):
@@ -963,14 +962,14 @@ class _Scheduled(Simulator):
             yield from super().execute(family, batch)
 
 
-def _dense_records(eng, family, slots, owners):
+def _dense_records(sim, family, slots, owners):
     """rounds, transmissions and deliveries of one execution, as the dense
     reference engine adjudicates its membership matrix."""
-    labels = eng.label_array
+    labels = sim.graph.label_array
     member = np.zeros((family.size, len(labels)), dtype=bool)
-    member[family.rounds_for(slots), np.array([eng.index[u] for u in owners])[:, None]] = True
+    member[family.rounds_for(slots), labels.searchsorted(owners)[:, None]] = True
     rows = np.flatnonzero(member.any(axis=1))
-    rounds, senders, tx, rx = dense_adjudicate(eng, member[rows])
+    rounds, senders, tx, rx = dense_adjudicate(sim.engine, member[rows])
     return (
         rows.astype(np.int32),
         np.column_stack([rounds, labels[senders]]).astype(np.int32),
@@ -996,7 +995,7 @@ def test_every_reused_plan_matches_fresh_plans_and_the_dense_engine():
     recorded = [ex for ex in reused.sink.executions if ex.message is not None]
     assert len(recorded) == len(reused.schedules)
     for ex, schedule in zip(recorded, reused.schedules):
-        want = _dense_records(reused.engine, *schedule)
+        want = _dense_records(reused, *schedule)
         for name, y in zip(("rounds", "transmissions", "deliveries"), want):
             x = getattr(ex, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), (ex.phase, name)
@@ -1231,7 +1230,7 @@ def test_three_hop_uses_only_the_reports_a_node_heard(monkeypatch):
         two_hop_connection(sim)
         eng = sim.engine
         adjudicate = eng.adjudicate
-        lost = (eng.index[3], eng.index[5])
+        lost = tuple(sim.graph.label_array.searchsorted([3, 5]))
 
         def deaf(rounds, senders, adjudicate=adjudicate, lost=lost):
             dl_tx, dl_rx = adjudicate(rounds, senders)
