@@ -34,7 +34,6 @@ from .physical import (
 from .protocol import (
     Execution,
     Families,
-    Message,
     ProtocolConfig,
     backbone_creation,
 )
@@ -122,12 +121,19 @@ class FileSink:
     Each record is written with one call, emit() or skip(), straight from
     its arrays: a record's sorted-key JSON is assembled from string
     templates, byte for byte what json.dumps(..., sort_keys=True) writes.
-    A silent record of several executions is written by one skip() call,
-    as the same bytes as that many silent executions."""
+    What the executions that share a plan have in common is formatted once
+    per plan, when the first of them is written: each non-silent row's
+    round offset, its "deliveries" text and its transmitters' message keys
+    (Execution.message_keys). Each key's transmitter text is formatted once
+    per execution, from its one message; emit then only stitches in the
+    phase, the round numbers and those texts. A silent record of several
+    executions is written by one skip() call, as the same bytes as that
+    many silent executions."""
 
     def __init__(self, fh: TextIO, mode: str):
         self.fh = fh
         self.mode = mode
+        self._plans: dict = {}  # each plan's text (see _plan_text), by Execution.plan
 
     def execution(self, ex: Execution) -> None:
         if ex.message is None:
@@ -138,39 +144,28 @@ class FileSink:
     def emit(self, ex: Execution) -> None:
         """Write a non-silent execution: one record per non-silent round,
         with its silent stretches in between as skip() writes them."""
+        text = self._plans.get(ex.plan)
+        if text is None:
+            text = self._plans[ex.plan] = _plan_text(ex)
+        first, senders, rows = text
+        sent = [  # each message key's transmitter text
+            f'{{"kind": {json.dumps(m.kind)}, "label": {u}, "payload": {json.dumps(m.payload)}}}'
+            for u, m in zip(senders, map(ex.message, first))
+        ]
         phase = json.dumps(ex.phase)
-        rows = np.arange(len(ex.rounds) + 1)
-        tx_at = ex.transmissions[:, 0].searchsorted(rows).tolist()
-        dl_at = ex.deliveries[:, 0].searchsorted(rows).tolist()
-        senders = ex.transmissions[:, 1].tolist()
-        pairs = ex.deliveries[:, 1:].tolist()
-        mid = f', "phase": {phase}, "round": '
-        # a sender repeats its message in every round of its set, so each
-        # distinct message's JSON, around the sender's label, is built once
-        around: dict[Message, tuple[str, str]] = {}
+        start = ex.start
         parts = []
         cursor = 0
-        for row, j in enumerate(ex.rounds.tolist()):
+        for j, head, keys in rows:
             if j > cursor:
-                parts.append(self._silent(phase, ex.start + cursor, j - cursor))
-            transmitters = []
-            for t in range(tx_at[row], tx_at[row + 1]):
-                m = ex.message(t)
-                text = around.get(m)
-                if text is None:
-                    text = around[m] = (
-                        f'{{"kind": {json.dumps(m.kind)}, "label": ',
-                        f', "payload": {json.dumps(m.payload)}}}',
-                    )
-                transmitters.append(f"{text[0]}{senders[t]}{text[1]}")
-            # str() of a list of int pairs is its JSON text
+                parts.append(self._silent(phase, start + cursor, j - cursor))
             parts.append(
-                f'{{"deliveries": {pairs[dl_at[row] : dl_at[row + 1]]}{mid}{ex.start + j}'
-                f', "transmitters": [{", ".join(transmitters)}]}}\n'
+                f'{head}{phase}, "round": {start + j}, '
+                f'"transmitters": [{", ".join(map(sent.__getitem__, keys))}]}}\n'
             )
             cursor = j + 1
         if ex.size > cursor:
-            parts.append(self._silent(phase, ex.start + cursor, ex.size - cursor))
+            parts.append(self._silent(phase, start + cursor, ex.size - cursor))
         self.fh.write("".join(parts))
 
     def skip(self, phase: str, start_round: int, count: int, repeats: int = 1) -> None:
@@ -191,6 +186,38 @@ class FileSink:
         head = f'{{"phase": {phase}, "round_start": '
         tail = f', "silent": {count}}}\n'
         return f"{head}{(tail + head).join(map(str, range(start_round, end, count)))}{tail}"
+
+
+def _plan_text(ex: Execution) -> tuple[list[int], list[int], list[tuple[int, str, list[int]]]]:
+    """What every execution of ex's plan writes alike: the first
+    transmission of each message key and its sender, and each non-silent
+    row's round offset, record text up to the phase's value and message
+    keys, in row order."""
+    rows = np.arange(len(ex.rounds) + 1)
+    tx_at = ex.transmissions[:, 0].searchsorted(rows).tolist()
+    dl_at = ex.deliveries[:, 0].searchsorted(rows).tolist()
+    senders = ex.transmissions[:, 1].tolist()
+    pairs = ex.deliveries[:, 1:].ravel().tolist()  # sender, receiver, sender, ...
+    key_of = ex.message_keys
+    first: dict[int, int] = {}
+    for t, k in enumerate(key_of):
+        first.setdefault(k, t)  # keys are numbered in order of first transmission
+    heads = [
+        f'{{"deliveries": {_pairs_json(pairs[2 * d0 : 2 * d1])}, "phase": '
+        for d0, d1 in zip(dl_at, dl_at[1:])
+    ]
+    keys = [key_of[t0:t1] for t0, t1 in zip(tx_at, tx_at[1:])]
+    return (
+        list(first.values()),
+        [senders[t] for t in first.values()],
+        list(zip(ex.rounds.tolist(), heads, keys)),
+    )
+
+
+def _pairs_json(flat: list[int]) -> str:
+    """The JSON text of the list of int pairs flat[0:2], flat[2:4], ...:
+    one %-format call, faster than str() of a list of lists."""
+    return "[" + ", ".join(["[%d, %d]"] * (len(flat) // 2)) % tuple(flat) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -302,7 +302,9 @@ class PhysicsEngine:
     dilution trial is decided here. Distances come from distance_matrix and
     the range from broadcast_range. The graph has an edge wherever in_range
     holds, so the graph and the round engine cannot disagree at the range
-    boundary.
+    boundary. The gains are computed on first use (the first adjudicate),
+    so an engine built only for its graph (build_graph) never computes
+    them.
     """
 
     def __init__(self, inst: PhysicalInstance):
@@ -312,9 +314,6 @@ class PhysicsEngine:
         dist = distance_matrix(inst)
         if np.count_nonzero(dist == 0.0) > n:  # more zeros than the diagonal
             raise DegenerateDistanceError("coincident stations in instance")
-        path_loss = dist**p.alpha
-        np.fill_diagonal(path_loss, np.inf)  # no station interferes with itself
-        self.gain = p.power / path_loss
         self.in_range = dist <= reach
         np.fill_diagonal(self.in_range, False)
         # in_range as a CSR list: station i's in-range stations, ascending,
@@ -322,10 +321,27 @@ class PhysicsEngine:
         # nbr_gain; the communication graph is built over it
         rows, self.nbrs = np.nonzero(self.in_range)
         self.nbr_at = np.searchsorted(rows, np.arange(n + 1))
-        self.nbr_gain = self.gain[rows, self.nbrs]
         self.noise = p.noise
         self.beta = p.beta
+        self._params = p
+        self._dist: np.ndarray | None = dist  # until gain is computed
         self._graph = CommGraph(sorted(inst.labels), self.nbrs, self.nbr_at)
+
+    @cached_property
+    def gain(self) -> np.ndarray:
+        """The received power of each (sender, listener) pair, power /
+        distance**alpha, with 0.0 on the diagonal: no station interferes
+        with itself."""
+        path_loss = self._dist**self._params.alpha
+        self._dist = None
+        np.fill_diagonal(path_loss, np.inf)
+        return self._params.power / path_loss
+
+    @cached_property
+    def nbr_gain(self) -> np.ndarray:
+        """The gain of each in-range pair, in CSR order (see nbrs)."""
+        rows = np.repeat(np.arange(len(self.nbr_at) - 1), np.diff(self.nbr_at))
+        return self.gain[rows, self.nbrs]
 
     def graph(self) -> CommGraph:
         """The communication graph: label u adjacent to v iff in_range, over
@@ -389,7 +405,7 @@ class PhysicsEngine:
         round's whole gain rows. A station that transmits in a round hears
         nothing in it.
         """
-        n = len(self.gain)
+        n = len(self.nbr_at) - 1
         # every (transmission, in-range listener) pair, by its CSR position
         lo = self.nbr_at[senders]
         count = self.nbr_at[senders + 1] - lo

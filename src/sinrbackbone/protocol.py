@@ -19,7 +19,8 @@ its whole batch the first time a sink reads one (the CLI's trace file is
 written from them); a stretch of consecutive silent executions of one
 family and phase is one record. The phases apply their rules to what was
 heard as array programs, and size every message from its label count: a
-message is built only when a sink asks for it.
+message is built only when a sink asks for it, at most once per execution
+and message key (sender and carried slots).
 """
 
 from __future__ import annotations
@@ -173,11 +174,16 @@ class Execution:
     every other round of the family was silent. A transmission is a
     (row, station label) pair, where row indexes rounds; a delivery is a
     (row, sender label, receiver label) triple. Both are sorted.
-    message(t) is the message of the t-th transmission.
+    message(t) is the message of the t-th transmission. Its message key
+    (message_keys[t]) is its sender and the slots it carries: every
+    transmission with one key sends one message, which message builds at
+    most once per execution. Executions that share a plan share their
+    arrays and keys, so a sink can format those once per plan and only
+    each key's message once per execution.
 
-    The three arrays are read from the execution's plan, which builds them
-    for its whole batch the first time a sink reads one: a run whose sink
-    never reads them (a CollectSink's) never builds them.
+    The arrays and keys are read from the execution's plan, which builds
+    them for its whole batch the first time a sink reads one: a run whose
+    sink never reads them (a CollectSink's) never builds them.
 
     A silent record (message and plan None) stands for repeats consecutive
     silent executions of the family, the first from start on; every other
@@ -212,6 +218,13 @@ class Execution:
         plan = self.plan
         return _NO_DELIVERIES if plan is None else plan.batch.records[plan.index][2]
 
+    @property
+    def message_keys(self) -> list[int]:
+        """Each transmission's message key, numbered from 0 in order of
+        first transmission: transmissions with one key send one message."""
+        plan = self.plan
+        return [] if plan is None else plan.batch.keys[plan.index][1]
+
 
 @dataclass(eq=False)
 class _Batch:
@@ -222,8 +235,8 @@ class _Batch:
     over heard_at[e] : heard_at[e + 1], and its slot offsets (one more than
     it has slots, counted from its first pair) are heard_slot_at from
     slot_at[e] + e on. The records (rounds, transmissions and deliveries)
-    and the slots each transmission carries are built from the rest, for
-    the whole batch, the first time a sink reads one.
+    and the message keys are built from the rest, for the whole batch, the
+    first time a sink reads one.
     """
 
     labels: np.ndarray  # station labels, ascending
@@ -275,19 +288,34 @@ class _Batch:
         ]
 
     @cached_property
-    def carried(self) -> tuple[list[int], list[int], list[int], list[int]]:
-        """The sender of each transmission; the slot positions it carries,
-        ks[at[t] : at[t + 1]] for transmission t, as (at, ks); and each
-        schedule's first transmission."""
+    def keys(self) -> list[tuple[list[tuple[int, tuple[int, ...]]], list[int]]]:
+        """Each schedule's message keys, and the key of each of its
+        transmissions (counted from the schedule's first). A key is a
+        (sender label, carried slot positions) pair, positions ascending:
+        a transmission carrying the slots at positions ks sends
+        message(sender, ks), so transmissions with one key send one
+        message. Keys are numbered in order of first transmission."""
         by_tx = self.slot_tx.argsort(kind="stable")
-        at = np.searchsorted(self.slot_tx[by_tx], np.arange(len(self.tx_row) + 1))
+        at = np.searchsorted(self.slot_tx[by_tx], np.arange(len(self.tx_row) + 1)).tolist()
+        slots = self.slot_k[by_tx].tolist()  # numbered over the batch
+        senders = self.labels[self.tx_station].tolist()
+        pos = self.slot_pos.tolist()
         first = (self.rows[self.tx_row] // self.size).searchsorted(np.arange(len(self.heard_at)))
-        return (
-            self.labels[self.tx_station].tolist(),
-            at.tolist(),
-            self.slot_pos[self.slot_k[by_tx]].tolist(),
-            first.tolist(),
-        )
+        first = first.tolist()
+        out = []
+        for t0, t1 in zip(first, first[1:]):
+            index: dict[tuple[int, ...], int] = {}
+            keys: list[tuple[int, tuple[int, ...]]] = []
+            key_of = []
+            for t in range(t0, t1):
+                carried = tuple(slots[at[t] : at[t + 1]])
+                k = index.get(carried)
+                if k is None:
+                    k = index[carried] = len(keys)
+                    keys.append((senders[t], tuple([pos[x] for x in carried])))
+                key_of.append(k)
+            out.append((keys, key_of))
+        return out
 
 
 class _Plan(NamedTuple):
@@ -417,7 +445,7 @@ class Simulator:
         self,
         family: SelectionFamily,
         executions: Sequence[
-            tuple[Sequence[int], Sequence[int], str, Callable[[int, list[int]], Message]]
+            tuple[Sequence[int], Sequence[int], str, Callable[[int, Sequence[int]], Message]]
         ],
     ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Run consecutive full executions of one family as a single batch.
@@ -428,9 +456,11 @@ class Simulator:
         transmits in every round whose set contains one of its slots, and
         the transmission carries all of them. message(station, ks) is the
         message of a transmission carrying the slots at positions ks
-        (ascending). It is called only when a sink asks for it: execute
-        builds no message. A phase sizes each message it sends, from its
-        label count, before the execution that sends it is recorded.
+        (ascending), a tuple shared by every execution of the schedule. It
+        is called only when a sink asks for it, at most once per execution
+        and (station, ks) key: execute builds no message. A phase sizes
+        each message it sends, from its label count, before the execution
+        that sends it is recorded.
 
         Who transmits in which round, who hears whom and which slots each
         transmission carries follow from the family, the slots and the
@@ -477,12 +507,7 @@ class Simulator:
             start = self.round
             self.round += size
 
-            def tx_message(t: int, batch=plan.batch, e=plan.index, message=message) -> Message:
-                senders, at, ks, first = batch.carried
-                t += first[e]
-                return message(senders[t], ks[at[t] : at[t + 1]])
-
-            self.sink.execution(Execution(phase, start, size, tx_message, 1, plan))
+            self.sink.execution(Execution(phase, start, size, _sent(plan, message), 1, plan))
             yield plan.batch.heard(plan.index)
 
     def _plan(self, family: SelectionFamily, schedules: Sequence[tuple]) -> _Batch:
@@ -663,7 +688,9 @@ def leader_election(sim: Simulator) -> None:
             if g == ends[i]:
                 sim.phase_snapshots.append((i, {lab: views[lab].status for lab in labels}))
 
-    announce = _per_sender(lambda u, _ks: Message.make("leader-announce", (u,), n_labels))
+    def announce(u: int, _ks: Sequence[int]) -> Message:
+        return Message.make("leader-announce", (u,), n_labels)
+
     while True:
         rows = speculate(g)
         steps = sim.execute(
@@ -737,9 +764,9 @@ def neighborhood_inform(sim: Simulator) -> None:
         _message_bits("neighbor-of-leader", 2, n_labels)
     member_list = members.tolist()
 
-    def inform(lo: int) -> Callable[[int, list[int]], Message]:
-        return _per_sender(
-            lambda u, ks: Message.make("neighbor-of-leader", (u, member_list[lo + ks[0]]), n_labels)
+    def inform(lo: int) -> Callable[[int, Sequence[int]], Message]:
+        return lambda u, ks: Message.make(
+            "neighbor-of-leader", (u, member_list[lo + ks[0]]), n_labels
         )
 
     steps = sim.execute(
@@ -816,7 +843,7 @@ def two_hop_connection(sim: Simulator) -> None:
         _message_bits("helper-claim", 3 * int(widest), n_labels)
     claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
 
-    def helper_claim(_u: int, ks: list[int]) -> Message:
+    def helper_claim(_u: int, ks: Sequence[int]) -> Message:
         return Message.make("helper-claim", tuple(sorted(claims[k] for k in ks)), n_labels)
 
     ((pos, listener, _at),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
@@ -898,20 +925,19 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     target_list, token_at_list = targets.tolist(), token_at.tolist()
     tokens = leaders[by_holder].tolist()
 
-    send = _per_sender(lambda u, _ks: msgs[u])
+    def send(u: int, _ks: Sequence[int]) -> Message:
+        return msgs[u]
 
-    def grant(lo: int) -> Callable[[int, list[int]], Message]:
-        return _per_sender(
-            lambda u, ks: Message.make("token-grant", (u, target_list[lo + ks[0]]), n_labels)
-        )
+    def grant(lo: int) -> Callable[[int, Sequence[int]], Message]:
+        return lambda u, ks: Message.make("token-grant", (u, target_list[lo + ks[0]]), n_labels)
 
-    def give_back(lo: int) -> Callable[[int, list[int]], Message]:
-        def build(u: int, ks: list[int]) -> Message:
+    def give_back(lo: int) -> Callable[[int, Sequence[int]], Message]:
+        def build(u: int, ks: Sequence[int]) -> Message:
             h = lo + ks[0]
             mine = tokens[token_at_list[h] : token_at_list[h + 1]]
             return Message.make("token-return", (u, *mine), n_labels)
 
-        return _per_sender(build)
+        return build
 
     specs = []
     for i in range(delta):
@@ -983,15 +1009,18 @@ def _append_token_records(
     return senders, listeners
 
 
-def _per_sender(build: Callable[[int, list[int]], Message]) -> Callable[[int, list[int]], Message]:
-    """build, called at most once per sender: a sink asks for a message in
-    every round that sends it."""
+def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callable[[int], Message]:
+    """message(t) of one execution of plan: the message of its t-th
+    transmission, build(sender, ks) of the transmission's key (see
+    _Batch.keys), called at most once per key."""
     built: dict[int, Message] = {}
 
-    def message(u: int, ks: list[int]) -> Message:
-        m = built.get(u)
+    def message(t: int) -> Message:
+        keys, key_of = plan.batch.keys[plan.index]
+        k = key_of[t]
+        m = built.get(k)
         if m is None:
-            m = built[u] = build(u, ks)
+            m = built[k] = build(*keys[k])
         return m
 
     return message
@@ -1150,9 +1179,9 @@ def three_hop_connection(sim: Simulator) -> None:
         views[u].three_hop_helpers.update(zip(bl[lo:hi], pairs[lo:hi]))
 
     choices = _Messages("hop3-choice", leaders, at, [xs, ys, bs], n_labels)
-    announce = _per_sender(lambda u, _ks: choices[u])
     ((pos, listener, _at),) = sim.execute(
-        sim.base_ssf(), [(leaders, leaders, "three-hop-connection/announce", announce)]
+        sim.base_ssf(),
+        [(leaders, leaders, "three-hop-connection/announce", lambda u, _ks: choices[u])],
     )
     # every x a leader named becomes a helper when it hears that leader
     named = np.sort(np.repeat(np.arange(len(leaders)), np.diff(at)) * (n_labels + 1) + xs)

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sinrbackbone import cli, verify
@@ -29,11 +31,14 @@ from sinrbackbone.physical import (
 )
 from sinrbackbone.protocol import (
     LEADER,
+    Families,
+    ProtocolConfig,
     Simulator,
     backbone_creation,
     leader_election,
     token_passing,
 )
+from sinrbackbone.selection import pair_index
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
 from oracles import msg
@@ -371,12 +376,105 @@ def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
         inst = generate(spec)
         assert build_graph(inst).delta == delta
         executions = backbone_creation(inst).traces.executions
+    _assert_file_sink_writes_the_reference_bytes(executions)
+
+
+def _assert_file_sink_writes_the_reference_bytes(executions) -> dict:
+    """FileSink writes the executions as RoundWriter does, in both modes;
+    returns what it wrote, by mode."""
+    out = {}
     for mode in ("full", "compact"):
         written, expected = io.StringIO(), io.StringIO()
         for sink in (FileSink(written, mode), RoundWriter(expected, mode)):
             for ex in executions:
                 sink.execution(ex)
         assert written.getvalue() == expected.getvalue(), mode
+        out[mode] = written.getvalue()
+    return out
+
+
+def test_cli_trace_reference_run_has_executions_that_share_a_plan():
+    # FileSink formats what such executions have in common once per plan:
+    # the byte-for-byte test above covers that reuse on this run
+    executions = backbone_creation(generate(REFERENCE_RUNS["cli-trace"][0])).traces.executions
+    plans = [ex.plan for ex in executions if ex.plan is not None]
+    assert len(set(plans)) < len(plans)
+
+
+def _carried_keys(family, slots, owners) -> set:
+    """Every (station, slot positions) key that one execution of the
+    schedule transmits: in each set, a station carries each of its slots
+    that the set contains."""
+    carried = {}
+    sets = family.rounds_for(np.asarray(slots)).tolist()
+    for k, owner in enumerate(np.asarray(owners).tolist()):
+        for s in sets[k]:
+            carried.setdefault((s, owner), []).append(k)
+    return {(owner, tuple(ks)) for (_s, owner), ks in carried.items()}
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_each_message_key_is_built_once_per_execution(name, monkeypatch):
+    # every builder a phase hands to Simulator.execute is wrapped to count
+    # its calls by (sender, carried slot positions); two sinks then read
+    # every message of every execution
+    builders = []
+    execute = Simulator.execute
+
+    def counted(build, calls):
+        def message(u, ks):
+            calls[(u, tuple(ks))] += 1
+            return build(u, ks)
+
+        return message
+
+    def counting(self, family, executions):
+        specs = []
+        for slots, owners, phase, build in executions:
+            calls = Counter()
+            builders.append((family, slots, owners, calls))
+            specs.append((slots, owners, phase, counted(build, calls)))
+        return execute(self, family, specs)
+
+    monkeypatch.setattr(Simulator, "execute", counting)
+    executions = backbone_creation(generate(REFERENCE_RUNS[name][0])).traces.executions
+    for sink in (FileSink(io.StringIO(), "full"), RoundWriter(io.StringIO(), "full")):
+        for ex in executions:
+            sink.execution(ex)
+    # a speculated leader-election row that was dropped builds nothing
+    built = [b for b in builders if b[3]]
+    assert len(built) == sum(ex.message is not None for ex in executions)
+    for family, slots, owners, calls in built:
+        assert set(calls.values()) == {1}
+        assert set(calls) == _carried_keys(family, slots, owners)
+
+
+def test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there():
+    # a helper's helper-claim message depends on the round: it carries the
+    # helper's claims whose pair index the pair ssf schedules there, so a
+    # message built once per sender would repeat one round's claims
+    spec = REFERENCE_RUNS["cli-trace"][0]
+    inst = generate(spec)
+    result = backbone_creation(inst)
+    pair_ssf = Families.for_run(inst, ProtocolConfig()).pair_ssf()
+    (ex,) = [e for e in result.traces.executions if e.phase == "two-hop-connection"]
+    claims = {}
+    for (s, t), h in result.two_hop.items():
+        pidx = pair_index(s, t, inst.n_labels)
+        for j in pair_ssf.rounds_for(np.array([pidx]))[0].tolist():
+            claims.setdefault((ex.start + j, h), []).append((h, s, t))
+    sent = {}
+    full = _assert_file_sink_writes_the_reference_bytes(result.traces.executions)["full"]
+    for line in full.splitlines():
+        record = json.loads(line)
+        if record["phase"] == "two-hop-connection":
+            for tx in record["transmitters"]:
+                payload = tuple(map(tuple, tx["payload"]))
+                assert payload == tuple(sorted(claims[(record["round"], tx["label"])]))
+                sent.setdefault(tx["label"], set()).add(payload)
+    assert sent.keys() == {h for _r, h in claims}
+    # the run covers the case: some helper sends two different messages
+    assert max(len(p) for p in sent.values()) >= 2
 
 
 @pytest.mark.parametrize("mode", ["full", "compact"])

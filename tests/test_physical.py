@@ -309,6 +309,23 @@ def test_engine_graph_is_one_object_over_the_engines_arrays():
             apart.graph()
 
 
+def test_engine_gains_are_computed_on_first_adjudicate_with_the_same_floats():
+    inst = make_instance([(3, 0, 0), (1, 0.6, 0), (2, 1.2, 0.1), (4, 0.3, 0.7)], P_UNIT, 4)
+    eng = PhysicsEngine(inst)
+    eng.graph()
+    # an engine used only for its graph, as build_graph's, has no gains
+    assert "gain" not in vars(eng) and "nbr_gain" not in vars(eng)
+    delivered = eng.deliver([1, 2])
+    assert "gain" in vars(eng) and "nbr_gain" in vars(eng)
+    path_loss = distance_matrix(inst) ** P_UNIT.alpha
+    np.fill_diagonal(path_loss, np.inf)
+    gain = P_UNIT.power / path_loss
+    assert eng.gain.tobytes() == gain.tobytes()
+    rows, cols = np.nonzero(eng.in_range)
+    assert eng.nbr_gain.tobytes() == gain[rows, cols].tobytes()
+    assert delivered == eng.deliver([1, 2]) == PhysicsEngine(inst).deliver([1, 2])
+
+
 def test_graph_engine_and_receives_agree_at_the_range_boundary():
     # math.hypot and np.hypot disagree in the last ulp on this pair: with
     # two distance formulas the graph had edge 1-2 while the engine

@@ -205,7 +205,7 @@ def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
     assert r.two_hop and r.three_hop and r.token_records  # every phase sent messages
     assert built == []
     batches = {id(ex.plan.batch): ex.plan.batch for ex in r.traces.executions if ex.plan}
-    assert batches and not any({"records", "carried"} & vars(b).keys() for b in batches.values())
+    assert batches and not any({"records", "keys"} & vars(b).keys() for b in batches.values())
     # a sink that reads them builds every kind
     kinds = {m.kind for tr in records(r.traces.executions) for _lab, m in tr.transmitters}
     assert set(built) == kinds == {
