@@ -27,6 +27,8 @@ from .physical import (
     SinrParams,
     broadcast_range,
     build_graph,
+    distance,
+    grid_box,
     load_instance,
     make_instance,
     save_instance,
@@ -65,7 +67,17 @@ class RunConfig:
 def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> PhysicalInstance:
     """Seeded uniform placement with distinct labels, rejected until the
     communication graph is connected and minimum spacing holds. Any error
-    other than a disconnected draw propagates at once: no redraw can help."""
+    other than a disconnected draw propagates at once: no redraw can help.
+
+    A drawn point's spacing is checked only against the placed points in
+    the 3 x 3 grid boxes around its own (grid_box). The box side is over
+    the spacing by a factor 1 + 2**-30, and at least arena_side / 4096 and
+    2**-1000, so box indices stay below about 4096 and the side is a normal
+    float. Two boxes apart, the exact coordinate difference is then over
+    the spacing, despite the rounding of x / side, so distance() there is
+    at least the spacing: the check accepts and rejects what a check
+    against every placed point would.
+    """
     if spec.n < 1:
         raise InvalidArgumentError(f"need n >= 1, got n={spec.n}")
     if not (math.isfinite(spec.arena_side) and spec.arena_side > 0):
@@ -74,19 +86,25 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
         raise InvalidArgumentError(f"need a finite minimum spacing, got {spec.min_spacing}")
     if spec.n > spec.n_labels:
         raise InvalidArgumentError(f"n={spec.n} exceeds label space {spec.n_labels}")
+    side = max(spec.min_spacing * (1 + 2**-30), spec.arena_side / 4096, 2.0**-1000)
     rng = random.Random(spec.seed)
     for attempt in range(1, spec.retry_cap + 1):
         labels = sorted(rng.sample(range(1, spec.n_labels + 1), spec.n))
         points: list[tuple[float, float]] = []
+        boxes: dict[tuple[int, int], list[tuple[float, float]]] = {}
         placed = True
         for _ in range(spec.n):
             for _try in range(200):
-                x = rng.uniform(0.0, spec.arena_side)
-                y = rng.uniform(0.0, spec.arena_side)
+                q = (rng.uniform(0.0, spec.arena_side), rng.uniform(0.0, spec.arena_side))
+                k, j = grid_box(q, side)
                 if all(
-                    math.hypot(x - a, y - b) >= spec.min_spacing for a, b in points
+                    distance(q, o) >= spec.min_spacing
+                    for dk in (-1, 0, 1)
+                    for dj in (-1, 0, 1)
+                    for o in boxes.get((k + dk, j + dj), ())
                 ):
-                    points.append((x, y))
+                    points.append(q)
+                    boxes.setdefault((k, j), []).append(q)
                     break
             else:
                 placed = False

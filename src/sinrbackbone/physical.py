@@ -5,6 +5,10 @@ Everything here sees station coordinates. Protocol code must never import
 positions from this module; it interacts with the physical layer only
 through round adjudication and the communication graph (CommGraph, the one
 graph object, over the round engine's CSR list).
+
+The graph is built from nearby pairs only (near_pairs), with no n x n
+state; distance_matrix, n x n, is computed only for the gains of an engine
+that adjudicates.
 """
 
 from __future__ import annotations
@@ -299,32 +303,33 @@ class PhysicsEngine:
     graph it implies.
 
     The package's one SINR adjudicator: every protocol round and every
-    dilution trial is decided here. Distances come from distance_matrix and
-    the range from broadcast_range. The graph has an edge wherever in_range
-    holds, so the graph and the round engine cannot disagree at the range
-    boundary. The gains are computed on first use (the first adjudicate),
-    so an engine built only for its graph (build_graph) never computes
-    them.
+    dilution trial is decided here. Distances come from distance() and the
+    range from broadcast_range. The graph has an edge wherever a pair's
+    distance is at most the range, and the engine reads the same CSR list
+    of in-range pairs, so the graph and the round engine cannot disagree at
+    the range boundary. The list is built from near_pairs, without n x n
+    state. The gains (and the distance_matrix they are computed from) are
+    computed on first use, the first adjudicate, so an engine built only
+    for its graph (build_graph) never computes them.
     """
 
     def __init__(self, inst: PhysicalInstance):
-        p = inst.params
-        reach = broadcast_range(p)
-        n = inst.n
-        dist = distance_matrix(inst)
-        if np.count_nonzero(dist == 0.0) > n:  # more zeros than the diagonal
+        pos = [p for _, p in sorted(inst.stations)]
+        n = len(pos)
+        a, b, dist = near_pairs(pos, broadcast_range(inst.params))
+        if not dist.all():  # a coincident pair is in range
             raise DegenerateDistanceError("coincident stations in instance")
-        self.in_range = dist <= reach
-        np.fill_diagonal(self.in_range, False)
-        # in_range as a CSR list: station i's in-range stations, ascending,
-        # are nbrs[nbr_at[i] : nbr_at[i + 1]], with those pairs' gains in
-        # nbr_gain; the communication graph is built over it
-        rows, self.nbrs = np.nonzero(self.in_range)
-        self.nbr_at = np.searchsorted(rows, np.arange(n + 1))
-        self.noise = p.noise
-        self.beta = p.beta
-        self._params = p
-        self._dist: np.ndarray | None = dist  # until gain is computed
+        # the in-range pairs as a CSR list: station i's in-range stations,
+        # ascending, are nbrs[nbr_at[i] : nbr_at[i + 1]], with those pairs'
+        # gains in nbr_gain; each pair keyed row * n + column in both
+        # directions, so one sort gives np.nonzero's order of the n x n
+        # in-range matrix; the communication graph is built over it
+        keys = np.sort(np.concatenate((a * n + b, b * n + a)))
+        self.nbrs = keys % n
+        self.nbr_at = keys.searchsorted(np.arange(n + 1) * n)
+        self.noise = inst.params.noise
+        self.beta = inst.params.beta
+        self._inst = inst
         self._graph = CommGraph(sorted(inst.labels), self.nbrs, self.nbr_at)
 
     @cached_property
@@ -332,10 +337,10 @@ class PhysicsEngine:
         """The received power of each (sender, listener) pair, power /
         distance**alpha, with 0.0 on the diagonal: no station interferes
         with itself."""
-        path_loss = self._dist**self._params.alpha
-        self._dist = None
+        p = self._inst.params
+        path_loss = distance_matrix(self._inst) ** p.alpha
         np.fill_diagonal(path_loss, np.inf)
-        return self._params.power / path_loss
+        return p.power / path_loss
 
     @cached_property
     def nbr_gain(self) -> np.ndarray:
@@ -463,6 +468,59 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
 def index_ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
     """The indices lo[j] .. lo[j] + span[j] - 1 of every j, in order."""
     return np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)
+
+
+NEAR_PAIRS_CHUNK = 1 << 15  # window pairs near_pairs filters per step
+
+
+def near_pairs(pos: list[Position], reach: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of pos within distance() reach of each other, once, as
+    index arrays (a, b) and their distances.
+
+    One sweep over the stations sorted by x: each station's window is the
+    stations after it up to xs + w, found by searchsorted, with w = reach
+    * (1 + 2**-30); the window pairs whose y difference is over w are
+    dropped, and distance() decides the rest. The windows are taken about
+    NEAR_PAIRS_CHUNK pairs at a time, so the transient arrays stay small
+    however wide a window is.
+
+    No pair within reach is dropped. A station j beyond station i's window
+    has xs[j] > fl(xs[i] + w); as xs[j] is a float, the exact xs[j] - xs[i]
+    is over w, and the float x difference math.dist computes is at least w,
+    since rounding is monotone. A dropped pair's float y difference, the
+    one math.dist computes, is over w. math.dist is at least each
+    coordinate difference it computes, and w > reach: alpha > 2 keeps a
+    positive finite reach far above the subnormals. (At reach 0 a dropped
+    pair's difference is nonzero; at reach inf no pair is dropped.)
+    Nothing is keyed by an integer cell, so any finite coordinates work.
+    """
+    n = len(pos)
+    w = reach * (1 + 2**-30)
+    xy = np.fromiter(chain.from_iterable(pos), float, 2 * n).reshape(n, 2)
+    order = np.argsort(xy[:, 0], kind="stable")
+    xs, ys = xy[order, 0], xy[order, 1]
+    span = xs.searchsorted(xs + w, "right") - np.arange(1, n + 1)  # window sizes
+    ends = span.cumsum()
+    get = pos.__getitem__
+    parts = []
+    lo = 0
+    while lo < n:  # stations lo .. hi - 1: at most a chunk of pairs, or one station
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(ends.searchsorted(done + NEAR_PAIRS_CHUNK, "right")))
+        a = np.repeat(np.arange(lo, hi), span[lo:hi])
+        b = index_ranges(np.arange(lo + 1, hi + 1), span[lo:hi])
+        keep = np.abs(ys[b] - ys[a]) <= w
+        a, b = order[a[keep]], order[b[keep]]
+        dist = np.fromiter(
+            map(math.dist, map(get, a.tolist()), map(get, b.tolist())), float, len(a)
+        )  # distance() of each pair, by one C-level map as in distance_matrix
+        near = dist <= reach
+        parts.append((a[near], b[near], dist[near]))
+        lo = hi
+    if len(parts) == 1:
+        return parts[0]
+    a, b, dist = zip(*parts)
+    return np.concatenate(a), np.concatenate(b), np.concatenate(dist)
 
 
 def build_graph(inst: PhysicalInstance) -> CommGraph:

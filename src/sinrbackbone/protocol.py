@@ -77,13 +77,22 @@ class Message:
 
     @staticmethod
     def make(kind: str, payload: tuple, n_labels: int) -> "Message":
+        """The kind message carrying payload, sized by counting its labels.
+        The phases size their messages from label counts they already hold
+        and build them directly."""
         return Message(kind, payload, _message_bits(kind, _count_labels(payload), n_labels))
+
+
+def _bits(labels, n_labels: int):
+    """The size of a message carrying labels labels (an int, or an integer
+    array of counts): its kind tag and one label-width field per label."""
+    return KIND_BITS + labels * max(1, n_labels.bit_length())
 
 
 def _message_bits(kind: str, labels: int, n_labels: int) -> int:
     """The size of a kind message carrying labels labels; MessageSizeError
     if that is over the budget."""
-    size = KIND_BITS + labels * max(1, n_labels.bit_length())
+    size = _bits(labels, n_labels)
     budget = C_MSG * max(1.0, math.log2(n_labels))
     if size > budget:
         raise MessageSizeError(f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget")
@@ -688,8 +697,10 @@ def leader_election(sim: Simulator) -> None:
             if g == ends[i]:
                 sim.phase_snapshots.append((i, {lab: views[lab].status for lab in labels}))
 
+    announce_bits = _bits(1, n_labels)
+
     def announce(u: int, _ks: Sequence[int]) -> Message:
-        return Message.make("leader-announce", (u,), n_labels)
+        return Message("leader-announce", (u,), announce_bits)
 
     while True:
         rows = speculate(g)
@@ -763,10 +774,11 @@ def neighborhood_inform(sim: Simulator) -> None:
     if len(leaders):
         _message_bits("neighbor-of-leader", 2, n_labels)
     member_list = members.tolist()
+    inform_bits = _bits(2, n_labels)
 
     def inform(lo: int) -> Callable[[int, Sequence[int]], Message]:
-        return lambda u, ks: Message.make(
-            "neighbor-of-leader", (u, member_list[lo + ks[0]]), n_labels
+        return lambda u, ks: Message(
+            "neighbor-of-leader", (u, member_list[lo + ks[0]]), inform_bits
         )
 
     steps = sim.execute(
@@ -844,7 +856,8 @@ def two_hop_connection(sim: Simulator) -> None:
     claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
 
     def helper_claim(_u: int, ks: Sequence[int]) -> Message:
-        return Message.make("helper-claim", tuple(sorted(claims[k] for k in ks)), n_labels)
+        payload = tuple(sorted(claims[k] for k in ks))
+        return Message("helper-claim", payload, _bits(3 * len(ks), n_labels))
 
     ((pos, listener, _at),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
@@ -921,7 +934,10 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
         raise ValueError(f"token holders without a message: {mute}")
     # a return carries its holder's label and tokens: the first holder
     # whose return is over the budget stops the sweep before its return
-    too_long = _first_oversize(1 + np.diff(token_at), n_labels)
+    return_sizes = _bits(1 + np.diff(token_at), n_labels)
+    too_long = _first_oversize(return_sizes, n_labels)
+    return_bits = return_sizes.tolist()
+    grant_bits = _bits(2, n_labels)
     target_list, token_at_list = targets.tolist(), token_at.tolist()
     tokens = leaders[by_holder].tolist()
 
@@ -929,13 +945,13 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
         return msgs[u]
 
     def grant(lo: int) -> Callable[[int, Sequence[int]], Message]:
-        return lambda u, ks: Message.make("token-grant", (u, target_list[lo + ks[0]]), n_labels)
+        return lambda u, ks: Message("token-grant", (u, target_list[lo + ks[0]]), grant_bits)
 
     def give_back(lo: int) -> Callable[[int, Sequence[int]], Message]:
         def build(u: int, ks: Sequence[int]) -> Message:
             h = lo + ks[0]
             mine = tokens[token_at_list[h] : token_at_list[h + 1]]
-            return Message.make("token-return", (u, *mine), n_labels)
+            return Message("token-return", (u, *mine), return_bits[h])
 
         return build
 
@@ -1026,11 +1042,10 @@ def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callab
     return message
 
 
-def _first_oversize(labels: np.ndarray, n_labels: int) -> Optional[int]:
-    """The index of the first message, in order, whose label count is over
-    the budget (see _message_bits); None if none is."""
-    size = KIND_BITS + labels * max(1, n_labels.bit_length())
-    over = np.flatnonzero(size > C_MSG * max(1.0, math.log2(n_labels)))
+def _first_oversize(sizes: np.ndarray, n_labels: int) -> Optional[int]:
+    """The index of the first message, in order, whose size (see _bits) is
+    over the budget (see _message_bits); None if none is."""
+    over = np.flatnonzero(sizes > C_MSG * max(1.0, math.log2(n_labels)))
     return int(over[0]) if len(over) else None
 
 
@@ -1050,11 +1065,12 @@ class _Messages(Mapping[int, Message]):
         n_labels: int,
     ) -> None:
         counts = np.diff(at)
-        first = _first_oversize(1 + len(columns) * counts, n_labels)
+        sizes = _bits(1 + len(columns) * counts, n_labels)
+        first = _first_oversize(sizes, n_labels)
         if first is not None:
             _message_bits(kind, 1 + len(columns) * int(counts[first]), n_labels)
         self.kind = kind
-        self.n_labels = n_labels
+        self._sizes = sizes.tolist()
         self._senders = senders.tolist()
         self._index = dict(zip(self._senders, range(len(self._senders))))
         self._at = at.tolist()
@@ -1068,7 +1084,7 @@ class _Messages(Mapping[int, Message]):
             lo, hi = self._at[j], self._at[j + 1]
             cols = [c[lo:hi] for c in self._columns]
             entries = cols[0] if len(cols) == 1 else zip(*cols)
-            m = self._built[u] = Message.make(self.kind, (u, *entries), self.n_labels)
+            m = self._built[u] = Message(self.kind, (u, *entries), self._sizes[j])
         return m
 
     def __iter__(self) -> Iterator[int]:

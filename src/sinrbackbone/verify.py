@@ -33,6 +33,7 @@ from .physical import (
     grid_index,
     make_instance,
     pivotal_side,
+    sorted_distinct,
 )
 from .protocol import BackboneResult
 
@@ -244,15 +245,36 @@ def expected_three_hop(
 
 def backbone_graph(result: BackboneResult, graph: CommGraph) -> CommGraph:
     """The backbone: its members (leaders and helpers) with the graph's
-    edges between them, plus the result's backbone edges."""
+    edges between them, plus the result's backbone edges and their ends.
+
+    Its CSR list is built from the graph's: the entries that join two
+    members, and each backbone edge both ways, keyed row * n + column over
+    the graph's positions, so one sort and a neighbour mask order and
+    dedup them; rows and columns are then renumbered over the backbone's
+    nodes, in the same (ascending label) order."""
     g = CommGraph.of(graph)
+    n = len(g.nodes)
+    member = np.zeros(n, dtype=bool)
+    member[_positions(g, [*result.leaders, *result.helpers])] = True
+    row = np.repeat(np.arange(n), np.diff(g.nbr_at))
+    keep = member[row] & member[g.nbrs]
+    ends = _positions(g, [end for edge in result.backbone_edges for end in edge])
+    u, v = ends[0::2], ends[1::2]
+    keys = sorted_distinct(np.concatenate((row[keep] * n + g.nbrs[keep], u * n + v, v * n + u)))
+    member[ends] = True
+    nodes = np.flatnonzero(member)
+    at = nodes.searchsorted(keys // n)
+    return CommGraph(
+        g.label_array[nodes].tolist(),
+        nodes.searchsorted(keys % n),
+        at.searchsorted(np.arange(len(nodes) + 1)),
+    )
+
+
+def _positions(g: CommGraph, labels: Iterable[int]) -> np.ndarray:
+    """Each label's position in g.nodes; KeyError for a label not in g."""
     bit = g.bit
-    members = g.mask(result.leaders) | g.mask(result.helpers)
-    sub = {g.nodes[i]: g.masks[i] & members for i in bits_of(members)}
-    for u, v in result.backbone_edges:
-        sub[u] = sub.get(u, 0) | bit[v]
-        sub[v] = sub.get(v, 0) | bit[u]
-    return CommGraph.of({u: g.labels(m) for u, m in sub.items()})
+    return np.array([bit[u].bit_length() - 1 for u in labels], dtype=np.intp)
 
 
 def check_dominating(result: BackboneResult, graph: CommGraph) -> Verdict:

@@ -12,17 +12,25 @@ on plain adjacency mappings (label -> neighbour labels); verify runs on
 bitsets and a CSR list instead, and PhysicsEngine checks connectivity on
 its CSR list.
 
+in_range() is the n x n in-range matrix PhysicsEngine kept before it
+built its CSR list from near pairs, and generate_by_full_scan() is
+cli.generate as it was before its grid: each drawn point checked against
+every placed point.
+
 ssf_broadcast() runs family executions with a fixed sender -> message map
 each, through Simulator.execute: the leader and token references send that
 way, with messages built up front by msg().
 """
 
+import math
+import random
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from sinrbackbone import verify
-from sinrbackbone.errors import DegenerateDistanceError
+from sinrbackbone.cli import GeneratorSpec
+from sinrbackbone.errors import DegenerateDistanceError, RetryCapError
 from sinrbackbone.protocol import Message, Simulator
 from sinrbackbone.selection import SelectionFamily
 from sinrbackbone.physical import (
@@ -30,6 +38,7 @@ from sinrbackbone.physical import (
     SinrParams,
     broadcast_range,
     distance,
+    distance_matrix,
     make_instance,
 )
 
@@ -119,6 +128,45 @@ def scalar_dilution_trial(params: SinrParams, d: int, seed: int) -> list[tuple[i
                 if not receives(u, lab, active_set, inst):
                     failures.append((u, lab))
     return failures
+
+
+def in_range(inst: PhysicalInstance) -> np.ndarray:
+    """Entry [i, j]: whether the i-th and j-th smallest labels are within
+    range of each other, distance_matrix <= broadcast_range, with the
+    diagonal cleared."""
+    near = distance_matrix(inst) <= broadcast_range(inst.params)
+    np.fill_diagonal(near, False)
+    return near
+
+
+def generate_by_full_scan(spec: GeneratorSpec, params: SinrParams) -> PhysicalInstance:
+    """cli.generate's draws and answers, O(n^2): a drawn point's spacing is
+    checked against every placed point by math.hypot, and connectivity is
+    decided on in_range. Raises DegenerateDistanceError on coincident
+    stations and RetryCapError when no attempt succeeds."""
+    rng = random.Random(spec.seed)
+    for _ in range(spec.retry_cap):
+        labels = sorted(rng.sample(range(1, spec.n_labels + 1), spec.n))
+        points: list[tuple[float, float]] = []
+        for _ in range(spec.n):
+            for _try in range(200):
+                x = rng.uniform(0.0, spec.arena_side)
+                y = rng.uniform(0.0, spec.arena_side)
+                if all(math.hypot(x - a, y - b) >= spec.min_spacing for a, b in points):
+                    points.append((x, y))
+                    break
+            else:
+                break
+        if len(points) < spec.n:
+            continue
+        stations = [(lab, x, y) for lab, (x, y) in zip(labels, points)]
+        inst = make_instance(stations, params, spec.n_labels)
+        if np.count_nonzero(distance_matrix(inst) == 0.0) > spec.n:
+            raise DegenerateDistanceError("coincident stations in instance")
+        rows = zip(labels, in_range(inst))
+        if len(components({u: [labels[j] for j in np.flatnonzero(r)] for u, r in rows})) == 1:
+            return inst
+    raise RetryCapError(f"no connected instance in {spec.retry_cap} attempts")
 
 
 Adjacency = Mapping[int, Sequence[int]]

@@ -41,7 +41,7 @@ from sinrbackbone.protocol import (
 from sinrbackbone.selection import pair_index
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
-from oracles import msg
+from oracles import generate_by_full_scan, msg
 from trace_reference import RoundWriter
 
 
@@ -67,6 +67,40 @@ def test_generate_connected_distinct_labels():
 def test_generate_retry_cap():
     with pytest.raises(RetryCapError):
         generate(GeneratorSpec(n=12, arena_side=60.0, seed=1, retry_cap=25))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize(
+    "n, side, spacing",
+    [
+        (30, 3.2, GeneratorSpec.min_spacing),  # the default
+        (30, 3.2, 0.0),
+        (30, 3.2, -1.0),
+        (1, 3.2, 7.0),  # larger than the arena: one station fits
+        (50, 3.0, 0.3),  # many draws rejected
+        (200, 6.0, 0.2),
+    ],
+)
+def test_generate_equals_the_full_scan_reference(seed, n, side, spacing):
+    # the 3 x 3 box check accepts and rejects what a check against every
+    # placed point does, so every draw and every instance is the same
+    spec = GeneratorSpec(n=n, arena_side=side, min_spacing=spacing, seed=seed, n_labels=256)
+    want = serialize_instance(generate_by_full_scan(spec, DEFAULT_PARAMS))
+    assert serialize_instance(generate(spec)) == want
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GeneratorSpec(n=3, arena_side=2.0, min_spacing=7.0, seed=4, retry_cap=5),  # no room
+        GeneratorSpec(n=12, arena_side=60.0, seed=1, retry_cap=25),  # never connected
+    ],
+)
+def test_generate_fails_at_the_retry_cap_as_the_full_scan_does(spec):
+    with pytest.raises(RetryCapError):
+        generate_by_full_scan(spec, DEFAULT_PARAMS)
+    with pytest.raises(RetryCapError):
+        generate(spec)
 
 
 def test_run_two_node_instance(tmp_path):

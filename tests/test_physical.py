@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sinrbackbone import physical
+from sinrbackbone.cli import GeneratorSpec, generate
 from sinrbackbone.errors import (
     DegenerateDistanceError,
     DisconnectedInstanceError,
@@ -14,6 +17,7 @@ from sinrbackbone.errors import (
     UnboundedRangeError,
 )
 from sinrbackbone.physical import (
+    SQRT2,
     CommGraph,
     PhysicsEngine,
     SinrParams,
@@ -31,7 +35,7 @@ from sinrbackbone.physical import (
 )
 
 from dense_engine import dense_adjudicate
-from oracles import UndefinedRatioError, components, receives, sinr
+from oracles import UndefinedRatioError, components, in_range, receives, sinr
 
 P_UNIT = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)  # range 1
 
@@ -321,7 +325,7 @@ def test_engine_gains_are_computed_on_first_adjudicate_with_the_same_floats():
     np.fill_diagonal(path_loss, np.inf)
     gain = P_UNIT.power / path_loss
     assert eng.gain.tobytes() == gain.tobytes()
-    rows, cols = np.nonzero(eng.in_range)
+    rows, cols = np.nonzero(in_range(inst))
     assert eng.nbr_gain.tobytes() == gain[rows, cols].tobytes()
     assert delivered == eng.deliver([1, 2]) == PhysicsEngine(inst).deliver([1, 2])
 
@@ -359,12 +363,78 @@ def test_lone_transmitter_reaches_exactly_its_graph_neighbors_at_range():
             inst = make_instance([(i + 1, x, y) for i, (x, y) in enumerate(points)], params, 16)
             eng = PhysicsEngine(inst)
             # the graph's edges at 1 (the points may not be connected)
-            edges = [sorted(inst.labels)[j] for j in np.flatnonzero(eng.in_range[0])]
+            edges = [sorted(inst.labels)[j] for j in np.flatnonzero(in_range(inst)[0])]
             got = [v for _, v in eng.deliver([1])]
             expected = [v for v in range(2, 10) if receives(1, v, [1], inst)]
             if not (got == expected == list(edges)):
                 disagreements.append((points, got, expected, edges))
     assert not disagreements, disagreements[:2]
+
+
+def _params_with_range(exponent):
+    """Parameters whose broadcast range is about 10**exponent, for exponents
+    in -150..150: alpha just above 2 keeps power / noise finite."""
+    return SinrParams(alpha=2.05, beta=1.0, noise=10.0 ** (-2.05 * exponent), epsilon=0.5, power=1.5)
+
+
+@st.composite
+def _sweep_layouts(draw):
+    """Up to 12 stations around a centre, at the range on an axis or a
+    diagonal, at the sweep's window w = range * (1 + 2**-30) in x or y, or
+    anywhere within two ranges, each maybe one ulp off in x or y; at
+    ranges 1e-150 .. 1e150, with coincident stations possible."""
+    params = _params_with_range(draw(st.sampled_from([-150, -20, 0, 0, 3, 150])))
+    r = broadcast_range(params)
+    w = r * (1 + 2**-30)
+    d = r / SQRT2
+    x0, y0 = (r * draw(st.sampled_from([0, 0.5, -3, 1e6])) for _ in range(2))
+    offsets = st.one_of(
+        st.sampled_from([(0, 0), (r, 0), (-r, 0), (0, r), (0, -r), (d, d), (-d, d), (d, -d)]),
+        st.sampled_from([(w, 0), (-w, 0), (0, w), (0, -w), (w, w), (w, 0.5 * r), (0.5 * r, -w)]),
+        st.tuples(st.floats(-2 * r, 2 * r), st.floats(-2 * r, 2 * r)),
+    )
+    ulps = st.sampled_from([-1, 0, 0, 1])
+    points = []
+    for dx, dy in draw(st.lists(offsets, min_size=1, max_size=12)):
+        x, y = x0 + dx, y0 + dy
+        for _ in range(abs(step := draw(ulps))):
+            x = math.nextafter(x, math.copysign(math.inf, step))
+        for _ in range(abs(step := draw(ulps))):
+            y = math.nextafter(y, math.copysign(math.inf, step))
+        points.append((x, y))
+    labels = draw(st.permutations(range(1, 33)))[: len(points)]
+    return make_instance([(lab, x, y) for lab, (x, y) in zip(labels, points)], params, 32)
+
+
+@given(_sweep_layouts(), st.sampled_from([1, 3, physical.NEAR_PAIRS_CHUNK]))
+@settings(max_examples=400, deadline=None)
+@example(make_instance([(5, 0.3, -0.2)], P_UNIT, 8), physical.NEAR_PAIRS_CHUNK)  # n = 1
+@example(make_instance([(1, 0, 0), (2, 1, 1), (3, 0, 0)], P_UNIT, 8), 1)  # coincident
+def test_engine_csr_list_is_the_in_range_matrix(inst, chunk):
+    # the sweep finds every in-range pair however its windows are chunked
+    dist = distance_matrix(inst)
+    with mock.patch.object(physical, "NEAR_PAIRS_CHUNK", chunk):
+        if np.count_nonzero(dist == 0.0) > inst.n:
+            with pytest.raises(DegenerateDistanceError):
+                PhysicsEngine(inst)
+            return
+        eng = PhysicsEngine(inst)
+    rows, cols = np.nonzero(in_range(inst))
+    assert eng.nbrs.dtype == cols.dtype and np.array_equal(eng.nbrs, cols)
+    assert np.array_equal(eng.nbr_at, np.searchsorted(rows, np.arange(inst.n + 1)))
+
+
+def test_build_graph_keeps_no_n_squared_state():
+    # the in-range matrix alone was n**2 bytes
+    n = 2000
+    inst = generate(GeneratorSpec(n=n, arena_side=14.0, seed=1, n_labels=4096))
+    tracemalloc.start()
+    try:
+        g = build_graph(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.delta > 0 and peak < n * n
 
 
 def test_distance_matrix_is_distance():
@@ -584,9 +654,9 @@ def _engine_layouts(draw):
     return inst, member
 
 
-def _loop_deliver(eng, labels, transmitters):
+def _loop_deliver(eng, near, labels, transmitters):
     """The round engine's one-round loop before batching: the reference.
-    labels are the instance's labels, ascending."""
+    near is the instance's in_range, labels its labels, ascending."""
     idx = np.array([labels.index(t) for t in transmitters], dtype=int)
     g = eng.gain[idx]
     total = g.sum(axis=0) + eng.noise
@@ -594,7 +664,7 @@ def _loop_deliver(eng, labels, transmitters):
     listener[idx] = False
     out = []
     for row, t_lab, i in zip(g, transmitters, idx):
-        ok = listener & eng.in_range[i] & (row >= eng.beta * (total - row))
+        ok = listener & near[i] & (row >= eng.beta * (total - row))
         out.extend((t_lab, labels[j]) for j in np.flatnonzero(ok))
     return sorted(out)
 
@@ -613,7 +683,7 @@ def test_engine_batch_matches_rounds_and_scalar_reference(layout):
     for row, mask in enumerate(member):
         tx = [labels[i] for i in np.flatnonzero(mask)]
         got = [(labels[s], labels[j]) for r, s, j in batch if r == row]
-        assert got == eng.deliver(tx) == _loop_deliver(eng, labels, tx)
+        assert got == eng.deliver(tx) == _loop_deliver(eng, in_range(inst), labels, tx)
         for s in tx:
             for v in labels:
                 if v in tx:

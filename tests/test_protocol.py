@@ -1360,6 +1360,22 @@ def test_all_statuses_resolved_and_messages_bounded():
             assert m.size_bits <= budget
 
 
+@pytest.mark.parametrize("name", ["n40-N1024", "cli-trace"])
+def test_every_message_is_sized_as_its_payload_counts(name):
+    # the phases size what they send from label counts they hold; counting
+    # each payload's labels, as Message.make does, gives the same sizes
+    inst = generate(REFERENCE_RUNS[name][0])
+    kinds = set()
+    for tr in records(backbone_creation(inst).traces.executions):
+        for _, m in tr.transmitters:
+            assert m == Message.make(m.kind, m.payload, inst.n_labels)
+            kinds.add(m.kind)
+    assert kinds == {
+        "leader-announce", "neighbor-of-leader", "helper-claim", "token-grant",
+        "token-return", "hop3-report", "hop3-choice",
+    }
+
+
 def test_every_export_resolves_its_type_hints():
     # a name used in an annotation but never imported raises NameError only
     # when something (a dataclass, a checker, a doc tool) resolves the hints

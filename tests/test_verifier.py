@@ -9,6 +9,7 @@ from sinrbackbone import verify
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import ExactBranchTooLargeError
 from sinrbackbone.physical import (
+    CommGraph,
     build_graph,
     derive_dilution,
     grid_box,
@@ -18,6 +19,7 @@ from sinrbackbone.physical import (
 from sinrbackbone.protocol import BackboneResult, CollectSink, backbone_creation
 from sinrbackbone.verify import (
     adversarial_dilution_check,
+    backbone_graph,
     check_connected_backbone,
     check_constant_degree,
     check_diameter,
@@ -340,6 +342,22 @@ def test_array_oracles_match_the_python_references(adj):
             greedy_cds(adj)
         with pytest.raises(AssertionError):
             _greedy_cds_by_max_key(adj)
+
+
+@given(_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_backbone_graph_is_the_reference_backbone(adj, data):
+    # members are any nodes, and a backbone edge may join a non-member, a
+    # node to itself, or two nodes the graph does not join
+    labels = sorted(adj)
+    nodes = st.lists(st.sampled_from(labels), unique=True) if labels else st.just([])
+    pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+    edges = st.lists(pair, max_size=6) if labels else st.just([])
+    result = fake_result(data.draw(nodes), data.draw(nodes), data.draw(edges))
+    g = CommGraph.of(adj)
+    got, want = backbone_graph(result, g), CommGraph.of(ref._backbone_adjacency(result, g))
+    assert got.nodes == want.nodes and got.delta == want.delta
+    assert got.nbrs.tolist() == want.nbrs.tolist() and got.nbr_at.tolist() == want.nbr_at.tolist()
 
 
 # the 9-cycle 1-2-4-9-8-7-6-5-3-1: the cover's components hold labels that
