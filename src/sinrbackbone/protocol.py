@@ -17,8 +17,9 @@ speculates them and checks the speculation (see leader_election). Each
 non-silent execution is kept as one compact record of arrays, built for
 its whole batch the first time a sink reads one (the CLI's trace file is
 written from them); a stretch of consecutive silent executions of one
-family and phase is one record. The phases apply their rules to what was
-heard as array programs, and size every message from its label count: a
+family and phase is one record. What an execution heard is its distinct
+(slot position, listener label) pairs, sorted; the phases apply their rules
+to them as array programs, and size every message from its label count: a
 message is built only when a sink asks for it, at most once per execution
 and message key (sender and carried slots).
 """
@@ -68,19 +69,13 @@ class Message:
     """Protocol message: a kind tag plus a bounded tuple of labels.
 
     Payload entries are labels or small tuples of labels. size_bits counts
-    the kind tag plus one label-width field per label carried.
+    the kind tag plus one label-width field per label carried (see _bits):
+    the phases size each message from the label count they already hold.
     """
 
     kind: str
     payload: tuple
     size_bits: int
-
-    @staticmethod
-    def make(kind: str, payload: tuple, n_labels: int) -> "Message":
-        """The kind message carrying payload, sized by counting its labels.
-        The phases size their messages from label counts they already hold
-        and build them directly."""
-        return Message(kind, payload, _message_bits(kind, _count_labels(payload), n_labels))
 
 
 def _bits(labels, n_labels: int):
@@ -97,11 +92,6 @@ def _message_bits(kind: str, labels: int, n_labels: int) -> int:
     if size > budget:
         raise MessageSizeError(f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget")
     return size
-
-
-def _count_labels(payload: tuple) -> int:
-    """Its entries, with each nested tuple counted by the labels it holds."""
-    return len(payload) + sum([_count_labels(x) - 1 for x in payload if isinstance(x, tuple)])
 
 
 @dataclass
@@ -170,9 +160,8 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-# what a silent execution hears: no (slot position, listener) pair, and the
-# slot offsets of an empty schedule
-_NOT_HEARD = _frozen(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(1, np.int64))
+# what a silent execution hears: no (slot position, listener) pair
+_NOT_HEARD = _frozen(np.zeros(0, np.int64), np.zeros(0, np.int64))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -241,11 +230,9 @@ class _Batch:
 
     Who heard whom is planned up front: schedule e's distinct heard (slot
     position, listener label) pairs, sorted, are heard_pos and heard_label
-    over heard_at[e] : heard_at[e + 1], and its slot offsets (one more than
-    it has slots, counted from its first pair) are heard_slot_at from
-    slot_at[e] + e on. The records (rounds, transmissions and deliveries)
-    and the message keys are built from the rest, for the whole batch, the
-    first time a sink reads one.
+    over heard_at[e] : heard_at[e + 1]. The records (rounds, transmissions
+    and deliveries) and the message keys are built from the rest, for the
+    whole batch, the first time a sink reads one.
     """
 
     labels: np.ndarray  # station labels, ascending
@@ -259,19 +246,15 @@ class _Batch:
     slot_tx: np.ndarray  # the transmission that carries each slot membership
     slot_k: np.ndarray  # and its slot, numbered over the batch
     slot_pos: np.ndarray  # each slot's position within its schedule
-    slot_at: list[int]  # schedule e's slots start at slot_at[e]
     heard_at: list[int]
     heard_pos: np.ndarray
     heard_label: np.ndarray
-    heard_slot_at: np.ndarray
 
-    def heard(self, e: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Schedule e's heard slot positions and listener labels, and where
-        each of its slots' pairs starts among them (one offset more than it
-        has slots)."""
+    def heard(self, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """Schedule e's heard (slot position, listener label) pairs, sorted,
+        as read-only views."""
         lo, hi = self.heard_at[e], self.heard_at[e + 1]
-        at = self.heard_slot_at[self.slot_at[e] + e : self.slot_at[e + 1] + e + 1]
-        return self.heard_pos[lo:hi], self.heard_label[lo:hi], at
+        return self.heard_pos[lo:hi], self.heard_label[lo:hi]
 
     @cached_property
     def records(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -456,7 +439,7 @@ class Simulator:
         executions: Sequence[
             tuple[Sequence[int], Sequence[int], str, Callable[[int, Sequence[int]], Message]]
         ],
-    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Run consecutive full executions of one family as a single batch.
 
         Each execution is (slots, owners, phase, message): integer
@@ -482,14 +465,13 @@ class Simulator:
         planned together, each once, in one batch, when the returned
         iterator is first advanced. The iterator walks the executions in
         order: advancing to one records it with the sink, advances the
-        round counter by the family size, and yields what it heard as
-        read-only int64 arrays (pos, label, at): the distinct (slot
-        position, listener label) pairs, sorted, and where each slot's
-        pairs start, at[k] : at[k + 1] for slot k. So a caller must advance
-        through every execution; it can stop between two (by raising) with
-        exactly the executions before it recorded, and can size an
-        execution's messages just before advancing to it. Rounds whose set
-        meets no slot are silent and cost nothing.
+        round counter by the family size, and yields what it heard as two
+        read-only int64 arrays (pos, label): the distinct (slot position,
+        listener label) pairs, sorted by position and then label. So a
+        caller must advance through every execution; it can stop between
+        two (by raising) with exactly the executions before it recorded,
+        and can size an execution's messages just before advancing to it.
+        Rounds whose set meets no slot are silent and cost nothing.
         """
         plans = self._plans
         code = (family.q, family.K, family.P)
@@ -559,13 +541,7 @@ class Simulator:
         span = dl_at[slot_tx + 1] - lo
         heard = sorted_distinct(slot_k.repeat(span) * n + dl_rx[index_ranges(lo, span)])
         heard_k, heard_rx = np.divmod(heard, n)
-        slot_heard_at = heard_k.searchsorted(np.arange(len(slot) + 1))
-        # each schedule's slot offsets, counted from its own first pair
-        first = slot_heard_at[slot_at]
-        heard_slot_at = slot_heard_at[index_ranges(slot_at[:-1], counts + 1)]
-        heard_slot_at -= np.repeat(first[:-1], counts + 1)
-        heard_pos, heard_label = slot_pos[heard_k], labels[heard_rx]
-        _frozen(heard_pos, heard_label, heard_slot_at)
+        heard_pos, heard_label = _frozen(slot_pos[heard_k], labels[heard_rx])
         return _Batch(
             labels=labels,
             size=size,
@@ -578,11 +554,9 @@ class Simulator:
             slot_tx=slot_tx,
             slot_k=slot_k,
             slot_pos=slot_pos,
-            slot_at=slot_at.tolist(),
-            heard_at=first.tolist(),
+            heard_at=heard_k.searchsorted(slot_at).tolist(),
             heard_pos=heard_pos,
             heard_label=heard_label,
-            heard_slot_at=heard_slot_at,
         )
 
 
@@ -716,7 +690,7 @@ def leader_election(sim: Simulator) -> None:
             _message_bits("leader-announce", 1, n_labels)
             for u in leaders:
                 views[u].set_status(LEADER)
-            pos, heard, _at = next(steps)
+            pos, heard = next(steps)
             off = set()
             for k, listener in zip(pos.tolist(), heard.tolist()):
                 v = views[listener]
@@ -790,7 +764,7 @@ def neighborhood_inform(sim: Simulator) -> None:
     )
     # every (slot, listener) pair heard, slots numbered over all the tables
     pos, listener = [_NOT_HEARD[0]], [_NOT_HEARD[1]]
-    for (p, lab, _at), lo in zip(steps, at):
+    for (p, lab), lo in zip(steps, at):
         pos.append(p + lo)
         listener.append(lab)
     pos, listener = np.concatenate(pos), np.concatenate(listener)
@@ -859,7 +833,7 @@ def two_hop_connection(sim: Simulator) -> None:
         payload = tuple(sorted(claims[k] for k in ks))
         return Message("helper-claim", payload, _bits(3 * len(ks), n_labels))
 
-    ((pos, listener, _at),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
+    ((pos, listener),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
     for h, _s, _t in claims:
         if views[h].status != HELPER:
@@ -913,8 +887,9 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     asks for it, once per execution and sender, and sized from its label
     count before its execution is recorded. Each grant execution is checked
     by one array comparison of the targets with what was heard, as the
-    sweep must stop there if a grant was lost; the token records and the
-    receptions are read from the msg executions in one pass at the end.
+    sweep must stop there if a grant was lost. The token records and the
+    receptions are read from the msg executions sent, in one pass when the
+    sweep ends or stops.
     """
     n_labels = sim.inst.n_labels
     run_id = sim._tp_runs
@@ -967,36 +942,36 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
             (holding, holding, phase + "return", give_back(holder_at[i])),
         ]
     steps = sim.execute(sim.base_ssf(), specs)
-    sent: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # each msg execution's heard
+    sent: list[tuple[np.ndarray, np.ndarray]] = []  # each msg execution's heard
 
-    for i in range(delta):
-        lo, hi = at[i], at[i + 1]
-        # slot 1: everyone silent
-        next(steps)
-        # slot 2: leaders pass tokens to their i-th neighbors
-        if hi > lo:
-            _message_bits("token-grant", 2, n_labels)
-        pos, label, _at = next(steps)
-        got = label == targets[lo:hi][pos]
-        if np.count_nonzero(got) < hi - lo:
-            _append_token_records(sim, run_id, holder_list, holder_at, sent)
-            granted = np.zeros(hi - lo, dtype=bool)
-            granted[pos[got]] = True
-            k = lo + int(np.argmin(granted))
-            raise TokenDeliveryError(
-                f"token from leader {leaders[k]} to {target_list[k]} lost in run {run_id}, "
-                f"i={i + 1}"
-            )
-        # slot 3: token holders transmit their message
-        sent.append(next(steps))
-        # slot 4: holders pass tokens back
-        if too_long is not None and holder_at[i] <= too_long < holder_at[i + 1]:
-            _append_token_records(sim, run_id, holder_list, holder_at, sent)
-            count = token_at_list[too_long + 1] - token_at_list[too_long]
-            _message_bits("token-return", 1 + count, n_labels)
-        next(steps)
-
-    return _append_token_records(sim, run_id, holder_list, holder_at, sent)
+    try:
+        for i in range(delta):
+            lo, hi = at[i], at[i + 1]
+            # slot 1: everyone silent
+            next(steps)
+            # slot 2: leaders pass tokens to their i-th neighbors
+            if hi > lo:
+                _message_bits("token-grant", 2, n_labels)
+            pos, label = next(steps)
+            got = label == targets[lo:hi][pos]
+            if np.count_nonzero(got) < hi - lo:
+                granted = np.zeros(hi - lo, dtype=bool)
+                granted[pos[got]] = True
+                k = lo + int(np.argmin(granted))
+                raise TokenDeliveryError(
+                    f"token from leader {leaders[k]} to {target_list[k]} lost in run {run_id}, "
+                    f"i={i + 1}"
+                )
+            # slot 3: token holders transmit their message
+            sent.append(next(steps))
+            # slot 4: holders pass tokens back
+            if too_long is not None and holder_at[i] <= too_long < holder_at[i + 1]:
+                count = token_at_list[too_long + 1] - token_at_list[too_long]
+                _message_bits("token-return", 1 + count, n_labels)
+            next(steps)
+    finally:
+        receptions = _append_token_records(sim, run_id, holder_list, holder_at, sent)
+    return receptions
 
 
 def _append_token_records(
@@ -1004,25 +979,25 @@ def _append_token_records(
     run_id: int,
     holders: list[int],
     holder_at: list[int],
-    sent: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    sent: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Append the TokenRecord of each iteration whose msg execution was
     sent, from what it heard; returns their receptions as (sender,
-    listener) label arrays."""
-    listeners = np.concatenate([_NOT_HEARD[1]] + [lab for _p, lab, _a in sent])
+    listener) label arrays. Iteration i's msg execution sends
+    holders[holder_at[i] : holder_at[i + 1]] at slot positions 0, 1, ...,
+    and its heard pairs are sorted by position: so with holders numbered
+    over the sweep, each holder's listeners are one run of the pairs."""
+    holder = np.concatenate([_NOT_HEARD[0]] + [pos + lo for (pos, _l), lo in zip(sent, holder_at)])
+    listeners = np.concatenate([_NOT_HEARD[1]] + [lab for _p, lab in sent])
     # where each holder's listeners start, over the whole sweep
-    base = np.cumsum([0] + [len(lab) for _p, lab, _a in sent])
-    bounds = np.concatenate(
-        [a[:-1] + b for (_p, _l, a), b in zip(sent, base)] + [base[-1:]]
-    ).tolist()
+    bounds = holder.searchsorted(np.arange(holder_at[len(sent)] + 1)).tolist()
     heard = listeners.tolist()
     receivers = [tuple(heard[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     for i in range(len(sent)):
         hs = holders[holder_at[i] : holder_at[i + 1]]
         mine = receivers[holder_at[i] : holder_at[i + 1]]
         sim.token_records.append(TokenRecord(run_id, i + 1, tuple(hs), tuple(zip(hs, mine))))
-    senders = np.repeat(np.array(holders[: holder_at[len(sent)]], dtype=np.int64), np.diff(bounds))
-    return senders, listeners
+    return np.array(holders, dtype=np.int64)[holder], listeners
 
 
 def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callable[[int], Message]:
@@ -1195,7 +1170,7 @@ def three_hop_connection(sim: Simulator) -> None:
         views[u].three_hop_helpers.update(zip(bl[lo:hi], pairs[lo:hi]))
 
     choices = _Messages("hop3-choice", leaders, at, [xs, ys, bs], n_labels)
-    ((pos, listener, _at),) = sim.execute(
+    ((pos, listener),) = sim.execute(
         sim.base_ssf(),
         [(leaders, leaders, "three-hop-connection/announce", lambda u, _ks: choices[u])],
     )

@@ -35,7 +35,7 @@ def reference_neighborhood_inform(sim):
         ],
     )
     learned = {}
-    for table, (pos, listeners, _at) in zip(tables, steps):
+    for table, (pos, listeners) in zip(tables, steps):
         leaders = list(table)
         for k, listener in zip(pos.tolist(), listeners.tolist()):
             if views[listener].status != LEADER:
@@ -79,7 +79,7 @@ def reference_two_hop_connection(sim):
     def helper_claim(u, ks):
         return msg(sim, "helper-claim", tuple(sorted(claims[pidxs[k]] for k in ks)))
 
-    ((pos, listeners, _at),) = sim.execute(
+    ((pos, listeners),) = sim.execute(
         fam_pair, [(pidxs, helpers, "two-hop-connection", helper_claim)]
     )
     for h in helpers:

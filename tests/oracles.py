@@ -20,6 +20,10 @@ every placed point.
 ssf_broadcast() runs family executions with a fixed sender -> message map
 each, through Simulator.execute: the leader and token references send that
 way, with messages built up front by msg().
+
+make_message() is the label-count reference for message sizes: it sizes a
+message by counting the labels of its payload, nested tuples included,
+where the phases size each message from the label count they already hold.
 """
 
 import math
@@ -28,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from sinrbackbone import verify
+from sinrbackbone import protocol, verify
 from sinrbackbone.cli import GeneratorSpec
 from sinrbackbone.errors import DegenerateDistanceError, RetryCapError
 from sinrbackbone.protocol import Message, Simulator
@@ -226,9 +230,20 @@ def components(adjacency: Adjacency) -> list[set[int]]:
     return out
 
 
+def count_labels(payload: tuple) -> int:
+    """Its entries, with each nested tuple counted by the labels it holds."""
+    return len(payload) + sum([count_labels(x) - 1 for x in payload if isinstance(x, tuple)])
+
+
+def make_message(kind: str, payload: tuple, n_labels: int) -> Message:
+    """The kind message carrying payload, sized by counting its labels
+    (protocol._message_bits: MessageSizeError if over the budget)."""
+    return Message(kind, payload, protocol._message_bits(kind, count_labels(payload), n_labels))
+
+
 def msg(sim: Simulator, kind: str, payload: tuple) -> Message:
     """The kind message carrying payload, sized for sim's label space."""
-    return Message.make(kind, payload, sim.inst.n_labels)
+    return make_message(kind, payload, sim.inst.n_labels)
 
 
 def ssf_broadcast(
@@ -251,5 +266,5 @@ def ssf_broadcast(
             for ls, (senders, phase) in zip(labs, executions)
         ],
     )
-    for ls, (slots, listeners, _at) in zip(labs, steps):
+    for ls, (slots, listeners) in zip(labs, steps):
         yield [(ls[k], listener) for k, listener in zip(slots.tolist(), listeners.tolist())]

@@ -23,6 +23,7 @@ from sinrbackbone.protocol import (
     Message,
     ProtocolConfig,
     Simulator,
+    TokenRecord,
     backbone_creation,
     leader_election,
     neighborhood_inform,
@@ -37,7 +38,7 @@ from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
 from inform_reference import reference_two_hop_connection
 from leader_reference import reference_leader_election
-from oracles import msg, ssf_broadcast
+from oracles import make_message, msg, ssf_broadcast
 from test_cli import REFERENCE_RUNS
 from token_reference import reference_three_hop_connection, reference_token_passing
 from trace_reference import each_execution, records, replay
@@ -68,10 +69,10 @@ def test_message_size_budget(monkeypatch):
     assert protocol.C_MSG == 128
     for c_msg, fits in ((128, 108), (16, 12)):
         monkeypatch.setattr(protocol, "C_MSG", c_msg)
-        m = Message.make("hop3-report", tuple(range(1, fits + 1)), n_labels=64)
+        m = make_message("hop3-report", tuple(range(1, fits + 1)), n_labels=64)
         assert m.size_bits == 8 + 7 * fits <= c_msg * math.log2(64)
         with pytest.raises(MessageSizeError):
-            Message.make("hop3-report", tuple(range(1, fits + 2)), n_labels=64)
+            make_message("hop3-report", tuple(range(1, fits + 2)), n_labels=64)
 
 
 def test_status_transitions_guarded():
@@ -508,13 +509,13 @@ def _drop_delivery(sim, monkeypatch, phase, sender, listener):
     execute = sim.execute
 
     def lossy(family, executions):
-        for (slots, _owners, ph, _message), (pos, heard, _at) in zip(
+        for (slots, _owners, ph, _message), (pos, heard) in zip(
             executions, execute(family, executions)
         ):
             if ph == phase:
                 kept = (np.asarray(slots)[pos] != sender) | (heard != listener)
                 pos, heard = pos[kept], heard[kept]
-            yield pos, heard, np.searchsorted(pos, np.arange(len(slots) + 1))
+            yield pos, heard
 
     monkeypatch.setattr(sim, "execute", lossy)
 
@@ -693,6 +694,20 @@ def test_token_passing_needs_a_message_for_every_holder():
     assert len(sim.sink.executions) == recorded
 
 
+def test_a_grant_lost_in_a_later_iteration_keeps_the_earlier_records(monkeypatch):
+    # leader 7 grants to 2 in iteration 1 and to 4 in iteration 2, where
+    # 4 does not hear it: the sweep stops with iteration 1's record only
+    inst = make_instance([(7, 0, 0), (2, 0.8, 0), (4, -0.8, 0)], P, 16)
+    sim = Simulator(inst)
+    force_leaders(sim, {7})
+    _drop_delivery(sim, monkeypatch, "token-passing/run=0/i=2/grant", 7, 4)
+    msgs = {u: msg(sim, "hop3-report", (u, 7)) for u in (2, 4)}
+    with pytest.raises(TokenDeliveryError, match="token from leader 7 to 4 lost in run 0, i=2"):
+        token_passing(sim, msgs)
+    assert sim.token_records == [TokenRecord(0, 1, (2,), ((2, (7,)),))]
+    assert sim.sink.executions[-1].phase == "token-passing/run=0/i=2/grant"
+
+
 def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
     inst = generate(GeneratorSpec(n=16, arena_side=2.8, seed=5), P)
     sim = Simulator(inst)
@@ -740,7 +755,7 @@ def test_oversized_token_return_fails_before_the_return_execution(monkeypatch):
     monkeypatch.setattr(protocol, "C_MSG", 5)
     sim = Simulator(inst)
     force_leaders(sim, {5, 9})
-    msgs = {3: Message.make("hop3-report", (3,), 16)}
+    msgs = {3: make_message("hop3-report", (3,), 16)}
     with pytest.raises(MessageSizeError):
         token_passing(sim, msgs)
     assert [ex.phase for ex in sim.sink.executions] == [
@@ -748,6 +763,8 @@ def test_oversized_token_return_fails_before_the_return_execution(monkeypatch):
         "token-passing/run=0/i=1/grant",
         "token-passing/run=0/i=1/msg",
     ]
+    # the msg execution was sent, so its record is kept
+    assert sim.token_records == [TokenRecord(0, 1, (3,), ((3, (5, 9)),))]
 
 
 def test_oversized_return_of_a_later_transmitter_fails_before_the_return_execution(
@@ -758,7 +775,7 @@ def test_oversized_return_of_a_later_transmitter_fails_before_the_return_executi
     # (9, 10, 11) after it: 18 and 23 bits against a 20-bit budget
     stations = [(10, -0.8, 0), (9, 0, 0), (11, 0.8, 0), (15, 1.7, 0), (12, 2.6, 0), (3, 3.4, 0)]
     inst = make_instance(stations, P, 16)
-    msgs = {u: Message.make("hop3-report", (u,), 16) for u in (3, 9, 15)}
+    msgs = {u: make_message("hop3-report", (u,), 16) for u in (3, 9, 15)}
     fits = Simulator(inst)
     force_leaders(fits, {10, 11, 12})
     token_passing(fits, msgs)
@@ -840,10 +857,16 @@ def test_demo_base_ssf_over_gf8_delivers_every_token_message(monkeypatch):
 
 
 def _assert_same_heard(a, b):
-    """Two yields of Simulator.execute are the same int64 arrays."""
-    assert len(a) == len(b) == 3
+    """Two yields of Simulator.execute are the same two read-only int64
+    arrays, (slot position, listener label) pairs in strictly increasing
+    order: by position, then label. The token records rely on that order."""
+    assert len(a) == len(b) == 2
     for x, y in zip(a, b):
         assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+        assert not x.flags.writeable and not y.flags.writeable
+    pos, label = a
+    step = np.diff(pos)
+    assert np.all((step > 0) | ((step == 0) & (np.diff(label) > 0)))
 
 
 def _assert_same_execution(a, b):
@@ -1363,12 +1386,12 @@ def test_all_statuses_resolved_and_messages_bounded():
 @pytest.mark.parametrize("name", ["n40-N1024", "cli-trace"])
 def test_every_message_is_sized_as_its_payload_counts(name):
     # the phases size what they send from label counts they hold; counting
-    # each payload's labels, as Message.make does, gives the same sizes
+    # each payload's labels, as oracles.make_message does, gives the same sizes
     inst = generate(REFERENCE_RUNS[name][0])
     kinds = set()
     for tr in records(backbone_creation(inst).traces.executions):
         for _, m in tr.transmitters:
-            assert m == Message.make(m.kind, m.payload, inst.n_labels)
+            assert m == make_message(m.kind, m.payload, inst.n_labels)
             kinds.add(m.kind)
     assert kinds == {
         "leader-announce", "neighbor-of-leader", "helper-claim", "token-grant",

@@ -42,7 +42,7 @@ def reference_token_passing(sim, msgs):
     def advance(messages):
         """The (slot position, listener) pairs the next execution heard."""
         sent.append(messages)
-        pos, listeners, _at = next(steps)
+        pos, listeners = next(steps)
         return pos.tolist(), listeners.tolist()
 
     for i, granting, senders, holders in sweep:
