@@ -26,7 +26,6 @@ from .physical import (
 from .protocol import (
     BackboneResult,
     Message,
-    NodeView,
     ProtocolConfig,
     Simulator,
     backbone_creation,

@@ -1,9 +1,12 @@
 """Synchronous round engine and node state machines for backbone creation.
 
-The engine enforces the information barrier: node decisions are computed
-from NodeView fields only (own label, n, N, Delta, neighbor labels,
-received messages), while reception is adjudicated by the physical layer
-against the full transmitter set of each round.
+The engine enforces the information barrier: a node acts only on its own
+label, n, N, Delta, its neighbors' labels and what it heard. The phases
+read the graph's CSR list, the node state arrays on the Simulator and the
+heard pairs Simulator.execute yields; physics reaches them only through
+PhysicsEngine.adjudicate, which decides who heard whom against the full
+transmitter set of each round. The protocol tests pin this by replaying
+a run's adjudicate answers on redrawn positions.
 
 Every round belongs to exactly one execution of a selection family.
 Executions are scheduled in lockstep at every node, so silent rounds (no
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
@@ -51,13 +54,15 @@ LEADER = "leader"
 INACTIVE = "inactive"
 HELPER = "helper"
 
-_STATUS_TRANSITIONS = {
-    (ACTIVE, LEADER),
-    (ACTIVE, INACTIVE),
-    (INACTIVE, HELPER),
-    (HELPER, HELPER),
-    (LEADER, LEADER),
-}
+# a station's status is an index into STATUSES
+STATUSES = (ACTIVE, LEADER, INACTIVE, HELPER)
+_ACTIVE, _LEADER, _INACTIVE, _HELPER = range(len(STATUSES))
+# _MAY_BECOME[old, new]: the five legal status transitions
+_MAY_BECOME = np.zeros((len(STATUSES),) * 2, dtype=bool)
+_MAY_BECOME[
+    [_ACTIVE, _ACTIVE, _INACTIVE, _HELPER, _LEADER],
+    [_LEADER, _INACTIVE, _HELPER, _HELPER, _LEADER],
+] = True
 
 C_CAP = 2048  # hard cap on the non-demo ssf parameter
 C_MSG = 128  # message budget: at most C_MSG * lg N bits
@@ -92,34 +97,6 @@ def _message_bits(kind: str, labels: int, n_labels: int) -> int:
     if size > budget:
         raise MessageSizeError(f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget")
     return size
-
-
-@dataclass
-class NodeView:
-    """Everything a protocol node may legally know.
-
-    Derived solely from initial knowledge (own label, n, N, Delta, neighbor
-    labels) and received messages; never from positions.
-    """
-
-    label: int
-    n: int
-    n_labels: int
-    delta: int
-    neighbors: tuple[int, ...]
-    status: str = ACTIVE
-    adjacent_leaders: set[int] = field(default_factory=set)
-    two_hop_helpers: dict[int, int] = field(default_factory=dict)  # partner -> helper
-    three_hop_helpers: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    @property
-    def degree(self) -> int:
-        return len(self.neighbors)
-
-    def set_status(self, new: str) -> None:
-        if (self.status, new) not in _STATUS_TRANSITIONS:
-            raise ValueError(f"illegal status transition {self.status} -> {new}")
-        self.status = new
 
 
 @dataclass
@@ -380,7 +357,17 @@ class Families:
 
 
 class Simulator:
-    """One protocol run over a fixed instance: views, schedule, physics."""
+    """One protocol run over a fixed instance: node state, schedule, physics.
+
+    The node state is arrays. status holds each station's status, by graph
+    position, as an index into STATUSES; only set_status changes it. The
+    rest is rows of labels, each its first column's station's own
+    knowledge: adjacent, the leaders each station heard announce (see
+    leader_election); learned (see neighborhood_inform); and two_hop and
+    three_hop, the helpers each leader keeps (see two_hop_connection and
+    three_hop_connection). adjacent, two_hop and three_hop are sorted and
+    distinct.
+    """
 
     def __init__(
         self,
@@ -396,24 +383,34 @@ class Simulator:
         self.sink = sink if sink is not None else CollectSink()
         self.round = 0
         self.families = Families.for_run(inst, config)
-        n = inst.n
-        delta = self.graph.delta
-        self.views: dict[int, NodeView] = {
-            lab: NodeView(
-                label=lab,
-                n=n,
-                n_labels=inst.n_labels,
-                delta=delta,
-                neighbors=self.graph.adjacency[lab],
-            )
-            for lab in self.graph.nodes
-        }
+        self.status = np.full(len(self.graph.nodes), _ACTIVE, dtype=np.int8)
+        self.adjacent = np.zeros((0, 2), dtype=np.int64)  # (listener, leader)
+        self.learned = np.zeros((0, 3), dtype=np.int64)  # (listener, leader, member)
+        self.two_hop = np.zeros((0, 3), dtype=np.int64)  # (leader, partner, helper)
+        self.three_hop = np.zeros((0, 4), dtype=np.int64)  # (leader, partner, x, y)
         self.phase_snapshots: list[tuple[int, dict[int, str]]] = []
         self.token_records: list[TokenRecord] = []
         self._tp_runs = 0
-        # (listener, leader, member) rows: see neighborhood_inform
-        self.learned = np.zeros((0, 3), dtype=np.int64)
         self._plans: dict[tuple, _Plan] = {}  # see execute
+
+    def statuses(self) -> dict[int, str]:
+        """Each station's status, by label, ascending."""
+        return dict(zip(self.graph.nodes, [STATUSES[s] for s in self.status.tolist()]))
+
+    def set_status(self, labels: Sequence[int], new: str) -> None:
+        """Give each station of labels the status new. If any of them may
+        not become new (see _MAY_BECOME), raise a ValueError naming the
+        first, and change nothing."""
+        at = self.graph.label_array.searchsorted(labels)
+        code = STATUSES.index(new)
+        legal = _MAY_BECOME[self.status[at], code]
+        if not legal.all():
+            k = int(legal.argmin())
+            raise ValueError(
+                f"illegal status transition {STATUSES[self.status[at[k]]]} -> {new} "
+                f"at station {labels[k]}"
+            )
+        self.status[at] = code
 
     # -- family access ------------------------------------------------------
 
@@ -601,10 +598,11 @@ def leader_election(sim: Simulator) -> None:
     inactive in a row are not the ones speculated, the rest of the batch is
     dropped and the election speculates again from the next row, from the
     real statuses. The silent rows between two that transmit are recorded
-    as one Execution per bucket.
+    as one Execution per bucket. Every (listener, leader) announcement
+    heard is kept in sim.adjacent.
     """
-    views = sim.views
     graph = sim.graph
+    status = sim.status
     n_labels = sim.inst.n_labels
     fam_ssf = sim.base_ssf()
     delta = graph.delta
@@ -638,7 +636,7 @@ def leader_election(sim: Simulator) -> None:
         """Each row from g on that transmits, with its leaders and the
         stations they make inactive, if every announcement reaches every
         active neighbor."""
-        active = [views[lab].status == ACTIVE for lab in labels]
+        active = (status == _ACTIVE).tolist()
         out: list[tuple[int, list[int], set[int]]] = []
         k = bisect_left(row_of, g)
         for s, row in zip(by_row[k:], row_of[k:]):
@@ -669,13 +667,14 @@ def leader_election(sim: Simulator) -> None:
                 sim.skip_execution(fam_ssf, phases[i], stop - g)
             g = stop
             if g == ends[i]:
-                sim.phase_snapshots.append((i, {lab: views[lab].status for lab in labels}))
+                sim.phase_snapshots.append((i, sim.statuses()))
 
     announce_bits = _bits(1, n_labels)
 
     def announce(u: int, _ks: Sequence[int]) -> Message:
         return Message("leader-announce", (u,), announce_bits)
 
+    adjacent = [_NOT_HEARD[1]]  # each heard announcement: listener * (N + 1) + leader
     while True:
         rows = speculate(g)
         steps = sim.execute(
@@ -688,23 +687,20 @@ def leader_election(sim: Simulator) -> None:
         for row, leaders, expected in rows:
             advance(row)
             _message_bits("leader-announce", 1, n_labels)
-            for u in leaders:
-                views[u].set_status(LEADER)
+            sim.set_status(leaders, LEADER)
             pos, heard = next(steps)
-            off = set()
-            for k, listener in zip(pos.tolist(), heard.tolist()):
-                v = views[listener]
-                v.adjacent_leaders.add(leaders[k])
-                if v.status == ACTIVE:
-                    v.set_status(INACTIVE)
-                    off.add(listener)
+            adjacent.append(heard * (n_labels + 1) + np.array(leaders)[pos])
+            off = heard[status[graph.label_array.searchsorted(heard)] == _ACTIVE]
+            sim.set_status(off, INACTIVE)
             advance(row + 1, silent=False)
-            if off != expected:
+            if set(off.tolist()) != expected:
                 steps.close()
                 break
         else:
             break
     advance(never)
+    adjacent = sorted_distinct(np.concatenate(adjacent))
+    sim.adjacent = np.column_stack(np.divmod(adjacent, n_labels + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +712,7 @@ def _leader_tables(sim: Simulator) -> tuple[list[int], np.ndarray, np.ndarray]:
     members): iteration i maps leaders[at[i-1] : at[i]], ascending, each
     to the same row of members."""
     g = sim.graph
-    views = sim.views
-    lead = np.flatnonzero([views[lab].status == LEADER for lab in g.nodes])
+    lead = np.flatnonzero(sim.status == _LEADER)
     degree = np.diff(g.nbr_at)[lead]
     nbr = g.nbrs[index_ranges(g.nbr_at[lead], degree)]
     i = np.arange(len(nbr)) - np.repeat(degree.cumsum() - degree, degree)
@@ -768,8 +763,7 @@ def neighborhood_inform(sim: Simulator) -> None:
         pos.append(p + lo)
         listener.append(lab)
     pos, listener = np.concatenate(pos), np.concatenate(listener)
-    keep = np.array([sim.views[u].status != LEADER for u in sim.graph.nodes])
-    keep = keep[sim.graph.label_array.searchsorted(listener)]
+    keep = (sim.status != _LEADER)[sim.graph.label_array.searchsorted(listener)]
     sim.learned = np.column_stack([listener, leaders[pos], members[pos]])[keep]
 
 
@@ -784,10 +778,10 @@ def two_hop_connection(sim: Simulator) -> None:
     The claim rule is a group-by over sim.learned: a non-leader u claims
     the pair of adjacent leaders s < t when u is the least label that it
     learned neighbors both. Claims are kept one per pair, the largest
-    claimant's.
+    claimant's. Each leader that hears a claim naming it keeps the
+    claimant as its helper to the other leader, in sim.two_hop.
     """
     neighborhood_inform(sim)
-    views = sim.views
     n_labels = sim.inst.n_labels
     fam_pair = sim.pair_ssf()
     phase = "two-hop-connection"
@@ -795,9 +789,7 @@ def two_hop_connection(sim: Simulator) -> None:
     # (u, s, m): u learned that m neighbors s, one of its adjacent leaders;
     # only an m up to u can be the least common member that u must be
     u, s, m = sim.learned.T
-    non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
-    at, adjacent = _adjacent_leaders(views, non_leaders)
-    mine = np.repeat(np.array(non_leaders, np.int64), np.diff(at)) * (n_labels + 1) + adjacent
+    mine = sim.adjacent[:, 0] * (n_labels + 1) + sim.adjacent[:, 1]  # sorted
     keep = np.flatnonzero(m <= u)
     keep = keep[_in_sorted(u[keep] * (n_labels + 1) + s[keep], mine)]
     u, s, m = u[keep], s[keep], m[keep]
@@ -835,27 +827,12 @@ def two_hop_connection(sim: Simulator) -> None:
 
     ((pos, listener),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
-    for h, _s, _t in claims:
-        if views[h].status != HELPER:
-            views[h].set_status(HELPER)
+    sim.set_status(helpers, HELPER)
     named = (listener == s[pos]) | (listener == t[pos])
-    for k, lab in zip(pos[named].tolist(), listener[named].tolist()):
-        h, s_k, t_k = claims[k]
-        if lab == s_k:
-            views[s_k].two_hop_helpers[t_k] = h
-        else:
-            views[t_k].two_hop_helpers[s_k] = h
-
-
-def _adjacent_leaders(
-    views: Mapping[int, NodeView], nodes: list[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's adjacent leaders, ascending, as (at, leaders): node j's
-    are leaders[at[j] : at[j + 1]]."""
-    adjacent = [sorted(views[u].adjacent_leaders) for u in nodes]
-    at = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum([len(a) for a in adjacent], out=at[1:])
-    return at, np.fromiter(chain.from_iterable(adjacent), np.int64, at[-1])
+    pos, leader = pos[named], listener[named]
+    partner = np.where(leader == s[pos], t[pos], s[pos])
+    order = np.lexsort((partner, leader))
+    sim.two_hop = np.column_stack([leader, partner, helpers[pos]])[order]
 
 
 # ---------------------------------------------------------------------------
@@ -1112,14 +1089,13 @@ def three_hop_connection(sim: Simulator) -> None:
     never from another node's state. The hop3-report and hop3-choice
     payloads are kept as arrays too: each phase sizes all its messages at
     once from their label counts, and a message is built only when a sink
-    asks for it. The leaders announce their choices through one ssf
-    execution, and every x named to the leader it heard becomes a helper.
+    asks for it. Each leader keeps its choices in sim.three_hop and
+    announces them through one ssf execution, and every x named to the
+    leader it heard becomes a helper.
     """
-    views = sim.views
     n_labels = sim.inst.n_labels
-    leaders = np.array([lab for lab in sorted(views) if views[lab].status == LEADER], np.int64)
-    non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
-    nl = np.array(non_leaders, dtype=np.int64)
+    labels = sim.graph.label_array
+    leaders, nl = labels[sim.status == _LEADER], labels[sim.status != _LEADER]
     is_leader = np.zeros(n_labels + 1, dtype=bool)
     is_leader[leaders] = True
 
@@ -1128,7 +1104,8 @@ def three_hop_connection(sim: Simulator) -> None:
         return sorted_nodes.searchsorted(np.append(nodes, n_labels + 1))
 
     # each non-leader reports its adjacent leaders
-    at, adjacent = _adjacent_leaders(views, non_leaders)
+    reporter, adjacent = sim.adjacent[~is_leader[sim.adjacent[:, 0]]].T
+    at = by_node(nl, reporter)
     senders, listeners = token_passing(sim, _Messages("hop3-report", nl, at, [adjacent], n_labels))
     heard = ~is_leader[listeners]
     x, y, b = _heard_entries(nl, at, adjacent, senders[heard], listeners[heard])
@@ -1149,10 +1126,7 @@ def three_hop_connection(sim: Simulator) -> None:
     # two-hop helper: the smallest label among the reports' x and y, and
     # the least label reported with it (an x first)
     pair = lab * (n_labels + 1) + b
-    connected = np.array(
-        sorted(u * (n_labels + 1) + t for u in leaders.tolist() for t in views[u].two_hop_helpers),
-        dtype=np.int64,
-    )
+    connected = sim.two_hop[:, 0] * (n_labels + 1) + sim.two_hop[:, 1]  # sorted
     keep = (b != lab) & ~_in_sorted(pair, connected)
     lab, b, x, y = lab[keep], b[keep], x[keep], y[keep]
     by_x, by_y = np.lexsort((y, x, b, lab)), np.lexsort((x, y, b, lab))
@@ -1163,11 +1137,8 @@ def three_hop_connection(sim: Simulator) -> None:
     xs = np.where(x_first, min_x, x_of_y)
     ys = np.where(x_first, y_of_x, min_y)
     bs = b[by_x][start]
+    sim.three_hop = np.column_stack([lab[by_x][start], bs, xs, ys])
     at = by_node(leaders, lab[by_x][start])
-    pairs = list(zip(xs.tolist(), ys.tolist()))
-    bl, atl = bs.tolist(), at.tolist()
-    for u, lo, hi in zip(leaders.tolist(), atl, atl[1:]):
-        views[u].three_hop_helpers.update(zip(bl[lo:hi], pairs[lo:hi]))
 
     choices = _Messages("hop3-choice", leaders, at, [xs, ys, bs], n_labels)
     ((pos, listener),) = sim.execute(
@@ -1176,9 +1147,8 @@ def three_hop_connection(sim: Simulator) -> None:
     )
     # every x a leader named becomes a helper when it hears that leader
     named = np.sort(np.repeat(np.arange(len(leaders)), np.diff(at)) * (n_labels + 1) + xs)
-    for v in np.unique(listener[_in_sorted(pos * (n_labels + 1) + listener, named)]).tolist():
-        if views[v].status != HELPER:
-            views[v].set_status(HELPER)
+    heard = listener[_in_sorted(pos * (n_labels + 1) + listener, named)]
+    sim.set_status(sorted_distinct(heard), HELPER)
 
 
 # ---------------------------------------------------------------------------
@@ -1199,35 +1169,22 @@ def backbone_creation(
     two_hop_connection(sim)
     three_hop_connection(sim)
 
-    views = sim.views
-    leaders = tuple(lab for lab in sorted(views) if views[lab].status == LEADER)
-    two_hop: dict[tuple[int, int], int] = {}
-    three_hop: dict[tuple[int, int], tuple[int, int]] = {}
-    helpers: set[int] = set()
-    edges: set[tuple[int, int]] = set()
-
-    for lab in leaders:
-        v = views[lab]
-        for partner, h in sorted(v.two_hop_helpers.items()):
-            key = (min(lab, partner), max(lab, partner))
-            two_hop[key] = h
-            helpers.add(h)
-            edges.add(tuple(sorted((lab, h))))
-            edges.add(tuple(sorted((partner, h))))
-        for partner, (x, y) in sorted(v.three_hop_helpers.items()):
-            three_hop[(lab, partner)] = (x, y)
-            helpers.update((x, y))
-            edges.add(tuple(sorted((lab, x))))
-            edges.add(tuple(sorted((x, y))))
-            edges.add(tuple(sorted((y, partner))))
-
+    n1 = inst.n_labels + 1
+    two, three = sim.two_hop, sim.three_hop
+    two_hop = {(min(s, t), max(s, t)): h for s, t, h in two.tolist()}
+    three_hop = {(s, t): (x, y) for s, t, x, y in three.tolist()}
+    # the edges realizing each assignment: s - h - t, and s - x - y - t
+    u = np.concatenate([two[:, 0], two[:, 1], three[:, 0], three[:, 2], three[:, 3]])
+    v = np.concatenate([two[:, 2], two[:, 2], three[:, 2], three[:, 3], three[:, 1]])
+    edges = np.divmod(sorted_distinct(np.minimum(u, v) * n1 + np.maximum(u, v)), n1)
+    helpers = sorted_distinct(np.concatenate([two[:, 2], three[:, 2:].ravel()]))
     return BackboneResult(
-        leaders=leaders,
-        helpers=tuple(sorted(helpers)),
-        backbone_edges=tuple(sorted(edges)),
+        leaders=tuple(sim.graph.label_array[sim.status == _LEADER].tolist()),
+        helpers=tuple(helpers.tolist()),
+        backbone_edges=tuple(zip(*[e.tolist() for e in edges])),
         rounds_used=sim.round,
         traces=sim.sink,
-        statuses={lab: views[lab].status for lab in sorted(views)},
+        statuses=sim.statuses(),
         two_hop=two_hop,
         three_hop=three_hop,
         phase_snapshots=sim.phase_snapshots,

@@ -14,17 +14,17 @@ from itertools import combinations
 from sinrbackbone.protocol import HELPER, LEADER
 from sinrbackbone.selection import pair_index
 
-from oracles import msg
+from oracles import msg, store, views
 
 
 def reference_neighborhood_inform(sim):
     """Per non-leader listener, leader -> the members it heard that
     leader send."""
-    views = sim.views
+    node = views(sim)
     tables = [{} for _ in range(sim.graph.delta)]
-    for lab in sorted(views):
-        if views[lab].status == LEADER:
-            for table, member in zip(tables, views[lab].neighbors):
+    for lab in sorted(node):
+        if node[lab].status == LEADER:
+            for table, member in zip(tables, node[lab].neighbors):
                 table[lab] = member
     sent = [{u: msg(sim, "neighbor-of-leader", (u, v)) for u, v in t.items()} for t in tables]
     steps = sim.execute(
@@ -38,7 +38,7 @@ def reference_neighborhood_inform(sim):
     for table, (pos, listeners) in zip(tables, steps):
         leaders = list(table)
         for k, listener in zip(pos.tolist(), listeners.tolist()):
-            if views[listener].status != LEADER:
+            if node[listener].status != LEADER:
                 leader = leaders[k]
                 learned.setdefault(listener, {}).setdefault(leader, set()).add(table[leader])
     return learned
@@ -48,7 +48,7 @@ def reference_two_hop_connection(sim):
     """two_hop_connection with the dict-based rules; returns what each
     listener learned and the claims, pair index -> (helper, s, t)."""
     learned = reference_neighborhood_inform(sim)
-    views = sim.views
+    node = views(sim)
     n_labels = sim.inst.n_labels
     fam_pair = sim.pair_ssf()
 
@@ -56,8 +56,8 @@ def reference_two_hop_connection(sim):
     # least label it learned neighbors both; a later claimant's claim of a
     # pair replaces an earlier one's
     claims = {}
-    for u in sorted(views):
-        v = views[u]
+    for u in sorted(node):
+        v = node[u]
         if v.status == LEADER:
             continue
         mine = learned.get(u, {})
@@ -83,12 +83,13 @@ def reference_two_hop_connection(sim):
         fam_pair, [(pidxs, helpers, "two-hop-connection", helper_claim)]
     )
     for h in helpers:
-        if views[h].status != HELPER:
-            views[h].set_status(HELPER)
+        if node[h].status != HELPER:
+            node[h].set_status(HELPER)
     for k, listener in zip(pos.tolist(), listeners.tolist()):
         h, s, t = claims[pidxs[k]]
         if listener == s:
-            views[s].two_hop_helpers[t] = h
+            node[s].two_hop_helpers[t] = h
         elif listener == t:
-            views[t].two_hop_helpers[s] = h
+            node[t].two_hop_helpers[s] = h
+    store(sim, node)
     return learned, claims

@@ -14,7 +14,7 @@ import numpy as np
 
 from sinrbackbone.protocol import ACTIVE, INACTIVE, LEADER
 
-from oracles import msg, ssf_broadcast
+from oracles import msg, ssf_broadcast, store, views
 
 
 def _ceil_div(a, b):
@@ -22,15 +22,15 @@ def _ceil_div(a, b):
 
 
 def reference_leader_election(sim):
-    views = sim.views
+    node = views(sim)
     delta = sim.graph.delta
     fam_ssf = sim.base_ssf()
-    labels = sorted(views)
+    labels = sorted(node)
     lab_arr = np.array(labels)
-    degree = np.array([views[lab].degree for lab in labels])
+    degree = np.array([node[lab].degree for lab in labels])
     # 0/1 float32 matrices multiply by BLAS, exactly: counts stay below 2^24
     adj = np.zeros((len(labels), len(labels)), dtype=np.float32)
-    nbrs = [v for lab in labels for v in views[lab].neighbors]
+    nbrs = [v for lab in labels for v in node[lab].neighbors]
     adj[np.repeat(np.arange(len(labels)), degree), np.searchsorted(lab_arr, nbrs)] = 1
 
     for i, fam_sel in enumerate(sim.families.leader_selectors(delta)):
@@ -43,18 +43,19 @@ def reference_leader_election(sim):
         phase = f"leader-election/i={i}"
 
         for j in range(fam_sel.size):
-            candidates = [u for u in marked[row_at[j] : row_at[j + 1]] if views[u].status == ACTIVE]
+            candidates = [u for u in marked[row_at[j] : row_at[j + 1]] if node[u].status == ACTIVE]
             if not candidates:
                 sim.skip_execution(fam_ssf, phase)
                 continue
             senders = {}
             for u in candidates:
-                views[u].set_status(LEADER)
+                node[u].set_status(LEADER)
                 senders[u] = msg(sim, "leader-announce", (u,))
             (pairs,) = ssf_broadcast(sim, fam_ssf, [(senders, phase)])
             for s, listener in pairs:
-                v = views[listener]
+                v = node[listener]
                 v.adjacent_leaders.add(s)
                 if v.status == ACTIVE:
                     v.set_status(INACTIVE)
-        sim.phase_snapshots.append((i, {lab: views[lab].status for lab in labels}))
+        sim.phase_snapshots.append((i, {lab: node[lab].status for lab in labels}))
+    store(sim, node)

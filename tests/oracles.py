@@ -24,10 +24,16 @@ way, with messages built up front by msg().
 make_message() is the label-count reference for message sizes: it sizes a
 message by counting the labels of its payload, nested tuples included,
 where the phases size each message from the label count they already hold.
+
+NodeView is one node's state as one object, with its own guard on status
+transitions: the leader, inform and token references apply their
+node-local rules to views(sim), built from the Simulator's state arrays,
+and write them back with store(sim, views).
 """
 
 import math
 import random
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,7 +41,15 @@ import numpy as np
 from sinrbackbone import protocol, verify
 from sinrbackbone.cli import GeneratorSpec
 from sinrbackbone.errors import DegenerateDistanceError, RetryCapError
-from sinrbackbone.protocol import Message, Simulator
+from sinrbackbone.protocol import (
+    ACTIVE,
+    HELPER,
+    INACTIVE,
+    LEADER,
+    STATUSES,
+    Message,
+    Simulator,
+)
 from sinrbackbone.selection import SelectionFamily
 from sinrbackbone.physical import (
     PhysicalInstance,
@@ -268,3 +282,71 @@ def ssf_broadcast(
     )
     for ls, (slots, listeners) in zip(labs, steps):
         yield [(ls[k], listener) for k, listener in zip(slots.tolist(), listeners.tolist())]
+
+
+_STATUS_TRANSITIONS = {
+    (ACTIVE, LEADER),
+    (ACTIVE, INACTIVE),
+    (INACTIVE, HELPER),
+    (HELPER, HELPER),
+    (LEADER, LEADER),
+}
+
+
+@dataclass
+class NodeView:
+    """Everything a protocol node may legally know.
+
+    Derived solely from initial knowledge (own label, n, N, Delta, neighbor
+    labels) and received messages; never from positions.
+    """
+
+    label: int
+    n: int
+    n_labels: int
+    delta: int
+    neighbors: tuple[int, ...]
+    status: str = ACTIVE
+    adjacent_leaders: set[int] = field(default_factory=set)
+    two_hop_helpers: dict[int, int] = field(default_factory=dict)  # partner -> helper
+    three_hop_helpers: dict[int, tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def degree(self) -> int:
+        return len(self.neighbors)
+
+    def set_status(self, new: str) -> None:
+        if (self.status, new) not in _STATUS_TRANSITIONS:
+            raise ValueError(f"illegal status transition {self.status} -> {new}")
+        self.status = new
+
+
+def views(sim: Simulator) -> dict[int, NodeView]:
+    """Each station's NodeView, by label, from sim's state arrays."""
+    g = sim.graph
+    out = {
+        lab: NodeView(lab, sim.inst.n, sim.inst.n_labels, g.delta, g.adjacency[lab], status)
+        for lab, status in sim.statuses().items()
+    }
+    for u, s in sim.adjacent.tolist():
+        out[u].adjacent_leaders.add(s)
+    for s, t, h in sim.two_hop.tolist():
+        out[s].two_hop_helpers[t] = h
+    for s, t, x, y in sim.three_hop.tolist():
+        out[s].three_hop_helpers[t] = (x, y)
+    return out
+
+
+def store(sim: Simulator, views: Mapping[int, NodeView]) -> None:
+    """Write views back to sim's state arrays, each table's rows sorted."""
+    nodes = sim.graph.nodes
+
+    def rows(width: int, entries: Iterable[tuple]) -> np.ndarray:
+        return np.array(sorted(entries), dtype=np.int64).reshape(-1, width)
+
+    sim.status[:] = [STATUSES.index(views[u].status) for u in nodes]
+    sim.adjacent = rows(2, ((u, s) for u in nodes for s in views[u].adjacent_leaders))
+    sim.two_hop = rows(3, ((u, *e) for u in nodes for e in views[u].two_hop_helpers.items()))
+    sim.three_hop = rows(
+        4, ((u, t, *xy) for u in nodes for t, xy in views[u].three_hop_helpers.items())
+    )

@@ -394,7 +394,7 @@ def _lost_grant_executions(monkeypatch) -> list:
         return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
-    msgs = {u: msg(sim, "hop3-report", (u,)) for u, v in sim.views.items() if v.status != LEADER}
+    msgs = {u: msg(sim, "hop3-report", (u,)) for u, s in sim.statuses().items() if s != LEADER}
     with pytest.raises(TokenDeliveryError):
         token_passing(sim, msgs)
     assert sim.sink.executions[-1].phase == "token-passing/run=0/i=1/grant"

@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import math
+import random
 import sys
 import typing
 from pathlib import Path
@@ -14,11 +15,20 @@ import sinrbackbone
 from sinrbackbone import protocol
 from sinrbackbone.cli import DEFAULT_PARAMS, GeneratorSpec, generate
 from sinrbackbone.errors import MessageSizeError, SimulationError, TokenDeliveryError
-from sinrbackbone.physical import build_graph, load_instance, make_instance
+from sinrbackbone.physical import (
+    PhysicsEngine,
+    build_graph,
+    load_instance,
+    make_instance,
+    serialize_instance,
+)
 from sinrbackbone.protocol import (
     ACTIVE,
+    HELPER,
     INACTIVE,
     LEADER,
+    STATUSES,
+    BackboneResult,
     Families,
     Message,
     ProtocolConfig,
@@ -38,7 +48,7 @@ from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
 from inform_reference import reference_two_hop_connection
 from leader_reference import reference_leader_election
-from oracles import make_message, msg, ssf_broadcast
+from oracles import NodeView, make_message, msg, ssf_broadcast, views
 from test_cli import REFERENCE_RUNS
 from token_reference import reference_three_hop_connection, reference_token_passing
 from trace_reference import each_execution, records, replay
@@ -47,16 +57,33 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's instance lists)
 
 P = DEFAULT_PARAMS  # alpha=4, beta=1, noise=1, eps=0.5, power=1.5 -> range 1
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+DEMO_LOSS = GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442)
+
+
+def demo_loss():
+    """The instance generated from DEMO_LOSS, committed as a fixture: in
+    both token-passing sweeps, holder 35's message never reaches its
+    neighbour 46."""
+    return load_instance(str(FIXTURES / "demo_loss.json"))
+
+
+def test_the_demo_loss_fixture_is_what_its_spec_generates():
+    # generator drift fails here, instead of silently swapping the
+    # instance the tests load
+    generated = serialize_instance(generate(DEMO_LOSS, P)).encode()
+    assert generated == (FIXTURES / "demo_loss.json").read_bytes()
 
 
 def force_leaders(sim, leaders):
-    """Skip leader election: install its postcondition state directly."""
-    for lab, v in sim.views.items():
-        if lab in leaders:
-            v.status = LEADER
-        else:
-            v.status = INACTIVE
-            v.adjacent_leaders = set(v.neighbors) & set(leaders)
+    """Skip leader election: install its postcondition state directly.
+    Every non-leader heard each neighbouring leader announce."""
+    g = sim.graph
+    lead = np.isin(g.label_array, list(leaders))
+    sim.status[:] = np.where(lead, STATUSES.index(LEADER), STATUSES.index(INACTIVE))
+    listener = np.repeat(np.arange(len(g.nodes)), np.diff(g.nbr_at))
+    heard = ~lead[listener] & lead[g.nbrs]
+    sim.adjacent = g.label_array[np.column_stack([listener, g.nbrs])[heard]]
 
 
 # ---------------------------------------------------------------------------
@@ -75,15 +102,49 @@ def test_message_size_budget(monkeypatch):
             make_message("hop3-report", tuple(range(1, fits + 2)), n_labels=64)
 
 
+LEGAL_TRANSITIONS = {
+    (ACTIVE, LEADER),
+    (ACTIVE, INACTIVE),
+    (INACTIVE, HELPER),
+    (HELPER, HELPER),
+    (LEADER, LEADER),
+}
+
+
 def test_status_transitions_guarded():
-    inst = make_instance([(1, 0, 0), (2, 0.5, 0)], P, 4)
+    # every (old, new) pair, through Simulator.set_status and the tests'
+    # NodeView: exactly the paper's five transitions pass, and an illegal
+    # one changes nothing
+    inst = make_instance([(1, 0, 0), (2, 0.5, 0), (4, 0.9, 0.3)], P, 4)
     sim = Simulator(inst)
-    sim.views[1].set_status(LEADER)
-    with pytest.raises(ValueError):
-        sim.views[1].set_status(INACTIVE)
-    sim.views[2].set_status(INACTIVE)
-    with pytest.raises(ValueError):
-        sim.views[2].set_status(LEADER)
+    assert sim.statuses() == dict.fromkeys((1, 2, 4), ACTIVE)
+    passed, viewed = set(), set()
+    for old in STATUSES:
+        for new in STATUSES:
+            sim.status[:] = STATUSES.index(old)
+            try:
+                sim.set_status([2], new)
+            except ValueError as err:
+                assert str(err) == f"illegal status transition {old} -> {new} at station 2"
+                assert sim.statuses() == dict.fromkeys((1, 2, 4), old)
+            else:
+                passed.add((old, new))
+                assert sim.statuses() == {1: old, 2: new, 4: old}
+            v = NodeView(2, 3, 4, 2, (1, 4), old)
+            try:
+                v.set_status(new)
+            except ValueError:
+                assert v.status == old
+            else:
+                viewed.add((old, new))
+    assert passed == viewed == LEGAL_TRANSITIONS
+    # a batch with one illegal station among legal ones: nothing moves
+    sim.status[:] = [STATUSES.index(s) for s in (INACTIVE, HELPER, LEADER)]
+    with pytest.raises(ValueError, match="illegal status transition leader -> helper at station 4"):
+        sim.set_status([1, 2, 4], HELPER)
+    assert sim.statuses() == {1: INACTIVE, 2: HELPER, 4: LEADER}
+    sim.set_status([1, 2], HELPER)
+    assert sim.statuses() == {1: HELPER, 2: HELPER, 4: LEADER}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +247,7 @@ def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
             assert "two-hop-connection" not in phases
         else:
             two_hop_connection(sim)
-            assert sim.views[2].two_hop_helpers == {3: 1, 4: 1}
+            assert views(sim)[2].two_hop_helpers == {3: 1, 4: 1}
 
 
 def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
@@ -228,7 +289,7 @@ def test_leader_election_single_node():
     inst = make_instance([(1, 0, 0)], P, 64)
     sim = Simulator(inst)
     leader_election(sim)
-    assert sim.views[1].status == LEADER
+    assert views(sim)[1].status == LEADER
 
 
 def _pendant_below_bucket_0():
@@ -290,7 +351,7 @@ def test_leader_election_follows_its_per_round_rule(make):
                 if status[r] == ACTIVE:
                     status[r] = INACTIVE
     assert next(executions, None) is None
-    assert status == {lab: v.status for lab, v in sim.views.items()}
+    assert status == {lab: v.status for lab, v in views(sim).items()}
     # every station decided; the leaders form a maximal independent set
     assert ACTIVE not in status.values()
     leaders = {u for u, s in status.items() if s == LEADER}
@@ -303,7 +364,7 @@ def test_leader_election_postconditions_random():
     sim = Simulator(inst)
     leader_election(sim)
     adj = sim.graph.adjacency
-    leaders = {lab for lab, v in sim.views.items() if v.status == LEADER}
+    leaders = {lab for lab, v in views(sim).items() if v.status == LEADER}
     for u in adj:
         assert u in leaders or set(adj[u]) & leaders
     for u in leaders:
@@ -338,8 +399,8 @@ def _assert_leader_election_equals_the_reference(inst, adjudicate=None):
     package, plans = _elect_counting_plans(inst, leader_election, adjudicate)
     reference, _ = _elect_counting_plans(inst, reference_leader_election, adjudicate)
     assert package.round == reference.round
-    for lab, v in package.views.items():
-        w = reference.views[lab]
+    for lab, v in views(package).items():
+        w = views(reference)[lab]
         assert (v.status, v.adjacent_leaders) == (w.status, w.adjacent_leaders), lab
     assert package.phase_snapshots == reference.phase_snapshots
     ours, theirs = each_execution(package.sink.executions), reference.sink.executions
@@ -359,7 +420,7 @@ def _assert_leader_election_equals_the_reference(inst, adjudicate=None):
         lambda: generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P),
         lambda: generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P),
         _pendant_below_bucket_0,
-        lambda: generate(GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442), P),
+        demo_loss,
     ],
     ids=["two-nodes", "n40-N64", "n150-N1024", "pendant-below-bucket-0", "demo-loss"],
 )
@@ -477,9 +538,9 @@ def test_two_hop_path():
     sim = Simulator(inst)
     force_leaders(sim, {8, 6})
     two_hop_connection(sim)
-    assert sim.views[8].two_hop_helpers == {6: 3}
-    assert sim.views[6].two_hop_helpers == {8: 3}
-    assert sim.views[3].status == "helper"
+    assert views(sim)[8].two_hop_helpers == {6: 3}
+    assert views(sim)[6].two_hop_helpers == {8: 3}
+    assert views(sim)[3].status == "helper"
 
 
 def test_two_hop_min_label_among_common_neighbors():
@@ -488,9 +549,9 @@ def test_two_hop_min_label_among_common_neighbors():
     sim = Simulator(inst)
     force_leaders(sim, {1, 2})
     two_hop_connection(sim)
-    assert sim.views[1].two_hop_helpers == {2: 5}
-    assert sim.views[2].two_hop_helpers == {1: 5}
-    assert sim.views[9].status == INACTIVE  # not selected
+    assert views(sim)[1].two_hop_helpers == {2: 5}
+    assert views(sim)[2].two_hop_helpers == {1: 5}
+    assert views(sim)[9].status == INACTIVE  # not selected
 
 
 def test_two_hop_ignores_three_hop_pairs():
@@ -499,8 +560,8 @@ def test_two_hop_ignores_three_hop_pairs():
     sim = Simulator(inst)
     force_leaders(sim, {1, 4})
     two_hop_connection(sim)
-    assert sim.views[1].two_hop_helpers == {}
-    assert sim.views[4].two_hop_helpers == {}
+    assert views(sim)[1].two_hop_helpers == {}
+    assert views(sim)[4].two_hop_helpers == {}
 
 
 def _drop_delivery(sim, monkeypatch, phase, sender, listener):
@@ -530,14 +591,15 @@ def test_two_hop_pair_stays_connected_when_an_inform_message_is_lost(monkeypatch
     _drop_delivery(sim, monkeypatch, "neighborhood-inform/i=1", 1, 9)
     two_hop_connection(sim)
     assert learned(sim)[9][1] == {9}
-    h = sim.views[1].two_hop_helpers[2]
-    assert sim.views[2].two_hop_helpers == {1: h}
-    assert sim.views[h].status == "helper"
+    h = views(sim)[1].two_hop_helpers[2]
+    assert views(sim)[2].two_hop_helpers == {1: h}
+    assert views(sim)[h].status == "helper"
     assert {1, 2} <= set(sim.graph.adjacency[h])
 
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="two-hop claims are kept one per leader pair: 9's claim of the pair "
     "(1, 2) overwrites 5's, so 5 never becomes a helper and both leaders "
     "record 9 instead of the minimum common neighbour 5",
@@ -550,10 +612,10 @@ def test_every_two_hop_claimant_becomes_a_helper_when_an_inform_message_is_lost(
     force_leaders(sim, {1, 2})
     _drop_delivery(sim, monkeypatch, "neighborhood-inform/i=1", 1, 9)
     two_hop_connection(sim)
-    two_hop = {(1, 2): sim.views[1].two_hop_helpers.get(2)}
-    assert sim.views[2].two_hop_helpers == {1: two_hop[(1, 2)]}
+    two_hop = {(1, 2): views(sim)[1].two_hop_helpers.get(2)}
+    assert views(sim)[2].two_hop_helpers == {1: two_hop[(1, 2)]}
     assert two_hop == expected_two_hop(sim.graph.adjacency, {1, 2}) == {(1, 2): 5}
-    assert sim.views[5].status == "helper"
+    assert views(sim)[5].status == "helper"
 
 
 def _claims(sim):
@@ -574,8 +636,8 @@ def _assert_two_hop_equals_the_reference(make, prepare=leader_election):
     (package, _), (reference, (ref_learned, claims)) = sims
     assert learned(package) == ref_learned
     assert _claims(package) == set(claims.values())
-    for lab, v in package.views.items():
-        w = reference.views[lab]
+    for lab, v in views(package).items():
+        w = views(reference)[lab]
         assert (v.status, v.two_hop_helpers) == (w.status, w.two_hop_helpers), lab
     assert package.round == reference.round
     assert len(package.sink.executions) == len(reference.sink.executions)
@@ -591,8 +653,7 @@ def test_inform_and_claims_equal_the_dict_reference_on_benchmark_instances(name)
 
 
 def test_inform_and_claims_equal_the_dict_reference_on_the_demo_loss_instance():
-    spec = GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442)
-    _assert_two_hop_equals_the_reference(lambda: generate(spec, P))
+    _assert_two_hop_equals_the_reference(demo_loss)
 
 
 def test_inform_and_claims_equal_the_dict_reference_when_an_inform_message_is_lost(monkeypatch):
@@ -616,14 +677,14 @@ def test_a_node_claims_only_pairs_of_leaders_it_heard_announce():
     # either
     def deaf_5(sim):
         force_leaders(sim, {1, 2})
-        sim.views[5].adjacent_leaders.discard(2)
+        sim.adjacent = sim.adjacent[(sim.adjacent != [5, 2]).any(axis=1)]
 
     sim = _assert_two_hop_equals_the_reference(
         lambda: load_instance(str(FIXTURES / "two_hop_claims.json")), deaf_5
     )
     assert learned(sim)[5] == {1: {5, 9}, 2: {5, 9}}
     assert _claims(sim) == set()
-    assert sim.views[5].status == sim.views[9].status == INACTIVE
+    assert views(sim)[5].status == views(sim)[9].status == INACTIVE
 
 
 @given(
@@ -651,7 +712,7 @@ def test_token_passing_delivers_messages_to_all_neighbors():
     sim = Simulator(inst)
     force_leaders(sim, {7})
     msgs = {
-        lab: msg(sim, "hop3-report", (lab,) + tuple(sorted(sim.views[lab].adjacent_leaders)))
+        lab: msg(sim, "hop3-report", (lab,) + tuple(sorted(views(sim)[lab].adjacent_leaders)))
         for lab in (2, 4)
     }
     heard = token_passing(sim, msgs)
@@ -719,9 +780,9 @@ def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
         return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
-    msgs = {u: msg(sim, "hop3-report", (u,)) for u, v in sim.views.items() if v.status != LEADER}
-    first = min(lab for lab, v in sim.views.items() if v.status == LEADER)
-    target = sim.views[first].neighbors[0]
+    msgs = {u: msg(sim, "hop3-report", (u,)) for u, v in views(sim).items() if v.status != LEADER}
+    first = min(lab for lab, v in views(sim).items() if v.status == LEADER)
+    target = views(sim)[first].neighbors[0]
     recorded = len(sim.sink.executions)
     with pytest.raises(TokenDeliveryError) as err:
         token_passing(sim, msgs)
@@ -828,11 +889,9 @@ def test_every_token_holder_sends(name):
             assert np.array_equal(sent.rounds, returned.rounds)
 
 
-FIXTURES = Path(__file__).resolve().parent / "fixtures"
-
-
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="demo mode is not interference-safe: over GF(8), 8 labels share a "
     "base ssf set instead of at most 6, and token holder 62 loses its message "
     "to neighbour 14, a link at 0.98 of the range",
@@ -1103,8 +1162,8 @@ def _assert_three_hop_equals_the_reference(inst, mp):
     assert heard == ref_heard
     assert package.token_records == reference.token_records
     assert package.round == reference.round
-    for lab, v in package.views.items():
-        w = reference.views[lab]
+    for lab, v in views(package).items():
+        w = views(reference)[lab]
         assert (v.status, v.two_hop_helpers, v.three_hop_helpers) == (
             w.status,
             w.two_hop_helpers,
@@ -1117,17 +1176,17 @@ def _assert_three_hop_equals_the_reference(inst, mp):
 
 
 REFERENCE_INSTANCES = {
-    "n150-N1024": GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024),
-    "cli-trace": REFERENCE_RUNS["cli-trace"][0],
+    "n150-N1024": lambda: generate(GeneratorSpec(n=150, arena_side=6.0, seed=3, n_labels=1024), P),
+    "cli-trace": lambda: generate(REFERENCE_RUNS["cli-trace"][0], P),
     # token holder 35's message never reaches its neighbour 46, in either
     # sweep: the array sweeps must lose it too
-    "demo-loss": GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442),
+    "demo-loss": demo_loss,
 }
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
 def test_array_sweeps_and_rules_equal_the_dict_reference(name, monkeypatch):
-    inst = generate(REFERENCE_INSTANCES[name], P)
+    inst = REFERENCE_INSTANCES[name]()
     sim = _assert_three_hop_equals_the_reference(inst, monkeypatch)
     assert len(sim.token_records) == 2 * sim.graph.delta
     if name == "demo-loss":
@@ -1199,11 +1258,10 @@ def test_oversized_messages_fail_where_the_references_fail(name, monkeypatch):
     # announcements and the leaders' three-hop choices; three-hop alone,
     # after a two-hop connection within the default budget, reaches the
     # reports and the non-leaders' choices too
-    spec = {
-        "n40-N64": GeneratorSpec(n=40, arena_side=3.4, seed=17),
-        "demo-loss": GeneratorSpec(n=41, arena_side=2.3421980659599577, seed=30442),
-    }[name]
-    inst = generate(spec, P)
+    inst = {
+        "n40-N64": lambda: generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P),
+        "demo-loss": demo_loss,
+    }[name]()
     whole = _assert_same_failures(
         lambda: inst,
         [
@@ -1235,9 +1293,9 @@ def test_three_hop_path():
     force_leaders(sim, {8, 7})
     two_hop_connection(sim)
     three_hop_connection(sim)
-    assert sim.views[8].three_hop_helpers == {7: (3, 5)}
-    assert sim.views[7].three_hop_helpers == {8: (5, 3)}
-    assert sim.views[3].status == "helper" and sim.views[5].status == "helper"
+    assert views(sim)[8].three_hop_helpers == {7: (3, 5)}
+    assert views(sim)[7].three_hop_helpers == {8: (5, 3)}
+    assert views(sim)[3].status == "helper" and views(sim)[5].status == "helper"
 
 
 def test_three_hop_uses_only_the_reports_a_node_heard(monkeypatch):
@@ -1264,8 +1322,8 @@ def test_three_hop_uses_only_the_reports_a_node_heard(monkeypatch):
         three_hop(sim)
         sims.append(sim)
     for sim in sims:
-        assert sim.views[8].three_hop_helpers == {7: (3, 5)}
-        assert sim.views[7].three_hop_helpers == {}
+        assert views(sim)[8].three_hop_helpers == {7: (3, 5)}
+        assert views(sim)[7].three_hop_helpers == {}
     assert sims[0].token_records == sims[1].token_records
 
 
@@ -1284,8 +1342,8 @@ def test_three_hop_min_label_bridge_agreement():
     two_hop_connection(sim)
     three_hop_connection(sim)
     # global minimum label 2 sits on the upper bridge; partner toward 11 is 7
-    assert sim.views[10].three_hop_helpers == {11: (2, 7)}
-    assert sim.views[11].three_hop_helpers == {10: (7, 2)}
+    assert views(sim)[10].three_hop_helpers == {11: (2, 7)}
+    assert views(sim)[11].three_hop_helpers == {10: (7, 2)}
     oracle = expected_three_hop(sim.graph.adjacency, {10, 11})
     assert oracle[(10, 11)] == (2, 7) and oracle[(11, 10)] == (7, 2)
 
@@ -1302,10 +1360,10 @@ def test_three_hop_guard_skips_two_hop_pairs():
     sim = Simulator(inst)
     force_leaders(sim, {1, 2})
     two_hop_connection(sim)
-    assert sim.views[1].two_hop_helpers == {2: 9}
+    assert views(sim)[1].two_hop_helpers == {2: 9}
     three_hop_connection(sim)
-    assert sim.views[1].three_hop_helpers == {}
-    assert sim.views[2].three_hop_helpers == {}
+    assert views(sim)[1].three_hop_helpers == {}
+    assert views(sim)[2].three_hop_helpers == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1334,21 +1392,113 @@ def test_backbone_40_nodes_passes_all_checks():
     assert expected_three_hop(graph.adjacency, set(r.leaders)) == r.three_hop
 
 
-def test_information_barrier_position_permutation():
-    # swapping coordinates of structurally identical nodes leaves every
-    # node's transmit decisions unchanged
-    a = make_instance([(3, 0, 0), (5, 0.9, 0), (7, 1.8, 0)], P, 16)
-    b = make_instance([(3, 1.8, 0), (5, 0.9, 0), (7, 0, 0)], P, 16)
-    ra, rb = backbone_creation(a), backbone_creation(b)
-    intents_a = [
-        (tr.round, tr.phase, tuple((lab, m.kind, m.payload) for lab, m in tr.transmitters))
-        for tr in records(ra.traces.executions)
+class _Replayed:
+    """A stand-in engine: graph() is a recorded run's CommGraph, and each
+    adjudicate call must get the inputs of the recorded call in its place
+    and returns that call's outputs."""
+
+    def __init__(self, graph, calls):
+        self._graph = graph
+        self.calls = iter(calls)
+
+    def graph(self):
+        return self._graph
+
+    def adjudicate(self, rounds, senders):
+        want_rounds, want_senders, heard = next(self.calls)
+        assert np.array_equal(rounds, want_rounds) and np.array_equal(senders, want_senders)
+        return heard
+
+
+def _recorded_run(inst, monkeypatch):
+    """backbone_creation on inst, its graph, and each adjudicate call of the
+    run as (rounds, senders, heard, whether token passing made the call)."""
+    engine = PhysicsEngine(inst)
+    adjudicate, sweep = engine.adjudicate, protocol.token_passing
+    calls, sweeping = [], []
+
+    def recorded(rounds, senders):
+        heard = adjudicate(rounds, senders)
+        calls.append((rounds.copy(), senders.copy(), heard, bool(sweeping)))
+        return heard
+
+    def flagged(sim, msgs):
+        sweeping.append(True)
+        try:
+            return sweep(sim, msgs)
+        finally:
+            sweeping.pop()
+
+    engine.adjudicate = recorded
+    with monkeypatch.context() as mp:
+        mp.setattr(protocol, "token_passing", flagged)
+        result = backbone_creation(inst, engine=engine)
+    return result, engine.graph(), calls
+
+
+def _assert_same_run(a, b):
+    """Every field of two BackboneResults, dicts in order, and every
+    Execution are the same."""
+    for f in dataclasses.fields(BackboneResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "traces":
+            assert len(x.executions) == len(y.executions)
+            for ex, ey in zip(x.executions, y.executions):
+                _assert_same_execution(ex, ey)
+        elif f.name == "phase_snapshots":
+            assert [(i, list(d.items())) for i, d in x] == [(i, list(d.items())) for i, d in y]
+        else:
+            assert (list(x.items()) if isinstance(x, dict) else x) == (
+                list(y.items()) if isinstance(y, dict) else y
+            ), f.name
+
+
+def test_information_barrier_position_permutation(monkeypatch):
+    # physics reaches the nodes only through adjudicate: a rerun with the
+    # same labels, N and params at other positions, whose engine has the
+    # recorded graph and replays every recorded adjudicate call, is the
+    # same run. The first layout is a path whose mirror image swaps the
+    # coordinates of 3 and 7; the rest are redrawn at random.
+    path = make_instance([(3, 0, 0), (5, 0.9, 0), (7, 1.8, 0)], P, 16)
+    mirror = make_instance([(3, 1.8, 0), (5, 0.9, 0), (7, 0, 0)], P, 16)
+    cases = [
+        (path, mirror),
+        *[(inst, None) for inst in workloads.make_instances(workloads.WORKLOADS["battery"], 1)],
+        *[(REFERENCE_INSTANCES[name](), None) for name in sorted(REFERENCE_INSTANCES)],
     ]
-    intents_b = [
-        (tr.round, tr.phase, tuple((lab, m.kind, m.payload) for lab, m in tr.transmitters))
-        for tr in records(rb.traces.executions)
-    ]
-    assert intents_a == intents_b
+    rng = random.Random(1)
+    for inst, moved in cases:
+        if moved is None:
+            side = 10 * max(max(abs(x), abs(y)) for _lab, (x, y) in inst.stations)
+            moved = make_instance(
+                [(lab, rng.uniform(0, side), rng.uniform(0, side)) for lab, _p in inst.stations],
+                inst.params,
+                inst.n_labels,
+            )
+        assert [lab for lab, _p in moved.stations] == [lab for lab, _p in inst.stations]
+        assert moved.stations != inst.stations
+        result, graph, calls = _recorded_run(inst, monkeypatch)
+        engine = _Replayed(graph, [(r, s, heard) for r, s, heard, _sweep in calls])
+        _assert_same_run(result, backbone_creation(moved, engine=engine))
+        assert next(engine.calls, None) is None  # every call was replayed
+        # the test can fail: the sweeps are one batch (the second sweep
+        # repeats the first one's schedules), and losing every delivery of
+        # one holder -> neighbour link from it changes the token records
+        ((senders, (dl_tx, dl_rx)),) = [(s, heard) for _r, s, heard, sweep in calls if sweep]
+        holder, receivers = next(
+            (h, heard)
+            for rec in result.token_records
+            for h, heard in rec.transmissions
+            if heard and result.statuses[h] != LEADER
+        )
+        h, v = graph.label_array.searchsorted([holder, receivers[0]])
+        kept = (senders[dl_tx] != h) | (dl_rx != v)
+        lossy = [
+            (r, s, (dl_tx[kept], dl_rx[kept]) if sweep else heard)
+            for r, s, heard, sweep in calls
+        ]
+        lost = backbone_creation(moved, engine=_Replayed(graph, lossy))
+        assert lost.token_records != result.token_records
 
 
 def test_backbone_determinism():

@@ -12,15 +12,15 @@ token records, helpers and statuses.
 from sinrbackbone.errors import TokenDeliveryError
 from sinrbackbone.protocol import HELPER, LEADER, TokenRecord
 
-from oracles import msg, ssf_broadcast
+from oracles import msg, ssf_broadcast, store, views
 
 
 def reference_token_passing(sim, msgs):
     """Per listener, each (sender, message) it heard in the msg slots, in
     slot order."""
-    views = sim.views
+    node = views(sim)
     fam = sim.base_ssf()
-    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
+    leaders = [lab for lab in sorted(node) if node[lab].status == LEADER]
     run_id = sim._tp_runs
     sim._tp_runs += 1
     heard_msgs = {}
@@ -28,8 +28,8 @@ def reference_token_passing(sim, msgs):
 
     sweep = []  # per iteration: i, the granting leaders, the holders that send, the holders
     for i in range(1, sim.graph.delta + 1):
-        granting = [lab for lab in leaders if views[lab].degree >= i]
-        holders = sorted({views[lab].neighbors[i - 1] for lab in granting})
+        granting = [lab for lab in leaders if node[lab].degree >= i]
+        holders = sorted({node[lab].neighbors[i - 1] for lab in granting})
         sweep.append((i, granting, [lab for lab in holders if lab in msgs], holders))
     specs = []
     sent = []  # the messages of each execution reached
@@ -48,7 +48,7 @@ def reference_token_passing(sim, msgs):
     for i, granting, senders, holders in sweep:
         advance({})
         grants = {
-            lab: msg(sim, "token-grant", (lab, views[lab].neighbors[i - 1])) for lab in granting
+            lab: msg(sim, "token-grant", (lab, node[lab].neighbors[i - 1])) for lab in granting
         }
         delivered = {(granting[k], listener) for k, listener in zip(*advance(grants))}
         for lab, grant in grants.items():
@@ -80,12 +80,12 @@ def reference_token_passing(sim, msgs):
 def reference_three_hop_connection(sim, token_passing=reference_token_passing):
     """three_hop_connection with the dict-based rules; token_passing is
     called as token_passing(sim, msgs) and returns per-listener lists."""
-    views = sim.views
-    leaders = [lab for lab in sorted(views) if views[lab].status == LEADER]
-    non_leaders = [lab for lab in sorted(views) if views[lab].status != LEADER]
+    node = views(sim)
+    leaders = [lab for lab in sorted(node) if node[lab].status == LEADER]
+    non_leaders = [lab for lab in sorted(node) if node[lab].status != LEADER]
 
     msgs1 = {
-        u: msg(sim, "hop3-report", (u,) + tuple(sorted(views[u].adjacent_leaders)))
+        u: msg(sim, "hop3-report", (u,) + tuple(sorted(node[u].adjacent_leaders)))
         for u in non_leaders
     }
     heard1 = token_passing(sim, msgs1)
@@ -108,7 +108,7 @@ def reference_three_hop_connection(sim, token_passing=reference_token_passing):
 
     decisions = {}
     for lab in leaders:
-        v = views[lab]
+        v = node[lab]
         reports = {}
         for _x, choice in heard2.get(lab, []):
             x_label = choice.payload[0]
@@ -144,6 +144,7 @@ def reference_three_hop_connection(sim, token_passing=reference_token_passing):
     }
     (announced,) = ssf_broadcast(sim, fam, [(msgs3, "three-hop-connection/announce")])
     for sender, listener in announced:
-        v = views[listener]
+        v = node[listener]
         if v.status != HELPER and any(x == listener for x, _y, _b in msgs3[sender].payload[1:]):
             v.set_status(HELPER)
+    store(sim, node)
