@@ -1,0 +1,87 @@
+"""The mutation table: each mutant breaks one rule of the simulator, and
+the tests it names must fail on it.
+
+A mutant replaces old, which must occur exactly once in the file at path
+(relative to src/), with new. Its tests are pytest node ids, relative to
+the repository root. run.py applies each mutant to a copy of src/ and runs
+its tests against the copy.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # a transmitting listener hears as if it were silent
+    Mutant(
+        "adjudicate-transmitting-listener-hears",
+        "sinrbackbone/physical.py",
+        """\
+        total = gain[sender * n + listener]  # 0.0 + the first gain
+        total[sender == listener] = np.inf
+""",
+        """\
+        total = gain[sender * n + listener]  # 0.0 + the first gain
+""",
+        (
+            "tests/test_physical.py::test_engine_batch_matches_rounds_and_scalar_reference",
+            "tests/test_physical.py::test_engine_matches_the_dense_reference_bit_for_bit",
+            "tests/test_protocol.py::test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit",
+        ),
+    ),
+    # two executions with the same slots but other owners share one plan
+    Mutant(
+        "plans-keyed-without-owners",
+        "sinrbackbone/protocol.py",
+        "return code, s, s if owners is slots else np.asarray(owners, np.int64).tobytes()",
+        "return code, s",
+        ("tests/test_protocol.py::test_plans_are_keyed_by_owners_and_family_code",),
+    ),
+    # a sender's first message is reused for its later transmissions
+    Mutant(
+        "sent-messages-keyed-by-sender",
+        "sinrbackbone/protocol.py",
+        """\
+        m = built.get(k)
+        if m is None:
+            m = built[k] = build(*keys[k])
+""",
+        """\
+        m = built.get(keys[k][0])
+        if m is None:
+            m = built[keys[k][0]] = build(*keys[k])
+""",
+        (
+            "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",
+            "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[n40-N1024]",
+            "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[cli-trace]",
+        ),
+    ),
+    # a sweep that fails drops the token records of its earlier iterations
+    Mutant(
+        "token-records-only-on-normal-exit",
+        "sinrbackbone/protocol.py",
+        """\
+    finally:
+        receptions = _append_token_records(sim, run_id, holder_list, holder_at, sent)
+""",
+        """\
+    except Exception:
+        raise
+    receptions = _append_token_records(sim, run_id, holder_list, holder_at, sent)
+""",
+        (
+            "tests/test_protocol.py::test_a_grant_lost_in_a_later_iteration_keeps_the_earlier_records",
+            "tests/test_protocol.py::test_oversized_token_return_fails_before_the_return_execution",
+        ),
+    ),
+)

@@ -22,6 +22,7 @@ from .errors import (
     SimulationError,
 )
 from .physical import (
+    MAX_LABELS,
     PhysicalInstance,
     PhysicsEngine,
     SinrParams,
@@ -86,6 +87,8 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
         raise InvalidArgumentError(f"need a finite minimum spacing, got {spec.min_spacing}")
     if spec.n > spec.n_labels:
         raise InvalidArgumentError(f"n={spec.n} exceeds label space {spec.n_labels}")
+    if spec.n_labels > MAX_LABELS:
+        raise InvalidArgumentError(f"label space {spec.n_labels} exceeds {MAX_LABELS}")
     side = max(spec.min_spacing * (1 + 2**-30), spec.arena_side / 4096, 2.0**-1000)
     rng = random.Random(spec.seed)
     for attempt in range(1, spec.retry_cap + 1):

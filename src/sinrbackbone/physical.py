@@ -34,6 +34,10 @@ Position = tuple[float, float]
 
 SQRT2 = math.sqrt(2.0)
 
+# the largest label space N: the phases key label pairs as a * (N + 1) + b
+# in int64 arrays, and at N = 2**31 every key is below 2**62 + 2**32
+MAX_LABELS = 2**31
+
 
 @dataclass(frozen=True)
 class SinrParams:
@@ -70,7 +74,7 @@ class PhysicalInstance:
     """Station labels with ground-truth positions plus shared SINR parameters.
 
     There is at least one station, and labels are distinct integers in
-    [1 .. n_labels], n_labels >= 1. Connectivity of the induced
+    [1 .. n_labels], 1 <= n_labels <= MAX_LABELS. Connectivity of the induced
     communication graph is checked by build_graph, not here, so that
     deliberately out-of-range layouts remain expressible in tests.
     """
@@ -82,8 +86,8 @@ class PhysicalInstance:
     def __post_init__(self) -> None:
         if not self.stations:
             raise ValueError("an instance needs at least one station")
-        if not self.n_labels >= 1:
-            raise ValueError(f"n_labels must be >= 1, got {self.n_labels}")
+        if not 1 <= self.n_labels <= MAX_LABELS:
+            raise ValueError(f"n_labels must be in [1..{MAX_LABELS}], got {self.n_labels}")
         labels = [lab for lab, _ in self.stations]
         if len(set(labels)) != len(labels):
             raise ValueError("station labels must be distinct")

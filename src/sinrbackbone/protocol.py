@@ -89,11 +89,16 @@ def _bits(labels, n_labels: int):
     return KIND_BITS + labels * max(1, n_labels.bit_length())
 
 
+def _budget(n_labels: int) -> float:
+    """The message budget in bits, C_MSG * lg N (C_MSG read at each call)."""
+    return C_MSG * max(1.0, math.log2(n_labels))
+
+
 def _message_bits(kind: str, labels: int, n_labels: int) -> int:
     """The size of a kind message carrying labels labels; MessageSizeError
     if that is over the budget."""
     size = _bits(labels, n_labels)
-    budget = C_MSG * max(1.0, math.log2(n_labels))
+    budget = _budget(n_labels)
     if size > budget:
         raise MessageSizeError(f"{kind} message of {size} bits exceeds {budget:.0f}-bit budget")
     return size
@@ -996,8 +1001,8 @@ def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callab
 
 def _first_oversize(sizes: np.ndarray, n_labels: int) -> Optional[int]:
     """The index of the first message, in order, whose size (see _bits) is
-    over the budget (see _message_bits); None if none is."""
-    over = np.flatnonzero(sizes > C_MSG * max(1.0, math.log2(n_labels)))
+    over the budget (see _budget); None if none is."""
+    over = np.flatnonzero(sizes > _budget(n_labels))
     return int(over[0]) if len(over) else None
 
 

@@ -4,9 +4,10 @@ Checks here may read station positions (pivotal grid, dilution trials);
 they run after a protocol completes and never feed information back into
 node decisions.
 
-Every check and replay reads the graph as a physical.CommGraph: its label
-bitsets and its closed CSR list. The run's graph is read as it is; a
-plain mapping of neighbour labels becomes one through CommGraph.of.
+Every check and CDS oracle takes the physical.CommGraphs it reads, the
+run's graph and the backbone, and reads them as given: their label
+bitsets and their closed CSR lists. Only the two helper-rule replays also
+take a plain mapping of neighbour labels, through CommGraph.of.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .physical import (
     pivotal_side,
     sorted_distinct,
 )
-from .protocol import BackboneResult
+from .protocol import LEADER, BackboneResult
 
 Adjacency = Mapping[int, Sequence[int]]
 
@@ -68,7 +69,7 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def diameter(adj: Adjacency | CommGraph) -> int:
+def diameter(g: CommGraph) -> int:
     """Largest hop distance from a node to another; -1 if some node does not
     reach every other, 0 for no nodes.
 
@@ -79,7 +80,6 @@ def diameter(adj: Adjacency | CommGraph) -> int:
     `np.bitwise_or.reduceat` per word, O(m n / 64) word operations. The
     diameter is the number of levels until every row is full.
     """
-    g = CommGraph.of(adj)
     if len(g.nodes) <= 1:
         return 0
     nbrs, nbr_at = g.closed_csr
@@ -98,10 +98,9 @@ def diameter(adj: Adjacency | CommGraph) -> int:
 # Exact and surrogate minimum connected dominating sets.
 
 
-def min_cds(adj: Adjacency | CommGraph) -> set[int]:
+def min_cds(g: CommGraph) -> set[int]:
     """Exact minimum connected dominating set by subset enumeration, in
     label order, for at most EXACT_CAP nodes."""
-    g = CommGraph.of(adj)
     nodes = g.nodes
     if len(nodes) > EXACT_CAP:
         raise ExactBranchTooLargeError(
@@ -121,7 +120,7 @@ def min_cds(adj: Adjacency | CommGraph) -> set[int]:
     raise AssertionError("connected input must admit a CDS")
 
 
-def greedy_cds(adj: Adjacency | CommGraph) -> set[int]:
+def greedy_cds(g: CommGraph) -> set[int]:
     """Greedy CDS surrogate for instances too large for the exact branch.
 
     Cover: repeatedly choose the node whose closed neighbourhood holds the
@@ -133,7 +132,6 @@ def greedy_cds(adj: Adjacency | CommGraph) -> set[int]:
     node's neighbours in ascending label order, to the first chosen node
     outside it, and add the path's inner nodes.
     """
-    g = CommGraph.of(adj)
     nodes = g.nodes
     if len(nodes) == 1:
         return {nodes[0]}
@@ -243,7 +241,7 @@ def expected_three_hop(
 # The five backbone checks.
 
 
-def backbone_graph(result: BackboneResult, graph: CommGraph) -> CommGraph:
+def backbone_graph(result: BackboneResult, g: CommGraph) -> CommGraph:
     """The backbone: its members (leaders and helpers) with the graph's
     edges between them, plus the result's backbone edges and their ends.
 
@@ -252,7 +250,6 @@ def backbone_graph(result: BackboneResult, graph: CommGraph) -> CommGraph:
     the graph's positions, so one sort and a neighbour mask order and
     dedup them; rows and columns are then renumbered over the backbone's
     nodes, in the same (ascending label) order."""
-    g = CommGraph.of(graph)
     n = len(g.nodes)
     member = np.zeros(n, dtype=bool)
     member[_positions(g, [*result.leaders, *result.helpers])] = True
@@ -277,8 +274,7 @@ def _positions(g: CommGraph, labels: Iterable[int]) -> np.ndarray:
     return np.array([bit[u].bit_length() - 1 for u in labels], dtype=np.intp)
 
 
-def check_dominating(result: BackboneResult, graph: CommGraph) -> Verdict:
-    g = CommGraph.of(graph)
+def check_dominating(result: BackboneResult, g: CommGraph) -> Verdict:
     leaders = g.mask(result.leaders)
     missed = g.every & ~(leaders | g.mask(result.helpers) | g.near(leaders))
     if missed:
@@ -287,19 +283,14 @@ def check_dominating(result: BackboneResult, graph: CommGraph) -> Verdict:
     return Verdict("dominating", True, metrics={"backbone_size": len(members)})
 
 
-def check_connected_backbone(
-    result: BackboneResult,
-    graph: CommGraph,
-    backbone: Optional[CommGraph] = None,
-) -> Verdict:
-    """backbone, if given, is backbone_graph(result, graph)."""
-    sub = backbone if backbone is not None else backbone_graph(result, graph)
-    if not sub.nodes:
+def check_connected_backbone(backbone: CommGraph) -> Verdict:
+    """backbone is backbone_graph(result, graph)."""
+    if not backbone.nodes:
         return Verdict("connected-backbone", False, witness=())
-    first = sub.reach(1, sub.every)  # the component of the smallest label
-    if first == sub.every:
-        return Verdict("connected-backbone", True, metrics={"backbone_size": len(sub.nodes)})
-    return Verdict("connected-backbone", False, witness=tuple(sub.labels(first)))
+    first = backbone.reach(1, backbone.every)  # the component of the smallest label
+    if first == backbone.every:
+        return Verdict("connected-backbone", True, metrics={"backbone_size": len(backbone.nodes)})
+    return Verdict("connected-backbone", False, witness=tuple(backbone.labels(first)))
 
 
 def geometric_degree_bound() -> int:
@@ -324,18 +315,13 @@ def geometric_degree_bound() -> int:
 DEGREE_BOUND = geometric_degree_bound()  # backbone degree <= DEGREE_BOUND
 
 
-def check_constant_degree(
-    result: BackboneResult,
-    graph: CommGraph,
-    backbone: Optional[CommGraph] = None,
-) -> Verdict:
-    """backbone, if given, is backbone_graph(result, graph). The witness is
+def check_constant_degree(backbone: CommGraph) -> Verdict:
+    """backbone is backbone_graph(result, graph). The witness is
     the smallest label of the largest degree."""
     bound = DEGREE_BOUND
-    sub = backbone if backbone is not None else backbone_graph(result, graph)
-    worst = sub.delta
+    worst = backbone.delta
     passed = worst <= bound
-    worst_node = sub.nodes[int(np.diff(sub.nbr_at).argmax())] if worst else None
+    worst_node = backbone.nodes[int(np.diff(backbone.nbr_at).argmax())] if worst else None
     return Verdict(
         "constant-degree",
         passed,
@@ -344,17 +330,11 @@ def check_constant_degree(
     )
 
 
-def check_diameter(
-    result: BackboneResult,
-    graph: CommGraph,
-    backbone: Optional[CommGraph] = None,
-) -> Verdict:
-    """backbone, if given, is backbone_graph(result, graph)."""
+def check_diameter(g: CommGraph, backbone: CommGraph) -> Verdict:
+    """backbone is backbone_graph(result, g)."""
     factor, slack = DIAMETER_FACTOR, DIAMETER_SLACK
-    g = CommGraph.of(graph)
     d_graph = diameter(g)
-    sub = backbone if backbone is not None else backbone_graph(result, g)
-    d_back = diameter(sub) if sub.nodes else -1
+    d_back = diameter(backbone) if backbone.nodes else -1
     passed = d_back >= 0 and d_back <= factor * d_graph + slack
     return Verdict(
         "diameter",
@@ -369,9 +349,8 @@ def check_diameter(
     )
 
 
-def check_size_ratio(result: BackboneResult, graph: CommGraph) -> Verdict:
+def check_size_ratio(result: BackboneResult, g: CommGraph) -> Verdict:
     c_s = SIZE_FACTOR
-    g = CommGraph.of(graph)
     members = set(result.leaders) | set(result.helpers)
     if len(g.nodes) <= EXACT_CAP:
         optimum = min_cds(g)
@@ -403,17 +382,16 @@ def check_leader_grid(result: BackboneResult, inst: PhysicalInstance) -> Verdict
 
 
 def check_bucket_coverage(
-    graph: CommGraph,
+    g: CommGraph,
     snapshots: Sequence[tuple[int, Mapping[int, str]]],
     delta: int,
 ) -> Verdict:
     """Per-bucket induction: after selector phase i, every node of degree at
     least ceil(Delta / 2^(i+1)) is a leader or a neighbor of one. The
     witness is the smallest label that is not."""
-    g = CommGraph.of(graph)
     for i, statuses in snapshots:
         threshold = -(-delta // (2 ** (i + 1))) if delta else 0
-        leaders = g.mask(u for u, s in statuses.items() if s == "leader")
+        leaders = g.mask(u for u, s in statuses.items() if s == LEADER)
         for u in bits_of(g.every & ~(leaders | g.near(leaders))):
             if g.masks[u].bit_count() >= threshold:
                 return Verdict("bucket-coverage", False, witness=(i, g.nodes[u]))
@@ -421,16 +399,15 @@ def check_bucket_coverage(
 
 
 def run_all_checks(
-    result: BackboneResult, inst: PhysicalInstance, graph: CommGraph
+    result: BackboneResult, inst: PhysicalInstance, g: CommGraph
 ) -> list[Verdict]:
-    """Every check, on one CommGraph of the graph and one of the backbone."""
-    g = CommGraph.of(graph)
+    """Every check, on the run's graph and one backbone built from it."""
     sub = backbone_graph(result, g)
     return [
         check_dominating(result, g),
-        check_connected_backbone(result, g, sub),
-        check_constant_degree(result, g, sub),
-        check_diameter(result, g, sub),
+        check_connected_backbone(sub),
+        check_constant_degree(sub),
+        check_diameter(g, sub),
         check_size_ratio(result, g),
         check_leader_grid(result, inst),
         check_bucket_coverage(g, result.phase_snapshots, result.delta),

@@ -23,6 +23,7 @@ from sinrbackbone.cli import (
 )
 from sinrbackbone.errors import RetryCapError, TokenDeliveryError
 from sinrbackbone.physical import (
+    MAX_LABELS,
     build_graph,
     make_instance,
     parse_instance,
@@ -151,6 +152,7 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         ["generate", "--n", "5", "--side", "inf", "--out"],
         ["generate", "--n", "5", "--side", "1", "--spacing", "nan", "--out"],
         ["run", "--n", "5", "--side", "nan", "--out-dir"],
+        ["generate", "--n", "5", "--side", "1", "--n-labels", "2147483649", "--out"],
     ],
     ids=[
         "run-n-above-labels",
@@ -165,6 +167,7 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         "generate-side-inf",
         "generate-spacing-nan",
         "run-side-nan",
+        "generate-labels-above-cap",
     ],
 )
 def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
@@ -210,8 +213,18 @@ NO_STATIONS = ('"stations": [', '"stations": [], "unread": [')
         [('"x": 0.5', '"x": 1' + "0" * 400)],  # an integer beyond any float
         [NO_STATIONS],
         [NO_STATIONS, ('"n_labels": 4', '"n_labels": 0')],
+        [('"n_labels": 4', '"n_labels": 2147483649')],  # MAX_LABELS + 1
     ],
-    ids=["missing", "infinite-power", "infinite-x", "nan-x", "huge-x", "no-stations", "no-labels"],
+    ids=[
+        "missing",
+        "infinite-power",
+        "infinite-x",
+        "nan-x",
+        "huge-x",
+        "no-stations",
+        "no-labels",
+        "labels-above-cap",
+    ],
 )
 def test_unreadable_instance_exits_2_with_instance_format(tmp_path, capsys, edits):
     path = tmp_path / "instance.json"
@@ -261,6 +274,20 @@ def test_instance_value_of_the_wrong_type_exits_2_with_instance_format(tmp_path,
     code = main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")])
     assert code == 2
     assert _error_code(capsys) == "instance-format"
+
+
+def test_a_path_at_the_largest_label_space_passes_every_check_and_both_replays(tmp_path):
+    # labels N-4 .. N at N = MAX_LABELS: the phases' int64 label-pair keys
+    # a * (N + 1) + b stay below 2**62 + 2**32
+    assert MAX_LABELS == 2**31
+    stations = [(MAX_LABELS - 4 + i, 0.9 * i, 0) for i in range(5)]
+    inst = make_instance(stations, DEFAULT_PARAMS, MAX_LABELS)
+    path = tmp_path / "instance.json"
+    save_instance(inst, str(path))
+    assert main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    result, graph = backbone_creation(inst), build_graph(inst)
+    assert result.two_hop and verify.expected_two_hop(graph, result.leaders) == result.two_hop
+    assert verify.expected_three_hop(graph, result.leaders) == result.three_hop
 
 
 def test_integer_coordinates_and_params_load_as_floats():

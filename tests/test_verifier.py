@@ -82,20 +82,21 @@ def test_check_dominating():
 def test_check_connected_backbone():
     inst = path_instance([1, 2, 3, 4])
     g = build_graph(inst)
-    assert check_connected_backbone(fake_result([2]), g).passed
+    assert check_connected_backbone(backbone_graph(fake_result([2]), g)).passed
     ok = fake_result([1, 4], helpers=[2, 3], edges=[(1, 2), (2, 3), (3, 4)])
-    assert check_connected_backbone(ok, g).passed
+    assert check_connected_backbone(backbone_graph(ok, g)).passed
     broken = fake_result([1, 4], helpers=[2], edges=[(1, 2)])
-    assert not check_connected_backbone(broken, g).passed
+    assert not check_connected_backbone(backbone_graph(broken, g)).passed
 
 
 def test_check_constant_degree(monkeypatch):
     inst = path_instance([1, 2, 3])
     g = build_graph(inst)
-    assert check_constant_degree(fake_result([2]), g).passed
+    assert check_constant_degree(backbone_graph(fake_result([2]), g)).passed
     assert verify.DEGREE_BOUND == geometric_degree_bound()
     monkeypatch.setattr(verify, "DEGREE_BOUND", 0)
-    v = check_constant_degree(fake_result([1, 3], helpers=[2], edges=[(1, 2), (2, 3)]), g)
+    r = fake_result([1, 3], helpers=[2], edges=[(1, 2), (2, 3)])
+    v = check_constant_degree(backbone_graph(r, g))
     assert not v.passed
     assert geometric_degree_bound() > 100  # 3-hop box count times two helpers
 
@@ -104,20 +105,43 @@ def test_check_diameter(monkeypatch):
     # complete triangle: diameter 1
     inst = make_instance([(1, 0, 0), (2, 0.4, 0), (3, 0.2, 0.3)], P, 8)
     g = build_graph(inst)
-    assert check_diameter(fake_result([1]), g).passed
+    assert check_diameter(g, backbone_graph(fake_result([1]), g)).passed
     # long path: backbone spanning all nodes keeps the diameter
     labs = list(range(1, 11))
     inst = path_instance(labs)
     g = build_graph(inst)
     r = fake_result([5], helpers=[x for x in labs if x != 5])
-    v = check_diameter(r, g)
+    v = check_diameter(g, backbone_graph(r, g))
     assert v.passed and v.metrics["backbone_diameter"] == v.metrics["graph_diameter"]
     monkeypatch.setattr(verify, "DIAMETER_FACTOR", 0)
     monkeypatch.setattr(verify, "DIAMETER_SLACK", 0)
-    assert not check_diameter(
-        fake_result([1, 4], helpers=[2, 3], edges=[(1, 2), (2, 3), (3, 4)]),
-        build_graph(path_instance([1, 2, 3, 4])),
-    ).passed
+    g = build_graph(path_instance([1, 2, 3, 4]))
+    r = fake_result([1, 4], helpers=[2, 3], edges=[(1, 2), (2, 3), (3, 4)])
+    assert not check_diameter(g, backbone_graph(r, g)).passed
+
+
+def test_run_all_checks_passes_one_backbone_to_the_three_backbone_checks(monkeypatch):
+    inst = path_instance([1, 2, 3, 4, 5, 6])
+    g, result = build_graph(inst), backbone_creation(inst)
+    built, read = [], {}
+    real_backbone_graph = verify.backbone_graph
+
+    def backbone_graph_spy(*args):
+        built.append(real_backbone_graph(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "backbone_graph", backbone_graph_spy)
+    for name in ("check_connected_backbone", "check_constant_degree", "check_diameter"):
+
+        def check_spy(*args, real=getattr(verify, name), name=name):
+            read[name] = args
+            return real(*args)
+
+        monkeypatch.setattr(verify, name, check_spy)
+    assert all(v.passed for v in verify.run_all_checks(result, inst, g))
+    assert len(built) == 1 and len(read) == 3
+    assert all(args[-1] is built[0] for args in read.values())
+    assert read["check_diameter"][0] is g
 
 
 def test_check_size_ratio_exact_and_surrogate():
@@ -137,7 +161,7 @@ def test_check_size_ratio_exact_and_surrogate():
     v = check_size_ratio(fake_result(big[:1], helpers=big[1:]), gbig)
     assert v.metrics["exact"] == 0.0  # surrogate branch reports only
     with pytest.raises(ExactBranchTooLargeError):
-        min_cds(gbig.adjacency)
+        min_cds(gbig)
 
 
 def test_check_size_ratio_star():
@@ -150,7 +174,7 @@ def test_check_size_ratio_star():
     ]
     inst = make_instance(stations, P, 16)
     g = build_graph(inst)
-    assert min_cds(g.adjacency) == {8}
+    assert min_cds(g) == {8}
     v = check_size_ratio(fake_result([8]), g)
     assert v.passed and v.metrics["ratio"] == 1.0
 
@@ -189,18 +213,18 @@ def known_cds_sizes():
 
 @pytest.mark.parametrize("adj,expected", known_cds_sizes())
 def test_min_cds_known_structures(adj, expected):
-    assert len(min_cds(adj)) == expected
+    assert len(min_cds(CommGraph.of(adj))) == expected
     # a second, independent enumeration order must agree on the size: with
     # the labels mirrored, enumeration visits the nodes in reverse order
     top = max(adj) + 1
     mirrored = {top - u: [top - v for v in vs] for u, vs in adj.items()}
-    assert len(min_cds(mirrored)) == expected
+    assert len(min_cds(CommGraph.of(mirrored))) == expected
 
 
 def test_min_cds_is_dominating_and_connected():
     inst = generate(GeneratorSpec(n=11, arena_side=1.8, seed=8), P)
     g = build_graph(inst)
-    cds = min_cds(g.adjacency)
+    cds = min_cds(g)
     assert is_dominating(g.adjacency, cds)
     assert len(components(induced(g.adjacency, cds))) == 1
 
@@ -208,7 +232,7 @@ def test_min_cds_is_dominating_and_connected():
 def test_greedy_cds_valid():
     inst = generate(GeneratorSpec(n=30, arena_side=3.0, seed=9), P)
     g = build_graph(inst)
-    cds = greedy_cds(g.adjacency)
+    cds = greedy_cds(g)
     assert is_dominating(g.adjacency, cds)
     assert len(components(induced(g.adjacency, cds))) == 1
 
@@ -333,13 +357,14 @@ _LONG_PATH = _path([65, *range(1, 65), 66])
 @example(_LONG_PATH)
 @settings(max_examples=300, deadline=None)
 def test_array_oracles_match_the_python_references(adj):
-    assert diameter(adj) == _diameter_by_bfs(adj)
+    g = CommGraph.of(adj)
+    assert diameter(g) == _diameter_by_bfs(adj)
     assert components(adj) == _components_by_bfs(adj)
     if len(components(adj)) <= 1:
-        assert greedy_cds(adj) == _greedy_cds_by_max_key(adj)
+        assert greedy_cds(g) == _greedy_cds_by_max_key(adj)
     else:  # no path joins the cover's components
         with pytest.raises(AssertionError):
-            greedy_cds(adj)
+            greedy_cds(g)
         with pytest.raises(AssertionError):
             _greedy_cds_by_max_key(adj)
 
@@ -377,7 +402,8 @@ def test_greedy_cds_does_not_depend_on_component_set_order():
     cds = []
     for rev in (False, True):
         order = sorted(_NINE_CYCLE, reverse=rev)
-        cds.append(greedy_cds({u: tuple(sorted(_NINE_CYCLE[u], reverse=rev)) for u in order}))
+        adj = {u: tuple(sorted(_NINE_CYCLE[u], reverse=rev)) for u in order}
+        cds.append(greedy_cds(CommGraph.of(adj)))
     assert cds[0] == cds[1] == _greedy_cds_by_max_key(_NINE_CYCLE)
     assert is_dominating(_NINE_CYCLE, cds[0]) and (
         len(components(induced(_NINE_CYCLE, cds[0]))) == 1
