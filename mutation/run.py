@@ -10,7 +10,9 @@ old text, which must occur exactly once in its file, with its new text,
 and runs only the mutant's tests from the checkout's tests/ against the
 copy. Each test must be reported failed: a test that passes, errors or is
 not run fails the check. pytest runs from the temporary directory, so
-hypothesis keeps the mutants' failing examples there, not in the checkout.
+hypothesis keeps the mutants' failing examples there, not in the checkout,
+and with a fixed hypothesis seed, so each run draws the same examples and
+a mutant is caught, or not, on every run alike.
 
 Prints one line per run and exits 0 if every check holds, 1 if one does
 not, and 2 for an unknown mutant name. Needs only the standard library,
@@ -64,6 +66,7 @@ def outcomes(src: Path, tests: Iterable[str]) -> dict[str, str]:
     proc = subprocess.run(
         [
             sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+            "--hypothesis-seed=0",
             "--rootdir", str(ROOT), "-c", str(ROOT / "pyproject.toml"),
             *(str(ROOT / t) for t in tests),
         ],

@@ -489,6 +489,8 @@ def _grid_from(path: str) -> tuple[Sequence[int], Sequence[int]]:
             raise InvalidArgumentError(
                 f"grid {key} must be a non-empty list of ints, got {values!r}"
             )
+    if max(grid.get("n_labels", [0])) > MAX_LABELS:
+        raise InvalidArgumentError(f"grid n_labels {grid['n_labels']} exceed {MAX_LABELS}")
     return grid.get("n_labels", DEFAULT_SWEEP_LABELS), grid.get("deltas", DEFAULT_SWEEP_DELTAS)
 
 

@@ -34,9 +34,10 @@ Position = tuple[float, float]
 
 SQRT2 = math.sqrt(2.0)
 
-# the largest label space N: the phases key label pairs as a * (N + 1) + b
-# in int64 arrays, and at N = 2**31 every key is below 2**62 + 2**32
-MAX_LABELS = 2**31
+# the largest label space N: an execution's records hold labels as int32,
+# and the phases key label pairs as a * (N + 1) + b in int64 arrays, every
+# key of which is then below 2**62
+MAX_LABELS = 2**31 - 1
 
 
 @dataclass(frozen=True)

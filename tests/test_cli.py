@@ -152,7 +152,7 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         ["generate", "--n", "5", "--side", "inf", "--out"],
         ["generate", "--n", "5", "--side", "1", "--spacing", "nan", "--out"],
         ["run", "--n", "5", "--side", "nan", "--out-dir"],
-        ["generate", "--n", "5", "--side", "1", "--n-labels", "2147483649", "--out"],
+        ["generate", "--n", "5", "--side", "1", "--n-labels", "2147483648", "--out"],
     ],
     ids=[
         "run-n-above-labels",
@@ -187,10 +187,24 @@ def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
         json.dumps([64]),
         '{"deltas": [4,',
         None,
+        json.dumps({"n_labels": [64, 2**31]}),  # MAX_LABELS + 1, after a valid cell
     ],
-    ids=["below-cell-size", "empty", "float", "not-a-list", "not-an-object", "bad-json", "missing"],
+    ids=[
+        "below-cell-size",
+        "empty",
+        "float",
+        "not-a-list",
+        "not-an-object",
+        "bad-json",
+        "missing",
+        "labels-above-cap",
+    ],
 )
-def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, text):
+def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, monkeypatch, text):
+    def no_cell_runs(*args, **kwargs):
+        raise AssertionError("a cell ran before the grid was rejected")
+
+    monkeypatch.setattr(cli, "backbone_creation", no_cell_runs)
     grid = tmp_path / "grid.json"
     if text is not None:
         grid.write_text(text)
@@ -213,7 +227,7 @@ NO_STATIONS = ('"stations": [', '"stations": [], "unread": [')
         [('"x": 0.5', '"x": 1' + "0" * 400)],  # an integer beyond any float
         [NO_STATIONS],
         [NO_STATIONS, ('"n_labels": 4', '"n_labels": 0')],
-        [('"n_labels": 4', '"n_labels": 2147483649')],  # MAX_LABELS + 1
+        [('"n_labels": 4', '"n_labels": 2147483648')],  # MAX_LABELS + 1
     ],
     ids=[
         "missing",
@@ -277,14 +291,20 @@ def test_instance_value_of_the_wrong_type_exits_2_with_instance_format(tmp_path,
 
 
 def test_a_path_at_the_largest_label_space_passes_every_check_and_both_replays(tmp_path):
-    # labels N-4 .. N at N = MAX_LABELS: the phases' int64 label-pair keys
-    # a * (N + 1) + b stay below 2**62 + 2**32
-    assert MAX_LABELS == 2**31
+    # labels N-4 .. N at N = MAX_LABELS: the records' int32 labels hold
+    # every label, and the phases' int64 label-pair keys a * (N + 1) + b
+    # stay below 2**62
+    assert MAX_LABELS == np.iinfo(np.int32).max
     stations = [(MAX_LABELS - 4 + i, 0.9 * i, 0) for i in range(5)]
     inst = make_instance(stations, DEFAULT_PARAMS, MAX_LABELS)
     path = tmp_path / "instance.json"
     save_instance(inst, str(path))
     assert main(["run", "--instance", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "trace.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    traced = {t["label"] for rec in records for t in rec.get("transmitters", [])}
+    traced |= {lab for rec in records for pair in rec.get("deliveries", []) for lab in pair}
+    assert traced == {lab for lab, _pos in inst.stations}  # none wrapped
     result, graph = backbone_creation(inst), build_graph(inst)
     assert result.two_hop and verify.expected_two_hop(graph, result.leaders) == result.two_hop
     assert verify.expected_three_hop(graph, result.leaders) == result.three_hop
