@@ -84,4 +84,26 @@ MUTANTS = (
             "tests/test_protocol.py::test_oversized_token_return_fails_before_the_return_execution",
         ),
     ),
+    # a full-mode chunk takes the digits above its hundreds from the round
+    # before its first: one that starts at a multiple of 1000 keeps the
+    # last period's digits
+    Mutant(
+        "full-trace-high-digits-one-round-late",
+        "sinrbackbone/cli.py",
+        'line = head + digits[: d - low].encode() + b"0" * low + tail',
+        'line = head + str(s - 1)[: d - low].encode() + b"0" * low + tail',
+        ("tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[4]",),
+    ),
+    # emit splices its records in at offsets of the line width of its
+    # first round's digit count, also past a power of ten
+    Mutant(
+        "full-trace-splice-offset-of-the-first-digit-count",
+        "sinrbackbone/cli.py",
+        "off = (r - s) * width",
+        "off = (r - s) * (len(head) + len(str(start)) + len(tail))",
+        (
+            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[1]",
+            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[7]",
+        ),
+    ),
 )

@@ -134,27 +134,44 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 # Trace streaming.
 
 
+# a full-mode chunk of silent lines holds the rounds of one digit count
+# between two multiples of _CHUNK, so only its last three digits vary
+_CHUNK = 1000
+# the ones, tens and hundreds digits of the rounds 0 to 999, one column
+# each: runs of 10**w equal digits, cycling 0-9
+_COLUMNS = [b"".join((b"%d" % k) * 10**w for k in range(10)) * 10 ** (2 - w) for w in range(3)]
+
+
 class FileSink:
     """Streams one JSON record per round (full), or one per non-silent round
     and one per span of silent rounds within an execution (compact). Keeps
     no records.
 
-    Each record is written with one call, emit() or skip(), straight from
-    its arrays: a record's sorted-key JSON is assembled from string
+    Every write happens inside emit() or skip(), straight from the
+    records' arrays: a record's sorted-key JSON is assembled from string
     templates, byte for byte what json.dumps(..., sort_keys=True) writes.
     What the executions that share a plan have in common is formatted once
     per plan, when the first of them is written: each non-silent row's
     round offset, its "deliveries" text and its transmitters' message keys
     (Execution.message_keys). Each key's transmitter text is formatted once
     per execution, from its one message; emit then only stitches in the
-    phase, the round numbers and those texts. A silent record of several
-    executions is written by one skip() call, as the same bytes as that
-    many silent executions."""
+    phase, the round numbers and those texts.
+
+    In full mode, silent lines differ only in the round number. They are
+    written in chunks, each of the rounds of one digit count between two
+    multiples of _CHUNK: the line repeated, with the digits the chunk's
+    rounds share in place and each other digit column set by one strided
+    slice assignment (see _full), so a stretch of any length takes one
+    chunk's memory. emit lays its whole execution out so and splices its
+    non-silent records in. Compact mode writes each call's records with
+    one write. A silent record of several executions is written by one
+    skip() call, as the same bytes as that many silent executions."""
 
     def __init__(self, fh: TextIO, mode: str):
         self.fh = fh
         self.mode = mode
         self._plans: dict = {}  # each plan's text (see _plan_text), by Execution.plan
+        self._kinds: dict[str, str] = {}  # each message kind's JSON text
 
     def execution(self, ex: Execution) -> None:
         if ex.message is None:
@@ -169,51 +186,110 @@ class FileSink:
         if text is None:
             text = self._plans[ex.plan] = _plan_text(ex)
         first, senders, rows = text
-        sent = [  # each message key's transmitter text
-            f'{{"kind": {json.dumps(m.kind)}, "label": {u}, "payload": {json.dumps(m.payload)}}}'
-            for u, m in zip(senders, map(ex.message, first))
-        ]
+        kinds = self._kinds
+        sent = []  # each message key's transmitter text
+        for u, m in zip(senders, map(ex.message, first)):
+            kind = kinds.get(m.kind)
+            if kind is None:
+                kind = kinds[m.kind] = json.dumps(m.kind)
+            sent.append(
+                '{"kind": %s, "label": %d, "payload": %s}' % (kind, u, _payload_text(m.payload))
+            )
         phase = json.dumps(ex.phase)
         start = ex.start
-        parts = []
-        cursor = 0
-        for j, head, keys in rows:
-            if j > cursor:
-                parts.append(self._silent(phase, start + cursor, j - cursor))
-            parts.append(
+        records = [
+            (
+                start + j,
                 f'{head}{phase}, "round": {start + j}, '
-                f'"transmitters": [{", ".join(map(sent.__getitem__, keys))}]}}\n'
+                f'"transmitters": [{", ".join(map(sent.__getitem__, keys))}]}}\n',
             )
-            cursor = j + 1
-        if ex.size > cursor:
-            parts.append(self._silent(phase, start + cursor, ex.size - cursor))
+            for j, head, keys in rows
+        ]
+        end = start + ex.size
+        if self.mode == "full":
+            self._full(phase, start, end, records)
+            return
+        parts = []
+        cursor = start
+        for r, record in records:
+            if r > cursor:
+                parts.append(_compact(phase, cursor, r - cursor))
+            parts.append(record)
+            cursor = r + 1
+        if end > cursor:
+            parts.append(_compact(phase, cursor, end - cursor))
         self.fh.write("".join(parts))
 
     def skip(self, phase: str, start_round: int, count: int, repeats: int = 1) -> None:
         """Write repeats consecutive spans of count silent rounds from
         start_round on."""
-        self.fh.write(self._silent(json.dumps(phase), start_round, count, repeats))
-
-    def _silent(self, phase: str, start_round: int, count: int, repeats: int = 1) -> str:
-        """The records of repeats consecutive spans of count silent rounds;
-        phase is already JSON."""
-        end = start_round + count * repeats
         if self.mode == "full":
-            # silent-round records differ only in the round number
-            head = f'{{"deliveries": [], "phase": {phase}, "round": '
-            tail = ', "transmitters": []}\n'
-            rounds = map(str, range(start_round, end))
-            return f"{head}{(tail + head).join(rounds)}{tail}"
-        head = f'{{"phase": {phase}, "round_start": '
-        tail = f', "silent": {count}}}\n'
-        return f"{head}{(tail + head).join(map(str, range(start_round, end, count)))}{tail}"
+            self._full(json.dumps(phase), start_round, start_round + count * repeats, ())
+        else:
+            self.fh.write(_compact(json.dumps(phase), start_round, count, repeats))
+
+    def _full(self, phase: str, start: int, end: int, records) -> None:
+        """Write the full-mode records of the rounds start to end - 1:
+        records' (round, text) pairs, in round order, and a silent record
+        for every other round; phase is already JSON.
+
+        Chunk by chunk, the silent line is repeated once per round, with
+        the digits that all its rounds share already in place, and each
+        of the other digit columns is written with one strided slice
+        assignment. Within a chunk every line has one width, so a record
+        replaces the silent line at (round - first round) * width."""
+        head = b'{"deliveries": [], "phase": ' + phase.encode() + b', "round": '
+        tail = b', "transmitters": []}\n'
+        k = 0
+        s = start
+        while s < end:
+            digits = str(s)
+            d = len(digits)
+            e = min(end, (s // _CHUNK + 1) * _CHUNK, 10**d)
+            m = e - s
+            low = min(d, len(_COLUMNS))  # the digits that vary within the chunk
+            line = head + digits[: d - low].encode() + b"0" * low + tail
+            width = len(line)
+            buf = bytearray(line) * m
+            ones = len(head) + d - 1  # the first line's ones digit
+            o = s % _CHUNK
+            for w in range(low):
+                buf[ones - w :: width] = _COLUMNS[w][o : o + m]
+            text = buf.decode()
+            parts = []
+            at = 0
+            while k < len(records) and records[k][0] < e:
+                r, record = records[k]
+                off = (r - s) * width
+                parts += (text[at:off], record)
+                at = off + width
+                k += 1
+            parts.append(text[at:])
+            self.fh.write("".join(parts))
+            s = e
+
+
+def _compact(phase: str, start_round: int, count: int, repeats: int = 1) -> str:
+    """The compact records of repeats consecutive spans of count silent
+    rounds; phase is already JSON."""
+    head = f'{{"phase": {phase}, "round_start": '
+    tail = f', "silent": {count}}}\n'
+    end = start_round + count * repeats
+    return f"{head}{(tail + head).join(map(str, range(start_round, end, count)))}{tail}"
+
+
+def _payload_text(payload: tuple) -> str:
+    """json.dumps(payload) for a tuple of ints and tuples: the tuple's str
+    with the one-element tuples' trailing commas dropped and the
+    parentheses turned into brackets."""
+    return str(payload).replace(",)", ")").replace("(", "[").replace(")", "]")
 
 
 def _plan_text(ex: Execution) -> tuple[list[int], list[int], list[tuple[int, str, list[int]]]]:
     """What every execution of ex's plan writes alike: the first
     transmission of each message key and its sender, and each non-silent
     row's round offset, record text up to the phase's value and message
-    keys, in row order."""
+    keys, in row order. The rows' texts come from one %-format."""
     rows = np.arange(len(ex.rounds) + 1)
     tx_at = ex.transmissions[:, 0].searchsorted(rows).tolist()
     dl_at = ex.deliveries[:, 0].searchsorted(rows).tolist()
@@ -223,22 +299,16 @@ def _plan_text(ex: Execution) -> tuple[list[int], list[int], list[tuple[int, str
     first: dict[int, int] = {}
     for t, k in enumerate(key_of):
         first.setdefault(k, t)  # keys are numbered in order of first transmission
-    heads = [
-        f'{{"deliveries": {_pairs_json(pairs[2 * d0 : 2 * d1])}, "phase": '
+    heads = "\n".join(
+        f'{{"deliveries": [{", ".join(["[%d, %d]"] * (d1 - d0))}], "phase": '
         for d0, d1 in zip(dl_at, dl_at[1:])
-    ]
+    ) % tuple(pairs)
     keys = [key_of[t0:t1] for t0, t1 in zip(tx_at, tx_at[1:])]
     return (
         list(first.values()),
         [senders[t] for t in first.values()],
-        list(zip(ex.rounds.tolist(), heads, keys)),
+        list(zip(ex.rounds.tolist(), heads.split("\n"), keys)),
     )
-
-
-def _pairs_json(flat: list[int]) -> str:
-    """The JSON text of the list of int pairs flat[0:2], flat[2:4], ...:
-    one %-format call, faster than str() of a list of lists."""
-    return "[" + ", ".join(["[%d, %d]"] * (len(flat) // 2)) % tuple(flat) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +387,7 @@ def run(config: RunConfig) -> int:
         "verdicts": [v.as_dict() for v in verdicts],
     }
     with open(os.path.join(config.out_dir, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for v in verdicts:
         print(f"{'PASS' if v.passed else 'FAIL'} {v.check} {v.metrics}")
     print(f"rounds={result.rounds_used} leaders={len(result.leaders)} helpers={len(result.helpers)}")
@@ -442,8 +511,7 @@ def sweep(
             cells = {**row, "selector_sizes": _selector_sizes(row), **row["phase_rounds"]}
             fh.write("\t".join(str(cells.get(c, 0)) for c in cols) + "\n")
     with open(os.path.join(config.out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     for row in rows:
         phases = " ".join(
             f"{p}={row['phase_rounds'].get(p, 0)}" for p in SWEEP_PHASES

@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sinrbackbone import cli, verify
 from sinrbackbone.cli import (
@@ -32,6 +36,7 @@ from sinrbackbone.physical import (
 )
 from sinrbackbone.protocol import (
     LEADER,
+    Execution,
     Families,
     ProtocolConfig,
     Simulator,
@@ -462,7 +467,12 @@ def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
 
 def _assert_file_sink_writes_the_reference_bytes(executions) -> dict:
     """FileSink writes the executions as RoundWriter does, in both modes;
-    returns what it wrote, by mode."""
+    returns what it wrote, by mode. Every payload holds only ints and
+    tuples, the values whose JSON FileSink writes without json.dumps."""
+    for ex in executions:
+        if ex.message is not None:
+            for t in range(len(ex.transmissions)):
+                _assert_ints_and_tuples(ex.message(t).payload)
     out = {}
     for mode in ("full", "compact"):
         written, expected = io.StringIO(), io.StringIO()
@@ -472,6 +482,71 @@ def _assert_file_sink_writes_the_reference_bytes(executions) -> dict:
         assert written.getvalue() == expected.getvalue(), mode
         out[mode] = written.getvalue()
     return out
+
+
+def _assert_ints_and_tuples(value) -> None:
+    if type(value) is tuple:
+        for x in value:
+            _assert_ints_and_tuples(x)
+    else:
+        assert type(value) is int, value
+
+
+@pytest.fixture(scope="module")
+def cli_trace_executions() -> list:
+    return backbone_creation(generate(REFERENCE_RUNS["cli-trace"][0])).traces.executions
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_file_sink_writes_the_reference_bytes_across_a_power_of_ten(cli_trace_executions, k):
+    # full mode writes the rounds of one digit count per chunk and splices
+    # records in at offsets of its line width; the reference runs never
+    # reach 10**6. Both records start 3 rounds before 10**k: a silent one
+    # of 30 executions, which also crosses multiples of 1000 past 10**k,
+    # and the run's non-silent execution with the most non-silent rounds
+    ex = max(
+        (e for e in cli_trace_executions if e.message is not None), key=lambda e: len(e.rounds)
+    )
+    assert ex.rounds[-1] > 3  # it has records past 10**k
+    start = 10**k - 3
+    _assert_file_sink_writes_the_reference_bytes(
+        [Execution.silent(ex.phase, start, 44, 30), dataclasses.replace(ex, start=start)]
+    )
+
+
+def test_a_long_silent_stretch_is_written_in_bounded_chunks():
+    class Discard:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+    fh = Discard()
+    sink = FileSink(fh, "full")
+    tracemalloc.start()
+    try:
+        sink.skip("token-passing/run=0/i=1/grant", 0, 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fh.lines == 200_000
+    assert peak < 1 << 20
+
+
+_PAYLOADS = st.lists(
+    st.recursive(st.integers(), lambda inner: st.lists(inner, max_size=4).map(tuple)),
+    max_size=6,
+).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOADS)
+@example(())
+@example((5,))
+@example(((5,),))
+@example(((), (-7, ((2**40,),)), 0))
+def test_payload_text_is_the_json_dumps_text(payload):
+    assert cli._payload_text(payload) == json.dumps(payload)
 
 
 def test_cli_trace_reference_run_has_executions_that_share_a_plan():
