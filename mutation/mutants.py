@@ -51,19 +51,34 @@ MUTANTS = (
         "sent-messages-keyed-by-sender",
         "sinrbackbone/protocol.py",
         """\
-        m = built.get(k)
+        m = built.get(j)
         if m is None:
-            m = built[k] = build(*keys[k])
+            m = built[j] = build(table.sender[j], table.carried(j))
 """,
         """\
-        m = built.get(keys[k][0])
+        m = built.get(table.sender[j])
         if m is None:
-            m = built[keys[k][0]] = build(*keys[k])
+            m = built[table.sender[j]] = build(table.sender[j], table.carried(j))
 """,
         (
             "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",
             "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[n40-N1024]",
             "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[cli-trace]",
+        ),
+    ),
+    # message keys numbered in order of their carried slots instead of
+    # their first transmissions: a key's number and its first
+    # transmission, sender and slots no longer match
+    Mutant(
+        "message-keys-in-slot-order",
+        "sinrbackbone/protocol.py",
+        "key = rank[group]  # numbered over the batch in order of first transmission",
+        "key = group",
+        (
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n64]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[cli-trace]",
+            "tests/test_protocol.py::test_the_key_table_matches_the_per_transmission_reference[cli-trace]",
+            "tests/test_protocol.py::test_the_key_table_covers_a_transmission_that_carries_two_claims",
         ),
     ),
     # a sweep that fails drops the token records of its earlier iterations

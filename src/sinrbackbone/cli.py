@@ -12,8 +12,6 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     DisconnectedInstanceError,
@@ -134,8 +132,11 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 # Trace streaming.
 
 
+# the trace file's write buffer, in bytes
+_TRACE_BUFFER = 1 << 18
 # a full-mode chunk of silent lines holds the rounds of one digit count
-# between two multiples of _CHUNK, so only its last three digits vary
+# between two multiples of _CHUNK, so only its last three digits vary; a
+# compact-mode chunk holds _CHUNK silent spans
 _CHUNK = 1000
 # the ones, tens and hundreds digits of the rounds 0 to 999, one column
 # each: runs of 10**w equal digits, cycling 0-9
@@ -150,12 +151,13 @@ class FileSink:
     Every write happens inside emit() or skip(), straight from the
     records' arrays: a record's sorted-key JSON is assembled from string
     templates, byte for byte what json.dumps(..., sort_keys=True) writes.
-    What the executions that share a plan have in common is formatted once
-    per plan, when the first of them is written: each non-silent row's
-    round offset, its "deliveries" text and its transmitters' message keys
-    (Execution.message_keys). Each key's transmitter text is formatted once
-    per execution, from its one message; emit then only stitches in the
-    phase, the round numbers and those texts.
+    What the executions of one batch have in common is formatted once per
+    batch, from its table (protocol._Table), when the first of them is
+    written: each non-silent row's round offset, its "deliveries" text
+    and its transmitters' message keys (see _rows_text). Each key's
+    transmitter text is formatted once per execution, from its one message
+    (the table holds each key's first transmission and sender); emit then
+    only stitches in the phase, the round numbers and those texts.
 
     In full mode, silent lines differ only in the round number. They are
     written in chunks, each of the rounds of one digit count between two
@@ -163,14 +165,15 @@ class FileSink:
     rounds share in place and each other digit column set by one strided
     slice assignment (see _full), so a stretch of any length takes one
     chunk's memory. emit lays its whole execution out so and splices its
-    non-silent records in. Compact mode writes each call's records with
-    one write. A silent record of several executions is written by one
-    skip() call, as the same bytes as that many silent executions."""
+    non-silent records in. Compact mode writes each emit() call's records
+    with one write, and a silent record in chunks of _CHUNK spans. A
+    silent record of several executions is written by one skip() call, as
+    the same bytes as that many silent executions."""
 
     def __init__(self, fh: TextIO, mode: str):
         self.fh = fh
         self.mode = mode
-        self._plans: dict = {}  # each plan's text (see _plan_text), by Execution.plan
+        self._rows: dict = {}  # each batch's row texts (see _rows_text), by batch
         self._kinds: dict[str, str] = {}  # each message kind's JSON text
 
     def execution(self, ex: Execution) -> None:
@@ -182,13 +185,15 @@ class FileSink:
     def emit(self, ex: Execution) -> None:
         """Write a non-silent execution: one record per non-silent round,
         with its silent stretches in between as skip() writes them."""
-        text = self._plans.get(ex.plan)
-        if text is None:
-            text = self._plans[ex.plan] = _plan_text(ex)
-        first, senders, rows = text
+        batch, e = ex.plan.batch, ex.plan.index
+        table = batch.table
+        rows = self._rows.get(batch)
+        if rows is None:
+            rows = self._rows[batch] = _rows_text(table)
+        k0, k1 = table.key_at[e], table.key_at[e + 1]
         kinds = self._kinds
         sent = []  # each message key's transmitter text
-        for u, m in zip(senders, map(ex.message, first)):
+        for u, m in zip(table.sender[k0:k1], map(ex.message, table.first[k0:k1])):
             kind = kinds.get(m.kind)
             if kind is None:
                 kind = kinds[m.kind] = json.dumps(m.kind)
@@ -203,7 +208,7 @@ class FileSink:
                 f'{head}{phase}, "round": {start + j}, '
                 f'"transmitters": [{", ".join(map(sent.__getitem__, keys))}]}}\n',
             )
-            for j, head, keys in rows
+            for j, head, keys in rows[table.row_at[e] : table.row_at[e + 1]]
         ]
         end = start + ex.size
         if self.mode == "full":
@@ -226,7 +231,10 @@ class FileSink:
         if self.mode == "full":
             self._full(json.dumps(phase), start_round, start_round + count * repeats, ())
         else:
-            self.fh.write(_compact(json.dumps(phase), start_round, count, repeats))
+            phase = json.dumps(phase)
+            for r in range(0, repeats, _CHUNK):
+                n = min(_CHUNK, repeats - r)
+                self.fh.write(_compact(phase, start_round + r * count, count, n))
 
     def _full(self, phase: str, start: int, end: int, records) -> None:
         """Write the full-mode records of the rounds start to end - 1:
@@ -285,30 +293,18 @@ def _payload_text(payload: tuple) -> str:
     return str(payload).replace(",)", ")").replace("(", "[").replace(")", "]")
 
 
-def _plan_text(ex: Execution) -> tuple[list[int], list[int], list[tuple[int, str, list[int]]]]:
-    """What every execution of ex's plan writes alike: the first
-    transmission of each message key and its sender, and each non-silent
-    row's round offset, record text up to the phase's value and message
-    keys, in row order. The rows' texts come from one %-format."""
-    rows = np.arange(len(ex.rounds) + 1)
-    tx_at = ex.transmissions[:, 0].searchsorted(rows).tolist()
-    dl_at = ex.deliveries[:, 0].searchsorted(rows).tolist()
-    senders = ex.transmissions[:, 1].tolist()
-    pairs = ex.deliveries[:, 1:].ravel().tolist()  # sender, receiver, sender, ...
-    key_of = ex.message_keys
-    first: dict[int, int] = {}
-    for t, k in enumerate(key_of):
-        first.setdefault(k, t)  # keys are numbered in order of first transmission
+def _rows_text(table) -> list[tuple[int, str, list[int]]]:
+    """Each row of a batch's table (see protocol._Table), in order: its
+    round offset, its record text up to the phase's value and its
+    transmissions' message keys. The texts come from one %-format over the
+    batch's deliveries."""
+    row_tx, row_dl, key = table.row_tx, table.row_dl, table.key
     heads = "\n".join(
         f'{{"deliveries": [{", ".join(["[%d, %d]"] * (d1 - d0))}], "phase": '
-        for d0, d1 in zip(dl_at, dl_at[1:])
-    ) % tuple(pairs)
-    keys = [key_of[t0:t1] for t0, t1 in zip(tx_at, tx_at[1:])]
-    return (
-        list(first.values()),
-        [senders[t] for t in first.values()],
-        list(zip(ex.rounds.tolist(), heads.split("\n"), keys)),
-    )
+        for d0, d1 in zip(row_dl, row_dl[1:])
+    ) % tuple(table.dl[:, 1:].ravel().tolist())
+    keys = [key[t0:t1] for t0, t1 in zip(row_tx, row_tx[1:])]
+    return list(zip(table.rounds.tolist(), heads.split("\n"), keys))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +360,7 @@ def run(config: RunConfig) -> int:
     if config.trace_mode == "off":
         result = backbone_creation(inst, proto, engine=engine)
     else:
-        with open(trace_path, "w", encoding="utf-8") as fh:
+        with open(trace_path, "w", encoding="utf-8", buffering=_TRACE_BUFFER) as fh:
             result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
 
     verdicts = run_all_checks(result, inst, graph)

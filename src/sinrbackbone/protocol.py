@@ -158,12 +158,13 @@ class Execution:
     (message_keys[t]) is its sender and the slots it carries: every
     transmission with one key sends one message, which message builds at
     most once per execution. Executions that share a plan share their
-    arrays and keys, so a sink can format those once per plan and only
-    each key's message once per execution.
+    arrays and keys, so a sink can format those once per plan (or per
+    batch) and only each key's message once per execution.
 
-    The arrays and keys are read from the execution's plan, which builds
-    them for its whole batch the first time a sink reads one: a run whose
-    sink never reads them (a CollectSink's) never builds them.
+    The arrays and keys are read from the table of the plan's batch (see
+    _Table), which the batch builds for all its schedules the first time a
+    sink reads one: a run whose sink never reads them (a CollectSink's)
+    never builds a table.
 
     A silent record (message and plan None) stands for repeats consecutive
     silent executions of the family, the first from start on; every other
@@ -186,24 +187,79 @@ class Execution:
     @property
     def rounds(self) -> np.ndarray:
         plan = self.plan
-        return _NO_ROUNDS if plan is None else plan.batch.records[plan.index][0]
+        if plan is None:
+            return _NO_ROUNDS
+        table, e = plan.batch.table, plan.index
+        return table.rounds[table.row_at[e] : table.row_at[e + 1]]
 
     @property
     def transmissions(self) -> np.ndarray:
         plan = self.plan
-        return _NO_TRANSMISSIONS if plan is None else plan.batch.records[plan.index][1]
+        if plan is None:
+            return _NO_TRANSMISSIONS
+        table, e = plan.batch.table, plan.index
+        return table.tx[table.tx_at[e] : table.tx_at[e + 1]]
 
     @property
     def deliveries(self) -> np.ndarray:
         plan = self.plan
-        return _NO_DELIVERIES if plan is None else plan.batch.records[plan.index][2]
+        if plan is None:
+            return _NO_DELIVERIES
+        table, e = plan.batch.table, plan.index
+        return table.dl[table.dl_at[e] : table.dl_at[e + 1]]
 
     @property
     def message_keys(self) -> list[int]:
         """Each transmission's message key, numbered from 0 in order of
-        first transmission: transmissions with one key send one message."""
+        first transmission: transmissions with one key send one message
+        (see _Table)."""
         plan = self.plan
-        return [] if plan is None else plan.batch.keys[plan.index][1]
+        if plan is None:
+            return []
+        table, e = plan.batch.table, plan.index
+        return table.key[table.tx_at[e] : table.tx_at[e + 1]]
+
+
+class _Table(NamedTuple):
+    """A batch's records and message keys, built at once for all its
+    schedules (see _Batch.table).
+
+    Schedule e's rows are row_at[e] : row_at[e + 1] of the batch's, and
+    likewise its transmissions (tx_at), deliveries (dl_at) and message keys
+    (key_at); row r's transmissions are row_tx[r] : row_tx[r + 1] and its
+    deliveries row_dl[r] : row_dl[r + 1]. The records are int32: each row's
+    round within the family (rounds), each transmission's (row, sender
+    label) (tx) and each delivery's (row, sender label, receiver label)
+    (dl), rows counted from their schedule's first.
+
+    A message key is a sender and the slots it carries: a transmission
+    carrying the slots at positions ks sends message(sender, ks), so the
+    transmissions with one key send one message. key[t] is transmission t's
+    key, numbered from 0 within its schedule in order of first
+    transmission; over the batch, schedule e's key k is key key_at[e] + k.
+    Batch key j is first sent by transmission first[j] of its schedule
+    (counted from the schedule's first), from station sender[j], and
+    carries the slots at positions carried(j), ascending.
+    """
+
+    row_at: list[int]
+    tx_at: list[int]
+    dl_at: list[int]
+    key_at: list[int]
+    row_tx: list[int]
+    row_dl: list[int]
+    rounds: np.ndarray
+    tx: np.ndarray
+    dl: np.ndarray
+    key: list[int]
+    first: list[int]
+    sender: list[int]
+    pos_at: list[int]
+    pos: list[int]
+
+    def carried(self, j: int) -> tuple[int, ...]:
+        """The slot positions key j of the batch carries, ascending."""
+        return tuple(self.pos[self.pos_at[j] : self.pos_at[j + 1]])
 
 
 @dataclass(eq=False)
@@ -212,9 +268,9 @@ class _Batch:
 
     Who heard whom is planned up front: schedule e's distinct heard (slot
     position, listener label) pairs, sorted, are heard_pos and heard_label
-    over heard_at[e] : heard_at[e + 1]. The records (rounds, transmissions
-    and deliveries) and the message keys are built from the rest, for the
-    whole batch, the first time a sink reads one.
+    over heard_at[e] : heard_at[e + 1]. The records and message keys of
+    all the schedules (table) are built from the rest, the first time a
+    sink reads one.
     """
 
     labels: np.ndarray  # station labels, ascending
@@ -239,57 +295,64 @@ class _Batch:
         return self.heard_pos[lo:hi], self.heard_label[lo:hi]
 
     @cached_property
-    def records(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Each schedule's rounds, transmissions and deliveries, rows
-        numbered from its own first row."""
-        labels, size, rows, tx_row = self.labels, self.size, self.rows, self.tx_row
-        row_at = (rows // size).searchsorted(np.arange(len(self.heard_at)))
-        local_row = np.arange(len(rows)) - np.repeat(row_at[:-1], np.diff(row_at))
-        tx_label = labels[self.tx_station]
-        rounds = (rows % size).astype(np.int32)
-        tx = np.column_stack([local_row[tx_row], tx_label]).astype(np.int32)
-        dl = np.column_stack(
-            [local_row[tx_row[self.dl_tx]], tx_label[self.dl_tx], labels[self.dl_rx]]
-        ).astype(np.int32)
-        tx_at = tx_row.searchsorted(row_at)
-        dl_at = self.dl_at[tx_at].tolist()
-        row_at, tx_at = row_at.tolist(), tx_at.tolist()
-        return [
-            (rounds[r0:r1], tx[t0:t1], dl[d0:d1])
-            for r0, r1, t0, t1, d0, d1 in zip(
-                row_at, row_at[1:], tx_at, tx_at[1:], dl_at, dl_at[1:]
-            )
-        ]
+    def table(self) -> _Table:
+        """The records and message keys of every schedule (see _Table).
 
-    @cached_property
-    def keys(self) -> list[tuple[list[tuple[int, tuple[int, ...]]], list[int]]]:
-        """Each schedule's message keys, and the key of each of its
-        transmissions (counted from the schedule's first). A key is a
-        (sender label, carried slot positions) pair, positions ascending:
-        a transmission carrying the slots at positions ks sends
-        message(sender, ks), so transmissions with one key send one
-        message. Keys are numbered in order of first transmission."""
+        A transmission's key is the set of slots it carries: each
+        transmission's slots, numbered over the batch and ascending, are
+        one row of a matrix padded with -1, and the transmissions of one
+        distinct row, found by one stable lexsort, share a key. A slot
+        belongs to one schedule and one owner, so no key spans two of
+        either."""
+        labels, rows, tx_row, dl_tx = self.labels, self.rows, self.tx_row, self.dl_tx
+        n_tx = len(tx_row)
+        schedule = rows // self.size  # each row's schedule
+        row_at = schedule.searchsorted(np.arange(len(self.heard_at)))
+        row_tx = tx_row.searchsorted(np.arange(len(rows) + 1))
+        tx_at = row_tx[row_at]
+        local_row = np.arange(len(rows)) - row_at[schedule]
+        tx_label = labels[self.tx_station]
+        tx = np.empty((n_tx, 2), np.int32)
+        tx[:, 0], tx[:, 1] = local_row[tx_row], tx_label
+        dl = np.empty((len(dl_tx), 3), np.int32)
+        dl[:, 0], dl[:, 1], dl[:, 2] = tx[dl_tx, 0], tx_label[dl_tx], labels[self.dl_rx]
+        # each transmission's slots, ascending, as one row of carried
         by_tx = self.slot_tx.argsort(kind="stable")
-        at = np.searchsorted(self.slot_tx[by_tx], np.arange(len(self.tx_row) + 1)).tolist()
-        slots = self.slot_k[by_tx].tolist()  # numbered over the batch
-        senders = self.labels[self.tx_station].tolist()
-        pos = self.slot_pos.tolist()
-        first = (self.rows[self.tx_row] // self.size).searchsorted(np.arange(len(self.heard_at)))
-        first = first.tolist()
-        out = []
-        for t0, t1 in zip(first, first[1:]):
-            index: dict[tuple[int, ...], int] = {}
-            keys: list[tuple[int, tuple[int, ...]]] = []
-            key_of = []
-            for t in range(t0, t1):
-                carried = tuple(slots[at[t] : at[t + 1]])
-                k = index.get(carried)
-                if k is None:
-                    k = index[carried] = len(keys)
-                    keys.append((senders[t], tuple([pos[x] for x in carried])))
-                key_of.append(k)
-            out.append((keys, key_of))
-        return out
+        tx_of = self.slot_tx[by_tx]
+        slot_at = tx_of.searchsorted(np.arange(n_tx + 1))
+        count = slot_at[1:] - slot_at[:-1]
+        carried = np.full((n_tx, count.max()), -1)
+        carried[tx_of, np.arange(len(tx_of)) - slot_at[tx_of]] = self.slot_k[by_tx]
+        # the sort is stable, so each key's first transmission leads its run
+        order = np.lexsort(carried.T[::-1])
+        ordered = carried[order]
+        new = np.ones(n_tx, dtype=bool)
+        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        group = np.empty(n_tx, np.int64)
+        group[order] = new.cumsum() - 1
+        first = np.sort(order[new])  # each key's first transmission, over the batch
+        rank = np.empty(len(first), np.int64)
+        rank[group[first]] = np.arange(len(first))
+        key = rank[group]  # numbered over the batch in order of first transmission
+        key_at = first.searchsorted(tx_at)
+        tx_schedule = schedule[tx_row]
+        mine = carried[first]
+        return _Table(
+            row_at=row_at.tolist(),
+            tx_at=tx_at.tolist(),
+            dl_at=self.dl_at[tx_at].tolist(),
+            key_at=key_at.tolist(),
+            row_tx=row_tx.tolist(),
+            row_dl=self.dl_at[row_tx].tolist(),
+            rounds=(rows % self.size).astype(np.int32),
+            tx=tx,
+            dl=dl,
+            key=(key - key_at[tx_schedule]).tolist(),
+            first=(first - tx_at[tx_schedule[first]]).tolist(),
+            sender=tx_label[first].tolist(),
+            pos_at=[0, *count[first].cumsum().tolist()],
+            pos=self.slot_pos[mine[mine >= 0]].tolist(),
+        )
 
 
 class _Plan(NamedTuple):
@@ -984,16 +1047,17 @@ def _append_token_records(
 
 def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callable[[int], Message]:
     """message(t) of one execution of plan: the message of its t-th
-    transmission, build(sender, ks) of the transmission's key (see
-    _Batch.keys), called at most once per key."""
+    transmission, build(sender, ks) of the transmission's key, read from
+    the batch's table (see _Table), called at most once per key."""
     built: dict[int, Message] = {}
+    batch, e = plan.batch, plan.index
 
     def message(t: int) -> Message:
-        keys, key_of = plan.batch.keys[plan.index]
-        k = key_of[t]
-        m = built.get(k)
+        table = batch.table
+        j = table.key_at[e] + table.key[table.tx_at[e] + t]
+        m = built.get(j)
         if m is None:
-            m = built[k] = build(*keys[k])
+            m = built[j] = build(table.sender[j], table.carried(j))
         return m
 
     return message

@@ -514,22 +514,39 @@ def test_file_sink_writes_the_reference_bytes_across_a_power_of_ten(cli_trace_ex
     )
 
 
-def test_a_long_silent_stretch_is_written_in_bounded_chunks():
-    class Discard:
-        lines = 0
+class _LineCounter:
+    """A trace file that keeps only its line count."""
 
-        def write(self, text):
-            self.lines += text.count("\n")
+    lines = 0
 
-    fh = Discard()
-    sink = FileSink(fh, "full")
+    def write(self, text):
+        self.lines += text.count("\n")
+
+
+def _skip_peak(mode: str, *args) -> tuple[int, int]:
+    """The lines a fresh sink writes for skip(*args), and the tracemalloc
+    peak while it does."""
+    fh = _LineCounter()
+    sink = FileSink(fh, mode)
     tracemalloc.start()
     try:
-        sink.skip("token-passing/run=0/i=1/grant", 0, 200_000)
+        sink.skip(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fh.lines == 200_000
+    return fh.lines, peak
+
+
+def test_a_long_silent_stretch_is_written_in_bounded_chunks():
+    lines, peak = _skip_peak("full", "token-passing/run=0/i=1/grant", 0, 200_000)
+    assert lines == 200_000
+    assert peak < 1 << 20
+
+
+def test_a_long_compact_silent_record_is_written_in_bounded_chunks():
+    # one silent record of 2 * 10**5 executions of 44 rounds: one line each
+    lines, peak = _skip_peak("compact", "token-passing/run=0/i=1/grant", 0, 44, 200_000)
+    assert lines == 200_000
     assert peak < 1 << 20
 
 
@@ -655,11 +672,12 @@ def test_every_trace_write_happens_inside_emit_or_skip(tmp_path, monkeypatch, mo
 
     for name in calls:
         monkeypatch.setattr(FileSink, name, counting(name))
-    written, outside = [], []
+    written, outside, buffers = [], [], []
 
     def opener(path, *args, **kwargs):
         fh = open(path, *args, **kwargs)
         if os.path.basename(path) == "trace.jsonl":
+            buffers.append(kwargs.get("buffering"))
             write = fh.write
 
             def checked_write(text):
@@ -675,6 +693,8 @@ def test_every_trace_write_happens_inside_emit_or_skip(tmp_path, monkeypatch, mo
     assert calls["emit"] > 0 and calls["skip"] > 0
     assert outside == []
     assert "".join(written) == (out / "trace.jsonl").read_text()
+    # the file is opened once, with the trace write buffer
+    assert buffers == [cli._TRACE_BUFFER]
 
 
 def test_trace_mode_off_removes_an_earlier_trace(tmp_path):

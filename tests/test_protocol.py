@@ -51,7 +51,7 @@ from leader_reference import reference_leader_election
 from oracles import NodeView, make_message, msg, ssf_broadcast, views
 from test_cli import REFERENCE_RUNS
 from token_reference import reference_three_hop_connection, reference_token_passing
-from trace_reference import each_execution, records, replay
+from trace_reference import each_execution, message_keys, records, replay
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402  (the benchmark's instance lists)
@@ -223,13 +223,17 @@ def test_executions_tile_the_rounds_as_scheduled():
     )
 
 
+# station 1 neighbours 2, 3 and 4, which are two hops from each other: with
+# 2, 3 and 4 as leaders, 1 is the helper that claims all three pairs
+CLAIM_STATIONS = [(1, 0, 0), (2, 0.9, 0), (3, -0.45, 0.78), (4, -0.45, -0.78)]
+
+
 def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
     # helper 1 claims the three pairs of leaders 2, 3 and 4; a round that
     # carries two claims needs 8 + 2*3*7 = 50 bits against a 6*lg 64 = 36-bit
     # budget, one claim alone needs 29. Over 64 labels the pair ssf puts the
     # claims of (2, 3) and (3, 4) in one set (over 16 it is all singletons).
-    stations = [(1, 0, 0), (2, 0.9, 0), (3, -0.45, 0.78), (4, -0.45, -0.78)]
-    inst = make_instance(stations, P, 64)
+    inst = make_instance(CLAIM_STATIONS, P, 64)
     for c_msg, fails in ((6, True), (128, False)):
         monkeypatch.setattr(protocol, "C_MSG", c_msg)
         sim = Simulator(inst)
@@ -250,6 +254,55 @@ def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
             assert views(sim)[2].two_hop_helpers == {3: 1, 4: 1}
 
 
+def _assert_key_table_matches_reference(batch) -> list:
+    """batch's table holds the message keys that the per-transmission
+    reference finds: each schedule's keys in order, with their senders,
+    carried positions and first transmissions, and each transmission's
+    key. Returns the reference."""
+    table = batch.table
+    reference = message_keys(batch)
+    assert len(reference) == len(table.key_at) - 1 == len(table.tx_at) - 1
+    for e, (keys, key_of, first) in enumerate(reference):
+        k0, k1 = table.key_at[e], table.key_at[e + 1]
+        assert [(table.sender[j], table.carried(j)) for j in range(k0, k1)] == keys
+        assert table.first[k0:k1] == first
+        assert table.key[table.tx_at[e] : table.tx_at[e + 1]] == key_of
+    return reference
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_the_key_table_matches_the_per_transmission_reference(name, monkeypatch):
+    # every batch the run plans, also a speculated leader-election batch
+    # whose later rows were dropped
+    batches = []
+    plan = Simulator._plan
+
+    def kept(self, family, schedules):
+        batches.append(plan(self, family, schedules))
+        return batches[-1]
+
+    monkeypatch.setattr(Simulator, "_plan", kept)
+    executions = backbone_creation(generate(REFERENCE_RUNS[name][0])).traces.executions
+    reference = {batch: _assert_key_table_matches_reference(batch) for batch in batches}
+    planned = [ex for ex in executions if ex.plan is not None]
+    assert planned and {ex.plan.batch for ex in planned} == reference.keys()
+    for ex in planned:
+        assert ex.message_keys == reference[ex.plan.batch][ex.plan.index][1]
+
+
+def test_the_key_table_covers_a_transmission_that_carries_two_claims(monkeypatch):
+    # the layout of the helper-claim size test, within the budget: one
+    # round of the pair ssf carries helper 1's claims of (2, 3) and (3, 4)
+    monkeypatch.setattr(protocol, "C_MSG", 128)
+    sim = Simulator(make_instance(CLAIM_STATIONS, P, 64))
+    force_leaders(sim, {2, 3, 4})
+    two_hop_connection(sim)
+    (ex,) = [e for e in sim.sink.executions if e.phase == "two-hop-connection"]
+    keys, key_of, _first = _assert_key_table_matches_reference(ex.plan.batch)[ex.plan.index]
+    assert max(len(ks) for _u, ks in keys) == 2
+    assert len(keys) < len(key_of)  # some key is sent more than once
+
+
 def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
     # every message is sized from its label count; only a sink that reads
     # an execution's messages builds them, so a collected run builds none,
@@ -267,7 +320,7 @@ def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
     assert r.two_hop and r.three_hop and r.token_records  # every phase sent messages
     assert built == []
     batches = {id(ex.plan.batch): ex.plan.batch for ex in r.traces.executions if ex.plan}
-    assert batches and not any({"records", "keys"} & vars(b).keys() for b in batches.values())
+    assert batches and not any("table" in vars(b) for b in batches.values())
     # a sink that reads them builds every kind
     kinds = {m.kind for tr in records(r.traces.executions) for _lab, m in tr.transmitters}
     assert set(built) == kinds == {

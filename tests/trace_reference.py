@@ -9,7 +9,9 @@ each stretch of silent ones. RoundWriter writes each of those calls as
 records of its own, every record with json.dumps(..., sort_keys=True), in
 the trace file's two modes: "full" (one record per round) and "compact"
 (one per non-silent round and one per stretch of silent rounds within an
-execution).
+execution). message_keys() numbers a planned batch's message keys with one
+dict per schedule, transmission by transmission: the reference for the
+batch's key table.
 """
 
 import json
@@ -46,6 +48,36 @@ def traces(ex):
             ),
             deliveries=tuple(map(tuple, pairs)),
         )
+
+
+def message_keys(batch):
+    """Each schedule's message keys of batch (a protocol._Batch), found
+    transmission by transmission: (keys, key_of, first). keys holds each
+    key's (sender label, carried slot positions), positions ascending, in
+    order of first transmission; key_of[t] is transmission t's key and
+    first[k] key k's first transmission, both counted from the schedule's
+    first transmission."""
+    by_tx = batch.slot_tx.argsort(kind="stable")
+    at = np.searchsorted(batch.slot_tx[by_tx], np.arange(len(batch.tx_row) + 1)).tolist()
+    slots = batch.slot_k[by_tx].tolist()  # numbered over the batch
+    senders = batch.labels[batch.tx_station].tolist()
+    pos = batch.slot_pos.tolist()
+    schedule = batch.rows[batch.tx_row] // batch.size
+    bounds = schedule.searchsorted(np.arange(len(batch.heard_at))).tolist()
+    out = []
+    for t0, t1 in zip(bounds, bounds[1:]):
+        index = {}
+        keys, key_of, first = [], [], []
+        for t in range(t0, t1):
+            carried = tuple(slots[at[t] : at[t + 1]])
+            k = index.get(carried)
+            if k is None:
+                k = index[carried] = len(keys)
+                keys.append((senders[t], tuple(pos[x] for x in carried)))
+                first.append(t - t0)
+            key_of.append(k)
+        out.append((keys, key_of, first))
+    return out
 
 
 def records(executions):
