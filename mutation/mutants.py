@@ -53,12 +53,12 @@ MUTANTS = (
         """\
         m = built.get(j)
         if m is None:
-            m = built[j] = build(table.sender[j], table.carried(j))
+            m = built[j] = build(table.sender[j], table.carried[j])
 """,
         """\
         m = built.get(table.sender[j])
         if m is None:
-            m = built[table.sender[j]] = build(table.sender[j], table.carried(j))
+            m = built[table.sender[j]] = build(table.sender[j], table.carried[j])
 """,
         (
             "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",

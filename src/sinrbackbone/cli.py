@@ -12,6 +12,8 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
 from . import __version__
 from .errors import (
     DisconnectedInstanceError,
@@ -296,15 +298,20 @@ def _payload_text(payload: tuple) -> str:
 def _rows_text(table) -> list[tuple[int, str, list[int]]]:
     """Each row of a batch's table (see protocol._Table), in order: its
     round offset, its record text up to the phase's value and its
-    transmissions' message keys. The texts come from one %-format over the
-    batch's deliveries."""
+    transmissions' message keys. A batch's deliveries repeat few (sender,
+    receiver) pairs, so each distinct pair's text is formatted once."""
     row_tx, row_dl, key = table.row_tx, table.row_dl, table.key
-    heads = "\n".join(
-        f'{{"deliveries": [{", ".join(["[%d, %d]"] * (d1 - d0))}], "phase": '
+    # labels are below 2**31: a pair is sender * 2**32 + receiver
+    pair = table.dl[:, 1].astype(np.int64) << 32 | table.dl[:, 2]
+    distinct, which = np.unique(pair, return_inverse=True)
+    texts = ["[%d, %d]" % divmod(p, 1 << 32) for p in distinct.tolist()]
+    pairs = list(map(texts.__getitem__, which.tolist()))
+    heads = [
+        f'{{"deliveries": [{", ".join(pairs[d0:d1])}], "phase": '
         for d0, d1 in zip(row_dl, row_dl[1:])
-    ) % tuple(table.dl[:, 1:].ravel().tolist())
+    ]
     keys = [key[t0:t1] for t0, t1 in zip(row_tx, row_tx[1:])]
-    return list(zip(table.rounds.tolist(), heads.split("\n"), keys))
+    return list(zip(table.rounds.tolist(), heads, keys))
 
 
 # ---------------------------------------------------------------------------

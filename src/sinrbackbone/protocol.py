@@ -239,7 +239,7 @@ class _Table(NamedTuple):
     transmission; over the batch, schedule e's key k is key key_at[e] + k.
     Batch key j is first sent by transmission first[j] of its schedule
     (counted from the schedule's first), from station sender[j], and
-    carries the slots at positions carried(j), ascending.
+    carries the slots at positions carried[j], ascending.
     """
 
     row_at: list[int]
@@ -254,12 +254,7 @@ class _Table(NamedTuple):
     key: list[int]
     first: list[int]
     sender: list[int]
-    pos_at: list[int]
-    pos: list[int]
-
-    def carried(self, j: int) -> tuple[int, ...]:
-        """The slot positions key j of the batch carries, ascending."""
-        return tuple(self.pos[self.pos_at[j] : self.pos_at[j + 1]])
+    carried: list[tuple[int, ...]]
 
 
 @dataclass(eq=False)
@@ -336,7 +331,9 @@ class _Batch:
         key = rank[group]  # numbered over the batch in order of first transmission
         key_at = first.searchsorted(tx_at)
         tx_schedule = schedule[tx_row]
-        mine = carried[first]
+        mine = carried[first]  # each key's slots
+        pos = self.slot_pos[mine[mine >= 0]].tolist()
+        pos_at = [0, *count[first].cumsum().tolist()]
         return _Table(
             row_at=row_at.tolist(),
             tx_at=tx_at.tolist(),
@@ -350,8 +347,7 @@ class _Batch:
             key=(key - key_at[tx_schedule]).tolist(),
             first=(first - tx_at[tx_schedule[first]]).tolist(),
             sender=tx_label[first].tolist(),
-            pos_at=[0, *count[first].cumsum().tolist()],
-            pos=self.slot_pos[mine[mine >= 0]].tolist(),
+            carried=[tuple(pos[a:b]) for a, b in zip(pos_at, pos_at[1:])],
         )
 
 
@@ -1057,7 +1053,7 @@ def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callab
         j = table.key_at[e] + table.key[table.tx_at[e] + t]
         m = built.get(j)
         if m is None:
-            m = built[j] = build(table.sender[j], table.carried(j))
+            m = built[j] = build(table.sender[j], table.carried[j])
         return m
 
     return message

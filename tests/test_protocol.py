@@ -264,7 +264,7 @@ def _assert_key_table_matches_reference(batch) -> list:
     assert len(reference) == len(table.key_at) - 1 == len(table.tx_at) - 1
     for e, (keys, key_of, first) in enumerate(reference):
         k0, k1 = table.key_at[e], table.key_at[e + 1]
-        assert [(table.sender[j], table.carried(j)) for j in range(k0, k1)] == keys
+        assert [(table.sender[j], table.carried[j]) for j in range(k0, k1)] == keys
         assert table.first[k0:k1] == first
         assert table.key[table.tx_at[e] : table.tx_at[e + 1]] == key_of
     return reference
