@@ -99,6 +99,30 @@ MUTANTS = (
             "tests/test_protocol.py::test_oversized_token_return_fails_before_the_return_execution",
         ),
     ),
+    # a codeword table's row l - 1 holds label l + 1's sets
+    Mutant(
+        "codeword-table-shifted-by-one-label",
+        "sinrbackbone/selection.py",
+        "table = _rounds(q, K, P, np.arange(n_labels, dtype=np.int64)[:, None])",
+        "table = _rounds(q, K, P, np.arange(1, n_labels + 1, dtype=np.int64)[:, None])",
+        (
+            "tests/test_selection.py::test_codeword_tables_match_horner_bit_for_bit",
+            "tests/test_selection.py::test_codeword_tables_are_kept_per_code_and_label_space",
+            "tests/test_selection.py::test_labels_outside_the_label_space_are_rejected[64]",
+        ),
+    ),
+    # the table budget counts labels, not labels x points: the
+    # (4096, 4)-ssf builds a table of 40,960 entries
+    Mutant(
+        "codeword-table-budget-on-labels-only",
+        "sinrbackbone/selection.py",
+        "if self.n_labels * self.P <= TABLE_ENTRIES:",
+        "if self.n_labels <= TABLE_ENTRIES:",
+        (
+            "tests/test_selection.py::test_codeword_tables_match_horner_bit_for_bit",
+            "tests/test_selection.py::test_labels_outside_the_label_space_are_rejected[4096]",
+        ),
+    ),
     # a full-mode chunk takes the digits above its hundreds from the round
     # before its first: one that starts at a multiple of 1000 keeps the
     # last period's digits

@@ -138,13 +138,11 @@ def distance_matrix(inst: PhysicalInstance) -> np.ndarray:
     """
     pos = [p for _, p in sorted(inst.stations)]
     n = len(pos)
-    upper = np.triu_indices(n, 1)
     dist = np.zeros((n, n))
-    dist[upper] = np.fromiter(
+    dist[np.arange(n)[:, None] < np.arange(n)] = np.fromiter(
         starmap(math.dist, combinations(pos, 2)), float, n * (n - 1) // 2
     )
-    dist.T[upper] = dist[upper]
-    return dist
+    return dist + dist.T  # x + 0.0 is x: the lower triangle is the upper's
 
 
 def broadcast_range(params: SinrParams) -> float:
@@ -206,7 +204,8 @@ class CommGraph:
     It holds the labels in ascending order (nodes, and label_array) and one
     CSR list: node i is nodes[i], and its neighbours, ascending, are the
     positions nbrs[nbr_at[i] : nbr_at[i + 1]]; the engine's graph holds the
-    engine's own arrays. delta is the largest degree. Every other form is
+    engine's own arrays. degree[i] is node i's degree (read-only), and
+    delta the largest degree. Every other form is
     derived when first read: adjacency (each label's neighbour labels as a
     sorted tuple), the bitsets the checks read (bit i of a Python int is
     node i, so a set's smallest label is its lowest set bit) and the closed
@@ -218,7 +217,9 @@ class CommGraph:
         self.label_array = np.array(nodes, dtype=int)
         self.nbrs = nbrs
         self.nbr_at = nbr_at
-        self.delta = int(np.diff(nbr_at).max(initial=0))
+        self.degree = nbr_at[1:] - nbr_at[:-1]
+        self.degree.flags.writeable = False  # shared by every reader
+        self.delta = int(self.degree.max(initial=0))
 
     @staticmethod
     def of(adj: Mapping[int, Collection[int]] | CommGraph) -> CommGraph:
@@ -231,8 +232,9 @@ class CommGraph:
         degree = np.fromiter(map(len, rows), np.intp, n)
         labels = np.fromiter(chain.from_iterable(rows), int, degree.sum())
         # each entry keyed row * n + position, so one sort orders every row
-        keys = np.repeat(np.arange(n), degree) * n + np.searchsorted(nodes, labels)
-        return CommGraph(nodes, np.sort(keys) % n, np.concatenate(([0], degree.cumsum())))
+        keys = np.arange(n).repeat(degree) * n + np.array(nodes, dtype=int).searchsorted(labels)
+        keys.sort()
+        return CommGraph(nodes, keys % n, np.concatenate(([0], degree.cumsum())))
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -246,9 +248,10 @@ class CommGraph:
         """The closed CSR list (nbrs, nbr_at): each open row with its own
         node put in, keyed row * n + node and sorted as one array."""
         n = len(self.nodes)
-        row = np.repeat(np.arange(n), np.diff(self.nbr_at))
+        row = np.arange(n).repeat(self.degree)
         keys = np.concatenate((row * n + self.nbrs, np.arange(n) * (n + 1)))
-        return np.sort(keys) % n, self.nbr_at + np.arange(n + 1)
+        keys.sort()
+        return keys % n, self.nbr_at + np.arange(n + 1)
 
     @cached_property
     def bit(self) -> dict[int, int]:
@@ -261,7 +264,7 @@ class CommGraph:
         n = len(self.nodes)
         size = -(-n // 8)  # bytes per row
         bits = np.zeros(n * 8 * size, bool)
-        bits[np.repeat(np.arange(n) * 8 * size, np.diff(self.nbr_at)) + self.nbrs] = True
+        bits[(np.arange(n) * 8 * size).repeat(self.degree) + self.nbrs] = True
         packed = np.packbits(bits, bitorder="little").tobytes()
         return [int.from_bytes(packed[i * size : (i + 1) * size], "little") for i in range(n)]
 
@@ -329,7 +332,8 @@ class PhysicsEngine:
         # gains in nbr_gain; each pair keyed row * n + column in both
         # directions, so one sort gives np.nonzero's order of the n x n
         # in-range matrix; the communication graph is built over it
-        keys = np.sort(np.concatenate((a * n + b, b * n + a)))
+        keys = np.concatenate((a * n + b, b * n + a))
+        keys.sort()
         self.nbrs = keys % n
         self.nbr_at = keys.searchsorted(np.arange(n + 1) * n)
         self.noise = inst.params.noise
@@ -344,13 +348,13 @@ class PhysicsEngine:
         with itself."""
         p = self._inst.params
         path_loss = distance_matrix(self._inst) ** p.alpha
-        np.fill_diagonal(path_loss, np.inf)
+        path_loss.ravel()[:: len(path_loss) + 1] = np.inf  # the diagonal
         return p.power / path_loss
 
     @cached_property
     def nbr_gain(self) -> np.ndarray:
         """The gain of each in-range pair, in CSR order (see nbrs)."""
-        rows = np.repeat(np.arange(len(self.nbr_at) - 1), np.diff(self.nbr_at))
+        rows = np.arange(len(self.nbr_at) - 1).repeat(self._graph.degree)
         return self.gain[rows, self.nbrs]
 
     def graph(self) -> CommGraph:
@@ -380,7 +384,7 @@ class PhysicsEngine:
         n = len(self.nbr_at) - 1
         if n == 1:
             return True
-        if not np.diff(self.nbr_at).all():  # an isolated station
+        if not self._graph.degree.all():  # an isolated station
             return False
         comp = np.arange(n)
         while True:
@@ -419,7 +423,7 @@ class PhysicsEngine:
         # every (transmission, in-range listener) pair, by its CSR position
         lo = self.nbr_at[senders]
         count = self.nbr_at[senders + 1] - lo
-        pair_tx = np.repeat(np.arange(len(senders)), count)
+        pair_tx = np.arange(len(senders)).repeat(count)
         pos = index_ranges(lo, count)
         listener = self.nbrs[pos]
         signal = self.nbr_gain[pos]
@@ -433,7 +437,7 @@ class PhysicsEngine:
         sender = senders[first]
         total = gain[sender * n + listener]  # 0.0 + the first gain
         total[sender == listener] = np.inf
-        sel = np.flatnonzero(load > 1)  # the pairs whose round has a j-th transmitter
+        sel = (load > 1).nonzero()[0]  # the pairs whose round has a j-th transmitter
         j = 1
         while len(sel):
             near = listener[sel]
@@ -464,15 +468,17 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     NumPy 2 it hashes before it sorts: on the batch keys of three n=150
     instances it takes 29.6 ms against 5.2 ms.
     """
-    keys = np.sort(keys)
-    first = np.ones(len(keys), dtype=bool)
+    keys = keys.copy()
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
 
 
 def index_ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:
     """The indices lo[j] .. lo[j] + span[j] - 1 of every j, in order."""
-    return np.arange(span.sum()) + np.repeat(lo - span.cumsum() + span, span)
+    return np.arange(span.sum()) + (lo - span.cumsum() + span).repeat(span)
 
 
 NEAR_PAIRS_CHUNK = 1 << 15  # window pairs near_pairs filters per step
@@ -502,7 +508,7 @@ def near_pairs(pos: list[Position], reach: float) -> tuple[np.ndarray, np.ndarra
     n = len(pos)
     w = reach * (1 + 2**-30)
     xy = np.fromiter(chain.from_iterable(pos), float, 2 * n).reshape(n, 2)
-    order = np.argsort(xy[:, 0], kind="stable")
+    order = xy[:, 0].argsort(kind="stable")
     xs, ys = xy[order, 0], xy[order, 1]
     span = xs.searchsorted(xs + w, "right") - np.arange(1, n + 1)  # window sizes
     ends = span.cumsum()
@@ -512,7 +518,7 @@ def near_pairs(pos: list[Position], reach: float) -> tuple[np.ndarray, np.ndarra
     while lo < n:  # stations lo .. hi - 1: at most a chunk of pairs, or one station
         done = ends[lo - 1] if lo else 0
         hi = max(lo + 1, int(ends.searchsorted(done + NEAR_PAIRS_CHUNK, "right")))
-        a = np.repeat(np.arange(lo, hi), span[lo:hi])
+        a = np.arange(lo, hi).repeat(span[lo:hi])
         b = index_ranges(np.arange(lo + 1, hi + 1), span[lo:hi])
         keep = np.abs(ys[b] - ys[a]) <= w
         a, b = order[a[keep]], order[b[keep]]

@@ -321,11 +321,13 @@ class _Batch:
         # the sort is stable, so each key's first transmission leads its run
         order = np.lexsort(carried.T[::-1])
         ordered = carried[order]
-        new = np.ones(n_tx, dtype=bool)
+        new = np.empty(n_tx, dtype=bool)
+        new[:1] = True
         new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
         group = np.empty(n_tx, np.int64)
         group[order] = new.cumsum() - 1
-        first = np.sort(order[new])  # each key's first transmission, over the batch
+        first = order[new]
+        first.sort()  # each key's first transmission, over the batch
         rank = np.empty(len(first), np.int64)
         rank[group[first]] = np.arange(len(first))
         key = rank[group]  # numbered over the batch in order of first transmission
@@ -394,7 +396,9 @@ class Families:
 
     They depend only on the label space and the ssf parameter c, so looking
     them up needs no graph and no physics. Each is built by construction in
-    microseconds, so none is kept between lookups.
+    microseconds, so none is kept between lookups; what a lookup would
+    recompute, each code's codeword table, is kept per process by
+    selection (see SelectionFamily.rounds_for).
     """
 
     n_labels: int
@@ -580,11 +584,11 @@ class Simulator:
         owner = labels.searchsorted(owner_labels)
         counts = np.array([len(s) for _c, s, _o in schedules]) // 8
         slot_at = np.concatenate(([0], counts.cumsum()))
-        slot_pos = np.arange(len(slot)) - np.repeat(slot_at[:-1], counts)  # within its schedule
+        slot_pos = np.arange(len(slot)) - slot_at[:-1].repeat(counts)  # within its schedule
         # slot memberships, P per slot, each keyed by the transmission that
         # carries it: (schedule * size + set) * n + owner index
-        slot_k = np.repeat(np.arange(len(slot)), P)
-        keys = np.repeat(np.repeat(np.arange(len(schedules)), counts) * size, P)
+        slot_k = np.arange(len(slot)).repeat(P)
+        keys = (np.arange(len(schedules)).repeat(counts) * size).repeat(P)
         keys += family.rounds_for(slot).reshape(-1)
         keys *= n
         keys += owner[slot_k]
@@ -671,7 +675,7 @@ def leader_election(sim: Simulator) -> None:
     fam_ssf = sim.base_ssf()
     delta = graph.delta
     labels = graph.nodes
-    degree = np.diff(graph.nbr_at)
+    degree = graph.degree
     selectors = sim.families.leader_selectors(delta)
     phases = [f"leader-election/i={i}" for i in range(len(selectors))]
     ends = list(accumulate(fam.size for fam in selectors))  # where each bucket's rows end
@@ -679,20 +683,21 @@ def leader_election(sim: Simulator) -> None:
     first = np.full(len(labels), never, dtype=np.int64)  # each station's first marked row
     for i, fam_sel in enumerate(selectors):
         in_bucket = (_ceil_div(delta, 42 << i) <= degree) & (degree <= _ceil_div(delta, 1 << i))
-        todo = np.flatnonzero(in_bucket & (first == never))  # in the bucket, not yet marked
+        todo = (in_bucket & (first == never)).nonzero()[0]  # in the bucket, not yet marked
         # a station is in one set per point, ascending, and shares it with a
         # neighbor where their polynomials agree; todo[edge] -> nbr are the
         # edges of the todo stations
         sets = fam_sel.rounds_for(graph.label_array)
         count = degree[todo]
-        edge = np.repeat(np.arange(len(todo)), count)
+        edge = np.arange(len(todo)).repeat(count)
         nbr = graph.nbrs[index_ranges(graph.nbr_at[todo], count)]
-        e, x = np.nonzero(sets[todo[edge]] == sets[nbr])
-        marked = np.ones((len(todo), fam_sel.P), dtype=bool)
+        e, x = (sets[todo[edge]] == sets[nbr]).nonzero()
+        marked = np.empty((len(todo), fam_sel.P), dtype=bool)
+        marked.fill(True)
         marked[edge[e], x] = False
         hit = marked.any(axis=1)
         first[todo[hit]] = ends[i] - fam_sel.size + sets[todo[hit], marked[hit].argmax(axis=1)]
-    order = np.argsort(first, kind="stable")
+    order = first.argsort(kind="stable")
     by_row, row_of = order.tolist(), first[order].tolist()
     nbrs, nbr_at = graph.nbrs.tolist(), graph.nbr_at.tolist()
 
@@ -771,19 +776,23 @@ def leader_election(sim: Simulator) -> None:
 # Algorithm: neighborhood inform.
 
 
-def _leader_tables(sim: Simulator) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Each leader's i-th neighbor, for i = 1..Delta, as (at, leaders,
-    members): iteration i maps leaders[at[i-1] : at[i]], ascending, each
-    to the same row of members."""
+def _leader_tables(
+    sim: Simulator,
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Each leader's i-th neighbor, for i = 1..Delta, as (at, iteration,
+    leaders, members): iteration i maps leaders[at[i-1] : at[i]],
+    ascending, each to the same row of members, and iteration holds each
+    row's i - 1."""
     g = sim.graph
-    lead = np.flatnonzero(sim.status == _LEADER)
-    degree = np.diff(g.nbr_at)[lead]
+    lead = (sim.status == _LEADER).nonzero()[0]
+    degree = g.degree[lead]
     nbr = g.nbrs[index_ranges(g.nbr_at[lead], degree)]
-    i = np.arange(len(nbr)) - np.repeat(degree.cumsum() - degree, degree)
-    order = np.argsort(i, kind="stable")  # by i, then leader
+    i = np.arange(len(nbr)) - (degree.cumsum() - degree).repeat(degree)
+    order = i.argsort(kind="stable")  # by i, then leader
     labels = g.label_array
-    at = i[order].searchsorted(np.arange(g.delta + 1)).tolist()
-    return at, labels[np.repeat(lead, degree)][order], labels[nbr][order]
+    iteration = i[order]
+    at = iteration.searchsorted(np.arange(g.delta + 1)).tolist()
+    return at, iteration, labels[lead.repeat(degree)][order], labels[nbr][order]
 
 
 def neighborhood_inform(sim: Simulator) -> None:
@@ -803,7 +812,7 @@ def neighborhood_inform(sim: Simulator) -> None:
     listener's own knowledge.
     """
     n_labels = sim.inst.n_labels
-    at, leaders, members = _leader_tables(sim)
+    at, _iteration, leaders, members = _leader_tables(sim)
     if len(leaders):
         _message_bits("neighbor-of-leader", 2, n_labels)
     member_list = members.tolist()
@@ -854,15 +863,15 @@ def two_hop_connection(sim: Simulator) -> None:
     # only an m up to u can be the least common member that u must be
     u, s, m = sim.learned.T
     mine = sim.adjacent[:, 0] * (n_labels + 1) + sim.adjacent[:, 1]  # sorted
-    keep = np.flatnonzero(m <= u)
+    keep = (m <= u).nonzero()[0]
     keep = keep[_in_sorted(u[keep] * (n_labels + 1) + s[keep], mine)]
     u, s, m = u[keep], s[keep], m[keep]
     order = np.lexsort((s, m, u))
     u, s, m = u[order], s[order], m[order]
     # every two rows i < j of one (u, m) group: m is common to s[i] < s[j]
-    bounds = np.append(np.flatnonzero(_run_starts(u, m)), len(u))
-    later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(u)) - 1
-    i = np.repeat(np.arange(len(u)), later)
+    bounds = np.concatenate((_run_starts(u, m).nonzero()[0], [len(u)]))
+    later = bounds[1:].repeat(bounds[1:] - bounds[:-1]) - np.arange(len(u)) - 1
+    i = np.arange(len(u)).repeat(later)
     j = index_ranges(np.arange(len(u)) + 1, later)
     u, s, t, m = u[i], s[i], s[j], m[i]
     # the least common member of each (u, s, t); u claims when it is u
@@ -872,16 +881,19 @@ def two_hop_connection(sim: Simulator) -> None:
     # one claim per pair (selection.pair_index): a larger claimant's
     # replaces a smaller one's
     pidx = (s[claim] - 1) * n_labels + t[claim]
-    order = np.lexsort((u[claim], pidx))
-    last = np.roll(_run_starts(pidx[order]), -1)  # where each pair's run ends
-    pidxs, claim = pidx[order][last], claim[order][last]
+    order = np.lexsort((-u[claim], pidx))
+    largest = _run_starts(pidx[order])  # each pair's largest claimant
+    pidxs, claim = pidx[order][largest], claim[order][largest]
     helpers, s, t = u[claim], s[claim], t[claim]
 
     # a helper's message in a round carries every claim the pair family
     # schedules for it there, three labels each: size the widest one
     if len(pidxs):
         sets = fam_pair.rounds_for(pidxs) + fam_pair.size * helpers[:, None]
-        widest = np.unique(sets, return_counts=True)[1].max()
+        sets = sets.ravel()
+        sets.sort()
+        run_at = np.concatenate((_run_starts(sets).nonzero()[0], [len(sets)]))
+        widest = (run_at[1:] - run_at[:-1]).max()
         _message_bits("helper-claim", 3 * int(widest), n_labels)
     claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
 
@@ -936,21 +948,20 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     run_id = sim._tp_runs
     sim._tp_runs += 1
     delta = sim.graph.delta
-    at, leaders, targets = _leader_tables(sim)
+    at, iteration, leaders, targets = _leader_tables(sim)
     # the tokens: each iteration's holders, ascending, and the leaders
     # whose tokens holder h holds, tokens[token_at[h] : token_at[h + 1]]
-    iteration = np.repeat(np.arange(delta), np.diff(at))
     by_holder = np.lexsort((leaders, targets, iteration))
     new = _run_starts(iteration[by_holder], targets[by_holder])
     holders = targets[by_holder][new]
     holder_at = iteration[by_holder][new].searchsorted(np.arange(delta + 1)).tolist()
-    token_at = np.append(np.flatnonzero(new), len(new))
+    token_at = np.concatenate((new.nonzero()[0], [len(new)]))
     holder_list = holders.tolist()
     if mute := sorted({h for h in holder_list if h not in msgs}):
         raise ValueError(f"token holders without a message: {mute}")
     # a return carries its holder's label and tokens: the first holder
     # whose return is over the budget stops the sweep before its return
-    return_sizes = _bits(1 + np.diff(token_at), n_labels)
+    return_sizes = _bits(1 + token_at[1:] - token_at[:-1], n_labels)
     too_long = _first_oversize(return_sizes, n_labels)
     return_bits = return_sizes.tolist()
     grant_bits = _bits(2, n_labels)
@@ -1062,7 +1073,7 @@ def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callab
 def _first_oversize(sizes: np.ndarray, n_labels: int) -> Optional[int]:
     """The index of the first message, in order, whose size (see _bits) is
     over the budget (see _budget); None if none is."""
-    over = np.flatnonzero(sizes > _budget(n_labels))
+    over = (sizes > _budget(n_labels)).nonzero()[0]
     return int(over[0]) if len(over) else None
 
 
@@ -1081,7 +1092,7 @@ class _Messages(Mapping[int, Message]):
         columns: Sequence[np.ndarray],
         n_labels: int,
     ) -> None:
-        counts = np.diff(at)
+        counts = at[1:] - at[:-1]
         sizes = _bits(1 + len(columns) * counts, n_labels)
         first = _first_oversize(sizes, n_labels)
         if first is not None:
@@ -1117,14 +1128,16 @@ class _Messages(Mapping[int, Message]):
 def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
     """Whether each of the non-negative keys is among sorted_keys
     (ascending)."""
-    return np.append(sorted_keys, -1)[sorted_keys.searchsorted(keys)] == keys
+    return np.concatenate((sorted_keys, [-1]))[sorted_keys.searchsorted(keys)] == keys
 
 
 def _run_starts(*keys: np.ndarray) -> np.ndarray:
     """Whether each row of the sorted keys starts a run of equal rows."""
-    start = np.ones(len(keys[0]), dtype=bool)
-    if len(start):
-        start[1:] = np.any([k[1:] != k[:-1] for k in keys], axis=0)
+    start = np.empty(len(keys[0]), dtype=bool)
+    start[:1] = True
+    np.not_equal(keys[0][1:], keys[0][:-1], out=start[1:])
+    for k in keys[1:]:
+        start[1:] |= k[1:] != k[:-1]
     return start
 
 
@@ -1166,7 +1179,7 @@ def three_hop_connection(sim: Simulator) -> None:
 
     def by_node(nodes: np.ndarray, sorted_nodes: np.ndarray) -> np.ndarray:
         """at, with node j's rows of sorted_nodes at at[j] : at[j + 1]."""
-        return sorted_nodes.searchsorted(np.append(nodes, n_labels + 1))
+        return sorted_nodes.searchsorted(np.concatenate((nodes, [n_labels + 1])))
 
     # each non-leader reports its adjacent leaders
     reporter, adjacent = sim.adjacent[~is_leader[sim.adjacent[:, 0]]].T
@@ -1195,7 +1208,7 @@ def three_hop_connection(sim: Simulator) -> None:
     keep = (b != lab) & ~_in_sorted(pair, connected)
     lab, b, x, y = lab[keep], b[keep], x[keep], y[keep]
     by_x, by_y = np.lexsort((y, x, b, lab)), np.lexsort((x, y, b, lab))
-    start = np.flatnonzero(_run_starts(lab[by_x], b[by_x]))
+    start = _run_starts(lab[by_x], b[by_x]).nonzero()[0]
     min_x, y_of_x = x[by_x][start], y[by_x][start]
     min_y, x_of_y = y[by_y][start], x[by_y][start]
     x_first = min_x <= min_y
@@ -1211,7 +1224,8 @@ def three_hop_connection(sim: Simulator) -> None:
         [(leaders, leaders, "three-hop-connection/announce", lambda u, _ks: choices[u])],
     )
     # every x a leader named becomes a helper when it hears that leader
-    named = np.sort(np.repeat(np.arange(len(leaders)), np.diff(at)) * (n_labels + 1) + xs)
+    named = np.arange(len(leaders)).repeat(at[1:] - at[:-1]) * (n_labels + 1) + xs
+    named.sort()
     heard = listener[_in_sorted(pos * (n_labels + 1) + listener, named)]
     sim.set_status(sorted_distinct(heard), HELPER)
 

@@ -28,8 +28,12 @@ instead of at most 6, and a token message is lost in demo mode
 (tests/fixtures/acceptance_38.json). K=1 is N singleton sets (round
 robin), the smallest family whenever c is large against N. A (k,k,N)-ssf
 is a (k,m,N)-selector for every m <= k, so one construction serves every
-family. Membership is arithmetic: no matrix is held, even over 2^20 pair
-labels.
+family. The label space is known before a run, so a family's memberships
+are too: each label's sets are one row of its codeword table, x*q + p_l(x)
+for x < P, computed once per process per (q, K, P, N) and shared by every
+family of that code (`_codewords`). A family of more than TABLE_ENTRIES
+labels x points (the 2^20-label pair ssf of N = 1024, say) holds no table
+and evaluates each label's polynomial by Horner when it is read.
 
 `certify` checks a family's selection property without reading how it was
 built, so the tests use it as the oracle for the construction. For label
@@ -66,6 +70,7 @@ ENUM_CUTOFF = 10**6  # exhaustive subset-enumeration budget
 EXACT_LABEL_CUTOFF = 4096  # counting certificate tried up to this label space (64 MB Gram)
 SAMPLES = 100_000  # spot-check subsets
 CHUNK_WORDS = 1 << 18  # uint64 words per batched isolation check (2 MB)
+TABLE_ENTRIES = 1 << 13  # labels x points of the largest codeword table (64 KB)
 
 
 def derive_seed(base: int, *tags: object) -> int:
@@ -229,18 +234,6 @@ class SelectionFamily:
             return self.m
         return None
 
-    def _evaluate(self, digits: np.ndarray, x) -> np.ndarray:
-        """p_l(x) over GF(q) by Horner, for labels l = digits + 1. K = 1 is
-        the identity: q = N, one set per label."""
-        q = self.q
-        if self.K == 1:
-            return digits
-        gf = _field(q)
-        v = digits // q ** (self.K - 1) % q
-        for i in reversed(range(self.K - 1)):
-            v = gf.add(gf.mul(v, x), digits // q**i % q)
-        return v
-
     def contains(self, index: int, label: int) -> bool:
         if not (0 <= index < self.size):
             raise IndexError(index)
@@ -248,10 +241,17 @@ class SelectionFamily:
 
     def rounds_for(self, label) -> np.ndarray:
         """Indices of the sets containing a label, ascending: a 1-D array of
-        P. For an array of L labels, an (L, P) array, one row per label."""
-        digits = np.asarray(label, dtype=np.int64)[..., None] - 1
-        x = np.arange(self.P, dtype=np.int64)
-        return x * self.q + self._evaluate(digits, x)
+        P. For an array of L labels, an (L, P) array, one row per label.
+        IndexError for a label outside [1..N]."""
+        digits = np.asarray(label, dtype=np.int64) - 1
+        if digits.size and np.minimum.reduce(digits, axis=None) < 0:
+            raise IndexError(f"label outside [1..{self.n_labels}]")
+        if self.n_labels * self.P <= TABLE_ENTRIES:
+            # take raises IndexError past the last row
+            return _codewords(self.q, self.K, self.P, self.n_labels).take(digits, axis=0)
+        if digits.size and np.maximum.reduce(digits, axis=None) >= self.n_labels:
+            raise IndexError(f"label outside [1..{self.n_labels}]")
+        return _rounds(self.q, self.K, self.P, digits[..., None])
 
     def membership(self, labels) -> np.ndarray:
         """(L, size) bool: row i marks the sets holding labels[i]."""
@@ -265,12 +265,41 @@ class SelectionFamily:
         x, y = divmod(index, self.q)
         if not (0 <= x < self.P):
             raise IndexError(index)
-        values = self._evaluate(np.arange(self.n_labels, dtype=np.int64), x)
+        values = _horner(self.q, self.K, np.arange(self.n_labels, dtype=np.int64), x)
         return tuple(int(i) + 1 for i in np.flatnonzero(values == y))
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.set_members(j) for j in range(self.size))
+
+
+def _horner(q: int, K: int, digits: np.ndarray, x) -> np.ndarray:
+    """p_l(x) over GF(q) by Horner, for labels l = digits + 1. K = 1 is the
+    identity: q = N, one set per label."""
+    if K == 1:
+        return digits
+    gf = _field(q)
+    v = digits // q ** (K - 1) % q
+    for i in reversed(range(K - 1)):
+        v = gf.add(gf.mul(v, x), digits // q**i % q)
+    return v
+
+
+def _rounds(q: int, K: int, P: int, digits: np.ndarray) -> np.ndarray:
+    """x*q + p_l(x) for x < P, along a last axis of length 1 of digits."""
+    x = np.arange(P, dtype=np.int64)
+    return x * q + _horner(q, K, digits, x)
+
+
+@lru_cache(maxsize=32)
+def _codewords(q: int, K: int, P: int, n_labels: int) -> np.ndarray:
+    """The codeword table of the (q, K, P) code over labels 1..n_labels:
+    row l - 1 holds label l's P sets, ascending. Read-only int64, shared by
+    every family of the code; at most TABLE_ENTRIES entries are asked for,
+    so the cache holds at most 2 MB."""
+    table = _rounds(q, K, P, np.arange(n_labels, dtype=np.int64)[:, None])
+    table.flags.writeable = False
+    return table
 
 
 def _code(kind: str, n_labels: int, strength: int, **params) -> SelectionFamily:

@@ -88,7 +88,7 @@ def diameter(g: CommGraph) -> int:
     levels = 1
     while not all((word == f).all() for word, f in zip(reach, full)):
         grown = [np.bitwise_or.reduceat(word[nbrs], nbr_at[:-1]) for word in reach]
-        if all(map(np.array_equal, grown, reach)):
+        if all((word == w).all() for word, w in zip(grown, reach)):
             return -1  # no row grows any more, so some row stays short
         reach, levels = grown, levels + 1
     return levels
@@ -139,7 +139,7 @@ def greedy_cds(g: CommGraph) -> set[int]:
     uncovered = np.ones(len(nodes), np.intp)
     chosen = 0
     while uncovered.any():
-        best = int(np.argmax(np.add.reduceat(uncovered[nbrs], nbr_at[:-1])))
+        best = int(np.add.reduceat(uncovered[nbrs], nbr_at[:-1]).argmax())
         chosen |= 1 << best
         uncovered[nbrs[nbr_at[best] : nbr_at[best + 1]]] = 0
     while chosen and (a := g.reach(chosen & -chosen, chosen)) != chosen:
@@ -253,13 +253,13 @@ def backbone_graph(result: BackboneResult, g: CommGraph) -> CommGraph:
     n = len(g.nodes)
     member = np.zeros(n, dtype=bool)
     member[_positions(g, [*result.leaders, *result.helpers])] = True
-    row = np.repeat(np.arange(n), np.diff(g.nbr_at))
+    row = np.arange(n).repeat(g.degree)
     keep = member[row] & member[g.nbrs]
     ends = _positions(g, [end for edge in result.backbone_edges for end in edge])
     u, v = ends[0::2], ends[1::2]
     keys = sorted_distinct(np.concatenate((row[keep] * n + g.nbrs[keep], u * n + v, v * n + u)))
     member[ends] = True
-    nodes = np.flatnonzero(member)
+    nodes = member.nonzero()[0]
     at = nodes.searchsorted(keys // n)
     return CommGraph(
         g.label_array[nodes].tolist(),
@@ -321,7 +321,7 @@ def check_constant_degree(backbone: CommGraph) -> Verdict:
     bound = DEGREE_BOUND
     worst = backbone.delta
     passed = worst <= bound
-    worst_node = backbone.nodes[int(np.diff(backbone.nbr_at).argmax())] if worst else None
+    worst_node = backbone.nodes[int(backbone.degree.argmax())] if worst else None
     return Verdict(
         "constant-degree",
         passed,

@@ -672,3 +672,106 @@ def test_batched_enumeration_finds_the_first_violation(monkeypatch):
         assert res == CertifyResult(first is None, "exhaustive", first)
         verdicts.add((kind, res.ok))
     assert len(verdicts) == 4
+
+
+# ---------------------------------------------------------------------------
+# Codeword tables.
+
+FIELD_ORDERS = (2, 3, 5, 7, 8, 9, 11, 13, 16, 32)
+
+
+@st.composite
+def codes(draw):
+    """A code family: a K = 1 round robin, or (q, K, P) over a prime or
+    prime-power field with q^K >= N and P <= q; an ssf over a prime field,
+    a selector over the others."""
+    K = draw(st.integers(1, 3))
+    if K == 1:
+        n = draw(st.integers(1, 200))
+        return SelectionFamily(kind="ssf", n_labels=n, q=n, K=1, P=1)
+    q = draw(st.sampled_from(FIELD_ORDERS))
+    n = draw(st.integers(1, min(q**K, 3000)))
+    kind = "ssf" if selection._prime_power(q)[1] == 1 else "selector"
+    return SelectionFamily(kind=kind, n_labels=n, q=q, K=K, P=draw(st.integers(1, q)))
+
+
+def _table_spy(mp):
+    """Have selection._codewords record the codes it is asked for."""
+    built, real = [], selection._codewords
+    mp.setattr(selection, "_codewords", lambda *code: built.append(code) or real(*code))
+    return built
+
+
+@settings(max_examples=300, deadline=None)
+@given(fam=codes(), data=st.data())
+def test_codeword_tables_match_horner_bit_for_bit(fam, data):
+    # the same rows from the table and from Horner, for one label (an int
+    # and a NumPy scalar) and for an array of labels in any order, with the
+    # budget on either side of the family's labels x points
+    labels = np.array(data.draw(st.lists(st.integers(1, fam.n_labels), max_size=40)), np.int64)
+    label = data.draw(st.integers(1, fam.n_labels))
+    entries = fam.n_labels * fam.P
+    budget = data.draw(st.integers(max(0, entries - 2), entries + 2) | st.integers(0, 2 * entries))
+    reads = (labels, label, np.int64(label))
+    with pytest.MonkeyPatch.context() as mp:
+        built = _table_spy(mp)
+        mp.setattr(selection, "TABLE_ENTRIES", 0)
+        horner = [fam.rounds_for(x) for x in reads]
+        assert built == []
+        mp.setattr(selection, "TABLE_ENTRIES", budget)
+        got = [fam.rounds_for(x) for x in reads]
+    assert built == ([(fam.q, fam.K, fam.P, fam.n_labels)] * 3 if entries <= budget else [])
+    for g, h, shape in zip(got, horner, ((len(labels), fam.P), (fam.P,), (fam.P,))):
+        assert g.dtype == h.dtype == np.int64 and g.shape == h.shape == shape
+        assert np.array_equal(g, h)
+    if fam.q == fam.n_labels or selection._prime_power(fam.q)[1] == 1:  # arithmetic mod q
+        assert np.array_equal(got[0], _rounds_mod_q(fam, labels))
+    if entries <= budget:
+        table = selection._codewords(fam.q, fam.K, fam.P, fam.n_labels)
+        assert table is selection._codewords(fam.q, fam.K, fam.P, fam.n_labels)  # kept
+        assert table.dtype == np.int64 and table.shape == (fam.n_labels, fam.P)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = -1
+
+
+def test_codeword_tables_are_kept_per_code_and_label_space():
+    # families of one field and degree with other points or label spaces
+    # each read their own rows
+    for n_labels, P in ((64, 4), (64, 7), (100, 4), (121, 11), (121, 4)):
+        fam = SelectionFamily(kind="ssf", n_labels=n_labels, q=11, K=2, P=P)
+        labels = np.arange(1, n_labels + 1)
+        assert np.array_equal(fam.rounds_for(labels), _rounds_mod_q(fam, labels))
+        assert np.array_equal(fam.rounds_for(labels[::-1]), _rounds_mod_q(fam, labels[::-1]))
+
+
+@pytest.mark.parametrize("n_labels", [64, 4096])
+def test_labels_outside_the_label_space_are_rejected(n_labels):
+    # the (64, 4)-ssf reads its table; the (4096, 4)-ssf (4096 x 10
+    # entries) is past the budget, reads Horner and never builds a table.
+    # Labels 1 and N are read; 0 and N + 1 are in no set (set_members) and
+    # raise, as a set index outside the family does
+    fam = construct_ssf(n_labels, 4)
+    tabulated = n_labels == 64
+    assert (fam.n_labels * fam.P <= selection.TABLE_ENTRIES) == tabulated
+    with pytest.MonkeyPatch.context() as mp:
+        built = _table_spy(mp)
+        for label in (1, n_labels):
+            rounds = fam.rounds_for(label)
+            assert np.array_equal(rounds, _rounds_mod_q(fam, [label])[0])
+            assert np.array_equal(fam.rounds_for(np.array([label, label])), [rounds, rounds])
+            for j in rounds.tolist():
+                assert fam.contains(j, label) and label in fam.set_members(j)
+        for label in (0, n_labels + 1, -1):
+            with pytest.raises(IndexError):
+                fam.rounds_for(label)
+            with pytest.raises(IndexError):
+                fam.rounds_for(np.array([1, label, n_labels]))
+            for j in range(0, fam.size, fam.q // 2):
+                with pytest.raises(IndexError):
+                    fam.contains(j, label)
+    assert bool(built) == tabulated
+    if tabulated:  # the 64-label base ssf read label 0 as [10 20 30 40]
+        assert fam.set_members(10) == tuple(
+            lab for lab in range(1, 65) if 10 in fam.rounds_for(lab).tolist()
+        )
