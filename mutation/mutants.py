@@ -145,4 +145,64 @@ MUTANTS = (
             "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[7]",
         ),
     ),
+    # bucket coverage skips the nodes whose degree equals the bucket's
+    # threshold
+    Mutant(
+        "bucket-coverage-strict-threshold",
+        "sinrbackbone/verify.py",
+        "missed = (g.degree >= threshold) & ~_covered(g, lead)",
+        "missed = (g.degree > threshold) & ~_covered(g, lead)",
+        (
+            "tests/test_verifier.py::test_verifier_matches_the_reference_on_failing_results",
+        ),
+    ),
+    # the two-hop replay keeps each pair's largest common neighbour
+    Mutant(
+        "two-hop-replay-largest-common-neighbour",
+        "sinrbackbone/verify.py",
+        """\
+    pair, mid = _least(u[keep] * n + v[keep], w[keep])
+""",
+        """\
+    pair, mid = _least(u[keep] * n + v[keep], -w[keep])
+    mid = -mid
+""",
+        (
+            "tests/test_verifier.py::test_helper_replays_match_the_whole_graph_bfs",
+            "tests/test_verifier.py::test_verifier_matches_the_reference_on_battery_seed_1",
+            "tests/test_verifier.py::test_verifier_matches_the_reference_on_n150_at_N1024",
+        ),
+    ),
+    # the greedy CDS's connection search visits each node's neighbours in
+    # descending label order
+    Mutant(
+        "greedy-connect-neighbours-descending",
+        "sinrbackbone/verify.py",
+        "nbrs, seen, levels = g.nbrs, start.copy(), []",
+        "nbrs, seen, levels = g.nbrs[(2 * g.nbr_at[:-1] + g.degree - 1).repeat(g.degree)"
+        " - np.arange(len(g.nbrs))], start.copy(), []",
+        (
+            "tests/test_verifier.py::test_array_oracles_match_the_python_references",
+            "tests/test_verifier.py::test_verifier_matches_the_reference_on_battery_seed_1",
+        ),
+    ),
+    # components from one hook-and-jump round, not from rounds until none
+    # changes a label: the connected-backbone check reads unsettled labels
+    Mutant(
+        "components-one-hook-round",
+        "sinrbackbone/physical.py",
+        """\
+        if not np.count_nonzero(low) or not np.count_nonzero(low != comp):
+            return low
+        comp = low
+""",
+        """\
+        return low
+""",
+        (
+            "tests/test_verifier.py::test_backbone_graph_is_the_reference_backbone",
+            "tests/test_verifier.py::test_verifier_matches_the_reference_on_failing_results",
+            "tests/test_verifier.py::test_verifier_matches_the_reference_on_battery_seed_1",
+        ),
+    ),
 )

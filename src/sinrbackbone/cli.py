@@ -404,6 +404,7 @@ def run(config: RunConfig) -> int:
 DEFAULT_SWEEP_LABELS = (64, 256, 1024)
 DEFAULT_SWEEP_DELTAS = (4, 8, 12, 16, 20, 24)
 SWEEP_SEED = 7  # each cell's generator seeds derive from this one
+SWEEP_MIN_N = 8  # the fewest stations a sweep cell places
 SWEEP_PHASES = (
     "leader-election",
     "neighborhood-inform",
@@ -446,7 +447,7 @@ def sweep(
         for target in delta_targets:
             # scale n with the degree target: sparse connected layouts need
             # few nodes, dense ones need enough to reach the target degree
-            n_cell = max(8, min(56, 3 * target, n_labels - 4))
+            n_cell = max(SWEEP_MIN_N, min(56, 3 * target, n_labels - 4))
             side = math.sqrt(n_cell * math.pi / max(2.0, 0.75 * target)) * r
             best = None
             best_gap = 10**9
@@ -546,7 +547,7 @@ def _params_from(args: argparse.Namespace) -> SinrParams:
 
 def _grid_from(path: str) -> tuple[Sequence[int], Sequence[int]]:
     """A sweep grid file's N and degree lists; a key it leaves out keeps
-    its default."""
+    its default. Each cell must be one the sweep can run (SWEEP_MIN_N)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             grid = json.load(fh)
@@ -560,9 +561,14 @@ def _grid_from(path: str) -> tuple[Sequence[int], Sequence[int]]:
             raise InvalidArgumentError(
                 f"grid {key} must be a non-empty list of ints, got {values!r}"
             )
-    if max(grid.get("n_labels", [0])) > MAX_LABELS:
-        raise InvalidArgumentError(f"grid n_labels {grid['n_labels']} exceed {MAX_LABELS}")
-    return grid.get("n_labels", DEFAULT_SWEEP_LABELS), grid.get("deltas", DEFAULT_SWEEP_DELTAS)
+    labels = grid.get("n_labels", DEFAULT_SWEEP_LABELS)
+    deltas = grid.get("deltas", DEFAULT_SWEEP_DELTAS)
+    if not (SWEEP_MIN_N <= min(labels) and max(labels) <= MAX_LABELS and min(deltas) >= 1):
+        raise InvalidArgumentError(
+            f"grid n_labels {list(labels)} must lie in [{SWEEP_MIN_N}..{MAX_LABELS}]"
+            f" and deltas {list(deltas)} be at least 1"
+        )
+    return labels, deltas
 
 
 def _protocol_from(args: argparse.Namespace) -> ProtocolConfig:

@@ -18,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from itertools import chain, combinations, starmap
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -190,14 +190,6 @@ def grid_index(inst: PhysicalInstance) -> GridIndex:
     )
 
 
-def bits_of(mask: int) -> Iterator[int]:
-    """The positions of mask's set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class CommGraph:
     """The simple undirected communication graph on labels (weak link model).
 
@@ -205,11 +197,9 @@ class CommGraph:
     CSR list: node i is nodes[i], and its neighbours, ascending, are the
     positions nbrs[nbr_at[i] : nbr_at[i + 1]]; the engine's graph holds the
     engine's own arrays. degree[i] is node i's degree (read-only), and
-    delta the largest degree. Every other form is
-    derived when first read: adjacency (each label's neighbour labels as a
-    sorted tuple), the bitsets the checks read (bit i of a Python int is
-    node i, so a set's smallest label is its lowest set bit) and the closed
-    CSR list.
+    delta the largest degree. The two other forms are derived from the CSR
+    list when first read: adjacency (each label's neighbour labels as a
+    sorted tuple) and the closed CSR list.
     """
 
     def __init__(self, nodes: list[int], nbrs: np.ndarray, nbr_at: np.ndarray):
@@ -224,16 +214,30 @@ class CommGraph:
     @staticmethod
     def of(adj: Mapping[int, Collection[int]] | CommGraph) -> CommGraph:
         """adj itself if it is a CommGraph, else the graph of a mapping from
-        each label to its neighbours' labels, in any order."""
+        each label to its neighbours' labels, in any order. ValueError, with
+        the first such label or pair, if a neighbour label is not a key or
+        if one label lists another more often than that one lists it."""
         if isinstance(adj, CommGraph):
             return adj
         nodes, n = sorted(adj), len(adj)
         rows = [adj[u] for u in nodes]
         degree = np.fromiter(map(len, rows), np.intp, n)
         labels = np.fromiter(chain.from_iterable(rows), int, degree.sum())
-        # each entry keyed row * n + position, so one sort orders every row
-        keys = np.arange(n).repeat(degree) * n + np.array(nodes, dtype=int).searchsorted(labels)
+        label_array = np.array(nodes, dtype=int)
+        col = label_array.searchsorted(labels)
+        unknown = label_array.take(col, mode="clip") != labels
+        if np.count_nonzero(unknown):
+            raise ValueError(f"neighbour label {labels[unknown.argmax()]} is not a node")
+        # each entry keyed row * n + position, so one sort orders every row;
+        # the mapping is undirected iff its keys transposed are the same
+        row = np.arange(n).repeat(degree)
+        keys, back = row * n + col, col * n + row
         keys.sort()
+        back.sort()
+        if np.count_nonzero(keys != back):
+            i = (keys != back).argmax()
+            u, v = divmod(int(min(keys[i], back[i])), n)
+            raise ValueError(f"labels {nodes[u]} and {nodes[v]} list each other unequally")
         return CommGraph(nodes, keys % n, np.concatenate(([0], degree.cumsum())))
 
     @cached_property
@@ -252,58 +256,6 @@ class CommGraph:
         keys = np.concatenate((row * n + self.nbrs, np.arange(n) * (n + 1)))
         keys.sort()
         return keys % n, self.nbr_at + np.arange(n + 1)
-
-    @cached_property
-    def bit(self) -> dict[int, int]:
-        """Each label's bit: 1 << its position in nodes."""
-        return dict(zip(self.nodes, map((1).__lshift__, range(len(self.nodes)))))
-
-    @cached_property
-    def masks(self) -> list[int]:
-        """Row i: node i's neighbourhood as a bitset, packed from the CSR list."""
-        n = len(self.nodes)
-        size = -(-n // 8)  # bytes per row
-        bits = np.zeros(n * 8 * size, bool)
-        bits[(np.arange(n) * 8 * size).repeat(self.degree) + self.nbrs] = True
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return [int.from_bytes(packed[i * size : (i + 1) * size], "little") for i in range(n)]
-
-    @cached_property
-    def closed_rows(self) -> np.ndarray:
-        """Row i: node i's closed neighbourhood as 64-bit words, lowest first."""
-        size = 8 * -(-len(self.nodes) // 64)  # bytes per row
-        blob = b"".join((m | 1 << i).to_bytes(size, "little") for i, m in enumerate(self.masks))
-        return np.frombuffer(blob, "<u8").reshape(len(self.nodes), size // 8)
-
-    @property
-    def every(self) -> int:
-        return (1 << len(self.nodes)) - 1
-
-    def mask(self, labels: Iterable[int]) -> int:
-        out = 0
-        for u in labels:
-            out |= self.bit[u]
-        return out
-
-    def near(self, mask: int) -> int:
-        """Every neighbour of mask's nodes."""
-        masks, out = self.masks, 0
-        while mask:
-            low = mask & -mask
-            out |= masks[low.bit_length() - 1]
-            mask ^= low
-        return out
-
-    def reach(self, start: int, within: int) -> int:
-        """The nodes of within that start's nodes reach through within."""
-        seen = frontier = start
-        while frontier:
-            frontier = self.near(frontier) & within & ~seen
-            seen |= frontier
-        return seen
-
-    def labels(self, mask: int) -> list[int]:
-        return [self.nodes[i] for i in bits_of(mask)]
 
 
 class PhysicsEngine:
@@ -361,43 +313,15 @@ class PhysicsEngine:
         """The communication graph: label u adjacent to v iff in_range, over
         the engine's own CSR list; every call returns the same object.
 
-        Raises DisconnectedInstanceError when the graph is not connected,
-        since every protocol in this package presumes connectivity.
+        Raises DisconnectedInstanceError when the graph is not connected (a
+        station's component label is not 0), since every protocol in this
+        package presumes connectivity.
         """
-        if not self._connected:
+        if np.count_nonzero(component_labels(self.nbrs, self.nbr_at)):
             raise DisconnectedInstanceError(
                 f"communication graph on {len(self._graph.nodes)} stations is not connected"
             )
         return self._graph
-
-    @cached_property
-    def _connected(self) -> bool:
-        """Whether the graph is connected, on the CSR list. Every station
-        holds a component label, at first its own index. Each round, a
-        station finds the least label among its neighbors; each label takes
-        the least label found by any station that holds it (hooking); every
-        station then takes the least of its label's and its own find, and
-        follows labels twice (pointer jumping). Labels only fall and stay
-        within a component, and when a round changes none, each component
-        holds its least index.
-        """
-        n = len(self.nbr_at) - 1
-        if n == 1:
-            return True
-        if not self._graph.degree.all():  # an isolated station
-            return False
-        comp = np.arange(n)
-        while True:
-            found = np.minimum.reduceat(comp[self.nbrs], self.nbr_at[:-1])
-            hooked = comp.copy()
-            np.minimum.at(hooked, comp, found)
-            low = np.minimum(hooked[comp], found)
-            low = low[low[low]]
-            if not low.any():
-                return True
-            if np.array_equal(low, comp):
-                return False
-            comp = low
 
     def adjudicate(
         self, rounds: np.ndarray, senders: np.ndarray
@@ -461,19 +385,50 @@ class PhysicsEngine:
         return list(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
 
 
+def component_labels(nbrs: np.ndarray, nbr_at: np.ndarray) -> np.ndarray:
+    """Each node's component label, the least index in its component, for
+    any CSR list (nbrs, nbr_at) of an undirected graph; a row may be empty.
+
+    Every node holds a label, at first its own index. Each round, a node
+    finds the least label among its neighbours, or its own if it has none;
+    each label takes the least found by any node that holds it (hooking);
+    every node takes the least of its label's and its own find, and follows
+    labels twice (pointer jumping). Labels only fall and stay within a
+    component; when a round changes none, each holds its least index.
+    """
+    comp = np.arange(len(nbr_at) - 1)
+    rows = (nbr_at[:-1] < nbr_at[1:]).nonzero()[0]
+    starts = nbr_at[rows]
+    while True:
+        found = comp.copy()
+        found[rows] = np.minimum.reduceat(comp[nbrs], starts)
+        hooked = comp.copy()
+        np.minimum.at(hooked, comp, found)
+        low = np.minimum(hooked[comp], found)
+        low = low[low[low]]
+        if not np.count_nonzero(low) or not np.count_nonzero(low != comp):
+            return low
+        comp = low
+
+
 def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     """The distinct values of an integer array, ascending.
 
-    A sort and a neighbour mask. np.unique gives the same array, but in
-    NumPy 2 it hashes before it sorts: on the batch keys of three n=150
-    instances it takes 29.6 ms against 5.2 ms.
+    A sort and run_heads. np.unique gives the same array, but in NumPy 2 it
+    hashes before it sorts: on the batch keys of three n=150 instances it
+    takes 29.6 ms against 5.2 ms.
     """
     keys = keys.copy()
     keys.sort()
+    return keys[run_heads(keys)]
+
+
+def run_heads(keys: np.ndarray) -> np.ndarray:
+    """Flags the first of each run of equal values of an array."""
     first = np.empty(len(keys), dtype=bool)
     first[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    return keys[first]
+    return first
 
 
 def index_ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:

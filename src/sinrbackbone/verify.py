@@ -5,9 +5,11 @@ they run after a protocol completes and never feed information back into
 node decisions.
 
 Every check and CDS oracle takes the physical.CommGraphs it reads, the
-run's graph and the backbone, and reads them as given: their label
-bitsets and their closed CSR lists. Only the two helper-rule replays also
-take a plain mapping of neighbour labels, through CommGraph.of.
+run's graph and the backbone, and reads their open and closed CSR lists as
+given, by array programs: scatters over rows, component_labels,
+breadth-first search one frontier per NumPy step, and sorted joins. Only
+the two helper-rule replays also take a plain mapping of neighbour labels,
+through CommGraph.of.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ from .physical import (
     PhysicalInstance,
     PhysicsEngine,
     SinrParams,
-    bits_of,
     broadcast_range,
+    component_labels,
     distance,
     grid_box,
     grid_index,
+    index_ranges,
     make_instance,
     pivotal_side,
+    run_heads,
     sorted_distinct,
 )
 from .protocol import LEADER, BackboneResult
@@ -64,34 +68,35 @@ class Verdict:
         }
 
 
-def _lowest(mask: int) -> int:
-    """The position of mask's lowest set bit."""
-    return (mask & -mask).bit_length() - 1
-
-
 def diameter(g: CommGraph) -> int:
     """Largest hop distance from a node to another; -1 if some node does not
     reach every other, 0 for no nodes.
 
     One breadth-first search from all sources at once: word w of node i's
-    reach row holds 64 bits of the nodes within `levels` hops of node i,
-    starting from the closed rows at one level. A level ORs, for every
-    node, the rows of its closed neighbourhood (the closed CSR list), one
-    `np.bitwise_or.reduceat` per word, O(m n / 64) word operations. The
-    diameter is the number of levels until every row is full.
+    reach row holds 64 bits of the nodes within `levels` hops of node i
+    (bit b is node 64 w + b), packed at one level from the closed CSR list.
+    A level ORs, for every node, the rows of its closed neighbourhood, one
+    `np.bitwise_or.reduceat` per word, O(m n / 64) word operations, until
+    no row grows; the diameter is the number of levels, if every row is full.
     """
-    if len(g.nodes) <= 1:
+    n = len(g.nodes)
+    if n <= 1:
         return 0
     nbrs, nbr_at = g.closed_csr
-    full = np.bitwise_or.reduce(g.closed_rows)  # each node is in its own row
-    reach = list(np.ascontiguousarray(g.closed_rows.T))  # one array per word
+    size = -(-n // 64)  # words per row
+    # the (row, word) keys ascend in CSR order: one reduceat over their runs
+    key = np.arange(n).repeat(nbr_at[1:] - nbr_at[:-1]) * size + (nbrs >> 6)
+    run = run_heads(key).nonzero()[0]
+    rows = np.zeros(n * size, np.uint64)
+    rows[key[run]] = np.bitwise_or.reduceat(np.uint64(1) << (nbrs & 63).astype(np.uint64), run)
+    words = list(rows.reshape(n, size).T.copy())  # one array per word
     levels = 1
-    while not all((word == f).all() for word, f in zip(reach, full)):
-        grown = [np.bitwise_or.reduceat(word[nbrs], nbr_at[:-1]) for word in reach]
-        if all((word == w).all() for word, w in zip(grown, reach)):
-            return -1  # no row grows any more, so some row stays short
-        reach, levels = grown, levels + 1
-    return levels
+    while True:
+        grown = [np.bitwise_or.reduceat(word[nbrs], nbr_at[:-1]) for word in words]
+        if not any(np.count_nonzero(new != old) for new, old in zip(grown, words)):
+            # each node is in its own row: every row is full iff all are equal
+            return levels if all((word == word[0]).all() for word in words) else -1
+        words, levels = grown, levels + 1
 
 
 # ---------------------------------------------------------------------------
@@ -100,22 +105,29 @@ def diameter(g: CommGraph) -> int:
 
 def min_cds(g: CommGraph) -> set[int]:
     """Exact minimum connected dominating set by subset enumeration, in
-    label order, for at most EXACT_CAP nodes."""
+    label order, for at most EXACT_CAP nodes, on closed neighbourhoods as
+    Python-int bitsets (bit i is node i) packed from the closed CSR list."""
     nodes = g.nodes
-    if len(nodes) > EXACT_CAP:
-        raise ExactBranchTooLargeError(
-            f"exact CDS search capped at n={EXACT_CAP}, got n={len(nodes)}"
-        )
-    if len(nodes) == 1:
+    n = len(nodes)
+    if n > EXACT_CAP:
+        raise ExactBranchTooLargeError(f"exact CDS search capped at n={EXACT_CAP}, got n={n}")
+    if n == 1:
         return {nodes[0]}
-    closed = [m | 1 << i for i, m in enumerate(g.masks)]
-    for size in range(1, len(nodes) + 1):
-        for combo in combinations(range(len(nodes)), size):
+    closed = np.bitwise_or.reduceat(1 << g.closed_csr[0], g.closed_csr[1][:-1]).tolist()
+    for size in range(1, n + 1):
+        for combo in combinations(range(n), size):
             cover = cand = 0
             for i in combo:
                 cover |= closed[i]
                 cand |= 1 << i
-            if cover == g.every and g.reach(1 << combo[0], cand) == cand:
+            if cover != (1 << n) - 1:
+                continue
+            reach = 1 << combo[0]  # grows over cand: size rounds reach all it can
+            for _ in combo:
+                for i in combo:
+                    if reach >> i & 1:
+                        reach |= closed[i] & cand
+            if reach == cand:
                 return {nodes[i] for i in combo}
     raise AssertionError("connected input must admit a CDS")
 
@@ -124,62 +136,65 @@ def greedy_cds(g: CommGraph) -> set[int]:
     """Greedy CDS surrogate for instances too large for the exact branch.
 
     Cover: repeatedly choose the node whose closed neighbourhood holds the
-    most uncovered nodes, the smallest label on a tie. The gains are one
-    `np.add.reduceat` of the uncovered flags over the closed CSR list, and
-    `argmax` returns the first, smallest-label, maximum.
-    Connect: while the chosen set is not connected, search the graph
-    breadth-first from the component of its smallest label, visiting each
-    node's neighbours in ascending label order, to the first chosen node
-    outside it, and add the path's inner nodes.
+    most uncovered nodes, the smallest label on a tie, while one holds any:
+    the first maximum of one `np.add.reduceat` of the uncovered flags over
+    the closed CSR list. Connect: while the chosen set is not connected,
+    search the graph breadth-first from the component of its smallest
+    label, visiting each node's neighbours in ascending label order, to the
+    first chosen node outside it, and add the path's inner nodes. The
+    components are component_labels of the CSR list's entries within the
+    cover; a path joins to the first component every component next to it.
     """
-    nodes = g.nodes
-    if len(nodes) == 1:
-        return {nodes[0]}
+    n = len(g.nodes)
+    if n <= 1:
+        return set(g.nodes)
     nbrs, nbr_at = g.closed_csr
-    uncovered = np.ones(len(nodes), np.intp)
-    chosen = 0
-    while uncovered.any():
-        best = int(np.add.reduceat(uncovered[nbrs], nbr_at[:-1]).argmax())
-        chosen |= 1 << best
+    uncovered = np.ones(n, np.intp)
+    chosen = np.zeros(n, bool)
+    while (gain := np.add.reduceat(uncovered[nbrs], nbr_at[:-1]))[best := gain.argmax()]:
+        chosen[best] = True
         uncovered[nbrs[nbr_at[best] : nbr_at[best + 1]]] = 0
-    while chosen and (a := g.reach(chosen & -chosen, chosen)) != chosen:
-        for u in _search_path(g, a, chosen)[1:]:
-            chosen |= 1 << u
-    return set(g.labels(chosen))
+    keep = chosen[g.nbrs] & chosen.repeat(g.degree)  # the entries within the cover
+    comp = component_labels(g.nbrs[keep], np.concatenate(([0], keep.cumsum()))[g.nbr_at])
+    root = chosen.argmax()  # the smallest chosen label's position, and its component's label
+    while (apart := chosen & (comp != root))[apart.argmax()]:
+        path = _search_path(g, chosen & ~apart, apart)
+        joined = np.zeros(n, bool)  # the labels next to the path
+        for v in path:
+            joined[comp[g.nbrs[g.nbr_at[v] : g.nbr_at[v + 1]]]] = True
+        chosen[path] = True
+        comp[joined[comp] & chosen] = root
+        comp[path] = root
+    return set(g.label_array[chosen].tolist())
 
 
-def _search_path(g: CommGraph, start: int, targets: int) -> tuple[int, ...]:
-    """The path a breadth-first search from the nodes of start takes to
-    the first node of targets outside start, from a node of start to that
-    node's discoverer (positions in g.nodes). The search visits start's
-    nodes, and each node's neighbours, in ascending label order.
-
-    The levels are searched as bitsets; the visiting order is worked out
-    only where the answer depends on it. A node is discovered by the first
-    visited of its neighbours one level nearer start, so its discovery
-    chain, (a node of start, ..., its discoverer, itself), orders each
-    level as the search visits it. Raises AssertionError if no node of
-    targets outside start is reachable.
+def _search_path(g: CommGraph, start: np.ndarray, targets: np.ndarray) -> list[int]:
+    """The inner nodes of the path a breadth-first search from the nodes
+    start flags takes to the first node outside them that targets flags:
+    its discoverer, the discoverer's, and so on, until start. The search
+    visits start's nodes, and each node's neighbours, in ascending label
+    order; a node's discoverer is its first visited neighbour. A level is
+    one NumPy step: the frontier's rows in visiting order, less the nodes
+    seen, each node at its first entry. AssertionError if none is reached.
     """
-    masks = g.masks
-    levels, seen = [start], start
-    while not (found := (nxt := g.near(levels[-1]) & ~seen) & targets):
-        if not nxt:
-            raise AssertionError("no path joins the chosen set's components")
-        levels.append(nxt)
-        seen |= nxt
-    chains: dict[int, tuple[int, ...]] = {}
-
-    def chain(v: int, level: int) -> tuple[int, ...]:
-        if level == 0:
-            return (v,)
-        if v not in chains:
-            nearer = masks[v] & levels[level - 1]
-            chains[v] = min(chain(w, level - 1) for w in bits_of(nearer)) + (v,)
-        return chains[v]
-
-    last = len(levels) - 1
-    return min(chain(u, last) for u in bits_of(levels[last] & g.near(found)))
+    nbrs, seen, levels = g.nbrs, start.copy(), []
+    found = nbrs[start.repeat(g.degree)]  # start's rows, in CSR order
+    while len(found := found[~seen[found]]):
+        hit = targets[found]
+        if hit[j := hit.argmax()]:
+            v, path = found[j], []
+            for level in reversed(levels):  # the first node of each level next to v
+                near = np.zeros(len(seen), bool)
+                near[nbrs[g.nbr_at[v] : g.nbr_at[v + 1]]] = True
+                path.append(v := level[near[level].argmax()])
+            return path
+        index = np.arange(len(found))
+        first = np.full(len(seen), len(found))
+        np.minimum.at(first, found, index)  # each node's first entry
+        levels.append(frontier := found[first[found] == index])
+        seen[frontier] = True
+        found = nbrs[index_ranges(g.nbr_at[frontier], g.degree[frontier])]
+    raise AssertionError("no path joins the chosen set's components")
 
 
 # ---------------------------------------------------------------------------
@@ -191,18 +206,21 @@ def expected_two_hop(
 ) -> dict[tuple[int, int], int]:
     """Minimum-label common neighbor for every leader pair at distance 2.
 
-    A leader's partners are the leaders among its neighbours' neighbours,
-    found by bitset unions, not by a BFS."""
+    A sorted join, not a BFS: joined on the neighbour, the (leader,
+    neighbour) pairs give every leader pair (s, t) with a common
+    neighbour, at distance 2 if s < t are not neighbours."""
     g = CommGraph.of(adj)
-    nodes, masks = g.nodes, g.masks
-    lead = g.mask(leaders)
-    out: dict[tuple[int, int], int] = {}
-    for s in bits_of(lead):
-        near = masks[s]
-        later = lead & ~near & -(2 << s)  # leaders after s that are not neighbours
-        for t in bits_of(g.near(near) & later):
-            out[(nodes[s], nodes[t])] = nodes[_lowest(near & masks[t])]
-    return out
+    n = len(g.nodes)
+    s, x = _leader_rows(g, leaders)
+    table = x * n + s
+    table.sort()  # each node's leaders
+    u, w, at = _join(s, x, table, n)
+    v = table[at] % n
+    keep = (u < v) & ~_among(u * n + v, s * n + x)
+    pair, mid = _least(u[keep] * n + v[keep], w[keep])
+    labels = g.label_array
+    keys = zip(labels[pair // n].tolist(), labels[pair % n].tolist())
+    return dict(zip(keys, labels[mid].tolist()))
 
 
 def expected_three_hop(
@@ -214,27 +232,58 @@ def expected_three_hop(
     y adjacent to t, so the two orientations are mirror images. Of s's and
     t's neighbours on some 3-hop path between them, the smallest label is
     a, and the other end of a's middle edge is the smallest label adjacent
-    to both a and the far leader. Every set is a bitset: a leader's
-    partners are the leaders next to its distance-2 nodes, not found by a
-    BFS.
+    to both a and the far leader.
+
+    Sorted joins, not a BFS: a table holds each (node z, leader t) with z
+    next to a neighbour of t, and the least such neighbour. Joined with it
+    on the node, the (leader u, neighbour w) pairs give every path u, w, y,
+    v with the least y; v is at distance 3 if it is not within 2 hops of u.
     """
     g = CommGraph.of(adj)
-    nodes, masks = g.nodes, g.masks
-    lead = g.mask(leaders)
-    second = {s: g.near(masks[s]) for s in bits_of(lead)}  # the neighbours' neighbours
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for s in bits_of(lead):
-        ns = masks[s]
-        ball = ns | second[s] | 1 << s  # within 2 hops
-        for t in bits_of(g.near(ball & ~ns & ~(1 << s)) & lead & ~ball):
-            nt = masks[t]
-            side_s, side_t = ns & second[t], nt & second[s]
-            a = _lowest(side_s | side_t)
-            if side_s >> a & 1:
-                out[(nodes[s], nodes[t])] = (nodes[a], nodes[_lowest(masks[a] & nt)])
-            else:
-                out[(nodes[s], nodes[t])] = (nodes[_lowest(masks[a] & ns)], nodes[a])
-    return out
+    n = len(g.nodes)
+    s, x = _leader_rows(g, leaders)
+    near = s * n + x  # ascending
+    span = g.degree[x]
+    z = g.nbrs[index_ranges(g.nbr_at[x], span)]  # next to the neighbour x of the leader s
+    table, mid = _least(z * n + s.repeat(span), x.repeat(span))
+    u, w, at = _join(s, x, table, n)
+    v, y = table[at] % n, mid[at]
+    # each pair once, s < t: a is on s's side if u is s, and b is the y
+    lo, hi, side = np.minimum(u, v), np.maximum(u, v), u > v
+    pair, cand = _least(lo * n + hi, (2 * w + side) * n + y)  # keyed (2 a + side) n + b
+    far = ~(_among(pair, near) | _among(pair % n * n + pair // n, table))  # not within 2 hops
+    pair, cand = pair[far], cand[far]
+    a, on_t, b = cand // (2 * n), cand // n & 1, cand % n
+    labels = g.label_array
+    s, t = labels[pair // n].tolist(), labels[pair % n].tolist()
+    x, y = labels[np.where(on_t, b, a)].tolist(), labels[np.where(on_t, a, b)].tolist()
+    return dict(zip(zip(s, t), zip(x, y))) | dict(zip(zip(t, s), zip(y, x)))
+
+
+def _leader_rows(g: CommGraph, leaders: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every (leader, neighbour) pair as position arrays, ascending."""
+    lead = _flags(g, leaders)
+    return lead.nonzero()[0].repeat(g.degree[lead]), g.nbrs[lead.repeat(g.degree)]
+
+
+def _join(u: np.ndarray, w: np.ndarray, table: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Every (u[i], w[i], j) with table[j] // n == w[i], for table ascending."""
+    lo = table.searchsorted(w * n)
+    span = table.searchsorted(w * n + n) - lo
+    return u.repeat(span), w.repeat(span), index_ranges(lo, span)
+
+
+def _least(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the least value of each."""
+    order = keys.argsort()
+    keys = keys[order]
+    head = run_heads(keys).nonzero()[0]
+    return keys[head], np.minimum.reduceat(values[order], head)
+
+
+def _among(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each key is in table, an ascending array (empty only if keys are)."""
+    return table.take(table.searchsorted(keys), mode="clip") == keys
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +300,7 @@ def backbone_graph(result: BackboneResult, g: CommGraph) -> CommGraph:
     dedup them; rows and columns are then renumbered over the backbone's
     nodes, in the same (ascending label) order."""
     n = len(g.nodes)
-    member = np.zeros(n, dtype=bool)
-    member[_positions(g, [*result.leaders, *result.helpers])] = True
+    member = _flags(g, [*result.leaders, *result.helpers])
     row = np.arange(n).repeat(g.degree)
     keep = member[row] & member[g.nbrs]
     ends = _positions(g, [end for edge in result.backbone_edges for end in edge])
@@ -270,27 +318,45 @@ def backbone_graph(result: BackboneResult, g: CommGraph) -> CommGraph:
 
 def _positions(g: CommGraph, labels: Iterable[int]) -> np.ndarray:
     """Each label's position in g.nodes; KeyError for a label not in g."""
-    bit = g.bit
-    return np.array([bit[u].bit_length() - 1 for u in labels], dtype=np.intp)
+    labels = np.fromiter(labels, int)
+    at = g.label_array.searchsorted(labels)
+    missing = labels[g.label_array.take(at, mode="clip") != labels] if g.nodes else labels
+    if len(missing):
+        raise KeyError(int(missing[0]))
+    return at
+
+
+def _flags(g: CommGraph, labels: Iterable[int]) -> np.ndarray:
+    """Each node's flag: labels holds its label."""
+    flags = np.zeros(len(g.nodes), bool)
+    flags[_positions(g, labels)] = True
+    return flags
+
+
+def _covered(g: CommGraph, lead: np.ndarray) -> np.ndarray:
+    """Each node's flag: lead flags it or one of its neighbours."""
+    covered = lead.copy()
+    covered[g.nbrs[lead.repeat(g.degree)]] = True
+    return covered
 
 
 def check_dominating(result: BackboneResult, g: CommGraph) -> Verdict:
-    leaders = g.mask(result.leaders)
-    missed = g.every & ~(leaders | g.mask(result.helpers) | g.near(leaders))
-    if missed:
-        return Verdict("dominating", False, witness=(g.nodes[_lowest(missed)],))
+    """The witness is the smallest label that is neither a member nor next
+    to a leader."""
+    covered = _covered(g, _flags(g, result.leaders)) | _flags(g, result.helpers)
+    if np.count_nonzero(covered) < len(covered):
+        return Verdict("dominating", False, witness=(g.nodes[int(covered.argmin())],))
     members = set(result.leaders) | set(result.helpers)
     return Verdict("dominating", True, metrics={"backbone_size": len(members)})
 
 
 def check_connected_backbone(backbone: CommGraph) -> Verdict:
-    """backbone is backbone_graph(result, graph)."""
-    if not backbone.nodes:
-        return Verdict("connected-backbone", False, witness=())
-    first = backbone.reach(1, backbone.every)  # the component of the smallest label
-    if first == backbone.every:
+    """backbone is backbone_graph(result, graph). The witness is the
+    component of the smallest label: the nodes of component label 0."""
+    comp = component_labels(backbone.nbrs, backbone.nbr_at)
+    if backbone.nodes and not np.count_nonzero(comp):
         return Verdict("connected-backbone", True, metrics={"backbone_size": len(backbone.nodes)})
-    return Verdict("connected-backbone", False, witness=tuple(backbone.labels(first)))
+    return Verdict("connected-backbone", False, tuple(backbone.label_array[comp == 0].tolist()))
 
 
 def geometric_degree_bound() -> int:
@@ -301,15 +367,9 @@ def geometric_degree_bound() -> int:
     3-hop reach is 3*sqrt(2) sides regardless of the SINR parameters.
     """
     reach = 3.0 * math.sqrt(2.0)
-    count = 0
-    span = math.ceil(reach) + 1
-    for di in range(-span, span + 1):
-        for dj in range(-span, span + 1):
-            gap_x = max(abs(di) - 1, 0)
-            gap_y = max(abs(dj) - 1, 0)
-            if math.hypot(gap_x, gap_y) <= reach:
-                count += 1
-    return count * 2
+    span = range(-math.ceil(reach) - 1, math.ceil(reach) + 2)
+    gaps = [max(abs(d) - 1, 0) for d in span]  # box gap to a box d boxes away
+    return 2 * sum(math.hypot(gx, gy) <= reach for gx in gaps for gy in gaps)
 
 
 DEGREE_BOUND = geometric_degree_bound()  # backbone degree <= DEGREE_BOUND
@@ -318,16 +378,10 @@ DEGREE_BOUND = geometric_degree_bound()  # backbone degree <= DEGREE_BOUND
 def check_constant_degree(backbone: CommGraph) -> Verdict:
     """backbone is backbone_graph(result, graph). The witness is
     the smallest label of the largest degree."""
-    bound = DEGREE_BOUND
-    worst = backbone.delta
-    passed = worst <= bound
-    worst_node = backbone.nodes[int(backbone.degree.argmax())] if worst else None
-    return Verdict(
-        "constant-degree",
-        passed,
-        witness=None if passed else (worst_node,),
-        metrics={"max_degree": worst, "bound": bound},
-    )
+    worst, bound = backbone.delta, DEGREE_BOUND
+    witness = None if worst <= bound else (backbone.nodes[int(backbone.degree.argmax())],)
+    metrics = {"max_degree": worst, "bound": bound}
+    return Verdict("constant-degree", worst <= bound, witness, metrics)
 
 
 def check_diameter(g: CommGraph, backbone: CommGraph) -> Verdict:
@@ -336,38 +390,20 @@ def check_diameter(g: CommGraph, backbone: CommGraph) -> Verdict:
     d_graph = diameter(g)
     d_back = diameter(backbone) if backbone.nodes else -1
     passed = d_back >= 0 and d_back <= factor * d_graph + slack
-    return Verdict(
-        "diameter",
-        passed,
-        witness=None if passed else (d_back, d_graph),
-        metrics={
-            "backbone_diameter": d_back,
-            "graph_diameter": d_graph,
-            "factor": factor,
-            "slack": slack,
-        },
-    )
+    metrics = dict(backbone_diameter=d_back, graph_diameter=d_graph, factor=factor, slack=slack)
+    return Verdict("diameter", passed, None if passed else (d_back, d_graph), metrics)
 
 
 def check_size_ratio(result: BackboneResult, g: CommGraph) -> Verdict:
-    c_s = SIZE_FACTOR
     members = set(result.leaders) | set(result.helpers)
-    if len(g.nodes) <= EXACT_CAP:
-        optimum = min_cds(g)
-        ratio = len(members) / len(optimum)
-        return Verdict(
-            "size-ratio",
-            ratio <= c_s,
-            witness=None if ratio <= c_s else tuple(sorted(members)),
-            metrics={"ratio": ratio, "min_cds": len(optimum), "exact": 1.0},
-        )
-    surrogate = greedy_cds(g)
-    ratio = len(members) / max(1, len(surrogate))
-    return Verdict(
-        "size-ratio",
-        True,  # surrogate branch reports only
-        metrics={"ratio": ratio, "greedy_cds": len(surrogate), "exact": 0.0},
-    )
+    if len(g.nodes) > EXACT_CAP:  # the surrogate branch reports only
+        size = len(greedy_cds(g))
+        metrics = {"ratio": len(members) / max(1, size), "greedy_cds": size, "exact": 0.0}
+        return Verdict("size-ratio", True, metrics=metrics)
+    size = len(min_cds(g))
+    metrics = {"ratio": len(members) / size, "min_cds": size, "exact": 1.0}
+    passed = metrics["ratio"] <= SIZE_FACTOR
+    return Verdict("size-ratio", passed, None if passed else tuple(sorted(members)), metrics)
 
 
 def check_leader_grid(result: BackboneResult, inst: PhysicalInstance) -> Verdict:
@@ -391,10 +427,10 @@ def check_bucket_coverage(
     witness is the smallest label that is not."""
     for i, statuses in snapshots:
         threshold = -(-delta // (2 ** (i + 1))) if delta else 0
-        leaders = g.mask(u for u, s in statuses.items() if s == LEADER)
-        for u in bits_of(g.every & ~(leaders | g.near(leaders))):
-            if g.masks[u].bit_count() >= threshold:
-                return Verdict("bucket-coverage", False, witness=(i, g.nodes[u]))
+        lead = _flags(g, [u for u, s in statuses.items() if s == LEADER])
+        missed = (g.degree >= threshold) & ~_covered(g, lead)
+        if np.count_nonzero(missed):
+            return Verdict("bucket-coverage", False, witness=(i, g.nodes[int(missed.argmax())]))
     return Verdict("bucket-coverage", True, metrics={"phases": len(snapshots)})
 
 

@@ -193,6 +193,9 @@ def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
         '{"deltas": [4,',
         None,
         json.dumps({"n_labels": [64, 2**31]}),  # MAX_LABELS + 1, after a valid cell
+        json.dumps({"n_labels": [64, 7]}),  # below the smallest cell, after a valid one
+        json.dumps({"deltas": [0, -3]}),
+        json.dumps({"deltas": [4, 0]}),  # a degree target below 1, after a valid one
     ],
     ids=[
         "below-cell-size",
@@ -203,6 +206,9 @@ def test_bad_flag_values_exit_2_with_invalid_argument(tmp_path, capsys, argv):
         "bad-json",
         "missing",
         "labels-above-cap",
+        "labels-below-cell-after-a-valid-cell",
+        "degrees-below-1",
+        "degree-below-1-after-a-valid-cell",
     ],
 )
 def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, monkeypatch, text):
@@ -217,6 +223,16 @@ def test_sweep_grid_below_the_cell_size_exits_2(tmp_path, capsys, monkeypatch, t
     assert code == 2
     assert _error_code(capsys) == "invalid-argument"
     assert not (tmp_path / "s").exists()  # rejected before anything is written
+
+
+def test_sweep_grid_at_the_smallest_cell_runs(tmp_path):
+    # N = 8 holds the smallest cell (8 stations) and degree target 1 is the
+    # least: both are accepted, and the one cell runs
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"n_labels": [cli.SWEEP_MIN_N], "deltas": [1]}))
+    assert main(["sweep", "--grid-file", str(grid), "--out-dir", str(tmp_path / "s")]) == 0
+    rows = json.loads((tmp_path / "s" / "sweep.json").read_text())["rows"]
+    assert [(r["n"], r["n_labels"], r["delta_target"]) for r in rows] == [(8, 8, 1)]
 
 
 NO_STATIONS = ('"stations": [', '"stations": [], "unread": [')

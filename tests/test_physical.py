@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sinrbackbone import physical
+from sinrbackbone import physical, verify
 from sinrbackbone.cli import GeneratorSpec, generate
 from sinrbackbone.errors import (
     DegenerateDistanceError,
@@ -247,7 +247,7 @@ def test_graph_is_rejected_exactly_when_the_csr_list_has_two_components(points):
 
 def _plain_graph(adj):
     """A mapping's graph in plain Python: its nodes, its open and closed
-    CSR lists (positions, ascending), its bitsets and its largest degree."""
+    CSR lists (positions, ascending) and its largest degree."""
     nodes = sorted(adj)
     index = {u: i for i, u in enumerate(nodes)}
     rows = [sorted(index[v] for v in adj[u]) for u in nodes]
@@ -256,14 +256,13 @@ def _plain_graph(adj):
     def csr(rows):
         return [j for row in rows for j in row], list(itertools.accumulate(map(len, rows), initial=0))
 
-    masks = [sum(1 << j for j in row) for row in rows]
-    return nodes, csr(rows), csr(closed), masks, max(map(len, rows), default=0)
+    return nodes, csr(rows), csr(closed), max(map(len, rows), default=0)
 
 
 def _graph_parts(g):
-    """The same five parts, read from a CommGraph."""
+    """The same four parts, read from a CommGraph."""
     closed = tuple(a.tolist() for a in g.closed_csr)
-    return g.nodes, (g.nbrs.tolist(), g.nbr_at.tolist()), closed, g.masks, g.delta
+    return g.nodes, (g.nbrs.tolist(), g.nbr_at.tolist()), closed, g.delta
 
 
 @given(
@@ -295,10 +294,30 @@ def test_engine_graph_equals_the_graph_of_its_adjacency(points, labels):
         assert _graph_parts(h) == want
         assert h.adjacency == g.adjacency
         assert h.label_array.tolist() == g.label_array.tolist() == g.nodes
-        assert h.bit == g.bit == {u: 1 << i for i, u in enumerate(g.nodes)}
         assert h.nbrs.dtype == g.nbrs.dtype and h.nbr_at.dtype == g.nbr_at.dtype
     if len(points) == 1:
         assert g.delta == 0 and _graph_parts(g)[2] == ([0], [0, 1])
+
+
+@pytest.mark.parametrize(
+    "adj,message",
+    [
+        ({1: [2], 2: [1, 5]}, "neighbour label 5 is not a node"),
+        ({1: [2], 2: [1, 0]}, "neighbour label 0 is not a node"),  # below every key
+        ({1: [2], 2: []}, "labels 1 and 2 list each other unequally"),  # one way only
+        ({1: [2, 2], 2: [1], 3: []}, "labels 1 and 2 list each other unequally"),  # twice
+    ],
+    ids=["unknown-label", "label-below-every-key", "one-way-edge", "listed-twice"],
+)
+def test_a_mapping_that_is_not_an_undirected_graph_is_rejected(adj, message):
+    # it used to become some other graph: label 5 or 0 a neighbour of the
+    # first node, or a one-way edge; the replays read the mapping as given
+    with pytest.raises(ValueError, match=message):
+        CommGraph.of(adj)
+    with pytest.raises(ValueError, match=message):
+        verify.expected_two_hop(adj, {1, 2})
+    with pytest.raises(ValueError, match=message):
+        verify.expected_three_hop(adj, {1, 2})
 
 
 def test_engine_graph_is_one_object_over_the_engines_arrays():

@@ -350,11 +350,33 @@ def _path(labels):
 _LONG_PATH = _path([65, *range(1, 65), 66])
 
 
+def _undirected(edges):
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return {u: tuple(sorted(vs)) for u, vs in sorted(adj.items())}
+
+
+# a 9 x 9 grid (81 nodes: reach rows of two words, diameter 16), labels row
+# by row; a 70-cycle (diameter 35) whose labels go round in steps of 3, so
+# that each frontier lists its nodes out of label order; a star of 20 leaves
+_GRID = _undirected(
+    [(9 * i + j + 1, 9 * i + j + 2) for i in range(9) for j in range(8)]
+    + [(9 * i + j + 1, 9 * i + j + 10) for i in range(8) for j in range(9)]
+)
+_CYCLE = _undirected([(3 * k % 70 + 1, 3 * (k + 1) % 70 + 1) for k in range(70)])
+_STAR = _undirected([(50, leaf) for leaf in range(1, 21)])
+
+
 @given(_graphs())
 @example({})
 @example({7: ()})
 @example({1: (), 2: ()})
 @example(_LONG_PATH)
+@example(_GRID)
+@example(_CYCLE)
+@example(_STAR)
 @settings(max_examples=300, deadline=None)
 def test_array_oracles_match_the_python_references(adj):
     g = CommGraph.of(adj)
@@ -369,20 +391,38 @@ def test_array_oracles_match_the_python_references(adj):
             _greedy_cds_by_max_key(adj)
 
 
-@given(_graphs(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_backbone_graph_is_the_reference_backbone(adj, data):
-    # members are any nodes, and a backbone edge may join a non-member, a
-    # node to itself, or two nodes the graph does not join
+@st.composite
+def _backbones(draw):
+    """A graph of _graphs and a backbone result on it: members are any
+    nodes, and a backbone edge may join a non-member, a node to itself, or
+    two nodes the graph does not join."""
+    adj = draw(_graphs())
     labels = sorted(adj)
     nodes = st.lists(st.sampled_from(labels), unique=True) if labels else st.just([])
     pair = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
     edges = st.lists(pair, max_size=6) if labels else st.just([])
-    result = fake_result(data.draw(nodes), data.draw(nodes), data.draw(edges))
+    return adj, draw(nodes), draw(nodes), draw(edges)
+
+
+@given(_backbones())
+# a backbone whose member 5 has no backbone edge, and one with an
+# isolated member of its own: leader 70, whose only neighbour is no member
+@example((_path(range(1, 8)), [1, 3, 5], [2], [(1, 2), (2, 3)]))
+@example((_CYCLE, [1, 4, 70], [7], [(1, 4), (4, 7)]))
+@example((_GRID, [1, 21, 41, 61, 81], list(range(2, 10)), [(9, 18), (18, 27)]))
+@example((_STAR, [50], [1, 2], [(1, 1)]))
+@settings(max_examples=300, deadline=None)
+def test_backbone_graph_is_the_reference_backbone(backbone):
+    adj, leaders, helpers, edges = backbone
+    result = fake_result(leaders, helpers, edges)
     g = CommGraph.of(adj)
     got, want = backbone_graph(result, g), CommGraph.of(ref._backbone_adjacency(result, g))
     assert got.nodes == want.nodes and got.delta == want.delta
     assert got.nbrs.tolist() == want.nbrs.tolist() and got.nbr_at.tolist() == want.nbr_at.tolist()
+    # the checks that read it, on degree-0 rows too
+    connected = ref.check_connected_backbone(result, g)
+    assert check_connected_backbone(got).as_dict() == connected.as_dict()
+    assert check_diameter(g, got).as_dict() == ref.check_diameter(result, g).as_dict()
 
 
 # the 9-cycle 1-2-4-9-8-7-6-5-3-1: the cover's components hold labels that
@@ -466,6 +506,11 @@ def _connected_graphs(draw):
 
 
 @given(_connected_graphs())
+# leaders every third node of the grid, of the 70-cycle (pairs at distance
+# 3, in both orientations), and the star's leaves (every pair at distance 2)
+@example((_GRID, set(range(1, 82, 3))))
+@example((_CYCLE, {3 * k % 70 + 1 for k in range(0, 70, 3)}))
+@example((_STAR, set(range(1, 21))))
 @settings(max_examples=300, deadline=None)
 def test_helper_replays_match_the_whole_graph_bfs(graph):
     adj, leaders = graph
