@@ -161,10 +161,10 @@ MUTANTS = (
         "two-hop-replay-largest-common-neighbour",
         "sinrbackbone/verify.py",
         """\
-    pair, mid = _least(u[keep] * n + v[keep], w[keep])
+    pair, mid = least(u[keep] * n + v[keep], w[keep])
 """,
         """\
-    pair, mid = _least(u[keep] * n + v[keep], -w[keep])
+    pair, mid = least(u[keep] * n + v[keep], -w[keep])
     mid = -mid
 """,
         (
@@ -203,6 +203,124 @@ MUTANTS = (
             "tests/test_verifier.py::test_backbone_graph_is_the_reference_backbone",
             "tests/test_verifier.py::test_verifier_matches_the_reference_on_failing_results",
             "tests/test_verifier.py::test_verifier_matches_the_reference_on_battery_seed_1",
+        ),
+    ),
+    # least keeps each key's largest value: the minimum-label rules of the
+    # phases and of the replays pick the largest label, and two-hop keeps
+    # each pair's smallest claimant
+    Mutant(
+        "least-takes-the-largest-value",
+        "sinrbackbone/physical.py",
+        "return keys[head], np.minimum.reduceat(values[order], head)",
+        "return keys[head], np.maximum.reduceat(values[order], head)",
+        (
+            "tests/test_physical.py::test_sorted_key_kernels_match_their_plain_definitions",
+            "tests/test_protocol.py::test_three_hop_min_label_bridge_agreement",
+            "tests/test_protocol.py::test_inform_and_claims_equal_the_dict_reference_when_an_inform_message_is_lost",
+            "tests/test_verifier.py::test_helper_replays_match_the_whole_graph_bfs",
+        ),
+    ),
+    # the membership test compares each key with the table's entry one
+    # position past where the key would go
+    Mutant(
+        "membership-test-off-by-one-position",
+        "sinrbackbone/physical.py",
+        'return table.take(table.searchsorted(keys), mode="clip") == keys',
+        'return table.take(table.searchsorted(keys) + 1, mode="clip") == keys',
+        (
+            "tests/test_physical.py::test_sorted_key_kernels_match_their_plain_definitions",
+            "tests/test_physical.py::test_deliver_rejects_a_label_that_is_not_a_station",
+            "tests/test_protocol.py::test_two_hop_min_label_among_common_neighbors",
+            "tests/test_verifier.py::test_expected_two_hop_on_path",
+        ),
+    ),
+    # run heads of several key arrays read only the first
+    Mutant(
+        "run-heads-first-key-only",
+        "sinrbackbone/physical.py",
+        "    for k in keys[1:]:\n",
+        "    for k in keys[1:1]:\n",
+        (
+            "tests/test_physical.py::test_sorted_key_kernels_match_their_plain_definitions",
+            "tests/test_protocol.py::test_three_hop_path",
+            "tests/test_protocol.py::test_the_key_table_covers_a_transmission_that_carries_two_claims",
+            "tests/test_protocol.py::test_inform_and_claims_equal_the_dict_reference_on_benchmark_instances[battery]",
+        ),
+    ),
+    # each token-passing sweep runs one more iteration, in which no leader
+    # holds a neighbour to grant: four more silent executions
+    Mutant(
+        "token-passing-extra-iteration",
+        "sinrbackbone/protocol.py",
+        """\
+    delta = sim.graph.delta
+    at, iteration, leaders, targets = _leader_tables(sim)
+""",
+        """\
+    delta = sim.graph.delta + 1
+    at, iteration, leaders, targets = _leader_tables(sim)
+    at = at + at[-1:]
+""",
+        (
+            "tests/test_acceptance.py::test_acceptance_8_round_complexity_stability",
+            "tests/test_protocol.py::test_executions_tile_the_rounds_as_scheduled",
+            "tests/test_protocol.py::test_every_token_holder_sends[battery]",
+        ),
+    ),
+    # leader election runs one more degree bucket than ceil(lg Delta) + 1
+    Mutant(
+        "leader-election-extra-bucket",
+        "sinrbackbone/protocol.py",
+        "for i in range(_ceil_lg(delta) + 1)]",
+        "for i in range(_ceil_lg(delta) + 2)]",
+        (
+            "tests/test_acceptance.py::test_acceptance_8_round_complexity_stability",
+            "tests/test_protocol.py::test_executions_tile_the_rounds_as_scheduled",
+            "tests/test_protocol.py::test_leader_election_follows_its_per_round_rule[n40-N64]",
+        ),
+    ),
+    # every code of K >= 2 evaluates its polynomials at twice the points
+    # it needs: a strongly selective family, but twice its size or more
+    Mutant(
+        "code-parameters-double-points",
+        "sinrbackbone/selection.py",
+        "        p = (c - 1) * (k - 1) + 1\n",
+        "        p = 2 * ((c - 1) * (k - 1) + 1)\n",
+        (
+            "tests/test_selection.py::test_code_parameters_give_the_smallest_code",
+            "tests/test_selection.py::test_family_code_parameters_are_pinned[64-4-11-2-4]",
+            "tests/test_selection.py::test_selector_code_parameters_are_pinned[64-2-4-3-3]",
+        ),
+    ),
+    # plans are keyed by slots and owners alone: two families with the same
+    # slots share the first one's plan
+    Mutant(
+        "plans-keyed-without-family-code",
+        "sinrbackbone/protocol.py",
+        "code = (family.q, family.K, family.P)",
+        "code = ()",
+        (
+            "tests/test_protocol.py::test_plans_are_keyed_by_owners_and_family_code",
+        ),
+    ),
+    # the engine's gains from np.hypot distances, which differ from
+    # math.dist's (the distance of the graph) in the last bit of some pairs
+    Mutant(
+        "engine-on-np-hypot-distances",
+        "sinrbackbone/physical.py",
+        """\
+    dist[np.arange(n)[:, None] < np.arange(n)] = np.fromiter(
+        starmap(math.dist, combinations(pos, 2)), float, n * (n - 1) // 2
+    )
+""",
+        """\
+    upper = np.arange(n)[:, None] < np.arange(n)
+    xy = np.array(pos, dtype=float).reshape(n, 2)
+    dist[upper] = np.hypot(xy[:, None, 0] - xy[:, 0], xy[:, None, 1] - xy[:, 1])[upper]
+""",
+        (
+            "tests/test_physical.py::test_distance_matrix_equals_the_per_pair_loop",
+            "tests/test_physical.py::test_lone_transmitter_reaches_exactly_its_graph_neighbors_at_range",
         ),
     ),
 )

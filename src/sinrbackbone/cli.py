@@ -43,6 +43,7 @@ from .protocol import (
 from .verify import run_all_checks
 
 DEFAULT_PARAMS = SinrParams(alpha=4.0, beta=1.0, noise=1.0, epsilon=0.5, power=1.5)
+TRACE_MODES = ("compact", "full", "off")
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class RunConfig:
     generator: Optional[GeneratorSpec] = None
     protocol: ProtocolConfig = ProtocolConfig()
     out_dir: str = "out"
-    trace_mode: str = "compact"  # compact | full | off
+    trace_mode: str = "compact"  # one of TRACE_MODES
 
 
 def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> PhysicalInstance:
@@ -346,7 +347,10 @@ def run(config: RunConfig) -> int:
 
     An earlier run's report and trace are removed first, so a run that
     fails leaves none of them behind. instance.json stays: it may be the
-    instance this run loads."""
+    instance this run loads. A trace mode outside TRACE_MODES is rejected
+    before anything is removed or written."""
+    if config.trace_mode not in TRACE_MODES:
+        raise InvalidArgumentError(f"trace mode {config.trace_mode!r} not in {TRACE_MODES}")
     for name in ("report.json", "trace.jsonl"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(config.out_dir, name))
@@ -613,7 +617,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     r.add_argument("--demo-c", type=int, default=ProtocolConfig.demo_c)
     r.add_argument("--out-dir", default="out")
-    r.add_argument("--trace-mode", choices=("compact", "full", "off"), default="compact")
+    r.add_argument("--trace-mode", choices=TRACE_MODES, default="compact")
     _add_param_flags(r)
 
     s = sub.add_parser("sweep", help="round-complexity sweep over a grid", allow_abbrev=False)

@@ -8,7 +8,9 @@ graph object, over the round engine's CSR list).
 
 The graph is built from nearby pairs only (near_pairs), with no n x n
 state; distance_matrix, n x n, is computed only for the gains of an engine
-that adjudicates.
+that adjudicates. The sorted-key kernels (run_heads, sorted_distinct,
+in_sorted, least, index_ranges) serve the engine, the phases and the
+verifier alike.
 """
 
 from __future__ import annotations
@@ -211,6 +213,15 @@ class CommGraph:
         self.degree.flags.writeable = False  # shared by every reader
         self.delta = int(self.degree.max(initial=0))
 
+    def positions(self, labels: Iterable[int]) -> np.ndarray:
+        """Each label's position in nodes; KeyError, naming it, for the
+        first label that is not a node."""
+        labels = np.fromiter(labels, int)
+        known = in_sorted(labels, self.label_array)
+        if not known.all():
+            raise KeyError(int(labels[known.argmin()]))
+        return self.label_array.searchsorted(labels)
+
     @staticmethod
     def of(adj: Mapping[int, Collection[int]] | CommGraph) -> CommGraph:
         """adj itself if it is a CommGraph, else the graph of a mapping from
@@ -225,6 +236,7 @@ class CommGraph:
         labels = np.fromiter(chain.from_iterable(rows), int, degree.sum())
         label_array = np.array(nodes, dtype=int)
         col = label_array.searchsorted(labels)
+        # in_sorted's test on the positions needed anyway, not a second search
         unknown = label_array.take(col, mode="clip") != labels
         if np.count_nonzero(unknown):
             raise ValueError(f"neighbour label {labels[unknown.argmax()]} is not a node")
@@ -378,9 +390,10 @@ class PhysicsEngine:
 
     def deliver(self, transmitters: Sequence[int]) -> list[tuple[int, int]]:
         """Successful (sender, receiver) pairs for one round, sorted, of
-        labels of the instance. A station listed twice transmits once."""
+        labels of the instance. A station listed twice transmits once; a
+        label that is not a station's raises KeyError."""
         labels = self._graph.label_array
-        senders = sorted_distinct(labels.searchsorted(np.array(transmitters, dtype=int)))
+        senders = sorted_distinct(self._graph.positions(transmitters))
         tx, rx = self.adjudicate(np.zeros_like(senders), senders)
         return list(zip(labels[senders[tx]].tolist(), labels[rx].tolist()))
 
@@ -423,12 +436,30 @@ def sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[run_heads(keys)]
 
 
-def run_heads(keys: np.ndarray) -> np.ndarray:
-    """Flags the first of each run of equal values of an array."""
-    first = np.empty(len(keys), dtype=bool)
+def run_heads(*keys: np.ndarray) -> np.ndarray:
+    """Flags the first of each run of equal rows of one or more key arrays
+    of one length: row i is (keys[0][i], keys[1][i], ...)."""
+    first = np.empty(len(keys[0]), dtype=bool)
     first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    np.not_equal(keys[0][1:], keys[0][:-1], out=first[1:])
+    for k in keys[1:]:
+        first[1:] |= k[1:] != k[:-1]
     return first
+
+
+def in_sorted(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Whether each key is in table, an ascending array, which may be empty."""
+    if not len(table):
+        return np.zeros(len(keys), dtype=bool)
+    return table.take(table.searchsorted(keys), mode="clip") == keys
+
+
+def least(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys, ascending, and the least value of each."""
+    order = keys.argsort()
+    keys = keys[order]
+    head = run_heads(keys).nonzero()[0]
+    return keys[head], np.minimum.reduceat(values[order], head)
 
 
 def index_ranges(lo: np.ndarray, span: np.ndarray) -> np.ndarray:

@@ -44,7 +44,10 @@ from .physical import (
     PhysicalInstance,
     PhysicsEngine,
     derive_dilution,
+    in_sorted,
     index_ranges,
+    least,
+    run_heads,
     sorted_distinct,
 )
 from .selection import SelectionFamily, construct_selector, construct_ssf
@@ -146,7 +149,7 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 _NOT_HEARD = _frozen(np.zeros(0, np.int64), np.zeros(0, np.int64))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(eq=False, slots=True)
 class Execution:
     """One family execution, kept as int32 arrays instead of round objects.
 
@@ -320,10 +323,7 @@ class _Batch:
         carried[tx_of, np.arange(len(tx_of)) - slot_at[tx_of]] = self.slot_k[by_tx]
         # the sort is stable, so each key's first transmission leads its run
         order = np.lexsort(carried.T[::-1])
-        ordered = carried[order]
-        new = np.empty(n_tx, dtype=bool)
-        new[:1] = True
-        new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        new = run_heads(*carried[order].T)
         group = np.empty(n_tx, np.int64)
         group[order] = new.cumsum() - 1
         first = order[new]
@@ -594,7 +594,7 @@ class Simulator:
         keys += owner[slot_k]
         tx_key = sorted_distinct(keys)
         tx_row_key, tx_station = np.divmod(tx_key, n)
-        new_row = _run_starts(tx_row_key)  # tx_row_key is sorted
+        new_row = run_heads(tx_row_key)  # tx_row_key is sorted
         tx_row = new_row.cumsum() - 1
         dl_tx, dl_rx = self.engine.adjudicate(tx_row, tx_station)
 
@@ -864,27 +864,25 @@ def two_hop_connection(sim: Simulator) -> None:
     u, s, m = sim.learned.T
     mine = sim.adjacent[:, 0] * (n_labels + 1) + sim.adjacent[:, 1]  # sorted
     keep = (m <= u).nonzero()[0]
-    keep = keep[_in_sorted(u[keep] * (n_labels + 1) + s[keep], mine)]
+    keep = keep[in_sorted(u[keep] * (n_labels + 1) + s[keep], mine)]
     u, s, m = u[keep], s[keep], m[keep]
     order = np.lexsort((s, m, u))
     u, s, m = u[order], s[order], m[order]
     # every two rows i < j of one (u, m) group: m is common to s[i] < s[j]
-    bounds = np.concatenate((_run_starts(u, m).nonzero()[0], [len(u)]))
+    bounds = np.concatenate((run_heads(u, m).nonzero()[0], [len(u)]))
     later = bounds[1:].repeat(bounds[1:] - bounds[:-1]) - np.arange(len(u)) - 1
     i = np.arange(len(u)).repeat(later)
     j = index_ranges(np.arange(len(u)) + 1, later)
     u, s, t, m = u[i], s[i], s[j], m[i]
     # the least common member of each (u, s, t); u claims when it is u
     order = np.lexsort((m, t, s, u))
-    first = order[_run_starts(u[order], s[order], t[order])]
+    first = order[run_heads(u[order], s[order], t[order])]
     claim = first[m[first] == u[first]]
-    # one claim per pair (selection.pair_index): a larger claimant's
-    # replaces a smaller one's
-    pidx = (s[claim] - 1) * n_labels + t[claim]
-    order = np.lexsort((-u[claim], pidx))
-    largest = _run_starts(pidx[order])  # each pair's largest claimant
-    pidxs, claim = pidx[order][largest], claim[order][largest]
-    helpers, s, t = u[claim], s[claim], t[claim]
+    # one claim per pair: a larger claimant's replaces a smaller one's, so
+    # each pair keeps its largest claimant, the least negated label
+    pair, least_negated = least(s[claim] * (n_labels + 1) + t[claim], -u[claim])
+    (s, t), helpers = np.divmod(pair, n_labels + 1), -least_negated
+    pidxs = (s - 1) * n_labels + t  # selection.pair_index
 
     # a helper's message in a round carries every claim the pair family
     # schedules for it there, three labels each: size the widest one
@@ -892,7 +890,7 @@ def two_hop_connection(sim: Simulator) -> None:
         sets = fam_pair.rounds_for(pidxs) + fam_pair.size * helpers[:, None]
         sets = sets.ravel()
         sets.sort()
-        run_at = np.concatenate((_run_starts(sets).nonzero()[0], [len(sets)]))
+        run_at = np.concatenate((run_heads(sets).nonzero()[0], [len(sets)]))
         widest = (run_at[1:] - run_at[:-1]).max()
         _message_bits("helper-claim", 3 * int(widest), n_labels)
     claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
@@ -952,7 +950,7 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     # the tokens: each iteration's holders, ascending, and the leaders
     # whose tokens holder h holds, tokens[token_at[h] : token_at[h + 1]]
     by_holder = np.lexsort((leaders, targets, iteration))
-    new = _run_starts(iteration[by_holder], targets[by_holder])
+    new = run_heads(iteration[by_holder], targets[by_holder])
     holders = targets[by_holder][new]
     holder_at = iteration[by_holder][new].searchsorted(np.arange(delta + 1)).tolist()
     token_at = np.concatenate((new.nonzero()[0], [len(new)]))
@@ -1125,22 +1123,6 @@ class _Messages(Mapping[int, Message]):
         return u in self._index
 
 
-def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
-    """Whether each of the non-negative keys is among sorted_keys
-    (ascending)."""
-    return np.concatenate((sorted_keys, [-1]))[sorted_keys.searchsorted(keys)] == keys
-
-
-def _run_starts(*keys: np.ndarray) -> np.ndarray:
-    """Whether each row of the sorted keys starts a run of equal rows."""
-    start = np.empty(len(keys[0]), dtype=bool)
-    start[:1] = True
-    np.not_equal(keys[0][1:], keys[0][:-1], out=start[1:])
-    for k in keys[1:]:
-        start[1:] |= k[1:] != k[:-1]
-    return start
-
-
 def _heard_entries(
     senders: np.ndarray, at: np.ndarray, entries: np.ndarray, sent: np.ndarray, heard: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1172,14 +1154,15 @@ def three_hop_connection(sim: Simulator) -> None:
     leader it heard becomes a helper.
     """
     n_labels = sim.inst.n_labels
+    n1 = n_labels + 1  # label pairs are keyed a * n1 + b
     labels = sim.graph.label_array
     leaders, nl = labels[sim.status == _LEADER], labels[sim.status != _LEADER]
-    is_leader = np.zeros(n_labels + 1, dtype=bool)
+    is_leader = np.zeros(n1, dtype=bool)
     is_leader[leaders] = True
 
     def by_node(nodes: np.ndarray, sorted_nodes: np.ndarray) -> np.ndarray:
         """at, with node j's rows of sorted_nodes at at[j] : at[j + 1]."""
-        return sorted_nodes.searchsorted(np.concatenate((nodes, [n_labels + 1])))
+        return sorted_nodes.searchsorted(np.concatenate((nodes, [n1])))
 
     # each non-leader reports its adjacent leaders
     reporter, adjacent = sim.adjacent[~is_leader[sim.adjacent[:, 0]]].T
@@ -1190,11 +1173,9 @@ def three_hop_connection(sim: Simulator) -> None:
 
     # intermediate selection: per heard-about leader b, the minimum-label
     # reporter y that belongs to b
-    order = np.lexsort((y, b, x))
-    x, y, b = x[order], y[order], b[order]
-    first = _run_starts(x, b)
-    at = by_node(nl, x[first])
-    ys, bs = y[first], b[first]
+    xb, ys = least(x * n1 + b, y)
+    xs, bs = np.divmod(xb, n1)
+    at = by_node(nl, xs)
     senders, listeners = token_passing(sim, _Messages("hop3-choice", nl, at, [ys, bs], n_labels))
     heard = is_leader[listeners]
     lab, x, k = _heard_entries(nl, at, np.arange(len(ys)), senders[heard], listeners[heard])
@@ -1202,21 +1183,21 @@ def three_hop_connection(sim: Simulator) -> None:
 
     # leader decisions, per other leader b not already connected by a
     # two-hop helper: the smallest label among the reports' x and y, and
-    # the least label reported with it (an x first)
-    pair = lab * (n_labels + 1) + b
-    connected = sim.two_hop[:, 0] * (n_labels + 1) + sim.two_hop[:, 1]  # sorted
-    keep = (b != lab) & ~_in_sorted(pair, connected)
-    lab, b, x, y = lab[keep], b[keep], x[keep], y[keep]
-    by_x, by_y = np.lexsort((y, x, b, lab)), np.lexsort((x, y, b, lab))
-    start = _run_starts(lab[by_x], b[by_x]).nonzero()[0]
-    min_x, y_of_x = x[by_x][start], y[by_x][start]
-    min_y, x_of_y = y[by_y][start], x[by_y][start]
+    # the least label reported with it (an x first); that is, of the least
+    # x * n1 + y and the least y * n1 + x, the one that starts lower
+    pair = lab * n1 + b
+    connected = sim.two_hop[:, 0] * n1 + sim.two_hop[:, 1]  # sorted
+    keep = (b != lab) & ~in_sorted(pair, connected)
+    pair, x, y = pair[keep], x[keep], y[keep]
+    pairs, xy = least(pair, x * n1 + y)
+    min_x, y_of_x = np.divmod(xy, n1)
+    min_y, x_of_y = np.divmod(least(pair, y * n1 + x)[1], n1)
     x_first = min_x <= min_y
     xs = np.where(x_first, min_x, x_of_y)
     ys = np.where(x_first, y_of_x, min_y)
-    bs = b[by_x][start]
-    sim.three_hop = np.column_stack([lab[by_x][start], bs, xs, ys])
-    at = by_node(leaders, lab[by_x][start])
+    lab, bs = np.divmod(pairs, n1)
+    sim.three_hop = np.column_stack([lab, bs, xs, ys])
+    at = by_node(leaders, lab)
 
     choices = _Messages("hop3-choice", leaders, at, [xs, ys, bs], n_labels)
     ((pos, listener),) = sim.execute(
@@ -1224,9 +1205,9 @@ def three_hop_connection(sim: Simulator) -> None:
         [(leaders, leaders, "three-hop-connection/announce", lambda u, _ks: choices[u])],
     )
     # every x a leader named becomes a helper when it hears that leader
-    named = np.arange(len(leaders)).repeat(at[1:] - at[:-1]) * (n_labels + 1) + xs
+    named = np.arange(len(leaders)).repeat(at[1:] - at[:-1]) * n1 + xs
     named.sort()
-    heard = listener[_in_sorted(pos * (n_labels + 1) + listener, named)]
+    heard = listener[in_sorted(pos * n1 + listener, named)]
     sim.set_status(sorted_distinct(heard), HELPER)
 
 

@@ -7,9 +7,9 @@ node decisions.
 Every check and CDS oracle takes the physical.CommGraphs it reads, the
 run's graph and the backbone, and reads their open and closed CSR lists as
 given, by array programs: scatters over rows, component_labels,
-breadth-first search one frontier per NumPy step, and sorted joins. Only
-the two helper-rule replays also take a plain mapping of neighbour labels,
-through CommGraph.of.
+breadth-first search one frontier per NumPy step, and sorted joins (on
+physical.least and in_sorted, as the phases are). Only the two helper-rule
+replays also take a plain mapping of neighbour labels, through CommGraph.of.
 """
 
 from __future__ import annotations
@@ -34,7 +34,9 @@ from .physical import (
     distance,
     grid_box,
     grid_index,
+    in_sorted,
     index_ranges,
+    least,
     make_instance,
     pivotal_side,
     run_heads,
@@ -216,8 +218,8 @@ def expected_two_hop(
     table.sort()  # each node's leaders
     u, w, at = _join(s, x, table, n)
     v = table[at] % n
-    keep = (u < v) & ~_among(u * n + v, s * n + x)
-    pair, mid = _least(u[keep] * n + v[keep], w[keep])
+    keep = (u < v) & ~in_sorted(u * n + v, s * n + x)
+    pair, mid = least(u[keep] * n + v[keep], w[keep])
     labels = g.label_array
     keys = zip(labels[pair // n].tolist(), labels[pair % n].tolist())
     return dict(zip(keys, labels[mid].tolist()))
@@ -245,13 +247,13 @@ def expected_three_hop(
     near = s * n + x  # ascending
     span = g.degree[x]
     z = g.nbrs[index_ranges(g.nbr_at[x], span)]  # next to the neighbour x of the leader s
-    table, mid = _least(z * n + s.repeat(span), x.repeat(span))
+    table, mid = least(z * n + s.repeat(span), x.repeat(span))
     u, w, at = _join(s, x, table, n)
     v, y = table[at] % n, mid[at]
     # each pair once, s < t: a is on s's side if u is s, and b is the y
     lo, hi, side = np.minimum(u, v), np.maximum(u, v), u > v
-    pair, cand = _least(lo * n + hi, (2 * w + side) * n + y)  # keyed (2 a + side) n + b
-    far = ~(_among(pair, near) | _among(pair % n * n + pair // n, table))  # not within 2 hops
+    pair, cand = least(lo * n + hi, (2 * w + side) * n + y)  # keyed (2 a + side) n + b
+    far = ~(in_sorted(pair, near) | in_sorted(pair % n * n + pair // n, table))  # not within 2 hops
     pair, cand = pair[far], cand[far]
     a, on_t, b = cand // (2 * n), cand // n & 1, cand % n
     labels = g.label_array
@@ -273,19 +275,6 @@ def _join(u: np.ndarray, w: np.ndarray, table: np.ndarray, n: int) -> tuple[np.n
     return u.repeat(span), w.repeat(span), index_ranges(lo, span)
 
 
-def _least(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct keys, ascending, and the least value of each."""
-    order = keys.argsort()
-    keys = keys[order]
-    head = run_heads(keys).nonzero()[0]
-    return keys[head], np.minimum.reduceat(values[order], head)
-
-
-def _among(keys: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Whether each key is in table, an ascending array (empty only if keys are)."""
-    return table.take(table.searchsorted(keys), mode="clip") == keys
-
-
 # ---------------------------------------------------------------------------
 # The five backbone checks.
 
@@ -303,7 +292,7 @@ def backbone_graph(result: BackboneResult, g: CommGraph) -> CommGraph:
     member = _flags(g, [*result.leaders, *result.helpers])
     row = np.arange(n).repeat(g.degree)
     keep = member[row] & member[g.nbrs]
-    ends = _positions(g, [end for edge in result.backbone_edges for end in edge])
+    ends = g.positions([end for edge in result.backbone_edges for end in edge])
     u, v = ends[0::2], ends[1::2]
     keys = sorted_distinct(np.concatenate((row[keep] * n + g.nbrs[keep], u * n + v, v * n + u)))
     member[ends] = True
@@ -316,20 +305,10 @@ def backbone_graph(result: BackboneResult, g: CommGraph) -> CommGraph:
     )
 
 
-def _positions(g: CommGraph, labels: Iterable[int]) -> np.ndarray:
-    """Each label's position in g.nodes; KeyError for a label not in g."""
-    labels = np.fromiter(labels, int)
-    at = g.label_array.searchsorted(labels)
-    missing = labels[g.label_array.take(at, mode="clip") != labels] if g.nodes else labels
-    if len(missing):
-        raise KeyError(int(missing[0]))
-    return at
-
-
 def _flags(g: CommGraph, labels: Iterable[int]) -> np.ndarray:
     """Each node's flag: labels holds its label."""
     flags = np.zeros(len(g.nodes), bool)
-    flags[_positions(g, labels)] = True
+    flags[g.positions(labels)] = True
     return flags
 
 

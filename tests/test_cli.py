@@ -25,7 +25,7 @@ from sinrbackbone.cli import (
     run,
     sweep,
 )
-from sinrbackbone.errors import RetryCapError, TokenDeliveryError
+from sinrbackbone.errors import InvalidArgumentError, RetryCapError, TokenDeliveryError
 from sinrbackbone.physical import (
     MAX_LABELS,
     build_graph,
@@ -723,6 +723,20 @@ def test_trace_mode_off_removes_an_earlier_trace(tmp_path):
     assert not (tmp_path / "d" / "trace.jsonl").exists()
     report = json.loads((tmp_path / "d" / "report.json").read_text())
     assert (report["instance"]["n"], report["result"]["rounds_used"]) == (16, 9673)
+
+
+def test_run_rejects_an_unknown_trace_mode_before_touching_the_out_dir(tmp_path):
+    out = tmp_path / "d"
+    assert main(["run", "--n", "12", "--side", "2.6", "--seed", "1", "--out-dir", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["instance.json", "report.json", "trace.jsonl"]
+    spec = GeneratorSpec(n=8, arena_side=2.0, seed=1)
+    with pytest.raises(InvalidArgumentError, match="'Full'"):
+        run(RunConfig(generator=spec, out_dir=str(out), trace_mode="Full"))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    with pytest.raises(InvalidArgumentError, match="'none'"):
+        run(RunConfig(generator=spec, out_dir=str(tmp_path / "new"), trace_mode="none"))
+    assert not (tmp_path / "new").exists()
 
 
 def test_failed_run_leaves_no_earlier_outputs(tmp_path, capsys):

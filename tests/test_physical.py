@@ -539,6 +539,45 @@ def test_deliver_counts_a_repeated_transmitter_once():
     assert [a.tolist() for a in eng.adjudicate(none, none)] == [[], []]
 
 
+def test_deliver_rejects_a_label_that_is_not_a_station():
+    # 0 and 7 would land on stations 5 and 9, 13 past the last station
+    eng = PhysicsEngine(make_instance([(5, 0, 0), (9, 0.5, 0), (12, 5, 0)], P_UNIT, 16))
+    assert eng.deliver([5]) == [(5, 9)]
+    for label in (0, 7, 13):
+        with pytest.raises(KeyError, match=f"^{label}$"):
+            eng.deliver([5, label])
+    assert eng.deliver([]) == []
+
+
+_KEY = st.integers(-4, 4) | st.integers(-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(1, 3),
+    flat=st.lists(_KEY, max_size=60),
+    table=st.lists(_KEY, max_size=20),
+    values=st.lists(_KEY, min_size=60, max_size=60),
+)
+@example(width=1, flat=[], table=[1, 2], values=[0] * 60)  # no keys
+@example(width=2, flat=[3, 1, 3, 2, 2, 0], table=[], values=[0] * 60)  # an empty table
+@example(width=1, flat=[9, 2, 4, 2, 9], table=[0, 2, 4], values=list(range(60)))  # keys past it
+def test_sorted_key_kernels_match_their_plain_definitions(width, flat, table, values):
+    raw = np.array(flat[: len(flat) // width * width], dtype=np.int64).reshape(-1, width)
+    rows = raw[np.lexsort(raw.T[::-1])]  # ascending rows
+    heads = np.zeros(len(rows), dtype=bool)
+    heads[np.unique(rows, axis=0, return_index=True)[1]] = True
+    assert physical.run_heads(*rows.T).tolist() == heads.tolist()
+    keys, tab = raw[:, 0], np.sort(np.array(table, dtype=np.int64))
+    assert physical.in_sorted(keys, tab).tolist() == np.isin(keys, tab).tolist()
+    minima: dict[int, int] = {}
+    for k, v in zip(keys.tolist(), values):
+        minima[k] = min(v, minima.get(k, v))
+    distinct, least = physical.least(keys, np.array(values[: len(keys)], dtype=np.int64))
+    assert distinct.tolist() == sorted(minima)
+    assert least.tolist() == [minima[k] for k in sorted(minima)]
+
+
 def test_deliver_diluted_pair_both_deliver():
     # transmitters far apart: each reaches its own nearby listener
     inst = make_instance([(1, 0, 0), (2, 0.9, 0), (3, 12, 0), (4, 11.1, 0)], P_UNIT, 16)
