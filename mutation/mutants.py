@@ -36,6 +36,7 @@ MUTANTS = (
             "tests/test_physical.py::test_engine_batch_matches_rounds_and_scalar_reference",
             "tests/test_physical.py::test_engine_matches_the_dense_reference_bit_for_bit",
             "tests/test_protocol.py::test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # two executions with the same slots but other owners share one plan
@@ -44,26 +45,32 @@ MUTANTS = (
         "sinrbackbone/protocol.py",
         "return code, s, s if owners is slots else np.asarray(owners, np.int64).tobytes()",
         "return code, s",
-        ("tests/test_protocol.py::test_plans_are_keyed_by_owners_and_family_code",),
+        (
+            "tests/test_protocol.py::test_plans_are_keyed_by_owners_and_family_code",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
     ),
-    # a sender's first message is reused for its later transmissions
+    # a sender's first message is reused for its later transmissions: the
+    # writer renders every key of a sender with its first key's slots
     Mutant(
         "sent-messages-keyed-by-sender",
         "sinrbackbone/protocol.py",
         """\
-        m = built.get(j)
-        if m is None:
-            m = built[j] = build(table.sender[j], table.carried[j])
+            self._written = self.write(table.sender[k0:k1], table.carried[k0:k1])
 """,
         """\
-        m = built.get(table.sender[j])
-        if m is None:
-            m = built[table.sender[j]] = build(table.sender[j], table.carried[j])
+            first = {}
+            for u, ks in zip(table.sender[k0:k1], table.carried[k0:k1]):
+                first.setdefault(u, ks)
+            self._written = self.write(table.sender[k0:k1], [first[u] for u in table.sender[k0:k1]])
 """,
         (
             "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",
             "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[n40-N1024]",
             "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[cli-trace]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # message keys numbered in order of their carried slots instead of
@@ -79,6 +86,7 @@ MUTANTS = (
             "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[cli-trace]",
             "tests/test_protocol.py::test_the_key_table_matches_the_per_transmission_reference[cli-trace]",
             "tests/test_protocol.py::test_the_key_table_covers_a_transmission_that_carries_two_claims",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # a sweep that fails drops the token records of its earlier iterations
@@ -109,6 +117,8 @@ MUTANTS = (
             "tests/test_selection.py::test_codeword_tables_match_horner_bit_for_bit",
             "tests/test_selection.py::test_codeword_tables_are_kept_per_code_and_label_space",
             "tests/test_selection.py::test_labels_outside_the_label_space_are_rejected[64]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # the table budget counts labels, not labels x points: the
@@ -129,9 +139,12 @@ MUTANTS = (
     Mutant(
         "full-trace-high-digits-one-round-late",
         "sinrbackbone/cli.py",
-        'line = head + digits[: d - low].encode() + b"0" * low + tail',
-        'line = head + str(s - 1)[: d - low].encode() + b"0" * low + tail',
-        ("tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[4]",),
+        'line = head + digits[: d - low] + b"0" * low + tail',
+        'line = head + (b"%d" % (s - 1))[: d - low] + b"0" * low + tail',
+        (
+            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[4]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
     ),
     # emit splices its records in at offsets of the line width of its
     # first round's digit count, also past a power of ten
@@ -143,6 +156,57 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[1]",
             "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[7]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
+    ),
+    # a label's digit width is one short at each power of ten, so the
+    # delivery text of a row is sliced off one byte early or late
+    Mutant(
+        "delivery-digit-width-off-at-a-power-of-ten",
+        "sinrbackbone/cli.py",
+        'return _POWERS.searchsorted(x, side="right") + 1',
+        'return _POWERS.searchsorted(x, side="left") + 1',
+        (
+            "tests/test_cli.py::test_delivery_text_is_the_json_dumps_text",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[cli-trace]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
+    ),
+    # a row with one transmitter writes the key of the transmission before
+    # it
+    Mutant(
+        "single-transmitter-row-reads-its-neighbours-key",
+        "sinrbackbone/cli.py",
+        "first = [key[a] for a in row_tx[:-1]]",
+        "first = [key[a - 1] for a in row_tx[:-1]]",
+        (
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n64]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
+    ),
+    # a helper's claim sent alone loses the brackets of the payload's list
+    Mutant(
+        "one-entry-payload-template-loses-its-brackets",
+        "sinrbackbone/protocol.py",
+        '_CLAIM = _template("helper-claim", b"[[%d, %d, %d]]")',
+        '_CLAIM = _template("helper-claim", b"[%d, %d, %d]")',
+        (
+            "tests/test_cli.py::test_run_outputs_match_golden_digests[full-n64]",
+            "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",
+            "tests/test_protocol.py::test_inform_and_claims_equal_the_dict_reference_on_the_demo_loss_instance",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
+    ),
+    # a run that fails after its trace was opened leaves the rounds it
+    # wrote behind
+    Mutant(
+        "failed-run-keeps-its-partial-trace",
+        "sinrbackbone/cli.py",
+        "                os.remove(trace_path)\n",
+        "                pass\n",
+        (
+            "tests/test_cli.py::test_a_run_that_fails_mid_protocol_leaves_no_trace[full]",
+            "tests/test_cli.py::test_a_run_that_fails_mid_protocol_leaves_no_trace[compact]",
         ),
     ),
     # bucket coverage skips the nodes whose degree equals the bucket's
@@ -171,6 +235,9 @@ MUTANTS = (
             "tests/test_verifier.py::test_helper_replays_match_the_whole_graph_bfs",
             "tests/test_verifier.py::test_verifier_matches_the_reference_on_battery_seed_1",
             "tests/test_verifier.py::test_verifier_matches_the_reference_on_n150_at_N1024",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # the greedy CDS's connection search visits each node's neighbours in
@@ -203,6 +270,9 @@ MUTANTS = (
             "tests/test_verifier.py::test_backbone_graph_is_the_reference_backbone",
             "tests/test_verifier.py::test_verifier_matches_the_reference_on_failing_results",
             "tests/test_verifier.py::test_verifier_matches_the_reference_on_battery_seed_1",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # least keeps each key's largest value: the minimum-label rules of the
@@ -218,6 +288,9 @@ MUTANTS = (
             "tests/test_protocol.py::test_three_hop_min_label_bridge_agreement",
             "tests/test_protocol.py::test_inform_and_claims_equal_the_dict_reference_when_an_inform_message_is_lost",
             "tests/test_verifier.py::test_helper_replays_match_the_whole_graph_bfs",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # the membership test compares each key with the table's entry one
@@ -232,6 +305,9 @@ MUTANTS = (
             "tests/test_physical.py::test_deliver_rejects_a_label_that_is_not_a_station",
             "tests/test_protocol.py::test_two_hop_min_label_among_common_neighbors",
             "tests/test_verifier.py::test_expected_two_hop_on_path",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # run heads of several key arrays read only the first
@@ -245,6 +321,9 @@ MUTANTS = (
             "tests/test_protocol.py::test_three_hop_path",
             "tests/test_protocol.py::test_the_key_table_covers_a_transmission_that_carries_two_claims",
             "tests/test_protocol.py::test_inform_and_claims_equal_the_dict_reference_on_benchmark_instances[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # each token-passing sweep runs one more iteration, in which no leader
@@ -265,6 +344,9 @@ MUTANTS = (
             "tests/test_acceptance.py::test_acceptance_8_round_complexity_stability",
             "tests/test_protocol.py::test_executions_tile_the_rounds_as_scheduled",
             "tests/test_protocol.py::test_every_token_holder_sends[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # leader election runs one more degree bucket than ceil(lg Delta) + 1
@@ -277,6 +359,9 @@ MUTANTS = (
             "tests/test_acceptance.py::test_acceptance_8_round_complexity_stability",
             "tests/test_protocol.py::test_executions_tile_the_rounds_as_scheduled",
             "tests/test_protocol.py::test_leader_election_follows_its_per_round_rule[n40-N64]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # every code of K >= 2 evaluates its polynomials at twice the points
@@ -290,6 +375,9 @@ MUTANTS = (
             "tests/test_selection.py::test_code_parameters_give_the_smallest_code",
             "tests/test_selection.py::test_family_code_parameters_are_pinned[64-4-11-2-4]",
             "tests/test_selection.py::test_selector_code_parameters_are_pinned[64-2-4-3-3]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[battery]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[dense]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
     # plans are keyed by slots and owners alone: two families with the same

@@ -9,8 +9,9 @@ import math
 import os
 import random
 import sys
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence, TextIO
+from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
@@ -144,23 +145,31 @@ _CHUNK = 1000
 # the ones, tens and hundreds digits of the rounds 0 to 999, one column
 # each: runs of 10**w equal digits, cycling 0-9
 _COLUMNS = [b"".join((b"%d" % k) * 10**w for k in range(10)) * 10 ** (2 - w) for w in range(3)]
+# 10, 100, ..., 10**9: an int below 10**10 has one digit more than the
+# powers it reaches, and every label is below 2**31
+_POWERS = 10 ** np.arange(1, 10, dtype=np.int32)
+# a non-silent round's record: the text up to the phase's value (see
+# _rows), the phase, the round and its transmitters' texts
+_RECORD = b'%s%s, "round": %d, "transmitters": [%s]}\n'
 
 
 class FileSink:
     """Streams one JSON record per round (full), or one per non-silent round
-    and one per span of silent rounds within an execution (compact). Keeps
-    no records.
+    and one per span of silent rounds within an execution (compact), as
+    bytes to a binary file. Keeps no records.
 
     Every write happens inside emit() or skip(), straight from the
-    records' arrays: a record's sorted-key JSON is assembled from string
+    records' arrays: a record's sorted-key JSON is assembled from byte
     templates, byte for byte what json.dumps(..., sort_keys=True) writes.
     What the executions of one batch have in common is formatted once per
     batch, from its table (protocol._Table), when the first of them is
     written: each non-silent row's round offset, its "deliveries" text
-    and its transmitters' message keys (see _rows_text). Each key's
-    transmitter text is formatted once per execution, from its one message
-    (the table holds each key's first transmission and sender); emit then
-    only stitches in the phase, the round numbers and those texts.
+    and its transmitters' message keys (see _rows). The transmitter texts
+    are the execution's own, rendered once per execution and message key
+    by the writer its phase handed Simulator.execute
+    (Execution.message.texts()): no Message is built. emit then only
+    stitches in the phase, the round numbers and those texts; a row with
+    one transmitter takes its key's text as it is.
 
     In full mode, silent lines differ only in the round number. They are
     written in chunks, each of the rounds of one digit count between two
@@ -173,11 +182,11 @@ class FileSink:
     silent record of several executions is written by one skip() call, as
     the same bytes as that many silent executions."""
 
-    def __init__(self, fh: TextIO, mode: str):
+    def __init__(self, fh: BinaryIO, mode: str):
         self.fh = fh
         self.mode = mode
-        self._rows: dict = {}  # each batch's row texts (see _rows_text), by batch
-        self._kinds: dict[str, str] = {}  # each message kind's JSON text
+        self._rows: dict = {}  # each batch's rows (see _rows), by batch
+        self._phases: dict[str, bytes] = {}  # each phase's JSON text
 
     def execution(self, ex: Execution) -> None:
         if ex.message is None:
@@ -185,134 +194,149 @@ class FileSink:
         else:
             self.emit(ex)
 
+    def _phase(self, phase: str) -> bytes:
+        text = self._phases.get(phase)
+        if text is None:
+            text = self._phases[phase] = json.dumps(phase).encode()
+        return text
+
     def emit(self, ex: Execution) -> None:
         """Write a non-silent execution: one record per non-silent round,
-        with its silent stretches in between as skip() writes them."""
+        with its silent stretches in between as skip() writes them.
+
+        Every record is formatted at once, by one %-format of _RECORD
+        repeated once per row: the four values of each row are laid into
+        one list by strided slice assignments."""
         batch, e = ex.plan.batch, ex.plan.index
         table = batch.table
         rows = self._rows.get(batch)
         if rows is None:
-            rows = self._rows[batch] = _rows_text(table)
-        k0, k1 = table.key_at[e], table.key_at[e + 1]
-        kinds = self._kinds
-        sent = []  # each message key's transmitter text
-        for u, m in zip(table.sender[k0:k1], map(ex.message, table.first[k0:k1])):
-            kind = kinds.get(m.kind)
-            if kind is None:
-                kind = kinds[m.kind] = json.dumps(m.kind)
-            sent.append(
-                '{"kind": %s, "label": %d, "payload": %s}' % (kind, u, _payload_text(m.payload))
-            )
-        phase = json.dumps(ex.phase)
+            rows = self._rows[batch] = _rows(table)
+        offsets, heads, first, several = rows
+        r0, r1 = table.row_at[e], table.row_at[e + 1]
+        sent = ex.message.texts()  # each message key's transmitter text
+        transmitters = list(map(sent.__getitem__, first[r0:r1]))
+        for r, keys in several[e]:
+            transmitters[r] = b", ".join(map(sent.__getitem__, keys))
+        phase = self._phase(ex.phase)
         start = ex.start
-        records = [
-            (
-                start + j,
-                f'{head}{phase}, "round": {start + j}, '
-                f'"transmitters": [{", ".join(map(sent.__getitem__, keys))}]}}\n',
-            )
-            for j, head, keys in rows[table.row_at[e] : table.row_at[e + 1]]
-        ]
+        rounds = list(map(start.__add__, offsets[r0:r1]))
+        values = [phase] * (4 * len(rounds))
+        values[0::4] = heads[r0:r1]
+        values[2::4] = rounds
+        values[3::4] = transmitters
+        records = (_RECORD * len(rounds) % tuple(values)).splitlines(keepends=True)
         end = start + ex.size
         if self.mode == "full":
-            self._full(phase, start, end, records)
+            self._full(phase, start, end, rounds, records)
             return
         parts = []
         cursor = start
-        for r, record in records:
+        for r, record in zip(rounds, records):
             if r > cursor:
                 parts.append(_compact(phase, cursor, r - cursor))
             parts.append(record)
             cursor = r + 1
         if end > cursor:
             parts.append(_compact(phase, cursor, end - cursor))
-        self.fh.write("".join(parts))
+        self.fh.write(b"".join(parts))
 
     def skip(self, phase: str, start_round: int, count: int, repeats: int = 1) -> None:
         """Write repeats consecutive spans of count silent rounds from
         start_round on."""
+        phase = self._phase(phase)
         if self.mode == "full":
-            self._full(json.dumps(phase), start_round, start_round + count * repeats, ())
+            self._full(phase, start_round, start_round + count * repeats, (), ())
         else:
-            phase = json.dumps(phase)
             for r in range(0, repeats, _CHUNK):
                 n = min(_CHUNK, repeats - r)
                 self.fh.write(_compact(phase, start_round + r * count, count, n))
 
-    def _full(self, phase: str, start: int, end: int, records) -> None:
+    def _full(self, phase: bytes, start: int, end: int, rounds, records) -> None:
         """Write the full-mode records of the rounds start to end - 1:
-        records' (round, text) pairs, in round order, and a silent record
-        for every other round; phase is already JSON.
+        records, those of rounds (in round order), and a silent record for
+        every other round; phase is already JSON.
 
         Chunk by chunk, the silent line is repeated once per round, with
         the digits that all its rounds share already in place, and each
         of the other digit columns is written with one strided slice
         assignment. Within a chunk every line has one width, so a record
-        replaces the silent line at (round - first round) * width."""
-        head = b'{"deliveries": [], "phase": ' + phase.encode() + b', "round": '
+        replaces the silent line at (round - first round) * width; the
+        chunk's other lines go to the file as views of it."""
+        head = b'{"deliveries": [], "phase": ' + phase + b', "round": '
         tail = b', "transmitters": []}\n'
         k = 0
         s = start
         while s < end:
-            digits = str(s)
+            digits = b"%d" % s
             d = len(digits)
             e = min(end, (s // _CHUNK + 1) * _CHUNK, 10**d)
             m = e - s
             low = min(d, len(_COLUMNS))  # the digits that vary within the chunk
-            line = head + digits[: d - low].encode() + b"0" * low + tail
+            line = head + digits[: d - low] + b"0" * low + tail
             width = len(line)
             buf = bytearray(line) * m
             ones = len(head) + d - 1  # the first line's ones digit
             o = s % _CHUNK
             for w in range(low):
                 buf[ones - w :: width] = _COLUMNS[w][o : o + m]
-            text = buf.decode()
-            parts = []
-            at = 0
-            while k < len(records) and records[k][0] < e:
-                r, record = records[k]
-                off = (r - s) * width
-                parts += (text[at:off], record)
-                at = off + width
-                k += 1
-            parts.append(text[at:])
-            self.fh.write("".join(parts))
+            stop = bisect_left(rounds, e, k)  # the records of the chunk
+            if stop > k:
+                view = memoryview(buf)
+                parts = []
+                at = 0
+                for r, record in zip(rounds[k:stop], records[k:stop]):
+                    off = (r - s) * width
+                    parts += (view[at:off], record)
+                    at = off + width
+                parts.append(view[at:])
+                buf = b"".join(parts)
+                k = stop
+            self.fh.write(buf)
             s = e
 
 
-def _compact(phase: str, start_round: int, count: int, repeats: int = 1) -> str:
+def _compact(phase: bytes, start_round: int, count: int, repeats: int = 1) -> bytes:
     """The compact records of repeats consecutive spans of count silent
     rounds; phase is already JSON."""
-    head = f'{{"phase": {phase}, "round_start": '
-    tail = f', "silent": {count}}}\n'
+    head = b'{"phase": %s, "round_start": ' % phase
+    tail = b', "silent": %d}\n' % count
     end = start_round + count * repeats
-    return f"{head}{(tail + head).join(map(str, range(start_round, end, count)))}{tail}"
+    return head + (tail + head).join(map(b"%d".__mod__, range(start_round, end, count))) + tail
 
 
-def _payload_text(payload: tuple) -> str:
-    """json.dumps(payload) for a tuple of ints and tuples: the tuple's str
-    with the one-element tuples' trailing commas dropped and the
-    parentheses turned into brackets."""
-    return str(payload).replace(",)", ")").replace("(", "[").replace(")", "]")
+def _digits(x: np.ndarray) -> np.ndarray:
+    """The decimal digits of each non-negative int in x, all below 10**10."""
+    return _POWERS.searchsorted(x, side="right") + 1
 
 
-def _rows_text(table) -> list[tuple[int, str, list[int]]]:
-    """Each row of a batch's table (see protocol._Table), in order: its
-    round offset, its record text up to the phase's value and its
-    transmissions' message keys. A batch's deliveries repeat few (sender,
-    receiver) pairs, so each distinct pair's text is formatted once."""
-    row_tx, row_dl, key = table.row_tx, table.row_dl, table.key
-    # labels are below 2**31: a pair is sender * 2**32 + receiver
-    pair = table.dl[:, 1].astype(np.int64) << 32 | table.dl[:, 2]
-    distinct, which = np.unique(pair, return_inverse=True)
-    texts = ["[%d, %d]" % divmod(p, 1 << 32) for p in distinct.tolist()]
-    pairs = list(map(texts.__getitem__, which.tolist()))
-    heads = [
-        f'{{"deliveries": [{", ".join(pairs[d0:d1])}], "phase": '
-        for d0, d1 in zip(row_dl, row_dl[1:])
-    ]
-    keys = [key[t0:t1] for t0, t1 in zip(row_tx, row_tx[1:])]
-    return list(zip(table.rounds.tolist(), heads, keys))
+def _pairs_text(pairs: np.ndarray, at: Sequence[int], template: bytes = b"[%s]") -> list[bytes]:
+    """The JSON text of each group of (sender, receiver) rows of pairs,
+    group g being rows at[g] : at[g + 1], filled into template: with the
+    default one, json.dumps of its [sender, receiver] lists. Every pair is
+    written by one %-format, each after ", ", and a group's text is sliced
+    out at offsets summed from the pairs' digit widths."""
+    text = b", [%d, %d]" * len(pairs) % tuple(pairs.ravel().tolist())
+    width = _digits(pairs[:, 0]) + _digits(pairs[:, 1]) + 6  # and ", [", ", ", "]"
+    ends = [0, *width.cumsum().tolist()]
+    # a group's text starts after its first pair's ", "
+    return [template % text[ends[a] + 2 : ends[b]] for a, b in zip(at, at[1:])]
+
+
+def _rows(table) -> tuple[list[int], list[bytes], list[int], list[list[tuple[int, list[int]]]]]:
+    """What the rows of a batch's table (see protocol._Table) hold for
+    every execution of their schedules: each row's round offset, its
+    record text up to the phase's value, and the message key of its first
+    transmission; and, for each schedule, each of its rows that has
+    several transmissions, as (row within the schedule, their keys)."""
+    key, row_tx, row_at = table.key, table.row_tx, table.row_at
+    heads = _pairs_text(table.dl[:, 1:], table.row_dl, b'{"deliveries": [%s], "phase": ')
+    first = [key[a] for a in row_tx[:-1]]
+    several: list[list[tuple[int, list[int]]]] = [[] for _ in row_at[1:]]
+    many = (np.diff(row_tx) > 1).nonzero()[0]
+    for r, e in zip(many.tolist(), (np.searchsorted(row_at, many, "right") - 1).tolist()):
+        several[e].append((r - row_at[e], key[row_tx[r] : row_tx[r + 1]]))
+    return table.rounds.tolist(), heads, first, several
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +369,8 @@ def _c_r(rounds: int, delta: int, n_labels: int) -> float:
 def run(config: RunConfig) -> int:
     """Execute the full pipeline; returns the process exit status.
 
-    An earlier run's report and trace are removed first, so a run that
+    An earlier run's report and trace are removed first, and a run that
+    fails while it writes its trace removes that trace, so a run that
     fails leaves none of them behind. instance.json stays: it may be the
     instance this run loads. A trace mode outside TRACE_MODES is rejected
     before anything is removed or written."""
@@ -371,8 +396,14 @@ def run(config: RunConfig) -> int:
     if config.trace_mode == "off":
         result = backbone_creation(inst, proto, engine=engine)
     else:
-        with open(trace_path, "w", encoding="utf-8", buffering=_TRACE_BUFFER) as fh:
-            result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
+        try:
+            with open(trace_path, "wb", buffering=_TRACE_BUFFER) as fh:
+                result = backbone_creation(inst, proto, FileSink(fh, config.trace_mode), engine)
+        except BaseException:
+            # a run that fails leaves no trace of the rounds before it failed
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(trace_path)
+            raise
 
     verdicts = run_all_checks(result, inst, graph)
     report = {

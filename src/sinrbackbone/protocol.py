@@ -22,19 +22,23 @@ its whole batch the first time a sink reads one (the CLI's trace file is
 written from them); a stretch of consecutive silent executions of one
 family and phase is one record. What an execution heard is its distinct
 (slot position, listener label) pairs, sorted; the phases apply their rules
-to them as array programs, and size every message from its label count: a
-message is built only when a sink asks for it, at most once per execution
-and message key (sender and carried slots).
+to them as array programs, and size every message from its label count.
+Each phase hands every execution a payload writer, which fills one JSON
+template per message kind from the arrays the phase holds: the payloads
+are rendered only when a sink asks, once per execution and message key
+(sender and carried slots), and a Message is only ever decoded from that
+text (Execution.message).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Protocol, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -84,6 +88,38 @@ class Message:
     kind: str
     payload: tuple
     size_bits: int
+
+
+# A payload writer renders the messages of some message keys, given each
+# key's sender and carried slot positions: it returns their transmitter
+# texts, {"kind": ..., "label": sender, "payload": [...]} as
+# json.dumps(..., sort_keys=True) writes it, and their sizes in bits.
+Writer = Callable[[Sequence[int], Sequence[tuple[int, ...]]], tuple[list[bytes], list[int]]]
+
+
+def _template(kind: str, payload: bytes) -> bytes:
+    """The transmitter text of a kind message as a %-template: the
+    sender's label, then payload's own fields."""
+    return b'{"kind": %s, "label": %%d, "payload": %s}' % (json.dumps(kind).encode(), payload)
+
+
+_ANNOUNCE = _template("leader-announce", b"[%d]")
+_INFORM = _template("neighbor-of-leader", b"[%d, %d]")
+_GRANT = _template("token-grant", b"[%d, %d]")
+_RETURN = _template("token-return", b"[%d%s]")  # the tokens, each after ", "
+_CLAIM = _template("helper-claim", b"[[%d, %d, %d]]")  # a key that carries one claim
+_CLAIMS = _template("helper-claim", b"[%s]")
+
+
+def _decoded(text: bytes, size: int) -> Message:
+    """The message whose transmitter text is text, of size bits."""
+    record = json.loads(text)
+    return Message(record["kind"], _tuples(record["payload"]), size)
+
+
+def _tuples(value):
+    """value with every JSON array in it turned into a tuple."""
+    return tuple(map(_tuples, value)) if type(value) is list else value
 
 
 def _bits(labels, n_labels: int):
@@ -157,12 +193,14 @@ class Execution:
     every other round of the family was silent. A transmission is a
     (row, station label) pair, where row indexes rounds; a delivery is a
     (row, sender label, receiver label) triple. Both are sorted.
-    message(t) is the message of the t-th transmission. Its message key
-    (message_keys[t]) is its sender and the slots it carries: every
-    transmission with one key sends one message, which message builds at
-    most once per execution. Executions that share a plan share their
-    arrays and keys, so a sink can format those once per plan (or per
-    batch) and only each key's message once per execution.
+    message(t) is the message of the t-th transmission, decoded from its
+    transmitter text. Its message key (message_keys[t]) is its sender and
+    the slots it carries: every transmission with one key sends one
+    message. message.texts() holds each key's transmitter text, which the
+    phase's writer renders at most once per execution (see _Payloads).
+    Executions that share a plan share their arrays and keys, so a sink
+    can format those once per plan (or per batch) and only the key texts
+    once per execution.
 
     The arrays and keys are read from the table of the plan's batch (see
     _Table), which the batch builds for all its schedules the first time a
@@ -177,7 +215,7 @@ class Execution:
     phase: str
     start: int  # global round of the family's first set
     size: int  # family size
-    message: Optional[Callable[[int], Message]]  # None when silent
+    message: Optional["_Payloads"]  # None when silent
     repeats: int = 1
     plan: Optional["_Plan"] = None  # None when silent
 
@@ -361,6 +399,38 @@ class _Plan(NamedTuple):
     index: int
 
 
+class _Payloads:
+    """The messages of one execution of plan, which write renders.
+
+    texts() holds each of the schedule's message keys' transmitter texts,
+    in key order (see _Table): write renders them and their sizes in one
+    call, the first time they are asked for. Called with t, it is the
+    message of the t-th transmission, decoded from its key's text."""
+
+    __slots__ = ("plan", "write", "_written")
+
+    def __init__(self, plan: _Plan, write: Writer) -> None:
+        self.plan = plan
+        self.write = write
+        self._written: Optional[tuple[list[bytes], list[int]]] = None
+
+    def _keys(self) -> tuple[list[bytes], list[int]]:
+        if self._written is None:
+            table, e = self.plan.batch.table, self.plan.index
+            k0, k1 = table.key_at[e], table.key_at[e + 1]
+            self._written = self.write(table.sender[k0:k1], table.carried[k0:k1])
+        return self._written
+
+    def texts(self) -> list[bytes]:
+        return self._keys()[0]
+
+    def __call__(self, t: int) -> Message:
+        texts, sizes = self._keys()
+        table, e = self.plan.batch.table, self.plan.index
+        k = table.key[table.tx_at[e] + t]
+        return _decoded(texts[k], sizes[k])
+
+
 class Sink(Protocol):
     """Receives every family execution of a run, in round order."""
 
@@ -501,23 +571,21 @@ class Simulator:
     def execute(
         self,
         family: SelectionFamily,
-        executions: Sequence[
-            tuple[Sequence[int], Sequence[int], str, Callable[[int, Sequence[int]], Message]]
-        ],
+        executions: Sequence[tuple[Sequence[int], Sequence[int], str, Writer]],
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Run consecutive full executions of one family as a single batch.
 
-        Each execution is (slots, owners, phase, message): integer
-        sequences or arrays, and two callables. slots[k] is a label of the
-        family's label space, sent by station owners[k]: a station
+        Each execution is (slots, owners, phase, write): integer sequences
+        or arrays, a phase name and a payload writer. slots[k] is a label
+        of the family's label space, sent by station owners[k]: a station
         transmits in every round whose set contains one of its slots, and
-        the transmission carries all of them. message(station, ks) is the
-        message of a transmission carrying the slots at positions ks
-        (ascending), a tuple shared by every execution of the schedule. It
-        is called only when a sink asks for it, at most once per execution
-        and (station, ks) key: execute builds no message. A phase sizes
-        each message it sends, from its label count, before the execution
-        that sends it is recorded.
+        the transmission carries all of them. Its message key is (station,
+        ks), ks the positions of the slots it carries (ascending), a tuple
+        shared by every execution of the schedule. write(stations, kss)
+        renders the messages of the execution's keys (see Writer) in one
+        call, only when a sink asks for them: execute renders no payload.
+        A phase sizes each message it sends, from its label count, before
+        the execution that sends it is recorded.
 
         Who transmits in which round, who hears whom and which slots each
         transmission carries follow from the family, the slots and the
@@ -554,7 +622,7 @@ class Simulator:
             plans.update(zip(misses, (_Plan(batch, e) for e in range(len(misses)))))
 
         size = family.size
-        for key, (_slots, _owners, phase, message) in zip(keys, executions):
+        for key, (_slots, _owners, phase, write) in zip(keys, executions):
             if key is None:
                 self.skip_execution(family, phase)
                 yield _NOT_HEARD
@@ -563,7 +631,7 @@ class Simulator:
             start = self.round
             self.round += size
 
-            self.sink.execution(Execution(phase, start, size, _sent(plan, message), 1, plan))
+            self.sink.execution(Execution(phase, start, size, _Payloads(plan, write), 1, plan))
             yield plan.batch.heard(plan.index)
 
     def _plan(self, family: SelectionFamily, schedules: Sequence[tuple]) -> _Batch:
@@ -740,8 +808,8 @@ def leader_election(sim: Simulator) -> None:
 
     announce_bits = _bits(1, n_labels)
 
-    def announce(u: int, _ks: Sequence[int]) -> Message:
-        return Message("leader-announce", (u,), announce_bits)
+    def announce(senders: Sequence[int], _carried) -> tuple[list[bytes], list[int]]:
+        return [_ANNOUNCE % (u, u) for u in senders], [announce_bits] * len(senders)
 
     adjacent = [_NOT_HEARD[1]]  # each heard announcement: listener * (N + 1) + leader
     while True:
@@ -803,8 +871,8 @@ def neighborhood_inform(sim: Simulator) -> None:
     iteration's table maps each leader of degree at least i to its i-th
     neighbor, in ascending leader order. So the Delta executions are
     adjudicated as one batch. Every message carries two labels and is sized
-    once, before the first execution; one is built only when a sink asks
-    for it, once per execution and sender.
+    once, before the first execution; its text is rendered from the tables
+    only when a sink asks for it, once per execution and sender.
 
     What the listeners learned is kept as one array, sim.learned: a row
     (listener, leader, member) for each (leader, member) pair of the tables
@@ -818,10 +886,12 @@ def neighborhood_inform(sim: Simulator) -> None:
     member_list = members.tolist()
     inform_bits = _bits(2, n_labels)
 
-    def inform(lo: int) -> Callable[[int, Sequence[int]], Message]:
-        return lambda u, ks: Message(
-            "neighbor-of-leader", (u, member_list[lo + ks[0]]), inform_bits
-        )
+    def inform(lo: int) -> Writer:
+        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
+            texts = [_INFORM % (u, u, member_list[lo + ks[0]]) for u, ks in zip(senders, carried)]
+            return texts, [inform_bits] * len(texts)
+
+        return write
 
     steps = sim.execute(
         sim.base_ssf(),
@@ -895,9 +965,16 @@ def two_hop_connection(sim: Simulator) -> None:
         _message_bits("helper-claim", 3 * int(widest), n_labels)
     claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
 
-    def helper_claim(_u: int, ks: Sequence[int]) -> Message:
-        payload = tuple(sorted(claims[k] for k in ks))
-        return Message("helper-claim", payload, _bits(3 * len(ks), n_labels))
+    def helper_claim(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
+        # pidxs ascend with (s, t) and a key's claims share their helper, so
+        # a key's positions, ascending, give its claims sorted
+        texts = [
+            _CLAIM % (u, *claims[ks[0]])
+            if len(ks) == 1
+            else _CLAIMS % (u, b", ".join([b"[%d, %d, %d]" % claims[k] for k in ks]))
+            for u, ks in zip(senders, carried)
+        ]
+        return texts, [_bits(3 * len(ks), n_labels) for ks in carried]
 
     ((pos, listener),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
@@ -913,7 +990,19 @@ def two_hop_connection(sim: Simulator) -> None:
 # Algorithm: token passing.
 
 
-def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarray, np.ndarray]:
+class Messages(Protocol):
+    """A payload writer (see Writer) of one message per sender: u in it
+    tells whether it holds u's, and it renders each key's from its sender
+    alone."""
+
+    def __contains__(self, u: object) -> bool: ...
+
+    def __call__(
+        self, senders: Sequence[int], carried: Sequence[tuple[int, ...]]
+    ) -> tuple[list[bytes], list[int]]: ...
+
+
+def token_passing(sim: Simulator, msgs: Messages) -> tuple[np.ndarray, np.ndarray]:
     """Leader-coordinated round robin: each leader passes a token to its
     i-th neighbor, who transmits its message and passes the token back.
 
@@ -921,12 +1010,12 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     token, silent, silent) against the non-leaders' two-execution loop.
     Returns every reception of the msg slots as (sender, listener) label
     arrays, by iteration, then sender, then listener: the listener received
-    msgs[sender]. A token grant that is not received by its addressee is a
-    hard simulation error.
+    the sender's message in msgs. A token grant that is not received by its
+    addressee is a hard simulation error.
 
     Every token holder sends, so msgs must hold a message for every holder
-    (checked up front): three_hop_connection passes one per non-leader. A
-    message is looked up only when a sink asks for it.
+    (checked up front): three_hop_connection passes one per non-leader.
+    msgs renders the msg executions' payloads, only when a sink asks.
 
     The sweep is fixed before its first round. Iteration i's grants map
     each leader of degree at least i to its i-th neighbor, and its tokens
@@ -934,8 +1023,8 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     leader order. Since a lost grant fails the run, the sorted holders
     send their messages and return their tokens, so an iteration's msg and
     return executions share one plan. The 4*Delta executions are
-    adjudicated as one batch. A grant or return is built only when a sink
-    asks for it, once per execution and sender, and sized from its label
+    adjudicated as one batch. A grant or return is rendered only when a
+    sink asks for it, once per execution and sender, and sized from its label
     count before its execution is recorded. Each grant execution is checked
     by one array comparison of the targets with what was heard, as the
     sweep must stop there if a grant was lost. The token records and the
@@ -966,19 +1055,23 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
     target_list, token_at_list = targets.tolist(), token_at.tolist()
     tokens = leaders[by_holder].tolist()
 
-    def send(u: int, _ks: Sequence[int]) -> Message:
-        return msgs[u]
+    def grant(lo: int) -> Writer:
+        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
+            texts = [_GRANT % (u, u, target_list[lo + ks[0]]) for u, ks in zip(senders, carried)]
+            return texts, [grant_bits] * len(texts)
 
-    def grant(lo: int) -> Callable[[int, Sequence[int]], Message]:
-        return lambda u, ks: Message("token-grant", (u, target_list[lo + ks[0]]), grant_bits)
+        return write
 
-    def give_back(lo: int) -> Callable[[int, Sequence[int]], Message]:
-        def build(u: int, ks: Sequence[int]) -> Message:
-            h = lo + ks[0]
-            mine = tokens[token_at_list[h] : token_at_list[h + 1]]
-            return Message("token-return", (u, *mine), return_bits[h])
+    def give_back(lo: int) -> Writer:
+        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
+            hs = [lo + ks[0] for ks in carried]
+            texts = []
+            for u, h in zip(senders, hs):
+                mine = tokens[token_at_list[h] : token_at_list[h + 1]]
+                texts.append(_RETURN % (u, u, b", %d" * len(mine) % tuple(mine)))
+            return texts, [return_bits[h] for h in hs]
 
-        return build
+        return write
 
     specs = []
     for i in range(delta):
@@ -986,9 +1079,9 @@ def token_passing(sim: Simulator, msgs: Mapping[int, Message]) -> tuple[np.ndarr
         granting = leaders[at[i] : at[i + 1]]
         holding = holders[holder_at[i] : holder_at[i + 1]]
         specs += [
-            ([], [], phase + "idle", send),
+            ([], [], phase + "idle", msgs),
             (granting, granting, phase + "grant", grant(at[i])),
-            (holding, holding, phase + "msg", send),
+            (holding, holding, phase + "msg", msgs),
             (holding, holding, phase + "return", give_back(holder_at[i])),
         ]
     steps = sim.execute(sim.base_ssf(), specs)
@@ -1050,24 +1143,6 @@ def _append_token_records(
     return np.array(holders, dtype=np.int64)[holder], listeners
 
 
-def _sent(plan: _Plan, build: Callable[[int, Sequence[int]], Message]) -> Callable[[int], Message]:
-    """message(t) of one execution of plan: the message of its t-th
-    transmission, build(sender, ks) of the transmission's key, read from
-    the batch's table (see _Table), called at most once per key."""
-    built: dict[int, Message] = {}
-    batch, e = plan.batch, plan.index
-
-    def message(t: int) -> Message:
-        table = batch.table
-        j = table.key_at[e] + table.key[table.tx_at[e] + t]
-        m = built.get(j)
-        if m is None:
-            m = built[j] = build(table.sender[j], table.carried[j])
-        return m
-
-    return message
-
-
 def _first_oversize(sizes: np.ndarray, n_labels: int) -> Optional[int]:
     """The index of the first message, in order, whose size (see _bits) is
     over the budget (see _budget); None if none is."""
@@ -1075,12 +1150,12 @@ def _first_oversize(sizes: np.ndarray, n_labels: int) -> Optional[int]:
     return int(over[0]) if len(over) else None
 
 
-class _Messages(Mapping[int, Message]):
-    """The kind message of each of senders (ascending labels): sender j's
-    payload is its label, then its entries, rows at[j] : at[j + 1] of
-    columns, each a label (one column) or a tuple of labels. All are sized
-    at once, in sender order, when the map is made; each is built only
-    when it is first looked up."""
+class _Messages:
+    """The kind message of each of senders (ascending labels), as a payload
+    writer (see Messages): sender j's payload is its label, then its
+    entries, rows at[j] : at[j + 1] of columns, each a label (one column)
+    or a list of labels. All are sized at once, in sender order, when the
+    writer is made; each text is filled from the columns when written."""
 
     def __init__(
         self,
@@ -1095,32 +1170,28 @@ class _Messages(Mapping[int, Message]):
         first = _first_oversize(sizes, n_labels)
         if first is not None:
             _message_bits(kind, 1 + len(columns) * int(counts[first]), n_labels)
-        self.kind = kind
+        width = len(columns)
+        self._template = _template(kind, b"[%d%s]")  # the sender, then its entries
+        self._entry = b", %d" if width == 1 else b", [%s]" % b", ".join([b"%d"] * width)
         self._sizes = sizes.tolist()
-        self._senders = senders.tolist()
-        self._index = dict(zip(self._senders, range(len(self._senders))))
+        self._index = dict(zip(senders.tolist(), range(len(senders))))
         self._at = at.tolist()
-        self._columns = [c.tolist() for c in columns]
-        self._built: dict[int, Message] = {}
-
-    def __getitem__(self, u: int) -> Message:
-        m = self._built.get(u)
-        if m is None:
-            j = self._index[u]
-            lo, hi = self._at[j], self._at[j + 1]
-            cols = [c[lo:hi] for c in self._columns]
-            entries = cols[0] if len(cols) == 1 else zip(*cols)
-            m = self._built[u] = Message(self.kind, (u, *entries), self._sizes[j])
-        return m
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._senders)
-
-    def __len__(self) -> int:
-        return len(self._senders)
+        self._width = width
+        self._labels = np.column_stack(columns).ravel().tolist()  # each entry's, in order
 
     def __contains__(self, u: object) -> bool:
         return u in self._index
+
+    def __call__(self, senders: Sequence[int], _carried) -> tuple[list[bytes], list[int]]:
+        js = list(map(self._index.__getitem__, senders))
+        template, entry, at, w, labels = (
+            self._template, self._entry, self._at, self._width, self._labels
+        )
+        texts = []
+        for u, j in zip(senders, js):
+            lo, hi = at[j], at[j + 1]
+            texts.append(template % (u, u, entry * (hi - lo) % tuple(labels[lo * w : hi * w])))
+        return texts, list(map(self._sizes.__getitem__, js))
 
 
 def _heard_entries(
@@ -1148,8 +1219,8 @@ def three_hop_connection(sim: Simulator) -> None:
     from the messages it heard (and a leader from its own two-hop helpers),
     never from another node's state. The hop3-report and hop3-choice
     payloads are kept as arrays too: each phase sizes all its messages at
-    once from their label counts, and a message is built only when a sink
-    asks for it. Each leader keeps its choices in sim.three_hop and
+    once from their label counts, and a payload's text is rendered from
+    them only when a sink asks for it. Each leader keeps its choices in sim.three_hop and
     announces them through one ssf execution, and every x named to the
     leader it heard becomes a helper.
     """
@@ -1201,8 +1272,7 @@ def three_hop_connection(sim: Simulator) -> None:
 
     choices = _Messages("hop3-choice", leaders, at, [xs, ys, bs], n_labels)
     ((pos, listener),) = sim.execute(
-        sim.base_ssf(),
-        [(leaders, leaders, "three-hop-connection/announce", lambda u, _ks: choices[u])],
+        sim.base_ssf(), [(leaders, leaders, "three-hop-connection/announce", choices)]
     )
     # every x a leader named becomes a helper when it hears that leader
     named = np.arange(len(leaders)).repeat(at[1:] - at[:-1]) * n1 + xs

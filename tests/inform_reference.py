@@ -14,7 +14,7 @@ from itertools import combinations
 from sinrbackbone.protocol import HELPER, LEADER
 from sinrbackbone.selection import pair_index
 
-from oracles import msg, store, views
+from oracles import Sent, msg, store, views, writer
 
 
 def reference_neighborhood_inform(sim):
@@ -30,7 +30,7 @@ def reference_neighborhood_inform(sim):
     steps = sim.execute(
         sim.base_ssf(),
         [
-            (list(table), list(table), f"neighborhood-inform/i={i}", lambda u, _ks, m=msgs: m[u])
+            (list(table), list(table), f"neighborhood-inform/i={i}", Sent(msgs))
             for i, (table, msgs) in enumerate(zip(tables, sent), 1)
         ],
     )
@@ -80,7 +80,7 @@ def reference_two_hop_connection(sim):
         return msg(sim, "helper-claim", tuple(sorted(claims[pidxs[k]] for k in ks)))
 
     ((pos, listeners),) = sim.execute(
-        fam_pair, [(pidxs, helpers, "two-hop-connection", helper_claim)]
+        fam_pair, [(pidxs, helpers, "two-hop-connection", writer(helper_claim))]
     )
     for h in helpers:
         if node[h].status != HELPER:

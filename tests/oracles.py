@@ -19,7 +19,12 @@ every placed point.
 
 ssf_broadcast() runs family executions with a fixed sender -> message map
 each, through Simulator.execute: the leader and token references send that
-way, with messages built up front by msg().
+way, with messages built up front by msg(). Simulator.execute takes payload
+writers, not messages: writer() makes one of a per-key Message builder,
+and Sent is a sender -> Message dict that is also a writer, as
+token_passing takes its msgs. Both render each message with json.dumps,
+so the texts the package's templates fill are held to the json module's.
+sent_messages() decodes what a writer renders for some senders.
 
 make_message() is the label-count reference for message sizes: it sizes a
 message by counting the labels of its payload, nested tuples included,
@@ -31,10 +36,11 @@ node-local rules to views(sim), built from the Simulator's state arrays,
 and write them back with store(sim, views).
 """
 
+import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -260,6 +266,41 @@ def msg(sim: Simulator, kind: str, payload: tuple) -> Message:
     return make_message(kind, payload, sim.inst.n_labels)
 
 
+def written(senders: Sequence[int], messages: Sequence[Message]) -> tuple[list[bytes], list[int]]:
+    """The transmitter texts and sizes of messages, sent by senders: what a
+    payload writer returns (see protocol.Writer)."""
+    texts = [
+        json.dumps({"kind": m.kind, "label": u, "payload": m.payload}, sort_keys=True).encode()
+        for u, m in zip(senders, messages)
+    ]
+    return texts, [m.size_bits for m in messages]
+
+
+def writer(build: Callable[[int, tuple[int, ...]], Message]) -> protocol.Writer:
+    """The payload writer of build(sender, carried positions), a Message
+    builder called once per key it is asked for."""
+
+    def write(senders, carried):
+        return written(senders, [build(u, ks) for u, ks in zip(senders, carried)])
+
+    return write
+
+
+class Sent(dict):
+    """A sender -> Message map that is a payload writer too: each key's
+    message is its sender's (see protocol.Messages)."""
+
+    def __call__(self, senders, _carried):
+        return written(senders, [self[u] for u in senders])
+
+
+def sent_messages(write: protocol.Writer, senders: Sequence[int]) -> dict[int, Message]:
+    """The message that write renders for each of senders, decoded from
+    its text, for a writer that reads only the sender (protocol.Messages)."""
+    texts, sizes = write(list(senders), [(0,)] * len(senders))
+    return dict(zip(senders, map(protocol._decoded, texts, sizes)))
+
+
 def ssf_broadcast(
     sim: Simulator,
     family: SelectionFamily,
@@ -276,7 +317,7 @@ def ssf_broadcast(
     steps = sim.execute(
         family,
         [
-            (ls, ls, phase, lambda u, _ks, senders=senders: senders[u])
+            (ls, ls, phase, Sent(senders))
             for ls, (senders, phase) in zip(labs, executions)
         ],
     )

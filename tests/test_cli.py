@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sinrbackbone import cli, verify
+from sinrbackbone import cli, protocol, verify
 from sinrbackbone.cli import (
     DEFAULT_PARAMS,
     FileSink,
@@ -47,7 +47,7 @@ from sinrbackbone.protocol import (
 from sinrbackbone.selection import pair_index
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
-from oracles import generate_by_full_scan, msg
+from oracles import Sent, generate_by_full_scan, msg
 from trace_reference import RoundWriter
 
 
@@ -445,6 +445,8 @@ REFERENCE_RUNS = {
     "n256": (GOLDEN["n256"][0], 5),
     "n24": (GOLDEN["n24"][0], 7),
     "n40-N1024": (GeneratorSpec(n=40, arena_side=4.0, seed=1, n_labels=1024), 11),
+    # labels of three to five digits, and every family reads Horner
+    "n40-N16384": (GeneratorSpec(n=40, arena_side=4.0, seed=1, n_labels=16384), 11),
     # the benchmark's cli-trace profile: n=40, maximum degree 12, N=64
     "cli-trace": (GeneratorSpec(n=40, arena_side=4.0, seed=4), 12),
 }
@@ -462,7 +464,9 @@ def _lost_grant_executions(monkeypatch) -> list:
         return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
-    msgs = {u: msg(sim, "hop3-report", (u,)) for u, s in sim.statuses().items() if s != LEADER}
+    msgs = Sent(
+        {u: msg(sim, "hop3-report", (u,)) for u, s in sim.statuses().items() if s != LEADER}
+    )
     with pytest.raises(TokenDeliveryError):
         token_passing(sim, msgs)
     assert sim.sink.executions[-1].phase == "token-passing/run=0/i=1/grant"
@@ -483,20 +487,20 @@ def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
 
 def _assert_file_sink_writes_the_reference_bytes(executions) -> dict:
     """FileSink writes the executions as RoundWriter does, in both modes;
-    returns what it wrote, by mode. Every payload holds only ints and
-    tuples, the values whose JSON FileSink writes without json.dumps."""
+    returns what it wrote, by mode, as text. Every payload decodes to ints
+    and tuples only, the values RoundWriter's json.dumps is given."""
     for ex in executions:
         if ex.message is not None:
             for t in range(len(ex.transmissions)):
                 _assert_ints_and_tuples(ex.message(t).payload)
     out = {}
     for mode in ("full", "compact"):
-        written, expected = io.StringIO(), io.StringIO()
+        written, expected = io.BytesIO(), io.StringIO()
         for sink in (FileSink(written, mode), RoundWriter(expected, mode)):
             for ex in executions:
                 sink.execution(ex)
-        assert written.getvalue() == expected.getvalue(), mode
-        out[mode] = written.getvalue()
+        assert written.getvalue() == expected.getvalue().encode(), mode
+        out[mode] = expected.getvalue()
     return out
 
 
@@ -536,7 +540,7 @@ class _LineCounter:
     lines = 0
 
     def write(self, text):
-        self.lines += text.count("\n")
+        self.lines += text.count(b"\n")
 
 
 def _skip_peak(mode: str, *args) -> tuple[int, int]:
@@ -566,20 +570,27 @@ def test_a_long_compact_silent_record_is_written_in_bounded_chunks():
     assert peak < 1 << 20
 
 
-_PAYLOADS = st.lists(
-    st.recursive(st.integers(), lambda inner: st.lists(inner, max_size=4).map(tuple)),
-    max_size=6,
-).map(tuple)
+# a label of each digit count from 1 to 10, and the labels around each
+# power of ten, where the digit count changes
+_POWERS_OF_TEN = [10**k for k in range(10)]
+_LABELS = st.one_of(
+    st.integers(0, 9).flatmap(lambda d: st.integers(10**d, min(10 ** (d + 1) - 1, MAX_LABELS))),
+    st.sampled_from([x for p in _POWERS_OF_TEN for x in (p - 1, p) if x] + [MAX_LABELS]),
+)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_PAYLOADS)
-@example(())
-@example((5,))
-@example(((5,),))
-@example(((), (-7, ((2**40,),)), 0))
-def test_payload_text_is_the_json_dumps_text(payload):
-    assert cli._payload_text(payload) == json.dumps(payload)
+@given(st.lists(st.lists(st.tuples(_LABELS, _LABELS), max_size=5), max_size=6))
+@example([])
+@example([[]])
+@example([[], [(1, 2)], []])
+@example([[(p, p - 1 or 1)] for p in _POWERS_OF_TEN] + [[(MAX_LABELS, p) for p in _POWERS_OF_TEN]])
+def test_delivery_text_is_the_json_dumps_text(groups):
+    # FileSink writes each row's deliveries from one %-format over the
+    # batch's pairs, sliced at offsets summed from their digit widths
+    pairs = np.array([p for g in groups for p in g], np.int32).reshape(-1, 2)
+    at = [0, *np.cumsum([len(g) for g in groups]).tolist()]
+    assert cli._pairs_text(pairs, at) == [json.dumps(g).encode() for g in groups]
 
 
 def test_cli_trace_reference_run_has_executions_that_share_a_plan():
@@ -604,38 +615,63 @@ def _carried_keys(family, slots, owners) -> set:
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
 def test_each_message_key_is_built_once_per_execution(name, monkeypatch):
-    # every builder a phase hands to Simulator.execute is wrapped to count
-    # its calls by (sender, carried slot positions); two sinks then read
-    # every message of every execution
-    builders = []
+    # every payload writer a phase hands to Simulator.execute is wrapped to
+    # count the (sender, carried slot positions) keys it is asked to
+    # format; two sinks then read every message of every execution
+    writers = []
     execute = Simulator.execute
 
-    def counted(build, calls):
-        def message(u, ks):
-            calls[(u, tuple(ks))] += 1
-            return build(u, ks)
+    def counted(write, calls):
+        def counting_write(senders, carried):
+            calls.update(zip(senders, map(tuple, carried)))
+            texts, sizes = write(senders, carried)
+            assert len(texts) == len(sizes) == len(senders)
+            return texts, sizes
 
-        return message
+        return counting_write
 
     def counting(self, family, executions):
         specs = []
-        for slots, owners, phase, build in executions:
+        for slots, owners, phase, write in executions:
             calls = Counter()
-            builders.append((family, slots, owners, calls))
-            specs.append((slots, owners, phase, counted(build, calls)))
+            writers.append((family, slots, owners, calls))
+            specs.append((slots, owners, phase, counted(write, calls)))
         return execute(self, family, specs)
 
     monkeypatch.setattr(Simulator, "execute", counting)
     executions = backbone_creation(generate(REFERENCE_RUNS[name][0])).traces.executions
-    for sink in (FileSink(io.StringIO(), "full"), RoundWriter(io.StringIO(), "full")):
+    for sink in (FileSink(io.BytesIO(), "full"), RoundWriter(io.StringIO(), "full")):
         for ex in executions:
             sink.execution(ex)
-    # a speculated leader-election row that was dropped builds nothing
-    built = [b for b in builders if b[3]]
-    assert len(built) == sum(ex.message is not None for ex in executions)
-    for family, slots, owners, calls in built:
+    # a speculated leader-election row that was dropped formats nothing
+    written = [w for w in writers if w[3]]
+    assert len(written) == sum(ex.message is not None for ex in executions)
+    for family, slots, owners, calls in written:
         assert set(calls.values()) == {1}
         assert set(calls) == _carried_keys(family, slots, owners)
+
+
+@pytest.mark.parametrize("name", REFERENCE_RUNS)
+def test_file_sink_builds_no_message(name, monkeypatch):
+    # the trace is written from the writers' texts alone: with Message
+    # made to raise, a run and its FileSink still write the reference bytes
+    inst = generate(REFERENCE_RUNS[name][0])
+    expected = {}
+    for mode in ("full", "compact"):
+        fh = io.StringIO()
+        sink = RoundWriter(fh, mode)
+        for ex in backbone_creation(inst).traces.executions:
+            sink.execution(ex)
+        expected[mode] = fh.getvalue().encode()
+
+    def no_message(*args):
+        raise AssertionError("a Message was built")
+
+    monkeypatch.setattr(protocol, "Message", no_message)
+    for mode in ("full", "compact"):
+        fh = io.BytesIO()
+        backbone_creation(inst, sink=FileSink(fh, mode))
+        assert fh.getvalue() == expected[mode], mode
 
 
 def test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there():
@@ -696,9 +732,9 @@ def test_every_trace_write_happens_inside_emit_or_skip(tmp_path, monkeypatch, mo
             buffers.append(kwargs.get("buffering"))
             write = fh.write
 
-            def checked_write(text):
-                (written if inside else outside).append(text)
-                return write(text)
+            def checked_write(data):
+                (written if inside else outside).append(bytes(data))
+                return write(data)
 
             fh.write = checked_write
         return fh
@@ -708,7 +744,7 @@ def test_every_trace_write_happens_inside_emit_or_skip(tmp_path, monkeypatch, mo
     assert main(["run", "--n", "12", "--side", "2.6", "--trace-mode", mode, "--out-dir", str(out)]) == 0
     assert calls["emit"] > 0 and calls["skip"] > 0
     assert outside == []
-    assert "".join(written) == (out / "trace.jsonl").read_text()
+    assert b"".join(written) == (out / "trace.jsonl").read_bytes()
     # the file is opened once, with the trace write buffer
     assert buffers == [cli._TRACE_BUFFER]
 
@@ -751,6 +787,30 @@ def test_failed_run_leaves_no_earlier_outputs(tmp_path, capsys):
     assert not (tmp_path / "d" / "report.json").exists()
     assert not (tmp_path / "d" / "trace.jsonl").exists()
     assert (tmp_path / "d" / "instance.json").exists()  # the first run's instance
+
+
+@pytest.mark.parametrize("mode", ["full", "compact"])
+def test_a_run_that_fails_mid_protocol_leaves_no_trace(tmp_path, capsys, monkeypatch, mode):
+    # nothing is heard in the first token-passing sweep, so its first grant
+    # is lost after leader election and two-hop connection have written
+    # their rounds: the run writes no report and removes its trace
+    sweep = protocol.token_passing
+
+    def deaf_sweep(sim, msgs):
+        execute = sim.execute
+
+        def deaf(family, executions):
+            for pos, heard in execute(family, executions):
+                yield pos[:0], heard[:0]
+
+        sim.execute = deaf
+        return sweep(sim, msgs)
+
+    monkeypatch.setattr(protocol, "token_passing", deaf_sweep)
+    argv = ["run", "--n", "16", "--side", "2.8", "--seed", "5", "--trace-mode", mode]
+    assert main([*argv, "--out-dir", str(tmp_path / "d")]) == 2
+    assert _error_code(capsys) == "token-delivery"
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["instance.json"]
 
 
 def test_module_entry_point_writes_the_golden_outputs(tmp_path):

@@ -48,7 +48,16 @@ from dense_engine import dense_adjudicate
 from family_schedule import PHASES, leader_buckets, scheduled_phase_rounds
 from inform_reference import reference_two_hop_connection
 from leader_reference import reference_leader_election
-from oracles import NodeView, make_message, msg, ssf_broadcast, views
+from oracles import (
+    NodeView,
+    Sent,
+    make_message,
+    msg,
+    sent_messages,
+    ssf_broadcast,
+    views,
+    writer,
+)
 from test_cli import REFERENCE_RUNS
 from token_reference import reference_three_hop_connection, reference_token_passing
 from trace_reference import each_execution, message_keys, records, replay
@@ -764,10 +773,12 @@ def test_token_passing_delivers_messages_to_all_neighbors():
     inst = make_instance(stations, P, 16)
     sim = Simulator(inst)
     force_leaders(sim, {7})
-    msgs = {
-        lab: msg(sim, "hop3-report", (lab,) + tuple(sorted(views(sim)[lab].adjacent_leaders)))
-        for lab in (2, 4)
-    }
+    msgs = Sent(
+        {
+            lab: msg(sim, "hop3-report", (lab,) + tuple(sorted(views(sim)[lab].adjacent_leaders)))
+            for lab in (2, 4)
+        }
+    )
     heard = token_passing(sim, msgs)
     # the leader neighbors everyone, so it hears both messages
     senders_heard_by_7 = {s for s, listener in zip(*heard) if listener == 7}
@@ -783,7 +794,7 @@ def test_token_passing_two_tokens_one_iteration():
     sim = Simulator(inst)
     force_leaders(sim, {5, 9})
     sink = sim.sink
-    msgs = {3: msg(sim, "hop3-report", (3, 5, 9))}
+    msgs = Sent({3: msg(sim, "hop3-report", (3, 5, 9))})
     token_passing(sim, msgs)
     rec = sim.token_records[0]
     assert rec.holders == (3,)
@@ -804,7 +815,7 @@ def test_token_passing_needs_a_message_for_every_holder():
     force_leaders(sim, {5, 9})
     recorded = len(sim.sink.executions)
     with pytest.raises(ValueError, match=r"token holders without a message: \[3\]"):
-        token_passing(sim, {9: msg(sim, "hop3-report", (9,))})
+        token_passing(sim, Sent({9: msg(sim, "hop3-report", (9,))}))
     assert len(sim.sink.executions) == recorded
 
 
@@ -815,7 +826,7 @@ def test_a_grant_lost_in_a_later_iteration_keeps_the_earlier_records(monkeypatch
     sim = Simulator(inst)
     force_leaders(sim, {7})
     _drop_delivery(sim, monkeypatch, "token-passing/run=0/i=2/grant", 7, 4)
-    msgs = {u: msg(sim, "hop3-report", (u, 7)) for u in (2, 4)}
+    msgs = Sent({u: msg(sim, "hop3-report", (u, 7)) for u in (2, 4)})
     with pytest.raises(TokenDeliveryError, match="token from leader 7 to 4 lost in run 0, i=2"):
         token_passing(sim, msgs)
     assert sim.token_records == [TokenRecord(0, 1, (2,), ((2, (7,)),))]
@@ -833,7 +844,9 @@ def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
         return dl_tx[:0], dl_rx[:0]
 
     monkeypatch.setattr(sim.engine, "adjudicate", deaf)
-    msgs = {u: msg(sim, "hop3-report", (u,)) for u, v in views(sim).items() if v.status != LEADER}
+    msgs = Sent(
+        {u: msg(sim, "hop3-report", (u,)) for u, v in views(sim).items() if v.status != LEADER}
+    )
     first = min(lab for lab, v in views(sim).items() if v.status == LEADER)
     target = views(sim)[first].neighbors[0]
     recorded = len(sim.sink.executions)
@@ -869,7 +882,7 @@ def test_oversized_token_return_fails_before_the_return_execution(monkeypatch):
     monkeypatch.setattr(protocol, "C_MSG", 5)
     sim = Simulator(inst)
     force_leaders(sim, {5, 9})
-    msgs = {3: make_message("hop3-report", (3,), 16)}
+    msgs = Sent({3: make_message("hop3-report", (3,), 16)})
     with pytest.raises(MessageSizeError):
         token_passing(sim, msgs)
     assert [ex.phase for ex in sim.sink.executions] == [
@@ -889,7 +902,7 @@ def test_oversized_return_of_a_later_transmitter_fails_before_the_return_executi
     # (9, 10, 11) after it: 18 and 23 bits against a 20-bit budget
     stations = [(10, -0.8, 0), (9, 0, 0), (11, 0.8, 0), (15, 1.7, 0), (12, 2.6, 0), (3, 3.4, 0)]
     inst = make_instance(stations, P, 16)
-    msgs = {u: make_message("hop3-report", (u,), 16) for u in (3, 9, 15)}
+    msgs = Sent({u: make_message("hop3-report", (u,), 16) for u in (3, 9, 15)})
     fits = Simulator(inst)
     force_leaders(fits, {10, 11, 12})
     token_passing(fits, msgs)
@@ -1144,7 +1157,7 @@ def test_plans_are_keyed_by_owners_and_family_code():
     assert (ssf.q, ssf.K, ssf.P) != (pair.q, pair.K, pair.P)
 
     def spec(owners, phase):
-        return ([1, 2], owners, phase, lambda u, ks: msg(sim, "slot", (u, *ks)))
+        return ([1, 2], owners, phase, writer(lambda u, ks: msg(sim, "slot", (u, *ks))))
 
     calls = [
         (ssf, [spec([1, 2], "a"), spec([3, 4], "b")]),  # one call, other owners
@@ -1177,9 +1190,10 @@ def _three_hop_by_both(inst, mp):
 
     def package_heard(sim, msgs):
         senders, listeners = package_sweep(sim, msgs)
+        sent = sent_messages(msgs, sorted(set(senders.tolist())))
         per_listener = {}
         for s, x in zip(senders.tolist(), listeners.tolist()):
-            per_listener.setdefault(x, []).append((s, msgs[s]))
+            per_listener.setdefault(x, []).append((s, sent[s]))
         heard[0].append(per_listener)
         return senders, listeners
 

@@ -12,7 +12,7 @@ token records, helpers and statuses.
 from sinrbackbone.errors import TokenDeliveryError
 from sinrbackbone.protocol import HELPER, LEADER, TokenRecord
 
-from oracles import msg, ssf_broadcast, store, views
+from oracles import msg, ssf_broadcast, store, views, writer
 
 
 def reference_token_passing(sim, msgs):
@@ -36,7 +36,7 @@ def reference_token_passing(sim, msgs):
     for i, *senders in sweep:
         for kind, labs in zip(("idle", "grant", "msg", "return"), ([], *senders)):
             phase = f"token-passing/run={run_id}/i={i}/{kind}"
-            specs.append((labs, labs, phase, lambda u, _ks, e=len(specs): sent[e][u]))
+            specs.append((labs, labs, phase, writer(lambda u, _ks, e=len(specs): sent[e][u])))
     steps = sim.execute(fam, specs)
 
     def advance(messages):
