@@ -146,8 +146,8 @@ MUTANTS = (
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
-    # emit splices its records in at offsets of the line width of its
-    # first round's digit count, also past a power of ten
+    # a sparse chunk's records are spliced in at offsets of the line width
+    # of the first round's digit count, also past a power of ten
     Mutant(
         "full-trace-splice-offset-of-the-first-digit-count",
         "sinrbackbone/cli.py",
@@ -155,7 +155,8 @@ MUTANTS = (
         "off = (r - s) * (len(head) + len(str(start)) + len(tail))",
         (
             "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[1]",
-            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[7]",
+            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[2]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n64]",
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
@@ -169,6 +170,19 @@ MUTANTS = (
         (
             "tests/test_cli.py::test_delivery_text_is_the_json_dumps_text",
             "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[cli-trace]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
+    ),
+    # a chunk formatted in bulk places its rows by their offset from the
+    # execution's first round, not the chunk's
+    Mutant(
+        "bulk-chunk-rows-placed-from-the-execution-start",
+        "sinrbackbone/cli.py",
+        "chunk_heads[r - s], chunk_texts[r - s] = head, text",
+        "chunk_heads[r - start], chunk_texts[r - start] = head, text",
+        (
+            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[4]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n40-N1024]",
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),

@@ -519,18 +519,24 @@ def cli_trace_executions() -> list:
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_file_sink_writes_the_reference_bytes_across_a_power_of_ten(cli_trace_executions, k):
-    # full mode writes the rounds of one digit count per chunk and splices
-    # records in at offsets of its line width; the reference runs never
-    # reach 10**6. Both records start 3 rounds before 10**k: a silent one
-    # of 30 executions, which also crosses multiples of 1000 past 10**k,
-    # and the run's non-silent execution with the most non-silent rounds
-    ex = max(
-        (e for e in cli_trace_executions if e.message is not None), key=lambda e: len(e.rounds)
-    )
-    assert ex.rounds[-1] > 3  # it has records past 10**k
+    # full mode writes the rounds of one digit count per chunk, and either
+    # formats every round of a chunk in bulk or splices records in at
+    # offsets of its line width; the reference runs never reach 10**6. All
+    # three records start 3 rounds before 10**k: a silent one of 30
+    # executions, which also crosses multiples of 1000 past 10**k, the
+    # run's non-silent execution with the most non-silent rounds (chunks
+    # formatted in bulk) and the one with the fewest per round (spliced)
+    sent = [e for e in cli_trace_executions if e.message is not None]
+    dense = max(sent, key=lambda e: len(e.rounds))
+    sparse = min(sent, key=lambda e: len(e.rounds) / e.size)
+    assert dense.rounds[-1] > 3 and sparse.rounds[-1] > 3  # with records past 10**k
     start = 10**k - 3
     _assert_file_sink_writes_the_reference_bytes(
-        [Execution.silent(ex.phase, start, 44, 30), dataclasses.replace(ex, start=start)]
+        [
+            Execution.silent(dense.phase, start, 44, 30),
+            dataclasses.replace(dense, start=start),
+            dataclasses.replace(sparse, start=start),
+        ]
     )
 
 
