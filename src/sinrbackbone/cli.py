@@ -11,6 +11,7 @@ import random
 import sys
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, fields
+from json.encoder import encode_basestring_ascii
 from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
@@ -207,8 +208,8 @@ class FileSink:
 
     def _phase(self, phase: str) -> bytes:
         text = self._phases.get(phase)
-        if text is None:
-            text = self._phases[phase] = json.dumps(phase).encode()
+        if text is None:  # json.dumps(phase), without its argument checks
+            text = self._phases[phase] = encode_basestring_ascii(phase).encode()
         return text
 
     def emit(self, ex: Execution) -> None:

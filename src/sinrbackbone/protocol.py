@@ -1178,6 +1178,7 @@ class _Messages:
         self._at = at.tolist()
         self._width = width
         self._labels = np.column_stack(columns).ravel().tolist()  # each entry's, in order
+        self._texts: dict[int, bytes] = {}  # each sender's text, once written
 
     def __contains__(self, u: object) -> bool:
         return u in self._index
@@ -1189,8 +1190,12 @@ class _Messages:
         )
         texts = []
         for u, j in zip(senders, js):
-            lo, hi = at[j], at[j + 1]
-            texts.append(template % (u, u, entry * (hi - lo) % tuple(labels[lo * w : hi * w])))
+            text = self._texts.get(u)
+            if text is None:  # a sender sends its one message in every execution it is in
+                lo, hi = at[j], at[j + 1]
+                entries = entry * (hi - lo) % tuple(labels[lo * w : hi * w])
+                text = self._texts[u] = template % (u, u, entries)
+            texts.append(text)
         return texts, list(map(self._sizes.__getitem__, js))
 
 
