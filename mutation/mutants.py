@@ -58,18 +58,48 @@ MUTANTS = (
         "sent-messages-keyed-by-sender",
         "sinrbackbone/protocol.py",
         """\
-            self._written = self.write(table.sender[k0:k1], table.carried[k0:k1])
+            self._texts = self.write(table.sender[k0:k1], table.carried[k0:k1])
 """,
         """\
             first = {}
             for u, ks in zip(table.sender[k0:k1], table.carried[k0:k1]):
                 first.setdefault(u, ks)
-            self._written = self.write(table.sender[k0:k1], [first[u] for u in table.sender[k0:k1]])
+            self._texts = self.write(table.sender[k0:k1], [first[u] for u in table.sender[k0:k1]])
 """,
         (
             "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",
             "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[n40-N1024]",
             "tests/test_cli.py::test_each_message_key_is_built_once_per_execution[cli-trace]",
+            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
+        ),
+    ),
+    # rendered texts are kept on the shared batch, one list per schedule,
+    # instead of on the execution: every later execution of a schedule
+    # writes the first one's texts (the second token-passing sweep the
+    # first sweep's hop3-report texts, a return its iteration's msg texts)
+    Mutant(
+        "payload-texts-cached-per-plan",
+        "sinrbackbone/protocol.py",
+        """\
+        if self._texts is None:
+            table, e = self.batch.table, self.index
+            k0, k1 = table.key_at[e], table.key_at[e + 1]
+            self._texts = self.write(table.sender[k0:k1], table.carried[k0:k1])
+        return self._texts
+""",
+        """\
+        texts = vars(self.batch).setdefault("texts", {})  # one list per schedule
+        if self.index not in texts:
+            table, e = self.batch.table, self.index
+            k0, k1 = table.key_at[e], table.key_at[e + 1]
+            texts[e] = self.write(table.sender[k0:k1], table.carried[k0:k1])
+        return texts[self.index]
+""",
+        (
+            "tests/test_cli.py::test_run_outputs_match_golden_digests[full-n64]",
+            "tests/test_protocol.py::test_executions_that_share_a_schedule_keep_their_own_texts",
+            "tests/test_protocol.py::test_token_passing_two_tokens_one_iteration",
+            "tests/test_protocol.py::test_every_message_is_sized_as_its_payload_counts[cli-trace]",
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),

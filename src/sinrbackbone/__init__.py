@@ -25,7 +25,6 @@ from .physical import (
 )
 from .protocol import (
     BackboneResult,
-    Message,
     ProtocolConfig,
     Simulator,
     backbone_creation,

@@ -175,11 +175,11 @@ class FileSink:
     batch, from its table (protocol._Table), when the first of them is
     written: each non-silent row's round offset, its "deliveries" text
     and its transmitters' message keys (see _rows). The transmitter texts
-    are the execution's own, rendered once per execution and message key
-    by the writer its phase handed Simulator.execute
-    (Execution.message.texts()): no Message is built. emit then only
-    stitches in the phase, the round numbers and those texts; a row with
-    one transmitter takes its key's text as it is.
+    are the execution's own (Execution.texts()), rendered once per
+    execution and message key by the writer its phase handed
+    Simulator.execute. emit then only stitches in the phase, the round
+    numbers and those texts; a row with one transmitter takes its key's
+    text as it is.
 
     In full mode, silent lines differ only in the round number. They are
     written in chunks, each of the rounds of one digit count between two
@@ -201,7 +201,7 @@ class FileSink:
         self._phases: dict[str, bytes] = {}  # each phase's JSON text
 
     def execution(self, ex: Execution) -> None:
-        if ex.message is None:
+        if ex.batch is None:
             self.skip(ex.phase, ex.start, ex.size, ex.repeats)
         else:
             self.emit(ex)
@@ -223,7 +223,7 @@ class FileSink:
         no transmitter; in any other, the rows' records are formatted in
         bulk and spliced into the silent chunk (see _full). Compact mode
         joins the rows' records with the silent spans between them."""
-        batch, e = ex.plan.batch, ex.plan.index
+        batch, e = ex.batch, ex.index
         table = batch.table
         rows = self._rows.get(batch)
         if rows is None:
@@ -231,7 +231,7 @@ class FileSink:
         offsets, heads, first, several = rows
         r0, r1 = table.row_at[e], table.row_at[e + 1]
         offsets, heads = offsets[r0:r1], heads[r0:r1]
-        sent = ex.message.texts()  # each message key's transmitter text
+        sent = ex.texts()  # each message key's transmitter text
         transmitters = list(map(sent.__getitem__, first[r0:r1]))
         for r, keys in several[e]:
             transmitters[r] = b", ".join(map(sent.__getitem__, keys))

@@ -24,10 +24,9 @@ family and phase is one record. What an execution heard is its distinct
 (slot position, listener label) pairs, sorted; the phases apply their rules
 to them as array programs, and size every message from its label count.
 Each phase hands every execution a payload writer, which fills one JSON
-template per message kind from the arrays the phase holds: the payloads
-are rendered only when a sink asks, once per execution and message key
-(sender and carried slots), and a Message is only ever decoded from that
-text (Execution.message).
+template per message kind from the arrays the phase holds. A message is
+only ever that text: it is rendered only when a sink asks, once per
+execution and message key (sender and carried slots), and never decoded.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Optional, Protocol, Sequence
@@ -76,25 +75,13 @@ C_MSG = 128  # message budget: at most C_MSG * lg N bits
 KIND_BITS = 8
 
 
-@dataclass(frozen=True)
-class Message:
-    """Protocol message: a kind tag plus a bounded tuple of labels.
-
-    Payload entries are labels or small tuples of labels. size_bits counts
-    the kind tag plus one label-width field per label carried (see _bits):
-    the phases size each message from the label count they already hold.
-    """
-
-    kind: str
-    payload: tuple
-    size_bits: int
-
-
 # A payload writer renders the messages of some message keys, given each
 # key's sender and carried slot positions: it returns their transmitter
 # texts, {"kind": ..., "label": sender, "payload": [...]} as
-# json.dumps(..., sort_keys=True) writes it, and their sizes in bits.
-Writer = Callable[[Sequence[int], Sequence[tuple[int, ...]]], tuple[list[bytes], list[int]]]
+# json.dumps(..., sort_keys=True) writes it. Each payload entry is a label
+# or a list of labels; the phases size every message from its label count
+# (see _bits) before the execution that sends it is recorded.
+Writer = Callable[[Sequence[int], Sequence[tuple[int, ...]]], list[bytes]]
 
 
 def _template(kind: str, payload: bytes) -> bytes:
@@ -109,17 +96,6 @@ _GRANT = _template("token-grant", b"[%d, %d]")
 _RETURN = _template("token-return", b"[%d%s]")  # the tokens, each after ", "
 _CLAIM = _template("helper-claim", b"[[%d, %d, %d]]")  # a key that carries one claim
 _CLAIMS = _template("helper-claim", b"[%s]")
-
-
-def _decoded(text: bytes, size: int) -> Message:
-    """The message whose transmitter text is text, of size bits."""
-    record = json.loads(text)
-    return Message(record["kind"], _tuples(record["payload"]), size)
-
-
-def _tuples(value):
-    """value with every JSON array in it turned into a tuple."""
-    return tuple(map(_tuples, value)) if type(value) is list else value
 
 
 def _bits(labels, n_labels: int):
@@ -192,61 +168,61 @@ class Execution:
     rounds holds the family-relative indices of its non-silent rounds;
     every other round of the family was silent. A transmission is a
     (row, station label) pair, where row indexes rounds; a delivery is a
-    (row, sender label, receiver label) triple. Both are sorted.
-    message(t) is the message of the t-th transmission, decoded from its
-    transmitter text. Its message key (message_keys[t]) is its sender and
-    the slots it carries: every transmission with one key sends one
-    message. message.texts() holds each key's transmitter text, which the
-    phase's writer renders at most once per execution (see _Payloads).
-    Executions that share a plan share their arrays and keys, so a sink
-    can format those once per plan (or per batch) and only the key texts
-    once per execution.
+    (row, sender label, receiver label) triple. Both are sorted. A
+    transmission's message key (message_keys[t]) is its sender and the
+    slots it carries: every transmission with one key sends one message.
+    texts() holds each key's transmitter text, which write, the phase's
+    writer, renders in one call the first time they are read. They are
+    kept on the execution, not its batch: executions that share a
+    schedule (the two token-passing sweeps', say) send other messages.
 
-    The arrays and keys are read from the table of the plan's batch (see
-    _Table), which the batch builds for all its schedules the first time a
-    sink reads one: a run whose sink never reads them (a CollectSink's)
-    never builds a table.
+    The execution's schedule is schedule index of batch, shared by every
+    execution of that schedule. Its arrays and keys are read from the
+    batch's table (see _Table), which the batch builds for all its
+    schedules the first time a sink reads one, so a sink can format what
+    they have in common once per batch and only the key texts once per
+    execution. A run whose sink never reads them (a CollectSink's) never
+    builds a table and calls no writer.
 
-    A silent record (message and plan None) stands for repeats consecutive
-    silent executions of the family, the first from start on; every other
+    A silent record (batch None) stands for repeats consecutive silent
+    executions of the family, the first from start on; every other
     record has repeats 1.
     """
 
     phase: str
     start: int  # global round of the family's first set
     size: int  # family size
-    message: Optional["_Payloads"]  # None when silent
+    batch: Optional["_Batch"] = None  # None when silent
+    index: int = 0  # the schedule's index in batch
+    write: Optional[Writer] = None
     repeats: int = 1
-    plan: Optional["_Plan"] = None  # None when silent
+    _texts: Optional[list[bytes]] = field(default=None, init=False, repr=False)
 
     @staticmethod
     def silent(phase: str, start: int, size: int, repeats: int = 1) -> "Execution":
         """repeats consecutive executions in which no station transmits,
         the first from start on."""
-        return Execution(phase, start, size, None, repeats)
+        return Execution(phase, start, size, repeats=repeats)
 
     @property
     def rounds(self) -> np.ndarray:
-        plan = self.plan
-        if plan is None:
+        if self.batch is None:
             return _NO_ROUNDS
-        table, e = plan.batch.table, plan.index
+        table, e = self.batch.table, self.index
         return table.rounds[table.row_at[e] : table.row_at[e + 1]]
 
     @property
     def transmissions(self) -> np.ndarray:
-        plan = self.plan
-        if plan is None:
+        if self.batch is None:
             return _NO_TRANSMISSIONS
-        table, e = plan.batch.table, plan.index
+        table, e = self.batch.table, self.index
         return table.tx[table.tx_at[e] : table.tx_at[e + 1]]
 
     @property
     def deliveries(self) -> np.ndarray:
-        plan = self.plan
-        if plan is None:
+        if self.batch is None:
             return _NO_DELIVERIES
-        table, e = plan.batch.table, plan.index
+        table, e = self.batch.table, self.index
         return table.dl[table.dl_at[e] : table.dl_at[e + 1]]
 
     @property
@@ -254,11 +230,18 @@ class Execution:
         """Each transmission's message key, numbered from 0 in order of
         first transmission: transmissions with one key send one message
         (see _Table)."""
-        plan = self.plan
-        if plan is None:
+        if self.batch is None:
             return []
-        table, e = plan.batch.table, plan.index
+        table, e = self.batch.table, self.index
         return table.key[table.tx_at[e] : table.tx_at[e + 1]]
+
+    def texts(self) -> list[bytes]:
+        """Each message key's transmitter text, in key order."""
+        if self._texts is None:
+            table, e = self.batch.table, self.index
+            k0, k1 = table.key_at[e], table.key_at[e + 1]
+            self._texts = self.write(table.sender[k0:k1], table.carried[k0:k1])
+        return self._texts
 
 
 class _Table(NamedTuple):
@@ -278,9 +261,8 @@ class _Table(NamedTuple):
     transmissions with one key send one message. key[t] is transmission t's
     key, numbered from 0 within its schedule in order of first
     transmission; over the batch, schedule e's key k is key key_at[e] + k.
-    Batch key j is first sent by transmission first[j] of its schedule
-    (counted from the schedule's first), from station sender[j], and
-    carries the slots at positions carried[j], ascending.
+    Batch key j is sent by station sender[j] and carries the slots at
+    positions carried[j], ascending.
     """
 
     row_at: list[int]
@@ -293,7 +275,6 @@ class _Table(NamedTuple):
     tx: np.ndarray
     dl: np.ndarray
     key: list[int]
-    first: list[int]
     sender: list[int]
     carried: list[tuple[int, ...]]
 
@@ -385,50 +366,9 @@ class _Batch:
             tx=tx,
             dl=dl,
             key=(key - key_at[tx_schedule]).tolist(),
-            first=(first - tx_at[tx_schedule[first]]).tolist(),
             sender=tx_label[first].tolist(),
             carried=[tuple(pos[a:b]) for a, b in zip(pos_at, pos_at[1:])],
         )
-
-
-class _Plan(NamedTuple):
-    """Where one execution schedule's plan is kept: schedule index of batch.
-    Executions that share the schedule share the plan."""
-
-    batch: _Batch
-    index: int
-
-
-class _Payloads:
-    """The messages of one execution of plan, which write renders.
-
-    texts() holds each of the schedule's message keys' transmitter texts,
-    in key order (see _Table): write renders them and their sizes in one
-    call, the first time they are asked for. Called with t, it is the
-    message of the t-th transmission, decoded from its key's text."""
-
-    __slots__ = ("plan", "write", "_written")
-
-    def __init__(self, plan: _Plan, write: Writer) -> None:
-        self.plan = plan
-        self.write = write
-        self._written: Optional[tuple[list[bytes], list[int]]] = None
-
-    def _keys(self) -> tuple[list[bytes], list[int]]:
-        if self._written is None:
-            table, e = self.plan.batch.table, self.plan.index
-            k0, k1 = table.key_at[e], table.key_at[e + 1]
-            self._written = self.write(table.sender[k0:k1], table.carried[k0:k1])
-        return self._written
-
-    def texts(self) -> list[bytes]:
-        return self._keys()[0]
-
-    def __call__(self, t: int) -> Message:
-        texts, sizes = self._keys()
-        table, e = self.plan.batch.table, self.plan.index
-        k = table.key[table.tx_at[e] + t]
-        return _decoded(texts[k], sizes[k])
 
 
 class Sink(Protocol):
@@ -529,7 +469,7 @@ class Simulator:
         self.phase_snapshots: list[tuple[int, dict[int, str]]] = []
         self.token_records: list[TokenRecord] = []
         self._tp_runs = 0
-        self._plans: dict[tuple, _Plan] = {}  # see execute
+        self._plans: dict[tuple, tuple[_Batch, int]] = {}  # see execute
 
     def statuses(self) -> dict[int, str]:
         """Each station's status, by label, ascending."""
@@ -619,7 +559,7 @@ class Simulator:
         misses = list(dict.fromkeys(k for k in keys if k is not None and k not in plans))
         if misses:
             batch = self._plan(family, misses)
-            plans.update(zip(misses, (_Plan(batch, e) for e in range(len(misses)))))
+            plans.update((k, (batch, e)) for e, k in enumerate(misses))
 
         size = family.size
         for key, (_slots, _owners, phase, write) in zip(keys, executions):
@@ -627,12 +567,12 @@ class Simulator:
                 self.skip_execution(family, phase)
                 yield _NOT_HEARD
                 continue
-            plan = plans[key]
+            batch, e = plans[key]
             start = self.round
             self.round += size
 
-            self.sink.execution(Execution(phase, start, size, _Payloads(plan, write), 1, plan))
-            yield plan.batch.heard(plan.index)
+            self.sink.execution(Execution(phase, start, size, batch, e, write))
+            yield batch.heard(e)
 
     def _plan(self, family: SelectionFamily, schedules: Sequence[tuple]) -> _Batch:
         """Plan distinct non-empty (code, slots, owners) schedules of one
@@ -806,10 +746,8 @@ def leader_election(sim: Simulator) -> None:
             if g == ends[i]:
                 sim.phase_snapshots.append((i, sim.statuses()))
 
-    announce_bits = _bits(1, n_labels)
-
-    def announce(senders: Sequence[int], _carried) -> tuple[list[bytes], list[int]]:
-        return [_ANNOUNCE % (u, u) for u in senders], [announce_bits] * len(senders)
+    def announce(senders: Sequence[int], _carried) -> list[bytes]:
+        return [_ANNOUNCE % (u, u) for u in senders]
 
     adjacent = [_NOT_HEARD[1]]  # each heard announcement: listener * (N + 1) + leader
     while True:
@@ -884,12 +822,10 @@ def neighborhood_inform(sim: Simulator) -> None:
     if len(leaders):
         _message_bits("neighbor-of-leader", 2, n_labels)
     member_list = members.tolist()
-    inform_bits = _bits(2, n_labels)
 
     def inform(lo: int) -> Writer:
-        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
-            texts = [_INFORM % (u, u, member_list[lo + ks[0]]) for u, ks in zip(senders, carried)]
-            return texts, [inform_bits] * len(texts)
+        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]) -> list[bytes]:
+            return [_INFORM % (u, u, member_list[lo + ks[0]]) for u, ks in zip(senders, carried)]
 
         return write
 
@@ -965,16 +901,15 @@ def two_hop_connection(sim: Simulator) -> None:
         _message_bits("helper-claim", 3 * int(widest), n_labels)
     claims = list(zip(helpers.tolist(), s.tolist(), t.tolist()))
 
-    def helper_claim(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
+    def helper_claim(senders: Sequence[int], carried: Sequence[tuple[int, ...]]) -> list[bytes]:
         # pidxs ascend with (s, t) and a key's claims share their helper, so
         # a key's positions, ascending, give its claims sorted
-        texts = [
+        return [
             _CLAIM % (u, *claims[ks[0]])
             if len(ks) == 1
             else _CLAIMS % (u, b", ".join([b"[%d, %d, %d]" % claims[k] for k in ks]))
             for u, ks in zip(senders, carried)
         ]
-        return texts, [_bits(3 * len(ks), n_labels) for ks in carried]
 
     ((pos, listener),) = sim.execute(fam_pair, [(pidxs, helpers, phase, helper_claim)])
 
@@ -997,9 +932,8 @@ class Messages(Protocol):
 
     def __contains__(self, u: object) -> bool: ...
 
-    def __call__(
-        self, senders: Sequence[int], carried: Sequence[tuple[int, ...]]
-    ) -> tuple[list[bytes], list[int]]: ...
+    def __call__(self, senders: Sequence[int], carried: Sequence[tuple[int, ...]]) -> list[bytes]:
+        ...
 
 
 def token_passing(sim: Simulator, msgs: Messages) -> tuple[np.ndarray, np.ndarray]:
@@ -1048,28 +982,24 @@ def token_passing(sim: Simulator, msgs: Messages) -> tuple[np.ndarray, np.ndarra
         raise ValueError(f"token holders without a message: {mute}")
     # a return carries its holder's label and tokens: the first holder
     # whose return is over the budget stops the sweep before its return
-    return_sizes = _bits(1 + token_at[1:] - token_at[:-1], n_labels)
-    too_long = _first_oversize(return_sizes, n_labels)
-    return_bits = return_sizes.tolist()
-    grant_bits = _bits(2, n_labels)
+    too_long = _first_oversize(_bits(1 + token_at[1:] - token_at[:-1], n_labels), n_labels)
     target_list, token_at_list = targets.tolist(), token_at.tolist()
     tokens = leaders[by_holder].tolist()
 
     def grant(lo: int) -> Writer:
-        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
-            texts = [_GRANT % (u, u, target_list[lo + ks[0]]) for u, ks in zip(senders, carried)]
-            return texts, [grant_bits] * len(texts)
+        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]) -> list[bytes]:
+            return [_GRANT % (u, u, target_list[lo + ks[0]]) for u, ks in zip(senders, carried)]
 
         return write
 
     def give_back(lo: int) -> Writer:
-        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]):
-            hs = [lo + ks[0] for ks in carried]
+        def write(senders: Sequence[int], carried: Sequence[tuple[int, ...]]) -> list[bytes]:
             texts = []
-            for u, h in zip(senders, hs):
+            for u, ks in zip(senders, carried):
+                h = lo + ks[0]
                 mine = tokens[token_at_list[h] : token_at_list[h + 1]]
                 texts.append(_RETURN % (u, u, b", %d" * len(mine) % tuple(mine)))
-            return texts, [return_bits[h] for h in hs]
+            return texts
 
         return write
 
@@ -1155,7 +1085,8 @@ class _Messages:
     writer (see Messages): sender j's payload is its label, then its
     entries, rows at[j] : at[j + 1] of columns, each a label (one column)
     or a list of labels. All are sized at once, in sender order, when the
-    writer is made; each text is filled from the columns when written."""
+    writer is made (MessageSizeError for the first over the budget); each
+    text is filled from the columns when written."""
 
     def __init__(
         self,
@@ -1165,15 +1096,13 @@ class _Messages:
         columns: Sequence[np.ndarray],
         n_labels: int,
     ) -> None:
-        counts = at[1:] - at[:-1]
-        sizes = _bits(1 + len(columns) * counts, n_labels)
-        first = _first_oversize(sizes, n_labels)
-        if first is not None:
-            _message_bits(kind, 1 + len(columns) * int(counts[first]), n_labels)
         width = len(columns)
+        counts = at[1:] - at[:-1]
+        first = _first_oversize(_bits(1 + width * counts, n_labels), n_labels)
+        if first is not None:
+            _message_bits(kind, 1 + width * int(counts[first]), n_labels)
         self._template = _template(kind, b"[%d%s]")  # the sender, then its entries
         self._entry = b", %d" if width == 1 else b", [%s]" % b", ".join([b"%d"] * width)
-        self._sizes = sizes.tolist()
         self._index = dict(zip(senders.tolist(), range(len(senders))))
         self._at = at.tolist()
         self._width = width
@@ -1183,20 +1112,20 @@ class _Messages:
     def __contains__(self, u: object) -> bool:
         return u in self._index
 
-    def __call__(self, senders: Sequence[int], _carried) -> tuple[list[bytes], list[int]]:
-        js = list(map(self._index.__getitem__, senders))
+    def __call__(self, senders: Sequence[int], _carried) -> list[bytes]:
         template, entry, at, w, labels = (
             self._template, self._entry, self._at, self._width, self._labels
         )
         texts = []
-        for u, j in zip(senders, js):
+        for u in senders:
             text = self._texts.get(u)
             if text is None:  # a sender sends its one message in every execution it is in
+                j = self._index[u]
                 lo, hi = at[j], at[j + 1]
                 entries = entry * (hi - lo) % tuple(labels[lo * w : hi * w])
                 text = self._texts[u] = template % (u, u, entries)
             texts.append(text)
-        return texts, list(map(self._sizes.__getitem__, js))
+        return texts
 
 
 def _heard_entries(

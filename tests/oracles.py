@@ -17,6 +17,15 @@ built its CSR list from near pairs, and generate_by_full_scan() is
 cli.generate as it was before its grid: each drawn point checked against
 every placed point.
 
+The package keeps a message only as its transmitter text. Message is a
+message as the tests read it: a kind tag, a payload of labels and tuples
+of labels, and its size in bits. decoded() reads one from a transmitter
+text, and transmitted() every transmission's of a recorded execution.
+make_message() is the label-count reference for message sizes: both size
+a message by counting the labels of its payload, nested tuples included
+(count_labels), where the phases size each message from the label count
+they already hold.
+
 ssf_broadcast() runs family executions with a fixed sender -> message map
 each, through Simulator.execute: the leader and token references send that
 way, with messages built up front by msg(). Simulator.execute takes payload
@@ -25,10 +34,6 @@ and Sent is a sender -> Message dict that is also a writer, as
 token_passing takes its msgs. Both render each message with json.dumps,
 so the texts the package's templates fill are held to the json module's.
 sent_messages() decodes what a writer renders for some senders.
-
-make_message() is the label-count reference for message sizes: it sizes a
-message by counting the labels of its payload, nested tuples included,
-where the phases size each message from the label count they already hold.
 
 NodeView is one node's state as one object, with its own guard on status
 transitions: the leader, inform and token references apply their
@@ -53,7 +58,7 @@ from sinrbackbone.protocol import (
     INACTIVE,
     LEADER,
     STATUSES,
-    Message,
+    Execution,
     Simulator,
 )
 from sinrbackbone.selection import SelectionFamily
@@ -255,6 +260,41 @@ def count_labels(payload: tuple) -> int:
     return len(payload) + sum([count_labels(x) - 1 for x in payload if isinstance(x, tuple)])
 
 
+@dataclass(frozen=True)
+class Message:
+    """Protocol message: a kind tag plus a bounded tuple of labels.
+
+    Payload entries are labels or tuples of labels. size_bits counts the
+    kind tag plus one label-width field per label carried (see
+    protocol._bits)."""
+
+    kind: str
+    payload: tuple
+    size_bits: int
+
+
+def _tuples(value):
+    """value with every JSON array in it turned into a tuple."""
+    return tuple(map(_tuples, value)) if type(value) is list else value
+
+
+def decoded(text: bytes, n_labels: int) -> Message:
+    """The message whose transmitter text is text, sized by counting its
+    labels for a label space of n_labels."""
+    record = json.loads(text)
+    payload = _tuples(record["payload"])
+    return Message(record["kind"], payload, protocol._bits(count_labels(payload), n_labels))
+
+
+def transmitted(ex: Execution, n_labels: int) -> list[Message]:
+    """The message of each transmission of ex, a record of a run over
+    n_labels labels: its message key's text, decoded."""
+    if ex.batch is None:
+        return []
+    messages = [decoded(text, n_labels) for text in ex.texts()]
+    return [messages[k] for k in ex.message_keys]
+
+
 def make_message(kind: str, payload: tuple, n_labels: int) -> Message:
     """The kind message carrying payload, sized by counting its labels
     (protocol._message_bits: MessageSizeError if over the budget)."""
@@ -266,14 +306,13 @@ def msg(sim: Simulator, kind: str, payload: tuple) -> Message:
     return make_message(kind, payload, sim.inst.n_labels)
 
 
-def written(senders: Sequence[int], messages: Sequence[Message]) -> tuple[list[bytes], list[int]]:
-    """The transmitter texts and sizes of messages, sent by senders: what a
-    payload writer returns (see protocol.Writer)."""
-    texts = [
+def written(senders: Sequence[int], messages: Sequence[Message]) -> list[bytes]:
+    """The transmitter texts of messages, sent by senders: what a payload
+    writer returns (see protocol.Writer)."""
+    return [
         json.dumps({"kind": m.kind, "label": u, "payload": m.payload}, sort_keys=True).encode()
         for u, m in zip(senders, messages)
     ]
-    return texts, [m.size_bits for m in messages]
 
 
 def writer(build: Callable[[int, tuple[int, ...]], Message]) -> protocol.Writer:
@@ -294,11 +333,13 @@ class Sent(dict):
         return written(senders, [self[u] for u in senders])
 
 
-def sent_messages(write: protocol.Writer, senders: Sequence[int]) -> dict[int, Message]:
+def sent_messages(
+    write: protocol.Writer, senders: Sequence[int], n_labels: int
+) -> dict[int, Message]:
     """The message that write renders for each of senders, decoded from
     its text, for a writer that reads only the sender (protocol.Messages)."""
-    texts, sizes = write(list(senders), [(0,)] * len(senders))
-    return dict(zip(senders, map(protocol._decoded, texts, sizes)))
+    texts = write(list(senders), [(0,)] * len(senders))
+    return {u: decoded(text, n_labels) for u, text in zip(senders, texts)}
 
 
 def ssf_broadcast(

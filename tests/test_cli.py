@@ -47,7 +47,7 @@ from sinrbackbone.protocol import (
 from sinrbackbone.selection import pair_index
 
 from family_schedule import leader_buckets, scheduled_phase_rounds
-from oracles import Sent, generate_by_full_scan, msg
+from oracles import Sent, generate_by_full_scan, msg, transmitted
 from trace_reference import RoundWriter
 
 
@@ -453,8 +453,9 @@ REFERENCE_RUNS = {
 
 
 def _lost_grant_executions(monkeypatch) -> list:
-    """The executions of a run stopped by a lost token grant: every
-    delivery of token passing's first grant execution is dropped."""
+    """The executions of a run over 64 labels stopped by a lost token
+    grant: every delivery of token passing's first grant execution is
+    dropped."""
     sim = Simulator(generate(GeneratorSpec(n=16, arena_side=2.8, seed=5)))
     leader_election(sim)
     adjudicate = sim.engine.adjudicate
@@ -476,27 +477,43 @@ def _lost_grant_executions(monkeypatch) -> list:
 @pytest.mark.parametrize("name", [*REFERENCE_RUNS, "lost-grant"])
 def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
     if name == "lost-grant":
-        executions = _lost_grant_executions(monkeypatch)
+        executions, n_labels = _lost_grant_executions(monkeypatch), 64
     else:
         spec, delta = REFERENCE_RUNS[name]
         inst = generate(spec)
         assert build_graph(inst).delta == delta
-        executions = backbone_creation(inst).traces.executions
-    _assert_file_sink_writes_the_reference_bytes(executions)
+        executions, n_labels = backbone_creation(inst).traces.executions, inst.n_labels
+    _assert_file_sink_writes_the_reference_bytes(executions, n_labels)
 
 
-def _assert_file_sink_writes_the_reference_bytes(executions) -> dict:
-    """FileSink writes the executions as RoundWriter does, in both modes;
-    returns what it wrote, by mode, as text. Every payload decodes to ints
-    and tuples only, the values RoundWriter's json.dumps is given."""
+@given(
+    n=st.integers(2, 24),
+    density=st.floats(0.6, 1.0),
+    seed=st.integers(0, 10**6),
+    n_labels=st.sampled_from([16, 64, 1024]),
+)
+@settings(max_examples=20, deadline=None)
+def test_file_sink_writes_the_reference_bytes_on_generated_instances(n, density, seed, n_labels):
+    # beyond the fixed layouts above: any small run, in both modes
+    n = min(n, n_labels)
+    side = density * min(4.0, max(1.2, 0.85 * n**0.5))
+    inst = generate(GeneratorSpec(n=n, arena_side=side, seed=seed, n_labels=n_labels))
+    _assert_file_sink_writes_the_reference_bytes(backbone_creation(inst).traces.executions, n_labels)
+
+
+def _assert_file_sink_writes_the_reference_bytes(executions, n_labels: int) -> dict:
+    """FileSink writes the executions of a run over n_labels labels as
+    RoundWriter does, in both modes; returns what it wrote, by mode, as
+    text. Every payload decodes to ints and tuples only, the values
+    RoundWriter's json.dumps is given."""
     for ex in executions:
-        if ex.message is not None:
-            for t in range(len(ex.transmissions)):
-                _assert_ints_and_tuples(ex.message(t).payload)
+        if ex.batch is not None:
+            for m in transmitted(ex, n_labels):
+                _assert_ints_and_tuples(m.payload)
     out = {}
     for mode in ("full", "compact"):
         written, expected = io.BytesIO(), io.StringIO()
-        for sink in (FileSink(written, mode), RoundWriter(expected, mode)):
+        for sink in (FileSink(written, mode), RoundWriter(expected, mode, n_labels)):
             for ex in executions:
                 sink.execution(ex)
         assert written.getvalue() == expected.getvalue().encode(), mode
@@ -526,7 +543,7 @@ def test_file_sink_writes_the_reference_bytes_across_a_power_of_ten(cli_trace_ex
     # executions, which also crosses multiples of 1000 past 10**k, the
     # run's non-silent execution with the most non-silent rounds (chunks
     # formatted in bulk) and the one with the fewest per round (spliced)
-    sent = [e for e in cli_trace_executions if e.message is not None]
+    sent = [e for e in cli_trace_executions if e.batch is not None]
     dense = max(sent, key=lambda e: len(e.rounds))
     sparse = min(sent, key=lambda e: len(e.rounds) / e.size)
     assert dense.rounds[-1] > 3 and sparse.rounds[-1] > 3  # with records past 10**k
@@ -536,7 +553,8 @@ def test_file_sink_writes_the_reference_bytes_across_a_power_of_ten(cli_trace_ex
             Execution.silent(dense.phase, start, 44, 30),
             dataclasses.replace(dense, start=start),
             dataclasses.replace(sparse, start=start),
-        ]
+        ],
+        REFERENCE_RUNS["cli-trace"][0].n_labels,
     )
 
 
@@ -603,7 +621,7 @@ def test_cli_trace_reference_run_has_executions_that_share_a_plan():
     # FileSink formats what such executions have in common once per plan:
     # the byte-for-byte test above covers that reuse on this run
     executions = backbone_creation(generate(REFERENCE_RUNS["cli-trace"][0])).traces.executions
-    plans = [ex.plan for ex in executions if ex.plan is not None]
+    plans = [(ex.batch, ex.index) for ex in executions if ex.batch is not None]
     assert len(set(plans)) < len(plans)
 
 
@@ -630,9 +648,9 @@ def test_each_message_key_is_built_once_per_execution(name, monkeypatch):
     def counted(write, calls):
         def counting_write(senders, carried):
             calls.update(zip(senders, map(tuple, carried)))
-            texts, sizes = write(senders, carried)
-            assert len(texts) == len(sizes) == len(senders)
-            return texts, sizes
+            texts = write(senders, carried)
+            assert len(texts) == len(senders)
+            return texts
 
         return counting_write
 
@@ -645,35 +663,33 @@ def test_each_message_key_is_built_once_per_execution(name, monkeypatch):
         return execute(self, family, specs)
 
     monkeypatch.setattr(Simulator, "execute", counting)
-    executions = backbone_creation(generate(REFERENCE_RUNS[name][0])).traces.executions
-    for sink in (FileSink(io.BytesIO(), "full"), RoundWriter(io.StringIO(), "full")):
+    inst = generate(REFERENCE_RUNS[name][0])
+    executions = backbone_creation(inst).traces.executions
+    for sink in (FileSink(io.BytesIO(), "full"), RoundWriter(io.StringIO(), "full", inst.n_labels)):
         for ex in executions:
             sink.execution(ex)
     # a speculated leader-election row that was dropped formats nothing
     written = [w for w in writers if w[3]]
-    assert len(written) == sum(ex.message is not None for ex in executions)
+    assert len(written) == sum(ex.batch is not None for ex in executions)
     for family, slots, owners, calls in written:
         assert set(calls.values()) == {1}
         assert set(calls) == _carried_keys(family, slots, owners)
 
 
 @pytest.mark.parametrize("name", REFERENCE_RUNS)
-def test_file_sink_builds_no_message(name, monkeypatch):
-    # the trace is written from the writers' texts alone: with Message
-    # made to raise, a run and its FileSink still write the reference bytes
+def test_file_sink_builds_no_message(name):
+    # the trace is written from the writers' texts alone, as the run
+    # streams its executions: a FileSink that is the run's own sink writes
+    # the bytes the round-by-round reference writes from a collected run
     inst = generate(REFERENCE_RUNS[name][0])
     expected = {}
     for mode in ("full", "compact"):
         fh = io.StringIO()
-        sink = RoundWriter(fh, mode)
+        sink = RoundWriter(fh, mode, inst.n_labels)
         for ex in backbone_creation(inst).traces.executions:
             sink.execution(ex)
         expected[mode] = fh.getvalue().encode()
 
-    def no_message(*args):
-        raise AssertionError("a Message was built")
-
-    monkeypatch.setattr(protocol, "Message", no_message)
     for mode in ("full", "compact"):
         fh = io.BytesIO()
         backbone_creation(inst, sink=FileSink(fh, mode))
@@ -695,7 +711,9 @@ def test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there():
         for j in pair_ssf.rounds_for(np.array([pidx]))[0].tolist():
             claims.setdefault((ex.start + j, h), []).append((h, s, t))
     sent = {}
-    full = _assert_file_sink_writes_the_reference_bytes(result.traces.executions)["full"]
+    full = _assert_file_sink_writes_the_reference_bytes(
+        result.traces.executions, inst.n_labels
+    )["full"]
     for line in full.splitlines():
         record = json.loads(line)
         if record["phase"] == "two-hop-connection":

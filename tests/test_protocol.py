@@ -30,7 +30,6 @@ from sinrbackbone.protocol import (
     STATUSES,
     BackboneResult,
     Families,
-    Message,
     ProtocolConfig,
     Simulator,
     TokenRecord,
@@ -55,6 +54,7 @@ from oracles import (
     msg,
     sent_messages,
     ssf_broadcast,
+    transmitted,
     views,
     writer,
 )
@@ -171,19 +171,21 @@ def test_ssf_broadcast_hears_each_sender_once():
     (heard,) = ssf_broadcast(sim, fam, [({1: announce}, "test")])
     assert heard == [(1, 2), (1, 3)]
     assert sim.round == fam.size
-    rounds = [tr.round for tr in records(sim.sink.executions)]
+    rounds = [tr.round for tr in records(sim.sink.executions, 64)]
     assert rounds == fam.rounds_for(1).tolist()
-    assert all(tr.deliveries == ((1, 2), (1, 3)) for tr in records(sim.sink.executions))
+    assert all(tr.deliveries == ((1, 2), (1, 3)) for tr in records(sim.sink.executions, 64))
 
 
 class _RoundSink:
-    """Receives every execution round by round, as the trace file does."""
+    """Receives every execution of a run over n_labels labels round by
+    round, as the trace file does."""
 
-    def __init__(self):
+    def __init__(self, n_labels):
+        self.n_labels = n_labels
         self.calls = []
 
     def execution(self, ex):
-        replay(ex, self)
+        replay(ex, self, self.n_labels)
 
     def emit(self, trace):
         self.calls.append(trace)
@@ -195,7 +197,7 @@ class _RoundSink:
 def test_collected_records_match_the_round_by_round_stream():
     inst = generate(GeneratorSpec(n=16, arena_side=2.8, seed=5), P)
     collected = backbone_creation(inst)
-    sink = _RoundSink()
+    sink = _RoundSink(inst.n_labels)
     streamed = backbone_creation(inst, sink=sink)
     assert streamed.rounds_used == collected.rounds_used
     # emit and skip calls cover every round once, in order
@@ -266,15 +268,14 @@ def test_two_hop_checks_every_helper_claim_size_during_the_run(monkeypatch):
 def _assert_key_table_matches_reference(batch) -> list:
     """batch's table holds the message keys that the per-transmission
     reference finds: each schedule's keys in order, with their senders,
-    carried positions and first transmissions, and each transmission's
-    key. Returns the reference."""
+    carried positions, and each transmission's key. Returns the
+    reference."""
     table = batch.table
     reference = message_keys(batch)
     assert len(reference) == len(table.key_at) - 1 == len(table.tx_at) - 1
-    for e, (keys, key_of, first) in enumerate(reference):
+    for e, (keys, key_of) in enumerate(reference):
         k0, k1 = table.key_at[e], table.key_at[e + 1]
         assert [(table.sender[j], table.carried[j]) for j in range(k0, k1)] == keys
-        assert table.first[k0:k1] == first
         assert table.key[table.tx_at[e] : table.tx_at[e + 1]] == key_of
     return reference
 
@@ -293,10 +294,10 @@ def test_the_key_table_matches_the_per_transmission_reference(name, monkeypatch)
     monkeypatch.setattr(Simulator, "_plan", kept)
     executions = backbone_creation(generate(REFERENCE_RUNS[name][0])).traces.executions
     reference = {batch: _assert_key_table_matches_reference(batch) for batch in batches}
-    planned = [ex for ex in executions if ex.plan is not None]
-    assert planned and {ex.plan.batch for ex in planned} == reference.keys()
+    planned = [ex for ex in executions if ex.batch is not None]
+    assert planned and {ex.batch for ex in planned} == reference.keys()
     for ex in planned:
-        assert ex.message_keys == reference[ex.plan.batch][ex.plan.index][1]
+        assert ex.message_keys == reference[ex.batch][ex.index][1]
 
 
 def test_the_key_table_covers_a_transmission_that_carries_two_claims(monkeypatch):
@@ -307,32 +308,70 @@ def test_the_key_table_covers_a_transmission_that_carries_two_claims(monkeypatch
     force_leaders(sim, {2, 3, 4})
     two_hop_connection(sim)
     (ex,) = [e for e in sim.sink.executions if e.phase == "two-hop-connection"]
-    keys, key_of, _first = _assert_key_table_matches_reference(ex.plan.batch)[ex.plan.index]
+    keys, key_of = _assert_key_table_matches_reference(ex.batch)[ex.index]
     assert max(len(ks) for _u, ks in keys) == 2
     assert len(keys) < len(key_of)  # some key is sent more than once
 
 
+def _kind_of_phase(phase: str) -> str:
+    """The kind of message an execution of phase sends."""
+    if phase.startswith("token-passing/"):
+        run, step = phase.split("/")[1], phase.rsplit("/", 1)[1]
+        report = "hop3-report" if run == "run=0" else "hop3-choice"
+        return {"grant": "token-grant", "msg": report, "return": "token-return"}[step]
+    return {
+        "leader-election": "leader-announce",
+        "neighborhood-inform": "neighbor-of-leader",
+        "two-hop-connection": "helper-claim",
+        "three-hop-connection": "hop3-choice",
+    }[phase.split("/")[0]]
+
+
+def test_executions_that_share_a_schedule_keep_their_own_texts():
+    # the two token-passing sweeps run the same schedules, an iteration's
+    # msg and return executions share one, and so do three-hop's announce
+    # and neighborhood inform's first: each execution sends its own phase's
+    # messages all the same
+    inst = generate(REFERENCE_RUNS["cli-trace"][0])
+    kinds = {}  # the kinds each schedule's executions send
+    for ex in backbone_creation(inst).traces.executions:
+        if ex.batch is not None:
+            sent = {m.kind for m in transmitted(ex, inst.n_labels)}
+            assert sent == {_kind_of_phase(ex.phase)}, ex.phase
+            kinds.setdefault((ex.batch, ex.index), set()).update(sent)
+    # the test can fail: a sweep's msg schedule sends three kinds
+    assert max(map(len, kinds.values())) == 3
+
+
 def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
     # every message is sized from its label count; only a sink that reads
-    # an execution's messages builds them, so a collected run builds none,
-    # and none of the records' arrays either
-    init = Message.__init__
-    built = []
+    # an execution's messages has them rendered, so a collected run calls
+    # no payload writer, and builds none of the records' arrays either
+    calls = []
+    execute = Simulator.execute
 
-    def counting_init(self, kind, *args):
-        built.append(kind)
-        init(self, kind, *args)
+    def counting(self, family, executions):
+        def counted(write):
+            def counting_write(senders, carried):
+                calls.append(write)
+                return write(senders, carried)
 
-    monkeypatch.setattr(Message, "__init__", counting_init)
+            return counting_write
+
+        specs = [(slots, owners, phase, counted(w)) for slots, owners, phase, w in executions]
+        return execute(self, family, specs)
+
+    monkeypatch.setattr(Simulator, "execute", counting)
     inst = generate(GeneratorSpec(n=40, arena_side=3.4, seed=13), P)
     r = backbone_creation(inst)
     assert r.two_hop and r.three_hop and r.token_records  # every phase sent messages
-    assert built == []
-    batches = {id(ex.plan.batch): ex.plan.batch for ex in r.traces.executions if ex.plan}
+    assert calls == []
+    batches = {id(ex.batch): ex.batch for ex in r.traces.executions if ex.batch}
     assert batches and not any("table" in vars(b) for b in batches.values())
-    # a sink that reads them builds every kind
-    kinds = {m.kind for tr in records(r.traces.executions) for _lab, m in tr.transmitters}
-    assert set(built) == kinds == {
+    # a sink that reads them renders every kind
+    trs = records(r.traces.executions, inst.n_labels)
+    assert calls
+    assert {m.kind for tr in trs for _lab, m in tr.transmitters} == {
         "leader-announce",
         "neighbor-of-leader",
         "helper-claim",
@@ -468,10 +507,10 @@ def _assert_leader_election_equals_the_reference(inst, adjudicate=None):
     ours, theirs = each_execution(package.sink.executions), reference.sink.executions
     assert len(ours) == len(theirs)
     for a, b in zip(ours, theirs):
-        _assert_same_execution(a, b)
+        _assert_same_execution(a, b, inst.n_labels)
     records = package.sink.executions
     for a, b in zip(records, records[1:]):
-        assert a.message is not None or b.message is not None or a.phase != b.phase
+        assert a.batch is not None or b.batch is not None or a.phase != b.phase
     return plans
 
 
@@ -511,7 +550,7 @@ def test_leader_election_redoes_a_failed_speculation():
     # again from the next row, and still runs the reference's rounds
     inst = generate(GeneratorSpec(n=40, arena_side=3.4, seed=17), P)
     plain, _ = _elect_counting_plans(inst, reference_leader_election)
-    first = next(ex for ex in plain.sink.executions if ex.message is not None)
+    first = next(ex for ex in plain.sink.executions if ex.batch is not None)
     heard = set(map(tuple, first.deliveries[:, 1:].tolist()))  # (sender, listener)
     # every station but the row's leaders was active; pick one that hears
     # no other leader there
@@ -683,7 +722,7 @@ def test_every_two_hop_claimant_becomes_a_helper_when_an_inform_message_is_lost(
 def _claims(sim):
     """Every (helper, s, t) claim the pair ssf execution sent."""
     (ex,) = [ex for ex in sim.sink.executions if ex.phase == "two-hop-connection"]
-    return {c for t in range(len(ex.transmissions)) for c in ex.message(t).payload}
+    return {c for m in transmitted(ex, sim.inst.n_labels) for c in m.payload}
 
 
 def _assert_two_hop_equals_the_reference(make, prepare=leader_election):
@@ -704,7 +743,7 @@ def _assert_two_hop_equals_the_reference(make, prepare=leader_election):
     assert package.round == reference.round
     assert len(package.sink.executions) == len(reference.sink.executions)
     for a, b in zip(package.sink.executions, reference.sink.executions):
-        _assert_same_execution(a, b)
+        _assert_same_execution(a, b, package.inst.n_labels)
     return package
 
 
@@ -800,7 +839,7 @@ def test_token_passing_two_tokens_one_iteration():
     assert rec.holders == (3,)
     returns = [
         m
-        for tr in records(sink.executions)
+        for tr in records(sink.executions, 16)
         for lab, m in tr.transmitters
         if m.kind == "token-return"
     ]
@@ -994,16 +1033,16 @@ def _assert_same_heard(a, b):
     assert np.all((step > 0) | ((step == 0) & (np.diff(label) > 0)))
 
 
-def _assert_same_execution(a, b):
+def _assert_same_execution(a, b, n_labels):
+    """Two records of runs over n_labels labels hold the same executions,
+    arrays and messages."""
     assert (a.phase, a.start, a.size, a.repeats) == (b.phase, b.start, b.size, b.repeats)
     for name in ("rounds", "transmissions", "deliveries"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), (a.phase, name)
-    assert (a.message is None) == (b.message is None)
-    if a.message is not None:
-        assert [a.message(t) for t in range(len(a.transmissions))] == [
-            b.message(t) for t in range(len(b.transmissions))
-        ]
+    assert (a.batch is None) == (b.batch is None)
+    if a.batch is not None:
+        assert transmitted(a, n_labels) == transmitted(b, n_labels)
 
 
 class _Recording(Simulator):
@@ -1056,7 +1095,7 @@ def test_batched_executions_match_executions_run_one_at_a_time(make):
     assert batched.token_records == single.token_records
     assert len(batched.sink.executions) == len(single.sink.executions)
     for a, b in zip(batched.sink.executions, single.sink.executions):
-        _assert_same_execution(a, b)
+        _assert_same_execution(a, b, inst.n_labels)
 
 
 def test_every_batch_of_a_run_matches_the_dense_engine_bit_for_bit():
@@ -1139,8 +1178,8 @@ def test_every_reused_plan_matches_fresh_plans_and_the_dense_engine():
     assert reused.token_records == fresh.token_records
     assert len(reused.sink.executions) == len(fresh.sink.executions)
     for a, b in zip(reused.sink.executions, fresh.sink.executions):
-        _assert_same_execution(a, b)
-    recorded = [ex for ex in reused.sink.executions if ex.message is not None]
+        _assert_same_execution(a, b, inst.n_labels)
+    recorded = [ex for ex in reused.sink.executions if ex.batch is not None]
     assert len(recorded) == len(reused.schedules)
     for ex, schedule in zip(recorded, reused.schedules):
         want = _dense_records(reused, *schedule)
@@ -1171,7 +1210,7 @@ def test_plans_are_keyed_by_owners_and_family_code():
         (want_heard,) = alone.execute(family, [s])
         _assert_same_heard(h, want_heard)
         (want,) = alone.sink.executions
-        _assert_same_execution(ex, dataclasses.replace(want, start=ex.start))
+        _assert_same_execution(ex, dataclasses.replace(want, start=ex.start), 64)
     assert len(sim._plans) == 4  # "d" was served
 
 
@@ -1190,7 +1229,7 @@ def _three_hop_by_both(inst, mp):
 
     def package_heard(sim, msgs):
         senders, listeners = package_sweep(sim, msgs)
-        sent = sent_messages(msgs, sorted(set(senders.tolist())))
+        sent = sent_messages(msgs, sorted(set(senders.tolist())), sim.inst.n_labels)
         per_listener = {}
         for s, x in zip(senders.tolist(), listeners.tolist()):
             per_listener.setdefault(x, []).append((s, sent[s]))
@@ -1238,7 +1277,7 @@ def _assert_three_hop_equals_the_reference(inst, mp):
         ), lab
     assert len(package.sink.executions) == len(reference.sink.executions)
     for a, b in zip(package.sink.executions, reference.sink.executions):
-        _assert_same_execution(a, b)
+        _assert_same_execution(a, b, package.inst.n_labels)
     return package
 
 
@@ -1311,7 +1350,7 @@ def _assert_same_failures(make, phases, c_msgs, monkeypatch):
         ours, theirs = (each_execution(sim.sink.executions) for sim in (package, reference))
         assert len(ours) == len(theirs)
         for a, b in zip(ours, theirs):
-            _assert_same_execution(a, b)
+            _assert_same_execution(a, b, package.inst.n_labels)
         if error is None:
             return kinds
         assert error[0] is MessageSizeError
@@ -1503,15 +1542,15 @@ def _recorded_run(inst, monkeypatch):
     return result, engine.graph(), calls
 
 
-def _assert_same_run(a, b):
-    """Every field of two BackboneResults, dicts in order, and every
-    Execution are the same."""
+def _assert_same_run(a, b, n_labels):
+    """Every field of two BackboneResults of runs over n_labels labels,
+    dicts in order, and every Execution are the same."""
     for f in dataclasses.fields(BackboneResult):
         x, y = getattr(a, f.name), getattr(b, f.name)
         if f.name == "traces":
             assert len(x.executions) == len(y.executions)
             for ex, ey in zip(x.executions, y.executions):
-                _assert_same_execution(ex, ey)
+                _assert_same_execution(ex, ey, n_labels)
         elif f.name == "phase_snapshots":
             assert [(i, list(d.items())) for i, d in x] == [(i, list(d.items())) for i, d in y]
         else:
@@ -1546,7 +1585,7 @@ def test_information_barrier_position_permutation(monkeypatch):
         assert moved.stations != inst.stations
         result, graph, calls = _recorded_run(inst, monkeypatch)
         engine = _Replayed(graph, [(r, s, heard) for r, s, heard, _sweep in calls])
-        _assert_same_run(result, backbone_creation(moved, engine=engine))
+        _assert_same_run(result, backbone_creation(moved, engine=engine), inst.n_labels)
         assert next(engine.calls, None) is None  # every call was replayed
         # the test can fail: the sweeps are one batch (the second sweep
         # repeats the first one's schedules), and losing every delivery of
@@ -1576,7 +1615,7 @@ def test_backbone_determinism():
     assert r1.helpers == r2.helpers
     assert r1.backbone_edges == r2.backbone_edges
     assert r1.rounds_used == r2.rounds_used
-    records1, records2 = records(r1.traces.executions), records(r2.traces.executions)
+    records1, records2 = (records(r.traces.executions, inst.n_labels) for r in (r1, r2))
     assert len(records1) == len(records2)
     for ta, tb in zip(records1, records2):
         assert ta == tb
@@ -1595,20 +1634,23 @@ def test_all_statuses_resolved_and_messages_bounded():
     r = backbone_creation(inst)
     assert all(s != ACTIVE for s in r.statuses.values())
     budget = 128 * math.log2(inst.n_labels)
-    for tr in records(r.traces.executions):
+    for tr in records(r.traces.executions, inst.n_labels):
         for _, m in tr.transmitters:
             assert m.size_bits <= budget
 
 
 @pytest.mark.parametrize("name", ["n40-N1024", "cli-trace"])
 def test_every_message_is_sized_as_its_payload_counts(name):
-    # the phases size what they send from label counts they hold; counting
-    # each payload's labels, as oracles.make_message does, gives the same sizes
+    # every message a run records, sized by counting its payload's labels,
+    # is within the budget, and every kind is sent; the phases' own sizing
+    # is checked where they fail (test_oversized_messages_fail_where_the_
+    # references_fail)
     inst = generate(REFERENCE_RUNS[name][0])
+    budget = protocol._budget(inst.n_labels)
     kinds = set()
-    for tr in records(backbone_creation(inst).traces.executions):
+    for tr in records(backbone_creation(inst).traces.executions, inst.n_labels):
         for _, m in tr.transmitters:
-            assert m == make_message(m.kind, m.payload, inst.n_labels)
+            assert m.size_bits <= budget
             kinds.add(m.kind)
     assert kinds == {
         "leader-announce", "neighbor-of-leader", "helper-claim", "token-grant",
