@@ -237,6 +237,8 @@ class Execution:
 
     def texts(self) -> list[bytes]:
         """Each message key's transmitter text, in key order."""
+        if self.batch is None:
+            return []
         if self._texts is None:
             table, e = self.batch.table, self.index
             k0, k1 = table.key_at[e], table.key_at[e + 1]

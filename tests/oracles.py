@@ -289,8 +289,6 @@ def decoded(text: bytes, n_labels: int) -> Message:
 def transmitted(ex: Execution, n_labels: int) -> list[Message]:
     """The message of each transmission of ex, a record of a run over
     n_labels labels: its message key's text, decoded."""
-    if ex.batch is None:
-        return []
     messages = [decoded(text, n_labels) for text in ex.texts()]
     return [messages[k] for k in ex.message_keys]
 
