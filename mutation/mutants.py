@@ -97,9 +97,9 @@ MUTANTS = (
 """,
         (
             "tests/test_cli.py::test_run_outputs_match_golden_digests[full-n64]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[cli-trace]",
+            "tests/test_cli.py::test_file_sink_builds_no_message[n64]",
             "tests/test_protocol.py::test_executions_that_share_a_schedule_keep_their_own_texts",
-            "tests/test_protocol.py::test_token_passing_two_tokens_one_iteration",
-            "tests/test_protocol.py::test_every_message_is_sized_as_its_payload_counts[cli-trace]",
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
@@ -176,43 +176,43 @@ MUTANTS = (
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
-    # a sparse chunk's records are spliced in at offsets of the line width
-    # of the first round's digit count, also past a power of ten
-    Mutant(
-        "full-trace-splice-offset-of-the-first-digit-count",
-        "sinrbackbone/cli.py",
-        "off = (r - s) * width",
-        "off = (r - s) * (len(head) + len(str(start)) + len(tail))",
-        (
-            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[1]",
-            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[2]",
-            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n64]",
-            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
-        ),
-    ),
-    # a label's digit width is one short at each power of ten, so the
-    # delivery text of a row is sliced off one byte early or late
-    Mutant(
-        "delivery-digit-width-off-at-a-power-of-ten",
-        "sinrbackbone/cli.py",
-        'return _POWERS.searchsorted(x, side="right") + 1',
-        'return _POWERS.searchsorted(x, side="left") + 1',
-        (
-            "tests/test_cli.py::test_delivery_text_is_the_json_dumps_text",
-            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[cli-trace]",
-            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
-        ),
-    ),
     # a chunk formatted in bulk places its rows by their offset from the
-    # execution's first round, not the chunk's
+    # execution's first round, not the chunk's: past an execution's first
+    # chunk, a row falls outside its chunk
     Mutant(
         "bulk-chunk-rows-placed-from-the-execution-start",
         "sinrbackbone/cli.py",
-        "chunk_heads[r - s], chunk_texts[r - s] = head, text",
-        "chunk_heads[r - start], chunk_texts[r - start] = head, text",
+        "chunk_heads[j - a], chunk_texts[j - a] = head, text",
+        "chunk_heads[j], chunk_texts[j] = head, text",
         (
-            "tests/test_cli.py::test_file_sink_writes_the_reference_bytes_across_a_power_of_ten[4]",
-            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n40-N1024]",
+            "tests/test_cli.py::test_run_outputs_match_golden_digests[full-n256]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n256]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[no-demo]",
+            "tests/test_cli.py::test_file_sink_builds_no_message[n40-N1024]",
+        ),
+    ),
+    # an execution's chunk that holds exactly one non-silent round is
+    # written as silent, losing that round's record
+    Mutant(
+        "chunk-with-one-record-written-as-silent",
+        "sinrbackbone/cli.py",
+        "                if stop == k:\n",
+        "                if stop <= k + 1:\n",
+        (
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[no-demo]",
+        ),
+    ),
+    # each row's delivery text is sliced one pair late: it drops its own
+    # first pair and ends with the next row's first
+    Mutant(
+        "delivery-group-sliced-one-pair-late",
+        "sinrbackbone/cli.py",
+        'template % b", ".join(lines[a:b])',
+        'template % b", ".join(lines[a + 1 : b + 1])',
+        (
+            "tests/test_cli.py::test_delivery_text_is_the_json_dumps_text",
+            "tests/test_cli.py::test_run_outputs_match_golden_digests[compact-n64]",
+            "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n64]",
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),
@@ -225,19 +225,6 @@ MUTANTS = (
         "first = [key[a - 1] for a in row_tx[:-1]]",
         (
             "tests/test_cli.py::test_file_sink_writes_the_round_by_round_reference_bytes[n64]",
-            "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
-        ),
-    ),
-    # a helper's claim sent alone loses the brackets of the payload's list
-    Mutant(
-        "one-entry-payload-template-loses-its-brackets",
-        "sinrbackbone/protocol.py",
-        '_CLAIM = _template("helper-claim", b"[[%d, %d, %d]]")',
-        '_CLAIM = _template("helper-claim", b"[%d, %d, %d]")',
-        (
-            "tests/test_cli.py::test_run_outputs_match_golden_digests[full-n64]",
-            "tests/test_cli.py::test_a_two_hop_helper_sends_in_each_round_the_claims_scheduled_there",
-            "tests/test_protocol.py::test_inform_and_claims_equal_the_dict_reference_on_the_demo_loss_instance",
             "tests/test_benchmark_outputs.py::test_seed_1_outcomes_of_the_package_under_test_match_the_pinned_record[cli-trace]",
         ),
     ),

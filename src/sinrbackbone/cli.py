@@ -141,26 +141,17 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
 _TRACE_BUFFER = 1 << 18
 # a full-mode chunk of silent lines holds the rounds of one digit count
 # between two multiples of _CHUNK, so only its last three digits vary; a
-# compact-mode chunk holds _CHUNK silent spans
+# chunk of an execution holds _CHUNK of its rounds; a compact-mode chunk
+# holds _CHUNK silent spans
 _CHUNK = 1000
 # the ones, tens and hundreds digits of the rounds 0 to 999, one column
 # each: runs of 10**w equal digits, cycling 0-9
 _COLUMNS = [b"".join((b"%d" % k) * 10**w for k in range(10)) * 10 ** (2 - w) for w in range(3)]
-# 10, 100, ..., 10**9: an int below 10**10 has one digit more than the
-# powers it reaches, and every label is below 2**31
-_POWERS = 10 ** np.arange(1, 10, dtype=np.int32)
 # a round's record: the text up to the phase's value (see _rows), the
 # phase, the round and its transmitters' texts; a silent round's starts
 # with _SILENT_HEAD and has no transmitter
 _RECORD = b'%s%s, "round": %d, "transmitters": [%s]}\n'
 _SILENT_HEAD = b'{"deliveries": [], "phase": '
-# full mode formats every round of a chunk in bulk when at least one round
-# in _DENSE is non-silent, and otherwise splices the records into the
-# silent chunk: a bulk-formatted round costs about 20 silent lines of the
-# chunk and a spliced record about 3 bulk-formatted rounds, so in timings
-# of chunks of 44 to 1,000 rounds bulk formatting paid from a fifth to a
-# third of the rounds on
-_DENSE = 4
 
 
 class FileSink:
@@ -186,13 +177,12 @@ class FileSink:
     multiples of _CHUNK: the line repeated, with the digits the chunk's
     rounds share in place and each other digit column set by one strided
     slice assignment (see _full), so a stretch of any length takes one
-    chunk's memory. emit writes its execution in the same chunks: a chunk
-    with few non-silent rounds is laid out so, with their records spliced
-    in; any other is one bulk format of all its rounds (see emit), which
-    also takes one chunk's memory. Compact mode writes each emit() call's
-    records with one write, and a silent record in chunks of _CHUNK spans. A
-    silent record of several executions is written by one skip() call, as
-    the same bytes as that many silent executions."""
+    chunk's memory. emit writes its execution in chunks of _CHUNK rounds:
+    one with a non-silent round is one bulk format of all its rounds (see
+    _records), and one without goes to _full. Compact mode writes each
+    emit() call's records with one write, and a silent record in chunks
+    of _CHUNK spans. A silent record of several executions is written by
+    one skip() call, as the same bytes as that many silent executions."""
 
     def __init__(self, fh: BinaryIO, mode: str):
         self.fh = fh
@@ -217,12 +207,11 @@ class FileSink:
         with its silent stretches in between as skip() writes them.
 
         Records are formatted in bulk (see _records). Full mode writes
-        the execution in the chunks _full writes silent rounds in. In a
-        chunk where at least one round in _DENSE is non-silent, every
-        round is formatted in bulk, a silent one with the silent head and
-        no transmitter; in any other, the rows' records are formatted in
-        bulk and spliced into the silent chunk (see _full). Compact mode
-        joins the rows' records with the silent spans between them."""
+        the execution in chunks of _CHUNK rounds. A chunk that holds a
+        non-silent round is formatted in bulk, every round of it, a
+        silent one with the silent head and no transmitter; any other is
+        written as skip() writes it (see _full). Compact mode joins the
+        rows' records with the silent spans between them."""
         batch, e = ex.batch, ex.index
         table = batch.table
         rows = self._rows.get(batch)
@@ -239,20 +228,17 @@ class FileSink:
         start, end = ex.start, ex.start + ex.size
         if self.mode == "full":
             k = 0
-            s = start
-            while s < end:
-                t = min(end, (s // _CHUNK + 1) * _CHUNK)  # the chunk's end, as _full's
-                stop = bisect_left(offsets, t - start, k)  # its rows are k : stop
-                rounds = [start + j for j in offsets[k:stop]]
-                if _DENSE * len(rounds) < t - s:
-                    records = _records(heads[k:stop], phase, rounds, transmitters[k:stop])
-                    self._full(phase, s, t, rounds, records.splitlines(keepends=True))
-                else:
-                    chunk_heads, chunk_texts = [_SILENT_HEAD] * (t - s), [b""] * (t - s)
-                    for r, head, text in zip(rounds, heads[k:stop], transmitters[k:stop]):
-                        chunk_heads[r - s], chunk_texts[r - s] = head, text
-                    self.fh.write(_records(chunk_heads, phase, range(s, t), chunk_texts))
-                k, s = stop, t
+            for a in range(0, ex.size, _CHUNK):
+                b = min(ex.size, a + _CHUNK)
+                stop = bisect_left(offsets, b, k)  # the chunk's rows are k : stop
+                if stop == k:
+                    self._full(phase, start + a, start + b)
+                    continue
+                chunk_heads, chunk_texts = [_SILENT_HEAD] * (b - a), [b""] * (b - a)
+                for j, head, text in zip(offsets[k:stop], heads[k:stop], transmitters[k:stop]):
+                    chunk_heads[j - a], chunk_texts[j - a] = head, text
+                self.fh.write(_records(chunk_heads, phase, range(start + a, start + b), chunk_texts))
+                k = stop
             return
         rounds = list(map(start.__add__, offsets))
         records = _records(heads, phase, rounds, transmitters).splitlines(keepends=True)
@@ -278,20 +264,16 @@ class FileSink:
                 n = min(_CHUNK, repeats - r)
                 self.fh.write(_compact(phase, start_round + r * count, count, n))
 
-    def _full(self, phase: bytes, start: int, end: int, rounds=(), records=()) -> None:
-        """Write the full-mode records of the rounds start to end - 1:
-        records, those of rounds (in round order), and a silent record for
-        every other round; phase is already JSON.
+    def _full(self, phase: bytes, start: int, end: int) -> None:
+        """Write the full-mode silent records of the rounds start to
+        end - 1; phase is already JSON.
 
         Chunk by chunk, the silent line is repeated once per round, with
         the digits that all its rounds share already in place, and each
         of the other digit columns is written with one strided slice
-        assignment. Within a chunk every line has one width, so a record
-        replaces the silent line at (round - first round) * width; the
-        chunk's other lines go to the file as views of it."""
+        assignment."""
         head = _SILENT_HEAD + phase + b', "round": '
         tail = b', "transmitters": []}\n'
-        k = 0
         s = start
         while s < end:
             digits = b"%d" % s
@@ -306,18 +288,6 @@ class FileSink:
             o = s % _CHUNK
             for w in range(low):
                 buf[ones - w :: width] = _COLUMNS[w][o : o + m]
-            stop = bisect_left(rounds, e, k)  # the records of the chunk
-            if stop > k:
-                view = memoryview(buf)
-                parts = []
-                at = 0
-                for r, record in zip(rounds[k:stop], records[k:stop]):
-                    off = (r - s) * width
-                    parts += (view[at:off], record)
-                    at = off + width
-                parts.append(view[at:])
-                buf = b"".join(parts)
-                k = stop
             self.fh.write(buf)
             s = e
 
@@ -343,22 +313,14 @@ def _records(heads: Sequence[bytes], phase: bytes, rounds, transmitters) -> byte
     return _RECORD * len(heads) % tuple(values)
 
 
-def _digits(x: np.ndarray) -> np.ndarray:
-    """The decimal digits of each non-negative int in x, all below 10**10."""
-    return _POWERS.searchsorted(x, side="right") + 1
-
-
 def _pairs_text(pairs: np.ndarray, at: Sequence[int], template: bytes = b"[%s]") -> list[bytes]:
     """The JSON text of each group of (sender, receiver) rows of pairs,
     group g being rows at[g] : at[g + 1], filled into template: with the
     default one, json.dumps of its [sender, receiver] lists. Every pair is
-    written by one %-format, each after ", ", and a group's text is sliced
-    out at offsets summed from the pairs' digit widths."""
-    text = b", [%d, %d]" * len(pairs) % tuple(pairs.ravel().tolist())
-    width = _digits(pairs[:, 0]) + _digits(pairs[:, 1]) + 6  # and ", [", ", ", "]"
-    ends = [0, *width.cumsum().tolist()]
-    # a group's text starts after its first pair's ", "
-    return [template % text[ends[a] + 2 : ends[b]] for a, b in zip(at, at[1:])]
+    written by one %-format, one line each, and a group's text joins its
+    lines."""
+    lines = (b"[%d, %d]\n" * len(pairs) % tuple(pairs.ravel().tolist())).split(b"\n")
+    return [template % b", ".join(lines[a:b]) for a, b in zip(at, at[1:])]
 
 
 def _rows(table) -> tuple[list[int], list[bytes], list[int], list[list[tuple[int, list[int]]]]]:

@@ -94,7 +94,6 @@ _ANNOUNCE = _template("leader-announce", b"[%d]")
 _INFORM = _template("neighbor-of-leader", b"[%d, %d]")
 _GRANT = _template("token-grant", b"[%d, %d]")
 _RETURN = _template("token-return", b"[%d%s]")  # the tokens, each after ", "
-_CLAIM = _template("helper-claim", b"[[%d, %d, %d]]")  # a key that carries one claim
 _CLAIMS = _template("helper-claim", b"[%s]")
 
 
@@ -907,9 +906,7 @@ def two_hop_connection(sim: Simulator) -> None:
         # pidxs ascend with (s, t) and a key's claims share their helper, so
         # a key's positions, ascending, give its claims sorted
         return [
-            _CLAIM % (u, *claims[ks[0]])
-            if len(ks) == 1
-            else _CLAIMS % (u, b", ".join([b"[%d, %d, %d]" % claims[k] for k in ks]))
+            _CLAIMS % (u, b", ".join([b"[%d, %d, %d]" % claims[k] for k in ks]))
             for u, ks in zip(senders, carried)
         ]
 
@@ -1087,8 +1084,9 @@ class _Messages:
     writer (see Messages): sender j's payload is its label, then its
     entries, rows at[j] : at[j + 1] of columns, each a label (one column)
     or a list of labels. All are sized at once, in sender order, when the
-    writer is made (MessageSizeError for the first over the budget); each
-    text is filled from the columns when written."""
+    writer is made (MessageSizeError for the first over the budget). A
+    sender's text is filled from the columns each time it is asked for,
+    once per execution it is in (see Execution.texts)."""
 
     def __init__(
         self,
@@ -1109,7 +1107,6 @@ class _Messages:
         self._at = at.tolist()
         self._width = width
         self._labels = np.column_stack(columns).ravel().tolist()  # each entry's, in order
-        self._texts: dict[int, bytes] = {}  # each sender's text, once written
 
     def __contains__(self, u: object) -> bool:
         return u in self._index
@@ -1120,13 +1117,9 @@ class _Messages:
         )
         texts = []
         for u in senders:
-            text = self._texts.get(u)
-            if text is None:  # a sender sends its one message in every execution it is in
-                j = self._index[u]
-                lo, hi = at[j], at[j + 1]
-                entries = entry * (hi - lo) % tuple(labels[lo * w : hi * w])
-                text = self._texts[u] = template % (u, u, entries)
-            texts.append(text)
+            j = self._index[u]
+            lo, hi = at[j], at[j + 1]
+            texts.append(template % (u, u, entry * (hi - lo) % tuple(labels[lo * w : hi * w])))
         return texts
 
 

@@ -20,7 +20,8 @@ every placed point.
 The package keeps a message only as its transmitter text. Message is a
 message as the tests read it: a kind tag, a payload of labels and tuples
 of labels, and its size in bits. decoded() reads one from a transmitter
-text, and transmitted() every transmission's of a recorded execution.
+text, and transmitted() every transmission's of a recorded execution,
+rendered afresh by the execution's writer.
 make_message() is the label-count reference for message sizes: both size
 a message by counting the labels of its payload, nested tuples included
 (count_labels), where the phases size each message from the label count
@@ -288,8 +289,15 @@ def decoded(text: bytes, n_labels: int) -> Message:
 
 def transmitted(ex: Execution, n_labels: int) -> list[Message]:
     """The message of each transmission of ex, a record of a run over
-    n_labels labels: its message key's text, decoded."""
-    messages = [decoded(text, n_labels) for text in ex.texts()]
+    n_labels labels: its message key's text, rendered afresh by ex's own
+    writer (not read from ex.texts(), which FileSink writes from) and
+    decoded. A silent record sends none."""
+    if ex.batch is None:
+        return []
+    table, e = ex.batch.table, ex.index
+    k0, k1 = table.key_at[e], table.key_at[e + 1]
+    texts = ex.write(table.sender[k0:k1], table.carried[k0:k1])
+    messages = [decoded(text, n_labels) for text in texts]
     return [messages[k] for k in ex.message_keys]
 
 

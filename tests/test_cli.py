@@ -450,6 +450,21 @@ REFERENCE_RUNS = {
     # the benchmark's cli-trace profile: n=40, maximum degree 12, N=64
     "cli-trace": (GeneratorSpec(n=40, arena_side=4.0, seed=4), 12),
 }
+# a no-demo run (13,120 rounds): its 4,096-round two-hop execution has four
+# full-mode chunks of cli._CHUNK rounds with no non-silent round, which no
+# run above has
+NO_DEMO = (GeneratorSpec(n=12, arena_side=2.6, seed=1), ProtocolConfig(demo=False))
+
+
+def _silent_chunks(executions) -> int:
+    """The chunks of cli._CHUNK rounds, counted from each non-silent
+    execution's start, that hold no non-silent round."""
+    chunks = 0
+    for ex in executions:
+        if ex.batch is not None:
+            held = set((ex.rounds // cli._CHUNK).tolist())
+            chunks += sum(c not in held for c in range(-(-ex.size // cli._CHUNK)))
+    return chunks
 
 
 def _lost_grant_executions(monkeypatch) -> list:
@@ -474,10 +489,14 @@ def _lost_grant_executions(monkeypatch) -> list:
     return sim.sink.executions
 
 
-@pytest.mark.parametrize("name", [*REFERENCE_RUNS, "lost-grant"])
+@pytest.mark.parametrize("name", [*REFERENCE_RUNS, "lost-grant", "no-demo"])
 def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
     if name == "lost-grant":
         executions, n_labels = _lost_grant_executions(monkeypatch), 64
+    elif name == "no-demo":
+        inst = generate(NO_DEMO[0])
+        executions, n_labels = backbone_creation(inst, NO_DEMO[1]).traces.executions, inst.n_labels
+        assert _silent_chunks(executions) == 4
     else:
         spec, delta = REFERENCE_RUNS[name]
         inst = generate(spec)
@@ -491,14 +510,19 @@ def test_file_sink_writes_the_round_by_round_reference_bytes(name, monkeypatch):
     density=st.floats(0.6, 1.0),
     seed=st.integers(0, 10**6),
     n_labels=st.sampled_from([16, 64, 1024]),
+    demo=st.booleans(),
 )
 @settings(max_examples=20, deadline=None)
-def test_file_sink_writes_the_reference_bytes_on_generated_instances(n, density, seed, n_labels):
-    # beyond the fixed layouts above: any small run, in both modes
+def test_file_sink_writes_the_reference_bytes_on_generated_instances(n, density, seed, n_labels, demo):
+    # beyond the fixed layouts above: any small run, in both modes; no-demo
+    # runs only up to N = 64, where they take at most a few 10**4 rounds
     n = min(n, n_labels)
     side = density * min(4.0, max(1.2, 0.85 * n**0.5))
     inst = generate(GeneratorSpec(n=n, arena_side=side, seed=seed, n_labels=n_labels))
-    _assert_file_sink_writes_the_reference_bytes(backbone_creation(inst).traces.executions, n_labels)
+    proto = ProtocolConfig(demo=demo or n_labels > 64)
+    _assert_file_sink_writes_the_reference_bytes(
+        backbone_creation(inst, proto).traces.executions, n_labels
+    )
 
 
 def _assert_file_sink_writes_the_reference_bytes(executions, n_labels: int) -> dict:
@@ -536,13 +560,12 @@ def cli_trace_executions() -> list:
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_file_sink_writes_the_reference_bytes_across_a_power_of_ten(cli_trace_executions, k):
-    # full mode writes the rounds of one digit count per chunk, and either
-    # formats every round of a chunk in bulk or splices records in at
-    # offsets of its line width; the reference runs never reach 10**6. All
-    # three records start 3 rounds before 10**k: a silent one of 30
-    # executions, which also crosses multiples of 1000 past 10**k, the
-    # run's non-silent execution with the most non-silent rounds (chunks
-    # formatted in bulk) and the one with the fewest per round (spliced)
+    # full mode writes silent rounds in chunks of one digit count, and
+    # formats an execution's chunk that holds a non-silent round in bulk;
+    # the reference runs never reach 10**6. All three records start 3
+    # rounds before 10**k: a silent one of 30 executions, which also
+    # crosses multiples of 1000 past 10**k, the run's non-silent execution
+    # with the most non-silent rounds and the one with the fewest per round
     sent = [e for e in cli_trace_executions if e.batch is not None]
     dense = max(sent, key=lambda e: len(e.rounds))
     sparse = min(sent, key=lambda e: len(e.rounds) / e.size)
@@ -611,7 +634,7 @@ _LABELS = st.one_of(
 @example([[(p, p - 1 or 1)] for p in _POWERS_OF_TEN] + [[(MAX_LABELS, p) for p in _POWERS_OF_TEN]])
 def test_delivery_text_is_the_json_dumps_text(groups):
     # FileSink writes each row's deliveries from one %-format over the
-    # batch's pairs, sliced at offsets summed from their digit widths
+    # batch's pairs, one line each, joined per row
     pairs = np.array([p for g in groups for p in g], np.int32).reshape(-1, 2)
     at = [0, *np.cumsum([len(g) for g in groups]).tolist()]
     assert cli._pairs_text(pairs, at) == [json.dumps(g).encode() for g in groups]
@@ -641,7 +664,8 @@ def _carried_keys(family, slots, owners) -> set:
 def test_each_message_key_is_built_once_per_execution(name, monkeypatch):
     # every payload writer a phase hands to Simulator.execute is wrapped to
     # count the (sender, carried slot positions) keys it is asked to
-    # format; two sinks then read every message of every execution
+    # format; a FileSink, then a second texts() call, read every message of
+    # every execution
     writers = []
     execute = Simulator.execute
 
@@ -665,9 +689,10 @@ def test_each_message_key_is_built_once_per_execution(name, monkeypatch):
     monkeypatch.setattr(Simulator, "execute", counting)
     inst = generate(REFERENCE_RUNS[name][0])
     executions = backbone_creation(inst).traces.executions
-    for sink in (FileSink(io.BytesIO(), "full"), RoundWriter(io.StringIO(), "full", inst.n_labels)):
-        for ex in executions:
-            sink.execution(ex)
+    sink = FileSink(io.BytesIO(), "full")
+    for ex in executions:
+        sink.execution(ex)
+        ex.texts()
     # a speculated leader-election row that was dropped formats nothing
     written = [w for w in writers if w[3]]
     assert len(written) == sum(ex.batch is not None for ex in executions)

@@ -50,6 +50,7 @@ from leader_reference import reference_leader_election
 from oracles import (
     NodeView,
     Sent,
+    decoded,
     make_message,
     msg,
     sent_messages,
@@ -330,13 +331,13 @@ def _kind_of_phase(phase: str) -> str:
 def test_executions_that_share_a_schedule_keep_their_own_texts():
     # the two token-passing sweeps run the same schedules, an iteration's
     # msg and return executions share one, and so do three-hop's announce
-    # and neighborhood inform's first: each execution sends its own phase's
-    # messages all the same
+    # and neighborhood inform's first: each execution's texts, those
+    # FileSink writes, are its own phase's messages all the same
     inst = generate(REFERENCE_RUNS["cli-trace"][0])
     kinds = {}  # the kinds each schedule's executions send
     for ex in backbone_creation(inst).traces.executions:
         if ex.batch is not None:
-            sent = {m.kind for m in transmitted(ex, inst.n_labels)}
+            sent = {decoded(text, inst.n_labels).kind for text in ex.texts()}
             assert sent == {_kind_of_phase(ex.phase)}, ex.phase
             kinds.setdefault((ex.batch, ex.index), set()).update(sent)
     # the test can fail: a sweep's msg schedule sends three kinds
