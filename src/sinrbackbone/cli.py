@@ -86,8 +86,8 @@ def generate(spec: GeneratorSpec, params: SinrParams = DEFAULT_PARAMS) -> Physic
         raise InvalidArgumentError(f"need n >= 1, got n={spec.n}")
     if not (math.isfinite(spec.arena_side) and spec.arena_side > 0):
         raise InvalidArgumentError(f"need a finite positive arena side, got {spec.arena_side}")
-    if not math.isfinite(spec.min_spacing):
-        raise InvalidArgumentError(f"need a finite minimum spacing, got {spec.min_spacing}")
+    if not (math.isfinite(spec.min_spacing) and spec.min_spacing >= 0):
+        raise InvalidArgumentError(f"need a finite minimum spacing >= 0, got {spec.min_spacing}")
     if spec.n > spec.n_labels:
         raise InvalidArgumentError(f"n={spec.n} exceeds label space {spec.n_labels}")
     if spec.n_labels > MAX_LABELS:

@@ -129,18 +129,7 @@ class BackboneResult:
     two_hop: dict[tuple[int, int], int]
     three_hop: dict[tuple[int, int], tuple[int, int]]
     phase_snapshots: list[tuple[int, dict[int, str]]]
-    token_records: list["TokenRecord"]
     delta: int
-
-
-@dataclass(frozen=True)
-class TokenRecord:
-    """Ground-truth-checkable facts about one token-passing msg slot."""
-
-    run: int
-    iteration: int
-    holders: tuple[int, ...]
-    transmissions: tuple[tuple[int, tuple[int, ...]], ...]  # (sender, receivers)
 
 
 _NO_ROUNDS = np.zeros(0, dtype=np.int32)
@@ -468,7 +457,6 @@ class Simulator:
         self.two_hop = np.zeros((0, 3), dtype=np.int64)  # (leader, partner, helper)
         self.three_hop = np.zeros((0, 4), dtype=np.int64)  # (leader, partner, x, y)
         self.phase_snapshots: list[tuple[int, dict[int, str]]] = []
-        self.token_records: list[TokenRecord] = []
         self._tp_runs = 0
         self._plans: dict[tuple, tuple[_Batch, int]] = {}  # see execute
 
@@ -960,9 +948,9 @@ def token_passing(sim: Simulator, msgs: Messages) -> tuple[np.ndarray, np.ndarra
     sink asks for it, once per execution and sender, and sized from its label
     count before its execution is recorded. Each grant execution is checked
     by one array comparison of the targets with what was heard, as the
-    sweep must stop there if a grant was lost. The token records and the
-    receptions are read from the msg executions sent, in one pass when the
-    sweep ends or stops.
+    sweep must stop there if a grant was lost. The receptions are read from
+    each msg execution's heard pairs; the trace is the only record of what
+    a sweep sent.
     """
     n_labels = sim.inst.n_labels
     run_id = sim._tp_runs
@@ -1014,62 +1002,35 @@ def token_passing(sim: Simulator, msgs: Messages) -> tuple[np.ndarray, np.ndarra
             (holding, holding, phase + "return", give_back(holder_at[i])),
         ]
     steps = sim.execute(sim.base_ssf(), specs)
-    sent: list[tuple[np.ndarray, np.ndarray]] = []  # each msg execution's heard
-
-    try:
-        for i in range(delta):
-            lo, hi = at[i], at[i + 1]
-            # slot 1: everyone silent
-            next(steps)
-            # slot 2: leaders pass tokens to their i-th neighbors
-            if hi > lo:
-                _message_bits("token-grant", 2, n_labels)
-            pos, label = next(steps)
-            got = label == targets[lo:hi][pos]
-            if np.count_nonzero(got) < hi - lo:
-                granted = np.zeros(hi - lo, dtype=bool)
-                granted[pos[got]] = True
-                k = lo + int(np.argmin(granted))
-                raise TokenDeliveryError(
-                    f"token from leader {leaders[k]} to {target_list[k]} lost in run {run_id}, "
-                    f"i={i + 1}"
-                )
-            # slot 3: token holders transmit their message
-            sent.append(next(steps))
-            # slot 4: holders pass tokens back
-            if too_long is not None and holder_at[i] <= too_long < holder_at[i + 1]:
-                count = token_at_list[too_long + 1] - token_at_list[too_long]
-                _message_bits("token-return", 1 + count, n_labels)
-            next(steps)
-    finally:
-        receptions = _append_token_records(sim, run_id, holder_list, holder_at, sent)
-    return receptions
-
-
-def _append_token_records(
-    sim: Simulator,
-    run_id: int,
-    holders: list[int],
-    holder_at: list[int],
-    sent: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Append the TokenRecord of each iteration whose msg execution was
-    sent, from what it heard; returns their receptions as (sender,
-    listener) label arrays. Iteration i's msg execution sends
-    holders[holder_at[i] : holder_at[i + 1]] at slot positions 0, 1, ...,
-    and its heard pairs are sorted by position: so with holders numbered
-    over the sweep, each holder's listeners are one run of the pairs."""
-    holder = np.concatenate([_NOT_HEARD[0]] + [pos + lo for (pos, _l), lo in zip(sent, holder_at)])
-    listeners = np.concatenate([_NOT_HEARD[1]] + [lab for _p, lab in sent])
-    # where each holder's listeners start, over the whole sweep
-    bounds = holder.searchsorted(np.arange(holder_at[len(sent)] + 1)).tolist()
-    heard = listeners.tolist()
-    receivers = [tuple(heard[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    for i in range(len(sent)):
-        hs = holders[holder_at[i] : holder_at[i + 1]]
-        mine = receivers[holder_at[i] : holder_at[i + 1]]
-        sim.token_records.append(TokenRecord(run_id, i + 1, tuple(hs), tuple(zip(hs, mine))))
-    return np.array(holders, dtype=np.int64)[holder], listeners
+    senders, listeners = [_NOT_HEARD[0]], [_NOT_HEARD[1]]
+    for i in range(delta):
+        lo, hi = at[i], at[i + 1]
+        # slot 1: everyone silent
+        next(steps)
+        # slot 2: leaders pass tokens to their i-th neighbors
+        if hi > lo:
+            _message_bits("token-grant", 2, n_labels)
+        pos, label = next(steps)
+        got = label == targets[lo:hi][pos]
+        if np.count_nonzero(got) < hi - lo:
+            granted = np.zeros(hi - lo, dtype=bool)
+            granted[pos[got]] = True
+            k = lo + int(np.argmin(granted))
+            raise TokenDeliveryError(
+                f"token from leader {leaders[k]} to {target_list[k]} lost in run {run_id}, "
+                f"i={i + 1}"
+            )
+        # slot 3: token holders transmit their message, holder k of the
+        # sweep from slot position k - holder_at[i]
+        pos, label = next(steps)
+        senders.append(holders[holder_at[i] + pos])
+        listeners.append(label)
+        # slot 4: holders pass tokens back
+        if too_long is not None and holder_at[i] <= too_long < holder_at[i + 1]:
+            count = token_at_list[too_long + 1] - token_at_list[too_long]
+            _message_bits("token-return", 1 + count, n_labels)
+        next(steps)
+    return np.concatenate(senders), np.concatenate(listeners)
 
 
 def _first_oversize(sizes: np.ndarray, n_labels: int) -> Optional[int]:
@@ -1247,6 +1208,5 @@ def backbone_creation(
         two_hop=two_hop,
         three_hop=three_hop,
         phase_snapshots=sim.phase_snapshots,
-        token_records=sim.token_records,
         delta=sim.graph.delta,
     )

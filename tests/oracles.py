@@ -36,6 +36,10 @@ token_passing takes its msgs. Both render each message with json.dumps,
 so the texts the package's templates fill are held to the json module's.
 sent_messages() decodes what a writer renders for some senders.
 
+TokenRecord is what one token-passing msg execution sent, and
+token_records() reads every one from a run's records: the trace is the
+package's only record of a sweep.
+
 NodeView is one node's state as one object, with its own guard on status
 transitions: the leader, inform and token references apply their
 node-local rules to views(sim), built from the Simulator's state arrays,
@@ -45,6 +49,7 @@ and write them back with store(sim, views).
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -370,6 +375,46 @@ def ssf_broadcast(
     )
     for ls, (slots, listeners) in zip(labs, steps):
         yield [(ls[k], listener) for k, listener in zip(slots.tolist(), listeners.tolist())]
+
+
+@dataclass(frozen=True)
+class TokenRecord:
+    """Ground-truth-checkable facts about one token-passing msg execution."""
+
+    run: int
+    iteration: int
+    holders: tuple[int, ...]
+    transmissions: tuple[tuple[int, tuple[int, ...]], ...]  # (sender, receivers)
+
+
+_MSG_PHASE = re.compile(r"token-passing/run=(\d+)/i=(\d+)/msg")
+
+
+def token_records(executions: Iterable[Execution]) -> list[TokenRecord]:
+    """The TokenRecord of each token-passing msg execution of a run's
+    records, silent ones included, in round order: its holders are its
+    transmitters, ascending, and each holder's receivers are the distinct
+    receivers of its deliveries, ascending. A holder that reached no one
+    has ()."""
+    from trace_reference import each_execution  # which imports this module
+
+    out = []
+    for ex in each_execution(executions):
+        phase = _MSG_PHASE.fullmatch(ex.phase)
+        if phase is None:
+            continue
+        receivers = {h: set() for h in sorted(set(ex.transmissions[:, 1].tolist()))}
+        for _row, sender, receiver in ex.deliveries.tolist():
+            receivers[sender].add(receiver)
+        out.append(
+            TokenRecord(
+                int(phase[1]),
+                int(phase[2]),
+                tuple(receivers),
+                tuple((h, tuple(sorted(rs))) for h, rs in receivers.items()),
+            )
+        )
+    return out
 
 
 _STATUS_TRANSITIONS = {

@@ -39,6 +39,7 @@ from sinrbackbone.verify import (
 )
 
 from family_schedule import leader_buckets, scheduled_phase_rounds, ssf_size_bound
+from oracles import token_records
 
 N_INSTANCES = 200
 PARAMS = DEFAULT_PARAMS
@@ -147,7 +148,7 @@ def test_acceptance_5_token_passing_delivery(suite):
     for rec in suite.records:
         gi = grid_index(rec.inst)
         adj = rec.graph.adjacency
-        for tok in rec.result.token_records:
+        for tok in token_records(rec.result.traces.executions):
             per_box: dict = {}
             for h in tok.holders:
                 b = gi.boxes[h]
@@ -160,7 +161,7 @@ def test_acceptance_5_token_passing_delivery(suite):
                 if missing:
                     violations.append((rec.index, "delivery", sender, sorted(missing)))
     ok = not violations
-    execs = sum(len(r.result.token_records) for r in suite.records)
+    execs = sum(len(token_records(r.result.traces.executions)) for r in suite.records)
     _emit(5, ok, f"{execs} token msg slots, {len(violations)} violations")
     assert ok, violations[:5]
 

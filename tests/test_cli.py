@@ -81,7 +81,6 @@ def test_generate_retry_cap():
     [
         (30, 3.2, GeneratorSpec.min_spacing),  # the default
         (30, 3.2, 0.0),
-        (30, 3.2, -1.0),
         (1, 3.2, 7.0),  # larger than the arena: one station fits
         (50, 3.0, 0.3),  # many draws rejected
         (200, 6.0, 0.2),
@@ -156,6 +155,8 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         ["generate", "--n", "5", "--side", "nan", "--out"],
         ["generate", "--n", "5", "--side", "inf", "--out"],
         ["generate", "--n", "5", "--side", "1", "--spacing", "nan", "--out"],
+        ["generate", "--n", "5", "--side", "1.0", "--spacing", "-1", "--out"],
+        ["run", "--n", "5", "--side", "1.0", "--spacing", "-0.5", "--out-dir"],
         ["run", "--n", "5", "--side", "nan", "--out-dir"],
         ["generate", "--n", "5", "--side", "1", "--n-labels", "2147483648", "--out"],
     ],
@@ -171,6 +172,8 @@ def test_run_zero_noise_fails_at_once_with_unbounded_range(tmp_path, capsys):
         "generate-side-nan",
         "generate-side-inf",
         "generate-spacing-nan",
+        "generate-spacing-negative",
+        "run-spacing-negative",
         "run-side-nan",
         "generate-labels-above-cap",
     ],

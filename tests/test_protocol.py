@@ -32,7 +32,6 @@ from sinrbackbone.protocol import (
     Families,
     ProtocolConfig,
     Simulator,
-    TokenRecord,
     backbone_creation,
     leader_election,
     neighborhood_inform,
@@ -50,17 +49,23 @@ from leader_reference import reference_leader_election
 from oracles import (
     NodeView,
     Sent,
+    TokenRecord,
     decoded,
     make_message,
     msg,
     sent_messages,
     ssf_broadcast,
+    token_records,
     transmitted,
     views,
     writer,
 )
 from test_cli import REFERENCE_RUNS
-from token_reference import reference_three_hop_connection, reference_token_passing
+from token_reference import (
+    reference_records,
+    reference_three_hop_connection,
+    reference_token_passing,
+)
 from trace_reference import each_execution, message_keys, records, replay
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -365,10 +370,11 @@ def test_a_collected_run_builds_no_message_that_a_sink_builds(monkeypatch):
     monkeypatch.setattr(Simulator, "execute", counting)
     inst = generate(GeneratorSpec(n=40, arena_side=3.4, seed=13), P)
     r = backbone_creation(inst)
-    assert r.two_hop and r.three_hop and r.token_records  # every phase sent messages
     assert calls == []
     batches = {id(ex.batch): ex.batch for ex in r.traces.executions if ex.batch}
     assert batches and not any("table" in vars(b) for b in batches.values())
+    # every phase sent messages (reading the token records builds tables)
+    assert r.two_hop and r.three_hop and token_records(r.traces.executions)
     # a sink that reads them renders every kind
     trs = records(r.traces.executions, inst.n_labels)
     assert calls
@@ -823,7 +829,7 @@ def test_token_passing_delivers_messages_to_all_neighbors():
     # the leader neighbors everyone, so it hears both messages
     senders_heard_by_7 = {s for s, listener in zip(*heard) if listener == 7}
     assert senders_heard_by_7 == {2, 4}
-    for rec in sim.token_records:
+    for rec in token_records(sim.sink.executions):
         for sender, receivers in rec.transmissions:
             assert set(sim.graph.adjacency[sender]) <= set(receivers)
 
@@ -836,7 +842,7 @@ def test_token_passing_two_tokens_one_iteration():
     sink = sim.sink
     msgs = Sent({3: msg(sim, "hop3-report", (3, 5, 9))})
     token_passing(sim, msgs)
-    rec = sim.token_records[0]
+    rec = token_records(sink.executions)[0]
     assert rec.holders == (3,)
     returns = [
         m
@@ -861,16 +867,46 @@ def test_token_passing_needs_a_message_for_every_holder():
 
 def test_a_grant_lost_in_a_later_iteration_keeps_the_earlier_records(monkeypatch):
     # leader 7 grants to 2 in iteration 1 and to 4 in iteration 2, where
-    # 4 does not hear it: the sweep stops with iteration 1's record only
+    # 4 does not hear it: the sweep stops with iteration 1's record only,
+    # in the package's trace and in the reference's own records
     inst = make_instance([(7, 0, 0), (2, 0.8, 0), (4, -0.8, 0)], P, 16)
-    sim = Simulator(inst)
-    force_leaders(sim, {7})
-    _drop_delivery(sim, monkeypatch, "token-passing/run=0/i=2/grant", 7, 4)
-    msgs = Sent({u: msg(sim, "hop3-report", (u, 7)) for u in (2, 4)})
-    with pytest.raises(TokenDeliveryError, match="token from leader 7 to 4 lost in run 0, i=2"):
-        token_passing(sim, msgs)
-    assert sim.token_records == [TokenRecord(0, 1, (2,), ((2, (7,)),))]
-    assert sim.sink.executions[-1].phase == "token-passing/run=0/i=2/grant"
+    for sweep in (token_passing, reference_token_passing):
+        sim = Simulator(inst)
+        force_leaders(sim, {7})
+        _drop_delivery(sim, monkeypatch, "token-passing/run=0/i=2/grant", 7, 4)
+        msgs = Sent({u: msg(sim, "hop3-report", (u, 7)) for u in (2, 4)})
+        with pytest.raises(TokenDeliveryError, match="token from leader 7 to 4 lost in run 0, i=2"):
+            sweep(sim, msgs)
+        assert token_records(sim.sink.executions) == [TokenRecord(0, 1, (2,), ((2, (7,)),))]
+        assert sim.sink.executions[-1].phase == "token-passing/run=0/i=2/grant"
+    assert reference_records(sim) == [TokenRecord(0, 1, (2,), ((2, (7,)),))]
+
+
+def test_a_holder_that_reaches_no_one_keeps_its_record(monkeypatch):
+    # every delivery of holder 2 is lost, in the engine, so its msg
+    # execution's trace holds its transmissions and no delivery: the
+    # holders come from the transmissions, so 2 keeps its record, with ()
+    # receivers; the reference, which reads what each execution heard,
+    # agrees
+    inst = make_instance([(7, 0, 0), (2, 0.8, 0), (4, -0.8, 0)], P, 16)
+    want = [TokenRecord(0, 1, (2,), ((2, ()),)), TokenRecord(0, 2, (4,), ((4, (7,)),))]
+    for sweep in (token_passing, reference_token_passing):
+        sim = Simulator(inst)
+        force_leaders(sim, {7})
+        adjudicate = sim.engine.adjudicate
+        mute = sim.graph.label_array.searchsorted(2)
+
+        def deaf(rounds, senders, adjudicate=adjudicate, mute=mute):
+            dl_tx, dl_rx = adjudicate(rounds, senders)
+            kept = senders[dl_tx] != mute
+            return dl_tx[kept], dl_rx[kept]
+
+        monkeypatch.setattr(sim.engine, "adjudicate", deaf)
+        sweep(sim, Sent({u: msg(sim, "hop3-report", (u, 7)) for u in (2, 4)}))
+        (sent,) = [ex for ex in sim.sink.executions if ex.phase.endswith("i=1/msg")]
+        assert sent.transmissions[:, 1].tolist() and not len(sent.deliveries)
+        assert token_records(sim.sink.executions) == want
+    assert reference_records(sim) == want
 
 
 def test_lost_token_grant_raises_for_the_smallest_leader(monkeypatch):
@@ -920,18 +956,20 @@ def test_oversized_token_return_fails_before_the_return_execution(monkeypatch):
     stations = [(5, 0, 0), (9, 1.8, 0), (3, 0.9, 0)]
     inst = make_instance(stations, P, 16)
     monkeypatch.setattr(protocol, "C_MSG", 5)
-    sim = Simulator(inst)
-    force_leaders(sim, {5, 9})
-    msgs = Sent({3: make_message("hop3-report", (3,), 16)})
-    with pytest.raises(MessageSizeError):
-        token_passing(sim, msgs)
-    assert [ex.phase for ex in sim.sink.executions] == [
-        "token-passing/run=0/i=1/idle",
-        "token-passing/run=0/i=1/grant",
-        "token-passing/run=0/i=1/msg",
-    ]
-    # the msg execution was sent, so its record is kept
-    assert sim.token_records == [TokenRecord(0, 1, (3,), ((3, (5, 9)),))]
+    for sweep in (token_passing, reference_token_passing):
+        sim = Simulator(inst)
+        force_leaders(sim, {5, 9})
+        msgs = Sent({3: make_message("hop3-report", (3,), 16)})
+        with pytest.raises(MessageSizeError):
+            sweep(sim, msgs)
+        assert [ex.phase for ex in sim.sink.executions] == [
+            "token-passing/run=0/i=1/idle",
+            "token-passing/run=0/i=1/grant",
+            "token-passing/run=0/i=1/msg",
+        ]
+        # the msg execution was sent, so its record is kept
+        assert token_records(sim.sink.executions) == [TokenRecord(0, 1, (3,), ((3, (5, 9)),))]
+    assert reference_records(sim) == [TokenRecord(0, 1, (3,), ((3, (5, 9)),))]
 
 
 def test_oversized_return_of_a_later_transmitter_fails_before_the_return_execution(
@@ -948,7 +986,7 @@ def test_oversized_return_of_a_later_transmitter_fails_before_the_return_executi
     token_passing(fits, msgs)
     returns = fits.sink.executions[3]
     assert returns.phase == "token-passing/run=0/i=1/return"
-    assert fits.token_records[0].holders == (3, 9)
+    assert token_records(fits.sink.executions)[0].holders == (3, 9)
     assert returns.transmissions[0].tolist() == [0, 3]  # 9 is not the first transmission
 
     monkeypatch.setattr(protocol, "C_MSG", 5)
@@ -969,7 +1007,7 @@ def test_token_holder_box_bound():
     from sinrbackbone.physical import grid_index
 
     gi = grid_index(inst)
-    for rec in result.token_records:
+    for rec in token_records(result.traces.executions):
         per_box: dict = {}
         for h in rec.holders:
             b = gi.boxes[h]
@@ -985,8 +1023,9 @@ def test_every_token_holder_sends(name):
     for inst in workloads.make_instances(workloads.WORKLOADS[name], 1):
         result = backbone_creation(inst)
         sweep = {ex.phase: ex for ex in result.traces.executions}
-        assert len(result.token_records) == 2 * result.delta
-        for rec in result.token_records:
+        records = token_records(result.traces.executions)
+        assert len(records) == 2 * result.delta
+        for rec in records:
             assert [s for s, _receivers in rec.transmissions] == list(rec.holders)
             phase = f"token-passing/run={rec.run}/i={rec.iteration}/"
             sent, returned = sweep[phase + "msg"], sweep[phase + "return"]
@@ -1014,7 +1053,7 @@ def test_demo_base_ssf_over_gf8_delivers_every_token_message(monkeypatch):
     result = backbone_creation(inst)
     missing = [
         (sender, sorted(set(adj[sender]) - set(receivers)))
-        for tok in result.token_records
+        for tok in token_records(result.traces.executions)
         for sender, receivers in tok.transmissions
         if set(adj[sender]) - set(receivers)
     ]
@@ -1024,7 +1063,8 @@ def test_demo_base_ssf_over_gf8_delivers_every_token_message(monkeypatch):
 def _assert_same_heard(a, b):
     """Two yields of Simulator.execute are the same two read-only int64
     arrays, (slot position, listener label) pairs in strictly increasing
-    order: by position, then label. The token records rely on that order."""
+    order: by position, then label. token_passing's receptions rely on
+    that order."""
     assert len(a) == len(b) == 2
     for x, y in zip(a, b):
         assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
@@ -1093,7 +1133,7 @@ def test_batched_executions_match_executions_run_one_at_a_time(make):
     assert len(batched.pairs) == len(single.pairs)
     for a, b in zip(batched.pairs, single.pairs):
         _assert_same_heard(a, b)
-    assert batched.token_records == single.token_records
+    assert token_records(batched.sink.executions) == token_records(single.sink.executions)
     assert len(batched.sink.executions) == len(single.sink.executions)
     for a, b in zip(batched.sink.executions, single.sink.executions):
         _assert_same_execution(a, b, inst.n_labels)
@@ -1176,7 +1216,7 @@ def test_every_reused_plan_matches_fresh_plans_and_the_dense_engine():
         runs.append(sim)
     reused, fresh = runs
     assert len(reused._plans) < len(reused.schedules)  # some executions were served
-    assert reused.token_records == fresh.token_records
+    assert token_records(reused.sink.executions) == token_records(fresh.sink.executions)
     assert len(reused.sink.executions) == len(fresh.sink.executions)
     for a, b in zip(reused.sink.executions, fresh.sink.executions):
         _assert_same_execution(a, b, inst.n_labels)
@@ -1267,7 +1307,9 @@ def _assert_three_hop_equals_the_reference(inst, mp):
     (package, reference), (error, ref_error), (heard, ref_heard) = _three_hop_by_both(inst, mp)
     assert error == ref_error
     assert heard == ref_heard
-    assert package.token_records == reference.token_records
+    records = token_records(package.sink.executions)
+    assert records == reference_records(reference)
+    assert records == token_records(reference.sink.executions)
     assert package.round == reference.round
     for lab, v in views(package).items():
         w = views(reference)[lab]
@@ -1295,11 +1337,12 @@ REFERENCE_INSTANCES = {
 def test_array_sweeps_and_rules_equal_the_dict_reference(name, monkeypatch):
     inst = REFERENCE_INSTANCES[name]()
     sim = _assert_three_hop_equals_the_reference(inst, monkeypatch)
-    assert len(sim.token_records) == 2 * sim.graph.delta
+    records = token_records(sim.sink.executions)
+    assert len(records) == 2 * sim.graph.delta
     if name == "demo-loss":
         lost = [
             rec.run
-            for rec in sim.token_records
+            for rec in records
             for sender, receivers in rec.transmissions
             if sender == 35 and 46 not in receivers
         ]
@@ -1347,7 +1390,7 @@ def _assert_same_failures(make, phases, c_msgs, monkeypatch):
         (package, error), (reference, ref_error) = runs
         assert error == ref_error, c_msg
         monkeypatch.setattr(protocol, "C_MSG", 128)  # every message sent was sized
-        assert package.token_records == reference.token_records
+        assert token_records(package.sink.executions) == reference_records(reference)
         ours, theirs = (each_execution(sim.sink.executions) for sim in (package, reference))
         assert len(ours) == len(theirs)
         for a, b in zip(ours, theirs):
@@ -1431,7 +1474,7 @@ def test_three_hop_uses_only_the_reports_a_node_heard(monkeypatch):
     for sim in sims:
         assert views(sim)[8].three_hop_helpers == {7: (3, 5)}
         assert views(sim)[7].three_hop_helpers == {}
-    assert sims[0].token_records == sims[1].token_records
+    assert token_records(sims[0].sink.executions) == reference_records(sims[1])
 
 
 def test_three_hop_min_label_bridge_agreement():
@@ -1594,7 +1637,7 @@ def test_information_barrier_position_permutation(monkeypatch):
         ((senders, (dl_tx, dl_rx)),) = [(s, heard) for _r, s, heard, sweep in calls if sweep]
         holder, receivers = next(
             (h, heard)
-            for rec in result.token_records
+            for rec in token_records(result.traces.executions)
             for h, heard in rec.transmissions
             if heard and result.statuses[h] != LEADER
         )
@@ -1605,7 +1648,7 @@ def test_information_barrier_position_permutation(monkeypatch):
             for r, s, heard, sweep in calls
         ]
         lost = backbone_creation(moved, engine=_Replayed(graph, lossy))
-        assert lost.token_records != result.token_records
+        assert token_records(lost.traces.executions) != token_records(result.traces.executions)
 
 
 def test_backbone_determinism():

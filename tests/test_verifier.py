@@ -56,7 +56,6 @@ def fake_result(leaders, helpers=(), edges=(), delta=1, snapshots=()):
         two_hop={},
         three_hop={},
         phase_snapshots=list(snapshots),
-        token_records=[],
         delta=delta,
     )
 

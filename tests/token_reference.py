@@ -6,13 +6,22 @@ who heard whom into per-listener lists of (sender, message), and the
 reporter and decision rules walk those lists with dicts and sets. A token
 holder's pending tokens are kept per sweep, as the grants it received.
 The package's array versions must give the same executions, messages,
-token records, helpers and statuses.
+token records, helpers and statuses. The reference keeps its own token
+records on the simulator, from what each msg execution heard
+(reference_records), so they are not read back from the trace as
+oracles.token_records reads the package's.
 """
 
 from sinrbackbone.errors import TokenDeliveryError
-from sinrbackbone.protocol import HELPER, LEADER, TokenRecord
+from sinrbackbone.protocol import HELPER, LEADER
 
-from oracles import msg, ssf_broadcast, store, views, writer
+from oracles import TokenRecord, msg, ssf_broadcast, store, views, writer
+
+
+def reference_records(sim):
+    """The TokenRecord of every msg execution that reference_token_passing
+    sent on sim, in order."""
+    return vars(sim).get("reference_token_records", [])
 
 
 def reference_token_passing(sim, msgs):
@@ -23,6 +32,7 @@ def reference_token_passing(sim, msgs):
     leaders = [lab for lab in sorted(node) if node[lab].status == LEADER]
     run_id = sim._tp_runs
     sim._tp_runs += 1
+    records = vars(sim).setdefault("reference_token_records", [])
     heard_msgs = {}
     pending = {}  # holder -> the leaders whose tokens it holds
 
@@ -63,7 +73,7 @@ def reference_token_passing(sim, msgs):
             s = senders[k]
             receivers[s].append(listener)
             heard_msgs.setdefault(listener, []).append((s, txs[s]))
-        sim.token_records.append(
+        records.append(
             TokenRecord(
                 run=run_id,
                 iteration=i,
